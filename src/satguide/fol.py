@@ -6,12 +6,15 @@ variables or function applications. Equality is an ordinary binary
 predicate named "=" (printed infix, no built-in equality reasoning).
 
 The printed form of a clause is canonical: it round-trips through the
-parser and its lexed token stream is exactly what the tokenizer emits.
+parser (a name that would not lex back as a name is printed quoted, so
+`p('Foo')` never re-reads as `p(X)`) and its lexed token stream is
+exactly what the tokenizer emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 FUNCTION = "function"
 PREDICATE = "predicate"
@@ -183,17 +186,6 @@ def collect_signature(clauses) -> set[Symbol]:
     return sig
 
 
-def clause_vars(c: Clause) -> list[Symbol]:
-    """Variables in order of first occurrence, left to right."""
-    seen = []
-    have = set()
-    for s in clause_symbols(c):
-        if s.kind == VARIABLE and s not in have:
-            have.add(s)
-            seen.append(s)
-    return seen
-
-
 def symbol_counts(c: Clause) -> tuple[int, int]:
     """(function/predicate occurrences, variable occurrences)."""
     fp = v = 0
@@ -251,10 +243,31 @@ def clause_tokens(c: Clause) -> list[str]:
     return toks
 
 
+def _lexes_as_name(name: str) -> bool:
+    """Would the lexer read `name` back as one name (or defined name)?"""
+    if name[0] == "$":
+        return all(ch.isalnum() or ch == "_" for ch in name[1:])
+    first = name[0]
+    starts_name = first.isalpha() or first.isdigit() or first == "_"
+    return (starts_name and not first.isupper()
+            and all(ch.isalnum() or ch == "_" for ch in name))
+
+
+@lru_cache(maxsize=4096)
+def printed_name(name: str) -> str:
+    """A function or predicate name as the printers write it: bare when it
+    lexes back as a name, quoted otherwise (`'Foo'`, `'a b'`), so that
+    printing never turns a constant into a variable."""
+    return name if _lexes_as_name(name) else f"'{name}'"
+
+
 def term_str(t: Term) -> str:
-    if not t.args:
+    if t.sym.kind == VARIABLE:
         return t.sym.name
-    return f"{t.sym.name}({','.join(term_str(a) for a in t.args)})"
+    name = printed_name(t.sym.name)
+    if not t.args:
+        return name
+    return f"{name}({','.join(term_str(a) for a in t.args)})"
 
 
 def literal_str(lit: Literal) -> str:
@@ -262,9 +275,10 @@ def literal_str(lit: Literal) -> str:
         op = "=" if lit.positive else "!="
         return f"{term_str(lit.args[0])} {op} {term_str(lit.args[1])}"
     sign = "" if lit.positive else "~"
+    name = printed_name(lit.pred.name)
     if not lit.args:
-        return f"{sign}{lit.pred.name}"
-    return f"{sign}{lit.pred.name}({','.join(term_str(a) for a in lit.args)})"
+        return f"{sign}{name}"
+    return f"{sign}{name}({','.join(term_str(a) for a in lit.args)})"
 
 
 def clause_str(c: Clause) -> str:
@@ -277,10 +291,10 @@ def problem_str(p: Problem) -> str:
     """TPTP text for a problem (cnf form only)."""
     lines = []
     for c in p.axioms:
-        name = c.origin or f"c{c.id}"
+        name = printed_name(c.origin or f"c{c.id}")
         lines.append(f"cnf({name}, axiom, ({clause_str(c)})).")
     for c in p.negated_conjecture:
-        name = c.origin or f"c{c.id}"
+        name = printed_name(c.origin or f"c{c.id}")
         lines.append(f"cnf({name}, negated_conjecture, ({clause_str(c)})).")
     return "\n".join(lines) + "\n"
 
@@ -288,27 +302,48 @@ def problem_str(p: Problem) -> str:
 # ---------------------------------------------------------------------------
 # variable normalization
 
+@lru_cache(maxsize=1024)
+def _namespace_var(prefix: str, i: int) -> Term:
+    """The variable term `<prefix><i+1>`, shared by every clause renamed
+    into that namespace."""
+    return Var(f"{prefix}{i + 1}")
 
-def normalize_variables(c: Clause) -> Clause:
-    """Rename variables to V1, V2, ... in order of first occurrence.
 
-    Idempotent; structure is otherwise untouched. Keeps the token
-    vocabulary bounded regardless of source variable names.
+def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
+    """Rename variables to V1, V2, ... (or `prefix`1, ...) in order of
+    first occurrence.
+
+    Idempotent; structure is otherwise untouched, and ground subterms are
+    shared with `c`. Returns `c` itself when nothing changes. With the
+    default prefix this keeps the token vocabulary bounded regardless of
+    source variable names; the search uses other prefixes to put clauses
+    into disjoint namespaces (see `saturation`).
     """
-    mapping = {v: Var(f"V{i + 1}") for i, v in enumerate(clause_vars(c))}
-    if all(v.name == t.sym.name for v, t in mapping.items()):
-        return c
+    mapping: dict[str, Term] = {}
 
     def rename(t: Term) -> Term:
-        if t.is_var:
-            return mapping[t.sym]
-        return Term(t.sym, tuple(rename(a) for a in t.args))
+        if t.args:
+            args = tuple([rename(a) for a in t.args])
+            if all(a is b for a, b in zip(args, t.args)):
+                return t
+            return Term(t.sym, args)
+        if t.sym.kind != VARIABLE:
+            return t
+        v = mapping.get(t.sym.name)
+        if v is None:
+            v = mapping[t.sym.name] = _namespace_var(prefix, len(mapping))
+        return t if v.sym.name == t.sym.name else v
 
-    lits = tuple(
-        Literal(l.pred, tuple(rename(a) for a in l.args), l.positive)
-        for l in c.literals
-    )
-    return replace(c, literals=lits)
+    lits = []
+    changed = False
+    for l in c.literals:
+        args = tuple([rename(a) for a in l.args])
+        if all(a is b for a, b in zip(args, l.args)):
+            lits.append(l)
+        else:
+            lits.append(Literal(l.pred, args, l.positive))
+            changed = True
+    return replace(c, literals=tuple(lits)) if changed else c
 
 
 def rename_clause_apart(c: Clause, suffix: str) -> Clause:
@@ -326,19 +361,49 @@ def rename_clause_apart(c: Clause, suffix: str) -> Clause:
     return replace(c, literals=lits)
 
 
-def canonical_key(c: Clause) -> str:
-    """A printable key equal for clauses that are syntactic variants.
+def canonical_key(c: Clause) -> tuple:
+    """A hashable key that is equal for clauses that are syntactic variants.
 
-    Literals are sorted under a variable-blind projection, then variables
-    are renamed by first occurrence in that order. Used for duplicate
-    detection; near-misses (variants that sort differently under the
-    projection) are safe, they just dedup less.
+    A key is a pair of tuples. The first is the clause's variable-blind
+    projection: per literal, its polarity, its predicate name and then the
+    preorder of its argument terms, with every variable written as "" and
+    every other symbol as its name. Literals appear in the order of a
+    stable sort of their projections. The second tuple numbers the
+    variables in that order by first occurrence. One walk over the clause
+    builds both. Within one signature a name has one arity (the parser
+    rejects anything else), so the key determines the clause up to
+    variable renaming. Used for duplicate detection; near-misses (variants
+    whose literals sort differently because equal projections keep their
+    input order) are safe, they just dedup less.
     """
-    blind = sorted(range(len(c.literals)), key=lambda i: _blind_str(c.literals[i]))
-    reordered = replace(c, literals=tuple(c.literals[i] for i in blind))
-    return clause_str(normalize_variables(reordered))
+    blinds = []
+    occurrences = []
+    for lit in c.literals:
+        toks: list = [lit.positive, lit.pred.name]
+        names: list[str] = []
+        for a in lit.args:
+            _blind_walk(a, toks, names)
+        blinds.append(tuple(toks))
+        occurrences.append(names)
+    flat: list = []
+    numbers: dict[str, int] = {}
+    pattern = []
+    for i in sorted(range(len(blinds)), key=blinds.__getitem__):
+        flat.extend(blinds[i])
+        for name in occurrences[i]:
+            k = numbers.get(name)
+            if k is None:
+                k = numbers[name] = len(numbers)
+            pattern.append(k)
+    return tuple(flat), tuple(pattern)
 
 
-def _blind_str(lit: Literal) -> str:
-    toks = literal_tokens(lit)
-    return " ".join("_" if t and t[0].isupper() else t for t in toks)
+def _blind_walk(t: Term, toks: list, names: list[str]) -> None:
+    sym = t.sym
+    if sym.kind == VARIABLE:
+        toks.append("")
+        names.append(sym.name)
+        return
+    toks.append(sym.name)
+    for a in t.args:
+        _blind_walk(a, toks, names)

@@ -18,7 +18,7 @@ import heapq
 import re
 from dataclasses import dataclass, field
 
-from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, symbol_counts
+from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, clause_symbols, symbol_counts
 
 TIER_CONST = "const"
 TIER_SOS = "sos"
@@ -60,8 +60,6 @@ def conjecture_relative_weight(
     conjecture count base_fw * conj_multiplier instead of base_fw.
     """
     total = 0.0
-    from .fol import clause_symbols
-
     for s in clause_symbols(c):
         if s.kind == "variable":
             total += base_vw

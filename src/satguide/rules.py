@@ -4,6 +4,12 @@ Binary resolution plus factoring (its completeness partner), syntactic
 tautology detection, and subsumption via multiset-injective literal
 matching. Rules return bare literal tuples; the saturation loop wraps
 them into clauses with ids and provenance.
+
+`resolve` expects variable-disjoint clauses and renames nothing: the
+saturation loop keeps every processed clause and the given clause in
+disjoint variable namespaces, and other callers get disjoint copies from
+`standardized_apart`. Matching (subsumption, variants) never substitutes
+into its target, so it needs no renaming at all.
 """
 
 from __future__ import annotations
@@ -19,26 +25,31 @@ RULE_RESOLVE = "res"
 RULE_FACTOR = "factor"
 
 
-def resolve(c1: Clause, c2: Clause) -> list[tuple[Literal, ...]]:
-    """All binary resolvents of c1 and c2.
+def standardized_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
+    """Copies of c1 and c2 that share no variable, for `resolve`."""
+    return rename_clause_apart(c1, "_l"), rename_clause_apart(c2, "_r")
 
-    The clauses are standardized apart internally, so self-resolution
-    (c1 is c2) is fine. For each complementary pair with unifiable atoms
-    the resolvent collects the remaining literals under the mgu.
+
+def resolve(c1: Clause, c2: Clause) -> list[tuple[Literal, ...]]:
+    """All binary resolvents of c1 and c2, which must share no variable.
+
+    Nothing is renamed here: a shared variable would be read as one
+    variable of both clauses and lose resolvents. To resolve a clause
+    with itself, or any pair that may overlap, pass the copies from
+    `standardized_apart`. For each complementary pair with unifiable
+    atoms the resolvent collects the remaining literals under the mgu.
     """
-    a = rename_clause_apart(c1, "_l")
-    b = rename_clause_apart(c2, "_r")
+    lits1, lits2 = c1.literals, c2.literals
     out = []
-    for i, li in enumerate(a.literals):
-        for j, lj in enumerate(b.literals):
+    for i, li in enumerate(lits1):
+        for j, lj in enumerate(lits2):
             if li.positive == lj.positive:
                 continue
             sub = unify_atoms(li, lj)
             if sub is None:
                 continue
-            rest_a = a.literals[:i] + a.literals[i + 1 :]
-            rest_b = b.literals[:j] + b.literals[j + 1 :]
-            out.append(_merged(apply_sub_literals(rest_a + rest_b, sub)))
+            rest = lits1[:i] + lits1[i + 1 :] + lits2[:j] + lits2[j + 1 :]
+            out.append(_merged(apply_sub_literals(rest, sub)))
     return out
 
 
@@ -86,20 +97,22 @@ def subsumes(general: Clause, specific: Clause) -> bool:
 
     Multiset-injective: two literals of `general` may not share a target
     literal in `specific`. Standard clause subsumption; `general` makes
-    `specific` redundant.
+    `specific` redundant. The clauses may share variables: matching binds
+    only variables of `general` and never looks through a binding, so a
+    variable of `specific` always stands for itself.
     """
-    if len(general.literals) > len(specific.literals):
-        return False
-    g = rename_clause_apart(general, "_g")
+    patterns = general.literals
     targets = specific.literals
+    if len(patterns) > len(targets):
+        return False
 
     def assign(i: int, used: int, sub) -> bool:
-        if i == len(g.literals):
+        if i == len(patterns):
             return True
         for j, t in enumerate(targets):
             if used & (1 << j):
                 continue
-            ext = match_literals(g.literals[i], t, sub)
+            ext = match_literals(patterns[i], t, sub)
             if ext is not None and assign(i + 1, used | (1 << j), ext):
                 return True
         return False

@@ -8,6 +8,15 @@ processed set (g included, covering self-resolution) and all factors of g
 are generated, and g joins the processed set. Deriving the empty clause
 terminates with a proof.
 
+Standardizing apart happens once per clause, not once per resolution
+pair: a clause joining the processed set is stored renamed into the
+processed namespace (variables P1, P2, ...), and the given clause is
+renamed once per step into the given namespace (G1, G2, ...). Every pair
+handed to `resolve` is so variable-disjoint, self-resolution included,
+and variable names never grow with derivation depth. Forward subsumption
+looks up candidate subsumers in a `SubsumerIndex` instead of scanning
+every processed clause.
+
 Calculus: binary resolution + factoring, tautology deletion, forward
 subsumption. Equality is handled by axiom injection (reflexivity,
 symmetry, transitivity, congruence per signature symbol) when a problem
@@ -33,6 +42,7 @@ from .fol import (
     Var,
     canonical_key,
     clause_str,
+    normalize_variables,
     symbol_counts,
 )
 from .heuristics import SelectionSchedule, parse_schedule
@@ -43,6 +53,7 @@ from .rules import (
     is_tautology,
     is_variant,
     resolve,
+    standardized_apart,
     subsumes,
 )
 
@@ -56,6 +67,10 @@ RULE_EQ_AXIOM = "eq_axiom"
 CONTINUE = "continue"
 PROOF_FOUND = "proof"
 SATURATED = "saturated"
+
+# variable name prefixes of the two namespaces (see the module docstring)
+GIVEN_NAMESPACE = "G"
+PROCESSED_NAMESPACE = "P"
 
 
 @dataclass
@@ -171,6 +186,67 @@ def _wants_equality(problem: Problem, mode: str) -> bool:
     return any(s.name == EQ and s.kind == PREDICATE for s in problem.signature)
 
 
+# -- forward subsumption index -------------------------------------------------
+
+
+class SubsumerIndex:
+    """Processed clauses indexed by (predicate, polarity) features.
+
+    A clause p can subsume g only if every (predicate, polarity) pair
+    occurs in g at least as often as in p. This is feature vector
+    indexing as in E (S. Schulz, "Simple and Efficient Clause Subsumption
+    with Feature Vector Indexing", 2013), with one feature per pair.
+    Clauses are bucketed by the set of their features, kept as a bitmask.
+    A query visits only the buckets whose set lies inside g's (by
+    enumerating the subsets of g's mask, or by testing every bucket when
+    that is cheaper), checks the counts of repeated features, and yields
+    the clauses that pass. The filter is exact for these features: the
+    candidates are precisely the clauses a linear scan with the same
+    feature test would try.
+    """
+
+    def __init__(self):
+        self._bits: dict[tuple[str, bool], int] = {}
+        # mask -> [(clause, ((bit, count), ...) for features repeated in it)]
+        self._buckets: dict[int, list[tuple[Clause, tuple]]] = {}
+
+    def insert(self, c: Clause) -> None:
+        bits = self._bits
+        counts: dict[int, int] = {}
+        for lit in c.literals:
+            key = (lit.pred.name, lit.positive)
+            bit = bits.get(key)
+            if bit is None:
+                bit = bits[key] = 1 << len(bits)
+            counts[bit] = counts.get(bit, 0) + 1
+        repeated = tuple((b, n) for b, n in counts.items() if n > 1)
+        self._buckets.setdefault(sum(counts), []).append((c, repeated))
+
+    def candidates(self, g: Clause):
+        """Indexed clauses whose features all occur in g, often enough."""
+        counts: dict[int, int] = {}
+        for lit in g.literals:
+            bit = self._bits.get((lit.pred.name, lit.positive))
+            if bit is not None:  # a feature no indexed clause has rules out nothing
+                counts[bit] = counts.get(bit, 0) + 1
+        mask = sum(counts)  # the bits are distinct powers of two
+        buckets = self._buckets
+        if 1 << mask.bit_count() <= len(buckets):
+            matching = []
+            sub = mask
+            while True:
+                matching.append(buckets.get(sub, ()))
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+        else:
+            matching = [e for m, e in buckets.items() if not m & ~mask]
+        for entries in matching:
+            for p, repeated in entries:
+                if all(counts[b] >= n for b, n in repeated):
+                    yield p
+
+
 # -- the loop ------------------------------------------------------------------
 
 
@@ -182,13 +258,13 @@ class Saturation:
         self.problem = problem
         self.config = config
         self.schedule = schedule if schedule is not None else config.build_schedule(problem)
-        self.processed: list[Clause] = []
+        self.processed: list[Clause] = []  # in the processed namespace
         self.processed_ids: set[int] = set()
         self.nodes: dict[int, ProofNode] = {}
         self.steps = 0
         self.generated = 0
         self.discarded_given = 0
-        self.seen_keys: set[str] = set()
+        self.seen_keys: set[tuple] = set()
         self.stored_symbols = 0
         self.selections: list[int] = []
         self.empty_clause_id: int | None = None
@@ -199,7 +275,7 @@ class Saturation:
         # indexing processed clauses by literal key keeps steps near-linear
         self._lit_index: dict[tuple[str, bool], list[Clause]] = {}
         self._seq: dict[int, int] = {}  # clause id -> processed position
-        self._features: dict[int, dict] = {}  # (pred, polarity) counts
+        self._subsumers = SubsumerIndex()
 
         inputs = [
             Clause(i, c.literals, role=c.role, origin=c.origin)
@@ -222,26 +298,8 @@ class Saturation:
 
     # -- one step -------------------------------------------------------------
 
-    @staticmethod
-    def _clause_features(c: Clause) -> dict:
-        feats: dict[tuple[str, bool], int] = {}
-        for lit in c.literals:
-            key = (lit.pred.name, lit.positive)
-            feats[key] = feats.get(key, 0) + 1
-        return feats
-
     def _forward_subsumed(self, g: Clause) -> bool:
-        gf = self._clause_features(g)
-        glen = len(g.literals)
-        for p in self.processed:
-            if len(p.literals) > glen:
-                continue
-            pf = self._features[p.id]
-            if any(gf.get(k, 0) < n for k, n in pf.items()):
-                continue
-            if subsumes(p, g):
-                return True
-        return False
+        return any(subsumes(p, g) for p in self._subsumers.candidates(g))
 
     def _partners(self, g: Clause) -> list[Clause]:
         """Processed clauses sharing a complementary literal key, in
@@ -272,16 +330,18 @@ class Saturation:
                 continue
             break
 
+        kept = normalize_variables(g, PROCESSED_NAMESPACE)
         self._seq[g.id] = len(self.processed)
-        self.processed.append(g)
+        self.processed.append(kept)
         self.processed_ids.add(g.id)
-        self._features[g.id] = self._clause_features(g)
+        self._subsumers.insert(kept)
         for key in {(lit.pred.name, lit.positive) for lit in g.literals}:
-            self._lit_index.setdefault(key, []).append(g)
+            self._lit_index.setdefault(key, []).append(kept)
         self.steps += 1
         if self.config.record_selections:
             self.selections.append(g.id)
 
+        g = normalize_variables(g, GIVEN_NAMESPACE)
         for p in self._partners(g):
             if self._generation_exhausted():
                 return CONTINUE  # the loop-level limit check reports it
@@ -394,11 +454,6 @@ class Saturation:
         )
 
 
-def given_clause_step(state: Saturation) -> str:
-    """One selection event; `proof`, `saturated`, or `continue`."""
-    return state.step()
-
-
 def prove(problem: Problem, config: SearchConfig | None = None) -> ProveResult:
     """Saturate until proof, saturation, or resource limits."""
     config = config or SearchConfig()
@@ -473,7 +528,7 @@ def verify_proof_detailed(proof: Proof, problem: Problem) -> tuple[bool, str | N
         if node.rule == RULE_RESOLVE:
             if len(parent_clauses) != 2:
                 return False, f"clause {cid}: res needs 2 parents"
-            candidates = resolve(parent_clauses[0], parent_clauses[1])
+            candidates = resolve(*standardized_apart(*parent_clauses))
         elif node.rule == RULE_FACTOR:
             if len(parent_clauses) != 1:
                 return False, f"clause {cid}: factor needs 1 parent"

@@ -6,13 +6,36 @@ the newest level plus all factors, with only exact-variant
 deduplication. No selection heuristic, no subsumption, no deletion;
 suitable for the function-free mini corpus where the clause space stays
 finite up to renaming.
+
+`string_key` is the printed duplicate key the search used before its
+tuple key (`fol.canonical_key`); it stays here as the reference the tuple
+key is checked against.
 """
 
 from __future__ import annotations
 
-from satguide.fol import Clause, Problem, canonical_key
-from satguide.rules import factor, resolve
+from dataclasses import replace
+
+from satguide.fol import Clause, Literal, Problem, clause_str, literal_tokens, normalize_variables
+from satguide.rules import factor, resolve, standardized_apart
 from satguide.saturation import SAT, UNSAT
+
+
+def string_key(c: Clause) -> str:
+    """A printable key equal for clauses that are syntactic variants.
+
+    Literals are sorted under a variable-blind projection (every token
+    that starts with an uppercase letter reads as a variable), then
+    variables are renamed by first occurrence in that order.
+    """
+    blind = sorted(range(len(c.literals)), key=lambda i: _blind_str(c.literals[i]))
+    reordered = replace(c, literals=tuple(c.literals[i] for i in blind))
+    return clause_str(normalize_variables(reordered))
+
+
+def _blind_str(lit: Literal) -> str:
+    toks = literal_tokens(lit)
+    return " ".join("_" if t and t[0].isupper() else t for t in toks)
 
 
 def bfs_saturate(problem: Problem, max_level: int = 30,
@@ -21,7 +44,7 @@ def bfs_saturate(problem: Problem, max_level: int = 30,
     known: set[str] = set()
 
     def add_clause(c: Clause) -> bool:
-        key = canonical_key(c)
+        key = string_key(c)
         if key in known:
             return False
         known.add(key)
@@ -50,7 +73,7 @@ def bfs_saturate(problem: Problem, max_level: int = 30,
         snapshot = list(clauses)
         for b in frontier:
             for a in snapshot:
-                for lits in resolve(a, b):
+                for lits in resolve(*standardized_apart(a, b)):
                     if emit(lits):
                         return UNSAT
             for lits in factor(b):

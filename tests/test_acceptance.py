@@ -46,6 +46,8 @@ from satguide.saturation import SAT, SearchConfig, UNSAT, prove, verify_proof_de
 
 from oracles import bfs_saturate
 
+pytestmark = pytest.mark.slow
+
 SEED = 0
 
 

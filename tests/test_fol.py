@@ -14,6 +14,7 @@ from satguide.fol import (
     clause_str,
     clause_tokens,
     normalize_variables,
+    printed_name,
     problem_str,
     symbol_counts,
 )
@@ -159,3 +160,34 @@ class TestProblem:
         printed = problem_str(p1)
         p2 = parse_tptp(printed, name="rt")
         assert problem_str(p2) == printed
+
+    def test_names_that_would_not_lex_back_are_quoted(self):
+        # unquoted, p('Foo') printed as p(Foo) and re-parsed as p(X)
+        text = """
+        cnf(a1, axiom, (p('Foo') | ~q('a b', X))).
+        cnf('Goal', negated_conjecture, (~p(Y))).
+        """
+        p1 = parse_tptp(text, name="quoted")
+        printed = problem_str(p1)
+        assert "p('Foo')" in printed and "'a b'" in printed
+        p2 = parse_tptp(printed, name="quoted")
+        assert p2.signature == p1.signature
+        assert problem_str(p2) == printed
+        assert [c.origin for c in p2.clauses()] == ["a1", "Goal"]
+
+    def test_bare_names_stay_bare(self):
+        for name in ("a", "p_1", "0", "sk1", "$true"):
+            assert printed_name(name) == name
+        for name in ("Foo", "X", "a b", "f(x)"):
+            assert printed_name(name) == f"'{name}'"
+
+    def test_corpus_prints_unquoted_and_round_trips(self):
+        from satguide.corpus import desk_corpus
+
+        for item in desk_corpus(0):
+            p = item.problem
+            names = {s.name for s in p.signature if s.kind != "variable" and s.name != "="}
+            names |= {c.origin for c in p.clauses()}
+            assert all(printed_name(n) == n for n in names), item.name
+            printed = problem_str(p)
+            assert problem_str(parse_tptp(printed, name=item.name)) == printed

@@ -4,8 +4,15 @@ import pytest
 
 from satguide.fol import Clause, Literal, PREDICATE, Symbol, Term, Var, clause_str
 from satguide.parser import parse_clause_text
-from satguide.rules import factor, is_tautology, is_variant, resolve, subsumes
-from satguide.unify import apply_sub, match_terms, unify_terms
+from satguide.rules import (
+    factor,
+    is_tautology,
+    is_variant,
+    resolve,
+    standardized_apart,
+    subsumes,
+)
+from satguide.unify import apply_sub, clause_variables, match_terms, unify_terms
 
 
 def clause_of(text, cid=0):
@@ -63,8 +70,17 @@ class TestResolve:
 
     def test_standardize_apart_gives_empty_clause(self):
         # p(X) against ~p(f(X)): after renaming apart the atoms unify
-        out = resolve(clause_of("p(X)"), clause_of("~p(f(X))", 1))
+        out = resolve(*standardized_apart(clause_of("p(X)"), clause_of("~p(f(X))", 1)))
         assert len(out) == 1 and out[0] == ()
+
+    def test_shared_variable_is_one_variable(self):
+        # resolve renames nothing: X shared by both clauses is one variable
+        assert resolve(clause_of("p(X)"), clause_of("~p(f(X))", 1)) == []
+
+    def test_standardized_apart_copies_are_disjoint(self):
+        a, b = standardized_apart(clause_of("p(X) | q(Y)"), clause_of("~p(X)", 1))
+        assert not clause_variables(a) & clause_variables(b)
+        assert is_variant(a, clause_of("p(X) | q(Y)"))
 
     def test_multiple_resolvents(self):
         out = resolve(clause_of("p(a) | p(b)"), clause_of("~p(X)", 1))
@@ -72,7 +88,7 @@ class TestResolve:
 
     def test_self_resolution(self):
         cl = clause_of("p(X) | ~p(f(X))")
-        out = resolve(cl, cl)
+        out = resolve(*standardized_apart(cl, cl))
         assert out  # p(X) vs ~p(f(X')) unifies after renaming
 
 
@@ -108,6 +124,12 @@ class TestSubsumes:
 
     def test_polarity_respected(self):
         assert not subsumes(clause_of("p(X)"), clause_of("~p(a)", 1))
+
+    def test_shared_variable_names_need_no_renaming(self):
+        # matching binds only the pattern's variables, never the target's
+        assert subsumes(clause_of("p(X,Y)"), clause_of("p(Y,X)", 1))
+        assert subsumes(clause_of("p(X,Y)"), clause_of("p(Y,a)", 1))
+        assert not subsumes(clause_of("p(X,X)"), clause_of("p(X,Y)", 1))
 
     def test_shared_binding_across_literals(self):
         assert subsumes(clause_of("p(X) | q(X)"), clause_of("p(a) | q(a) | r(b)", 1))

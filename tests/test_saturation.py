@@ -15,7 +15,6 @@ from satguide.saturation import (
     derivation_lines,
     equality_axioms,
     extract_used_set,
-    given_clause_step,
     prove,
     szs_line,
     verify_proof,
@@ -119,20 +118,20 @@ class TestGivenClauseStep:
     def test_saturated_on_empty_queue(self):
         p = parse_tptp("cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~q(a))).")
         state = Saturation(p, fifo_config())
-        assert given_clause_step(state) == "continue"
-        assert given_clause_step(state) == "continue"
-        assert given_clause_step(state) == "saturated"
+        assert state.step() == "continue"
+        assert state.step() == "continue"
+        assert state.step() == "saturated"
 
     def test_no_partner_moves_to_processed(self):
         p = parse_tptp("cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~q(a))).")
         state = Saturation(p, fifo_config())
-        given_clause_step(state)
+        state.step()
         assert state.steps == 1 and len(state.processed) == 1
 
     def test_proof_found(self):
         p = parse_tptp("cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~p(a))).")
         state = Saturation(p, fifo_config())
-        outcomes = [given_clause_step(state) for _ in range(2)]
+        outcomes = [state.step() for _ in range(2)]
         assert "proof" in outcomes
 
     def test_forward_subsumed_given_discarded(self):
@@ -141,7 +140,7 @@ class TestGivenClauseStep:
             "cnf(b, axiom, (p(a) | q(b)))."
             "cnf(g, negated_conjecture, (~r(c))).")
         state = Saturation(p, fifo_config())
-        while given_clause_step(state) == "continue":
+        while state.step() == "continue":
             pass
         assert state.discarded_given >= 1
         assert all(clause_str(c) != "p(a) | q(b)" for c in state.processed)
@@ -152,7 +151,7 @@ class TestGivenClauseStep:
             "cnf(b, axiom, (p(a) | q(b)))."
             "cnf(g, negated_conjecture, (~r(c))).")
         state = Saturation(p, fifo_config())
-        while given_clause_step(state) == "continue":
+        while state.step() == "continue":
             pass
         assert state.steps + state.discarded_given == sum(state.schedule.pick_counts)
 
