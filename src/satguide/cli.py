@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import datagen
 from .corpus import corpus_by_tag, desk_corpus
@@ -153,27 +154,35 @@ def cmd_eval_acc(args) -> int:
     return 0
 
 
+# experiment-config keys: `limits` takes every SearchConfig field that JSON
+# can spell; a method entry takes every GuidanceConfig field, with `model`
+# and `vocab` as file paths, plus its own id and cascade settings
+_LIMIT_KEYS = {f.name for f in fields(SearchConfig)} - {"schedule_factory"}
+_GUIDANCE_KEYS = {f.name for f in fields(GuidanceConfig)} - {"model", "vocab"}
+_METHOD_KEYS = _GUIDANCE_KEYS | {"id", "model", "vocab", "premsel_levels", "premsel_budget"}
+
+
+def _known(entry: dict, allowed: set[str], where: str) -> dict:
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
+    return entry
+
+
 def cmd_experiment(args) -> int:
     with open(args.config) as fh:
         spec = json.load(fh)
     problems = _corpus_from_spec(spec.get("corpus", {}))
-    limits = SearchConfig(
-        max_processed=spec.get("limits", {}).get("max_processed", 20_000),
-        max_wall_ms=spec.get("limits", {}).get("max_wall_ms", 60_000),
-    )
+    limits = SearchConfig(**_known(spec.get("limits", {}), _LIMIT_KEYS, "limits"))
     methods = []
     for m in spec["methods"]:
+        _known(m, _METHOD_KEYS, f"method {m.get('id')!r}")
         model = vocab = None
         if m.get("model"):
             vocab = Vocabulary.load(m["vocab"])
             model = load_checkpoint_file(m["model"], expected_vocab_hash=vocab.hash)
-        g = GuidanceConfig(
-            mode=m.get("mode", "auto"), model=model, vocab=vocab,
-            hybrid_nn_picks=m.get("hybrid_nn_picks", 1),
-            batch_size=m.get("batch_size", 32),
-            phase1_budget=m.get("phase1_budget"),
-            total_budget=m.get("total_budget"),
-        )
+        g = GuidanceConfig(model=model, vocab=vocab,
+                           **{k: v for k, v in m.items() if k in _GUIDANCE_KEYS})
         methods.append(MethodConfig(
             id=m["id"], guidance=g,
             premsel_levels=tuple(m["premsel_levels"]) if m.get("premsel_levels") else None,
@@ -183,7 +192,6 @@ def cmd_experiment(args) -> int:
                         record_walltime=spec.get("record_walltime", False),
                         seed=spec.get("seed", 0))
     report.config["experiment_config"] = spec
-    report.aggregates = report.aggregates  # aggregates already computed
     write_report(report, args.out)
     print(f"wrote report for {len(problems)} problems x {len(methods)} methods to {args.out}")
     for m, pct in report.aggregates["percent_proved"].items():
@@ -247,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["auto", "pure", "hybrid", "switched"])
             p.add_argument("--model", default=None)
             p.add_argument("--vocab", default=None)
-            p.add_argument("--schedule", default="auto")
+            p.add_argument("--schedule", default="auto",
+                           help="classical schedule spec: the whole schedule in auto "
+                                "mode, the classical entries in hybrid and switched "
+                                "mode; pure mode rejects anything but auto")
             p.add_argument("--phase1-budget", type=int, default=None, dest="phase1_budget")
             p.add_argument("--total-budget", type=int, default=None, dest="total_budget")
             p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
@@ -268,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tags", default="train")
     p.add_argument("--max-processed", type=int, default=5_000, dest="max_processed")
-    p.add_argument("--timeout-ms", type=int, default=30_000, dest="timeout_ms")
+    p.add_argument("--timeout-ms", type=int, default=None, dest="timeout_ms",
+                   help="wall limit per problem; off by default, so that "
+                        "traces depend on clause limits only")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("train", help="train a scorer from traces")

@@ -39,6 +39,7 @@ class ProofTrace:
     config_hash: str
     conjecture: list[str]  # printed negated-conjecture clauses
     clauses: list[TraceClause] = field(default_factory=list)
+    resource: str | None = None  # the limit that stopped a ResourceOut search
 
 
 @dataclass
@@ -69,6 +70,9 @@ def config_hash(config: SearchConfig) -> str:
         "schedule": config.schedule if config.schedule_factory is None else "custom",
         "max_processed": config.max_processed,
         "max_generated": config.max_generated,
+        "max_wall_ms": config.max_wall_ms,
+        "max_memory_symbols": config.max_memory_symbols,
+        "max_clause_literals": config.max_clause_literals,
         "equality_axioms": config.equality_axioms,
         "forward_subsumption": config.forward_subsumption,
         "tautology_deletion": config.tautology_deletion,
@@ -85,7 +89,8 @@ def trace_problem(problem: Problem, config: SearchConfig,
     """Run the prover once and record the labeled clause-level outcome."""
     result = prove(problem, config)
     conj = [_printed(c) for c in problem.negated_conjecture]
-    trace = ProofTrace(problem.name, result.status, config_hash(config), conj)
+    trace = ProofTrace(problem.name, result.status, config_hash(config), conj,
+                       resource=result.resource)
     if result.status != UNSAT:
         return trace
     state = result.state
@@ -115,7 +120,7 @@ def generate_traces(corpus: list[Problem], baseline: SearchConfig,
             traces.append(trace_problem(problem, baseline, unprocessed_cap, seed + i))
         except Exception as exc:  # record, don't abort the corpus run
             traces.append(
-                ProofTrace(problem.name, f"Error({type(exc).__name__})",
+                ProofTrace(problem.name, f"Error({type(exc).__name__}: {exc})",
                            config_hash(baseline), [])
             )
     return traces
@@ -224,6 +229,7 @@ def write_traces(traces: list[ProofTrace], path: str):
                 "config_hash": t.config_hash,
                 "conjecture": t.conjecture,
                 "n_clauses": len(t.clauses),
+                "resource": t.resource,
             }
             fh.write(json.dumps(head, sort_keys=True) + "\n")
             for c in t.clauses:
@@ -238,7 +244,7 @@ def read_traces(path: str) -> list[ProofTrace]:
             if rec["type"] == "trace":
                 traces.append(
                     ProofTrace(rec["problem"], rec["status"], rec["config_hash"],
-                               rec["conjecture"])
+                               rec["conjecture"], resource=rec.get("resource"))
                 )
             else:
                 rec.pop("type")

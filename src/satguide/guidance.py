@@ -7,17 +7,18 @@ clause scores are cached by id (they depend only on clause + conjecture)
 and evaluated in batches as the selection loop first needs them.
 
 Switched mode runs a hybrid phase under a budget, then hands the same
-proof state (processed set, queues, counters) to the classical Auto
-schedule; no network evaluation happens after the switch.
+proof state (processed set, queues, counters) to the classical schedule
+of the search limits (Auto by default); no network evaluation happens
+after the switch.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .fol import Clause, Problem, normalize_variables
-from .heuristics import SelectionSchedule, WeightFunction, auto_schedule
+from .heuristics import SelectionSchedule, WeightFunction, parse_schedule
 from .neural import tensor as T
 from .neural.models import (
     SEQ_ARCHS,
@@ -87,27 +88,11 @@ class GuidanceConfig:
         }
 
 
-class ScoreCache:
-    """Clause id -> probability; scores never change once computed."""
-
-    def __init__(self):
-        self.scores: dict[int, float] = {}
-
-    def __contains__(self, cid: int) -> bool:
-        return cid in self.scores
-
-    def __getitem__(self, cid: int) -> float:
-        return self.scores[cid]
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
 class ClauseScorer:
     """Per-problem scoring context: one conjecture embedding, one cache."""
 
     def __init__(self, model: ModelParams, vocab: Vocabulary, problem: Problem,
-                 batch_size: int = 32, cache: ScoreCache | None = None):
+                 batch_size: int = 32):
         if model.vocab_hash and model.vocab_hash != vocab.hash:
             raise ValueError(
                 "vocabulary hash mismatch between the model checkpoint and "
@@ -116,7 +101,7 @@ class ClauseScorer:
         self.model = model
         self.vocab = vocab
         self.batch_size = batch_size
-        self.cache = cache if cache is not None else ScoreCache()
+        self.cache: dict[int, float] = {}  # clause id -> probability, never stale
         self.max_len = model.config.max_len
         self.batch_calls = 0
         self.clause_evals = 0
@@ -139,14 +124,17 @@ class ClauseScorer:
         return embed_tree(index_tree(tree, self.vocab.lookup), self.model, TOWER_CLAUSE)
 
     def score_clause(self, c: Clause) -> float:
-        if c.id in self.cache:
-            return self.cache[c.id]
-        self.score_batch([c])
+        if c.id not in self.cache:
+            self.score_batch([c])
         return self.cache[c.id]
 
-    def _score_from_vec(self, vec: T.Tensor) -> float:
-        logit = combiner_logit(vec, self.v_nc, self.model)
-        return float(T.sigmoid(logit).data.reshape(-1)[0])
+    def probability(self, vec: T.Tensor) -> float:
+        """p(useful | embedded clause or premise, conjecture): the sigmoid of
+        the combiner logit. The one scoring function of guided search and
+        premise ranking."""
+        with T.no_grad():
+            logit = combiner_logit(vec, self.v_nc, self.model)
+            return float(T.sigmoid(logit).data.reshape(-1)[0])
 
     def score_batch(self, clauses: list[Clause]):
         """Score the uncached clauses, in order, batch_size at a time.
@@ -168,22 +156,12 @@ class ClauseScorer:
                     ]
                     vecs = embed_sequences(ids, self.model, TOWER_CLAUSE)
                     for i, c in enumerate(chunk):
-                        self.cache.scores[c.id] = self._score_from_vec(
-                            T.constant(vecs.data[i])
-                        )
+                        self.cache[c.id] = self.probability(T.constant(vecs.data[i]))
                         self.clause_evals += 1
                 else:
                     for c in chunk:
-                        self.cache.scores[c.id] = self._score_from_vec(
-                            self._embed_clause(c)
-                        )
+                        self.cache[c.id] = self.probability(self._embed_clause(c))
                         self.clause_evals += 1
-        return self.cache
-
-
-def score_batch(clauses: list[Clause], scorer: ClauseScorer) -> ScoreCache:
-    """Module-level convenience mirroring ClauseScorer.score_batch."""
-    return scorer.score_batch(clauses)
 
 
 class NeuralWeightFn(WeightFunction):
@@ -203,75 +181,59 @@ class NeuralWeightFn(WeightFunction):
         return [(0, -self.scorer.cache[c.id]) for c in clauses]
 
 
-def make_nn_weight_fn(model: ModelParams, problem: Problem, vocab: Vocabulary,
-                      batch_size: int = 32) -> NeuralWeightFn:
-    return NeuralWeightFn(ClauseScorer(model, vocab, problem, batch_size))
-
-
-def build_schedule(config: GuidanceConfig, problem: Problem,
+def build_schedule(config: GuidanceConfig, problem: Problem, classical: str = "auto",
                    scorer_out: list | None = None) -> SelectionSchedule:
-    """Schedule for one proof attempt under the given guidance mode.
+    """Schedule for one guided proof attempt.
 
-    Auto never touches the model; PureNN is a single neural ranking;
-    Hybrid interleaves `hybrid_nn_picks` neural picks into the full Auto
-    replica cycle.
+    Pure is a single neural ranking; hybrid (and switched, in its first
+    phase) interleaves `hybrid_nn_picks` neural picks into the full cycle
+    of the `classical` schedule spec.
     """
-    if config.mode == MODE_AUTO:
-        return auto_schedule(problem.conjecture_symbols())
     scorer = ClauseScorer(config.model, config.vocab, problem, config.batch_size)
     if scorer_out is not None:
         scorer_out.append(scorer)
     nn = NeuralWeightFn(scorer)
     if config.mode == MODE_PURE:
         return SelectionSchedule([(1, nn)])
-    auto = auto_schedule(problem.conjecture_symbols())
-    entries = [(config.hybrid_nn_picks, nn)]
-    entries.extend((e.weight, e.fn) for e in auto.entries)
-    return SelectionSchedule(entries)
+    classic = parse_schedule(classical, problem.conjecture_symbols())
+    return SelectionSchedule([(config.hybrid_nn_picks, nn),
+                              *((e.weight, e.fn) for e in classic.entries)])
 
 
 def guided_prove(problem: Problem, gconfig: GuidanceConfig,
                  limits: SearchConfig | None = None) -> ProveResult:
-    """Entry point dispatching on guidance mode."""
+    """Entry point dispatching on guidance mode.
+
+    Auto is the classical search under `limits`, schedule included. Hybrid
+    and switched take their classical entries from `limits.schedule`;
+    pure selects by the network alone, so it rejects any other schedule.
+    """
     limits = limits or SearchConfig()
     if gconfig.mode == MODE_SWITCHED:
         return switched_prove(problem, gconfig, limits)
-    scorers: list[ClauseScorer] = []
-
-    def factory(p: Problem) -> SelectionSchedule:
-        return build_schedule(gconfig, p, scorers)
-
-    config = _with_factory(limits, factory)
+    if gconfig.mode == MODE_PURE and limits.schedule != SearchConfig.schedule:
+        raise ValueError(f"pure mode selects by the network alone and cannot "
+                         f"use schedule {limits.schedule!r}")
     if gconfig.total_budget is not None:
-        config.max_processed = gconfig.total_budget
+        limits = replace(limits, max_processed=gconfig.total_budget)
     if gconfig.total_ms is not None:
-        config.max_wall_ms = gconfig.total_ms
-    result = prove(problem, config)
-    result.info["guidance"] = gconfig.describe()
-    if scorers:
+        limits = replace(limits, max_wall_ms=gconfig.total_ms)
+    if gconfig.mode == MODE_AUTO:
+        result = prove(problem, limits)
+    else:
+        scorers: list[ClauseScorer] = []
+        result = prove(problem, replace(limits, schedule_factory=lambda p: build_schedule(
+            gconfig, p, limits.schedule, scorers)))
         result.info["network_evals"] = scorers[0].clause_evals
         result.info["batch_calls"] = scorers[0].batch_calls
+    result.info["guidance"] = gconfig.describe()
     return result
-
-
-def _with_factory(limits: SearchConfig, factory) -> SearchConfig:
-    return SearchConfig(
-        schedule=limits.schedule,
-        schedule_factory=factory,
-        max_processed=limits.max_processed,
-        max_generated=limits.max_generated,
-        max_wall_ms=limits.max_wall_ms,
-        max_memory_symbols=limits.max_memory_symbols,
-        equality_axioms=limits.equality_axioms,
-        forward_subsumption=limits.forward_subsumption,
-        tautology_deletion=limits.tautology_deletion,
-        record_selections=limits.record_selections,
-    )
 
 
 def switched_prove(problem: Problem, gconfig: GuidanceConfig,
                    limits: SearchConfig | None = None) -> ProveResult:
-    """Hybrid phase under a budget, then Auto on the same proof state.
+    """Hybrid phase under a budget, then the classical schedule alone on
+    the same proof state.
 
     Default budget split is 2:1 (phase 1 : phase 2) of the total. With a
     clause-denominated budget the phase-1 processed count is capped
@@ -297,16 +259,10 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
         phase1_deadline = t0 + gconfig.phase1_ms / 1000.0
 
     scorers: list[ClauseScorer] = []
-    hybrid = GuidanceConfig(
-        mode=MODE_HYBRID, model=gconfig.model, vocab=gconfig.vocab,
-        hybrid_nn_picks=gconfig.hybrid_nn_picks, batch_size=gconfig.batch_size,
-    )
-
-    def factory(p: Problem) -> SelectionSchedule:
-        return build_schedule(hybrid, p, scorers)
-
-    config = _with_factory(limits, factory)
-    config.max_processed = None  # phase caps are passed to run() directly
+    hybrid = replace(gconfig, mode=MODE_HYBRID)
+    # phase caps are passed to run() directly
+    config = replace(limits, max_processed=None, schedule_factory=lambda p: build_schedule(
+        hybrid, p, limits.schedule, scorers))
     state = Saturation(problem, config)
     info = {"guidance": gconfig.describe()}
 
@@ -329,7 +285,7 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
     # switch: same processed set and counters, classical-only rankings
     state.resource = None
     old = state.schedule
-    fresh = auto_schedule(problem.conjecture_symbols())
+    fresh = parse_schedule(limits.schedule, problem.conjecture_symbols())
     for cid in old.drain_ids():
         fresh.insert(old.alive[cid])
     state.schedule = fresh

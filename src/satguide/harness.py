@@ -135,7 +135,7 @@ def run_corpus(problems: list[Problem], methods: list[MethodConfig],
                 record = _run_cell(problem, method, limits)
             except Exception as exc:
                 record = ProblemRecord(problem.name, method.id,
-                                       f"Error({type(exc).__name__})", 0, 0, 0,
+                                       f"Error({type(exc).__name__}: {exc})", 0, 0, 0,
                                        method.guidance.mode)
             if not record_walltime:
                 record.wall_ms = 0

@@ -22,8 +22,6 @@ from .models import (
     index_tree,
     init_model,
     loss_and_grads,
-    score,
-    score_pair,
 )
 from .train import (
     ClausePairScorer,

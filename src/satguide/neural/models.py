@@ -18,7 +18,7 @@ checkpoints (float32 blobs) round-trip without changing a single score.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class ModelParams:
     config: ModelConfig
     params: dict[str, Tensor]
     vocab_hash: str = ""
-    eval_counter: dict = field(default_factory=lambda: {"clause": 0, "conj": 0})
 
     def named_arrays(self):
         for name, p in self.params.items():
@@ -246,7 +245,6 @@ def embed_sequence(ids, model: ModelParams, tower: str,
     if model.config.arch not in SEQ_ARCHS:
         raise ValueError(f"embed_sequence needs a sequence architecture, got {model.config.arch}")
     ids = [i for i in ids if i != PAD_ID]
-    model.eval_counter[tower] += 1
     if not ids:
         return T.constant(np.zeros(model.config.dim))
     x = T.embedding(model.params["embedding"], ids)
@@ -265,7 +263,6 @@ def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
     """Batched variant: [B, dim]. Padded positions are masked to zero after
     every layer, so each row equals its unbatched counterpart."""
     stripped = [[i for i in ids if i != PAD_ID] for ids in batch_ids]
-    model.eval_counter[tower] += len(stripped)
     lengths = [len(ids) for ids in stripped]
     t_max = max(lengths) if lengths else 0
     if t_max == 0:
@@ -309,7 +306,6 @@ def embed_tree(itree: tuple, model: ModelParams, tower: str) -> Tensor:
     if cfg.arch not in TREE_ARCHS:
         raise ValueError(f"embed_tree needs a tree architecture, got {cfg.arch}")
     kinds = CONJ_KINDS if tower == TOWER_CONJ else CLAUSE_KINDS
-    model.eval_counter[tower] += 1
     p = model.params
 
     memo: dict[tuple[int, int], object] = {}
@@ -383,20 +379,14 @@ def embed_tree(itree: tuple, model: ModelParams, tower: str) -> Tensor:
     return lstm_eval(itree, top)[0]
 
 
-# -- combiner and scoring -------------------------------------------------------------
+# -- combiner and pair batches -------------------------------------------------------
 
 
 def combiner_logit(clause_vec: Tensor, conj_vec: Tensor, model: ModelParams) -> Tensor:
+    """The usefulness logit; p(useful) is its sigmoid."""
     h = T.concat([clause_vec, conj_vec], axis=-1)
     h = T.relu(T.add(T.matmul(h, model.params["comb.1.w"]), model.params["comb.1.b"]))
     return T.add(T.matmul(h, model.params["comb.2.w"]), model.params["comb.2.b"])
-
-
-def score(clause_vec: Tensor, conj_vec: Tensor, model: ModelParams) -> float:
-    """p(useful | clause, conjecture) = sigmoid of the combiner logit."""
-    with T.no_grad():
-        logit = combiner_logit(clause_vec, conj_vec, model)
-        return float(T.sigmoid(logit).data.reshape(-1)[0])
 
 
 @dataclass
@@ -408,23 +398,6 @@ class PairInput:
     clause_tree: tuple | None = None
     conj_tree: tuple | None = None
     label: int = 0
-
-
-def embed_pair_side(pair: PairInput, model: ModelParams, tower: str,
-                    train_mode: bool = False, rng=None) -> Tensor:
-    if model.config.arch in SEQ_ARCHS:
-        ids = pair.clause_ids if tower == TOWER_CLAUSE else pair.conj_ids
-        return embed_sequence(ids, model, tower, train_mode, rng)
-    tree = pair.clause_tree if tower == TOWER_CLAUSE else pair.conj_tree
-    return embed_tree(tree, model, tower)
-
-
-def score_pair(pair: PairInput, model: ModelParams) -> float:
-    with T.no_grad():
-        vc = embed_pair_side(pair, model, TOWER_CLAUSE)
-        vnc = embed_pair_side(pair, model, TOWER_CONJ)
-        logit = combiner_logit(vc, vnc, model)
-        return float(T.sigmoid(logit).data.reshape(-1)[0])
 
 
 def forward_logits(batch: list[PairInput], model: ModelParams,

@@ -65,7 +65,7 @@ def batch_scores(pairs: list[PairInput], model: ModelParams, chunk: int = 256) -
     with T.no_grad():
         for i in range(0, len(pairs), chunk):
             logits = forward_logits(pairs[i : i + chunk], model, train_mode=False)
-            out.append(1.0 / (1.0 + np.exp(-logits.data)))
+            out.append(T.sigmoid(logits).data)
     return np.concatenate(out) if out else np.zeros(0)
 
 

@@ -4,19 +4,22 @@ Premises are whole input formulas (clause groups sharing an origin name),
 scored against the negated conjecture with the pairwise scorer. The
 cascade tries the top 32, 64, 128, 256 premises in turn (clamped to the
 number available, duplicates dropped) and stops at the first proof; the
-total budget is split evenly across the levels.
+processed-clause budget and the wall limit are split evenly across the
+levels. A level that saturates a strict subset of the premises proves
+nothing about the problem, so it ends as ResourceOut.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .fol import Clause, Problem, clause_str, normalize_variables
 from .guidance import ClauseScorer
 from .neural import tensor as T
-from .neural.models import TOWER_CLAUSE, combiner_logit, embed_sequence, embed_tree, index_tree
-from .saturation import ProveResult, SearchConfig, UNSAT, prove
+from .neural.models import TOWER_CLAUSE, embed_sequence, embed_tree, index_tree
+from .neural.models import combiner_logit  # noqa: F401  a span target of bench/tracing.py
+from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
 from .tokens import tokenize_texts
 from .trees import clause_parse_tree
 
@@ -82,8 +85,7 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
                     for c in clauses
                 ]
                 vec = vecs[0] if len(vecs) == 1 else T.max_time(T.stack(vecs))
-            logit = combiner_logit(vec, scorer.v_nc, scorer.model)
-            scores[name] = float(T.sigmoid(logit).data.reshape(-1)[0])
+            scores[name] = scorer.probability(vec)
     order = sorted(range(len(groups)), key=lambda i: (-scores[groups[i][0]], i))
     return RankedPremises([groups[i][0] for i in order], scores)
 
@@ -119,16 +121,19 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
     """Attempt the top-k subsets in growing order; stop at the first proof.
 
     `prover(subproblem, budget)` runs one attempt; the default is the
-    unguided prover with the per-level processed-clause budget.
+    unguided prover under `limits`, with the per-level processed-clause
+    budget and the per-level share of the wall limit.
     """
     limits = limits or SearchConfig()
     eff_levels = clamp_levels(levels, len(ranking.order))
-    per_level = max(1, total_budget // max(1, len(eff_levels)))
+    n_levels = max(1, len(eff_levels))
+    per_level = max(1, total_budget // n_levels)
 
     if prover is None:
+        wall_ms = None if limits.max_wall_ms is None else max(1, limits.max_wall_ms // n_levels)
+
         def prover(sub: Problem, budget: int) -> ProveResult:
-            cfg = _budgeted(limits, budget)
-            return prove(sub, cfg)
+            return prove(sub, replace(limits, max_processed=budget, max_wall_ms=wall_ms))
 
     transcript = []
     last: ProveResult | None = None
@@ -136,6 +141,8 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
         top = set(ranking.order[:k])
         sub = subset_problem(problem, top, f"@top{k}")
         res = prover(sub, per_level)
+        if res.status == SAT and k < len(ranking.order):
+            res = replace(res, status=RESOURCE_OUT, resource="premises")
         transcript.append(
             {"level": k, "status": res.status, "processed": res.processed_count,
              "generated": res.generated_count}
@@ -147,16 +154,3 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
     return CascadeResult(last, None, [t["level"] for t in transcript],
                          transcript, ranking.ranking_hash)
 
-
-def _budgeted(limits: SearchConfig, budget: int) -> SearchConfig:
-    return SearchConfig(
-        schedule=limits.schedule,
-        schedule_factory=limits.schedule_factory,
-        max_processed=budget,
-        max_generated=limits.max_generated,
-        max_wall_ms=limits.max_wall_ms,
-        max_memory_symbols=limits.max_memory_symbols,
-        equality_axioms=limits.equality_axioms,
-        forward_subsumption=limits.forward_subsumption,
-        tautology_deletion=limits.tautology_deletion,
-    )

@@ -114,7 +114,7 @@ class ProveResult:
     processed_count: int
     generated_count: int
     wall_ms: int
-    resource: str | None = None  # processed | generated | memory | time
+    resource: str | None = None  # processed | generated | memory | time | clause_size | premises
     selections: list[int] | None = None
     info: dict = field(default_factory=dict)
     state: object = None  # the Saturation instance, for trace extraction

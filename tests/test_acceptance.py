@@ -36,10 +36,9 @@ from satguide.neural.models import (
     conv1d,
     init_model,
     loss_and_grads,
-    score_pair,
 )
 from satguide.neural import tensor as T
-from satguide.neural.train import TrainConfig, accuracy, prepare_pairs, train
+from satguide.neural.train import TrainConfig, accuracy, batch_scores, prepare_pairs, train
 from satguide.parser import parse_clause_text
 from satguide.premsel import cascade_prove, clamp_levels, rank_premises
 from satguide.saturation import SAT, SearchConfig, UNSAT, prove, verify_proof_detailed
@@ -490,7 +489,7 @@ def test_criterion_10_determinism(tmp_path, corpus, trained, trace_config):
         ids = list(rng.integers(3, len(trained["vocab"]), size=rng.integers(1, 20)))
         conj = list(rng.integers(3, len(trained["vocab"]), size=rng.integers(1, 12)))
         pair = PairInput(clause_ids=ids, conj_ids=conj)
-        if score_pair(pair, model) != score_pair(pair, loaded):
+        if batch_scores([pair], model)[0] != batch_scores([pair], loaded)[0]:
             scores_ok = False
             break
     took = time.time() - t0

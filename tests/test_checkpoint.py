@@ -8,7 +8,8 @@ from satguide.neural.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from satguide.neural.models import ModelConfig, PairInput, init_model, score_pair
+from satguide.neural.models import ModelConfig, PairInput, init_model
+from satguide.neural.train import batch_scores
 
 
 def model_of(arch="cnn", **kw):
@@ -33,7 +34,7 @@ def test_round_trip_preserves_scores_bit_exactly():
         ids = list(rng.integers(1, 10, size=rng.integers(1, 12)))
         conj = list(rng.integers(1, 10, size=rng.integers(1, 8)))
         pair = PairInput(clause_ids=ids, conj_ids=conj)
-        assert score_pair(pair, model) == score_pair(pair, loaded)
+        assert batch_scores([pair], model)[0] == batch_scores([pair], loaded)[0]
 
 
 def test_vocab_hash_guard():

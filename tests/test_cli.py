@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from satguide.cli import main
+from satguide.cli import build_parser, main
+from satguide.corpus import chain_problem, junk_distractors
+from satguide.fol import problem_str
+from satguide.harness import read_report
 
 
 @pytest.fixture
@@ -35,6 +38,23 @@ def test_verify(problem_file, capsys):
     assert "proof verification: PASS" in capsys.readouterr().out
 
 
+def test_prove_schedule(tmp_path, capsys):
+    junk = junk_distractors(list(range(6)), "rel0", "c0")
+    path = tmp_path / "flood.p"
+    path.write_text(problem_str(chain_problem("flood", "rel0", [f"c{i}" for i in range(5)],
+                                              4, junk)))
+    counts = {}
+    for spec in ("auto", "1*fifo", "1*symcount(2,1)"):
+        assert main(["prove", str(path), "--schedule", spec, "--max-processed", "100"]) == 0
+        counts[spec] = capsys.readouterr().out.splitlines()[1].rsplit(" ", 1)[0]
+    assert len(set(counts.values())) == 3, counts
+
+
+def test_trace_defaults_to_clause_limits():
+    args = build_parser().parse_args(["trace", "--out", "t.jsonl"])
+    assert args.timeout_ms is None
+
+
 def test_trace_train_eval_cycle(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
     rc = main(["trace", "--out", str(traces), "--tags", "train",
@@ -63,13 +83,21 @@ def test_experiment_and_report(tmp_path, capsys):
     config = {
         "corpus": {"seed": 0, "families": ["mini"]},
         "methods": [{"id": "auto", "mode": "auto"}],
-        "limits": {"max_processed": 200},
+        "limits": {"max_processed": 200, "max_generated": 5_000},
         "seed": 0,
     }
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(config))
     out_path = tmp_path / "report.jsonl"
+    for where, key in (("limits", "max_clauses"), ("methods", "phase1_msec")):
+        bad = json.loads(json.dumps(config))
+        entry = bad[where][0] if where == "methods" else bad[where]
+        entry[key] = 100
+        cfg_path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=key):
+            main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    cfg_path.write_text(json.dumps(config))
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    assert read_report(str(out_path)).config["limits"]["max_generated"] == 5_000
 
     curves_dir = tmp_path / "curves"
     assert main(["report", str(out_path), "--curves", str(curves_dir)]) == 0

@@ -9,6 +9,7 @@ from satguide.datagen import (
     TrainingExample,
     balance_eval_set,
     build_vocabulary,
+    config_hash,
     generate_traces,
     label_examples,
     read_examples,
@@ -69,21 +70,31 @@ class TestTraces:
         assert a.read_bytes() == b.read_bytes()
 
     def test_trace_file_round_trip(self, tmp_path):
-        traces = generate_traces([provable_problem()], trace_config(), seed=1)
+        chain = chain_problem("t", "rel0", ["c0", "c1", "c2"], 2)
+        traces = (generate_traces([provable_problem()], trace_config(), seed=1)
+                  + generate_traces([chain], trace_config(max_processed=1)))
+        assert [t.status for t in traces] == ["Unsatisfiable", "ResourceOut"]
+        assert [t.resource for t in traces] == [None, "processed"]
         path = tmp_path / "t.jsonl"
         write_traces(traces, str(path))
         loaded = read_traces(str(path))
         assert loaded == traces
 
+    def test_config_hash_covers_every_limit(self):
+        base = config_hash(trace_config(max_wall_ms=None))
+        for change in ({"max_wall_ms": 30_000}, {"max_clause_literals": 12},
+                       {"max_memory_symbols": 10_000}, {"max_generated": 5}):
+            assert config_hash(trace_config(**change)) != base
+
     def test_crash_recorded_not_fatal(self):
         class Boom:
             name = "boom"
 
-            def clauses(self):
+            def __getattr__(self, attr):
                 raise RuntimeError("nope")
 
         traces = generate_traces([Boom(), provable_problem()], trace_config())
-        assert traces[0].status.startswith("Error(")
+        assert traces[0].status == "Error(RuntimeError: nope)"
         assert traces[1].status == "Unsatisfiable"
 
 

@@ -6,18 +6,16 @@ import pytest
 from satguide.corpus import chain_problem, desk_corpus, junk_distractors
 from satguide.datagen import build_vocabulary, TrainingExample
 from satguide.fol import Clause, clause_str, normalize_variables
+import satguide.guidance as guidance
 from satguide.guidance import (
     ClauseScorer,
     GuidanceConfig,
     NeuralWeightFn,
-    ScoreCache,
     build_schedule,
     guided_prove,
-    make_nn_weight_fn,
-    score_batch,
     switched_prove,
 )
-from satguide.neural.models import ModelConfig, init_model
+from satguide.neural.models import TOWER_CONJ, ModelConfig, init_model
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import SAT, SearchConfig, UNSAT, prove
 from satguide.tokens import Vocabulary
@@ -63,6 +61,11 @@ def clause_of(text, cid):
     return Clause(cid, parse_clause_text(text))
 
 
+def flooded():
+    junk = junk_distractors(list(range(6)), "rel0", "c0")
+    return chain_problem("sw_flood", "rel0", [f"c{i}" for i in range(5)], 4, junk)
+
+
 class TestScorer:
     def test_vocab_hash_mismatch_rejected(self):
         problem = tiny_problem()
@@ -73,14 +76,22 @@ class TestScorer:
         with pytest.raises(ValueError):
             ClauseScorer(model, other, problem)
 
-    def test_conjecture_embedded_once(self):
+    def test_conjecture_embedded_once(self, monkeypatch):
         problem = tiny_problem()
         vocab = vocab_for(problem)
+        towers = []
+        for name in ("embed_sequence", "embed_sequences"):
+            inner = getattr(guidance, name)
+
+            def spy(ids, model, tower, *rest, _inner=inner):
+                towers.append(tower)
+                return _inner(ids, model, tower, *rest)
+
+            monkeypatch.setattr(guidance, name, spy)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        before = scorer.model.eval_counter["conj"]
         for cid in range(5):
             scorer.score_clause(clause_of("p(a)", cid))
-        assert scorer.model.eval_counter["conj"] == before
+        assert towers.count(TOWER_CONJ) == 1 and len(towers) == 6
         assert scorer.conj_evals == 1
 
     def test_cache_hit_skips_evaluation(self):
@@ -98,7 +109,7 @@ class TestScorer:
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem, batch_size=32)
         clauses = [clause_of(f"p(a) | q(c{i})", 100 + i) for i in range(100)]
-        score_batch(clauses, scorer)
+        scorer.score_batch(clauses)
         assert scorer.batch_calls == 4  # ceil(100/32)
         assert scorer.clause_evals == 100
 
@@ -136,8 +147,8 @@ class TestNeuralWeightFn:
         problem = tiny_problem()
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        scorer.cache.scores[1] = 0.9
-        scorer.cache.scores[2] = 0.2
+        scorer.cache[1] = 0.9
+        scorer.cache[2] = 0.2
         fn = NeuralWeightFn(scorer)
         k1 = fn.key(clause_of("p(a)", 1))
         k2 = fn.key(clause_of("q(a)", 2))
@@ -154,24 +165,25 @@ class TestNeuralWeightFn:
         order = [sched.pop_next().id for _ in range(3)]
         assert order == [3, 5, 9]
 
-    def test_make_nn_weight_fn(self):
+    def test_key_is_negated_probability(self):
         problem = tiny_problem()
         vocab = vocab_for(problem)
-        fn = make_nn_weight_fn(model_for(vocab), problem, vocab)
-        tier, weight = fn.key(clause_of("p(a)", 4))
+        scorer = ClauseScorer(model_for(vocab), vocab, problem)
+        tier, weight = NeuralWeightFn(scorer).key(clause_of("p(a)", 4))
         assert tier == 0 and -1.0 < weight < 0.0
+        assert weight == -scorer.cache[4]
 
 
 class TestModes:
-    def test_auto_mode_never_evaluates_network(self):
-        problem = tiny_problem()
-        vocab = vocab_for(problem)
-        model = model_for(vocab)
-        before = dict(model.eval_counter)
-        result = guided_prove(problem, GuidanceConfig(mode="auto"),
+    def test_auto_mode_never_evaluates_network(self, monkeypatch):
+        def no_scorer(*args, **kwargs):
+            raise AssertionError("auto mode built a clause scorer")
+
+        monkeypatch.setattr(guidance, "ClauseScorer", no_scorer)
+        result = guided_prove(tiny_problem(), GuidanceConfig(mode="auto"),
                               SearchConfig(max_processed=100))
         assert result.status == UNSAT
-        assert model.eval_counter == before
+        assert "network_evals" not in result.info
 
     def test_pure_mode_uses_only_the_network(self):
         problem = tiny_problem()
@@ -189,9 +201,42 @@ class TestModes:
         problem = tiny_problem()
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="hybrid", model=model_for(vocab), vocab=vocab)
-        sched = build_schedule(config, problem)
-        assert sched.cycle_length == 12  # 1 NN pick + the full 11-pick auto cycle
-        assert isinstance(sched.entries[0].fn, NeuralWeightFn)
+        # 1 NN pick + the full cycle of the classical schedule
+        for classical, cycle in (("auto", 12), ("1*fifo,2*symcount(2,1)", 4)):
+            sched = build_schedule(config, problem, classical)
+            assert sched.cycle_length == cycle
+            assert isinstance(sched.entries[0].fn, NeuralWeightFn)
+
+    def test_auto_mode_honours_schedule(self):
+        problem = flooded()
+        runs = {}
+        for spec in ("auto", "1*fifo", "1*symcount(2,1)"):
+            limits = SearchConfig(schedule=spec, max_processed=60, record_selections=True)
+            runs[spec] = guided_prove(problem, GuidanceConfig(mode="auto"), limits)
+            assert runs[spec].selections == prove(problem, limits).selections
+        assert len({tuple(r.selections) for r in runs.values()}) == 3
+
+    def test_pure_mode_rejects_schedule(self):
+        problem = tiny_problem()
+        vocab = vocab_for(problem)
+        config = GuidanceConfig(mode="pure", model=model_for(vocab), vocab=vocab)
+        with pytest.raises(ValueError):
+            guided_prove(problem, config, SearchConfig(schedule="1*fifo"))
+
+    def test_every_mode_honours_clause_size_cap(self):
+        # the only resolvent, q(a) | r(a), is over the cap: saturation is
+        # lossy, so it proves nothing
+        problem = parse_tptp(
+            "cnf(a, axiom, (p(a) | q(a))). cnf(b, axiom, (~p(X) | r(X)))."
+            "cnf(g, negated_conjecture, (~s(a))).", name="capped")
+        vocab = vocab_for(problem)
+        model = model_for(vocab)
+        for mode in ("auto", "pure", "hybrid", "switched"):
+            config = GuidanceConfig(mode=mode, model=None if mode == "auto" else model,
+                                    vocab=vocab)
+            assert guided_prove(problem, config, SearchConfig()).status == SAT
+            capped = guided_prove(problem, config, SearchConfig(max_clause_literals=1))
+            assert (capped.status, capped.resource) == ("ResourceOut", "clause_size"), mode
 
     def test_hybrid_proves_and_counts_evals(self):
         problem = tiny_problem()
@@ -203,24 +248,22 @@ class TestModes:
 
 
 class TestSwitched:
-    def _flooded(self):
-        junk = junk_distractors(list(range(6)), "rel0", "c0")
-        return chain_problem("sw_flood", "rel0", [f"c{i}" for i in range(5)], 4, junk)
-
     def test_zero_phase1_budget_equals_auto(self):
-        for problem in [tiny_problem(), self._flooded()]:
+        for problem in [tiny_problem(), flooded()]:
             vocab = vocab_for(problem)
-            limits = SearchConfig(max_processed=400, record_selections=True)
-            auto = guided_prove(problem, GuidanceConfig(mode="auto"), limits)
-            config = GuidanceConfig(mode="switched", model=model_for(vocab),
-                                    vocab=vocab, phase1_budget=0, total_budget=400)
-            switched = switched_prove(problem, config, limits)
-            assert switched.status == auto.status
-            assert switched.selections == auto.selections
-            assert switched.info["evals_final"] == 0
+            for spec in ("auto", "1*symcount(2,1)"):
+                limits = SearchConfig(schedule=spec, max_processed=400,
+                                      record_selections=True)
+                auto = prove(problem, limits)
+                config = GuidanceConfig(mode="switched", model=model_for(vocab),
+                                        vocab=vocab, phase1_budget=0, total_budget=400)
+                switched = switched_prove(problem, config, limits)
+                assert switched.status == auto.status
+                assert switched.selections == auto.selections
+                assert switched.info["evals_final"] == 0
 
     def test_no_network_evaluations_after_switch(self):
-        problem = self._flooded()
+        problem = flooded()
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab,
                                 phase1_budget=10, total_budget=2000)
@@ -229,7 +272,7 @@ class TestSwitched:
             assert result.info["evals_final"] == result.info["evals_at_switch"]
 
     def test_phase1_processed_within_budget(self):
-        problem = self._flooded()
+        problem = flooded()
         vocab = vocab_for(problem)
         for budget in (0, 5, 17):
             config = GuidanceConfig(mode="switched", model=model_for(vocab),
@@ -239,7 +282,7 @@ class TestSwitched:
             assert result.info["phase1_processed"] <= budget
 
     def test_state_continuity_processed_monotone(self):
-        problem = self._flooded()
+        problem = flooded()
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab,
                                 phase1_budget=10, total_budget=2000,
@@ -276,7 +319,8 @@ class TestCacheTransparency:
             scorer_holder = []
 
             def factory(p):
-                scorer = ClauseScorer(model, vocab, p, cache=cache)
+                scorer = ClauseScorer(model, vocab, p)
+                scorer.cache = cache
                 scorer_holder.append(scorer)
                 from satguide.heuristics import SelectionSchedule
 
@@ -287,7 +331,7 @@ class TestCacheTransparency:
             result = prove(problem, cfg)
             return result.selections, scorer_holder[0]
 
-        cold_selections, cold_scorer = run(ScoreCache())
+        cold_selections, cold_scorer = run({})
         # every score already cached: selection order must be identical and
         # no further network evaluation happens
         warm_selections, warm_scorer = run(cold_scorer.cache)

@@ -48,12 +48,12 @@ class TestRunCorpus:
         class Bad:
             name = "bad"
 
-            def clauses(self):
-                raise RuntimeError()
+            def __getattr__(self, attr):
+                raise RuntimeError("bad problem")
 
         methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
         report = run_corpus([Bad()], methods, SearchConfig(max_processed=10))
-        assert report.records[0].status.startswith("Error(")
+        assert report.records[0].status == "Error(RuntimeError: bad problem)"
 
     def test_walltime_suppressed_by_default(self):
         problems = self._problems(1)

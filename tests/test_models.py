@@ -15,9 +15,8 @@ from satguide.neural.models import (
     forward_logits,
     init_model,
     loss_and_grads,
-    score,
-    score_pair,
 )
+from satguide.neural.train import batch_scores
 
 
 def seq_model(arch="cnn", dim=4, vocab=12, **kw):
@@ -219,27 +218,31 @@ class TestTreeTower:
         assert embed_tree(tree, model, "clause").data.shape == (4,)
 
 
+def random_pairs(n, seed=0, vocab=12):
+    rng = np.random.default_rng(seed)
+    return [PairInput(clause_ids=list(rng.integers(1, vocab, size=rng.integers(1, 9))),
+                      conj_ids=list(rng.integers(1, vocab, size=rng.integers(1, 6))))
+            for _ in range(n)]
+
+
 class TestScoring:
     def test_zero_combiner_scores_half(self):
-        model = seq_model()
+        model = randomized(seq_model())
         model.params["comb.1.w"].data[:] = 0
+        model.params["comb.1.b"].data[:] = 0
         model.params["comb.2.w"].data[:] = 0
-        vc = T.constant(np.random.default_rng(0).uniform(-1, 1, 4))
-        vnc = T.constant(np.random.default_rng(1).uniform(-1, 1, 4))
-        assert score(vc, vnc, model) == 0.5
+        model.params["comb.2.b"].data[:] = 0
+        assert list(batch_scores(random_pairs(10), model)) == [0.5] * 10
 
     def test_score_in_open_interval(self):
-        model = randomized(seq_model())
-        for s in range(10):
-            rng = np.random.default_rng(s)
-            p = score(T.constant(rng.uniform(-3, 3, 4)),
-                      T.constant(rng.uniform(-3, 3, 4)), model)
-            assert 0.0 < p < 1.0
+        model = randomized(seq_model(), scale=1.0)
+        probs = batch_scores(random_pairs(20, seed=3), model)
+        assert np.all((probs > 0.0) & (probs < 1.0))
 
     def test_score_depends_only_on_pair(self):
         model = randomized(seq_model())
         pair = PairInput(clause_ids=[3, 4, 5], conj_ids=[6, 7])
-        assert score_pair(pair, model) == score_pair(pair, model)
+        assert batch_scores([pair], model)[0] == batch_scores([pair], model)[0]
 
 
 class TestLoss:

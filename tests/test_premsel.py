@@ -1,8 +1,11 @@
 """Premise ranking and the top-k cascade."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import satguide.premsel as premsel
 from satguide.corpus import chain_problem, junk_distractors, plain_distractors
 from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import clause_str, normalize_variables
@@ -16,7 +19,8 @@ from satguide.premsel import (
     rank_premises,
     subset_problem,
 )
-from satguide.saturation import SearchConfig, UNSAT, verify_proof
+from satguide.parser import parse_tptp
+from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, verify_proof
 
 
 def problem_with_premises(n_chain=4, n_dx=6):
@@ -64,8 +68,6 @@ class TestRanking:
         assert ranking.order == [name for name, _ in premise_groups(problem)]
 
     def test_empty_premises(self):
-        from satguide.parser import parse_tptp
-
         problem = parse_tptp("cnf(g, negated_conjecture, (~p(a))).")
         scorer = scorer_for(problem)
         ranking = rank_premises(problem, scorer)
@@ -137,6 +139,41 @@ class TestCascade:
         cascade = cascade_prove(problem, ranking, (1, 2), 100)
         assert cascade.level_used is None
         assert cascade.result.status != UNSAT
+
+    def test_subset_saturation_is_resource_out(self):
+        # q(a) and ~q(X) | p(X) refute ~p(a); either premise alone saturates
+        problem = parse_tptp("cnf(a, axiom, (q(a))). cnf(b, axiom, (~q(X) | p(X))). "
+                             "cnf(g, negated_conjecture, (~p(a))).")
+        ranking = RankedPremises(["a", "b"], {"a": 0.0, "b": 0.0})
+        cascade = cascade_prove(problem, ranking, (1,), 100)
+        assert cascade.result.status == RESOURCE_OUT
+        assert cascade.result.resource == "premises"
+        assert cascade.transcript[0]["status"] == RESOURCE_OUT
+        cascade = cascade_prove(problem, ranking, (1, 2), 100)
+        assert [t["status"] for t in cascade.transcript] == [RESOURCE_OUT, UNSAT]
+        sat = parse_tptp("cnf(a, axiom, (q(a))). cnf(g, negated_conjecture, (~p(a))).")
+        full = cascade_prove(sat, RankedPremises(["a"], {"a": 0.0}), (1,), 100)
+        assert full.result.status == SAT  # every premise in: saturation counts
+
+    def test_limits_pass_through_with_split_budgets(self, monkeypatch):
+        configs = []
+        inner = premsel.prove
+
+        def spy(sub, config):
+            configs.append(config)
+            return inner(sub, config)
+
+        monkeypatch.setattr(premsel, "prove", spy)
+        problem = chain_problem("rb", "rel1", ["c0", "c1", "c2"], 2)
+        names = [name for name, _ in premise_groups(problem)]
+        ranking = RankedPremises(names[1:] + names[:1], {n: 0.0 for n in names})
+        limits = SearchConfig(max_wall_ms=60_000, max_clause_literals=3,
+                              max_generated=5_000, record_selections=True)
+        cascade = cascade_prove(problem, ranking, (1, 2, 3), 300, limits=limits)
+        assert configs and len(configs) == len(cascade.transcript)
+        for config in configs:
+            assert config == replace(limits, max_processed=100, max_wall_ms=20_000)
+        assert cascade.result.selections is not None
 
     def test_deterministic_transcript(self):
         problem = problem_with_premises(4, 6)
