@@ -16,9 +16,10 @@ from dataclasses import fields
 from . import datagen
 from .corpus import corpus_by_tag, desk_corpus
 from .fol import problem_str
-from .guidance import GuidanceConfig, guided_prove
+from .guidance import ClauseScorer, GuidanceConfig, guided_prove
 from .harness import (
     MethodConfig,
+    accuracy_eval,
     check_report,
     read_report,
     run_corpus,
@@ -147,17 +148,15 @@ def cmd_eval_acc(args) -> int:
     model = load_checkpoint_file(args.model, expected_vocab_hash=vocab.hash)
     examples = datagen.read_examples(args.examples)
     balanced = datagen.balance_eval_set(examples, args.seed)
-    from .harness import accuracy_eval
-
     acc = accuracy_eval(model, balanced, vocab)
     print(f"balanced accuracy: {acc:.4f} over {len(balanced)} examples")
     return 0
 
 
-# experiment-config keys: `limits` takes every SearchConfig field that JSON
-# can spell; a method entry takes every GuidanceConfig field, with `model`
-# and `vocab` as file paths, plus its own id and cascade settings
-_LIMIT_KEYS = {f.name for f in fields(SearchConfig)} - {"schedule_factory"}
+# experiment-config keys: `limits` takes every SearchConfig field; a method
+# entry takes every GuidanceConfig field, with `model` and `vocab` as file
+# paths, plus its own id and cascade settings
+_LIMIT_KEYS = {f.name for f in fields(SearchConfig)}
 _GUIDANCE_KEYS = {f.name for f in fields(GuidanceConfig)} - {"model", "vocab"}
 _METHOD_KEYS = _GUIDANCE_KEYS | {"id", "model", "vocab", "premsel_levels", "premsel_budget"}
 
@@ -203,8 +202,6 @@ def cmd_premsel(args) -> int:
     problem = _load_problem(args.problem)
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint_file(args.model, expected_vocab_hash=vocab.hash)
-    from .guidance import ClauseScorer
-
     scorer = ClauseScorer(model, vocab, problem, args.batch_size)
     ranking = rank_premises(problem, scorer)
     levels = tuple(int(x) for x in args.levels.split(","))
@@ -247,21 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Saturation prover with learned clause selection")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common_prove_args(p, with_mode=True):
+    def common_prove_args(p):
         p.add_argument("--max-processed", type=int, default=20_000, dest="max_processed")
         p.add_argument("--timeout-ms", type=int, default=60_000, dest="timeout_ms")
-        if with_mode:
-            p.add_argument("--mode", default="auto",
-                           choices=["auto", "pure", "hybrid", "switched"])
-            p.add_argument("--model", default=None)
-            p.add_argument("--vocab", default=None)
-            p.add_argument("--schedule", default="auto",
-                           help="classical schedule spec: the whole schedule in auto "
-                                "mode, the classical entries in hybrid and switched "
-                                "mode; pure mode rejects anything but auto")
-            p.add_argument("--phase1-budget", type=int, default=None, dest="phase1_budget")
-            p.add_argument("--total-budget", type=int, default=None, dest="total_budget")
-            p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
+        p.add_argument("--mode", default="auto",
+                       choices=["auto", "pure", "hybrid", "switched"])
+        p.add_argument("--model", default=None)
+        p.add_argument("--vocab", default=None)
+        p.add_argument("--schedule", default="auto",
+                       help="classical schedule spec: the whole schedule in auto "
+                            "mode, the classical entries in hybrid and switched "
+                            "mode; pure mode rejects anything but auto")
+        p.add_argument("--phase1-budget", type=int, default=None, dest="phase1_budget")
+        p.add_argument("--total-budget", type=int, default=None, dest="total_budget")
+        p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
 
     p = sub.add_parser("prove", help="prove one TPTP problem")
     p.add_argument("problem")

@@ -66,17 +66,10 @@ class DatasetSplit:
 
 
 def config_hash(config: SearchConfig) -> str:
-    payload = {
-        "schedule": config.schedule if config.schedule_factory is None else "custom",
-        "max_processed": config.max_processed,
-        "max_generated": config.max_generated,
-        "max_wall_ms": config.max_wall_ms,
-        "max_memory_symbols": config.max_memory_symbols,
-        "max_clause_literals": config.max_clause_literals,
-        "equality_axioms": config.equality_axioms,
-        "forward_subsumption": config.forward_subsumption,
-        "tautology_deletion": config.tautology_deletion,
-    }
+    """Hash of every setting that can change the search; recording the
+    selections changes none."""
+    payload = asdict(config)
+    del payload["record_selections"]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 

@@ -32,11 +32,7 @@ from .neural.models import (
     index_tree,
 )
 from .saturation import (
-    PROOF_FOUND,
-    RESOURCE_OUT,
-    SAT,
-    SATURATED,
-    UNSAT,
+    LIMIT,
     ProveResult,
     Saturation,
     SearchConfig,
@@ -123,11 +119,6 @@ class ClauseScorer:
         tree = clause_parse_tree(c)
         return embed_tree(index_tree(tree, self.vocab.lookup), self.model, TOWER_CLAUSE)
 
-    def score_clause(self, c: Clause) -> float:
-        if c.id not in self.cache:
-            self.score_batch([c])
-        return self.cache[c.id]
-
     def probability(self, vec: T.Tensor) -> float:
         """p(useful | embedded clause or premise, conjecture): the sigmoid of
         the combiner logit. The one scoring function of guided search and
@@ -173,26 +164,20 @@ class NeuralWeightFn(WeightFunction):
     def __init__(self, scorer: ClauseScorer):
         self.scorer = scorer
 
-    def key(self, c: Clause) -> tuple[int, float]:
-        return (0, -self.scorer.score_clause(c))
-
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
         self.scorer.score_batch(clauses)
         return [(0, -self.scorer.cache[c.id]) for c in clauses]
 
 
-def build_schedule(config: GuidanceConfig, problem: Problem, classical: str = "auto",
-                   scorer_out: list | None = None) -> SelectionSchedule:
-    """Schedule for one guided proof attempt.
+def build_schedule(config: GuidanceConfig, problem: Problem,
+                   classical: str = "auto") -> SelectionSchedule:
+    """Schedule for one guided proof attempt; its first entry is the network's.
 
     Pure is a single neural ranking; hybrid (and switched, in its first
     phase) interleaves `hybrid_nn_picks` neural picks into the full cycle
     of the `classical` schedule spec.
     """
-    scorer = ClauseScorer(config.model, config.vocab, problem, config.batch_size)
-    if scorer_out is not None:
-        scorer_out.append(scorer)
-    nn = NeuralWeightFn(scorer)
+    nn = NeuralWeightFn(ClauseScorer(config.model, config.vocab, problem, config.batch_size))
     if config.mode == MODE_PURE:
         return SelectionSchedule([(1, nn)])
     classic = parse_schedule(classical, problem.conjecture_symbols())
@@ -221,11 +206,11 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
     if gconfig.mode == MODE_AUTO:
         result = prove(problem, limits)
     else:
-        scorers: list[ClauseScorer] = []
-        result = prove(problem, replace(limits, schedule_factory=lambda p: build_schedule(
-            gconfig, p, limits.schedule, scorers)))
-        result.info["network_evals"] = scorers[0].clause_evals
-        result.info["batch_calls"] = scorers[0].batch_calls
+        schedule = build_schedule(gconfig, problem, limits.schedule)
+        result = prove(problem, limits, schedule)
+        scorer = schedule.entries[0].fn.scorer
+        result.info["network_evals"] = scorer.clause_evals
+        result.info["batch_calls"] = scorer.batch_calls
     result.info["guidance"] = gconfig.describe()
     return result
 
@@ -258,53 +243,25 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
     if gconfig.phase1_ms is not None:
         phase1_deadline = t0 + gconfig.phase1_ms / 1000.0
 
-    scorers: list[ClauseScorer] = []
-    hybrid = replace(gconfig, mode=MODE_HYBRID)
+    schedule = build_schedule(replace(gconfig, mode=MODE_HYBRID), problem, limits.schedule)
+    scorer = schedule.entries[0].fn.scorer
     # phase caps are passed to run() directly
-    config = replace(limits, max_processed=None, schedule_factory=lambda p: build_schedule(
-        hybrid, p, limits.schedule, scorers))
-    state = Saturation(problem, config)
+    state = Saturation(problem, replace(limits, max_processed=None), schedule)
     info = {"guidance": gconfig.describe()}
 
-    if state.empty_clause_id is not None:
-        result = state.result(UNSAT, t0)
-        result.info.update(info)
-        return result
-
     outcome = state.run(max_processed=phase1_budget, deadline=phase1_deadline)
-    scorer = scorers[0]
     info["phase1_processed"] = state.steps
     info["evals_at_switch"] = scorer.clause_evals
-
-    if outcome in (PROOF_FOUND, SATURATED):
-        info["finished_in_phase"] = 1
-        result = state.result(_terminal_status(state, outcome), t0)
-        result.info.update(info)
-        return result
-
-    # switch: same processed set and counters, classical-only rankings
-    state.resource = None
-    old = state.schedule
-    fresh = parse_schedule(limits.schedule, problem.conjecture_symbols())
-    for cid in old.drain_ids():
-        fresh.insert(old.alive[cid])
-    state.schedule = fresh
-    info["finished_in_phase"] = 2
-
-    outcome = state.run(max_processed=total_budget, deadline=total_deadline)
-    info["evals_final"] = scorer.clause_evals
-    if outcome == "limit":
-        result = state.result(RESOURCE_OUT, t0)
-    else:
-        result = state.result(_terminal_status(state, outcome), t0)
+    info["finished_in_phase"] = 1
+    if outcome == LIMIT:
+        # switch: same processed set and counters, classical-only rankings
+        old = state.schedule
+        state.schedule = parse_schedule(limits.schedule, problem.conjecture_symbols())
+        for cid in sorted(old.alive):
+            state.schedule.insert(old.alive[cid])
+        info["finished_in_phase"] = 2
+        outcome = state.run(max_processed=total_budget, deadline=total_deadline)
+        info["evals_final"] = scorer.clause_evals
+    result = state.result(outcome, t0)
     result.info.update(info)
     return result
-
-
-def _terminal_status(state: Saturation, outcome: str) -> str:
-    if outcome == PROOF_FOUND:
-        return UNSAT
-    if state.lossy:
-        state.resource = "clause_size"
-        return RESOURCE_OUT
-    return SAT

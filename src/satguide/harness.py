@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from .datagen import TrainingExample
 from .fol import Problem
-from .guidance import GuidanceConfig, guided_prove
+from .guidance import ClauseScorer, GuidanceConfig, guided_prove
 from .neural.models import ModelParams
 from .neural.train import accuracy as pair_accuracy
 from .neural.train import prepare_pairs
@@ -115,11 +115,7 @@ def run_corpus(problems: list[Problem], methods: list[MethodConfig],
     report.config = {
         "seed": seed,
         "record_walltime": record_walltime,
-        "limits": {
-            "max_processed": limits.max_processed,
-            "max_generated": limits.max_generated,
-            "max_wall_ms": limits.max_wall_ms,
-        },
+        "limits": asdict(limits),
         "methods": {
             m.id: {**m.guidance.describe(),
                    "premsel_levels": list(m.premsel_levels) if m.premsel_levels else None,
@@ -148,8 +144,6 @@ def run_corpus(problems: list[Problem], methods: list[MethodConfig],
 
 def _run_cell(problem: Problem, method: MethodConfig, limits: SearchConfig) -> ProblemRecord:
     if method.premsel_levels:
-        from .guidance import ClauseScorer
-
         scorer = ClauseScorer(method.guidance.model, method.guidance.vocab, problem,
                               method.guidance.batch_size)
         ranking = rank_premises(problem, scorer)

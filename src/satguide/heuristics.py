@@ -209,63 +209,29 @@ class SelectionSchedule:
             return self.alive.pop(cid)
         return None
 
-    def drain_ids(self) -> list[int]:
-        """Alive clause ids in increasing order (for schedule handoff)."""
-        return sorted(self.alive)
-
-
-# -- stock schedules -----------------------------------------------------------
-
-
-def auto_schedule(conj_symbols: set[Symbol] | frozenset[Symbol] = frozenset()) -> SelectionSchedule:
-    """Structural replica of the Auto208 hybrid: weights (1,4,1,1,4).
-
-    Entries: conjecture-relative with SOS tier, conjecture-relative
-    const-prio, FIFO, conjecture-relative preferring non-goals, and a
-    plain symbol-count with SOS tier standing in for the refined weight.
-    The conjecture multipliers (0.5, 0.1, 0.5) and the (3,2) symbol
-    weights come from the published parameter tuples; the remaining
-    parameters are not replicated.
-    """
-    conj = frozenset(conj_symbols)
-    return SelectionSchedule(
-        [
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, TIER_SOS)),
-            (4, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.1, TIER_CONST)),
-            (1, FifoWeightFn()),
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, TIER_NONGOALS)),
-            (4, SymbolCountWeightFn(3.0, 2.0, TIER_SOS)),
-        ]
-    )
-
-
-def auto200_schedule(conj_symbols: set[Symbol] | frozenset[Symbol] = frozenset()) -> SelectionSchedule:
-    """Replica of the Auto200 sibling: weights (1,6,2,1,8)."""
-    conj = frozenset(conj_symbols)
-    return SelectionSchedule(
-        [
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, TIER_SOS)),
-            (6, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.1, TIER_CONST)),
-            (2, FifoWeightFn()),
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, TIER_NONGOALS)),
-            (8, SymbolCountWeightFn(1.0, 1.0, TIER_SOS)),
-        ]
-    )
-
-
-AUTO_ENTRY_WEIGHTS = (1, 4, 1, 1, 4)
-AUTO200_ENTRY_WEIGHTS = (1, 6, 2, 1, 8)
-
 
 # -- schedule spec strings -----------------------------------------------------
 
+# Structural replicas of E's Auto208 hybrid and its Auto200 sibling. The
+# Auto208 entries: conjecture-relative with SOS tier, conjecture-relative
+# const-prio, FIFO, conjecture-relative preferring non-goals, and a plain
+# symbol-count with SOS tier standing in for the refined weight. The
+# conjecture multipliers (0.5, 0.1, 0.5) and the (3,2) symbol weights come
+# from the published parameter tuples; the remaining parameters are not
+# replicated.
+AUTO208 = ("1*conjrel(2,1,0.5,sos),4*conjrel(2,1,0.1,const),1*fifo,"
+           "1*conjrel(2,1,0.5,nongoals),4*symcount(3,2,sos)")
+AUTO200 = ("1*conjrel(2,1,0.5,sos),6*conjrel(2,1,0.1,const),2*fifo,"
+           "1*conjrel(2,1,0.5,nongoals),8*symcount(1,1,sos)")
+STOCK_SCHEDULES = {"auto": AUTO208, "auto208": AUTO208, "auto200": AUTO200}
+
 _ENTRY_RE = re.compile(r"^(\d+)\*([a-z0-9_]+)(?:\(([^)]*)\))?$")
+_MAX_ARGS = {"fifo": 0, "symcount": 3, "conjrel": 4}  # the last one is the tier
 
 
 def parse_schedule(
     spec: str,
     conj_symbols: set[Symbol] | frozenset[Symbol] = frozenset(),
-    nn_factory=None,
 ) -> SelectionSchedule:
     """Build a schedule from a spec string like `1*fifo,4*symcount(2,1)`.
 
@@ -273,15 +239,12 @@ def parse_schedule(
       fifo                       age order
       symcount(fw,vw[,tier])     symbol-count weight
       conjrel(fw,vw,mult[,tier]) conjecture-relative weight
-      nn                         neural score (needs nn_factory)
     tier is one of const|sos|nongoals. The shorthands `auto`, `auto208`
-    and `auto200` name the stock hybrid replicas.
+    and `auto200` name the specs in STOCK_SCHEDULES. An unknown name or
+    tier, or a surplus argument, raises ValueError.
     """
     spec = spec.strip()
-    if spec in ("auto", "auto208"):
-        return auto_schedule(conj_symbols)
-    if spec == "auto200":
-        return auto200_schedule(conj_symbols)
+    spec = STOCK_SCHEDULES.get(spec, spec)
     entries: list[tuple[int, WeightFunction]] = []
     for raw in _split_entries(spec):
         m = _ENTRY_RE.match(raw)
@@ -289,7 +252,7 @@ def parse_schedule(
             raise ValueError(f"bad schedule entry {raw!r}")
         weight, name, argstr = int(m.group(1)), m.group(2), m.group(3)
         args = [a.strip() for a in argstr.split(",")] if argstr else []
-        entries.append((weight, _make_fn(name, args, conj_symbols, nn_factory)))
+        entries.append((weight, _make_fn(name, args, conj_symbols)))
     return SelectionSchedule(entries)
 
 
@@ -311,22 +274,20 @@ def _split_entries(spec: str) -> list[str]:
     return out
 
 
-def _make_fn(name, args, conj_symbols, nn_factory) -> WeightFunction:
+def _make_fn(name, args, conj_symbols) -> WeightFunction:
+    most = _MAX_ARGS.get(name)
+    if most is None:
+        raise ValueError(f"unknown weight function {name!r}")
+    if len(args) > most:
+        raise ValueError(f"{name} takes at most {most} arguments, got {len(args)}")
     if name == "fifo":
         return FifoWeightFn()
+    fw = float(args[0]) if args else 2.0
+    vw = float(args[1]) if len(args) > 1 else 1.0
+    tier = args[-1] if len(args) == most else TIER_CONST
+    if tier not in (TIER_CONST, TIER_SOS, TIER_NONGOALS):
+        raise ValueError(f"unknown tier {tier!r}")
     if name == "symcount":
-        fw = float(args[0]) if args else 2.0
-        vw = float(args[1]) if len(args) > 1 else 1.0
-        tier = args[2] if len(args) > 2 else TIER_CONST
         return SymbolCountWeightFn(fw, vw, tier)
-    if name == "conjrel":
-        fw = float(args[0]) if args else 2.0
-        vw = float(args[1]) if len(args) > 1 else 1.0
-        mult = float(args[2]) if len(args) > 2 else 0.5
-        tier = args[3] if len(args) > 3 else TIER_CONST
-        return ConjectureRelativeWeightFn(frozenset(conj_symbols), fw, vw, mult, tier)
-    if name == "nn":
-        if nn_factory is None:
-            raise ValueError("nn entry requires a scorer (no model configured)")
-        return nn_factory()
-    raise ValueError(f"unknown weight function {name!r}")
+    mult = float(args[2]) if len(args) > 2 else 0.5
+    return ConjectureRelativeWeightFn(frozenset(conj_symbols), fw, vw, mult, tier)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .fol import Clause, Problem, clause_str, normalize_variables
 from .guidance import ClauseScorer
 from .neural import tensor as T
-from .neural.models import TOWER_CLAUSE, embed_sequence, embed_tree, index_tree
+from .neural.models import SEQ_ARCHS, TOWER_CLAUSE, embed_sequence, embed_tree, index_tree
 from .neural.models import combiner_logit  # noqa: F401  a span target of bench/tracing.py
 from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
 from .tokens import tokenize_texts
@@ -71,7 +71,7 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
     scores: dict[str, float] = {}
     with T.no_grad():
         for name, clauses in groups:
-            if scorer.model.config.arch in ("cnn", "wavenet"):
+            if scorer.model.config.arch in SEQ_ARCHS:
                 texts = [clause_str(normalize_variables(c)) for c in clauses]
                 ids = tokenize_texts(texts, scorer.vocab, scorer.max_len)
                 vec = embed_sequence(ids, scorer.model, TOWER_CLAUSE)

@@ -100,19 +100,32 @@ def subsumes(general: Clause, specific: Clause) -> bool:
     `specific` redundant. The clauses may share variables: matching binds
     only variables of `general` and never looks through a binding, so a
     variable of `specific` always stands for itself.
+
+    Each pattern literal first collects the target literals it matches on
+    its own; one with none rules subsumption out. The search then binds
+    the pattern literals with the fewest candidates first and backtracks
+    over those candidates only.
     """
     patterns = general.literals
     targets = specific.literals
     if len(patterns) > len(targets):
         return False
+    candidates = []
+    for p in patterns:
+        js = [j for j, t in enumerate(targets) if match_literals(p, t) is not None]
+        if not js:
+            return False
+        candidates.append((p, js))
+    candidates.sort(key=lambda entry: len(entry[1]))
 
     def assign(i: int, used: int, sub) -> bool:
-        if i == len(patterns):
+        if i == len(candidates):
             return True
-        for j, t in enumerate(targets):
+        p, js = candidates[i]
+        for j in js:
             if used & (1 << j):
                 continue
-            ext = match_literals(patterns[i], t, sub)
+            ext = match_literals(p, targets[j], sub)
             if ext is not None and assign(i + 1, used | (1 << j), ext):
                 return True
         return False

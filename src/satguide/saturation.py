@@ -67,6 +67,7 @@ RULE_EQ_AXIOM = "eq_axiom"
 CONTINUE = "continue"
 PROOF_FOUND = "proof"
 SATURATED = "saturated"
+LIMIT = "limit"
 
 # variable name prefixes of the two namespaces (see the module docstring)
 GIVEN_NAMESPACE = "G"
@@ -75,22 +76,14 @@ PROCESSED_NAMESPACE = "P"
 
 @dataclass
 class SearchConfig:
-    schedule: str = "auto"
-    schedule_factory: object = None  # callable(Problem) -> SelectionSchedule
+    schedule: str = "auto"  # a `heuristics.parse_schedule` spec
     max_processed: int | None = 20_000
     max_generated: int | None = 1_000_000
     max_wall_ms: int | None = 60_000
     max_memory_symbols: int | None = None  # stored symbol occurrences, a memory proxy
     max_clause_literals: int | None = None  # drop longer generated clauses
     equality_axioms: str = "auto"  # auto | always | never
-    forward_subsumption: bool = True
-    tautology_deletion: bool = True
     record_selections: bool = False
-
-    def build_schedule(self, problem: Problem) -> SelectionSchedule:
-        if self.schedule_factory is not None:
-            return self.schedule_factory(problem)
-        return parse_schedule(self.schedule, problem.conjecture_symbols())
 
 
 @dataclass
@@ -255,9 +248,12 @@ class Saturation:
 
     def __init__(self, problem: Problem, config: SearchConfig,
                  schedule: SelectionSchedule | None = None):
+        """`schedule` overrides the one `config.schedule` spells."""
         self.problem = problem
         self.config = config
-        self.schedule = schedule if schedule is not None else config.build_schedule(problem)
+        if schedule is None:
+            schedule = parse_schedule(config.schedule, problem.conjecture_symbols())
+        self.schedule = schedule
         self.processed: list[Clause] = []  # in the processed namespace
         self.processed_ids: set[int] = set()
         self.nodes: dict[int, ProofNode] = {}
@@ -316,16 +312,11 @@ class Saturation:
 
     def step(self) -> str:
         """Process one given clause; redundant picks are skipped internally."""
-        if self.empty_clause_id is not None:
-            return PROOF_FOUND
         while True:
             g = self.schedule.pop_next()
             if g is None:
                 return SATURATED
-            if self.config.tautology_deletion and is_tautology(g):
-                self.discarded_given += 1
-                continue
-            if self.config.forward_subsumption and self._forward_subsumed(g):
+            if is_tautology(g) or self._forward_subsumed(g):
                 self.discarded_given += 1
                 continue
             break
@@ -354,16 +345,17 @@ class Saturation:
                     return PROOF_FOUND
         return CONTINUE
 
-    def _generation_exhausted(self) -> bool:
-        """Caps checked mid-step too: one clause pair can otherwise blow
-        far past the budget before the loop looks again."""
+    def _generation_exhausted(self) -> str | None:
+        """The generated or memory cap that is reached, if any. Checked
+        mid-step too: one clause pair can otherwise blow far past the
+        budget before the loop looks again."""
         cfg = self.config
         if cfg.max_generated is not None and self.generated >= cfg.max_generated:
-            return True
+            return "generated"
         if (cfg.max_memory_symbols is not None
                 and self.stored_symbols >= cfg.max_memory_symbols):
-            return True
-        return False
+            return "memory"
+        return None
 
     def _admit(self, lits: tuple[Literal, ...], parents: tuple[int, ...], rule: str) -> bool:
         """Create and enqueue a derived clause; returns True on empty clause."""
@@ -385,7 +377,7 @@ class Saturation:
         if cap is not None and len(c.literals) > cap:
             self.lossy = True
             return False
-        if self.config.tautology_deletion and is_tautology(c):
+        if is_tautology(c):
             return False
         key = canonical_key(c)
         if key in self.seen_keys:
@@ -398,31 +390,30 @@ class Saturation:
     # -- limits ---------------------------------------------------------------
 
     def hit_limit(self, max_processed: int | None, deadline: float | None) -> str | None:
-        cfg = self.config
         if max_processed is not None and self.steps >= max_processed:
             return "processed"
-        if cfg.max_generated is not None and self.generated >= cfg.max_generated:
-            return "generated"
-        if cfg.max_memory_symbols is not None and self.stored_symbols >= cfg.max_memory_symbols:
-            return "memory"
+        exhausted = self._generation_exhausted()
+        if exhausted is not None:
+            return exhausted
         if deadline is not None and time.monotonic() >= deadline:
             return "time"
         return None
 
     def run(self, max_processed: int | None = None, deadline: float | None = None) -> str:
-        """Run until proof, saturation, or a limit; returns the stop kind."""
+        """Run until proof, saturation, or a limit; returns PROOF_FOUND,
+        SATURATED or LIMIT (naming the limit in `resource`). A proof,
+        even one among the input clauses, wins over any limit."""
         cap = self.config.max_processed
         if max_processed is not None:
             cap = max_processed if cap is None else min(cap, max_processed)
         while True:
+            if self.empty_clause_id is not None:
+                return PROOF_FOUND
             limit = self.hit_limit(cap, deadline)
             if limit is not None:
                 self.resource = limit
-                return "limit"
-            outcome = self.step()
-            if outcome == PROOF_FOUND:
-                return PROOF_FOUND
-            if outcome == SATURATED:
+                return LIMIT
+            if self.step() == SATURATED:
                 return SATURATED
 
     # -- results ----------------------------------------------------------------
@@ -440,39 +431,43 @@ class Saturation:
         derivation = {cid: self.nodes[cid] for cid in used}
         return Proof(self.empty_clause_id, derivation, used)
 
-    def result(self, status: str, t0: float) -> ProveResult:
-        proof = self.build_proof() if status == UNSAT else None
+    def result(self, outcome: str, t0: float) -> ProveResult:
+        """The SZS status of a search that `run` stopped with `outcome`.
+
+        Saturation proves satisfiability only when no generated clause
+        was dropped for its size; a lossy one ends as ResourceOut.
+        """
+        resource = None
+        if outcome == PROOF_FOUND:
+            status = UNSAT
+        elif outcome == SATURATED and not self.lossy:
+            status = SAT
+        else:
+            status = RESOURCE_OUT
+            resource = "clause_size" if outcome == SATURATED else self.resource
         return ProveResult(
             status=status,
-            proof=proof,
+            proof=self.build_proof() if status == UNSAT else None,
             processed_count=self.steps,
             generated_count=self.generated,
             wall_ms=int((time.monotonic() - t0) * 1000),
-            resource=self.resource if status == RESOURCE_OUT else None,
+            resource=resource,
             selections=self.selections if self.config.record_selections else None,
             state=self,
         )
 
 
-def prove(problem: Problem, config: SearchConfig | None = None) -> ProveResult:
-    """Saturate until proof, saturation, or resource limits."""
+def prove(problem: Problem, config: SearchConfig | None = None,
+          schedule: SelectionSchedule | None = None) -> ProveResult:
+    """Saturate until proof, saturation, or resource limits; `schedule`
+    overrides the one `config.schedule` spells."""
     config = config or SearchConfig()
     t0 = time.monotonic()
-    state = Saturation(problem, config)
-    if state.empty_clause_id is not None:  # degenerate input
-        return state.result(UNSAT, t0)
+    state = Saturation(problem, config, schedule)
     deadline = None
     if config.max_wall_ms is not None:
         deadline = t0 + config.max_wall_ms / 1000.0
-    outcome = state.run(deadline=deadline)
-    if outcome == PROOF_FOUND:
-        return state.result(UNSAT, t0)
-    if outcome == SATURATED:
-        if state.lossy:  # dropped clauses: exhaustion proves nothing
-            state.resource = "clause_size"
-            return state.result(RESOURCE_OUT, t0)
-        return state.result(SAT, t0)
-    return state.result(RESOURCE_OUT, t0)
+    return state.result(state.run(deadline=deadline), t0)
 
 
 # -- labeling support ----------------------------------------------------------

@@ -9,7 +9,8 @@ finite up to renaming.
 
 `string_key` is the printed duplicate key the search used before its
 tuple key (`fol.canonical_key`); it stays here as the reference the tuple
-key is checked against.
+key is checked against. `subsumes` is the plain backtracking subsumption
+test that `rules.subsumes` prunes; it is the reference for that one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import replace
 from satguide.fol import Clause, Literal, Problem, clause_str, literal_tokens, normalize_variables
 from satguide.rules import factor, resolve, standardized_apart
 from satguide.saturation import SAT, UNSAT
+from satguide.unify import match_literals
 
 
 def string_key(c: Clause) -> str:
@@ -36,6 +38,28 @@ def string_key(c: Clause) -> str:
 def _blind_str(lit: Literal) -> str:
     toks = literal_tokens(lit)
     return " ".join("_" if t and t[0].isupper() else t for t in toks)
+
+
+def subsumes(general: Clause, specific: Clause) -> bool:
+    """Multiset-injective subsumption: try every target literal for each
+    pattern literal, in clause order, and backtrack."""
+    patterns = general.literals
+    targets = specific.literals
+    if len(patterns) > len(targets):
+        return False
+
+    def assign(i: int, used: int, sub) -> bool:
+        if i == len(patterns):
+            return True
+        for j, t in enumerate(targets):
+            if used & (1 << j):
+                continue
+            ext = match_literals(patterns[i], t, sub)
+            if ext is not None and assign(i + 1, used | (1 << j), ext):
+                return True
+        return False
+
+    return assign(0, 0, {})
 
 
 def bfs_saturate(problem: Problem, max_level: int = 30,

@@ -3,8 +3,9 @@
 On the clauses of real corpus searches: the tuple duplicate key
 partitions clauses exactly as the printed string key does, the indexed
 forward-subsumption check answers as a scan over every processed clause
-does, every pair handed to `resolve` is variable-disjoint, and variable
-names stay short however deep the derivation.
+does, the pruned subsumption test answers every query as plain
+backtracking does, every pair handed to `resolve` is variable-disjoint,
+and variable names stay short however deep the derivation.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
 from satguide.unify import clause_variables
 
+import oracles
 from oracles import string_key
 
 CONFIG = SearchConfig(max_processed=1200, max_generated=30_000,
@@ -56,16 +58,28 @@ def resolved_pairs():
 
 
 @pytest.fixture(scope="module")
-def searches(problems, resolved_pairs):
+def subsumption_answers():
+    """For each forward-subsumption query: (pruned answer, reference answer)."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def searches(problems, resolved_pairs, subsumption_answers):
     inner = saturation.resolve
 
     def checked(c1, c2):
         resolved_pairs.append(not clause_variables(c1) & clause_variables(c2))
         return inner(c1, c2)
 
+    def compared(p, g):
+        fast = subsumes(p, g)
+        subsumption_answers.append((fast, oracles.subsumes(p, g)))
+        return fast
+
     states = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(saturation, "resolve", checked)
+        mp.setattr(saturation, "subsumes", compared)
         for p in problems:
             state = ScanChecked(p, CONFIG)
             state.run()
@@ -89,6 +103,13 @@ def test_index_agrees_with_scan(searches):
     assert sum(s.checked for s in searches) > 1000
     assert sum(s.subsumed for s in searches) > 0
     assert [s.mismatches for s in searches] == [[] for _ in searches]
+
+
+def test_pruned_subsumption_agrees_with_backtracking(searches, subsumption_answers):
+    assert len(subsumption_answers) > 1000
+    assert sum(fast for fast, _ in subsumption_answers) > 0
+    assert sum(not fast for fast, _ in subsumption_answers) > 0
+    assert all(fast == slow for fast, slow in subsumption_answers)
 
 
 def test_resolved_pairs_are_variable_disjoint(searches, resolved_pairs):

@@ -15,6 +15,7 @@ from satguide.guidance import (
     guided_prove,
     switched_prove,
 )
+from satguide.heuristics import SelectionSchedule
 from satguide.neural.models import TOWER_CONJ, ModelConfig, init_model
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import SAT, SearchConfig, UNSAT, prove
@@ -90,7 +91,7 @@ class TestScorer:
             monkeypatch.setattr(guidance, name, spy)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
         for cid in range(5):
-            scorer.score_clause(clause_of("p(a)", cid))
+            scorer.score_batch([clause_of("p(a)", cid)])
         assert towers.count(TOWER_CONJ) == 1 and len(towers) == 6
         assert scorer.conj_evals == 1
 
@@ -99,10 +100,10 @@ class TestScorer:
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
         c = clause_of("p(a)", 7)
-        p1 = scorer.score_clause(c)
-        evals = scorer.clause_evals
-        p2 = scorer.score_clause(c)
-        assert p1 == p2 and scorer.clause_evals == evals
+        scorer.score_batch([c])
+        p1, evals = scorer.cache[c.id], scorer.clause_evals
+        scorer.score_batch([c])
+        assert scorer.cache[c.id] == p1 and scorer.clause_evals == evals
 
     def test_batching_is_ceiling_division(self):
         problem = tiny_problem()
@@ -138,8 +139,8 @@ class TestScorer:
         problem = tiny_problem()
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        p = scorer.score_clause(clause_of("p(X) | q(f(X))", 9))
-        assert 0.0 < p < 1.0
+        scorer.score_batch([clause_of("p(X) | q(f(X))", 9)])
+        assert 0.0 < scorer.cache[9] < 1.0
 
 
 class TestNeuralWeightFn:
@@ -149,9 +150,8 @@ class TestNeuralWeightFn:
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
         scorer.cache[1] = 0.9
         scorer.cache[2] = 0.2
-        fn = NeuralWeightFn(scorer)
-        k1 = fn.key(clause_of("p(a)", 1))
-        k2 = fn.key(clause_of("q(a)", 2))
+        k1, k2 = NeuralWeightFn(scorer).batch_keys([clause_of("p(a)", 1),
+                                                     clause_of("q(a)", 2)])
         assert k1 < k2  # -0.9 < -0.2
 
     def test_constant_model_orders_by_id(self):
@@ -169,7 +169,7 @@ class TestNeuralWeightFn:
         problem = tiny_problem()
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        tier, weight = NeuralWeightFn(scorer).key(clause_of("p(a)", 4))
+        [(tier, weight)] = NeuralWeightFn(scorer).batch_keys([clause_of("p(a)", 4)])
         assert tier == 0 and -1.0 < weight < 0.0
         assert weight == -scorer.cache[4]
 
@@ -316,20 +316,11 @@ class TestCacheTransparency:
         model = model_for(vocab)
 
         def run(cache):
-            scorer_holder = []
-
-            def factory(p):
-                scorer = ClauseScorer(model, vocab, p)
-                scorer.cache = cache
-                scorer_holder.append(scorer)
-                from satguide.heuristics import SelectionSchedule
-
-                return SelectionSchedule([(1, NeuralWeightFn(scorer))])
-
-            cfg = SearchConfig(max_processed=25, record_selections=True,
-                               schedule_factory=factory)
-            result = prove(problem, cfg)
-            return result.selections, scorer_holder[0]
+            scorer = ClauseScorer(model, vocab, problem)
+            scorer.cache = cache
+            cfg = SearchConfig(max_processed=25, record_selections=True)
+            result = prove(problem, cfg, SelectionSchedule([(1, NeuralWeightFn(scorer))]))
+            return result.selections, scorer
 
         cold_selections, cold_scorer = run({})
         # every score already cached: selection order must be identical and

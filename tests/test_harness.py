@@ -1,6 +1,7 @@
 """Experiment harness: records, aggregates, unions, curves, report files."""
 
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ class TestRunCorpus:
         methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
         report = run_corpus([Bad()], methods, SearchConfig(max_processed=10))
         assert report.records[0].status == "Error(RuntimeError: bad problem)"
+
+    def test_config_records_every_limit(self):
+        problems = self._problems(1)
+        methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
+        base = SearchConfig(max_processed=50)
+        limits = [run_corpus(problems, methods, cfg).config["limits"]
+                  for cfg in (base, replace(base, max_clause_literals=3),
+                              replace(base, schedule="1*fifo"))]
+        assert limits[0] == asdict(base)
+        assert len({json.dumps(block, sort_keys=True) for block in limits}) == 3
 
     def test_walltime_suppressed_by_default(self):
         problems = self._problems(1)

@@ -5,14 +5,10 @@ import pytest
 
 from satguide.fol import Clause, PREDICATE, Symbol
 from satguide.heuristics import (
-    AUTO200_ENTRY_WEIGHTS,
-    AUTO_ENTRY_WEIGHTS,
     ConjectureRelativeWeightFn,
     FifoWeightFn,
     SelectionSchedule,
     SymbolCountWeightFn,
-    auto200_schedule,
-    auto_schedule,
     conjecture_relative_weight,
     fifo_weight,
     parse_schedule,
@@ -166,25 +162,33 @@ class TestTiers:
 
 
 class TestStockSchedules:
-    def test_auto208_weights(self):
-        sched = auto_schedule(set())
-        assert tuple(e.weight for e in sched.entries) == AUTO_ENTRY_WEIGHTS == (1, 4, 1, 1, 4)
-        assert sched.cycle_length == 11
+    """The stock spec strings expand, entry by entry, to the schedules
+    that were built by hand before they were spec strings."""
 
-    def test_auto200_weights(self):
-        sched = auto200_schedule(set())
-        assert tuple(e.weight for e in sched.entries) == AUTO200_ENTRY_WEIGHTS == (1, 6, 2, 1, 8)
-        assert sched.cycle_length == 18
+    CONJ = frozenset({Symbol("p", PREDICATE, 1)})
 
-    def test_auto_entry_kinds(self):
-        sched = auto_schedule(set())
-        kinds = [type(e.fn).__name__ for e in sched.entries]
-        assert kinds == [
-            "ConjectureRelativeWeightFn",
-            "ConjectureRelativeWeightFn",
-            "FifoWeightFn",
-            "ConjectureRelativeWeightFn",
-            "SymbolCountWeightFn",
+    def entries(self, spec):
+        return [(e.weight, e.fn) for e in parse_schedule(spec, set(self.CONJ)).entries]
+
+    def test_auto208_entries(self):
+        conj = self.CONJ
+        expected = [
+            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "sos")),
+            (4, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.1, "const")),
+            (1, FifoWeightFn()),
+            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "nongoals")),
+            (4, SymbolCountWeightFn(3.0, 2.0, "sos")),
+        ]
+        assert self.entries("auto") == self.entries("auto208") == expected
+
+    def test_auto200_entries(self):
+        conj = self.CONJ
+        assert self.entries("auto200") == [
+            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "sos")),
+            (6, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.1, "const")),
+            (2, FifoWeightFn()),
+            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "nongoals")),
+            (8, SymbolCountWeightFn(1.0, 1.0, "sos")),
         ]
 
 
@@ -206,14 +210,20 @@ class TestScheduleSpec:
         assert parse_schedule("auto200").cycle_length == 18
 
     def test_bad_entry_rejected(self):
-        with pytest.raises(ValueError):
-            parse_schedule("fifo")
-        with pytest.raises(ValueError):
-            parse_schedule("1*bogus")
+        for spec in ("fifo", "1*bogus", "1*nn"):
+            with pytest.raises(ValueError):
+                parse_schedule(spec)
 
-    def test_nn_requires_factory(self):
-        with pytest.raises(ValueError):
-            parse_schedule("1*nn")
+    @pytest.mark.parametrize("spec", ["1*symcount(2,1,bogus)", "1*conjrel(2,1,0.5,Sos)"])
+    def test_unknown_tier_rejected(self, spec):
+        with pytest.raises(ValueError, match="tier"):
+            parse_schedule(spec)
+
+    @pytest.mark.parametrize("spec", ["1*fifo(7)", "1*symcount(2,1,sos,3)",
+                                      "1*conjrel(2,1,0.5,sos,3)"])
+    def test_surplus_argument_rejected(self, spec):
+        with pytest.raises(ValueError, match="at most"):
+            parse_schedule(spec)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -80,8 +80,9 @@ class TestProve:
 
     def test_empty_clause_in_input(self):
         p = parse_tptp("cnf(a, axiom, $false). cnf(g, negated_conjecture, (~p(a))).")
-        r = prove(p, fifo_config())
-        assert r.status == UNSAT and r.processed_count == 0
+        for cfg in (fifo_config(), fifo_config(max_processed=0, max_generated=0)):
+            r = prove(p, cfg)  # a proof wins over any limit
+            assert r.status == UNSAT and r.processed_count == 0
 
     def test_monotone_ids(self, socrates):
         r = prove(socrates, fifo_config())
