@@ -17,6 +17,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .fol import Clause, Problem, normalize_variables
 from .heuristics import SelectionSchedule, WeightFunction, parse_schedule
 from .neural import tensor as T
@@ -112,47 +114,60 @@ class ClauseScorer:
                 self.v_nc = embed_tree(index_tree(tree, vocab.lookup), model, TOWER_CONJ)
         self.conj_evals += 1
 
-    def _embed_clause(self, c: Clause) -> T.Tensor:
-        if self._sequence:
-            seq = tokenize(normalize_variables(c), self.vocab, self.max_len)
-            return embed_sequence(seq.tokens, self.model, TOWER_CLAUSE)
-        tree = clause_parse_tree(c)
-        return embed_tree(index_tree(tree, self.vocab.lookup), self.model, TOWER_CLAUSE)
+    def probabilities(self, vecs: T.Tensor) -> list[float]:
+        """p(useful | embedded clause or premise, conjecture) for each row of
+        `vecs` [B, dim]: the sigmoid of the combiner logit. The one scoring
+        function of guided search and premise ranking.
 
-    def probability(self, vec: T.Tensor) -> float:
-        """p(useful | embedded clause or premise, conjecture): the sigmoid of
-        the combiner logit. The one scoring function of guided search and
-        premise ranking."""
+        The combiner sees [B, 1, 2*dim] rows, so numpy evaluates each row
+        with the same one-row product as a lone row: every probability is
+        bit-identical whatever B is. (A [B, 2*dim] product would go through
+        a matrix-matrix BLAS call, which rounds differently.)
+        """
         with T.no_grad():
-            logit = combiner_logit(vec, self.v_nc, self.model)
-            return float(T.sigmoid(logit).data.reshape(-1)[0])
+            rows = vecs.data[:, None, :]
+            conj = np.broadcast_to(self.v_nc.data, rows.shape)
+            logits = combiner_logit(T.constant(rows), T.constant(conj), self.model)
+            return T.sigmoid(logits).data.reshape(-1).tolist()
+
+    def sequence_probabilities(self, batch_ids: list[list[int]]) -> list[float]:
+        """`probabilities` of token sequences through the clause tower,
+        embedded batch_size at a time. Padded positions are masked after
+        every layer, so each row is bit-identical to a lone evaluation."""
+        probs: list[float] = []
+        for start in range(0, len(batch_ids), self.batch_size):
+            with T.no_grad():
+                vecs = embed_sequences(batch_ids[start : start + self.batch_size],
+                                       self.model, TOWER_CLAUSE)
+            probs += self.probabilities(vecs)
+        return probs
 
     def score_batch(self, clauses: list[Clause]):
         """Score the uncached clauses, in order, batch_size at a time.
 
-        Sequence towers evaluate a whole chunk at once; padded positions
-        are masked after every layer so each row is bit-identical to a
-        lone evaluation, and the combiner runs per clause. Batch size is
+        Sequence towers embed a whole chunk at once; tree towers embed one
+        clause at a time; the combiner runs once per chunk. Batch size is
         therefore amortization only, never a change in the math.
         """
         pending = [c for c in clauses if c.id not in self.cache]
         for start in range(0, len(pending), self.batch_size):
             chunk = pending[start : start + self.batch_size]
             self.batch_calls += 1
-            with T.no_grad():
-                if self._sequence:
-                    ids = [
-                        tokenize(normalize_variables(c), self.vocab, self.max_len).tokens
+            self.clause_evals += len(chunk)
+            if self._sequence:
+                probs = self.sequence_probabilities([
+                    tokenize(normalize_variables(c), self.vocab, self.max_len).tokens
+                    for c in chunk
+                ])
+            else:
+                with T.no_grad():
+                    vecs = T.stack([
+                        embed_tree(index_tree(clause_parse_tree(c), self.vocab.lookup),
+                                   self.model, TOWER_CLAUSE)
                         for c in chunk
-                    ]
-                    vecs = embed_sequences(ids, self.model, TOWER_CLAUSE)
-                    for i, c in enumerate(chunk):
-                        self.cache[c.id] = self.probability(T.constant(vecs.data[i]))
-                        self.clause_evals += 1
-                else:
-                    for c in chunk:
-                        self.cache[c.id] = self.probability(self._embed_clause(c))
-                        self.clause_evals += 1
+                    ])
+                probs = self.probabilities(vecs)
+            self.cache.update(zip([c.id for c in chunk], probs))
 
 
 class NeuralWeightFn(WeightFunction):
@@ -220,16 +235,17 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
     """Hybrid phase under a budget, then the classical schedule alone on
     the same proof state.
 
-    Default budget split is 2:1 (phase 1 : phase 2) of the total. With a
-    clause-denominated budget the phase-1 processed count is capped
-    exactly; zero network evaluation happens after the switch.
+    The processed-clause total is `total_budget`, else `limits.max_processed`,
+    and caps both phases whatever the wall budgets. Without `phase1_budget`
+    or `phase1_ms`, phase 1 gets 2/3 of that total, a count capped exactly;
+    zero network evaluation happens after the switch.
     """
     limits = limits or SearchConfig()
     t0 = time.monotonic()
 
-    total_budget = gconfig.total_budget
-    if total_budget is None and gconfig.total_ms is None:
-        total_budget = limits.max_processed
+    if gconfig.total_budget is not None:
+        limits = replace(limits, max_processed=gconfig.total_budget)
+    total_budget = limits.max_processed
     phase1_budget = gconfig.phase1_budget
     if phase1_budget is None and total_budget is not None and gconfig.phase1_ms is None:
         phase1_budget = (2 * total_budget) // 3
@@ -245,8 +261,8 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
 
     schedule = build_schedule(replace(gconfig, mode=MODE_HYBRID), problem, limits.schedule)
     scorer = schedule.entries[0].fn.scorer
-    # phase caps are passed to run() directly
-    state = Saturation(problem, replace(limits, max_processed=None), schedule)
+    # the total cap is the state's own; run() takes the phase-1 cap
+    state = Saturation(problem, limits, schedule)
     info = {"guidance": gconfig.describe()}
 
     outcome = state.run(max_processed=phase1_budget, deadline=phase1_deadline)
@@ -260,7 +276,7 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
         for cid in sorted(old.alive):
             state.schedule.insert(old.alive[cid])
         info["finished_in_phase"] = 2
-        outcome = state.run(max_processed=total_budget, deadline=total_deadline)
+        outcome = state.run(deadline=total_deadline)
         info["evals_final"] = scorer.clause_evals
     result = state.result(outcome, t0)
     result.info.update(info)

@@ -159,7 +159,7 @@ def init_model(config: ModelConfig, vocab_hash: str = "") -> ModelParams:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
-           patch: int | None = None, mask: Tensor | None = None) -> Tensor:
+           mask: Tensor | None = None) -> Tensor:
     """Dilated 1-D convolution, symmetric (non-causal), zero padding.
 
     out_i = b + sum_j w_j @ x_{i - dilation*(j - ceil(s/2))} for j = 1..s,
@@ -167,14 +167,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
     time axis is the second-to-last of x. `mask` re-zeroes padded rows in
     batched inputs.
     """
-    s = patch if patch is not None else w.data.shape[0]
-    center = (s + 1) // 2
-    out = None
-    for j in range(1, s + 1):
-        offset = dilation * (j - center)
-        term = T.matmul(T.shift_time(x, offset), T.kernel_slice(w, j - 1))
-        out = term if out is None else T.add(out, term)
-    out = T.add(out, b)
+    out = T.add(T.conv_taps(x, w, dilation), b)
     if mask is not None:
         out = T.mul(out, mask)
     return out
@@ -184,7 +177,7 @@ def _cnn_tower(x: Tensor, model: ModelParams, tower: str, mask: Tensor | None) -
     cfg = model.config
     for i in range(cfg.cnn_layers):
         x = conv1d(x, model.params[f"{tower}.conv{i}.w"],
-                   model.params[f"{tower}.conv{i}.b"], 1, cfg.cnn_patch, mask)
+                   model.params[f"{tower}.conv{i}.b"], 1, mask)
         x = T.relu(x)
     return x
 
@@ -192,11 +185,10 @@ def _cnn_tower(x: Tensor, model: ModelParams, tower: str, mask: Tensor | None) -
 def _wavenet_layer(x: Tensor, model: ModelParams, tower: str, b: int, l: int,
                    dilation: int, mask: Tensor | None) -> Tensor:
     p = model.params
-    cfg = model.config
     filt = conv1d(x, p[f"{tower}.b{b}.l{l}.filter.w"], p[f"{tower}.b{b}.l{l}.filter.b"],
-                  dilation, cfg.wavenet_patch)
+                  dilation)
     gate = conv1d(x, p[f"{tower}.b{b}.l{l}.gate.w"], p[f"{tower}.b{b}.l{l}.gate.b"],
-                  dilation, cfg.wavenet_patch)
+                  dilation)
     delta = T.mul(T.tanh(filt), T.sigmoid(gate))
     if mask is not None:
         delta = T.mul(delta, mask)

@@ -34,7 +34,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise FloatingPointError("non-finite tensor value")
         self.grad = None
         self.requires_grad = requires_grad
@@ -53,8 +53,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: `g` may be a view, or handed to several parents
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -256,47 +258,52 @@ def narrow(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def shift_time(a: Tensor, offset: int) -> Tensor:
-    """out[..., i, :] = a[..., i-offset, :], zero outside the range.
-
-    The time axis is the second-to-last one, so this covers both [T, C]
-    and [B, T, C] layouts. Out-of-range reads are the convolution's
-    zero padding.
-    """
-    out_data = np.zeros_like(a.data)
-    t = a.data.shape[-2]
+def _tap_rows(offset: int, t: int) -> tuple[slice, slice]:
+    """(output rows, input rows) that a tap at `offset` connects:
+    out[i] reads in[i - offset]; rows read from outside [0, t) are zero."""
     if offset >= 0:
-        if offset < t:
-            out_data[..., offset:, :] = a.data[..., : t - offset, :]
-    else:
-        if -offset < t:
-            out_data[..., : t + offset, :] = a.data[..., -offset:, :]
+        return slice(offset, t), slice(0, max(t - offset, 0))
+    return slice(0, max(t + offset, 0)), slice(-offset, t)
+
+
+def conv_taps(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
+    """The tap sum of a dilated, symmetric, zero-padded 1-D convolution.
+
+    out_i = sum_j x_{i - dilation*(j - ceil(s/2))} @ w_j for j = 1..s, with
+    `w` [s, C_in, C_out] and time on the second-to-last axis of x ([T, C]
+    or [B, T, C]). The shifted copies of x are stacked on a tap axis and
+    multiplied by the taps in one matmul; each tap's product is then the
+    BLAS call a lone `shift(x) @ w_j` makes, and the products are added in
+    tap order, so the sum is bit-identical to adding the per-tap products
+    one after another. (Multiplying x once by a [C_in, s*C_out] kernel
+    would put a tap's columns elsewhere in the BLAS call, which can round
+    them differently.)
+    """
+    s, c_in, c_out = w.data.shape
+    t = x.data.shape[-2]
+    center = (s + 1) // 2
+    rows = [_tap_rows(dilation * (j - center), t) for j in range(1, s + 1)]
+    shifted = np.zeros((s,) + x.data.shape)
+    for j, (dst, src) in enumerate(rows):
+        shifted[j][..., dst, :] = x.data[..., src, :]
+    terms = np.matmul(shifted, w.data.reshape((s,) + (1,) * (x.data.ndim - 2) + (c_in, c_out)))
+    out_data = terms[0].copy()
+    for term in terms[1:]:
+        out_data += term
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            if offset >= 0:
-                if offset < t:
-                    ga[..., : t - offset, :] = g[..., offset:, :]
-            else:
-                if -offset < t:
-                    ga[..., -offset:, :] = g[..., : t + offset, :]
-            a._accumulate(ga)
-
-    return _make(out_data, (a,), backward)
-
-
-def kernel_slice(w: Tensor, j: int) -> Tensor:
-    """Tap j of a [s, C_in, C_out] convolution kernel."""
-    out_data = w.data[j]
-
-    def backward(g):
+        if x.requires_grad:
+            # gt[..., i, j, :] is the output gradient tap j routes back to input row i
+            gt = np.zeros(g.shape[:-1] + (s, c_out))
+            for j, (dst, src) in enumerate(rows):
+                gt[..., src, j, :] = g[..., dst, :]
+            w_flat = w.data.transpose(1, 0, 2).reshape(c_in, s * c_out)
+            x._accumulate(gt.reshape(g.shape[:-1] + (s * c_out,)) @ w_flat.T)
         if w.requires_grad:
-            full = np.zeros_like(w.data)
-            full[j] = g
-            w._accumulate(full)
+            w._accumulate(np.matmul(shifted.reshape(s, -1, c_in).transpose(0, 2, 1),
+                                    g.reshape(-1, c_out)))
 
-    return _make(out_data, (w,), backward)
+    return _make(out_data, (x, w), backward)
 
 
 def embedding(table: Tensor, ids) -> Tensor:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 from .fol import Clause, Problem, clause_str, normalize_variables
 from .guidance import ClauseScorer
 from .neural import tensor as T
-from .neural.models import SEQ_ARCHS, TOWER_CLAUSE, embed_sequence, embed_tree, index_tree
-from .neural.models import combiner_logit  # noqa: F401  a span target of bench/tracing.py
+from .neural.models import SEQ_ARCHS, TOWER_CLAUSE, embed_tree, index_tree
+# unused here; bench/tracing.py spans these names in this module
+from .neural.models import combiner_logit, embed_sequence  # noqa: F401
 from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
 from .tokens import tokenize_texts
 from .trees import clause_parse_tree
@@ -64,28 +65,31 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
     ties keeping input order.
 
     Sequence models see the premise's clauses as one SEP-joined token
-    stream. Tree models embed each clause through the clause tower and
-    pool elementwise-max over the group (clause trees carry no `and`).
+    stream, embedded and scored scorer.batch_size premises at a time. Tree
+    models embed each clause through the clause tower and pool
+    elementwise-max over the group (clause trees carry no `and`). Scores
+    do not depend on the batch size.
     """
     groups = premise_groups(problem)
-    scores: dict[str, float] = {}
-    with T.no_grad():
-        for name, clauses in groups:
-            if scorer.model.config.arch in SEQ_ARCHS:
-                texts = [clause_str(normalize_variables(c)) for c in clauses]
-                ids = tokenize_texts(texts, scorer.vocab, scorer.max_len)
-                vec = embed_sequence(ids, scorer.model, TOWER_CLAUSE)
-            else:
-                vecs = [
-                    embed_tree(
-                        index_tree(clause_parse_tree(c), scorer.vocab.lookup),
-                        scorer.model,
-                        TOWER_CLAUSE,
-                    )
+    if scorer.model.config.arch in SEQ_ARCHS:
+        probs = scorer.sequence_probabilities([
+            tokenize_texts([clause_str(normalize_variables(c)) for c in clauses],
+                           scorer.vocab, scorer.max_len)
+            for _, clauses in groups
+        ])
+    else:
+        with T.no_grad():
+            vecs = []
+            for _, clauses in groups:
+                embedded = [
+                    embed_tree(index_tree(clause_parse_tree(c), scorer.vocab.lookup),
+                               scorer.model, TOWER_CLAUSE)
                     for c in clauses
                 ]
-                vec = vecs[0] if len(vecs) == 1 else T.max_time(T.stack(vecs))
-            scores[name] = scorer.probability(vec)
+                vecs.append(embedded[0] if len(embedded) == 1
+                            else T.max_time(T.stack(embedded)))
+        probs = scorer.probabilities(T.stack(vecs)) if vecs else []
+    scores = {name: p for (name, _), p in zip(groups, probs)}
     order = sorted(range(len(groups)), key=lambda i: (-scores[groups[i][0]], i))
     return RankedPremises([groups[i][0] for i in order], scores)
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from satguide.fol import Clause, Literal, Problem, clause_str, literal_tokens, normalize_variables
+from satguide.neural import tensor as T
 from satguide.rules import factor, resolve, standardized_apart
 from satguide.saturation import SAT, UNSAT
 from satguide.unify import match_literals
@@ -109,3 +112,49 @@ def bfs_saturate(problem: Problem, max_level: int = 30,
             raise RuntimeError("oracle blew its clause budget")
         frontier = fresh
     raise RuntimeError("oracle did not converge within the level budget")
+
+
+def shift_time(a: T.Tensor, offset: int) -> T.Tensor:
+    """out[..., i, :] = a[..., i-offset, :], zero outside the range."""
+    out_data = np.zeros_like(a.data)
+    t = a.data.shape[-2]
+    if offset >= 0:
+        if offset < t:
+            out_data[..., offset:, :] = a.data[..., : t - offset, :]
+    else:
+        if -offset < t:
+            out_data[..., : t + offset, :] = a.data[..., -offset:, :]
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        if offset >= 0:
+            if offset < t:
+                ga[..., : t - offset, :] = g[..., offset:, :]
+        else:
+            if -offset < t:
+                ga[..., -offset:, :] = g[..., : t + offset, :]
+        a._accumulate(ga)
+
+    return T.Tensor(out_data, a.requires_grad, (a,), backward)
+
+
+def kernel_slice(w: T.Tensor, j: int) -> T.Tensor:
+    """Tap j of a [s, C_in, C_out] convolution kernel."""
+
+    def backward(g):
+        full = np.zeros_like(w.data)
+        full[j] = g
+        w._accumulate(full)
+
+    return T.Tensor(w.data[j], w.requires_grad, (w,), backward)
+
+
+def conv1d_per_tap(x: T.Tensor, w: T.Tensor, dilation: int = 1) -> T.Tensor:
+    """sum_j shift(x, dilation*(j - ceil(s/2))) @ w_j, added in tap order."""
+    s = w.data.shape[0]
+    center = (s + 1) // 2
+    out = None
+    for j in range(1, s + 1):
+        term = T.matmul(shift_time(x, dilation * (j - center)), kernel_slice(w, j - 1))
+        out = term if out is None else T.add(out, term)
+    return out

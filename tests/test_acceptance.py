@@ -291,8 +291,8 @@ def test_criterion_6_wavenet_structure():
         out = T.constant(x)
         d = 1
         for w, b in zip(ws, bs):
-            filt = conv1d(out, T.constant(w), T.constant(b), d, 3)
-            gate = conv1d(out, T.constant(w * 0.7), T.constant(b), d, 3)
+            filt = conv1d(out, T.constant(w), T.constant(b), d)
+            gate = conv1d(out, T.constant(w * 0.7), T.constant(b), d)
             out = T.add(out, T.mul(T.tanh(filt), T.sigmoid(gate)))
             d *= 2
         return out.data

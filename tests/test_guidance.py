@@ -18,7 +18,7 @@ from satguide.guidance import (
 from satguide.heuristics import SelectionSchedule
 from satguide.neural.models import TOWER_CONJ, ModelConfig, init_model
 from satguide.parser import parse_clause_text, parse_tptp
-from satguide.saturation import SAT, SearchConfig, UNSAT, prove
+from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, prove
 from satguide.tokens import Vocabulary
 
 
@@ -307,6 +307,19 @@ class TestSwitched:
         result = switched_prove(problem, config, SearchConfig())
         assert result.status == UNSAT
         assert result.info["finished_in_phase"] == 1
+
+    @pytest.mark.parametrize("phase1_ms", [None, 30_000])
+    def test_wall_budget_keeps_processed_limit(self, phase1_ms):
+        # wall budgets must not lift the processed cap in either mode
+        problem = flooded()
+        vocab = vocab_for(problem)
+        limits = SearchConfig(max_processed=5)
+        for mode in ("hybrid", "switched"):
+            config = GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
+                                    phase1_ms=phase1_ms, total_ms=60_000)
+            result = guided_prove(problem, config, limits)
+            assert (result.status, result.resource) == (RESOURCE_OUT, "processed")
+            assert result.processed_count == 5
 
 
 class TestCacheTransparency:

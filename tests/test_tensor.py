@@ -5,6 +5,8 @@ import pytest
 
 from satguide.neural import tensor as T
 
+from oracles import conv1d_per_tap
+
 
 def fd_grad(fn, x: np.ndarray, h=1e-6):
     g = np.zeros_like(x)
@@ -63,16 +65,35 @@ class TestOps:
         check_op(T.tanh, (4, 3), seed=5)
         check_op(T.sigmoid, (4, 3), seed=6)
 
-    def test_shift_time(self):
-        check_op(lambda x: T.shift_time(x, 2), (5, 3))
-        check_op(lambda x: T.shift_time(x, -2), (5, 3))
-        check_op(lambda x: T.shift_time(x, 1), (2, 5, 3))
+    def test_conv_taps_input_gradient(self):
+        rng = np.random.default_rng(11)
+        for s, dilation, shape in [(3, 1, (5, 3)), (5, 2, (6, 2)), (3, 4, (2, 3, 2)),
+                                   (5, 3, (2, 4, 3))]:
+            # dilation 4 and 3 put some taps beyond the sequence
+            w = T.constant(rng.uniform(-1, 1, (s, shape[-1], 2)))
+            check_op(lambda x: T.conv_taps(x, w, dilation), shape, seed=s + dilation)
 
-    def test_shift_values(self):
+    def test_conv_taps_kernel_gradient(self):
+        rng = np.random.default_rng(12)
+        for s, dilation, x_shape in [(3, 1, (5, 3)), (5, 2, (6, 2)), (3, 4, (2, 3, 2)),
+                                     (5, 3, (2, 4, 3))]:
+            x = T.constant(rng.uniform(-1, 1, x_shape))
+            check_op(lambda w: T.conv_taps(x, w, dilation), (s, x_shape[-1], 2),
+                     seed=s * dilation)
+
+    def test_conv_taps_zero_padding(self):
         x = T.constant(np.arange(5, dtype=float).reshape(5, 1))
-        assert T.shift_time(x, 1).data.reshape(-1).tolist() == [0, 0, 1, 2, 3]
-        assert T.shift_time(x, -2).data.reshape(-1).tolist() == [2, 3, 4, 0, 0]
-        assert T.shift_time(x, 7).data.reshape(-1).tolist() == [0] * 5
+
+        def tap(j):
+            w = np.zeros((3, 1, 1))
+            w[j] = 1.0
+            return T.constant(w)
+
+        # s=3: tap 0 reads x[i+d], tap 2 reads x[i-d]
+        assert T.conv_taps(x, tap(2), 1).data.reshape(-1).tolist() == [0, 0, 1, 2, 3]
+        assert T.conv_taps(x, tap(0), 2).data.reshape(-1).tolist() == [2, 3, 4, 0, 0]
+        assert T.conv_taps(x, tap(0), 7).data.reshape(-1).tolist() == [0] * 5
+        assert T.conv_taps(x, tap(1), 7).data.reshape(-1).tolist() == [0, 1, 2, 3, 4]
 
     def test_concat_narrow_stack_reshape(self):
         other = T.constant(np.ones((3, 2)))
@@ -111,12 +132,6 @@ class TestOps:
         out = T.max_time(x, [0])
         np.testing.assert_allclose(out.data, 0.0)
 
-    def test_kernel_slice(self):
-        w = T.parameter(np.random.default_rng(10).uniform(-1, 1, (3, 4, 2)))
-        out = T.kernel_slice(w, 1)
-        T.mean(out).backward()
-        assert np.allclose(w.grad[0], 0) and not np.allclose(w.grad[1], 0)
-
     def test_bce_with_logits(self):
         z = T.parameter(np.array([0.0, 2.0, -1.0]))
         y = np.array([1.0, 0.0, 1.0])
@@ -126,6 +141,46 @@ class TestOps:
         np.testing.assert_allclose(z.grad, (sig - y) / 3, rtol=1e-12)
         # analytic value at z=0, y=1 contributes ln 2 / 3
         assert loss.item() > 0
+
+
+class TestConvTapsAgainstPerTap:
+    """conv_taps against the per-tap shift/slice/matmul/add oracle.
+
+    The forward and the kernel gradient are the oracle's own BLAS products,
+    so they match bit for bit; the input gradient sums all taps in one
+    product, so it matches to rounding.
+    """
+
+    def _case(self, rng, shape, s, c_out, dilation):
+        x = T.parameter(rng.uniform(-1, 1, shape))
+        w = T.parameter(rng.uniform(-1, 1, (s, shape[-1], c_out)))
+        out = T.conv_taps(x, w, dilation)
+        ref = conv1d_per_tap(x, w, dilation)
+        np.testing.assert_array_equal(out.data, ref.data)
+        up = rng.uniform(-1, 1, out.data.shape)
+        T.mean(T.mul(out, T.constant(up))).backward()
+        gx, gw = x.grad, w.grad
+        x.zero_grad()
+        w.zero_grad()
+        T.mean(T.mul(ref, T.constant(up))).backward()
+        np.testing.assert_allclose(gx, x.grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(gw, w.grad)
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            c_in, c_out = (int(v) for v in rng.integers(1, 33, 2))
+            t = int(rng.integers(1, 40))
+            shape = (t, c_in) if rng.random() < 0.5 else (int(rng.integers(1, 9)), t, c_in)
+            self._case(rng, shape, int(rng.choice([1, 2, 3, 5])), c_out,
+                       int(rng.choice([1, 2, 4, 8, 64])))
+
+    def test_model_shapes(self):
+        rng = np.random.default_rng(14)
+        for dim in (3, 4, 6, 8, 32, 64):
+            for shape in [(1, dim), (1, 1, dim), (1, 17, dim), (12, 29, dim), (31, dim)]:
+                for s, dilation in ((5, 1), (3, 1), (3, 2), (3, 16)):
+                    self._case(rng, shape, s, dim, dilation)
 
 
 class TestEngine:
