@@ -27,17 +27,49 @@ ROLE_DERIVED = "derived"
 EQ = "="
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    name: str
-    kind: str  # function | predicate | variable
-    arity: int
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if not self.name:
+
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+
+class Symbol:
+    """A function, predicate or variable symbol; immutable.
+
+    The hash is computed once, at construction, and is the value a
+    dataclass over (name, kind, arity) would give: `hash((name, kind,
+    arity))`. Set and dict iteration orders so do not depend on how the
+    hash is computed.
+    """
+
+    __slots__ = ("name", "kind", "arity", "_hash")
+
+    def __init__(self, name: str, kind: str, arity: int):
+        if not name:
             raise ValueError("symbol name must be nonempty")
-        if self.kind == VARIABLE and self.arity != 0:
-            raise ValueError(f"variable {self.name} must have arity 0")
+        if kind == VARIABLE and arity != 0:
+            raise ValueError(f"variable {name} must have arity 0")
+        _set(self, "name", name)
+        _set(self, "kind", kind)  # function | predicate | variable
+        _set(self, "arity", arity)
+        _set(self, "_hash", hash((name, kind, arity)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.kind == other.kind and self.arity == other.arity)
+
+    def __reduce__(self):
+        return Symbol, (self.name, self.kind, self.arity)
 
     def __repr__(self):
         return f"{self.name}/{self.arity}:{self.kind[0]}"
@@ -47,24 +79,44 @@ def var_symbol(name: str) -> Symbol:
     return Symbol(name, VARIABLE, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Term:
-    """A variable (kind=variable, no args) or a function application."""
+    """A variable (kind=variable, no args) or a function application;
+    immutable.
 
-    sym: Symbol
-    args: tuple[Term, ...] = ()
+    `is_var` is stored, and the hash is computed once, at construction,
+    with the value a dataclass over (sym, args) would give:
+    `hash((sym, args))`.
+    """
 
-    def __post_init__(self):
-        if self.sym.kind == PREDICATE:
-            raise ValueError(f"predicate {self.sym.name} used as a term")
-        if len(self.args) != self.sym.arity:
+    __slots__ = ("sym", "args", "is_var", "_hash")
+
+    def __init__(self, sym: Symbol, args: tuple[Term, ...] = ()):
+        if sym.kind == PREDICATE:
+            raise ValueError(f"predicate {sym.name} used as a term")
+        if len(args) != sym.arity:
             raise ValueError(
-                f"{self.sym.name} expects {self.sym.arity} args, got {len(self.args)}"
+                f"{sym.name} expects {sym.arity} args, got {len(args)}"
             )
+        _set(self, "sym", sym)
+        _set(self, "args", args)
+        _set(self, "is_var", sym.kind == VARIABLE)
+        _set(self, "_hash", hash((sym, args)))
 
-    @property
-    def is_var(self) -> bool:
-        return self.sym.kind == VARIABLE
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (self._hash == other._hash and self.sym == other.sym
+                and self.args == other.args)
+
+    def __reduce__(self):
+        return Term, (self.sym, self.args)
 
     def __repr__(self):
         return term_str(self)
@@ -103,7 +155,7 @@ class Literal:
         return literal_str(self)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Clause:
     """A disjunction of literals with search bookkeeping.
 
@@ -112,7 +164,8 @@ class Clause:
     tests). `age` is the creation ordinal used by FIFO selection; input
     clauses get age == id. `goal_descendant` marks clauses derived (possibly
     transitively) from the negated conjecture, which the SOS-flavored
-    selection tiers prefer.
+    selection tiers prefer. `symbols` caches the clause's `SymbolRecord`
+    (see `symbol_record`); `dataclasses.replace` starts the copy without one.
     """
 
     id: int
@@ -123,6 +176,7 @@ class Clause:
     rule: str = "input"
     origin: str | None = None  # name of the input formula this came from
     goal_descendant: bool = False
+    symbols: SymbolRecord | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.age < 0:
@@ -186,15 +240,62 @@ def collect_signature(clauses) -> set[Symbol]:
     return sig
 
 
+# classes of a SymbolRecord, one per symbol occurrence
+VAR_CLASS, CONJ_CLASS, OTHER_CLASS = 0, 1, 2
+NO_CONJECTURE: frozenset[Symbol] = frozenset()
+
+
+class SymbolRecord:
+    """A clause's symbol occurrences, walked once.
+
+    `classes` holds one byte per occurrence in `clause_symbols` order:
+    VAR_CLASS for a variable, CONJ_CLASS for a function or predicate
+    symbol in `conj`, OTHER_CLASS for any other. `fp` and `vars` count the
+    function/predicate and the variable occurrences.
+    """
+
+    __slots__ = ("conj", "classes", "fp", "vars")
+
+    def __init__(self, conj: frozenset[Symbol], classes: bytes):
+        self.conj = conj
+        self.classes = classes
+        self.vars = classes.count(VAR_CLASS)
+        self.fp = len(classes) - self.vars
+
+
+def symbol_record(c: Clause, conj: frozenset[Symbol] = NO_CONJECTURE) -> SymbolRecord:
+    """The `SymbolRecord` of `c` against the conjecture symbols `conj`.
+
+    The record is cached on the clause. A cached record built against
+    another set object (compared by identity, so share one set) is
+    rebuilt; its counts, which do not depend on the set, serve
+    `symbol_counts` whatever set it was built against.
+    """
+    rec = c.symbols
+    if rec is not None and rec.conj is conj:
+        return rec
+    out = bytearray()
+    for lit in c.literals:
+        out.append(CONJ_CLASS if lit.pred in conj else OTHER_CLASS)
+        for a in lit.args:
+            _classify(a, conj, out)
+    rec = c.symbols = SymbolRecord(conj, bytes(out))
+    return rec
+
+
+def _classify(t: Term, conj: frozenset[Symbol], out: bytearray) -> None:
+    if t.is_var:
+        out.append(VAR_CLASS)
+        return
+    out.append(CONJ_CLASS if t.sym in conj else OTHER_CLASS)
+    for a in t.args:
+        _classify(a, conj, out)
+
+
 def symbol_counts(c: Clause) -> tuple[int, int]:
     """(function/predicate occurrences, variable occurrences)."""
-    fp = v = 0
-    for s in clause_symbols(c):
-        if s.kind == VARIABLE:
-            v += 1
-        else:
-            fp += 1
-    return fp, v
+    rec = c.symbols or symbol_record(c)
+    return rec.fp, rec.vars
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,11 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
     the same proof state.
 
     The processed-clause total is `total_budget`, else `limits.max_processed`,
-    and caps both phases whatever the wall budgets. Without `phase1_budget`
-    or `phase1_ms`, phase 1 gets 2/3 of that total, a count capped exactly;
-    zero network evaluation happens after the switch.
+    and caps both phases whatever the wall budgets. The wall total is
+    `total_ms`, else `limits.max_wall_ms`. Without `phase1_budget` or
+    `phase1_ms`, phase 1 gets 2/3 of each total there is, a count capped
+    exactly, and ends at whichever it reaches first; zero network
+    evaluation happens after the switch.
     """
     limits = limits or SearchConfig()
     t0 = time.monotonic()
@@ -246,18 +248,18 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
     if gconfig.total_budget is not None:
         limits = replace(limits, max_processed=gconfig.total_budget)
     total_budget = limits.max_processed
-    phase1_budget = gconfig.phase1_budget
-    if phase1_budget is None and total_budget is not None and gconfig.phase1_ms is None:
-        phase1_budget = (2 * total_budget) // 3
+    total_ms = gconfig.total_ms if gconfig.total_ms is not None else limits.max_wall_ms
+    phase1_budget, phase1_ms = gconfig.phase1_budget, gconfig.phase1_ms
+    if phase1_budget is None and phase1_ms is None:
+        if total_budget is not None:
+            phase1_budget = (2 * total_budget) // 3
+        if total_ms is not None:
+            phase1_ms = (2 * total_ms) / 3
 
-    total_deadline = None
-    if gconfig.total_ms is not None:
-        total_deadline = t0 + gconfig.total_ms / 1000.0
-    elif limits.max_wall_ms is not None:
-        total_deadline = t0 + limits.max_wall_ms / 1000.0
+    total_deadline = None if total_ms is None else t0 + total_ms / 1000.0
     phase1_deadline = total_deadline
-    if gconfig.phase1_ms is not None:
-        phase1_deadline = t0 + gconfig.phase1_ms / 1000.0
+    if phase1_ms is not None:
+        phase1_deadline = t0 + phase1_ms / 1000.0
 
     schedule = build_schedule(replace(gconfig, mode=MODE_HYBRID), problem, limits.schedule)
     scorer = schedule.entries[0].fn.scorer

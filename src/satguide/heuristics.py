@@ -17,8 +17,17 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from operator import add
 
-from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, clause_symbols, symbol_counts
+from .fol import (
+    CONJ_CLASS,
+    ROLE_NEGATED_CONJECTURE,
+    Clause,
+    Symbol,
+    symbol_counts,
+    symbol_record,
+)
 
 TIER_CONST = "const"
 TIER_SOS = "sos"
@@ -58,16 +67,27 @@ def conjecture_relative_weight(
 
     Function/predicate occurrences whose symbol appears in the negated
     conjecture count base_fw * conj_multiplier instead of base_fw.
+
+    The weight is the per-occurrence terms added one by one in walk
+    order, as a left fold from 0.0. With a multiplier like 0.1 the
+    partial sums round, and the closed form `vw*vars + fw*mult*conj +
+    fw*other` would give other bits and so another search. Only when
+    every term is a small whole number is every partial sum exact; then
+    the closed form gives the same bits and is used instead.
     """
-    total = 0.0
-    for s in clause_symbols(c):
-        if s.kind == "variable":
-            total += base_vw
-        elif s in conj_symbols:
-            total += base_fw * conj_multiplier
-        else:
-            total += base_fw
-    return total
+    terms = (base_vw, base_fw * conj_multiplier, base_fw)  # by symbol class
+    rec = symbol_record(c, conj_symbols)
+    if _whole_terms(terms):
+        conj = rec.classes.count(CONJ_CLASS)
+        return 0.0 + base_vw * rec.vars + terms[1] * conj + base_fw * (rec.fp - conj)
+    return reduce(add, map(terms.__getitem__, rec.classes), 0.0)
+
+
+@lru_cache(maxsize=64)
+def _whole_terms(terms: tuple[float, ...]) -> bool:
+    """Are all terms whole numbers of at most 2**20? Sums of fewer than
+    2**32 of them are then exact floats, whatever the order."""
+    return all(float(t).is_integer() and abs(t) <= 2 ** 20 for t in terms)
 
 
 class WeightFunction:
@@ -138,7 +158,8 @@ class ScheduleEntry:
         if self.fn.lazy:
             self.staging.append(c)
         else:
-            heapq.heappush(self.heap, (*self.fn.key(c), c.id))
+            tier, weight = self.fn.key(c)
+            heapq.heappush(self.heap, (tier, weight, c.id))
 
     def flush(self, alive: dict[int, Clause]):
         """Score pending clauses; ones already picked elsewhere are dropped."""
@@ -166,10 +187,6 @@ class SelectionSchedule:
 
     def __len__(self) -> int:
         return len(self.alive)
-
-    @property
-    def cycle_length(self) -> int:
-        return sum(e.weight for e in self.entries)
 
     def insert(self, c: Clause):
         if c.id in self.alive:
@@ -245,6 +262,7 @@ def parse_schedule(
     """
     spec = spec.strip()
     spec = STOCK_SCHEDULES.get(spec, spec)
+    conj_symbols = frozenset(conj_symbols)  # one set: see `fol.symbol_record`
     entries: list[tuple[int, WeightFunction]] = []
     for raw in _split_entries(spec):
         m = _ENTRY_RE.match(raw)
@@ -290,4 +308,4 @@ def _make_fn(name, args, conj_symbols) -> WeightFunction:
     if name == "symcount":
         return SymbolCountWeightFn(fw, vw, tier)
     mult = float(args[2]) if len(args) > 2 else 0.5
-    return ConjectureRelativeWeightFn(frozenset(conj_symbols), fw, vw, mult, tier)
+    return ConjectureRelativeWeightFn(conj_symbols, fw, vw, mult, tier)

@@ -37,26 +37,47 @@ def prepare_pair(clause_text: str, conj_texts: list[str], vocab: Vocabulary,
     Sequence models get token id lists (conjecture clauses joined by SEP);
     tree models get indexed curried parse trees (joined by `and` nodes).
     """
-    if config.arch in SEQ_ARCHS:
-        return PairInput(
-            clause_ids=tokenize_texts([clause_text], vocab, config.max_len),
-            conj_ids=tokenize_texts(list(conj_texts), vocab, config.max_len),
-            label=label,
-        )
-    clause = Clause(0, parse_clause_text(clause_text))
-    conj_clauses = [Clause(i, parse_clause_text(t)) for i, t in enumerate(conj_texts)]
-    return PairInput(
-        clause_tree=index_tree(clause_parse_tree(clause), vocab.lookup),
-        conj_tree=index_tree(conjecture_tree(conj_clauses), vocab.lookup),
-        label=label,
-    )
+    return _pair(clause_text, _conjecture_input(conj_texts, vocab, config),
+                 vocab, config, label)
 
 
 def prepare_pairs(examples, vocab: Vocabulary, config: ModelConfig) -> list[PairInput]:
-    return [
-        prepare_pair(ex.clause_text, ex.conj_texts, vocab, config, ex.label)
-        for ex in examples
-    ]
+    """`prepare_pair` for every example. The conjecture input is built
+    once per distinct conjecture text list and shared, read-only, by
+    every pair that has that conjecture."""
+    conjectures: dict[tuple[str, ...], object] = {}
+    pairs = []
+    for ex in examples:
+        key = tuple(ex.conj_texts)
+        conj = conjectures.get(key)
+        if conj is None:
+            conj = conjectures[key] = _conjecture_input(key, vocab, config)
+        pairs.append(_pair(ex.clause_text, conj, vocab, config, ex.label))
+    return pairs
+
+
+def _conjecture_input(conj_texts, vocab: Vocabulary, config: ModelConfig):
+    """Token ids (sequence models) or an indexed tree (tree models)."""
+    if config.arch in SEQ_ARCHS:
+        return tokenize_texts(list(conj_texts), vocab, config.max_len)
+    conj_clauses = [Clause(i, parse_clause_text(t)) for i, t in enumerate(conj_texts)]
+    return index_tree(conjecture_tree(conj_clauses), vocab.lookup)
+
+
+def _pair(clause_text: str, conj, vocab: Vocabulary, config: ModelConfig,
+          label: int) -> PairInput:
+    if config.arch in SEQ_ARCHS:
+        return PairInput(
+            clause_ids=tokenize_texts([clause_text], vocab, config.max_len),
+            conj_ids=conj,
+            label=label,
+        )
+    clause = Clause(0, parse_clause_text(clause_text))
+    return PairInput(
+        clause_tree=index_tree(clause_parse_tree(clause), vocab.lookup),
+        conj_tree=conj,
+        label=label,
+    )
 
 
 def batch_scores(pairs: list[PairInput], model: ModelParams, chunk: int = 256) -> np.ndarray:

@@ -287,10 +287,10 @@ class Saturation:
             rule = RULE_EQ_AXIOM if (c.origin or "").startswith("eq_") else RULE_INPUT
             self.nodes[c.id] = ProofNode(c, (), rule)
             self.seen_keys.add(canonical_key(c))
-            self.stored_symbols += sum(symbol_counts(c))
             if c.is_empty and self.empty_clause_id is None:
                 self.empty_clause_id = c.id
             self.schedule.insert(c)
+            self.stored_symbols += sum(symbol_counts(c))
 
     # -- one step -------------------------------------------------------------
 
@@ -336,12 +336,13 @@ class Saturation:
         for p in self._partners(g):
             if self._generation_exhausted():
                 return CONTINUE  # the loop-level limit check reports it
+            parents, goal = (g.id, p.id), g.goal_descendant or p.goal_descendant
             for lits in resolve(g, p):
-                if self._admit(lits, (g.id, p.id), RULE_RESOLVE):
+                if self._admit(lits, parents, RULE_RESOLVE, goal):
                     return PROOF_FOUND
         if not self._generation_exhausted():
             for lits in factor(g):
-                if self._admit(lits, (g.id,), RULE_FACTOR):
+                if self._admit(lits, (g.id,), RULE_FACTOR, g.goal_descendant):
                     return PROOF_FOUND
         return CONTINUE
 
@@ -357,8 +358,10 @@ class Saturation:
             return "memory"
         return None
 
-    def _admit(self, lits: tuple[Literal, ...], parents: tuple[int, ...], rule: str) -> bool:
-        """Create and enqueue a derived clause; returns True on empty clause."""
+    def _admit(self, lits: tuple[Literal, ...], parents: tuple[int, ...], rule: str,
+               goal_descendant: bool) -> bool:
+        """Create and enqueue a derived clause; returns True on empty clause.
+        `goal_descendant` says whether a parent descends from the goal."""
         self.generated += 1
         c = Clause(
             id=self.next_id,
@@ -366,7 +369,7 @@ class Saturation:
             role=ROLE_DERIVED,
             parents=parents,
             rule=rule,
-            goal_descendant=any(self.nodes[p].clause.goal_descendant for p in parents),
+            goal_descendant=goal_descendant,
         )
         self.next_id += 1
         self.nodes[c.id] = ProofNode(c, parents, rule)
@@ -383,8 +386,8 @@ class Saturation:
         if key in self.seen_keys:
             return False
         self.seen_keys.add(key)
-        self.stored_symbols += sum(symbol_counts(c))
-        self.schedule.insert(c)
+        self.schedule.insert(c)  # its weights walk c's symbols once...
+        self.stored_symbols += sum(symbol_counts(c))  # ...and this reads them
         return False
 
     # -- limits ---------------------------------------------------------------

@@ -1,131 +1,163 @@
 """Robinson unification with occurs check, plus one-way matching.
 
-Substitutions are dicts mapping variable Symbols to Terms. Bindings may
-chain (X -> Y, Y -> f(a)); `resolve_term` follows chains while applying.
+Substitutions are dicts mapping variable names to Terms: a variable
+symbol is fixed by its name, since its kind and arity are, and a name is
+hashed in C where a Symbol is hashed by a Python call. Bindings may chain
+(X -> Y, Y -> f(a)); `walk` and `apply_sub` follow chains.
 """
 
 from __future__ import annotations
 
-from .fol import Clause, Literal, Symbol, Term
+from .fol import Literal, Term
 
-Substitution = dict[Symbol, Term]
+Substitution = dict[str, Term]
 
 
 def walk(t: Term, sub: Substitution) -> Term:
     """Follow variable bindings until a non-variable or unbound variable."""
-    while t.is_var and t.sym in sub:
-        t = sub[t.sym]
+    while t.is_var:
+        bound = sub.get(t.sym.name)
+        if bound is None:
+            return t
+        t = bound
     return t
 
 
-def occurs(v: Symbol, t: Term, sub: Substitution) -> bool:
+def occurs(name: str, t: Term, sub: Substitution) -> bool:
+    """Does the variable `name` occur in `t` under `sub`?"""
     t = walk(t, sub)
     if t.is_var:
-        return t.sym == v
-    return any(occurs(v, a, sub) for a in t.args)
+        return t.sym.name == name
+    return any(occurs(name, a, sub) for a in t.args)
+
+
+def _unify(stack: list[tuple[Term, Term]], sub: Substitution) -> Substitution | None:
+    """Unify every pair on `stack`, last first, extending `sub`.
+
+    A pair's argument pairs go on top of the stack, so each pair is
+    solved completely before the one below it. Pairs that are one object
+    need nothing. The occurs check runs only when a variable is bound to
+    a compound term: a constant or an unbound variable cannot contain it.
+    """
+    get = sub.get
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        a, b = pop()
+        if a is b:
+            continue
+        while a.is_var:
+            bound = get(a.sym.name)
+            if bound is None:
+                break
+            a = bound
+        while b.is_var:
+            bound = get(b.sym.name)
+            if bound is None:
+                break
+            b = bound
+        if a is b:
+            continue
+        if a.is_var:
+            name = a.sym.name
+            if b.is_var:
+                if b.sym.name == name:
+                    continue
+            elif b.args and occurs(name, b, sub):
+                return None
+            sub[name] = b
+        elif b.is_var:
+            if a.args and occurs(b.sym.name, a, sub):
+                return None
+            sub[b.sym.name] = a
+        elif a.sym is not b.sym and a.sym != b.sym:
+            return None
+        else:
+            extend(zip(a.args, b.args))
+    return sub
 
 
 def unify_terms(t1: Term, t2: Term, sub: Substitution | None = None) -> Substitution | None:
     """Most general unifier extending `sub`, or None."""
-    if sub is None:
-        sub = {}
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        a, b = walk(a, sub), walk(b, sub)
-        if a.is_var:
-            if b.is_var and a.sym == b.sym:
-                continue
-            if occurs(a.sym, b, sub):
-                return None
-            sub[a.sym] = b
-            continue
-        if b.is_var:
-            if occurs(b.sym, a, sub):
-                return None
-            sub[b.sym] = a
-            continue
-        if a.sym != b.sym:
-            return None
-        stack.extend(zip(a.args, b.args))
-    return sub
+    return _unify([(t1, t2)], {} if sub is None else sub)
 
 
 def unify_atoms(l1: Literal, l2: Literal, sub: Substitution | None = None) -> Substitution | None:
-    """Unify two literals' atoms, ignoring polarity."""
-    if l1.pred != l2.pred:
+    """Unify two literals' atoms, ignoring polarity.
+
+    The argument pairs are solved left to right, each completely before
+    the next, as successive `unify_terms` calls would."""
+    if l1.pred is not l2.pred and l1.pred != l2.pred:
         return None
-    if sub is None:
-        sub = {}
-    for a, b in zip(l1.args, l2.args):
-        sub = unify_terms(a, b, sub)
-        if sub is None:
-            return None
-    return sub
+    stack = list(zip(l1.args, l2.args))
+    stack.reverse()
+    return _unify(stack, {} if sub is None else sub)
 
 
 def apply_sub(t: Term, sub: Substitution) -> Term:
-    t = walk(t, sub)
+    """`t` under `sub`; subterms that do not change are shared, and `t`
+    itself comes back when nothing in it changes."""
     if t.is_var:
+        bound = sub.get(t.sym.name)
+        return t if bound is None else apply_sub(bound, sub)
+    args = t.args
+    if not args:
         return t
-    return Term(t.sym, tuple(apply_sub(a, sub) for a in t.args))
+    new = tuple([apply_sub(a, sub) for a in args])
+    for x, y in zip(new, args):
+        if x is not y:
+            return Term(t.sym, new)
+    return t
 
 
 def apply_sub_literal(lit: Literal, sub: Substitution) -> Literal:
-    return Literal(lit.pred, tuple(apply_sub(a, sub) for a in lit.args), lit.positive)
+    """`lit` under `sub`; `lit` itself when no argument changes."""
+    args = lit.args
+    new = tuple([apply_sub(a, sub) for a in args])
+    for x, y in zip(new, args):
+        if x is not y:
+            return Literal(lit.pred, new, lit.positive)
+    return lit
 
 
 def apply_sub_literals(lits, sub: Substitution) -> tuple[Literal, ...]:
-    return tuple(apply_sub_literal(l, sub) for l in lits)
+    return tuple([apply_sub_literal(l, sub) for l in lits])
 
 
 # -- one-way matching (for subsumption) ---------------------------------------
 
 
-def match_terms(pattern: Term, target: Term, sub: Substitution | None = None) -> Substitution | None:
-    """Extend `sub` so that pattern[sub] == target; target is fixed."""
-    if sub is None:
-        sub = {}
-    stack = [(pattern, target)]
-    sub = dict(sub)
+def _match(stack: list[tuple[Term, Term]], sub: Substitution) -> Substitution | None:
+    """Extend `sub` in place so that pattern[sub] == target for every
+    (pattern, target) pair on `stack`; targets are fixed."""
+    get = sub.get
+    pop, extend = stack.pop, stack.extend
     while stack:
-        p, t = stack.pop()
+        p, t = pop()
         if p.is_var:
-            bound = sub.get(p.sym)
+            name = p.sym.name
+            bound = get(name)
             if bound is None:
-                sub[p.sym] = t
-            elif bound != t:
+                sub[name] = t
+            elif bound is not t and bound != t:
                 return None
-            continue
-        if t.is_var or p.sym != t.sym:
+        elif t.is_var or (p.sym is not t.sym and p.sym != t.sym):
             return None
-        stack.extend(zip(p.args, t.args))
+        else:
+            extend(zip(p.args, t.args))
     return sub
+
+
+def match_terms(pattern: Term, target: Term, sub: Substitution | None = None) -> Substitution | None:
+    """A copy of `sub` extended so that pattern[sub] == target, or None;
+    target is fixed."""
+    return _match([(pattern, target)], {} if sub is None else dict(sub))
 
 
 def match_literals(pattern: Literal, target: Literal, sub: Substitution | None = None) -> Substitution | None:
-    if pattern.pred != target.pred or pattern.positive != target.positive:
+    """`match_terms` over two literals of the same predicate and sign."""
+    if pattern.positive != target.positive or (
+            pattern.pred is not target.pred and pattern.pred != target.pred):
         return None
-    if sub is None:
-        sub = {}
-    for p, t in zip(pattern.args, target.args):
-        sub = match_terms(p, t, sub)
-        if sub is None:
-            return None
-    return sub
-
-
-def clause_variables(c: Clause) -> set[Symbol]:
-    out = set()
-
-    def term_vars(t: Term):
-        if t.is_var:
-            out.add(t.sym)
-        else:
-            for a in t.args:
-                term_vars(a)
-
-    for lit in c.literals:
-        for a in lit.args:
-            term_vars(a)
-    return out
+    stack = list(zip(pattern.args, target.args))
+    stack.reverse()
+    return _match(stack, {} if sub is None else dict(sub))

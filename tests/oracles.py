@@ -10,7 +10,18 @@ finite up to renaming.
 `string_key` is the printed duplicate key the search used before its
 tuple key (`fol.canonical_key`); it stays here as the reference the tuple
 key is checked against. `subsumes` is the plain backtracking subsumption
-test that `rules.subsumes` prunes; it is the reference for that one.
+test that `rules.subsumes` prunes, over the one-way matching of
+`match_literals` as it was before substitutions were keyed by variable
+name; it is the reference for both.
+
+`unify_terms`, `apply_sub`, `symbol_counts` and
+`conjecture_relative_weight` are the unifier, substitution and symbol
+walks as they were before the search core cached hashes and walked each
+clause's symbols once: generator walks, a `walk` call per step, an
+occurs check on every binding and a rebuilt term for every application.
+They are the references for `unify`, `fol.symbol_counts` and the
+`heuristics` weights; `resolve` is `rules.resolve` built on them.
+`clause_variables` collects a clause's variable symbols.
 """
 
 from __future__ import annotations
@@ -19,11 +30,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from satguide.fol import Clause, Literal, Problem, clause_str, literal_tokens, normalize_variables
+from satguide.fol import (
+    VARIABLE,
+    Clause,
+    Literal,
+    Problem,
+    Symbol,
+    Term,
+    clause_str,
+    literal_tokens,
+    normalize_variables,
+)
 from satguide.neural import tensor as T
-from satguide.rules import factor, resolve, standardized_apart
+from satguide import rules
 from satguide.saturation import SAT, UNSAT
-from satguide.unify import match_literals
 
 
 def string_key(c: Clause) -> str:
@@ -41,6 +61,39 @@ def string_key(c: Clause) -> str:
 def _blind_str(lit: Literal) -> str:
     toks = literal_tokens(lit)
     return " ".join("_" if t and t[0].isupper() else t for t in toks)
+
+
+def match_terms(pattern: Term, target: Term, sub=None):
+    """Extend a copy of `sub` so that pattern[sub] == target; target is fixed."""
+    if sub is None:
+        sub = {}
+    stack = [(pattern, target)]
+    sub = dict(sub)
+    while stack:
+        p, t = stack.pop()
+        if p.is_var:
+            bound = sub.get(p.sym)
+            if bound is None:
+                sub[p.sym] = t
+            elif bound != t:
+                return None
+            continue
+        if t.is_var or p.sym != t.sym:
+            return None
+        stack.extend(zip(p.args, t.args))
+    return sub
+
+
+def match_literals(pattern: Literal, target: Literal, sub=None):
+    if pattern.pred != target.pred or pattern.positive != target.positive:
+        return None
+    if sub is None:
+        sub = {}
+    for p, t in zip(pattern.args, target.args):
+        sub = match_terms(p, t, sub)
+        if sub is None:
+            return None
+    return sub
 
 
 def subsumes(general: Clause, specific: Clause) -> bool:
@@ -63,6 +116,133 @@ def subsumes(general: Clause, specific: Clause) -> bool:
         return False
 
     return assign(0, 0, {})
+
+
+def walk(t: Term, sub) -> Term:
+    while t.is_var and t.sym in sub:
+        t = sub[t.sym]
+    return t
+
+
+def occurs(v: Symbol, t: Term, sub) -> bool:
+    t = walk(t, sub)
+    if t.is_var:
+        return t.sym == v
+    return any(occurs(v, a, sub) for a in t.args)
+
+
+def unify_terms(t1: Term, t2: Term, sub=None):
+    """Most general unifier extending `sub`, or None."""
+    if sub is None:
+        sub = {}
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        a, b = walk(a, sub), walk(b, sub)
+        if a.is_var:
+            if b.is_var and a.sym == b.sym:
+                continue
+            if occurs(a.sym, b, sub):
+                return None
+            sub[a.sym] = b
+            continue
+        if b.is_var:
+            if occurs(b.sym, a, sub):
+                return None
+            sub[b.sym] = a
+            continue
+        if a.sym != b.sym:
+            return None
+        stack.extend(zip(a.args, b.args))
+    return sub
+
+
+def unify_atoms(l1: Literal, l2: Literal):
+    """Unify two literals' atoms argument by argument, ignoring polarity."""
+    if l1.pred != l2.pred:
+        return None
+    sub = {}
+    for a, b in zip(l1.args, l2.args):
+        sub = unify_terms(a, b, sub)
+        if sub is None:
+            return None
+    return sub
+
+
+def apply_sub(t: Term, sub) -> Term:
+    t = walk(t, sub)
+    if t.is_var:
+        return t
+    return Term(t.sym, tuple(apply_sub(a, sub) for a in t.args))
+
+
+def apply_sub_literal(lit: Literal, sub) -> Literal:
+    return Literal(lit.pred, tuple(apply_sub(a, sub) for a in lit.args), lit.positive)
+
+
+def resolve(c1: Clause, c2: Clause) -> list[tuple[Literal, ...]]:
+    """All binary resolvents of variable-disjoint c1 and c2, through the
+    reference unifier and substitution, duplicate literals dropped."""
+    lits1, lits2 = c1.literals, c2.literals
+    out = []
+    for i, li in enumerate(lits1):
+        for j, lj in enumerate(lits2):
+            if li.positive == lj.positive:
+                continue
+            sub = unify_atoms(li, lj)
+            if sub is None:
+                continue
+            merged: list[Literal] = []
+            for lit in lits1[:i] + lits1[i + 1:] + lits2[:j] + lits2[j + 1:]:
+                lit = apply_sub_literal(lit, sub)
+                if lit not in merged:
+                    merged.append(lit)
+            out.append(tuple(merged))
+    return out
+
+
+def _term_symbols(t: Term):
+    yield t.sym
+    for a in t.args:
+        yield from _term_symbols(a)
+
+
+def clause_symbols(c: Clause):
+    for lit in c.literals:
+        yield lit.pred
+        for a in lit.args:
+            yield from _term_symbols(a)
+
+
+def symbol_counts(c: Clause) -> tuple[int, int]:
+    """(function/predicate occurrences, variable occurrences)."""
+    fp = v = 0
+    for s in clause_symbols(c):
+        if s.kind == VARIABLE:
+            v += 1
+        else:
+            fp += 1
+    return fp, v
+
+
+def conjecture_relative_weight(c: Clause, conj_symbols, base_fw=2.0, base_vw=1.0,
+                               conj_multiplier=0.5) -> float:
+    """Symbol-count weight with conjecture symbols discounted, added up in
+    walk order."""
+    total = 0.0
+    for s in clause_symbols(c):
+        if s.kind == VARIABLE:
+            total += base_vw
+        elif s in conj_symbols:
+            total += base_fw * conj_multiplier
+        else:
+            total += base_fw
+    return total
+
+
+def clause_variables(c: Clause) -> set[Symbol]:
+    """The variable symbols occurring in `c`."""
+    return {s for s in clause_symbols(c) if s.kind == VARIABLE}
 
 
 def bfs_saturate(problem: Problem, max_level: int = 30,
@@ -100,10 +280,10 @@ def bfs_saturate(problem: Problem, max_level: int = 30,
         snapshot = list(clauses)
         for b in frontier:
             for a in snapshot:
-                for lits in resolve(*standardized_apart(a, b)):
+                for lits in rules.resolve(*rules.standardized_apart(a, b)):
                     if emit(lits):
                         return UNSAT
-            for lits in factor(b):
+            for lits in rules.factor(b):
                 if emit(lits):
                     return UNSAT
         if not fresh:

@@ -6,19 +6,28 @@ forward-subsumption check answers as a scan over every processed clause
 does, the pruned subsumption test answers every query as plain
 backtracking does, every pair handed to `resolve` is variable-disjoint,
 and variable names stay short however deep the derivation.
+
+Every unification, resolution, symbol count and symbol-based weight the
+searches compute is also recomputed by the reference implementations in
+`oracles` (generator walks, no cached hashes, a fresh term for every
+substitution): the mgus make the same atoms, the resolvents are equal,
+the counts are equal and the weights have the same bits. The cached
+`Symbol` and `Term` hashes equal the hashes of their field tuples.
 """
 
 import pytest
 
+import satguide.heuristics as heuristics
+import satguide.rules as rules
 import satguide.saturation as saturation
 from satguide.corpus import desk_corpus
-from satguide.fol import canonical_key
+from satguide.fol import canonical_key, term_symbols
 from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
-from satguide.unify import clause_variables
+from satguide.unify import apply_sub_literal
 
 import oracles
-from oracles import string_key
+from oracles import clause_variables, string_key
 
 CONFIG = SearchConfig(max_processed=1200, max_generated=30_000,
                       max_clause_literals=12, max_wall_ms=None)
@@ -52,34 +61,71 @@ class ScanChecked(Saturation):
 
 
 @pytest.fixture(scope="module")
-def resolved_pairs():
-    """For each pair the searches hand to `resolve`: are they disjoint?"""
-    return []
+def log():
+    """What the searches did, each call beside its reference answer."""
+    return {"disjoint": [], "subsumes": [], "unify": [], "resolve": [],
+            "counts": [], "weights": []}
+
+
+def _atoms(lits):
+    return [(l.pred, l.args) for l in lits]
 
 
 @pytest.fixture(scope="module")
-def subsumption_answers():
-    """For each forward-subsumption query: (pruned answer, reference answer)."""
-    return []
+def searches(problems, log):
+    inner_resolve, inner_unify = saturation.resolve, rules.unify_atoms
+    inner_counts, inner_conjrel = heuristics.symbol_counts, heuristics.conjecture_relative_weight
+    inner_symcount = heuristics.symbol_count_weight
 
+    def resolved(c1, c2):
+        log["disjoint"].append(not clause_variables(c1) & clause_variables(c2))
+        fast = inner_resolve(c1, c2)
+        log["resolve"].append((fast, oracles.resolve(c1, c2)))
+        return fast
 
-@pytest.fixture(scope="module")
-def searches(problems, resolved_pairs, subsumption_answers):
-    inner = saturation.resolve
-
-    def checked(c1, c2):
-        resolved_pairs.append(not clause_variables(c1) & clause_variables(c2))
-        return inner(c1, c2)
+    def unified(l1, l2):
+        fast = inner_unify(l1, l2)
+        slow = oracles.unify_atoms(l1, l2)
+        if fast is None or slow is None:
+            log["unify"].append((fast is None, slow is None, None, None))
+        else:
+            made = _atoms([apply_sub_literal(l1, fast), apply_sub_literal(l2, fast)])
+            ref = _atoms([oracles.apply_sub_literal(l1, slow),
+                          oracles.apply_sub_literal(l2, slow)])
+            log["unify"].append((False, False, made, ref))
+        return fast
 
     def compared(p, g):
         fast = subsumes(p, g)
-        subsumption_answers.append((fast, oracles.subsumes(p, g)))
+        log["subsumes"].append((fast, oracles.subsumes(p, g)))
+        return fast
+
+    def counted(c):
+        fast = inner_counts(c)
+        log["counts"].append((fast, oracles.symbol_counts(c)))
+        return fast
+
+    def conjrel(c, conj, fw=2.0, vw=1.0, mult=0.5):
+        fast = inner_conjrel(c, conj, fw, vw, mult)
+        log["weights"].append((fast.hex(), oracles.conjecture_relative_weight(
+            c, conj, fw, vw, mult).hex()))
+        return fast
+
+    def symcount(c, fw=2.0, vw=1.0):
+        fast = inner_symcount(c, fw, vw)
+        fp, v = oracles.symbol_counts(c)
+        log["weights"].append((float(fast).hex(), float(fw * fp + vw * v).hex()))
         return fast
 
     states = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(saturation, "resolve", checked)
+        mp.setattr(saturation, "resolve", resolved)
         mp.setattr(saturation, "subsumes", compared)
+        mp.setattr(saturation, "symbol_counts", counted)
+        mp.setattr(rules, "unify_atoms", unified)
+        mp.setattr(heuristics, "symbol_counts", counted)
+        mp.setattr(heuristics, "conjecture_relative_weight", conjrel)
+        mp.setattr(heuristics, "symbol_count_weight", symcount)
         for p in problems:
             state = ScanChecked(p, CONFIG)
             state.run()
@@ -105,15 +151,61 @@ def test_index_agrees_with_scan(searches):
     assert [s.mismatches for s in searches] == [[] for _ in searches]
 
 
-def test_pruned_subsumption_agrees_with_backtracking(searches, subsumption_answers):
-    assert len(subsumption_answers) > 1000
-    assert sum(fast for fast, _ in subsumption_answers) > 0
-    assert sum(not fast for fast, _ in subsumption_answers) > 0
-    assert all(fast == slow for fast, slow in subsumption_answers)
+def test_pruned_subsumption_agrees_with_backtracking(searches, log):
+    answers = log["subsumes"]
+    assert len(answers) > 1000
+    assert sum(fast for fast, _ in answers) > 0
+    assert sum(not fast for fast, _ in answers) > 0
+    assert all(fast == slow for fast, slow in answers)
 
 
-def test_resolved_pairs_are_variable_disjoint(searches, resolved_pairs):
-    assert len(resolved_pairs) > 1000 and all(resolved_pairs)
+def test_unifier_agrees_with_reference(searches, log):
+    calls = log["unify"]
+    assert len(calls) > 10_000
+    assert sum(made is not None for *_, made, _ in calls) > 1000
+    assert sum(failed for failed, *_ in calls) > 1000
+    for failed, ref_failed, made, ref in calls:
+        assert failed == ref_failed
+        if made is not None:
+            assert made[0] == made[1] and made == ref
+
+
+def test_resolvents_agree_with_reference(searches, log):
+    pairs = log["resolve"]
+    assert len(pairs) > 1000 and sum(len(fast) for fast, _ in pairs) > 1000
+    assert all(fast == slow for fast, slow in pairs)
+
+
+def test_symbol_counts_agree_with_reference(searches, log):
+    assert len(log["counts"]) > 1000
+    assert all(fast == slow for fast, slow in log["counts"])
+
+
+def test_weights_agree_with_reference_bitwise(searches, log):
+    assert len(log["weights"]) > 1000
+    assert all(fast == slow for fast, slow in log["weights"])
+
+
+def test_cached_hashes_equal_field_tuple_hashes(searches):
+    syms, terms = set(), []
+    for state in searches:
+        for node in state.nodes.values():
+            for lit in node.clause.literals:
+                syms.add(lit.pred)
+                for a in lit.args:
+                    syms.update(term_symbols(a))
+                    stack = [a]
+                    while stack:
+                        t = stack.pop()
+                        terms.append(t)
+                        stack.extend(t.args)
+    assert len(syms) > 50 and len(terms) > 10_000
+    assert all(hash(s) == hash((s.name, s.kind, s.arity)) for s in syms)
+    assert all(hash(t) == hash((t.sym, t.args)) for t in terms)
+
+
+def test_resolved_pairs_are_variable_disjoint(searches, log):
+    assert len(log["disjoint"]) > 1000 and all(log["disjoint"])
 
 
 def test_variable_names_do_not_grow_with_depth(searches):

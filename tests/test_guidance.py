@@ -7,6 +7,7 @@ from satguide.corpus import chain_problem, desk_corpus, junk_distractors
 from satguide.datagen import build_vocabulary, TrainingExample
 from satguide.fol import Clause, clause_str, normalize_variables
 import satguide.guidance as guidance
+import satguide.saturation as saturation
 from satguide.guidance import (
     ClauseScorer,
     GuidanceConfig,
@@ -204,7 +205,7 @@ class TestModes:
         # 1 NN pick + the full cycle of the classical schedule
         for classical, cycle in (("auto", 12), ("1*fifo,2*symcount(2,1)", 4)):
             sched = build_schedule(config, problem, classical)
-            assert sched.cycle_length == cycle
+            assert sum(e.weight for e in sched.entries) == cycle
             assert isinstance(sched.entries[0].fn, NeuralWeightFn)
 
     def test_auto_mode_honours_schedule(self):
@@ -320,6 +321,31 @@ class TestSwitched:
             result = guided_prove(problem, config, limits)
             assert (result.status, result.resource) == (RESOURCE_OUT, "processed")
             assert result.processed_count == 5
+
+    def test_wall_total_is_split_two_to_one(self, monkeypatch):
+        # total_ms alone, no processed cap: phase 1 must end at 2/3 of the
+        # wall total and phase 2 must run. A fake clock that advances 5 ms
+        # per reading makes the run the same on any machine.
+        class Clock:
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 0.005
+                return self.now
+
+        clock = Clock()
+        monkeypatch.setattr(guidance, "time", clock)
+        monkeypatch.setattr(saturation, "time", clock)
+        problem = chain_problem("big", "rel0", [f"c{i}" for i in range(12)], 11,
+                                junk_distractors(list(range(40)), "rel0", "c0"))
+        vocab = vocab_for(problem)
+        config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab,
+                                total_ms=1500)
+        result = guided_prove(problem, config, SearchConfig(max_processed=None))
+        assert result.info["finished_in_phase"] == 2
+        assert 0 < result.info["phase1_processed"] < result.processed_count
+        assert result.info["evals_final"] == result.info["evals_at_switch"]
+        assert (result.status, result.resource) == (RESOURCE_OUT, "time")
 
 
 class TestCacheTransparency:

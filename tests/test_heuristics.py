@@ -206,8 +206,8 @@ class TestScheduleSpec:
         assert fn.conj_multiplier == 0.5 and fn.tier == "sos"
 
     def test_parse_auto_shorthand(self):
-        assert parse_schedule("auto").cycle_length == 11
-        assert parse_schedule("auto200").cycle_length == 18
+        for spec, cycle in (("auto", 11), ("auto200", 18)):
+            assert sum(e.weight for e in parse_schedule(spec).entries) == cycle
 
     def test_bad_entry_rejected(self):
         for spec in ("fifo", "1*bogus", "1*nn"):

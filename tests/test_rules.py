@@ -12,7 +12,9 @@ from satguide.rules import (
     standardized_apart,
     subsumes,
 )
-from satguide.unify import apply_sub, clause_variables, match_terms, unify_terms
+from satguide.unify import apply_sub, match_terms, unify_terms
+
+from oracles import clause_variables
 
 
 def clause_of(text, cid=0):

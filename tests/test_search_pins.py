@@ -3,12 +3,16 @@
 Each row pins the status, the processed and generated counts and a hash
 of the selection sequence of an unguided Auto search, as the search core
 produced them before its standardize-apart, duplicate-key and
-subsumption-index rewrite. A change that is meant to alter only speed
-must leave every row as it is. These are count gates; nothing here
-measures time.
+subsumption-index rewrite. `SCHEDULE_PINS` does the same for three
+problems under Auto200 and under a custom spec, so that the weight
+parameters Auto does not use (symbol weights 1 and 3, a 0.1 multiplier
+with the `nongoals` tier, other entry weights) are pinned too. A change
+that is meant to alter only speed must leave every row as it is. These
+are count gates; nothing here measures time.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +35,18 @@ PINS = [
     ("mini001", "Unsatisfiable", 10, 23, "7a6d1da35f27ca9e"),
 ]
 
+CUSTOM = "2*symcount(2,1,sos),1*conjrel(3,1,0.1,nongoals),1*fifo"
+
+# (schedule, problem, status, processed, generated, selection hash)
+SCHEDULE_PINS = [
+    ("auto200", "chain017", "Unsatisfiable", 46, 137, "a1b1a57125159134"),
+    ("auto200", "php_4_3", "Unsatisfiable", 163, 2988, "d1d06ef339edc2ab"),
+    ("auto200", "flood023", "Unsatisfiable", 422, 3292, "133ae19505afb603"),
+    (CUSTOM, "chain017", "Unsatisfiable", 49, 206, "78d05cb75826bf4b"),
+    (CUSTOM, "php_4_3", "Unsatisfiable", 163, 2755, "5d27b5064b7e1b46"),
+    (CUSTOM, "flood023", "Unsatisfiable", 414, 5885, "7b5e910c83520721"),
+]
+
 
 @pytest.fixture(scope="module")
 def problems():
@@ -42,10 +58,25 @@ def test_pins_cover_every_family(problems):
         {item.family for item in problems.values()}
 
 
+def _pinned(problem, limits):
+    r = prove(problem, limits)
+    digest = hashlib.sha256(",".join(map(str, r.selections)).encode()).hexdigest()[:16]
+    return r.status, r.processed_count, r.generated_count, digest
+
+
 @pytest.mark.parametrize("name,status,processed,generated,selections", PINS,
                          ids=[row[0] for row in PINS])
 def test_search_is_pinned(problems, name, status, processed, generated, selections):
-    r = prove(problems[name].problem, LIMITS)
-    digest = hashlib.sha256(",".join(map(str, r.selections)).encode()).hexdigest()[:16]
-    assert (r.status, r.processed_count, r.generated_count, digest) == \
+    assert _pinned(problems[name].problem, LIMITS) == \
+        (status, processed, generated, selections)
+
+
+@pytest.mark.parametrize("schedule,name,status,processed,generated,selections",
+                         SCHEDULE_PINS,
+                         ids=[f"{'custom' if row[0] == CUSTOM else row[0]}-{row[1]}"
+                              for row in SCHEDULE_PINS])
+def test_schedule_search_is_pinned(problems, schedule, name, status, processed,
+                                   generated, selections):
+    limits = replace(LIMITS, schedule=schedule)
+    assert _pinned(problems[name].problem, limits) == \
         (status, processed, generated, selections)
