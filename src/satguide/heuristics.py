@@ -17,17 +17,10 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add
 
-from .fol import (
-    CONJ_CLASS,
-    ROLE_NEGATED_CONJECTURE,
-    Clause,
-    Symbol,
-    symbol_counts,
-    symbol_record,
-)
+from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, symbol_counts, symbol_record
 
 TIER_CONST = "const"
 TIER_SOS = "sos"
@@ -68,26 +61,13 @@ def conjecture_relative_weight(
     Function/predicate occurrences whose symbol appears in the negated
     conjecture count base_fw * conj_multiplier instead of base_fw.
 
-    The weight is the per-occurrence terms added one by one in walk
-    order, as a left fold from 0.0. With a multiplier like 0.1 the
-    partial sums round, and the closed form `vw*vars + fw*mult*conj +
-    fw*other` would give other bits and so another search. Only when
-    every term is a small whole number is every partial sum exact; then
-    the closed form gives the same bits and is used instead.
+    The per-occurrence terms are added one at a time in walk order, a
+    left fold from 0.0. With a multiplier like 0.1 the partial sums
+    round, and the closed form `vw*vars + fw*mult*conj + fw*other` would
+    give other bits and so another search.
     """
     terms = (base_vw, base_fw * conj_multiplier, base_fw)  # by symbol class
-    rec = symbol_record(c, conj_symbols)
-    if _whole_terms(terms):
-        conj = rec.classes.count(CONJ_CLASS)
-        return 0.0 + base_vw * rec.vars + terms[1] * conj + base_fw * (rec.fp - conj)
-    return reduce(add, map(terms.__getitem__, rec.classes), 0.0)
-
-
-@lru_cache(maxsize=64)
-def _whole_terms(terms: tuple[float, ...]) -> bool:
-    """Are all terms whole numbers of at most 2**20? Sums of fewer than
-    2**32 of them are then exact floats, whatever the order."""
-    return all(float(t).is_integer() and abs(t) <= 2 ** 20 for t in terms)
+    return reduce(add, map(terms.__getitem__, symbol_record(c, conj_symbols).classes), 0.0)
 
 
 class WeightFunction:

@@ -71,8 +71,6 @@ def factor(c: Clause) -> list[tuple[Literal, ...]]:
 
 def _merged(lits: tuple[Literal, ...]) -> tuple[Literal, ...]:
     """Drop exact duplicate literals, keeping first occurrences."""
-    if len(lits) < 2:
-        return lits
     seen = set()
     out = []
     for l in lits:
@@ -85,8 +83,6 @@ def _merged(lits: tuple[Literal, ...]) -> tuple[Literal, ...]:
 
 def is_tautology(c: Clause) -> bool:
     """True when the clause contains a literal and its exact negation."""
-    if len(c.literals) < 2:
-        return False
     atoms = {}
     for l in c.literals:
         key = (l.pred, l.args)

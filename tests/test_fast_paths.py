@@ -21,10 +21,19 @@ import satguide.heuristics as heuristics
 import satguide.rules as rules
 import satguide.saturation as saturation
 from satguide.corpus import desk_corpus
-from satguide.fol import canonical_key, term_symbols
+from satguide.fol import (
+    FUNCTION,
+    PREDICATE,
+    Literal,
+    Symbol,
+    Term,
+    Var,
+    canonical_key,
+    term_symbols,
+)
 from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
-from satguide.unify import apply_sub_literal
+from satguide.unify import apply_sub_literal, unify_atoms
 
 import oracles
 from oracles import clause_variables, string_key
@@ -168,6 +177,33 @@ def test_unifier_agrees_with_reference(searches, log):
         assert failed == ref_failed
         if made is not None:
             assert made[0] == made[1] and made == ref
+
+
+def test_unifier_agrees_with_reference_on_term_pool():
+    # The corpus searches never need the occurs check, so every pair of
+    # small atoms over shared variables stands in for them: X against
+    # f(X) and the like, bindings that chain, and clashes at every depth.
+    f, g = Symbol("f", FUNCTION, 1), Symbol("g", FUNCTION, 2)
+    p = Symbol("p", PREDICATE, 2)
+    x = Var("X")
+    leaves = [Term(Symbol("a", FUNCTION, 0)), x, Var("Y")]
+    pool = leaves + [Term(f, (t,)) for t in leaves] + \
+        [Term(g, (s, t)) for s in leaves for t in leaves]
+    pool += [Term(f, (Term(f, (x,)),)), Term(g, (x, Term(f, (x,))))]
+    atoms = [Literal(p, (s, t)) for s in pool for t in pool]
+    unified = 0
+    for l1 in atoms[::3]:
+        for l2 in atoms:
+            fast, slow = unify_atoms(l1, l2), oracles.unify_atoms(l1, l2)
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                unified += 1
+                made = _atoms([apply_sub_literal(l1, fast), apply_sub_literal(l2, fast)])
+                assert made[0] == made[1]
+                assert made == _atoms([oracles.apply_sub_literal(l1, slow),
+                                       oracles.apply_sub_literal(l2, slow)])
+    assert unified > 1000
+    assert unify_atoms(Literal(p, (x, x)), Literal(p, (Term(f, (x,)), x))) is None
 
 
 def test_resolvents_agree_with_reference(searches, log):
