@@ -24,7 +24,7 @@ from .saturation import (
     ProveResult,
     SearchConfig,
     prove,
-    verify_proof,
+    verify_proof_detailed,
 )
 from .tokens import Vocabulary, tokenize
 

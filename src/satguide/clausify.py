@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 from .fol import (
     FUNCTION,
-    ROLE_AXIOM,
-    App,
-    Clause,
     Literal,
     Symbol,
     Term,
@@ -270,11 +267,3 @@ def clausify(formula, negate: bool = False, skolems: SkolemNamer | None = None) 
     f = to_nnf(f)
     f = skolemize(f, skolems)
     return [tuple(_dedup(lits)) for lits in distribute(f)]
-
-
-def clausify_formula(formula, negate: bool = False, role: str = ROLE_AXIOM) -> list[Clause]:
-    """Standalone clausification producing Clause objects with ids from 0."""
-    out = []
-    for i, lits in enumerate(clausify(formula, negate=negate)):
-        out.append(Clause(i, lits, role=role))
-    return out

@@ -27,8 +27,9 @@ from .harness import (
     write_curve_files,
     write_report,
 )
-from .neural.checkpoint import load_checkpoint_file
-from .neural.train import ClausePairScorer
+from .neural.checkpoint import load_checkpoint_file, save_checkpoint_file
+from .neural.models import ModelConfig, init_model
+from .neural.train import TrainConfig, prepare_pairs, train
 from .parser import parse_tptp
 from .premsel import DEFAULT_LEVELS, cascade_prove, rank_premises
 from .saturation import SearchConfig, derivation_lines, szs_line, verify_proof_detailed
@@ -90,7 +91,9 @@ def cmd_verify(args) -> int:
 
 
 def _corpus_from_spec(spec: dict):
+    _known(spec, _CORPUS_KEYS, "corpus")
     if "dir" in spec:
+        _known(spec, {"dir"}, "dir corpus")  # seed, tags and families would do nothing
         problems = []
         for fname in sorted(os.listdir(spec["dir"])):
             if fname.endswith(".p") or fname.endswith(".tptp"):
@@ -128,16 +131,17 @@ def cmd_train(args) -> int:
     vocab.save(args.vocab_out)
     eval_bal = datagen.balance_eval_set(eval_ex, args.seed) if eval_ex else []
     if args.examples_out:
-        datagen.attach_tokens(eval_bal, vocab)
         datagen.write_examples(eval_bal, args.examples_out)
-    scorer = ClausePairScorer(
-        arch=args.arch, dim=args.dim, hidden=args.hidden, steps=args.steps,
-        batch_size=args.batch_size, lr=args.lr, seed=args.seed,
-        log_path=args.metrics_log,
+    mconfig = ModelConfig(arch=args.arch, vocab_size=len(vocab), dim=args.dim,
+                          hidden=args.hidden, seed=args.seed)
+    model, metrics = train(
+        prepare_pairs(train_ex, vocab, mconfig), prepare_pairs(eval_bal, vocab, mconfig),
+        init_model(mconfig, vocab.hash),
+        TrainConfig(steps=args.steps, batch_size=args.batch_size, lr=args.lr,
+                    seed=args.seed, log_path=args.metrics_log),
     )
-    scorer.fit(train_ex, vocab, eval_bal)
-    scorer.save(args.out)
-    last = scorer.metrics_[-1] if scorer.metrics_ else {}
+    save_checkpoint_file(model, args.out)
+    last = metrics[-1] if metrics else {}
     print(f"trained {args.arch} on {len(train_ex)} examples "
           f"({len(eval_bal)} balanced eval); final {last}")
     return 0
@@ -155,7 +159,10 @@ def cmd_eval_acc(args) -> int:
 
 # experiment-config keys: `limits` takes every SearchConfig field; a method
 # entry takes every GuidanceConfig field, with `model` and `vocab` as file
-# paths, plus its own id and cascade settings
+# paths, plus its own id and cascade settings; a corpus is a directory of
+# problem files or the bundled corpus, filtered by tag and family
+_EXPERIMENT_KEYS = {"corpus", "limits", "methods", "seed", "record_walltime"}
+_CORPUS_KEYS = {"dir", "seed", "tags", "families"}
 _LIMIT_KEYS = {f.name for f in fields(SearchConfig)}
 _GUIDANCE_KEYS = {f.name for f in fields(GuidanceConfig)} - {"model", "vocab"}
 _METHOD_KEYS = _GUIDANCE_KEYS | {"id", "model", "vocab", "premsel_levels", "premsel_budget"}
@@ -171,6 +178,7 @@ def _known(entry: dict, allowed: set[str], where: str) -> dict:
 def cmd_experiment(args) -> int:
     with open(args.config) as fh:
         spec = json.load(fh)
+    _known(spec, _EXPERIMENT_KEYS, "experiment")
     problems = _corpus_from_spec(spec.get("corpus", {}))
     limits = SearchConfig(**_known(spec.get("limits", {}), _LIMIT_KEYS, "limits"))
     methods = []

@@ -337,7 +337,3 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
 
 def corpus_by_tag(corpus: list[NamedProblem], tag: str) -> list[NamedProblem]:
     return [np_ for np_ in corpus if tag in np_.tags]
-
-
-def corpus_problems(corpus: list[NamedProblem]) -> list[Problem]:
-    return [np_.problem for np_ in corpus]

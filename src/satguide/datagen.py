@@ -20,7 +20,7 @@ import numpy as np
 
 from .fol import Clause, Problem, clause_str, normalize_variables
 from .saturation import SearchConfig, UNSAT, extract_used_set, prove
-from .tokens import Vocabulary, text_tokens, tokenize_texts
+from .tokens import Vocabulary, text_tokens
 
 
 @dataclass
@@ -50,8 +50,6 @@ class TrainingExample:
     problem: str
     clause_id: int
     negative_kind: str | None = None  # processed_unused | sampled_unprocessed
-    clause_tokens: list[int] | None = None
-    conj_tokens: list[int] | None = None
 
 
 @dataclass
@@ -77,8 +75,10 @@ def _printed(c: Clause) -> str:
     return clause_str(normalize_variables(c))
 
 
-def trace_problem(problem: Problem, config: SearchConfig,
-                  unprocessed_cap: int = 512, seed: int = 0) -> ProofTrace:
+UNPROCESSED_CAP = 512  # never-processed clauses sampled into a trace
+
+
+def trace_problem(problem: Problem, config: SearchConfig, seed: int = 0) -> ProofTrace:
     """Run the prover once and record the labeled clause-level outcome."""
     result = prove(problem, config)
     conj = [_printed(c) for c in problem.negated_conjecture]
@@ -94,9 +94,9 @@ def trace_problem(problem: Problem, config: SearchConfig,
             TraceClause(c.id, _printed(c), c.role, True, c.id in used_ids)
         )
     leftover_ids = sorted(state.schedule.alive)
-    if leftover_ids and unprocessed_cap > 0:
+    if leftover_ids:
         rng = np.random.default_rng(seed)
-        take = min(unprocessed_cap, len(leftover_ids))
+        take = min(UNPROCESSED_CAP, len(leftover_ids))
         picks = sorted(rng.choice(len(leftover_ids), size=take, replace=False))
         for i in picks:
             c = state.schedule.alive[leftover_ids[i]]
@@ -105,12 +105,12 @@ def trace_problem(problem: Problem, config: SearchConfig,
 
 
 def generate_traces(corpus: list[Problem], baseline: SearchConfig,
-                    unprocessed_cap: int = 512, seed: int = 0) -> list[ProofTrace]:
+                    seed: int = 0) -> list[ProofTrace]:
     """One trace per problem; per-problem failures become non-proof traces."""
     traces = []
     for i, problem in enumerate(corpus):
         try:
-            traces.append(trace_problem(problem, baseline, unprocessed_cap, seed + i))
+            traces.append(trace_problem(problem, baseline, seed + i))
         except Exception as exc:  # record, don't abort the corpus run
             traces.append(
                 ProofTrace(problem.name, f"Error({type(exc).__name__}: {exc})",
@@ -183,12 +183,6 @@ def build_vocabulary(train_examples: list[TrainingExample]) -> Vocabulary:
     for tok in sorted(counts, key=lambda t: (-counts[t], t)):
         vocab.add(tok)
     return vocab
-
-
-def attach_tokens(examples: list[TrainingExample], vocab: Vocabulary, max_len: int = 512):
-    for e in examples:
-        e.clause_tokens = tokenize_texts([e.clause_text], vocab, max_len)
-        e.conj_tokens = tokenize_texts(e.conj_texts, vocab, max_len)
 
 
 def balance_eval_set(examples: list[TrainingExample], seed: int = 0) -> list[TrainingExample]:

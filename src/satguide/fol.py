@@ -126,10 +126,6 @@ def Var(name: str) -> Term:
     return Term(var_symbol(name))
 
 
-def App(sym: Symbol, *args: Term) -> Term:
-    return Term(sym, tuple(args))
-
-
 @dataclass(frozen=True, slots=True)
 class Literal:
     pred: Symbol

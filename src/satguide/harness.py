@@ -20,7 +20,7 @@ from .guidance import ClauseScorer, GuidanceConfig, guided_prove
 from .neural.models import ModelParams
 from .neural.train import accuracy as pair_accuracy
 from .neural.train import prepare_pairs
-from .premsel import DEFAULT_LEVELS, cascade_prove, rank_premises
+from .premsel import cascade_prove, rank_premises
 from .saturation import SearchConfig, UNSAT
 from .tokens import Vocabulary
 

@@ -24,11 +24,9 @@ from .models import (
     loss_and_grads,
 )
 from .train import (
-    ClausePairScorer,
     TrainConfig,
     accuracy,
     batch_scores,
-    prepare_pair,
     prepare_pairs,
     train,
 )

@@ -1,4 +1,4 @@
-"""Training loop and an estimator-style front end for the pair scorer.
+"""Pair preparation and the training loop for the pair scorer.
 
 Training is a seeded minibatch loop with periodic accuracy evaluation on
 a balanced holdout; the best-accuracy parameters are kept. Metrics are
@@ -7,7 +7,7 @@ appended to a plain text log, one record per evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from ..tokens import Vocabulary, tokenize_texts
 from ..trees import clause_parse_tree, conjecture_tree
 from . import tensor as T
 from .adam import adam_init, adam_step
-from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .models import (
     SEQ_ARCHS,
     ModelConfig,
@@ -25,26 +24,18 @@ from .models import (
     PairInput,
     forward_logits,
     index_tree,
-    init_model,
     loss_and_grads,
 )
 
 
-def prepare_pair(clause_text: str, conj_texts: list[str], vocab: Vocabulary,
-                 config: ModelConfig, label: int = 0) -> PairInput:
-    """Build model inputs from printed clause text.
+def prepare_pairs(examples, vocab: Vocabulary, config: ModelConfig) -> list[PairInput]:
+    """Model inputs for examples with clause_text, conj_texts and label.
 
     Sequence models get token id lists (conjecture clauses joined by SEP);
     tree models get indexed curried parse trees (joined by `and` nodes).
+    The conjecture input is built once per distinct conjecture text list
+    and shared, read-only, by every pair that has that conjecture.
     """
-    return _pair(clause_text, _conjecture_input(conj_texts, vocab, config),
-                 vocab, config, label)
-
-
-def prepare_pairs(examples, vocab: Vocabulary, config: ModelConfig) -> list[PairInput]:
-    """`prepare_pair` for every example. The conjecture input is built
-    once per distinct conjecture text list and shared, read-only, by
-    every pair that has that conjecture."""
     conjectures: dict[tuple[str, ...], object] = {}
     pairs = []
     for ex in examples:
@@ -80,12 +71,15 @@ def _pair(clause_text: str, conj, vocab: Vocabulary, config: ModelConfig,
     )
 
 
-def batch_scores(pairs: list[PairInput], model: ModelParams, chunk: int = 256) -> np.ndarray:
+SCORE_CHUNK = 256  # pairs per eval forward pass
+
+
+def batch_scores(pairs: list[PairInput], model: ModelParams) -> np.ndarray:
     """Probabilities for many pairs (eval mode, no graph)."""
     out = []
     with T.no_grad():
-        for i in range(0, len(pairs), chunk):
-            logits = forward_logits(pairs[i : i + chunk], model, train_mode=False)
+        for i in range(0, len(pairs), SCORE_CHUNK):
+            logits = forward_logits(pairs[i : i + SCORE_CHUNK], model, train_mode=False)
             out.append(T.sigmoid(logits).data)
     return np.concatenate(out) if out else np.zeros(0)
 
@@ -146,101 +140,3 @@ def train(train_pairs: list[PairInput], eval_pairs: list[PairInput],
         if log_fh:
             log_fh.close()
     return best, metrics
-
-
-class ClausePairScorer:
-    """Estimator-style wrapper: construct with hyperparameters, `fit` on
-    labeled examples, `predict_proba` on new ones.
-
-    Examples are any objects with clause_text, conj_texts and label
-    attributes. The fitted model lands on `model_`.
-    """
-
-    def __init__(self, arch: str = "cnn", dim: int = 64, hidden: int = 128,
-                 max_len: int = 512, steps: int = 2000, batch_size: int = 32,
-                 lr: float = 1e-3, eval_every: int = 200, seed: int = 0,
-                 token_dropout: float = 0.0, feature_dropout: float = 0.0,
-                 cnn_layers: int = 3, wavenet_blocks: int = 3,
-                 wavenet_layers: int = 7, tree_layers: int = 1,
-                 log_path: str | None = None):
-        self.arch = arch
-        self.dim = dim
-        self.hidden = hidden
-        self.max_len = max_len
-        self.steps = steps
-        self.batch_size = batch_size
-        self.lr = lr
-        self.eval_every = eval_every
-        self.seed = seed
-        self.token_dropout = token_dropout
-        self.feature_dropout = feature_dropout
-        self.cnn_layers = cnn_layers
-        self.wavenet_blocks = wavenet_blocks
-        self.wavenet_layers = wavenet_layers
-        self.tree_layers = tree_layers
-        self.log_path = log_path
-
-    _param_names = (
-        "arch", "dim", "hidden", "max_len", "steps", "batch_size", "lr",
-        "eval_every", "seed", "token_dropout", "feature_dropout",
-        "cnn_layers", "wavenet_blocks", "wavenet_layers", "tree_layers",
-        "log_path",
-    )
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params) -> "ClausePairScorer":
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def model_config(self, vocab: Vocabulary) -> ModelConfig:
-        return ModelConfig(
-            arch=self.arch, vocab_size=len(vocab), dim=self.dim,
-            hidden=self.hidden, max_len=self.max_len, seed=self.seed,
-            token_dropout=self.token_dropout, feature_dropout=self.feature_dropout,
-            cnn_layers=self.cnn_layers, wavenet_blocks=self.wavenet_blocks,
-            wavenet_layers=self.wavenet_layers, tree_layers=self.tree_layers,
-        )
-
-    def fit(self, examples, vocab: Vocabulary, eval_examples=None) -> "ClausePairScorer":
-        config = self.model_config(vocab)
-        model = init_model(config, vocab.hash)
-        train_pairs = prepare_pairs(examples, vocab, config)
-        eval_pairs = prepare_pairs(eval_examples, vocab, config) if eval_examples else []
-        tconfig = TrainConfig(
-            steps=self.steps, batch_size=self.batch_size, lr=self.lr,
-            eval_every=self.eval_every, seed=self.seed, log_path=self.log_path,
-        )
-        self.model_, self.metrics_ = train(train_pairs, eval_pairs, model, tconfig)
-        self.vocab_ = vocab
-        return self
-
-    def _require_fitted(self):
-        if not hasattr(self, "model_"):
-            raise RuntimeError("scorer is not fitted")
-
-    def predict_proba(self, examples) -> np.ndarray:
-        self._require_fitted()
-        pairs = prepare_pairs(examples, self.vocab_, self.model_.config)
-        return batch_scores(pairs, self.model_)
-
-    def predict(self, examples) -> np.ndarray:
-        return (self.predict_proba(examples) > 0.5).astype(int)
-
-    def save(self, path: str):
-        self._require_fitted()
-        save_checkpoint_file(self.model_, path)
-
-    @classmethod
-    def from_checkpoint(cls, path: str, vocab: Vocabulary) -> "ClausePairScorer":
-        model = load_checkpoint_file(path, expected_vocab_hash=vocab.hash)
-        cfg = model.config
-        scorer = cls(arch=cfg.arch, dim=cfg.dim, hidden=cfg.hidden,
-                     max_len=cfg.max_len, seed=cfg.seed)
-        scorer.model_ = model
-        scorer.vocab_ = vocab
-        return scorer

@@ -37,7 +37,6 @@ from .fol import (
     Clause,
     Literal,
     Problem,
-    Symbol,
     Term,
     Var,
     canonical_key,
@@ -316,7 +315,9 @@ class Saturation:
             g = self.schedule.pop_next()
             if g is None:
                 return SATURATED
-            if is_tautology(g) or self._forward_subsumed(g):
+            # derived clauses passed the tautology check on admission
+            if ((g.role != ROLE_DERIVED and is_tautology(g))
+                    or self._forward_subsumed(g)):
                 self.discarded_given += 1
                 continue
             break
@@ -484,11 +485,6 @@ def extract_used_set(proof: Proof, processed: list[Clause]) -> tuple[list[Clause
 
 
 # -- verification ---------------------------------------------------------------
-
-
-def verify_proof(proof: Proof, problem: Problem) -> bool:
-    ok, _ = verify_proof_detailed(proof, problem)
-    return ok
 
 
 def verify_proof_detailed(proof: Proof, problem: Problem) -> tuple[bool, str | None]:

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from satguide import clausify as cl
-from satguide.fol import PREDICATE, Literal, Symbol, clause_str
+from satguide.fol import PREDICATE, Clause, Literal, Symbol, clause_str
 from satguide.parser import parse_tptp
+
+
+def clauses_of(formula, negate=False):
+    return [Clause(i, lits) for i, lits in enumerate(cl.clausify(formula, negate=negate))]
 
 
 def atom(name):
@@ -24,25 +28,25 @@ class TestPipeline:
         assert [clause_str(c) for c in p.axioms] == ["p(sk1)"]
 
     def test_negated_universal_yields_skolem_constant(self):
-        clauses = cl.clausify_formula(
+        clauses = clauses_of(
             cl.FForall("X", atom_of_var("p", "X")), negate=True
         )
         assert [clause_str(c) for c in clauses] == ["~p(sk1)"]
 
     def test_no_duplicates_within_clause(self):
         f = cl.FOr(atom("p"), atom("p"))
-        clauses = cl.clausify_formula(f)
+        clauses = clauses_of(f)
         assert [clause_str(c) for c in clauses] == ["p"]
 
     def test_distribution(self):
         # p | (q & r) -> (p|q) & (p|r)
         f = cl.FOr(atom("p"), cl.FAnd(atom("q"), atom("r")))
-        strs = sorted(clause_str(c) for c in cl.clausify_formula(f))
+        strs = sorted(clause_str(c) for c in clauses_of(f))
         assert strs == ["p | q", "p | r"]
 
     def test_true_false_constants(self):
-        assert cl.clausify_formula(cl.FTrue()) == []
-        clauses = cl.clausify_formula(cl.FFalse())
+        assert clauses_of(cl.FTrue()) == []
+        clauses = clauses_of(cl.FFalse())
         assert len(clauses) == 1 and clauses[0].is_empty
 
     def test_skolem_arity_matches_universal_depth(self):
@@ -107,7 +111,7 @@ class TestTruthTableOracle:
         names = ["p", "q", "r", "s"]
         for _ in range(120):
             f = random_formula(rng, names, 4)
-            clauses = cl.clausify_formula(f)
+            clauses = clauses_of(f)
             for values in itertools.product([False, True], repeat=len(names)):
                 env = dict(zip(names, values))
                 assert eval_formula(f, env) == eval_clauses(clauses, env)
@@ -117,7 +121,7 @@ class TestTruthTableOracle:
         names = ["p", "q", "r"]
         for _ in range(60):
             f = random_formula(rng, names, 3)
-            clauses = cl.clausify_formula(f, negate=True)
+            clauses = clauses_of(f, negate=True)
             for values in itertools.product([False, True], repeat=len(names)):
                 env = dict(zip(names, values))
                 assert (not eval_formula(f, env)) == eval_clauses(clauses, env)

@@ -72,11 +72,11 @@ def test_trace_train_eval_cycle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "trained cnn" in out
 
-    if examples.exists() and examples.stat().st_size > 0:
-        rc = main(["eval-acc", "--model", str(model), "--vocab", str(vocab),
-                   "--examples", str(examples)])
-        assert rc == 0
-        assert "balanced accuracy" in capsys.readouterr().out
+    assert examples.exists() and examples.stat().st_size > 0
+    rc = main(["eval-acc", "--model", str(model), "--vocab", str(vocab),
+               "--examples", str(examples)])
+    assert rc == 0
+    assert "balanced accuracy" in capsys.readouterr().out
 
 
 def test_experiment_and_report(tmp_path, capsys):
@@ -88,10 +88,17 @@ def test_experiment_and_report(tmp_path, capsys):
     }
     cfg_path = tmp_path / "exp.json"
     out_path = tmp_path / "report.jsonl"
-    for where, key in (("limits", "max_clauses"), ("methods", "phase1_msec")):
+    dir_corpus = {"dir": str(tmp_path)}
+    for key, spoil in (
+        ("max_clauses", lambda c: c["limits"].update(max_clauses=100)),
+        ("phase1_msec", lambda c: c["methods"][0].update(phase1_msec=100)),
+        ("familes", lambda c: c["corpus"].update(familes=["mini"])),
+        ("record_walltim", lambda c: c.update(record_walltim=True)),
+        ("tags", lambda c: c.update(corpus={**dir_corpus, "tags": ["train"]})),
+        ("families", lambda c: c.update(corpus={**dir_corpus, "families": ["mini"]})),
+    ):
         bad = json.loads(json.dumps(config))
-        entry = bad[where][0] if where == "methods" else bad[where]
-        entry[key] = 100
+        spoil(bad)
         cfg_path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=key):
             main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])

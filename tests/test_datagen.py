@@ -251,7 +251,7 @@ class TestBalance:
 class TestExampleFiles:
     def test_round_trip(self, tmp_path):
         examples = [
-            TrainingExample("p(a)", ["~q(b)"], 1, "x", 3, None, [1, 2], [3]),
+            TrainingExample("p(a)", ["~q(b)"], 1, "x", 3),
             TrainingExample("q(b)", ["~q(b)"], 0, "y", 4, "processed_unused"),
         ]
         path = tmp_path / "ex.jsonl"

@@ -20,7 +20,7 @@ from satguide.premsel import (
     subset_problem,
 )
 from satguide.parser import parse_tptp
-from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, verify_proof
+from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, verify_proof_detailed
 
 
 def problem_with_premises(n_chain=4, n_dx=6):
@@ -122,7 +122,7 @@ class TestCascade:
         ranking = rank_premises(problem, scorer)
         cascade = cascade_prove(problem, ranking, (24,), 600)
         assert cascade.result.status == UNSAT
-        assert verify_proof(cascade.result.proof, problem)
+        assert verify_proof_detailed(cascade.result.proof, problem)[0]
 
     def test_monotone_levels(self):
         problem = problem_with_premises()

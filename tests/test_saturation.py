@@ -17,7 +17,6 @@ from satguide.saturation import (
     extract_used_set,
     prove,
     szs_line,
-    verify_proof,
     verify_proof_detailed,
 )
 
@@ -76,7 +75,7 @@ class TestProve:
 
     def test_clause_size_cap_keeps_short_proofs(self, socrates):
         r = prove(socrates, fifo_config(max_clause_literals=3))
-        assert r.status == UNSAT and verify_proof(r.proof, socrates)
+        assert r.status == UNSAT and verify_proof_detailed(r.proof, socrates)[0]
 
     def test_empty_clause_in_input(self):
         p = parse_tptp("cnf(a, axiom, $false). cnf(g, negated_conjecture, (~p(a))).")
@@ -157,6 +156,20 @@ class TestGivenClauseStep:
         assert state.steps + state.discarded_given == sum(state.schedule.pick_counts)
 
 
+def test_tautological_input_never_processed():
+    # derived clauses are checked on admission; inputs only when popped
+    p = parse_tptp(
+        "cnf(t, axiom, (p(a) | ~p(a)))."
+        "cnf(b, axiom, (q(b)))."
+        "cnf(g, negated_conjecture, (~r(c))).")
+    assert "p(a) | ~p(a)" in [clause_str(c) for c in p.clauses()]
+    state = Saturation(p, fifo_config())
+    while state.step() == "continue":
+        pass
+    assert state.discarded_given == 1
+    assert [clause_str(c) for c in state.processed] == ["q(b)", "~r(c)"]
+
+
 class TestUsedSet:
     def test_positives_and_negatives(self):
         p = parse_tptp(
@@ -198,7 +211,7 @@ class TestVerifier:
         fake = Clause(forged_id, parse_clause_text("q(b)"), role="derived",
                       parents=node.parents, rule="res")
         proof.derivation[forged_id] = ProofNode(fake, node.parents, "res")
-        assert not verify_proof(proof, p)
+        assert not verify_proof_detailed(proof, p)[0]
 
     def test_rejects_foreign_leaf(self, socrates):
         r = prove(socrates, fifo_config())
@@ -208,7 +221,7 @@ class TestVerifier:
         )
         fake = Clause(leaf_id, parse_clause_text("alien(z)"), role="axiom")
         proof.derivation[leaf_id] = ProofNode(fake, (), "input")
-        assert not verify_proof(proof, socrates)
+        assert not verify_proof_detailed(proof, socrates)[0]
 
     def test_rejects_cyclic_ids(self, socrates):
         r = prove(socrates, fifo_config())
@@ -217,7 +230,7 @@ class TestVerifier:
         node = proof.derivation[res_id]
         bad = ProofNode(node.clause, (max(proof.used_ids) + 5,), "res")
         proof.derivation[res_id] = bad
-        assert not verify_proof(proof, socrates)
+        assert not verify_proof_detailed(proof, socrates)[0]
 
 
 class TestEqualityAxioms:
@@ -240,7 +253,7 @@ class TestEqualityAxioms:
             "fof(goal, conjecture, a = mul(e, a)).")
         r = prove(p, SearchConfig())
         assert r.status == UNSAT
-        assert verify_proof(r.proof, p)
+        assert verify_proof_detailed(r.proof, p)[0]
 
     def test_equality_can_be_disabled(self):
         p = parse_tptp(

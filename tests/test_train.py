@@ -1,16 +1,15 @@
-"""Training loop and the estimator facade."""
+"""Pair preparation and the training loop."""
 
 import numpy as np
-import pytest
 
 from satguide.datagen import TrainingExample
+from satguide.neural.checkpoint import load_checkpoint_file, save_checkpoint_file
 from satguide.neural.models import ModelConfig, PairInput, init_model
 from satguide.neural.train import (
-    ClausePairScorer,
     TrainConfig,
     accuracy,
     batch_scores,
-    prepare_pair,
+    prepare_pairs,
     train,
 )
 from satguide.tokens import Vocabulary
@@ -74,67 +73,62 @@ def test_seeded_training_deterministic():
     assert run() == run()
 
 
+def vocab_of(*tokens):
+    vocab = Vocabulary()
+    for t in tokens:
+        vocab.add(t)
+    return vocab
+
+
 class TestPreparePair:
     def test_sequence_inputs(self):
-        vocab = Vocabulary()
-        for t in ["p", "(", ")", "a", "~", "q"]:
-            vocab.add(t)
+        vocab = vocab_of("p", "(", ")", "a", "~", "q")
         cfg = ModelConfig(arch="cnn", vocab_size=len(vocab), dim=4)
-        pair = prepare_pair("p(a)", ["~q(a)"], vocab, cfg, label=1)
+        [pair] = prepare_pairs([TrainingExample("p(a)", ["~q(a)"], 1, "c", 0)], vocab, cfg)
         assert pair.clause_ids and pair.conj_ids and pair.label == 1
 
     def test_tree_inputs(self):
-        vocab = Vocabulary()
-        for t in ["p", "a", "q"]:
-            vocab.add(t)
+        vocab = vocab_of("p", "a", "q")
         cfg = ModelConfig(arch="tree_rnn", vocab_size=len(vocab), dim=4)
-        pair = prepare_pair("p(a)", ["~q(a)", "~p(a)"], vocab, cfg)
+        [pair] = prepare_pairs([TrainingExample("p(a)", ["~q(a)", "~p(a)"], 0, "c", 0)],
+                               vocab, cfg)
         assert pair.clause_tree[0] == "apply"
         assert pair.conj_tree[0] == "and"
 
 
+def fitted(examples, vocab, eval_examples, mconfig, tconfig):
+    """The `satguide train` sequence: init, prepare, train."""
+    model = init_model(mconfig, vocab.hash)
+    return train(prepare_pairs(examples, vocab, mconfig),
+                 prepare_pairs(eval_examples, vocab, mconfig), model, tconfig)
+
+
 class TestEstimator:
-    def test_get_set_params(self):
-        s = ClausePairScorer(dim=16)
-        params = s.get_params()
-        assert params["dim"] == 16 and params["arch"] == "cnn"
-        s.set_params(dim=8, steps=11)
-        assert s.dim == 8 and s.steps == 11
-        with pytest.raises(ValueError):
-            s.set_params(bogus=1)
+    """Fit, predict and reload through the functions `satguide train` calls."""
 
     def test_fit_predict_cycle(self):
-        vocab = Vocabulary()
-        for t in ["p", "q", "(", ")", "a", "b", "~"]:
-            vocab.add(t)
+        vocab = vocab_of("p", "q", "(", ")", "a", "b", "~")
         examples = []
         for i in range(40):
             label = i % 2
             text = "p(a)" if label else "q(b)"
             examples.append(TrainingExample(text, ["~p(a)"], label, f"prob{i % 8}", i))
-        scorer = ClausePairScorer(dim=8, hidden=8, steps=150, batch_size=8,
-                                  lr=3e-3, eval_every=50)
-        scorer.fit(examples, vocab, examples)
-        probs = scorer.predict_proba(examples)
+        mconfig = ModelConfig(arch="cnn", vocab_size=len(vocab), dim=8, hidden=8)
+        model, _ = fitted(examples, vocab, examples, mconfig,
+                          TrainConfig(steps=150, batch_size=8, lr=3e-3, eval_every=50))
+        probs = batch_scores(prepare_pairs(examples, vocab, mconfig), model)
         assert probs.shape == (40,)
-        preds = scorer.predict(examples)
-        acc = np.mean(preds == np.array([e.label for e in examples]))
+        acc = np.mean((probs > 0.5).astype(int) == np.array([e.label for e in examples]))
         assert acc >= 0.9
 
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            ClausePairScorer().predict_proba([])
-
     def test_checkpoint_round_trip(self, tmp_path):
-        vocab = Vocabulary()
-        for t in ["p", "(", ")", "a"]:
-            vocab.add(t)
+        vocab = vocab_of("p", "(", ")", "a")
         examples = [TrainingExample("p(a)", ["p(a)"], i % 2, f"c{i}", i) for i in range(8)]
-        scorer = ClausePairScorer(dim=4, hidden=4, steps=5, batch_size=4, eval_every=5)
-        scorer.fit(examples, vocab, None)
+        mconfig = ModelConfig(arch="cnn", vocab_size=len(vocab), dim=4, hidden=4)
+        model, _ = fitted(examples, vocab, [], mconfig,
+                          TrainConfig(steps=5, batch_size=4, eval_every=5))
         path = tmp_path / "model.ckpt"
-        scorer.save(str(path))
-        again = ClausePairScorer.from_checkpoint(str(path), vocab)
-        a = scorer.predict_proba(examples)
-        b = again.predict_proba(examples)
-        np.testing.assert_array_equal(a, b)
+        save_checkpoint_file(model, str(path))
+        again = load_checkpoint_file(str(path), expected_vocab_hash=vocab.hash)
+        pairs = prepare_pairs(examples, vocab, mconfig)
+        np.testing.assert_array_equal(batch_scores(pairs, model), batch_scores(pairs, again))
