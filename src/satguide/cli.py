@@ -214,7 +214,7 @@ def cmd_premsel(args) -> int:
     ranking = rank_premises(problem, scorer)
     levels = tuple(int(x) for x in args.levels.split(","))
     cascade = cascade_prove(problem, ranking, levels, args.budget,
-                            limits=_limits_from_args(args))
+                            limits=SearchConfig(max_wall_ms=args.timeout_ms))
     print(szs_line(cascade.result, problem.name))
     print(f"% ranking_hash={cascade.ranking_hash} level_used={cascade.level_used}")
     for entry in cascade.transcript:
@@ -324,10 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--levels", default=",".join(str(x) for x in DEFAULT_LEVELS))
-    p.add_argument("--budget", type=int, default=2_000)
+    p.add_argument("--budget", type=int, default=2_000,
+                   help="processed clauses, split evenly across the levels")
     p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    p.add_argument("--max-processed", type=int, default=20_000, dest="max_processed")
-    p.add_argument("--timeout-ms", type=int, default=60_000, dest="timeout_ms")
+    p.add_argument("--timeout-ms", type=int, default=60_000, dest="timeout_ms",
+                   help="wall limit, split evenly across the levels")
     p.set_defaults(fn=cmd_premsel)
 
     p = sub.add_parser("report", help="check and summarize a report file")

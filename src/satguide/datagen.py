@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -246,8 +246,17 @@ def write_examples(examples: list[TrainingExample], path: str):
 
 
 def read_examples(path: str) -> list[TrainingExample]:
+    """Examples written by `write_examples`; a row with fields this version
+    does not know (an older file format) raises ValueError."""
+    known = {f.name for f in fields(TrainingExample)}
     out = []
     with open(path) as fh:
         for line in fh:
-            out.append(TrainingExample(**json.loads(line)))
+            row = json.loads(line)
+            unknown = sorted(set(row) - known)
+            if unknown:
+                raise ValueError(
+                    f"{path}: unknown example fields {', '.join(unknown)}; the file has "
+                    f"an older format, write it again with `satguide train --examples-out`")
+            out.append(TrainingExample(**row))
     return out

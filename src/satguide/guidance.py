@@ -107,8 +107,8 @@ class ClauseScorer:
         self._sequence = model.config.arch in SEQ_ARCHS
         with T.no_grad():
             if self._sequence:
-                seq = tokenize_conjecture(problem.negated_conjecture, vocab, self.max_len)
-                self.v_nc = embed_sequence(seq.tokens, model, TOWER_CONJ)
+                ids = tokenize_conjecture(problem.negated_conjecture, vocab, self.max_len)
+                self.v_nc = embed_sequence(ids, model, TOWER_CONJ)
             else:
                 tree = conjecture_tree(problem.negated_conjecture)
                 self.v_nc = embed_tree(index_tree(tree, vocab.lookup), model, TOWER_CONJ)
@@ -156,7 +156,7 @@ class ClauseScorer:
             self.clause_evals += len(chunk)
             if self._sequence:
                 probs = self.sequence_probabilities([
-                    tokenize(normalize_variables(c), self.vocab, self.max_len).tokens
+                    tokenize(normalize_variables(c), self.vocab, self.max_len)
                     for c in chunk
                 ])
             else:
@@ -172,9 +172,6 @@ class ClauseScorer:
 
 class NeuralWeightFn(WeightFunction):
     """-p(useful | clause, conjecture) as a lowest-is-best weight."""
-
-    lazy = True
-    name = "nn"
 
     def __init__(self, scorer: ClauseScorer):
         self.scorer = scorer
@@ -279,7 +276,8 @@ def switched_prove(problem: Problem, gconfig: GuidanceConfig,
             state.schedule.insert(old.alive[cid])
         info["finished_in_phase"] = 2
         outcome = state.run(deadline=total_deadline)
-        info["evals_final"] = scorer.clause_evals
+    info["network_evals"] = scorer.clause_evals
+    info["batch_calls"] = scorer.batch_calls
     result = state.result(outcome, t0)
     result.info.update(info)
     return result

@@ -165,18 +165,9 @@ def accuracy_eval(model: ModelParams, balanced_examples: list[TrainingExample],
     return pair_accuracy(pairs, model)
 
 
-def union_stats(reports: dict[str, ExperimentReport] | ExperimentReport) -> dict:
-    """Union statistics across methods; reports must share a corpus."""
-    if isinstance(reports, ExperimentReport):
-        records = reports.records
-    else:
-        corpora = [
-            tuple(sorted({r.problem for r in rep.records})) for rep in reports.values()
-        ]
-        if len(set(corpora)) > 1:
-            raise ValueError("union_stats needs identical corpora across reports")
-        records = [r for rep in reports.values() for r in rep.records]
-    agg = compute_aggregates(records)
+def union_stats(report: ExperimentReport) -> dict:
+    """Union statistics across the methods of one report."""
+    agg = compute_aggregates(report.records)
     return {
         "per_method": agg["proved_counts"],
         "pairwise_union": agg["pairwise_union"],

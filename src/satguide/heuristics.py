@@ -1,10 +1,13 @@
 """Clause weight functions and weighted round-robin selection schedules.
 
-Each schedule entry keeps its own priority ranking (a lazy heap keyed by
+Each schedule entry keeps its own priority ranking (a heap keyed by
 (tier, weight, id)) over all unprocessed clauses; selection cycles the
-entries, consuming `weight` picks from each. A popped clause disappears
-from every entry's ranking (global tombstoning via the shared alive set).
-Lower weight is better everywhere; ties break toward the lowest clause id.
+entries, consuming `weight` picks from each. An entry keys the clauses
+inserted since its last turn in one batch when its turn comes, so every
+weight function, the network's included, sees batches. A popped clause
+disappears from every entry's ranking (global tombstoning via the shared
+alive set). Lower weight is better everywhere; ties break toward the
+lowest clause id, so when a clause is keyed never changes which is picked.
 
 The tier is a coarse boolean priority computed per clause, our reduction
 of E-style priority wrappers: `sos` prefers descendants of the negated
@@ -71,24 +74,17 @@ def conjecture_relative_weight(
 
 
 class WeightFunction:
-    """(tier, weight) ranking key provider. Deterministic per clause."""
-
-    name = "weight"
-    lazy = False  # lazy functions batch their keys (neural scoring)
-
-    def key(self, c: Clause) -> tuple[int, float]:
-        raise NotImplementedError
+    """(tier, weight) ranking keys for a batch of clauses, each key
+    deterministic per clause."""
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
-        return [self.key(c) for c in clauses]
+        raise NotImplementedError
 
 
 @dataclass
 class FifoWeightFn(WeightFunction):
-    name: str = "fifo"
-
-    def key(self, c: Clause) -> tuple[int, float]:
-        return (0, fifo_weight(c))
+    def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
+        return [(0, fifo_weight(c)) for c in clauses]
 
 
 @dataclass
@@ -97,12 +93,9 @@ class SymbolCountWeightFn(WeightFunction):
     vweight: float = 1.0
     tier: str = TIER_CONST
 
-    @property
-    def name(self) -> str:
-        return f"symcount({self.fweight:g},{self.vweight:g})"
-
-    def key(self, c: Clause) -> tuple[int, float]:
-        return (_tier(self.tier, c), symbol_count_weight(c, self.fweight, self.vweight))
+    def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
+        return [(_tier(self.tier, c), symbol_count_weight(c, self.fweight, self.vweight))
+                for c in clauses]
 
 
 @dataclass
@@ -113,15 +106,11 @@ class ConjectureRelativeWeightFn(WeightFunction):
     conj_multiplier: float = 0.5
     tier: str = TIER_CONST
 
-    @property
-    def name(self) -> str:
-        return f"conjrel({self.base_fw:g},{self.base_vw:g},{self.conj_multiplier:g},{self.tier})"
-
-    def key(self, c: Clause) -> tuple[int, float]:
-        w = conjecture_relative_weight(
-            c, self.conj_symbols, self.base_fw, self.base_vw, self.conj_multiplier
-        )
-        return (_tier(self.tier, c), w)
+    def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
+        return [(_tier(self.tier, c),
+                 conjecture_relative_weight(c, self.conj_symbols, self.base_fw,
+                                            self.base_vw, self.conj_multiplier))
+                for c in clauses]
 
 
 # -- schedules -----------------------------------------------------------------
@@ -132,17 +121,11 @@ class ScheduleEntry:
     weight: int
     fn: WeightFunction
     heap: list = field(default_factory=list)
-    staging: list = field(default_factory=list)
-
-    def add(self, c: Clause):
-        if self.fn.lazy:
-            self.staging.append(c)
-        else:
-            tier, weight = self.fn.key(c)
-            heapq.heappush(self.heap, (tier, weight, c.id))
+    staging: list = field(default_factory=list)  # inserted, not yet keyed
 
     def flush(self, alive: dict[int, Clause]):
-        """Score pending clauses; ones already picked elsewhere are dropped."""
+        """Key the staged clauses in one batch; ones already picked
+        elsewhere are dropped unkeyed."""
         if self.staging:
             pending = [c for c in self.staging if c.id in alive]
             self.staging.clear()
@@ -173,7 +156,7 @@ class SelectionSchedule:
             return
         self.alive[c.id] = c
         for entry in self.entries:
-            entry.add(c)
+            entry.staging.append(c)
 
     def _advance(self):
         self._cursor = (self._cursor + 1) % len(self.entries)

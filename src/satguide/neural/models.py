@@ -229,31 +229,22 @@ def _wavenet_tower(x: Tensor, model: ModelParams, tower: str, mask: Tensor | Non
 
 def embed_sequence(ids, model: ModelParams, tower: str,
                    train_mode: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """One token sequence to a [dim] vector: lookup, tower, max-pool.
-
-    PAD tokens are padding, not content: they are stripped before the
-    lookup, and an empty (or PAD-only) sequence embeds to the zero vector.
-    """
-    if model.config.arch not in SEQ_ARCHS:
-        raise ValueError(f"embed_sequence needs a sequence architecture, got {model.config.arch}")
-    ids = [i for i in ids if i != PAD_ID]
-    if not ids:
-        return T.constant(np.zeros(model.config.dim))
-    x = T.embedding(model.params["embedding"], ids)
-    if model.config.arch == ARCH_CNN:
-        if train_mode and model.config.token_dropout > 0.0:
-            keep = (rng.random((len(ids), 1)) >= model.config.token_dropout)
-            x = T.mul(x, T.constant(keep.astype(np.float64)))
-        x = _cnn_tower(x, model, tower, None)
-    else:
-        x = _wavenet_tower(x, model, tower, None, train_mode, rng)
-    return T.max_time(x)
+    """One token sequence to a [dim] vector: `embed_sequences` on a batch of one."""
+    out = embed_sequences([ids], model, tower, train_mode, rng)
+    return T.reshape(out, (model.config.dim,))
 
 
 def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
                     train_mode: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Batched variant: [B, dim]. Padded positions are masked to zero after
-    every layer, so each row equals its unbatched counterpart."""
+    """Token sequences to [B, dim]: lookup, tower, max-pool over time.
+
+    PAD tokens are padding, not content: they are stripped before the
+    lookup, and an empty (or PAD-only) sequence embeds to the zero vector.
+    Positions past a row's length are masked to zero after every layer, so
+    each row equals its embedding as a batch of one.
+    """
+    if model.config.arch not in SEQ_ARCHS:
+        raise ValueError(f"embed_sequences needs a sequence architecture, got {model.config.arch}")
     stripped = [[i for i in ids if i != PAD_ID] for ids in batch_ids]
     lengths = [len(ids) for ids in stripped]
     t_max = max(lengths) if lengths else 0

@@ -79,15 +79,14 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
         ])
     else:
         with T.no_grad():
-            vecs = []
-            for _, clauses in groups:
-                embedded = [
+            vecs = [
+                T.max_time(T.stack([
                     embed_tree(index_tree(clause_parse_tree(c), scorer.vocab.lookup),
                                scorer.model, TOWER_CLAUSE)
                     for c in clauses
-                ]
-                vecs.append(embedded[0] if len(embedded) == 1
-                            else T.max_time(T.stack(embedded)))
+                ]))
+                for _, clauses in groups
+            ]
         probs = scorer.probabilities(T.stack(vecs)) if vecs else []
     scores = {name: p for (name, _), p in zip(groups, probs)}
     order = sorted(range(len(groups)), key=lambda i: (-scores[groups[i][0]], i))

@@ -254,7 +254,6 @@ class Saturation:
             schedule = parse_schedule(config.schedule, problem.conjecture_symbols())
         self.schedule = schedule
         self.processed: list[Clause] = []  # in the processed namespace
-        self.processed_ids: set[int] = set()
         self.nodes: dict[int, ProofNode] = {}
         self.steps = 0
         self.generated = 0
@@ -325,7 +324,6 @@ class Saturation:
         kept = normalize_variables(g, PROCESSED_NAMESPACE)
         self._seq[g.id] = len(self.processed)
         self.processed.append(kept)
-        self.processed_ids.add(g.id)
         self._subsumers.insert(kept)
         for key in {(lit.pred.name, lit.positive) for lit in g.literals}:
             self._lit_index.setdefault(key, []).append(kept)

@@ -9,7 +9,6 @@ token per line, line number = index.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .fol import Clause, clause_tokens, normalize_variables
 
@@ -19,12 +18,6 @@ SEP = 2
 RESERVED = ["<pad>", "<oov>", "<sep>"]
 
 DEFAULT_MAX_LEN = 512
-
-
-@dataclass
-class TokenSequence:
-    tokens: list[int]
-    source_clause_id: int
 
 
 class Vocabulary:
@@ -73,25 +66,24 @@ class Vocabulary:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-def tokenize(c: Clause, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
+def tokenize(c: Clause, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
     """Map a variable-normalized clause to vocabulary indices.
 
     Unknown symbols become OOV; anything beyond max_len is cut at the tail.
     """
-    ids = [vocab.lookup(t) for t in clause_tokens(c)]
-    return TokenSequence(ids[:max_len], c.id)
+    return [vocab.lookup(t) for t in clause_tokens(c)][:max_len]
 
 
 def tokenize_conjecture(
     clauses: list[Clause], vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN
-) -> TokenSequence:
+) -> list[int]:
     """Negated-conjecture clauses joined by the SEP token (sequence models)."""
     ids: list[int] = []
     for i, c in enumerate(clauses):
         if i:
             ids.append(SEP)
         ids.extend(vocab.lookup(t) for t in clause_tokens(normalize_variables(c)))
-    return TokenSequence(ids[:max_len], clauses[0].id if clauses else -1)
+    return ids[:max_len]
 
 
 def tokenize_texts(texts: list[str], vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> list[int]:

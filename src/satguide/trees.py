@@ -34,9 +34,6 @@ class TreeNode:
         elif len(self.children) != CHILD_COUNT[self.kind]:
             raise ValueError(f"{self.kind} node needs {CHILD_COUNT[self.kind]} children")
 
-    def node_count(self) -> int:
-        return 1 + sum(ch.node_count() for ch in self.children)
-
 
 def leaf(symbol: str) -> TreeNode:
     return TreeNode(LEAF, symbol=symbol)
@@ -79,17 +76,3 @@ def conjecture_tree(clauses: list[Clause]) -> TreeNode:
         node = TreeNode(AND, (node, clause_parse_tree(c)))
     return node
 
-
-def tree_leaves(node: TreeNode) -> list[str]:
-    if node.kind == LEAF:
-        return [node.symbol]
-    out = []
-    for ch in node.children:
-        out.extend(tree_leaves(ch))
-    return out
-
-
-def contains_kind(node: TreeNode, kind: str) -> bool:
-    if node.kind == kind:
-        return True
-    return any(contains_kind(ch, kind) for ch in node.children)

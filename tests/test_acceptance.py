@@ -381,7 +381,7 @@ def test_criterion_8_switched_contracts(corpus, trained):
         r = switched_prove(p, g, SearchConfig(max_generated=40_000,
                                               max_clause_literals=12))
         if r.info.get("finished_in_phase") == 2:
-            if r.info["evals_final"] != r.info["evals_at_switch"]:
+            if r.info["network_evals"] != r.info["evals_at_switch"]:
                 ok_all = False
                 details.append(f"{p.name}: evals after switch")
         if r.info["phase1_processed"] > 15:
@@ -398,7 +398,7 @@ def test_criterion_8_switched_contracts(corpus, trained):
         if sw.selections != auto.selections or sw.status != auto.status:
             ok_all = False
             details.append(f"{p.name}: budget-0 selection mismatch")
-        if sw.info["evals_final"] != 0:
+        if sw.info["network_evals"] != 0:
             ok_all = False
             details.append(f"{p.name}: budget-0 evaluated the network")
     took = time.time() - t0

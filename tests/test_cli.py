@@ -55,6 +55,14 @@ def test_trace_defaults_to_clause_limits():
     assert args.timeout_ms is None
 
 
+def test_premsel_rejects_max_processed():
+    # the cascade splits --budget across its levels; a clause cap would do nothing
+    base = ["premsel", "p.p", "--model", "m.ckpt", "--vocab", "v.txt"]
+    assert build_parser().parse_args(base).budget == 2_000
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(base + ["--max-processed", "100"])
+
+
 def test_trace_train_eval_cycle(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
     rc = main(["trace", "--out", str(traces), "--tags", "train",

@@ -1,5 +1,7 @@
 """Trace extraction, labeling, splitting, vocabulary building."""
 
+import json
+
 import pytest
 
 from satguide.corpus import chain_problem, desk_corpus
@@ -257,3 +259,13 @@ class TestExampleFiles:
         path = tmp_path / "ex.jsonl"
         write_examples(examples, str(path))
         assert read_examples(str(path)) == examples
+
+    def test_older_format_rejected_with_hint(self, tmp_path):
+        # rows written before the token fields were dropped
+        row = {"clause_text": "p(a)", "conj_texts": ["~q(b)"], "label": 1,
+               "problem": "x", "clause_id": 3, "negative_kind": None,
+               "clause_tokens": [5, 6], "conj_tokens": [[7]]}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match="clause_tokens, conj_tokens.*--examples-out"):
+            read_examples(str(path))

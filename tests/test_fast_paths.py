@@ -116,14 +116,14 @@ def searches(problems, log):
 
     def conjrel(c, conj, fw=2.0, vw=1.0, mult=0.5):
         fast = inner_conjrel(c, conj, fw, vw, mult)
-        log["weights"].append((fast.hex(), oracles.conjecture_relative_weight(
+        log["weights"].append(("conjrel", fast.hex(), oracles.conjecture_relative_weight(
             c, conj, fw, vw, mult).hex()))
         return fast
 
     def symcount(c, fw=2.0, vw=1.0):
         fast = inner_symcount(c, fw, vw)
         fp, v = oracles.symbol_counts(c)
-        log["weights"].append((float(fast).hex(), float(fw * fp + vw * v).hex()))
+        log["weights"].append(("symcount", float(fast).hex(), float(fw * fp + vw * v).hex()))
         return fast
 
     states = []
@@ -218,8 +218,11 @@ def test_symbol_counts_agree_with_reference(searches, log):
 
 
 def test_weights_agree_with_reference_bitwise(searches, log):
-    assert len(log["weights"]) > 1000
-    assert all(fast == slow for fast, slow in log["weights"])
+    # each weight is logged through its module name; one that stops being
+    # called by that name makes its kind's count fall
+    for kind in ("conjrel", "symcount"):
+        assert sum(k == kind for k, _, _ in log["weights"]) > 1000, kind
+    assert all(fast == slow for _, fast, slow in log["weights"])
 
 
 def test_cached_hashes_equal_field_tuple_hashes(searches):

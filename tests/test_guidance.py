@@ -261,7 +261,7 @@ class TestSwitched:
                 switched = switched_prove(problem, config, limits)
                 assert switched.status == auto.status
                 assert switched.selections == auto.selections
-                assert switched.info["evals_final"] == 0
+                assert switched.info["network_evals"] == 0
 
     def test_no_network_evaluations_after_switch(self):
         problem = flooded()
@@ -270,7 +270,7 @@ class TestSwitched:
                                 phase1_budget=10, total_budget=2000)
         result = switched_prove(problem, config, SearchConfig())
         if result.info["finished_in_phase"] == 2:
-            assert result.info["evals_final"] == result.info["evals_at_switch"]
+            assert result.info["network_evals"] == result.info["evals_at_switch"]
 
     def test_phase1_processed_within_budget(self):
         problem = flooded()
@@ -344,7 +344,7 @@ class TestSwitched:
         result = guided_prove(problem, config, SearchConfig(max_processed=None))
         assert result.info["finished_in_phase"] == 2
         assert 0 < result.info["phase1_processed"] < result.processed_count
-        assert result.info["evals_final"] == result.info["evals_at_switch"]
+        assert result.info["network_evals"] == result.info["evals_at_switch"]
         assert (result.status, result.resource) == (RESOURCE_OUT, "time")
 
 

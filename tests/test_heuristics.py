@@ -9,6 +9,7 @@ from satguide.heuristics import (
     FifoWeightFn,
     SelectionSchedule,
     SymbolCountWeightFn,
+    WeightFunction,
     conjecture_relative_weight,
     fifo_weight,
     parse_schedule,
@@ -19,6 +20,17 @@ from satguide.parser import parse_clause_text
 
 def clause_of(text, cid, role="axiom"):
     return Clause(cid, parse_clause_text(text), role=role)
+
+
+class KeyLog(WeightFunction):
+    """FIFO keys that log the id of every clause they are asked to key."""
+
+    def __init__(self):
+        self.keyed = []
+
+    def batch_keys(self, clauses):
+        self.keyed += [c.id for c in clauses]
+        return FifoWeightFn().batch_keys(clauses)
 
 
 class TestWeights:
@@ -102,6 +114,16 @@ class TestRoundRobin:
         seen = [sched.pop_next().id for _ in range(4)]
         assert sorted(seen) == [0, 1, 2, 3]
         assert sched.pop_next() is None
+
+    def test_clause_picked_elsewhere_is_never_keyed(self):
+        first, second = KeyLog(), KeyLog()
+        sched = SelectionSchedule([(2, first), (1, second)])
+        self._feed(sched, 0, 4)
+        assert [sched.pop_next().id for _ in range(3)] == [0, 1, 2]
+        # the first entry keyed all four at its turn and picked 0 and 1
+        # while they were staged in the second entry, which keyed only 2, 3
+        assert first.keyed == [0, 1, 2, 3]
+        assert second.keyed == [2, 3]
 
     def test_empty_entry_skipped(self):
         # entry 0 prefers nothing once drained; schedule must keep serving

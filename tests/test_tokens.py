@@ -9,7 +9,6 @@ from satguide.tokens import (
     PAD,
     RESERVED,
     SEP,
-    TokenSequence,
     Vocabulary,
     text_tokens,
     tokenize,
@@ -66,22 +65,19 @@ class TestTokenize:
     def test_direct_lookup(self):
         c = clause_of("~q(V1)")
         v = vocab_of("~", "q", "(", "V1", ")")
-        seq = tokenize(c, v)
-        assert seq.tokens == [3, 4, 5, 6, 7]
+        assert tokenize(c, v) == [3, 4, 5, 6, 7]
 
     def test_oov_position(self):
         c = clause_of("~q(V1)")
         v = vocab_of("~", "(", "V1", ")")  # no 'q'
-        seq = tokenize(c, v)
-        assert seq.tokens[1] == OOV
+        assert tokenize(c, v)[1] == OOV
 
     def test_truncation(self):
         c = clause_of(" | ".join(f"p(c{i})" for i in range(200)))
         v = Vocabulary()
         for t in clause_tokens(c):
             v.add(t)
-        seq = tokenize(c, v, max_len=17)
-        assert len(seq.tokens) == 17
+        assert len(tokenize(c, v, max_len=17)) == 17
 
     def test_length_equals_printed_symbol_count(self):
         texts = [
@@ -95,14 +91,7 @@ class TestTokenize:
             v = Vocabulary()
             for t in clause_tokens(c):
                 v.add(t)
-            seq = tokenize(c, v, max_len=10_000)
-            assert len(seq.tokens) == len(text_tokens(text)), text
-
-    def test_source_clause_id(self):
-        from satguide.fol import Clause
-
-        c = Clause(41, parse_clause_text("p(a)"))
-        assert tokenize(c, Vocabulary()).source_clause_id == 41
+            assert len(tokenize(c, v, max_len=10_000)) == len(text_tokens(text)), text
 
 
 class TestConjectureJoining:
@@ -112,9 +101,9 @@ class TestConjectureJoining:
             "cnf(g2, negated_conjecture, (~q(b))).",
         )
         v = vocab_of("~", "p", "q", "(", ")", "a", "b")
-        seq = tokenize_conjecture(p.negated_conjecture, v)
-        assert seq.tokens.count(SEP) == 1
-        sep_at = seq.tokens.index(SEP)
+        ids = tokenize_conjecture(p.negated_conjecture, v)
+        assert ids.count(SEP) == 1
+        sep_at = ids.index(SEP)
         assert sep_at == 5  # ~ p ( a ) SEP ~ q ( b )
 
     def test_tokenize_texts_matches(self):

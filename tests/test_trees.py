@@ -13,13 +13,25 @@ from satguide.trees import (
     TreeNode,
     clause_parse_tree,
     conjecture_tree,
-    contains_kind,
-    tree_leaves,
 )
 
 
 def clause_of(text):
     return Clause(0, parse_clause_text(text))
+
+
+def tree_leaves(node: TreeNode) -> list[str]:
+    if node.kind == LEAF:
+        return [node.symbol]
+    return [s for ch in node.children for s in tree_leaves(ch)]
+
+
+def contains_kind(node: TreeNode, kind: str) -> bool:
+    return node.kind == kind or any(contains_kind(ch, kind) for ch in node.children)
+
+
+def node_count(node: TreeNode) -> int:
+    return 1 + sum(node_count(ch) for ch in node.children)
 
 
 def test_currying_binary_application():
@@ -70,7 +82,7 @@ def test_node_count_structure():
     ]
     for text, expected in cases:
         tree = clause_parse_tree(clause_of(text))
-        assert tree.node_count() == expected, text
+        assert node_count(tree) == expected, text
 
 
 def test_child_counts_validated():
