@@ -198,18 +198,22 @@ class Problem:
     axioms: list[Clause]
     negated_conjecture: list[Clause]
     signature: set[Symbol] = field(default_factory=set)
+    _conjecture_symbols: frozenset[Symbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.signature:
             self.signature = collect_signature(self.clauses())
+        syms = collect_signature(self.negated_conjecture)
+        self._conjecture_symbols = frozenset(s for s in syms if s.kind != VARIABLE)
 
     def clauses(self) -> list[Clause]:
         return self.axioms + self.negated_conjecture
 
-    def conjecture_symbols(self) -> set[Symbol]:
-        """Function and predicate symbols occurring in the negated conjecture."""
-        syms = collect_signature(self.negated_conjecture)
-        return {s for s in syms if s.kind != VARIABLE}
+    def conjecture_symbols(self) -> frozenset[Symbol]:
+        """Function and predicate symbols occurring in the negated
+        conjecture: the same set object on every call, so that every
+        `symbol_record` built against it serves every later reader."""
+        return self._conjecture_symbols
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ as axioms), conjecture (negated then clausified), negated_conjecture.
 Equality appears infix (`s = t`, `s != t`) and becomes the ordinary
 binary predicate "=". `include('file').` is resolved one level deep.
 
-Errors carry line/column. A symbol reused with a different arity or kind
-is an error anywhere in the input.
+The lexer is one regular-expression scan over the text, and tokens are
+(kind, text) pairs. Errors carry the line and column of the offending
+token, worked out from its offset only when the error is raised. A symbol
+reused with a different arity or kind is an error anywhere in the input.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import re
 
 from . import clausify as cl
 from .fol import (
@@ -40,136 +42,132 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name | var | defined | punct | end
-    text: str
-    line: int
-    col: int
+# A token is a (kind, text) pair; kind is name | var | defined | punct | end.
+# The text of a quoted name is what stands between its quotes.
+Token = tuple[str, str]
 
-
-_PUNCT2 = ("<=>", "<~>", "=>", "!=")
-_PUNCT1 = "()[],.:|&~!?="
+# Whitespace is " \t\r\n" only (not `\s`); `%` comments run to the end of
+# the line; `/* */` comments do not nest.
+_SKIP = r"(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*"
+_SKIP_RE = re.compile(_SKIP, re.DOTALL)
+# One match per token: the token, then the whitespace and comments up to
+# the next one. The last match is the empty end of the text. A word that does not start
+# with an ASCII letter, digit or `_` goes to the `word` group, whose first
+# character is checked in Python: `\w` also takes characters such as `½`
+# that may go on a word but not start one. `bad` is any other character.
+_TOKEN_RE = re.compile(r"""(?:
+    (<=>|<~>|=>|!=|[()\[\],.:|&~!?=])   # punct, two-character ones first
+  | ([A-Z]\w*)                          # var
+  | ([a-z0-9_]\w*)                      # name
+  | (\$\w*)                             # defined
+  | ('[^']*')                           # quoted name
+  | (\w+)                               # word
+  | (/\*|.)                             # bad: an open comment is unterminated
+  | \Z)""" + _SKIP, re.VERBOSE | re.DOTALL)
 
 
 def lex(text: str) -> list[Token]:
+    """The tokens of `text`, ending with ("end", "")."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":  # line comment
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated comment", line, col)
-            skipped = text[i : end + 2]
-            line += skipped.count("\n")
-            col = 1 if "\n" in skipped else col + len(skipped)
-            i = end + 2
-            continue
-        start_line, start_col = line, col
-        matched2 = next((p for p in _PUNCT2 if text.startswith(p, i)), None)
-        if matched2:
-            toks.append(Token("punct", matched2, start_line, start_col))
-            i += len(matched2)
-            col += len(matched2)
-            continue
-        if ch == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("defined", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted name", line, col)
-            toks.append(Token("name", text[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_" or ch.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if word[0].isupper() else "name"
-            toks.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            toks.append(Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("end", "", line, col))
+    add = toks.append
+    start = _SKIP_RE.match(text).end()
+    for punct, var, name, defined, quoted, word, bad in _TOKEN_RE.findall(text, start):
+        if punct:
+            add(("punct", punct))
+        elif name:
+            add(("name", name))
+        elif var:
+            add(("var", var))
+        elif defined:
+            add(("defined", defined))
+        elif quoted:
+            add(("name", quoted[1:-1]))
+        elif word and (word[0].isalpha() or word[0].isdigit()):
+            add(("var" if word[0].isupper() else "name", word))
+        elif word or bad:
+            raise _lex_error(text, len(toks), word, bad)
+        else:
+            add(("end", ""))
     return toks
 
 
-class _SignatureBuilder:
-    """Tracks (name -> kind, arity) and rejects conflicting reuse."""
+def token_positions(text: str) -> list[tuple[int, int]]:
+    """(line, column) of each token `lex` returns for `text`, worked out
+    from the offsets of a second scan. Only errors need them."""
+    out = []
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end()):
+        at = m.start()
+        newlines = text.count("\n", last, at)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, at) + 1
+        out.append((line, at - line_start + 1))
+        last = at
+    return out
 
-    def __init__(self):
-        self.by_name: dict[str, Symbol] = {}
 
-    def get(self, name: str, kind: str, arity: int, tok: Token) -> Symbol:
-        prev = self.by_name.get(name)
-        if prev is None:
-            sym = Symbol(name, kind, arity)
-            self.by_name[name] = sym
-            return sym
-        if prev.kind != kind or prev.arity != arity:
-            raise ParseError(
-                f"symbol {name!r} reused as {kind}/{arity}, "
-                f"previously {prev.kind}/{prev.arity}",
-                tok.line,
-                tok.col,
-            )
-        return prev
+def _lex_error(text: str, index: int, word: str, bad: str) -> ParseError:
+    if bad == "/*":
+        message = "unterminated comment"
+    elif bad == "'":
+        message = "unterminated quoted name"
+    else:
+        message = f"unexpected character {(word or bad)[0]!r}"
+    return ParseError(message, *token_positions(text)[index])
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], sig: _SignatureBuilder):
-        self.toks = tokens
+    """Recursive descent over the tokens of one text. `symbols` maps each
+    name to its symbol; reusing a name with another kind or arity is an
+    error. Positions are token indices, turned into a line and column
+    only for an error."""
+
+    def __init__(self, text: str, symbols: dict[str, Symbol]):
+        self.text = text
+        self.toks = lex(text)
         self.pos = 0
-        self.sig = sig
+        self.symbols = symbols
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        """The text of the current token."""
+        return self.toks[self.pos][1]
+
+    def peek_kind(self) -> str:
+        return self.toks[self.pos][0]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
+    def error(self, message: str, at: int) -> ParseError:
+        """A ParseError located at token number `at`."""
+        return ParseError(message, *token_positions(self.text)[at])
+
+    def expect(self, text: str):
+        found = self.next()[1]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}", self.pos - 1)
 
     def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise self.error(msg, self.pos)
+
+    def symbol(self, name: str, kind: str, arity: int, at: int) -> Symbol:
+        """The symbol `name` as a kind/arity; token `at` locates a conflict."""
+        prev = self.symbols.get(name)
+        if prev is None:
+            sym = self.symbols[name] = Symbol(name, kind, arity)
+            return sym
+        if prev.kind != kind or prev.arity != arity:
+            raise self.error(
+                f"symbol {name!r} reused as {kind}/{arity}, "
+                f"previously {prev.kind}/{prev.arity}",
+                at,
+            )
+        return prev
 
     # -- annotated formulas ------------------------------------------------
 
@@ -177,23 +175,22 @@ class _Parser:
         """Returns (lang, name, role, payload) tuples; payload is a literal
         tuple list for cnf and a formula tree for fof."""
         units = []
-        while self.peek().kind != "end":
-            t = self.peek()
-            if t.text == "include":
+        while self.peek_kind() != "end":
+            text = self.peek()
+            if text == "include":
                 units.append(self.parse_include())
                 continue
-            if t.text not in ("cnf", "fof"):
-                self.fail(f"expected cnf/fof/include, found {t.text!r}")
-            lang = self.next().text
+            if text not in ("cnf", "fof"):
+                self.fail(f"expected cnf/fof/include, found {text!r}")
+            lang = self.next()[1]
             self.expect("(")
-            name_tok = self.next()
-            if name_tok.kind not in ("name", "var") and not name_tok.text:
-                raise ParseError("expected unit name", name_tok.line, name_tok.col)
+            kind, name = self.next()
+            if kind not in ("name", "var") or not name:
+                raise self.error("expected unit name", self.pos - 1)
             self.expect(",")
-            role_tok = self.next()
-            role = role_tok.text
+            role = self.next()[1]
             if role not in KNOWN_ROLES:
-                raise ParseError(f"unknown role {role!r}", role_tok.line, role_tok.col)
+                raise self.error(f"unknown role {role!r}", self.pos - 1)
             self.expect(",")
             if lang == "cnf":
                 payload: object = self.parse_cnf_formula()
@@ -201,32 +198,32 @@ class _Parser:
                 payload = self.parse_fof_formula()
             self.expect(")")
             self.expect(".")
-            units.append((lang, name_tok.text, role, payload))
+            units.append((lang, name, role, payload))
         return units
 
     def parse_include(self):
         self.expect("include")
         self.expect("(")
-        t = self.next()
-        if t.kind != "name":
-            raise ParseError("expected file name", t.line, t.col)
+        kind, path = self.next()
+        if kind != "name":
+            raise self.error("expected file name", self.pos - 1)
         self.expect(")")
         self.expect(".")
-        return ("include", t.text, "", None)
+        return ("include", path, "", None)
 
     # -- cnf ---------------------------------------------------------------
 
     def parse_cnf_formula(self) -> list[Literal]:
         # TPTP cnf_formula: a disjunction, optionally in one pair of parens.
-        wrapped = self.peek().text == "("
+        wrapped = self.peek() == "("
         if wrapped:
             self.next()
         lits = []
-        if self.peek().text == "$false":
+        if self.peek() == "$false":
             self.next()
         else:
             lits.append(self.parse_literal())
-            while self.peek().text == "|":
+            while self.peek() == "|":
                 self.next()
                 lits.append(self.parse_literal())
         if wrapped:
@@ -235,89 +232,81 @@ class _Parser:
 
     def parse_literal(self) -> Literal:
         positive = True
-        while self.peek().text == "~":
+        while self.peek() == "~":
             self.next()
             positive = not positive
         return self._finish_atom(positive)
 
     def _finish_atom(self, positive: bool) -> Literal:
-        t = self.peek()
-        if t.kind in ("name", "var") or t.kind == "defined":
+        at = self.pos
+        if self.peek_kind() in ("name", "var", "defined"):
             term = self.parse_term(allow_predicate=True)
         else:
-            self.fail(f"expected atom, found {t.text!r}")
-        nxt = self.peek()
-        if nxt.text in ("=", "!="):
+            self.fail(f"expected atom, found {self.peek()!r}")
+        op, op_at = self.peek(), self.pos
+        if op in ("=", "!="):
             self.next()
             rhs = self.parse_term()
-            lhs = self._as_term(term, t)
-            eq = self.sig.get(EQ, PREDICATE, 2, nxt)
-            pos = positive if nxt.text == "=" else not positive
-            return Literal(eq, (lhs, self._as_term(rhs, t)), pos)
-        return self._as_predicate(term, t, positive)
+            lhs = self._as_term(term)
+            eq = self.symbol(EQ, PREDICATE, 2, op_at)
+            pos = positive if op == "=" else not positive
+            return Literal(eq, (lhs, self._as_term(rhs)), pos)
+        return self._as_predicate(term, at, positive)
 
-    def _as_term(self, parsed, tok: Token) -> Term:
+    def _as_term(self, parsed) -> Term:
         if isinstance(parsed, Term):
             return parsed
-        name, args, t = parsed
-        sym = self.sig.get(name, FUNCTION, len(args), t)
-        return Term(sym, tuple(args))
+        name, args, at = parsed
+        return Term(self.symbol(name, FUNCTION, len(args), at), tuple(args))
 
-    def _as_predicate(self, parsed, tok: Token, positive: bool) -> Literal:
+    def _as_predicate(self, parsed, at: int, positive: bool) -> Literal:
         if isinstance(parsed, Term):
             if parsed.is_var:
-                raise ParseError("variable used as atom", tok.line, tok.col)
-            raise ParseError(
+                raise self.error("variable used as atom", at)
+            raise self.error(
                 f"symbol {parsed.sym.name!r} reused as predicate, "
                 f"previously {parsed.sym.kind}/{parsed.sym.arity}",
-                tok.line,
-                tok.col,
+                at,
             )
-        name, args, t = parsed
-        sym = self.sig.get(name, PREDICATE, len(args), t)
-        return Literal(sym, tuple(args), positive)
+        name, args, at = parsed
+        return Literal(self.symbol(name, PREDICATE, len(args), at), tuple(args), positive)
 
     def parse_term(self, allow_predicate: bool = False):
         """Returns a Term for variables and committed functions, or an
-        undecided (name, args, token) triple the caller resolves to a
+        undecided (name, args, token index) triple the caller resolves to a
         function or predicate symbol."""
-        t = self.next()
-        if t.kind == "var":
-            return Var(t.text)
-        if t.kind not in ("name", "defined"):
-            raise ParseError(f"expected term, found {t.text!r}", t.line, t.col)
-        name = t.text
+        at = self.pos
+        kind, name = self.next()
+        if kind == "var":
+            return Var(name)
+        if kind not in ("name", "defined"):
+            raise self.error(f"expected term, found {name!r}", at)
         args: list[Term] = []
-        if self.peek().text == "(":
+        if self.peek() == "(":
             self.next()
-            args.append(self._sub_term())
-            while self.peek().text == ",":
+            args.append(self.parse_term())
+            while self.peek() == ",":
                 self.next()
-                args.append(self._sub_term())
+                args.append(self.parse_term())
             self.expect(")")
         if allow_predicate:
-            return (name, args, t)
-        sym = self.sig.get(name, FUNCTION, len(args), t)
-        return Term(sym, tuple(args))
-
-    def _sub_term(self) -> Term:
-        parsed = self.parse_term(allow_predicate=False)
-        return parsed
+            return (name, args, at)
+        return Term(self.symbol(name, FUNCTION, len(args), at), tuple(args))
 
     # -- fof ---------------------------------------------------------------
     # precedence (loosest to tightest): <=> <~>, =>, |, &, unary
 
     def parse_fof_formula(self):
         f = self.parse_fof_impl()
-        while self.peek().text in ("<=>", "<~>"):
-            op = self.next().text
+        while self.peek() in ("<=>", "<~>"):
+            op = self.next()[1]
             rhs = self.parse_fof_impl()
             f = cl.FIff(f, rhs) if op == "<=>" else cl.FNot(cl.FIff(f, rhs))
         return f
 
     def parse_fof_impl(self):
         f = self.parse_fof_or()
-        if self.peek().text == "=>":
+        if self.peek() == "=>":
             self.next()
             rhs = self.parse_fof_impl()
             return cl.FImpl(f, rhs)
@@ -325,54 +314,54 @@ class _Parser:
 
     def parse_fof_or(self):
         f = self.parse_fof_and()
-        while self.peek().text == "|":
+        while self.peek() == "|":
             self.next()
             f = cl.FOr(f, self.parse_fof_and())
         return f
 
     def parse_fof_and(self):
         f = self.parse_fof_unary()
-        while self.peek().text == "&":
+        while self.peek() == "&":
             self.next()
             f = cl.FAnd(f, self.parse_fof_unary())
         return f
 
     def parse_fof_unary(self):
-        t = self.peek()
-        if t.text == "~":
+        text = self.peek()
+        if text == "~":
             self.next()
             return cl.FNot(self.parse_fof_unary())
-        if t.text in ("!", "?"):
+        if text in ("!", "?"):
             self.next()
             self.expect("[")
             names = [self._quantified_var()]
-            while self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 names.append(self._quantified_var())
             self.expect("]")
             self.expect(":")
             body = self.parse_fof_unary()
             for name in reversed(names):
-                body = cl.FForall(name, body) if t.text == "!" else cl.FExists(name, body)
+                body = cl.FForall(name, body) if text == "!" else cl.FExists(name, body)
             return body
-        if t.text == "(":
+        if text == "(":
             self.next()
             f = self.parse_fof_formula()
             self.expect(")")
             return f
-        if t.text == "$true":
+        if text == "$true":
             self.next()
             return cl.FTrue()
-        if t.text == "$false":
+        if text == "$false":
             self.next()
             return cl.FFalse()
         return cl.FAtom(self._finish_atom(True))
 
     def _quantified_var(self) -> str:
-        t = self.next()
-        if t.kind != "var":
-            raise ParseError(f"expected variable, found {t.text!r}", t.line, t.col)
-        return t.text
+        kind, name = self.next()
+        if kind != "var":
+            raise self.error(f"expected variable, found {name!r}", self.pos - 1)
+        return name
 
 
 def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None) -> Problem:
@@ -383,9 +372,8 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
     units are conjoined before negation). Clause ids are assigned in input
     order, axioms first, negated-conjecture clauses after.
     """
-    sig = _SignatureBuilder()
-    parser = _Parser(lex(text), sig)
-    units = parser.parse_units()
+    symbols: dict[str, Symbol] = {}
+    units = _Parser(text, symbols).parse_units()
 
     expanded = []
     for unit in units:
@@ -394,7 +382,7 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
                 raise ParseError(f"include({unit[1]!r}) with no include dir", 1, 1)
             path = os.path.join(include_dir, unit[1])
             with open(path) as fh:
-                sub = _Parser(lex(fh.read()), sig).parse_units()
+                sub = _Parser(fh.read(), symbols).parse_units()
             for s in sub:
                 if s[0] == "include":
                     raise ParseError("nested include not supported", 1, 1)
@@ -402,7 +390,7 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
         else:
             expanded.append(unit)
 
-    skolems = cl.SkolemNamer(sig.by_name)
+    skolems = cl.SkolemNamer(symbols)
     axioms: list[tuple[str, list[Literal]]] = []
     neg_conj: list[tuple[str, list[Literal]]] = []
     conjectures = []  # (name, formula) conjoined and negated at the end
@@ -459,11 +447,10 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
     return Problem(name, clauses_ax, clauses_nc)
 
 
-def parse_clause_text(text: str, sig: _SignatureBuilder | None = None) -> tuple[Literal, ...]:
+def parse_clause_text(text: str) -> tuple[Literal, ...]:
     """Parse a bare printed clause like `p(X) | ~q(a)` or `$false`."""
-    parser = _Parser(lex(text), sig or _SignatureBuilder())
+    parser = _Parser(text, {})
     lits = parser.parse_cnf_formula()
-    end = parser.peek()
-    if end.kind != "end":
-        raise ParseError(f"trailing input {end.text!r}", end.line, end.col)
+    if parser.peek_kind() != "end":
+        parser.fail(f"trailing input {parser.peek()!r}")
     return tuple(lits)

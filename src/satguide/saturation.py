@@ -42,7 +42,7 @@ from .fol import (
     canonical_key,
     clause_str,
     normalize_variables,
-    symbol_counts,
+    symbol_record,
 )
 from .heuristics import SelectionSchedule, parse_schedule
 from .rules import (
@@ -250,8 +250,11 @@ class Saturation:
         """`schedule` overrides the one `config.schedule` spells."""
         self.problem = problem
         self.config = config
+        # the set the conjrel weights read, so each clause's symbols are
+        # walked once, at admission (see `fol.symbol_record`)
+        self.conj_symbols = problem.conjecture_symbols()
         if schedule is None:
-            schedule = parse_schedule(config.schedule, problem.conjecture_symbols())
+            schedule = parse_schedule(config.schedule, self.conj_symbols)
         self.schedule = schedule
         self.processed: list[Clause] = []  # in the processed namespace
         self.nodes: dict[int, ProofNode] = {}
@@ -288,7 +291,7 @@ class Saturation:
             if c.is_empty and self.empty_clause_id is None:
                 self.empty_clause_id = c.id
             self.schedule.insert(c)
-            self.stored_symbols += sum(symbol_counts(c))
+            self._store_symbols(c)
 
     # -- one step -------------------------------------------------------------
 
@@ -385,9 +388,15 @@ class Saturation:
         if key in self.seen_keys:
             return False
         self.seen_keys.add(key)
-        self.schedule.insert(c)  # its weights walk c's symbols once...
-        self.stored_symbols += sum(symbol_counts(c))  # ...and this reads them
+        self.schedule.insert(c)
+        self._store_symbols(c)
         return False
+
+    def _store_symbols(self, c: Clause):
+        """Count c's symbols into memory use; this builds the record its
+        weights read."""
+        rec = symbol_record(c, self.conj_symbols)
+        self.stored_symbols += rec.fp + rec.vars
 
     # -- limits ---------------------------------------------------------------
 

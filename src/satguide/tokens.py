@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 
 from .fol import Clause, clause_tokens, normalize_variables
+from .parser import lex
 
 PAD = 0
 OOV = 1
@@ -88,18 +89,14 @@ def tokenize_conjecture(
 
 def tokenize_texts(texts: list[str], vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
     """Token ids for pre-printed clause texts joined by SEP."""
-    from .parser import lex
-
     ids: list[int] = []
     for i, text in enumerate(texts):
         if i:
             ids.append(SEP)
-        ids.extend(vocab.lookup(t.text) for t in lex(text) if t.kind != "end")
+        ids.extend(map(vocab.lookup, text_tokens(text)))
     return ids[:max_len]
 
 
 def text_tokens(text: str) -> list[str]:
     """Lex a printed clause back into its token strings."""
-    from .parser import lex
-
-    return [t.text for t in lex(text) if t.kind != "end"]
+    return [t for _, t in lex(text)[:-1]]

@@ -22,11 +22,16 @@ occurs check on every binding and a rebuilt term for every application.
 They are the references for `unify`, `fol.symbol_counts` and the
 `heuristics` weights; `resolve` is `rules.resolve` built on them.
 `clause_variables` collects a clause's variable symbols.
+
+`lex` is the TPTP lexer as it was before `parser.lex` became one regular
+expression scan: one Python step per character, a `Token` with its line
+and column for every token. It is the reference for the tokens, the
+token positions and the lexical errors of `parser`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from satguide.fol import (
     normalize_variables,
 )
 from satguide.neural import tensor as T
+from satguide.parser import ParseError
 from satguide import rules
 from satguide.saturation import SAT, UNSAT
 
@@ -243,6 +249,89 @@ def conjecture_relative_weight(c: Clause, conj_symbols, base_fw=2.0, base_vw=1.0
 def clause_variables(c: Clause) -> set[Symbol]:
     """The variable symbols occurring in `c`."""
     return {s for s in clause_symbols(c) if s.kind == VARIABLE}
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # name | var | defined | punct | end
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT2 = ("<=>", "<~>", "=>", "!=")
+_PUNCT1 = "()[],.:|&~!?="
+
+
+def lex(text: str) -> list[Token]:
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":  # line comment
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise ParseError("unterminated comment", line, col)
+            skipped = text[i : end + 2]
+            line += skipped.count("\n")
+            col = 1 if "\n" in skipped else col + len(skipped)
+            i = end + 2
+            continue
+        start_line, start_col = line, col
+        matched2 = next((p for p in _PUNCT2 if text.startswith(p, i)), None)
+        if matched2:
+            toks.append(Token("punct", matched2, start_line, start_col))
+            i += len(matched2)
+            col += len(matched2)
+            continue
+        if ch == "$":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("defined", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch == "'":
+            j = text.find("'", i + 1)
+            if j < 0:
+                raise ParseError("unterminated quoted name", line, col)
+            toks.append(Token("name", text[i + 1 : j], start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isalpha() or ch == "_" or ch.isdigit():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "var" if word[0].isupper() else "name"
+            toks.append(Token(kind, word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT1:
+            toks.append(Token("punct", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("end", "", line, col))
+    return toks
 
 
 def bfs_saturate(problem: Problem, max_level: int = 30,

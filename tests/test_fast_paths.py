@@ -13,6 +13,12 @@ searches compute is also recomputed by the reference implementations in
 substitution): the mgus make the same atoms, the resolvents are equal,
 the counts are equal and the weights have the same bits. The cached
 `Symbol` and `Term` hashes equal the hashes of their field tuples.
+
+The regular-expression lexer gives the tokens, and `token_positions` the
+lines and columns, of the character-by-character lexer kept in `oracles`,
+on every printed corpus problem, every premise text that premise ranking
+lexes and a set of edge cases; malformed inputs raise the same message at
+the same line and column.
 """
 
 import pytest
@@ -20,7 +26,9 @@ import pytest
 import satguide.heuristics as heuristics
 import satguide.rules as rules
 import satguide.saturation as saturation
+import satguide.tokens as tokens
 from satguide.corpus import desk_corpus
+from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import (
     FUNCTION,
     PREDICATE,
@@ -29,8 +37,15 @@ from satguide.fol import (
     Term,
     Var,
     canonical_key,
+    clause_str,
+    normalize_variables,
+    problem_str,
     term_symbols,
 )
+from satguide.guidance import ClauseScorer
+from satguide.neural.models import ModelConfig, init_model
+from satguide.parser import ParseError, lex, token_positions
+from satguide.premsel import rank_premises
 from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
 from satguide.unify import apply_sub_literal, unify_atoms
@@ -130,7 +145,6 @@ def searches(problems, log):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(saturation, "resolve", resolved)
         mp.setattr(saturation, "subsumes", compared)
-        mp.setattr(saturation, "symbol_counts", counted)
         mp.setattr(rules, "unify_atoms", unified)
         mp.setattr(heuristics, "symbol_counts", counted)
         mp.setattr(heuristics, "conjecture_relative_weight", conjrel)
@@ -259,3 +273,92 @@ def test_variable_names_do_not_grow_with_depth(searches):
             longest[d] = max(longest.get(d, 0), *names, 0)
     assert max(longest) >= 8
     assert max(longest[d] for d in longest if d >= 2) <= longest[1]
+
+
+# -- the lexer -------------------------------------------------------------------
+
+LEX_EDGES = [
+    "",
+    " \t\r\n ",
+    "% only a comment\n",
+    "cnf(a,\taxiom,\tp(X)).\r\ncnf(b, axiom, q).\r\n",
+    "% header\ncnf(c, axiom, p(a)). % trailing\n  cnf(d, axiom, q(b)).\n",
+    "/* one line */ cnf(e, axiom, /* in */ p(a)) /**/ .\n",
+    "cnf('a b', axiom, p('Foo Bar', 'x', '')).\n",
+    "cnf(f, axiom, $false). fof(g, axiom, $true | $ | $$x).\n",
+    "cnf(h, axiom, pé(Xé, aⅫ, _u, 9z, ²x, Éa, ǅb)).\n",
+    "fof(i, axiom, ![X, Y]: (p(X) <=> (q(Y) <~> ~r(X))) & (s => t) | u != v = w"
+    " | ?[Z]: z(Z)).\n",
+]
+
+LEX_ERRORS = [
+    "cnf(a, axiom, p(a)).\n  /* open\n cnf(b, axiom, q).\n",
+    "cnf(a, axiom, p(a)).\ncnf('abc, axiom, q).\n",
+    "cnf(a, axiom, p(a) @ q).\n",
+    "cnf(a, axiom,\fp(a)).\n",
+    "fof(a, axiom, p < q).\n",
+    "fof(a, axiom, p <= q).\n",
+    "cnf(a, axiom, p(a) / q).\n",
+    "cnf(a, axiom, p(½x)).\n",
+    "cnf(a, axiom, p(x½)). cnf(b, axiom, Ⅻ).\n",
+]
+
+
+def _premise_texts():
+    """Every clause text `rank_premises` lexes on the premsel problems."""
+    problems = [item.problem for item in desk_corpus(0) if item.family == "premsel"]
+    examples = [TrainingExample(clause_str(normalize_variables(c)), ["~g"], 1, "x", c.id)
+                for c in problems[0].clauses()]
+    vocab = build_vocabulary(examples)
+    model = init_model(ModelConfig(arch="cnn", vocab_size=len(vocab), dim=8, hidden=8),
+                       vocab_hash=vocab.hash)
+    model.quantize()
+    texts = []
+
+    def recorded(text):
+        texts.append(text)
+        return lex(text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokens, "lex", recorded)
+        for problem in problems:
+            rank_premises(problem, ClauseScorer(model, vocab, problem))
+    return texts
+
+
+def _lexed(text):
+    return [(kind, word, line, col)
+            for (kind, word), (line, col) in zip(lex(text), token_positions(text))]
+
+
+def _reference(text):
+    return [(t.kind, t.text, t.line, t.col) for t in oracles.lex(text)]
+
+
+def test_lexer_agrees_with_reference_on_corpus():
+    texts = [problem_str(item.problem) for seed in range(4) for item in desk_corpus(seed)]
+    assert len(texts) > 500 and sum(map(len, texts)) > 500_000
+    for text in texts:
+        assert _lexed(text) == _reference(text)
+
+
+def test_lexer_agrees_with_reference_on_premise_texts():
+    texts = _premise_texts()
+    assert len(texts) > 1000
+    for text in texts:
+        assert _lexed(text) == _reference(text)
+
+
+@pytest.mark.parametrize("text", LEX_EDGES)
+def test_lexer_agrees_with_reference_on_edge_cases(text):
+    assert _lexed(text) == _reference(text)
+
+
+@pytest.mark.parametrize("text", LEX_ERRORS)
+def test_lexer_errors_agree_with_reference(text):
+    with pytest.raises(ParseError) as ref:
+        oracles.lex(text)
+    with pytest.raises(ParseError) as err:
+        lex(text)
+    assert str(err.value) == str(ref.value)
+    assert (err.value.line, err.value.col) == (ref.value.line, ref.value.col)

@@ -88,7 +88,7 @@ class TestPrinting:
             ),
         )
         printed = clause_str(cl)
-        lexed = [t.text for t in lex(printed) if t.kind != "end"]
+        lexed = [text for kind, text in lex(printed) if kind != "end"]
         assert clause_tokens(cl) == lexed
 
     def test_symbol_counts(self):

@@ -61,6 +61,42 @@ class TestCnf:
         assert err.value.line == 1
         assert err.value.col > 1
 
+    @pytest.mark.parametrize("name", ["=", "$true", "''", "("])
+    def test_bad_unit_name_rejected_at_its_token(self, name):
+        with pytest.raises(ParseError) as err:
+            parse_tptp(f"cnf(a, axiom, p(a)).\ncnf({name}, axiom, p(b)).")
+        assert "expected unit name" in str(err.value)
+        assert (err.value.line, err.value.col) == (2, 5)
+
+    def test_integer_and_quoted_unit_names_accepted(self):
+        p = parse_tptp("cnf(42, axiom, p(a)). cnf('a b', axiom, p(b)).")
+        assert [c.origin for c in p.axioms] == ["42", "a b"]
+
+
+class TestPositions:
+    def test_column_after_multiline_block_comment(self):
+        with pytest.raises(ParseError) as err:
+            parse_tptp("cnf(a,axiom,p(a)).\n/* x\n  y */ cnf(b, axiom, @).")
+        assert "unexpected character '@'" in str(err.value)
+        assert (err.value.line, err.value.col) == (3, 22)
+
+    def test_newline_inside_quoted_name_counts(self):
+        with pytest.raises(ParseError) as err:
+            parse_tptp("cnf('a\nb', axiom, @).")
+        assert (err.value.line, err.value.col) == (2, 12)
+
+    def test_end_of_input_after_trailing_comment(self):
+        with pytest.raises(ParseError) as err:
+            parse_tptp("cnf(a, axiom, p(a) % open")
+        assert "found ''" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, 26)
+
+    def test_conflict_located_at_reused_symbol(self):
+        with pytest.raises(ParseError) as err:
+            parse_tptp("cnf(a, axiom, p(f(a))).\n cnf(b, axiom, q(f)).")
+        assert "'f' reused as function/0" in str(err.value)
+        assert (err.value.line, err.value.col) == (2, 18)
+
 
 class TestFof:
     def test_implication(self):

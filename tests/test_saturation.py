@@ -2,6 +2,8 @@
 
 import pytest
 
+import satguide.fol as fol
+from satguide.corpus import desk_corpus
 from satguide.fol import Clause, clause_str
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import (
@@ -168,6 +170,28 @@ def test_tautological_input_never_processed():
         pass
     assert state.discarded_given == 1
     assert [clause_str(c) for c in state.processed] == ["q(b)", "~r(c)"]
+
+
+def test_symbols_walked_once_per_stored_clause(monkeypatch):
+    # admission and the conjecture-relative weights read one symbol record
+    # per clause, built against the problem's one conjecture symbol set
+    built = []
+
+    class CountedRecord(fol.SymbolRecord):
+        __slots__ = ()
+
+        def __init__(self, conj, classes):
+            super().__init__(conj, classes)
+            built.append(conj)
+
+    monkeypatch.setattr(fol, "SymbolRecord", CountedRecord)
+    problem = next(item.problem for item in desk_corpus(0) if item.name == "flood023")
+    state = Saturation(problem, SearchConfig(max_processed=300, max_wall_ms=None))
+    state.run()
+    stored = [n.clause for n in state.nodes.values() if n.clause.symbols is not None]
+    assert len(stored) > 1000
+    assert len(built) == len(stored)
+    assert all(conj is problem.conjecture_symbols() for conj in built)
 
 
 class TestUsedSet:
