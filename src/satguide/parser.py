@@ -51,10 +51,11 @@ Token = tuple[str, str]
 _SKIP = r"(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*"
 _SKIP_RE = re.compile(_SKIP, re.DOTALL)
 # One match per token: the token, then the whitespace and comments up to
-# the next one. The last match is the empty end of the text. A word that does not start
-# with an ASCII letter, digit or `_` goes to the `word` group, whose first
-# character is checked in Python: `\w` also takes characters such as `½`
-# that may go on a word but not start one. `bad` is any other character.
+# the next one. The last match is the empty end of the text. A word that
+# does not start with an ASCII letter, digit or `_` goes to the `word`
+# group, whose first character is checked in Python: `\w` also takes
+# characters such as `½` that may go on a word but not start one. `bad` is
+# any other character.
 _TOKEN_RE = re.compile(r"""(?:
     (<=>|<~>|=>|!=|[()\[\],.:|&~!?=])   # punct, two-character ones first
   | ([A-Z]\w*)                          # var
@@ -159,8 +160,8 @@ class _Parser:
         """The symbol `name` as a kind/arity; token `at` locates a conflict."""
         prev = self.symbols.get(name)
         if prev is None:
-            sym = self.symbols[name] = Symbol(name, kind, arity)
-            return sym
+            prev = self.symbols[name] = Symbol(name, kind, arity)
+            return prev
         if prev.kind != kind or prev.arity != arity:
             raise self.error(
                 f"symbol {name!r} reused as {kind}/{arity}, "
@@ -268,7 +269,7 @@ class _Parser:
                 f"previously {parsed.sym.kind}/{parsed.sym.arity}",
                 at,
             )
-        name, args, at = parsed
+        name, args, _ = parsed
         return Literal(self.symbol(name, PREDICATE, len(args), at), tuple(args), positive)
 
     def parse_term(self, allow_predicate: bool = False):

@@ -250,8 +250,8 @@ class Saturation:
         """`schedule` overrides the one `config.schedule` spells."""
         self.problem = problem
         self.config = config
-        # the set the conjrel weights read, so each clause's symbols are
-        # walked once, at admission (see `fol.symbol_record`)
+        # the problem's one conjecture symbol set, which the conjrel weights
+        # read too: each clause's symbols are walked once, at admission
         self.conj_symbols = problem.conjecture_symbols()
         if schedule is None:
             schedule = parse_schedule(config.schedule, self.conj_symbols)
