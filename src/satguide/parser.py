@@ -158,17 +158,16 @@ class _Parser:
 
     def symbol(self, name: str, kind: str, arity: int, at: int) -> Symbol:
         """The symbol `name` as a kind/arity; token `at` locates a conflict."""
-        prev = self.symbols.get(name)
-        if prev is None:
-            prev = self.symbols[name] = Symbol(name, kind, arity)
-            return prev
-        if prev.kind != kind or prev.arity != arity:
+        sym = self.symbols.get(name)
+        if sym is None:
+            sym = self.symbols[name] = Symbol(name, kind, arity)
+        elif sym.kind != kind or sym.arity != arity:
             raise self.error(
                 f"symbol {name!r} reused as {kind}/{arity}, "
-                f"previously {prev.kind}/{prev.arity}",
+                f"previously {sym.kind}/{sym.arity}",
                 at,
             )
-        return prev
+        return sym
 
     # -- annotated formulas ------------------------------------------------
 
