@@ -7,8 +7,8 @@ predicate named "=" (printed infix, no built-in equality reasoning).
 
 The printed form of a clause is canonical: it round-trips through the
 parser (a name that would not lex back as a name is printed quoted, so
-`p('Foo')` never re-reads as `p(X)`) and its lexed token stream is
-exactly what the tokenizer emits.
+`p('Foo')` never re-reads as `p(X)`), and the lexed token stream of a
+variable-normalized clause is exactly what the tokenizer emits.
 """
 
 from __future__ import annotations
@@ -304,43 +304,48 @@ def symbol_counts(c: Clause) -> tuple[int, int]:
 FALSE_TOKEN = "$false"
 
 
-def term_tokens(t: Term) -> list[str]:
-    if not t.args:
-        return [t.sym.name]
-    toks = [t.sym.name, "("]
-    for i, a in enumerate(t.args):
-        if i:
-            toks.append(",")
-        toks.extend(term_tokens(a))
-    toks.append(")")
-    return toks
-
-
-def literal_tokens(lit: Literal) -> list[str]:
-    if lit.pred.name == EQ:
-        op = "=" if lit.positive else "!="
-        return term_tokens(lit.args[0]) + [op] + term_tokens(lit.args[1])
-    toks = [] if lit.positive else ["~"]
-    toks.append(lit.pred.name)
-    if lit.args:
-        toks.append("(")
-        for i, a in enumerate(lit.args):
-            if i:
-                toks.append(",")
-            toks.extend(term_tokens(a))
-        toks.append(")")
-    return toks
-
-
 def clause_tokens(c: Clause) -> list[str]:
-    """The clause's printed symbol stream (names, ~, |, parens, commas)."""
+    """The printed symbol stream (names, ~, |, parens, commas) of
+    `normalize_variables(c)`: variables are named V1, V2, ... in order of
+    first occurrence during the walk itself."""
     if c.is_empty:
         return [FALSE_TOKEN]
+    variables: dict[str, str] = {}
     toks: list[str] = []
+    add = toks.append
+
+    def arguments(ts):
+        add("(")
+        for i, a in enumerate(ts):
+            if i:
+                add(",")
+            term(a)
+        add(")")
+
+    def term(t: Term):
+        if t.is_var:
+            v = variables.get(t.sym.name)
+            if v is None:
+                v = variables[t.sym.name] = f"V{len(variables) + 1}"
+            add(v)
+        else:
+            add(t.sym.name)
+            if t.args:
+                arguments(t.args)
+
     for i, lit in enumerate(c.literals):
         if i:
-            toks.append("|")
-        toks.extend(literal_tokens(lit))
+            add("|")
+        if lit.pred.name == EQ:
+            term(lit.args[0])
+            add("=" if lit.positive else "!=")
+            term(lit.args[1])
+            continue
+        if not lit.positive:
+            add("~")
+        add(lit.pred.name)
+        if lit.args:
+            arguments(lit.args)
     return toks
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fol import Clause, Problem, normalize_variables
+from .fol import Clause, Problem
 from .heuristics import SelectionSchedule, WeightFunction, parse_schedule
 from .neural import tensor as T
 from .neural.models import (
@@ -132,8 +132,9 @@ class ClauseScorer:
 
     def sequence_probabilities(self, batch_ids: list[list[int]]) -> list[float]:
         """`probabilities` of token sequences through the clause tower,
-        embedded batch_size at a time. Padded positions are masked after
-        every layer, so each row is bit-identical to a lone evaluation."""
+        embedded batch_size at a time. Each chunk runs packed, and no layer
+        reads across a sequence boundary, so each row is bit-identical to a
+        lone evaluation."""
         probs: list[float] = []
         for start in range(0, len(batch_ids), self.batch_size):
             with T.no_grad():
@@ -156,8 +157,7 @@ class ClauseScorer:
             self.clause_evals += len(chunk)
             if self._sequence:
                 probs = self.sequence_probabilities([
-                    tokenize(normalize_variables(c), self.vocab, self.max_len)
-                    for c in chunk
+                    tokenize(c, self.vocab, self.max_len) for c in chunk
                 ])
             else:
                 with T.no_grad():

@@ -11,6 +11,11 @@ layer within a block) with residual connections; and recursive networks
 (plain ReLU or tree LSTM with per-child forget gates including the
 cross-child terms) over curried parse trees.
 
+A batch of token sequences runs packed: its tokens are the rows of one
+[N, dim] array, with no padding rows and no masks, and a `tensor.Segments`
+layout keeps every convolution tap and the max-pooling inside each
+sequence.
+
 Parameters are stored as float32-representable float64 arrays so that
 checkpoints (float32 blobs) round-trip without changing a single score.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -158,45 +164,48 @@ def init_model(config: ModelConfig, vocab_hash: str = "") -> ModelParams:
 # -- convolutions ----------------------------------------------------------------
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
-           mask: Tensor | None = None) -> Tensor:
-    """Dilated 1-D convolution, symmetric (non-causal), zero padding.
+def conv1d(x: Tensor, w: Tensor, b: Tensor, segments: T.Segments,
+           dilation: int = 1) -> Tensor:
+    """Dilated 1-D convolution, symmetric (non-causal), zero padding, over
+    the packed sequences `segments` lays out in the rows of x.
 
     out_i = b + sum_j w_j @ x_{i - dilation*(j - ceil(s/2))} for j = 1..s,
-    with out-of-range inputs read as zero. `w` is [s, C_in, C_out]; the
-    time axis is the second-to-last of x. `mask` re-zeroes padded rows in
-    batched inputs.
+    with inputs outside row i's own sequence read as zero. `w` is
+    [s, C_in, C_out] and x is [N, C_in].
     """
-    out = T.add(T.conv_taps(x, w, dilation), b)
-    if mask is not None:
-        out = T.mul(out, mask)
-    return out
+    return T.add(T.conv_taps(x, w, segments, dilation), b)
 
 
-def _cnn_tower(x: Tensor, model: ModelParams, tower: str, mask: Tensor | None) -> Tensor:
+def _dropout(rng: np.random.Generator, segments: T.Segments, width: int,
+             rate: float) -> Tensor:
+    """A keep mask for the packed rows. It is drawn over the padded
+    (B, max_len, width) shape and gathered to the rows that hold a token,
+    so the random stream does not depend on the packing."""
+    keep = rng.random((len(segments), segments.max_len, width)) >= rate
+    return T.constant(keep.reshape(-1, width)[segments.padded_rows()].astype(np.float64))
+
+
+def _cnn_tower(x: Tensor, model: ModelParams, tower: str, segments: T.Segments) -> Tensor:
     cfg = model.config
     for i in range(cfg.cnn_layers):
         x = conv1d(x, model.params[f"{tower}.conv{i}.w"],
-                   model.params[f"{tower}.conv{i}.b"], 1, mask)
+                   model.params[f"{tower}.conv{i}.b"], segments)
         x = T.relu(x)
     return x
 
 
 def _wavenet_layer(x: Tensor, model: ModelParams, tower: str, b: int, l: int,
-                   dilation: int, mask: Tensor | None) -> Tensor:
+                   dilation: int, segments: T.Segments) -> Tensor:
     p = model.params
     filt = conv1d(x, p[f"{tower}.b{b}.l{l}.filter.w"], p[f"{tower}.b{b}.l{l}.filter.b"],
-                  dilation)
+                  segments, dilation)
     gate = conv1d(x, p[f"{tower}.b{b}.l{l}.gate.w"], p[f"{tower}.b{b}.l{l}.gate.b"],
-                  dilation)
-    delta = T.mul(T.tanh(filt), T.sigmoid(gate))
-    if mask is not None:
-        delta = T.mul(delta, mask)
-    return T.add(x, delta)
+                  segments, dilation)
+    return T.add(x, T.mul(T.tanh(filt), T.sigmoid(gate)))
 
 
 def _wavenet_block(x: Tensor, model: ModelParams, tower: str, b: int,
-                   mask: Tensor | None, feature_mask: Tensor | None) -> Tensor:
+                   segments: T.Segments, feature_mask: Tensor | None) -> Tensor:
     """One block: layer stack over the (possibly feature-dropped) input,
     dilation doubling per layer; the block residual carries the undropped
     input, so zero weights leave the block an exact identity."""
@@ -204,23 +213,19 @@ def _wavenet_block(x: Tensor, model: ModelParams, tower: str, b: int,
     y = y0
     dilation = 1
     for l in range(model.config.wavenet_layers):
-        y = _wavenet_layer(y, model, tower, b, l, dilation, mask)
+        y = _wavenet_layer(y, model, tower, b, l, dilation, segments)
         dilation *= 2
     return T.add(x, T.sub(y, y0))
 
 
-def _wavenet_tower(x: Tensor, model: ModelParams, tower: str, mask: Tensor | None,
+def _wavenet_tower(x: Tensor, model: ModelParams, tower: str, segments: T.Segments,
                    train_mode: bool, rng: np.random.Generator | None) -> Tensor:
     cfg = model.config
-    if train_mode and cfg.token_dropout > 0.0:
-        keep = (rng.random(x.data.shape[:-1] + (1,)) >= cfg.token_dropout)
-        x = T.mul(x, T.constant(keep.astype(np.float64)))
     for b in range(cfg.wavenet_blocks):
         feature_mask = None
         if train_mode and cfg.feature_dropout > 0.0:
-            keep = (rng.random(x.data.shape) >= cfg.feature_dropout)
-            feature_mask = T.constant(keep.astype(np.float64))
-        x = _wavenet_block(x, model, tower, b, mask, feature_mask)
+            feature_mask = _dropout(rng, segments, cfg.dim, cfg.feature_dropout)
+        x = _wavenet_block(x, model, tower, b, segments, feature_mask)
     return x
 
 
@@ -240,32 +245,26 @@ def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
 
     PAD tokens are padding, not content: they are stripped before the
     lookup, and an empty (or PAD-only) sequence embeds to the zero vector.
-    Positions past a row's length are masked to zero after every layer, so
-    each row equals its embedding as a batch of one.
+    The batch's tokens are packed end to end as the rows of one [N, dim]
+    array, and no layer reads across a sequence boundary, so each row
+    equals its embedding as a batch of one.
     """
-    if model.config.arch not in SEQ_ARCHS:
-        raise ValueError(f"embed_sequences needs a sequence architecture, got {model.config.arch}")
+    cfg = model.config
+    if cfg.arch not in SEQ_ARCHS:
+        raise ValueError(f"embed_sequences needs a sequence architecture, got {cfg.arch}")
     stripped = [[i for i in ids if i != PAD_ID] for ids in batch_ids]
-    lengths = [len(ids) for ids in stripped]
-    t_max = max(lengths) if lengths else 0
-    if t_max == 0:
-        return T.constant(np.zeros((len(batch_ids), model.config.dim)))
-    mat = np.full((len(stripped), t_max), PAD_ID, dtype=np.intp)
-    for i, ids in enumerate(stripped):
-        mat[i, : len(ids)] = ids
-    raw_mask = np.zeros((len(stripped), t_max, 1))
-    for i, n in enumerate(lengths):
-        raw_mask[i, :n] = 1.0
-    mask = T.constant(raw_mask)
-    x = T.mul(T.embedding(model.params["embedding"], mat), mask)
-    if model.config.arch == ARCH_CNN:
-        if train_mode and model.config.token_dropout > 0.0:
-            keep = (rng.random((len(stripped), t_max, 1)) >= model.config.token_dropout)
-            x = T.mul(x, T.constant(keep.astype(np.float64)))
-        x = _cnn_tower(x, model, tower, mask)
+    segments = T.Segments([len(ids) for ids in stripped])
+    if segments.n == 0:
+        return T.constant(np.zeros((len(batch_ids), cfg.dim)))
+    tokens = np.fromiter(chain.from_iterable(stripped), dtype=np.intp, count=segments.n)
+    x = T.embedding(model.params["embedding"], tokens)
+    if train_mode and cfg.token_dropout > 0.0:
+        x = T.mul(x, _dropout(rng, segments, 1, cfg.token_dropout))
+    if cfg.arch == ARCH_CNN:
+        x = _cnn_tower(x, model, tower, segments)
     else:
-        x = _wavenet_tower(x, model, tower, mask, train_mode, rng)
-    return T.max_time(x, lengths)
+        x = _wavenet_tower(x, model, tower, segments, train_mode, rng)
+    return T.segment_max(x, segments)
 
 
 # -- tree embedding -----------------------------------------------------------------
@@ -385,7 +384,7 @@ class PairInput:
 
 def forward_logits(batch: list[PairInput], model: ModelParams,
                    train_mode: bool = False, rng=None) -> Tensor:
-    """Logits [B] for a batch; sequence towers run batched with masking."""
+    """Logits [B] for a batch; sequence towers run on the packed batch."""
     if model.config.arch in SEQ_ARCHS:
         vc = embed_sequences([p.clause_ids for p in batch], model, TOWER_CLAUSE,
                              train_mode, rng)

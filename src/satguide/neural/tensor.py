@@ -6,6 +6,11 @@ graph per example). Every op checks its result for NaN/Inf and raises
 FloatingPointError on the spot, so a bad update is caught where it
 happens rather than steps later.
 
+A batch of sequences is packed, not padded: its tokens are the rows of
+one [N, C] array, and a `Segments` layout says which rows belong to which
+sequence. `conv_taps` and `segment_max` never mix rows of two sequences,
+so nothing needs masking.
+
 `no_grad()` disables graph construction for inference paths.
 """
 
@@ -255,50 +260,93 @@ def narrow(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _tap_rows(offset: int, t: int) -> tuple[slice, slice]:
-    """(output rows, input rows) that a tap at `offset` connects:
-    out[i] reads in[i - offset]; rows read from outside [0, t) are zero."""
-    if offset >= 0:
-        return slice(offset, t), slice(0, max(t - offset, 0))
-    return slice(0, max(t + offset, 0)), slice(-offset, t)
+class Segments:
+    """Sequences packed end to end as the rows of one [N, C] array: sequence
+    b is rows starts[b] : starts[b] + lengths[b]. Empty sequences take no
+    rows."""
+
+    def __init__(self, lengths):
+        self.lengths = np.array(lengths, dtype=np.intp)
+        ends = self.lengths.cumsum()
+        self.starts = ends - self.lengths
+        self.n = int(ends[-1]) if len(ends) else 0
+        self.max_len = int(self.lengths.max()) if len(ends) else 0
+        self.pos = np.arange(self.n) - np.repeat(self.starts, self.lengths)  # in its sequence
+        self._cuts: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def cut(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(k, r): the rows r whose image r + offsets[k] lies outside r's own
+        sequence, each with the index k of its offset."""
+        pairs = self._cuts.get(offsets)
+        if pairs is None:
+            ahead = np.repeat(self.lengths, self.lengths) - self.pos  # rows to the end
+            rows = [np.flatnonzero(ahead <= o if o > 0 else self.pos < -o) for o in offsets]
+            k = np.repeat(np.arange(len(offsets)), [len(r) for r in rows])
+            pairs = self._cuts[offsets] = (k, np.concatenate(rows))
+        return pairs
+
+    def padded_rows(self) -> np.ndarray:
+        """Each row's index in the flattened (B, max_len) padded layout."""
+        return np.repeat(np.arange(len(self)) * self.max_len, self.lengths) + self.pos
 
 
-def conv_taps(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
-    """The tap sum of a dilated, symmetric, zero-padded 1-D convolution.
+def conv_taps(x: Tensor, w: Tensor, segments: Segments, dilation: int = 1) -> Tensor:
+    """The tap sum of a dilated, symmetric, zero-padded 1-D convolution
+    over packed sequences.
 
     out_i = sum_j x_{i - dilation*(j - ceil(s/2))} @ w_j for j = 1..s, with
-    `w` [s, C_in, C_out] and time on the second-to-last axis of x ([T, C]
-    or [B, T, C]). The shifted copies of x are stacked on a tap axis and
-    multiplied by the taps in one matmul; each tap's product is then the
-    BLAS call a lone `shift(x) @ w_j` makes, and the products are added in
-    tap order, so the sum is bit-identical to adding the per-tap products
-    one after another. (Multiplying x once by a [C_in, s*C_out] kernel
-    would put a tap's columns elsewhere in the BLAS call, which can round
-    them differently.)
+    `w` [s, C_in, C_out], x [N, C_in] the rows of `segments`, and a row
+    read from outside i's own sequence counting as zero. Each tap
+    multiplies all N rows in one BLAS call (one matmul runs them all); the
+    products that would cross a sequence boundary are zeroed, and the
+    shifted products are added in tap order. Every output row is so one
+    dot product per tap, summed in the same order as for the sequence
+    alone or padded. (Multiplying x once by a [C_in, s*C_out] kernel would
+    put a tap's columns elsewhere in the BLAS call, which can round them
+    differently.) Taps that reach past every sequence are skipped. When no
+    sequence is longer than one token, each row is multiplied on its own,
+    as it is alone: BLAS can round a row of a many-row product differently
+    from a one-row product. At some widths BLAS also rounds a row by its
+    position in the product (OpenBLAS's Haswell kernels at C_out = 8k+1 to
+    8k+3 with C_in >= 16); there rows can differ in the last bit between
+    layouts.
     """
     s, c_in, c_out = w.data.shape
-    t = x.data.shape[-2]
+    n = x.data.shape[0]
     center = (s + 1) // 2
-    rows = [_tap_rows(dilation * (j - center), t) for j in range(1, s + 1)]
-    shifted = np.zeros((s,) + x.data.shape)
-    for j, (dst, src) in enumerate(rows):
-        shifted[j][..., dst, :] = x.data[..., src, :]
-    terms = np.matmul(shifted, w.data.reshape((s,) + (1,) * (x.data.ndim - 2) + (c_in, c_out)))
-    out_data = terms[0].copy()
-    for term in terms[1:]:
-        out_data += term
+    offsets = [dilation * (j - center) for j in range(1, s + 1)]
+    live = [j for j, o in enumerate(offsets) if abs(o) < segments.max_len]
+    lo, hi = live[0], live[-1] + 1  # the live taps are the middle ones
+    shifts = tuple(offsets[lo:hi])
+    rows = (n, 1) if segments.max_len == 1 else (n,)
+    taps = w.data[lo:hi].reshape((hi - lo,) + (1,) * (len(rows) - 1) + (c_in, c_out))
+    terms = np.matmul(x.data.reshape(rows + (c_in,)), taps).reshape(hi - lo, n, c_out)
+    k, r = segments.cut(shifts)
+    terms[k, r] = 0.0
+    out_data = np.zeros((n, c_out))
+    for term, o in zip(terms, shifts):
+        if o >= 0:
+            out_data[o:] += term[: n - o]
+        else:
+            out_data[: n + o] += term[-o:]
 
     def backward(g):
+        # gt[i, j] is the output gradient tap j routes back to input row i
+        gt = np.zeros((n, s, c_out))
+        for j, o in enumerate(shifts, lo):
+            if o >= 0:
+                gt[: n - o, j] = g[o:]
+            else:
+                gt[-o:, j] = g[: n + o]
+        gt[r, k + lo] = 0.0
         if x.requires_grad:
-            # gt[..., i, j, :] is the output gradient tap j routes back to input row i
-            gt = np.zeros(g.shape[:-1] + (s, c_out))
-            for j, (dst, src) in enumerate(rows):
-                gt[..., src, j, :] = g[..., dst, :]
             w_flat = w.data.transpose(1, 0, 2).reshape(c_in, s * c_out)
-            x._accumulate(gt.reshape(g.shape[:-1] + (s * c_out,)) @ w_flat.T)
+            x._accumulate((gt.reshape(rows + (s * c_out,)) @ w_flat.T).reshape(n, c_in))
         if w.requires_grad:
-            w._accumulate(np.matmul(shifted.reshape(s, -1, c_in).transpose(0, 2, 1),
-                                    g.reshape(-1, c_out)))
+            w._accumulate(np.matmul(x.data.T, gt.transpose(1, 0, 2)))
 
     return _make(out_data, (x, w), backward)
 
@@ -317,45 +365,24 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _make(out_data, (table,), backward)
 
 
-def max_time(a: Tensor, lengths=None) -> Tensor:
-    """Max over the time axis.
-
-    [T, C] -> [C]; [B, T, C] with `lengths` -> [B, C] where row b pools
-    x[b, :lengths[b]]. Zero-length rows pool to zero.
-    """
-    if a.data.ndim == 2:
-        if a.data.shape[0] == 0:
-            return constant(np.zeros(a.data.shape[1]))
-        am = np.argmax(a.data, axis=0)
-        out_data = a.data[am, np.arange(a.data.shape[1])]
-
-        def backward2(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[am, np.arange(a.data.shape[1])] = g
-                a._accumulate(full)
-
-        return _make(out_data, (a,), backward2)
-
-    b, t, c = a.data.shape
-    lens = np.full(b, t, dtype=int) if lengths is None else np.asarray(lengths, dtype=int)
-    out_data = np.zeros((b, c))
-    arg = np.zeros((b, c), dtype=int)
-    valid = lens > 0
-    for i in range(b):
-        if lens[i] > 0:
-            seg = a.data[i, : lens[i]]
-            arg[i] = np.argmax(seg, axis=0)
-            out_data[i] = seg[arg[i], np.arange(c)]
+def segment_max(a: Tensor, segments: Segments) -> Tensor:
+    """Max over each sequence's rows: [N, C] -> [B, C]. An empty sequence
+    pools to zero. The gradient goes to the first row that attains the
+    maximum, as `np.argmax` picks it."""
+    full = segments.lengths > 0
+    starts = segments.starts[full]
+    out_data = np.zeros((len(segments), a.data.shape[1]))
+    if starts.size:
+        out_data[full] = np.maximum.reduceat(a.data, starts, axis=0)
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            cols = np.arange(c)
-            for i in range(b):
-                if valid[i]:
-                    full[i, arg[i], cols] = g[i]
-            a._accumulate(full)
+        if a.requires_grad and starts.size:
+            hit = a.data == np.repeat(out_data, segments.lengths, axis=0)
+            rows = np.where(hit, np.arange(segments.n)[:, None], segments.n)
+            first = np.minimum.reduceat(rows, starts, axis=0)
+            grad = np.zeros_like(a.data)
+            grad[first, np.arange(a.data.shape[1])] = g[full]
+            a._accumulate(grad)
 
     return _make(out_data, (a,), backward)
 

@@ -124,11 +124,14 @@ class _Parser:
     error. Positions are token indices, turned into a line and column
     only for an error."""
 
-    def __init__(self, text: str, symbols: dict[str, Symbol]):
+    def __init__(self, text: str, symbols: dict[str, Symbol],
+                 include_dir: str | None = None, included: str | None = None):
         self.text = text
         self.toks = lex(text)
         self.pos = 0
         self.symbols = symbols
+        self.include_dir = include_dir
+        self.included = included  # the include file this text was read from
 
     # -- token plumbing ----------------------------------------------------
 
@@ -191,6 +194,9 @@ class _Parser:
             role = self.next()[1]
             if role not in KNOWN_ROLES:
                 raise self.error(f"unknown role {role!r}", self.pos - 1)
+            if lang == "cnf" and role == "conjecture":
+                raise self.error("cnf units cannot carry role 'conjecture'; "
+                                 "use negated_conjecture", self.pos - 1)
             self.expect(",")
             if lang == "cnf":
                 payload: object = self.parse_cnf_formula()
@@ -202,6 +208,7 @@ class _Parser:
         return units
 
     def parse_include(self):
+        at = self.pos
         self.expect("include")
         self.expect("(")
         kind, path = self.next()
@@ -209,6 +216,10 @@ class _Parser:
             raise self.error("expected file name", self.pos - 1)
         self.expect(")")
         self.expect(".")
+        if self.included is not None:
+            raise self.error(f"nested include not supported (in {self.included!r})", at)
+        if self.include_dir is None:
+            raise self.error(f"include({path!r}) with no include dir", at)
         return ("include", path, "", None)
 
     # -- cnf ---------------------------------------------------------------
@@ -373,20 +384,14 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
     order, axioms first, negated-conjecture clauses after.
     """
     symbols: dict[str, Symbol] = {}
-    units = _Parser(text, symbols).parse_units()
+    units = _Parser(text, symbols, include_dir).parse_units()
 
     expanded = []
     for unit in units:
         if unit[0] == "include":
-            if include_dir is None:
-                raise ParseError(f"include({unit[1]!r}) with no include dir", 1, 1)
-            path = os.path.join(include_dir, unit[1])
-            with open(path) as fh:
-                sub = _Parser(fh.read(), symbols).parse_units()
-            for s in sub:
-                if s[0] == "include":
-                    raise ParseError("nested include not supported", 1, 1)
-                expanded.append(s)
+            with open(os.path.join(include_dir, unit[1])) as fh:
+                expanded.extend(_Parser(fh.read(), symbols, include_dir,
+                                        unit[1]).parse_units())
         else:
             expanded.append(unit)
 
@@ -399,15 +404,8 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
             lits = payload
             if role in AXIOM_LIKE_ROLES:
                 axioms.append((uname, lits))
-            elif role == "negated_conjecture":
+            else:  # negated_conjecture: the parser rejects cnf conjectures
                 neg_conj.append((uname, lits))
-            else:  # conjecture in cnf: negate each literal? not well-defined
-                raise ParseError(
-                    "cnf units cannot carry role 'conjecture'; "
-                    "use negated_conjecture",
-                    1,
-                    1,
-                )
         else:
             if role == "conjecture":
                 conjectures.append((uname, payload))

@@ -77,17 +77,17 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
                            scorer.vocab, scorer.max_len)
             for _, clauses in groups
         ])
-    else:
+    elif groups:
         with T.no_grad():
-            vecs = [
-                T.max_time(T.stack([
-                    embed_tree(index_tree(clause_parse_tree(c), scorer.vocab.lookup),
-                               scorer.model, TOWER_CLAUSE)
-                    for c in clauses
-                ]))
-                for _, clauses in groups
-            ]
-        probs = scorer.probabilities(T.stack(vecs)) if vecs else []
+            vecs = T.stack([
+                embed_tree(index_tree(clause_parse_tree(c), scorer.vocab.lookup),
+                           scorer.model, TOWER_CLAUSE)
+                for _, clauses in groups for c in clauses
+            ])
+            pooled = T.segment_max(vecs, T.Segments([len(cs) for _, cs in groups]))
+        probs = scorer.probabilities(pooled)
+    else:
+        probs = []
     scores = {name: p for (name, _), p in zip(groups, probs)}
     order = sorted(range(len(groups)), key=lambda i: (-scores[groups[i][0]], i))
     return RankedPremises([groups[i][0] for i in order], scores)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .fol import Clause, clause_tokens, normalize_variables
+from .fol import Clause, clause_tokens
 from .parser import lex
 
 PAD = 0
@@ -68,22 +68,25 @@ class Vocabulary:
 
 
 def tokenize(c: Clause, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
-    """Map a variable-normalized clause to vocabulary indices.
-
-    Unknown symbols become OOV; anything beyond max_len is cut at the tail.
+    """Map a clause to the vocabulary indices of its printed token stream,
+    variables numbered V1, V2, ... in order of first occurrence (see
+    `fol.clause_tokens`). Unknown symbols become OOV; anything beyond
+    max_len is cut at the tail.
     """
-    return [vocab.lookup(t) for t in clause_tokens(c)][:max_len]
+    index = vocab.index
+    return [index.get(t, OOV) for t in clause_tokens(c)][:max_len]
 
 
 def tokenize_conjecture(
     clauses: list[Clause], vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN
 ) -> list[int]:
-    """Negated-conjecture clauses joined by the SEP token (sequence models)."""
+    """Negated-conjecture clauses joined by the SEP token (sequence models);
+    each clause numbers its variables from V1."""
     ids: list[int] = []
     for i, c in enumerate(clauses):
         if i:
             ids.append(SEP)
-        ids.extend(vocab.lookup(t) for t in clause_tokens(normalize_variables(c)))
+        ids.extend(tokenize(c, vocab, max_len))
     return ids[:max_len]
 
 

@@ -27,6 +27,12 @@ They are the references for `unify`, `fol.symbol_counts` and the
 expression scan: one Python step per character, a `Token` with its line
 and column for every token. It is the reference for the tokens, the
 token positions and the lexical errors of `parser`.
+
+`padded_embed_sequences`, `padded_conv_taps` and `padded_max_time` are the
+sequence towers as they ran before batches were packed: every row padded
+to the longest, a mask multiply after every layer, and a Python loop of
+`np.argmax` calls for the pooling. They are the references for
+`models.embed_sequences`, `tensor.conv_taps` and `tensor.segment_max`.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from satguide.fol import (
     Symbol,
     Term,
     clause_str,
-    literal_tokens,
+    clause_tokens,
     normalize_variables,
 )
 from satguide.neural import tensor as T
@@ -65,7 +71,7 @@ def string_key(c: Clause) -> str:
 
 
 def _blind_str(lit: Literal) -> str:
-    toks = literal_tokens(lit)
+    toks = clause_tokens(Clause(0, (lit,)))
     return " ".join("_" if t and t[0].isupper() else t for t in toks)
 
 
@@ -427,3 +433,108 @@ def conv1d_per_tap(x: T.Tensor, w: T.Tensor, dilation: int = 1) -> T.Tensor:
         term = T.matmul(shift_time(x, dilation * (j - center)), kernel_slice(w, j - 1))
         out = term if out is None else T.add(out, term)
     return out
+
+
+def padded_conv_taps(x: T.Tensor, w: T.Tensor, dilation: int = 1) -> T.Tensor:
+    """`tensor.conv_taps` as it was over padded batches: x is [T, C] or
+    [B, T, C], rows past the end of x read as zero, and the shifted copies
+    of x are stacked on a tap axis and multiplied by the taps in one
+    matmul, whose products are added in tap order."""
+    s, c_in, c_out = w.data.shape
+    t = x.data.shape[-2]
+    center = (s + 1) // 2
+    rows = []
+    for j in range(1, s + 1):
+        offset = dilation * (j - center)  # out[i] reads in[i - offset]
+        if offset >= 0:
+            rows.append((slice(offset, t), slice(0, max(t - offset, 0))))
+        else:
+            rows.append((slice(0, max(t + offset, 0)), slice(-offset, t)))
+    shifted = np.zeros((s,) + x.data.shape)
+    for j, (dst, src) in enumerate(rows):
+        shifted[j][..., dst, :] = x.data[..., src, :]
+    terms = np.matmul(shifted, w.data.reshape((s,) + (1,) * (x.data.ndim - 2) + (c_in, c_out)))
+    out_data = terms[0].copy()
+    for term in terms[1:]:
+        out_data += term
+
+    def backward(g):
+        if x.requires_grad:
+            gt = np.zeros(g.shape[:-1] + (s, c_out))
+            for j, (dst, src) in enumerate(rows):
+                gt[..., src, j, :] = g[..., dst, :]
+            w_flat = w.data.transpose(1, 0, 2).reshape(c_in, s * c_out)
+            x._accumulate(gt.reshape(g.shape[:-1] + (s * c_out,)) @ w_flat.T)
+        if w.requires_grad:
+            w._accumulate(np.matmul(shifted.reshape(s, -1, c_in).transpose(0, 2, 1),
+                                    g.reshape(-1, c_out)))
+
+    return T.Tensor(out_data, x.requires_grad or w.requires_grad, (x, w), backward)
+
+
+def padded_max_time(a: T.Tensor, lengths) -> T.Tensor:
+    """`tensor.max_time` as it was: [B, T, C] -> [B, C], row b pooling
+    a[b, :lengths[b]] with one `np.argmax` per row; zero-length rows pool
+    to zero."""
+    b, _, c = a.data.shape
+    lens = np.asarray(lengths, dtype=int)
+    out_data = np.zeros((b, c))
+    arg = np.zeros((b, c), dtype=int)
+    for i in range(b):
+        if lens[i] > 0:
+            seg = a.data[i, : lens[i]]
+            arg[i] = np.argmax(seg, axis=0)
+            out_data[i] = seg[arg[i], np.arange(c)]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        for i in range(b):
+            if lens[i] > 0:
+                full[i, arg[i], np.arange(c)] = g[i]
+        a._accumulate(full)
+
+    return T.Tensor(out_data, a.requires_grad, (a,), backward)
+
+
+def padded_embed_sequences(batch_ids, model, tower: str, train_mode: bool = False,
+                           rng=None) -> T.Tensor:
+    """`models.embed_sequences` as it was: the batch padded to its longest
+    row as [B, T, dim], a mask multiply after every layer to re-zero the
+    padding, and `padded_max_time` pooling."""
+    cfg, p = model.config, model.params
+    stripped = [[i for i in ids if i != 0] for ids in batch_ids]
+    lengths = [len(ids) for ids in stripped]
+    t_max = max(lengths) if lengths else 0
+    if t_max == 0:
+        return T.constant(np.zeros((len(batch_ids), cfg.dim)))
+    mat = np.zeros((len(stripped), t_max), dtype=np.intp)
+    raw_mask = np.zeros((len(stripped), t_max, 1))
+    for i, ids in enumerate(stripped):
+        mat[i, : len(ids)] = ids
+        raw_mask[i, : len(ids)] = 1.0
+    mask = T.constant(raw_mask)
+
+    def conv(x, name, dilation):
+        return T.add(padded_conv_taps(x, p[name + ".w"], dilation), p[name + ".b"])
+
+    def dropout(shape, rate):
+        return T.constant((rng.random(shape) >= rate).astype(np.float64))
+
+    x = T.mul(T.embedding(p["embedding"], mat), mask)
+    if train_mode and cfg.token_dropout > 0.0:
+        x = T.mul(x, dropout((len(stripped), t_max, 1), cfg.token_dropout))
+    if cfg.arch == "cnn":
+        for i in range(cfg.cnn_layers):
+            x = T.relu(T.mul(conv(x, f"{tower}.conv{i}", 1), mask))
+    else:
+        for b in range(cfg.wavenet_blocks):
+            y0 = x
+            if train_mode and cfg.feature_dropout > 0.0:
+                y0 = T.mul(x, dropout(x.data.shape, cfg.feature_dropout))
+            y = y0
+            for l in range(cfg.wavenet_layers):
+                filt = conv(y, f"{tower}.b{b}.l{l}.filter", 2**l)
+                gate = conv(y, f"{tower}.b{b}.l{l}.gate", 2**l)
+                y = T.add(y, T.mul(T.mul(T.tanh(filt), T.sigmoid(gate)), mask))
+            x = T.add(x, T.sub(y, y0))
+    return padded_max_time(x, lengths)

@@ -200,8 +200,11 @@ def _gradcheck(arch, **kw):
         p.data = rng.uniform(-0.3, 0.3, p.data.shape)
     model.quantize()
     if arch in ("cnn", "wavenet"):
+        # packed end to end, so every tap near a row's end meets the next
+        # row, a one-token row and an empty one
         batch = [PairInput(clause_ids=[3, 4, 5, 6, 10], conj_ids=[7, 8, 9], label=1),
-                 PairInput(clause_ids=[6, 5, 11, 4], conj_ids=[3, 9, 2, 8], label=0)]
+                 PairInput(clause_ids=[6, 5, 11, 4], conj_ids=[3, 9, 2, 8], label=0),
+                 PairInput(clause_ids=[9], conj_ids=[0, 0], label=1)]
     else:
         t1 = ("or", ("apply", ("leaf", 3), ("leaf", 4)),
               ("not", ("apply", ("leaf", 5), ("leaf", 6))))
@@ -289,10 +292,11 @@ def test_criterion_6_wavenet_structure():
 
     def block(x):
         out = T.constant(x)
+        seg = T.Segments([len(x)])
         d = 1
         for w, b in zip(ws, bs):
-            filt = conv1d(out, T.constant(w), T.constant(b), d)
-            gate = conv1d(out, T.constant(w * 0.7), T.constant(b), d)
+            filt = conv1d(out, T.constant(w), T.constant(b), seg, d)
+            gate = conv1d(out, T.constant(w * 0.7), T.constant(b), seg, d)
             out = T.add(out, T.mul(T.tanh(filt), T.sigmoid(gate)))
             d *= 2
         return out.data

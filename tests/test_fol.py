@@ -87,9 +87,10 @@ class TestPrinting:
                 lit("q", positive=False),
             ),
         )
-        printed = clause_str(cl)
+        printed = clause_str(normalize_variables(cl))
         lexed = [text for kind, text in lex(printed) if kind != "end"]
         assert clause_tokens(cl) == lexed
+        assert "X" not in clause_tokens(cl) and "V1" in clause_tokens(cl)
 
     def test_symbol_counts(self):
         cl = Clause(0, (lit("p", f("g", Var("X"), c("a"))),))

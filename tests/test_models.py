@@ -18,6 +18,8 @@ from satguide.neural.models import (
 )
 from satguide.neural.train import batch_scores
 
+from oracles import padded_embed_sequences
+
 
 def seq_model(arch="cnn", dim=4, vocab=12, **kw):
     return init_model(ModelConfig(arch=arch, vocab_size=vocab, dim=dim, hidden=6,
@@ -38,27 +40,34 @@ class TestConv1d:
         w = np.zeros((5, dim, dim))
         w[2] = np.eye(dim)  # center tap (j=3 of 5, index 2)
         x = T.constant(np.random.default_rng(0).uniform(-1, 1, (7, dim)))
-        out = conv1d(x, T.constant(w), T.constant(np.zeros(dim)), 1)
+        out = conv1d(x, T.constant(w), T.constant(np.zeros(dim)), T.Segments([7]), 1)
         np.testing.assert_allclose(out.data, x.data)
 
     def test_boundary_zero_padding(self):
         # all-ones input, s=3, d=1, scalar taps (1,1,1), zero bias
         w = np.ones((3, 1, 1))
         x = T.constant(np.ones((5, 1)))
-        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), 1)
+        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([5]), 1)
         assert out.data.reshape(-1).tolist() == [2, 3, 3, 3, 2]
+
+    def test_sequence_boundaries_read_as_zero_padding(self):
+        # the same five ones packed as sequences of 2, 0 and 3
+        w = np.ones((3, 1, 1))
+        x = T.constant(np.ones((5, 1)))
+        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([2, 0, 3]), 1)
+        assert out.data.reshape(-1).tolist() == [2, 2, 2, 3, 2]
 
     def test_dilation_reads_strided_positions(self):
         # d=2, s=3 at position 2 reads inputs {0, 2, 4}
         w = np.ones((3, 1, 1))
         x = T.constant(np.array([[1.0], [10.0], [100.0], [1000.0], [10000.0]]))
-        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), 2)
+        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([5]), 2)
         assert out.data[2, 0] == 1.0 + 100.0 + 10000.0
 
     def test_bias_added(self):
         w = np.zeros((3, 2, 2))
         x = T.constant(np.zeros((4, 2)))
-        out = conv1d(x, T.constant(w), T.constant(np.array([1.5, -0.5])), 1)
+        out = conv1d(x, T.constant(w), T.constant(np.array([1.5, -0.5])), T.Segments([4]), 1)
         np.testing.assert_allclose(out.data, np.tile([1.5, -0.5], (4, 1)))
 
 
@@ -73,7 +82,7 @@ class TestReceptiveField:
         def run(x):
             out = T.constant(x)
             for w, b, d in zip(ws, bs, dilations):
-                gate = conv1d(out, T.constant(w), T.constant(b), d)
+                gate = conv1d(out, T.constant(w), T.constant(b), T.Segments([t]), d)
                 out = T.add(out, T.mul(T.tanh(gate), T.sigmoid(gate)))
             return out.data
 
@@ -153,6 +162,60 @@ class TestSequenceTower:
         for i, ids in enumerate(seqs):
             single = embed_sequence(ids, model, "clause")
             np.testing.assert_array_equal(batch.data[i], single.data)
+
+
+class TestPackedAgainstPadded:
+    """embed_sequences on packed rows against `padded_embed_sequences`, the
+    towers as they ran padded and masked. Embeddings match bit for bit, in
+    eval mode and under dropout drawn from the same seed; the gradients
+    match to rounding (weight and bias gradients no longer add the
+    padding's zeros)."""
+
+    BATCHES = [
+        [[3, 4, 5], [], [6], [0, 0], [7, 8, 9, 10, 11, 3, 4], [5, 0, 6]],
+        [[3], [4], [], [5]],  # no row longer than one token
+        [[3, 4], [0, 5, 6, 7, 8, 9, 10, 11, 3, 4, 5, 6, 7, 8, 9, 10, 11]],
+        [[0]],
+        [[9] * 30, [3, 4, 5, 6], [11]],
+    ]
+
+    def _models(self):
+        yield randomized(seq_model("cnn", dim=8, token_dropout=0.3))
+        yield randomized(seq_model("cnn", dim=6, cnn_patch=3, cnn_layers=2,
+                                   token_dropout=0.3))
+        # dilations up to 64 reach past every row
+        yield randomized(seq_model("wavenet", dim=6, wavenet_blocks=2, wavenet_layers=7,
+                                   token_dropout=0.2, feature_dropout=0.3))
+        yield randomized(seq_model("wavenet", dim=4, wavenet_blocks=1, wavenet_layers=3,
+                                   feature_dropout=0.5))
+
+    def test_eval_embeddings_bit_equal(self):
+        for model in self._models():
+            for batch in self.BATCHES:
+                with T.no_grad():
+                    out = embed_sequences(batch, model, "clause")
+                    ref = padded_embed_sequences(batch, model, "clause")
+                np.testing.assert_array_equal(out.data, ref.data)
+
+    def test_training_embeddings_and_gradients(self):
+        for model in self._models():
+            for seed, batch in enumerate(self.BATCHES):
+                shape = (len(batch), model.config.dim)
+                up = T.constant(np.random.default_rng(seed).uniform(-1, 1, shape))
+                grads = []
+                for embed in (embed_sequences, padded_embed_sequences):
+                    model.zero_grads()
+                    out = embed(batch, model, "conj", True, np.random.default_rng(seed))
+                    T.mean(T.mul(out, up)).backward()
+                    grads.append((out.data, {k: p.grad for k, p in model.params.items()}))
+                (out, got), (ref, want) = grads
+                np.testing.assert_array_equal(out, ref)
+                for name, g in got.items():
+                    if g is None or want[name] is None:
+                        assert not np.any(g if g is not None else want[name]), name
+                    else:
+                        np.testing.assert_allclose(g, want[name], rtol=1e-12, atol=1e-15,
+                                                   err_msg=name)
 
 
 def t_apply(a, b):

@@ -1,13 +1,18 @@
-"""Bit pins of the network's scores.
+"""Bit pins of the network's scores and of a short training run.
 
 The hex values were measured on the per-tap convolution and the
 per-clause combiner that `tensor.conv_taps` and
 `ClauseScorer.probabilities` replaced; any change to the neural path that
 moves one bit of a clause or premise score fails here. Scores must not
-depend on the batch size either. No wall-clock gate. The values were
+depend on the batch size either. The training pins hash the checkpoint
+after 25 Adam steps with token and feature dropout, measured on the padded
+and masked sequence towers that packed batches replaced. No wall-clock
+gate. The values were
 taken with numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS may
 round the same products differently.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,7 +20,9 @@ import pytest
 from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import Clause, clause_str, normalize_variables
 from satguide.guidance import ClauseScorer
+from satguide.neural.checkpoint import save_checkpoint
 from satguide.neural.models import ModelConfig, init_model
+from satguide.neural.train import TrainConfig, prepare_pairs, train
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.premsel import rank_premises
 
@@ -126,3 +133,30 @@ def test_premise_scores_pinned_and_batch_free(arch):
         scores[batch_size] = {name: p.hex() for name, p in ranking.scores.items()}
     assert scores[1] == scores[32]
     assert scores[1] == PINS[arch]["premises"]
+
+
+TRAIN_ARCHS = {
+    "cnn": dict(arch="cnn", dim=8, hidden=8, token_dropout=0.2, feature_dropout=0.3),
+    "wavenet": dict(arch="wavenet", dim=6, hidden=5, wavenet_blocks=2, wavenet_layers=3,
+                    token_dropout=0.2, feature_dropout=0.3),
+}
+
+TRAIN_PINS = {"cnn": "e3cc1be92d6f2200", "wavenet": "b62ae7b2988f72fd"}
+
+
+@pytest.mark.parametrize("arch", sorted(TRAIN_ARCHS))
+def test_training_checkpoint_pinned(arch):
+    """25 Adam steps at batch 6 over the problem's clauses, CLAUSES and the
+    one-token clause `w`: 1 to 24 tokens a clause."""
+    problem = parse_tptp(PROBLEM, name="pins")
+    conj = [clause_str(normalize_variables(nc)) for nc in problem.negated_conjecture]
+    clauses = problem.clauses() + [Clause(0, parse_clause_text(t)) for t in CLAUSES + ["w"]]
+    examples = [TrainingExample(clause_str(normalize_variables(c)), conj, i % 2,
+                                problem.name, i)
+                for i, c in enumerate(clauses)]
+    vocab = build_vocabulary(examples)
+    config = ModelConfig(vocab_size=len(vocab), seed=3, **TRAIN_ARCHS[arch])
+    model, _ = train(prepare_pairs(examples, vocab, config), [],
+                     init_model(config, vocab.hash),
+                     TrainConfig(steps=25, batch_size=6, lr=1e-2, eval_every=25, seed=11))
+    assert hashlib.sha256(save_checkpoint(model)).hexdigest()[:16] == TRAIN_PINS[arch]

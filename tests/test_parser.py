@@ -144,6 +144,11 @@ class TestFof:
         with pytest.raises(ParseError):
             parse_tptp("cnf(g, conjecture, (p(a))).")
 
+    def test_cnf_conjecture_located_at_its_unit(self):
+        with pytest.raises(ParseError) as err:
+            parse_tptp("cnf(a, axiom, p).\n\ncnf(g, conjecture, q).")
+        assert (err.value.line, err.value.col) == (3, 8)
+
 
 class TestInclude:
     def test_single_level_include(self, tmp_path):
@@ -154,9 +159,17 @@ class TestInclude:
 
     def test_nested_include_rejected(self, tmp_path):
         (tmp_path / "inner.p").write_text("cnf(a, axiom, (p(a))).\n")
-        (tmp_path / "outer.p").write_text("include('inner.p').\n")
-        with pytest.raises(ParseError):
+        (tmp_path / "outer.p").write_text("cnf(b, axiom, (q(a))).\ninclude('inner.p').\n")
+        with pytest.raises(ParseError) as err:
             parse_tptp("include('outer.p').", include_dir=str(tmp_path))
+        assert "'outer.p'" in str(err.value)
+        assert (err.value.line, err.value.col) == (2, 1)
+
+    def test_include_without_dir_located_at_its_unit(self):
+        with pytest.raises(ParseError) as err:
+            parse_tptp("cnf(a, axiom, p).\n  include('ax.p').")
+        assert "include('ax.p') with no include dir" in str(err.value)
+        assert (err.value.line, err.value.col) == (2, 3)
 
 
 class TestClauseText:

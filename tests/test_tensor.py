@@ -1,11 +1,13 @@
 """The autodiff engine: op-level gradients and guards."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from satguide.neural import tensor as T
 
-from oracles import conv1d_per_tap
+from oracles import conv1d_per_tap, padded_conv_taps, padded_max_time
 
 
 def fd_grad(fn, x: np.ndarray, h=1e-6):
@@ -65,24 +67,31 @@ class TestOps:
         check_op(T.tanh, (4, 3), seed=5)
         check_op(T.sigmoid, (4, 3), seed=6)
 
+    # packed layouts: one sequence, equal lengths, and mixed lengths with
+    # empty and one-token sequences, so taps meet sequence boundaries
+    CONV_CASES = [(3, 1, [5], 3), (5, 2, [6], 2), (3, 4, [3, 3], 2), (5, 3, [4, 4], 3),
+                  (3, 1, [2, 0, 3, 1], 2), (5, 1, [1, 4, 2], 3), (3, 2, [3, 1, 4], 2)]
+
     def test_conv_taps_input_gradient(self):
         rng = np.random.default_rng(11)
-        for s, dilation, shape in [(3, 1, (5, 3)), (5, 2, (6, 2)), (3, 4, (2, 3, 2)),
-                                   (5, 3, (2, 4, 3))]:
+        for s, dilation, lengths, c in self.CONV_CASES:
             # dilation 4 and 3 put some taps beyond the sequence
-            w = T.constant(rng.uniform(-1, 1, (s, shape[-1], 2)))
-            check_op(lambda x: T.conv_taps(x, w, dilation), shape, seed=s + dilation)
+            w = T.constant(rng.uniform(-1, 1, (s, c, 2)))
+            seg = T.Segments(lengths)
+            check_op(lambda x: T.conv_taps(x, w, seg, dilation), (sum(lengths), c),
+                     seed=s + dilation)
 
     def test_conv_taps_kernel_gradient(self):
         rng = np.random.default_rng(12)
-        for s, dilation, x_shape in [(3, 1, (5, 3)), (5, 2, (6, 2)), (3, 4, (2, 3, 2)),
-                                     (5, 3, (2, 4, 3))]:
-            x = T.constant(rng.uniform(-1, 1, x_shape))
-            check_op(lambda w: T.conv_taps(x, w, dilation), (s, x_shape[-1], 2),
+        for s, dilation, lengths, c in self.CONV_CASES:
+            x = T.constant(rng.uniform(-1, 1, (sum(lengths), c)))
+            seg = T.Segments(lengths)
+            check_op(lambda w: T.conv_taps(x, w, seg, dilation), (s, c, 2),
                      seed=s * dilation)
 
     def test_conv_taps_zero_padding(self):
         x = T.constant(np.arange(5, dtype=float).reshape(5, 1))
+        seg = T.Segments([5])
 
         def tap(j):
             w = np.zeros((3, 1, 1))
@@ -90,10 +99,21 @@ class TestOps:
             return T.constant(w)
 
         # s=3: tap 0 reads x[i+d], tap 2 reads x[i-d]
-        assert T.conv_taps(x, tap(2), 1).data.reshape(-1).tolist() == [0, 0, 1, 2, 3]
-        assert T.conv_taps(x, tap(0), 2).data.reshape(-1).tolist() == [2, 3, 4, 0, 0]
-        assert T.conv_taps(x, tap(0), 7).data.reshape(-1).tolist() == [0] * 5
-        assert T.conv_taps(x, tap(1), 7).data.reshape(-1).tolist() == [0, 1, 2, 3, 4]
+        assert T.conv_taps(x, tap(2), seg, 1).data.reshape(-1).tolist() == [0, 0, 1, 2, 3]
+        assert T.conv_taps(x, tap(0), seg, 2).data.reshape(-1).tolist() == [2, 3, 4, 0, 0]
+        assert T.conv_taps(x, tap(0), seg, 7).data.reshape(-1).tolist() == [0] * 5
+        assert T.conv_taps(x, tap(1), seg, 7).data.reshape(-1).tolist() == [0, 1, 2, 3, 4]
+
+    def test_conv_taps_stop_at_sequence_boundaries(self):
+        x = T.constant(np.arange(1, 8, dtype=float).reshape(7, 1))
+        seg = T.Segments([3, 0, 1, 3])
+        w = np.zeros((3, 1, 1))
+        w[2] = 1.0  # out[i] = x[i-1] within i's own sequence
+        assert T.conv_taps(x, T.constant(w), seg, 1).data.reshape(-1).tolist() == \
+            [0, 1, 2, 0, 0, 5, 6]
+        w = np.ones((3, 1, 1))
+        assert T.conv_taps(x, T.constant(w), seg, 1).data.reshape(-1).tolist() == \
+            [3, 6, 5, 4, 11, 18, 13]
 
     def test_concat_narrow_stack_reshape(self):
         other = T.constant(np.ones((3, 2)))
@@ -117,20 +137,26 @@ class TestOps:
         # row 1 used twice: double the scatter of row 4
         np.testing.assert_allclose(table.grad[1], 2 * table.grad[4])
 
+    # max-pooling over time is `segment_max`, one maximum per packed sequence
     def test_max_time_2d(self):
-        check_op(lambda x: T.max_time(x), (6, 3), seed=8)
+        check_op(lambda x: T.segment_max(x, T.Segments([6])), (6, 3), seed=8)
+        check_op(lambda x: T.segment_max(x, T.Segments([2, 0, 3, 1])), (6, 3), seed=9)
 
     def test_max_time_batched_lengths(self):
-        x = T.parameter(np.random.default_rng(9).uniform(-1, 1, (2, 5, 3)))
-        out = T.max_time(x, [3, 5])
-        # row 0 must ignore positions 3,4
-        expect0 = x.data[0, :3].max(axis=0)
-        np.testing.assert_allclose(out.data[0], expect0)
+        x = T.parameter(np.random.default_rng(9).uniform(-1, 1, (8, 3)))
+        out = T.segment_max(x, T.Segments([3, 5]))
+        np.testing.assert_array_equal(out.data[0], x.data[:3].max(axis=0))
+        np.testing.assert_array_equal(out.data[1], x.data[3:].max(axis=0))
 
     def test_max_time_zero_length(self):
-        x = T.constant(np.ones((1, 4, 2)))
-        out = T.max_time(x, [0])
-        np.testing.assert_allclose(out.data, 0.0)
+        x = T.constant(np.ones((2, 2)))
+        out = T.segment_max(x, T.Segments([0, 2, 0]))
+        np.testing.assert_array_equal(out.data, [[0, 0], [1, 1], [0, 0]])
+
+    def test_max_time_gradient_goes_to_first_maximum(self):
+        x = T.parameter(np.array([[1.0, 2.0], [3.0, 2.0], [3.0, 0.0], [5.0, 5.0]]))
+        T.mean(T.segment_max(x, T.Segments([3, 1]))).backward()
+        np.testing.assert_array_equal(x.grad, [[0, 0.25], [0.25, 0], [0, 0], [0.25, 0.25]])
 
     def test_bce_with_logits(self):
         z = T.parameter(np.array([0.0, 2.0, -1.0]))
@@ -144,42 +170,71 @@ class TestOps:
 
 
 class TestConvTapsAgainstPerTap:
-    """conv_taps against the per-tap shift/slice/matmul/add oracle.
+    """conv_taps and segment_max on packed rows against the padded
+    references: `padded_conv_taps` and the per-tap shift/slice/matmul/add
+    `conv1d_per_tap` over the batch padded to its longest sequence, and
+    `padded_max_time`.
 
-    The forward and the kernel gradient are the oracle's own BLAS products,
-    so they match bit for bit; the input gradient sums all taps in one
-    product, so it matches to rounding.
+    At the model widths the forward is the references' own dot products at
+    each real row, so it matches bit for bit. At some other widths
+    (C_out = 8k+1..8k+3 with C_in >= 16 on OpenBLAS's Haswell kernels) BLAS
+    rounds a row of a many-row product by its position among the rows, so
+    a row rounds differently in the packed product than in the padded one
+    (and, in the padded layout itself, in a batch than alone): the random
+    widths match to rounding. The gradients sum the same products over
+    other layouts, so they match to rounding.
     """
 
-    def _case(self, rng, shape, s, c_out, dilation):
-        x = T.parameter(rng.uniform(-1, 1, shape))
-        w = T.parameter(rng.uniform(-1, 1, (s, shape[-1], c_out)))
-        out = T.conv_taps(x, w, dilation)
-        ref = conv1d_per_tap(x, w, dilation)
-        np.testing.assert_array_equal(out.data, ref.data)
+    def _case(self, rng, lengths, c_in, s, c_out, dilation, exact=True):
+        seg = T.Segments(lengths)
+        t = max(max(lengths), 1)
+        padded = np.zeros((len(lengths), t, c_in))
+        real = np.zeros((len(lengths), t), dtype=bool)
+        for b, n in enumerate(lengths):
+            real[b, :n] = True
+        padded[real] = rng.uniform(-1, 1, (seg.n, c_in))
+        x = T.parameter(padded[real])
+        xp = T.parameter(padded)
+        w = T.parameter(rng.uniform(-1, 1, (s, c_in, c_out)))
+        out = T.conv_taps(x, w, seg, dilation)
+        ref = padded_conv_taps(xp, w, dilation)
+        same = np.testing.assert_array_equal if exact else partial(
+            np.testing.assert_allclose, rtol=1e-13, atol=1e-14)
+        same(out.data, ref.data[real])
+        same(out.data, conv1d_per_tap(T.constant(padded), w, dilation).data[real])
         up = rng.uniform(-1, 1, out.data.shape)
+        up_padded = np.zeros(ref.data.shape)
+        up_padded[real] = up
         T.mean(T.mul(out, T.constant(up))).backward()
         gx, gw = x.grad, w.grad
-        x.grad = w.grad = None
-        T.mean(T.mul(ref, T.constant(up))).backward()
-        np.testing.assert_allclose(gx, x.grad, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(gw, w.grad)
+        w.grad = None
+        T.mean(T.mul(ref, T.constant(up_padded))).backward()
+        scale = up.size / up_padded.size  # the means divide by different sizes
+        np.testing.assert_allclose(gx * scale, xp.grad[real], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(gw * scale, w.grad, rtol=1e-12, atol=1e-15)
+
+        pooled = T.segment_max(x, seg)
+        ref_pooled = padded_max_time(T.constant(padded), lengths)
+        np.testing.assert_array_equal(pooled.data, ref_pooled.data)
 
     def test_random_shapes(self):
         rng = np.random.default_rng(13)
         for _ in range(60):
             c_in, c_out = (int(v) for v in rng.integers(1, 33, 2))
-            t = int(rng.integers(1, 40))
-            shape = (t, c_in) if rng.random() < 0.5 else (int(rng.integers(1, 9)), t, c_in)
-            self._case(rng, shape, int(rng.choice([1, 2, 3, 5])), c_out,
-                       int(rng.choice([1, 2, 4, 8, 64])))
+            lengths = [int(v) for v in rng.integers(0, 40, int(rng.integers(1, 9)))]
+            if rng.random() < 0.2:
+                lengths = [int(v) for v in rng.integers(0, 2, len(lengths))]
+            if sum(lengths) == 0:
+                lengths.append(1)
+            self._case(rng, lengths, c_in, int(rng.choice([1, 2, 3, 5])), c_out,
+                       int(rng.choice([1, 2, 4, 8, 64])), exact=False)
 
     def test_model_shapes(self):
         rng = np.random.default_rng(14)
         for dim in (3, 4, 6, 8, 32, 64):
-            for shape in [(1, dim), (1, 1, dim), (1, 17, dim), (12, 29, dim), (31, dim)]:
+            for lengths in ([1], [17], [12, 29, 1, 0, 5], [31], [1, 1, 0, 1], [3, 1, 2]):
                 for s, dilation in ((5, 1), (3, 1), (3, 2), (3, 16)):
-                    self._case(rng, shape, s, dim, dilation)
+                    self._case(rng, lengths, dim, s, dim, dilation)
 
 
 class TestEngine:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from satguide.fol import clause_tokens, normalize_variables
+from satguide.corpus import desk_corpus
+from satguide.fol import clause_str, clause_tokens, normalize_variables
 from satguide.parser import parse_clause_text, parse_tptp
+from satguide.saturation import SearchConfig, prove
 from satguide.tokens import (
     OOV,
     PAD,
@@ -92,6 +94,26 @@ class TestTokenize:
             for t in clause_tokens(c):
                 v.add(t)
             assert len(tokenize(c, v, max_len=10_000)) == len(text_tokens(text)), text
+
+
+class TestNormalizingWalk:
+    def test_ids_of_the_normalized_printed_clause(self):
+        """`tokenize` numbers variables during its own walk; the ids are those
+        of the lexed print of `normalize_variables(c)`, on every input clause
+        of the corpus and every clause a short search processes."""
+        problems = {item.name: item.problem for item in desk_corpus(0)}
+        clauses = [c for p in problems.values() for c in p.clauses()]
+        result = prove(problems["flood023"], SearchConfig(max_processed=150))
+        clauses += result.state.processed
+        vocab = Vocabulary()
+        printed = [text_tokens(clause_str(normalize_variables(c))) for c in clauses]
+        for tokens in printed[::3]:  # leave some symbols and variables OOV
+            for t in tokens:
+                vocab.add(t)
+        for c, tokens in zip(clauses, printed):
+            want = [vocab.lookup(t) for t in tokens]
+            assert tokenize(c, vocab, 10_000) == want
+            assert tokenize(c, vocab, 9) == want[:9]
 
 
 class TestConjectureJoining:

@@ -1,0 +1,80 @@
+"""The names the benchmark's span tracer patches still exist.
+
+`bench/tracing.py` wraps satguide functions and methods by name, in every
+module that imports them, and fails on a name that is gone. The benchmark
+lives outside `tests/`, so this test installs the tracer, runs a guided
+search, a premise ranking and a training step under it, and uninstalls it
+again.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from satguide import guidance, premsel
+from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
+from satguide.neural.models import ModelConfig, PairInput, init_model, loss_and_grads
+from satguide.neural.tensor import Tensor
+from satguide.parser import parse_tptp
+from satguide.saturation import SearchConfig
+from satguide.tokens import Vocabulary
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+# names that the guided workload's per-layer split is built from
+NAMES = [
+    (guidance, "embed_sequence"), (guidance, "embed_sequences"),
+    (premsel, "embed_sequence"), (guidance, "combiner_logit"),
+    (premsel, "combiner_logit"), (guidance, "tokenize"),
+    (guidance, "tokenize_conjecture"), (premsel, "tokenize_texts"),
+    (Tensor, "backward"),
+]
+
+PROBLEM = """
+fof(a1, axiom, ![X]: (p(X) => q(f(X)))).
+cnf(a2, axiom, (p(a))).
+cnf(a3, axiom, (r(b) | ~s(b))).
+fof(goal, conjecture, ?[X]: q(X)).
+"""
+
+
+@pytest.fixture
+def tracing():
+    spec = importlib.util.spec_from_file_location("satguide_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_patches_every_name_and_uninstall_restores(tracing):
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, *_ in tracing.SPANS]
+    assert {(owner, attr) for owner, attr in NAMES} <= {(o, a) for o, a, _ in originals}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for owner, attr, original in originals:
+            assert getattr(owner, attr).__wrapped__ is original, attr
+
+        problem = parse_tptp(PROBLEM, name="traced")
+        vocab = Vocabulary()
+        for token in ["~", "p", "q", "r", "s", "f", "(", ")", "|", "a", "b", "V1"]:
+            vocab.add(token)
+        model = init_model(ModelConfig(arch="cnn", vocab_size=len(vocab), dim=4, hidden=4),
+                           vocab.hash)
+        result = guided_prove(problem, GuidanceConfig(mode="hybrid", model=model, vocab=vocab),
+                              SearchConfig(max_processed=50))
+        assert result.info["network_evals"] > 0
+        premsel.rank_premises(problem, ClauseScorer(model, vocab, problem))
+        pair = PairInput(clause_ids=[3, 4, 5], conj_ids=[6, 7], label=1)
+        loss_and_grads([pair], model, train_mode=True, rng=np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, attr
+    totals = tracer.totals()
+    for name in ("saturation", "guidance.score_batch", "tokens.tokenize", "neural.embed",
+                 "neural.combiner", "premsel.rank", "neural.forward", "neural.backward"):
+        assert totals[name]["calls"] > 0, name
