@@ -133,8 +133,8 @@ class ClauseScorer:
     def sequence_probabilities(self, batch_ids: list[list[int]]) -> list[float]:
         """`probabilities` of token sequences through the clause tower,
         embedded batch_size at a time. Each chunk runs packed, and no layer
-        reads across a sequence boundary, so each row is bit-identical to a
-        lone evaluation."""
+        reads across a sequence boundary, so each row is a lone evaluation
+        up to the BLAS rounding `models.embed_sequences` describes."""
         probs: list[float] = []
         for start in range(0, len(batch_ids), self.batch_size):
             with T.no_grad():

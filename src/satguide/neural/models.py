@@ -247,7 +247,10 @@ def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
     lookup, and an empty (or PAD-only) sequence embeds to the zero vector.
     The batch's tokens are packed end to end as the rows of one [N, dim]
     array, and no layer reads across a sequence boundary, so each row
-    equals its embedding as a batch of one.
+    equals its embedding as a batch of one up to BLAS rounding. At the
+    widths the project uses (3, 4, 6, 8, 32, 64) it is bit-equal, except
+    for a one-token sequence batched with longer ones: alone it is a
+    one-row product, which BLAS rounds apart from a many-row one.
     """
     cfg = model.config
     if cfg.arch not in SEQ_ARCHS:

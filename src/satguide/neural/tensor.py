@@ -277,16 +277,26 @@ class Segments:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def cut(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(k, r): the rows r whose image r + offsets[k] lies outside r's own
-        sequence, each with the index k of its offset."""
+    def shift(self, a: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+        """[len(offsets), N, C]: slice k holds the rows of a moved by
+        offsets[k] inside each sequence, row i being a[i - offsets[k]], or
+        zero where that row lies outside i's own sequence. Every offset
+        must be shorter than N."""
+        n = self.n
+        out = np.zeros((len(offsets),) + a.shape)
+        for k, o in enumerate(offsets):
+            if o >= 0:
+                out[k, o:] = a[: n - o]
+            else:
+                out[k, : n + o] = a[-o:]
         pairs = self._cuts.get(offsets)
         if pairs is None:
             ahead = np.repeat(self.lengths, self.lengths) - self.pos  # rows to the end
-            rows = [np.flatnonzero(ahead <= o if o > 0 else self.pos < -o) for o in offsets]
+            rows = [np.flatnonzero(self.pos < o if o >= 0 else ahead <= -o) for o in offsets]
             k = np.repeat(np.arange(len(offsets)), [len(r) for r in rows])
             pairs = self._cuts[offsets] = (k, np.concatenate(rows))
-        return pairs
+        out[pairs] = 0.0
+        return out
 
     def padded_rows(self) -> np.ndarray:
         """Each row's index in the flattened (B, max_len) padded layout."""
@@ -299,20 +309,16 @@ def conv_taps(x: Tensor, w: Tensor, segments: Segments, dilation: int = 1) -> Te
 
     out_i = sum_j x_{i - dilation*(j - ceil(s/2))} @ w_j for j = 1..s, with
     `w` [s, C_in, C_out], x [N, C_in] the rows of `segments`, and a row
-    read from outside i's own sequence counting as zero. Each tap
-    multiplies all N rows in one BLAS call (one matmul runs them all); the
-    products that would cross a sequence boundary are zeroed, and the
-    shifted products are added in tap order. Every output row is so one
-    dot product per tap, summed in the same order as for the sequence
-    alone or padded. (Multiplying x once by a [C_in, s*C_out] kernel would
-    put a tap's columns elsewhere in the BLAS call, which can round them
-    differently.) Taps that reach past every sequence are skipped. When no
-    sequence is longer than one token, each row is multiplied on its own,
-    as it is alone: BLAS can round a row of a many-row product differently
-    from a one-row product. At some widths BLAS also rounds a row by its
-    position in the product (OpenBLAS's Haswell kernels at C_out = 8k+1 to
-    8k+3 with C_in >= 16); there rows can differ in the last bit between
-    layouts.
+    read from outside i's own sequence counting as zero. The shifted
+    copies of x are stacked on a tap axis and multiplied by the taps in
+    one matmul; each tap's product is then the BLAS call a lone
+    `shift(x) @ w_j` makes over the packed rows, and the products are
+    added in tap order, so the sum is bit-identical to adding the per-tap
+    products one after another. (Multiplying x once by a [C_in, s*C_out]
+    kernel would put a tap's columns elsewhere in the BLAS call, which can
+    round them differently.) Taps that reach past every sequence are
+    skipped. When no sequence is longer than one token, each row is
+    multiplied on its own, as in its padded layout [B, 1, C].
     """
     s, c_in, c_out = w.data.shape
     n = x.data.shape[0]
@@ -321,32 +327,25 @@ def conv_taps(x: Tensor, w: Tensor, segments: Segments, dilation: int = 1) -> Te
     live = [j for j, o in enumerate(offsets) if abs(o) < segments.max_len]
     lo, hi = live[0], live[-1] + 1  # the live taps are the middle ones
     shifts = tuple(offsets[lo:hi])
+    shifted = segments.shift(x.data, shifts)
     rows = (n, 1) if segments.max_len == 1 else (n,)
     taps = w.data[lo:hi].reshape((hi - lo,) + (1,) * (len(rows) - 1) + (c_in, c_out))
-    terms = np.matmul(x.data.reshape(rows + (c_in,)), taps).reshape(hi - lo, n, c_out)
-    k, r = segments.cut(shifts)
-    terms[k, r] = 0.0
-    out_data = np.zeros((n, c_out))
-    for term, o in zip(terms, shifts):
-        if o >= 0:
-            out_data[o:] += term[: n - o]
-        else:
-            out_data[: n + o] += term[-o:]
+    terms = np.matmul(shifted.reshape((hi - lo,) + rows + (c_in,)), taps)
+    out_data = terms[0].reshape(n, c_out).copy()
+    for term in terms[1:]:
+        out_data += term.reshape(n, c_out)
 
     def backward(g):
-        # gt[i, j] is the output gradient tap j routes back to input row i
-        gt = np.zeros((n, s, c_out))
-        for j, o in enumerate(shifts, lo):
-            if o >= 0:
-                gt[: n - o, j] = g[o:]
-            else:
-                gt[-o:, j] = g[: n + o]
-        gt[r, k + lo] = 0.0
         if x.requires_grad:
+            # gt[i, j] is the output gradient tap j routes back to input row i
+            gt = np.zeros((n, s, c_out))
+            gt[:, lo:hi] = segments.shift(g, tuple(-o for o in shifts)).transpose(1, 0, 2)
             w_flat = w.data.transpose(1, 0, 2).reshape(c_in, s * c_out)
             x._accumulate((gt.reshape(rows + (s * c_out,)) @ w_flat.T).reshape(n, c_in))
         if w.requires_grad:
-            w._accumulate(np.matmul(x.data.T, gt.transpose(1, 0, 2)))
+            gw = np.zeros(w.data.shape)
+            gw[lo:hi] = np.matmul(shifted.transpose(0, 2, 1), g)
+            w._accumulate(gw)
 
     return _make(out_data, (x, w), backward)
 

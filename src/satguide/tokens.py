@@ -73,8 +73,7 @@ def tokenize(c: Clause, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> li
     `fol.clause_tokens`). Unknown symbols become OOV; anything beyond
     max_len is cut at the tail.
     """
-    index = vocab.index
-    return [index.get(t, OOV) for t in clause_tokens(c)][:max_len]
+    return [vocab.lookup(t) for t in clause_tokens(c)][:max_len]
 
 
 def tokenize_conjecture(

@@ -424,13 +424,48 @@ def kernel_slice(w: T.Tensor, j: int) -> T.Tensor:
     return T.Tensor(w.data[j], w.requires_grad, (w,), backward)
 
 
-def conv1d_per_tap(x: T.Tensor, w: T.Tensor, dilation: int = 1) -> T.Tensor:
-    """sum_j shift(x, dilation*(j - ceil(s/2))) @ w_j, added in tap order."""
+def shift_segments(a: T.Tensor, lengths, offset: int) -> T.Tensor:
+    """`shift_time` inside each sequence of a packed batch: a is [N, C], the
+    rows of sequences of the given lengths laid end to end, and out[i] =
+    a[i - offset] when that row is in i's own sequence, zero otherwise."""
+    src, dst = [], []
+    start = 0
+    for n in lengths:
+        for pos in range(n):
+            if 0 <= pos - offset < n:
+                dst.append(start + pos)
+                src.append(start + pos - offset)
+        start += n
+    out_data = np.zeros_like(a.data)
+    out_data[dst] = a.data[src]
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[src] = g[dst]
+        a._accumulate(ga)
+
+    return T.Tensor(out_data, a.requires_grad, (a,), backward)
+
+
+def conv1d_per_tap(x: T.Tensor, w: T.Tensor, dilation: int = 1, lengths=None) -> T.Tensor:
+    """sum_j shift(x, dilation*(j - ceil(s/2))) @ w_j, added in tap order.
+
+    x is [T, C] or [B, T, C]; or, given `lengths`, the packed rows [N, C] of
+    sequences of those lengths, each shifted inside its own sequence
+    (`shift_segments`). A packed batch of sequences no longer than one
+    token is its own padded layout, [N, 1, C], and is multiplied as such.
+    """
+    if lengths is not None and max(lengths) == 1:
+        n, c = x.data.shape
+        out = conv1d_per_tap(T.reshape(x, (n, 1, c)), w, dilation)
+        return T.reshape(out, (n, w.data.shape[2]))
     s = w.data.shape[0]
     center = (s + 1) // 2
     out = None
     for j in range(1, s + 1):
-        term = T.matmul(shift_time(x, dilation * (j - center)), kernel_slice(w, j - 1))
+        offset = dilation * (j - center)
+        shifted = shift_time(x, offset) if lengths is None else shift_segments(x, lengths, offset)
+        term = T.matmul(shifted, kernel_slice(w, j - 1))
         out = term if out is None else T.add(out, term)
     return out
 

@@ -1,7 +1,5 @@
 """The autodiff engine: op-level gradients and guards."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -170,52 +168,55 @@ class TestOps:
 
 
 class TestConvTapsAgainstPerTap:
-    """conv_taps and segment_max on packed rows against the padded
-    references: `padded_conv_taps` and the per-tap shift/slice/matmul/add
-    `conv1d_per_tap` over the batch padded to its longest sequence, and
-    `padded_max_time`.
+    """conv_taps and segment_max against references.
 
-    At the model widths the forward is the references' own dot products at
-    each real row, so it matches bit for bit. At some other widths
-    (C_out = 8k+1..8k+3 with C_in >= 16 on OpenBLAS's Haswell kernels) BLAS
-    rounds a row of a many-row product by its position among the rows, so
-    a row rounds differently in the packed product than in the padded one
-    (and, in the padded layout itself, in a batch than alone): the random
-    widths match to rounding. The gradients sum the same products over
-    other layouts, so they match to rounding.
+    `conv1d_per_tap` given the sequence lengths shifts the packed rows
+    inside each sequence and multiplies every shifted copy with its own
+    matmul. The forward and the kernel gradient are that oracle's own BLAS
+    products, so they match bit for bit at every width; the input gradient
+    sums all taps in one product, so it matches to rounding.
+
+    `padded_conv_taps`, `conv1d_per_tap` without lengths and
+    `padded_max_time` run the batch padded to its longest sequence, as the
+    towers did before packing. At the model widths BLAS rounds a row of a
+    many-row product the same wherever the row sits, so the forward matches
+    them bit for bit at each real row; the gradients sum over the padding
+    rows too, so they match to rounding. (At output widths 8k+1 to 8k+3
+    with an inner width of 16 or more, OpenBLAS's Haswell kernels round the
+    last rows of a product apart from the others, so there a row can
+    differ in the last bit between the packed and the padded layout, as it
+    does in the padded layout between a batch and the sequence alone.)
     """
 
-    def _case(self, rng, lengths, c_in, s, c_out, dilation, exact=True):
-        seg = T.Segments(lengths)
-        t = max(max(lengths), 1)
-        padded = np.zeros((len(lengths), t, c_in))
-        real = np.zeros((len(lengths), t), dtype=bool)
+    @staticmethod
+    def _padded(lengths, rows):
+        real = np.zeros((len(lengths), max(max(lengths), 1)), dtype=bool)
         for b, n in enumerate(lengths):
             real[b, :n] = True
-        padded[real] = rng.uniform(-1, 1, (seg.n, c_in))
-        x = T.parameter(padded[real])
-        xp = T.parameter(padded)
+        padded = np.zeros(real.shape + rows.shape[1:])
+        padded[real] = rows
+        return padded, real
+
+    def _case(self, rng, lengths, c_in, s, c_out, dilation):
+        seg = T.Segments(lengths)
+        x = T.parameter(rng.uniform(-1, 1, (seg.n, c_in)))
         w = T.parameter(rng.uniform(-1, 1, (s, c_in, c_out)))
         out = T.conv_taps(x, w, seg, dilation)
-        ref = padded_conv_taps(xp, w, dilation)
-        same = np.testing.assert_array_equal if exact else partial(
-            np.testing.assert_allclose, rtol=1e-13, atol=1e-14)
-        same(out.data, ref.data[real])
-        same(out.data, conv1d_per_tap(T.constant(padded), w, dilation).data[real])
+        ref = conv1d_per_tap(x, w, dilation, lengths)
+        np.testing.assert_array_equal(out.data, ref.data)
         up = rng.uniform(-1, 1, out.data.shape)
-        up_padded = np.zeros(ref.data.shape)
-        up_padded[real] = up
         T.mean(T.mul(out, T.constant(up))).backward()
         gx, gw = x.grad, w.grad
-        w.grad = None
-        T.mean(T.mul(ref, T.constant(up_padded))).backward()
-        scale = up.size / up_padded.size  # the means divide by different sizes
-        np.testing.assert_allclose(gx * scale, xp.grad[real], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(gw * scale, w.grad, rtol=1e-12, atol=1e-15)
+        x.grad = w.grad = None
+        T.mean(T.mul(ref, T.constant(up))).backward()
+        np.testing.assert_allclose(gx, x.grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(gw, w.grad)
 
+        padded, real = self._padded(lengths, x.data)
         pooled = T.segment_max(x, seg)
-        ref_pooled = padded_max_time(T.constant(padded), lengths)
-        np.testing.assert_array_equal(pooled.data, ref_pooled.data)
+        np.testing.assert_array_equal(pooled.data,
+                                      padded_max_time(T.constant(padded), lengths).data)
+        return x, w, out, up
 
     def test_random_shapes(self):
         rng = np.random.default_rng(13)
@@ -227,14 +228,30 @@ class TestConvTapsAgainstPerTap:
             if sum(lengths) == 0:
                 lengths.append(1)
             self._case(rng, lengths, c_in, int(rng.choice([1, 2, 3, 5])), c_out,
-                       int(rng.choice([1, 2, 4, 8, 64])), exact=False)
+                       int(rng.choice([1, 2, 4, 8, 64])))
 
     def test_model_shapes(self):
         rng = np.random.default_rng(14)
         for dim in (3, 4, 6, 8, 32, 64):
             for lengths in ([1], [17], [12, 29, 1, 0, 5], [31], [1, 1, 0, 1], [3, 1, 2]):
                 for s, dilation in ((5, 1), (3, 1), (3, 2), (3, 16)):
-                    self._case(rng, lengths, dim, s, dim, dilation)
+                    x, w, out, up = self._case(rng, lengths, dim, s, dim, dilation)
+                    padded, real = self._padded(lengths, x.data)
+                    xp = T.parameter(padded)
+                    ref = padded_conv_taps(xp, w, dilation)
+                    np.testing.assert_array_equal(out.data, ref.data[real])
+                    np.testing.assert_array_equal(
+                        out.data, conv1d_per_tap(T.constant(padded), w, dilation).data[real])
+                    x.grad = w.grad = None
+                    T.mean(T.mul(T.conv_taps(x, w, T.Segments(lengths), dilation),
+                                 T.constant(up))).backward()
+                    gx, gw = x.grad, w.grad
+                    w.grad = None
+                    up_padded, _ = self._padded(lengths, up)
+                    T.mean(T.mul(ref, T.constant(up_padded))).backward()
+                    scale = up.size / up_padded.size  # the means divide by different sizes
+                    np.testing.assert_allclose(gx * scale, xp.grad[real], rtol=1e-12, atol=1e-15)
+                    np.testing.assert_allclose(gw * scale, w.grad, rtol=1e-12, atol=1e-15)
 
 
 class TestEngine:
