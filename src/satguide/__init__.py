@@ -18,7 +18,7 @@ from .fol import (
     normalize_variables,
     problem_str,
 )
-from .guidance import GuidanceConfig, guided_prove, switched_prove
+from .guidance import GuidanceConfig, guided_prove
 from .parser import ParseError, parse_tptp
 from .saturation import (
     ProveResult,

@@ -28,7 +28,7 @@ from .harness import (
     write_report,
 )
 from .neural.checkpoint import load_checkpoint_file, save_checkpoint_file
-from .neural.models import ModelConfig, init_model
+from .neural.models import ModelConfig, ModelParams, init_model
 from .neural.train import TrainConfig, prepare_pairs, train
 from .parser import parse_tptp
 from .premsel import DEFAULT_LEVELS, cascade_prove, rank_premises
@@ -51,17 +51,22 @@ def _limits_from_args(args) -> SearchConfig:
     )
 
 
+def _load_model(model_path: str, vocab_path: str) -> tuple[ModelParams, Vocabulary]:
+    """(model, vocab) from a checkpoint and the vocabulary it was trained
+    with; a vocabulary whose hash differs from the checkpoint's is an error."""
+    vocab = Vocabulary.load(vocab_path)
+    return load_checkpoint_file(model_path, expected_vocab_hash=vocab.hash), vocab
+
+
 def _guidance_from_args(args) -> GuidanceConfig:
     model = vocab = None
     if getattr(args, "model", None):
-        vocab = Vocabulary.load(args.vocab)
-        model = load_checkpoint_file(args.model, expected_vocab_hash=vocab.hash)
+        model, vocab = _load_model(args.model, args.vocab)
     return GuidanceConfig(
         mode=args.mode,
         model=model,
         vocab=vocab,
         phase1_budget=getattr(args, "phase1_budget", None),
-        total_budget=getattr(args, "total_budget", None),
         batch_size=getattr(args, "batch_size", 32),
     )
 
@@ -148,8 +153,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_acc(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    model = load_checkpoint_file(args.model, expected_vocab_hash=vocab.hash)
+    model, vocab = _load_model(args.model, args.vocab)
     examples = datagen.read_examples(args.examples)
     balanced = datagen.balance_eval_set(examples, args.seed)
     acc = accuracy_eval(model, balanced, vocab)
@@ -186,8 +190,7 @@ def cmd_experiment(args) -> int:
         _known(m, _METHOD_KEYS, f"method {m.get('id')!r}")
         model = vocab = None
         if m.get("model"):
-            vocab = Vocabulary.load(m["vocab"])
-            model = load_checkpoint_file(m["model"], expected_vocab_hash=vocab.hash)
+            model, vocab = _load_model(m["model"], m["vocab"])
         g = GuidanceConfig(model=model, vocab=vocab,
                            **{k: v for k, v in m.items() if k in _GUIDANCE_KEYS})
         methods.append(MethodConfig(
@@ -208,8 +211,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_premsel(args) -> int:
     problem = _load_problem(args.problem)
-    vocab = Vocabulary.load(args.vocab)
-    model = load_checkpoint_file(args.model, expected_vocab_hash=vocab.hash)
+    model, vocab = _load_model(args.model, args.vocab)
     scorer = ClauseScorer(model, vocab, problem, args.batch_size)
     ranking = rank_premises(problem, scorer)
     levels = tuple(int(x) for x in args.levels.split(","))
@@ -253,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common_prove_args(p):
+        # in switched mode these two limits are the totals of both phases
         p.add_argument("--max-processed", type=int, default=20_000, dest="max_processed")
         p.add_argument("--timeout-ms", type=int, default=60_000, dest="timeout_ms")
         p.add_argument("--mode", default="auto",
@@ -264,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "mode, the classical entries in hybrid and switched "
                             "mode; pure mode rejects anything but auto")
         p.add_argument("--phase1-budget", type=int, default=None, dest="phase1_budget")
-        p.add_argument("--total-budget", type=int, default=None, dest="total_budget")
         p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
 
     p = sub.add_parser("prove", help="prove one TPTP problem")

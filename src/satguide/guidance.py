@@ -1,21 +1,23 @@
 """Neural guidance for clause selection: pure, hybrid and switched modes.
 
-The trained scorer becomes one more weight function: clause -> -p(useful),
-so the existing lowest-is-best rankings select the most promising clause.
-The negated-conjecture embedding is computed once per proof attempt;
-clause scores are cached by id (they depend only on clause + conjecture)
-and evaluated in batches as the selection loop first needs them.
+The scorer is the network's weight function: `ClauseScorer` keys a
+clause by -p(useful), so the existing lowest-is-best rankings select the
+most promising clause. The negated-conjecture embedding is computed once
+per proof attempt; clause scores are cached by id (they depend only on
+clause + conjecture) and evaluated in batches as the selection loop first
+needs them.
 
-Switched mode runs a hybrid phase under a budget, then hands the same
-proof state (processed set, queues, counters) to the classical schedule
-of the search limits (Auto by default); no network evaluation happens
-after the switch.
+`guided_prove` runs every mode under one `SearchConfig`. Switched mode
+runs a hybrid phase, then hands the same proof state (processed set,
+queues, counters) to the classical schedule of the search limits (Auto by
+default); no network evaluation happens after the switch, and the
+processed and wall limits are the totals of both phases.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,22 +58,14 @@ class GuidanceConfig:
     vocab: Vocabulary | None = None
     hybrid_nn_picks: int = 1
     batch_size: int = 32
-    # budgets are processed-clause counts unless the *_ms variants are set
+    # switched mode's phase 1, in processed clauses or wall ms; the totals
+    # of both phases are the search limits
     phase1_budget: int | None = None
-    total_budget: int | None = None
     phase1_ms: int | None = None
-    total_ms: int | None = None
 
     def __post_init__(self):
         if self.mode != MODE_AUTO and self.model is None:
             raise ValueError(f"mode {self.mode!r} requires a model")
-        if self.mode == MODE_SWITCHED:
-            if self.phase1_budget is not None and self.total_budget is not None:
-                if self.phase1_budget >= self.total_budget:
-                    raise ValueError("switched mode needs phase1_budget < total_budget")
-            if self.phase1_ms is not None and self.total_ms is not None:
-                if self.phase1_ms >= self.total_ms:
-                    raise ValueError("switched mode needs phase1_ms < total_ms")
 
     def describe(self) -> dict:
         return {
@@ -79,15 +73,15 @@ class GuidanceConfig:
             "hybrid_nn_picks": self.hybrid_nn_picks,
             "batch_size": self.batch_size,
             "phase1_budget": self.phase1_budget,
-            "total_budget": self.total_budget,
             "phase1_ms": self.phase1_ms,
-            "total_ms": self.total_ms,
             "model": self.model.config.arch if self.model else None,
         }
 
 
-class ClauseScorer:
-    """Per-problem scoring context: one conjecture embedding, one cache."""
+class ClauseScorer(WeightFunction):
+    """The network's weight function for one problem: -p(useful | clause,
+    conjecture), lowest-is-best, from one conjecture embedding and one
+    cache of clause scores."""
 
     def __init__(self, model: ModelParams, vocab: Vocabulary, problem: Problem,
                  batch_size: int = 32):
@@ -103,7 +97,6 @@ class ClauseScorer:
         self.max_len = model.config.max_len
         self.batch_calls = 0
         self.clause_evals = 0
-        self.conj_evals = 0
         self._sequence = model.config.arch in SEQ_ARCHS
         with T.no_grad():
             if self._sequence:
@@ -112,7 +105,6 @@ class ClauseScorer:
             else:
                 tree = conjecture_tree(problem.negated_conjecture)
                 self.v_nc = embed_tree(index_tree(tree, vocab.lookup), model, TOWER_CONJ)
-        self.conj_evals += 1
 
     def probabilities(self, vecs: T.Tensor) -> list[float]:
         """p(useful | embedded clause or premise, conjecture) for each row of
@@ -170,26 +162,20 @@ class ClauseScorer:
             self.cache.update(zip([c.id for c in chunk], probs))
 
 
-class NeuralWeightFn(WeightFunction):
-    """-p(useful | clause, conjecture) as a lowest-is-best weight."""
-
-    def __init__(self, scorer: ClauseScorer):
-        self.scorer = scorer
-
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
-        self.scorer.score_batch(clauses)
-        return [(0, -self.scorer.cache[c.id]) for c in clauses]
+        self.score_batch(clauses)
+        return [(0, -self.cache[c.id]) for c in clauses]
 
 
 def build_schedule(config: GuidanceConfig, problem: Problem,
                    classical: str = "auto") -> SelectionSchedule:
     """Schedule for one guided proof attempt; its first entry is the network's.
 
-    Pure is a single neural ranking; hybrid (and switched, in its first
-    phase) interleaves `hybrid_nn_picks` neural picks into the full cycle
-    of the `classical` schedule spec.
+    Pure is a single neural ranking; every other mode (hybrid, and switched
+    in its first phase) interleaves `hybrid_nn_picks` neural picks into the
+    full cycle of the `classical` schedule spec.
     """
-    nn = NeuralWeightFn(ClauseScorer(config.model, config.vocab, problem, config.batch_size))
+    nn = ClauseScorer(config.model, config.vocab, problem, config.batch_size)
     if config.mode == MODE_PURE:
         return SelectionSchedule([(1, nn)])
     classic = parse_schedule(classical, problem.conjecture_symbols())
@@ -199,85 +185,66 @@ def build_schedule(config: GuidanceConfig, problem: Problem,
 
 def guided_prove(problem: Problem, gconfig: GuidanceConfig,
                  limits: SearchConfig | None = None) -> ProveResult:
-    """Entry point dispatching on guidance mode.
+    """Prove `problem` under `limits` in any guidance mode.
 
     Auto is the classical search under `limits`, schedule included. Hybrid
     and switched take their classical entries from `limits.schedule`;
     pure selects by the network alone, so it rejects any other schedule.
+
+    Switched mode runs the hybrid schedule, then the classical schedule
+    alone on the same proof state. `limits.max_processed` and
+    `limits.max_wall_ms` are the totals of both phases. Without
+    `phase1_budget` or `phase1_ms`, phase 1 gets 2/3 of each total there
+    is, a count capped exactly, and ends at whichever it reaches first;
+    zero network evaluation happens after the switch.
     """
     limits = limits or SearchConfig()
-    if gconfig.mode == MODE_SWITCHED:
-        return switched_prove(problem, gconfig, limits)
-    if gconfig.mode == MODE_PURE and limits.schedule != SearchConfig.schedule:
+    mode = gconfig.mode
+    if mode == MODE_PURE and limits.schedule != SearchConfig.schedule:
         raise ValueError(f"pure mode selects by the network alone and cannot "
                          f"use schedule {limits.schedule!r}")
-    if gconfig.total_budget is not None:
-        limits = replace(limits, max_processed=gconfig.total_budget)
-    if gconfig.total_ms is not None:
-        limits = replace(limits, max_wall_ms=gconfig.total_ms)
-    if gconfig.mode == MODE_AUTO:
+    if mode == MODE_AUTO:
         result = prove(problem, limits)
-    else:
+    elif mode != MODE_SWITCHED:
         schedule = build_schedule(gconfig, problem, limits.schedule)
         result = prove(problem, limits, schedule)
-        scorer = schedule.entries[0].fn.scorer
+    else:
+        total_budget, total_ms = limits.max_processed, limits.max_wall_ms
+        phase1_budget, phase1_ms = gconfig.phase1_budget, gconfig.phase1_ms
+        if None not in (phase1_budget, total_budget) and phase1_budget >= total_budget:
+            raise ValueError("switched mode needs phase1_budget < max_processed")
+        if None not in (phase1_ms, total_ms) and phase1_ms >= total_ms:
+            raise ValueError("switched mode needs phase1_ms < max_wall_ms")
+        t0 = time.monotonic()
+        if phase1_budget is None and phase1_ms is None:
+            if total_budget is not None:
+                phase1_budget = (2 * total_budget) // 3
+            if total_ms is not None:
+                phase1_ms = (2 * total_ms) / 3
+        total_deadline = None if total_ms is None else t0 + total_ms / 1000.0
+        phase1_deadline = total_deadline
+        if phase1_ms is not None:
+            phase1_deadline = t0 + phase1_ms / 1000.0
+
+        schedule = build_schedule(gconfig, problem, limits.schedule)
+        # the total cap is the state's own; run() takes the phase-1 cap
+        state = Saturation(problem, limits, schedule)
+        outcome = state.run(max_processed=phase1_budget, deadline=phase1_deadline)
+        info = {"phase1_processed": state.steps,
+                "evals_at_switch": schedule.entries[0].fn.clause_evals,
+                "finished_in_phase": 1}
+        if outcome == LIMIT:
+            # switch: same processed set and counters, classical-only rankings
+            state.schedule = parse_schedule(limits.schedule, problem.conjecture_symbols())
+            for cid in sorted(schedule.alive):
+                state.schedule.insert(schedule.alive[cid])
+            info["finished_in_phase"] = 2
+            outcome = state.run(deadline=total_deadline)
+        result = state.result(outcome, t0)
+        result.info.update(info)
+    if mode != MODE_AUTO:
+        scorer = schedule.entries[0].fn
         result.info["network_evals"] = scorer.clause_evals
         result.info["batch_calls"] = scorer.batch_calls
     result.info["guidance"] = gconfig.describe()
-    return result
-
-
-def switched_prove(problem: Problem, gconfig: GuidanceConfig,
-                   limits: SearchConfig | None = None) -> ProveResult:
-    """Hybrid phase under a budget, then the classical schedule alone on
-    the same proof state.
-
-    The processed-clause total is `total_budget`, else `limits.max_processed`,
-    and caps both phases whatever the wall budgets. The wall total is
-    `total_ms`, else `limits.max_wall_ms`. Without `phase1_budget` or
-    `phase1_ms`, phase 1 gets 2/3 of each total there is, a count capped
-    exactly, and ends at whichever it reaches first; zero network
-    evaluation happens after the switch.
-    """
-    limits = limits or SearchConfig()
-    t0 = time.monotonic()
-
-    if gconfig.total_budget is not None:
-        limits = replace(limits, max_processed=gconfig.total_budget)
-    total_budget = limits.max_processed
-    total_ms = gconfig.total_ms if gconfig.total_ms is not None else limits.max_wall_ms
-    phase1_budget, phase1_ms = gconfig.phase1_budget, gconfig.phase1_ms
-    if phase1_budget is None and phase1_ms is None:
-        if total_budget is not None:
-            phase1_budget = (2 * total_budget) // 3
-        if total_ms is not None:
-            phase1_ms = (2 * total_ms) / 3
-
-    total_deadline = None if total_ms is None else t0 + total_ms / 1000.0
-    phase1_deadline = total_deadline
-    if phase1_ms is not None:
-        phase1_deadline = t0 + phase1_ms / 1000.0
-
-    schedule = build_schedule(replace(gconfig, mode=MODE_HYBRID), problem, limits.schedule)
-    scorer = schedule.entries[0].fn.scorer
-    # the total cap is the state's own; run() takes the phase-1 cap
-    state = Saturation(problem, limits, schedule)
-    info = {"guidance": gconfig.describe()}
-
-    outcome = state.run(max_processed=phase1_budget, deadline=phase1_deadline)
-    info["phase1_processed"] = state.steps
-    info["evals_at_switch"] = scorer.clause_evals
-    info["finished_in_phase"] = 1
-    if outcome == LIMIT:
-        # switch: same processed set and counters, classical-only rankings
-        old = state.schedule
-        state.schedule = parse_schedule(limits.schedule, problem.conjecture_symbols())
-        for cid in sorted(old.alive):
-            state.schedule.insert(old.alive[cid])
-        info["finished_in_phase"] = 2
-        outcome = state.run(deadline=total_deadline)
-    info["network_evals"] = scorer.clause_evals
-    info["batch_calls"] = scorer.batch_calls
-    result = state.result(outcome, t0)
-    result.info.update(info)
     return result

@@ -120,30 +120,25 @@ def clamp_levels(levels, n_premises: int) -> list[int]:
 
 def cascade_prove(problem: Problem, ranking: RankedPremises,
                   levels=DEFAULT_LEVELS, total_budget: int = 2000,
-                  prover=None, limits: SearchConfig | None = None) -> CascadeResult:
+                  limits: SearchConfig | None = None) -> CascadeResult:
     """Attempt the top-k subsets in growing order; stop at the first proof.
 
-    `prover(subproblem, budget)` runs one attempt; the default is the
-    unguided prover under `limits`, with the per-level processed-clause
-    budget and the per-level share of the wall limit.
+    Each level runs the unguided prover under `limits`, with an even share
+    of `total_budget` processed clauses and of the wall limit.
     """
     limits = limits or SearchConfig()
     eff_levels = clamp_levels(levels, len(ranking.order))
     n_levels = max(1, len(eff_levels))
-    per_level = max(1, total_budget // n_levels)
-
-    if prover is None:
-        wall_ms = None if limits.max_wall_ms is None else max(1, limits.max_wall_ms // n_levels)
-
-        def prover(sub: Problem, budget: int) -> ProveResult:
-            return prove(sub, replace(limits, max_processed=budget, max_wall_ms=wall_ms))
+    wall_ms = None if limits.max_wall_ms is None else max(1, limits.max_wall_ms // n_levels)
+    level_limits = replace(limits, max_processed=max(1, total_budget // n_levels),
+                           max_wall_ms=wall_ms)
 
     transcript = []
     last: ProveResult | None = None
     for k in eff_levels:
         top = set(ranking.order[:k])
         sub = subset_problem(problem, top, f"@top{k}")
-        res = prover(sub, per_level)
+        res = prove(sub, level_limits)
         if res.status == SAT and k < len(ranking.order):
             res = replace(res, status=RESOURCE_OUT, resource="premises")
         transcript.append(

@@ -20,7 +20,7 @@ from satguide.datagen import (
     write_traces,
 )
 from satguide.fol import clause_str, normalize_variables
-from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove, switched_prove
+from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
 from satguide.harness import (
     MethodConfig,
     accuracy_eval,
@@ -126,7 +126,7 @@ def test_criterion_1_soundness(corpus, trained):
         for item in guided_slice:
             if mode == "switched":
                 g = GuidanceConfig(mode=mode, model=model, vocab=vocab,
-                                   phase1_budget=800, total_budget=1200)
+                                   phase1_budget=800)
             else:
                 g = GuidanceConfig(mode=mode, model=model, vocab=vocab)
             result = guided_prove(item.problem, g,
@@ -350,8 +350,7 @@ def test_criterion_7_guidance_effect(corpus, trained):
                 g = GuidanceConfig(mode="auto")
             elif mode == "switched":
                 g = GuidanceConfig(mode="switched", model=model, vocab=vocab,
-                                   phase1_budget=(2 * budget) // 3,
-                                   total_budget=budget)
+                                   phase1_budget=(2 * budget) // 3)
             else:
                 g = GuidanceConfig(mode=mode, model=model, vocab=vocab)
             r = guided_prove(p, g, limits)
@@ -380,10 +379,9 @@ def test_criterion_8_switched_contracts(corpus, trained):
     details = []
     # (a) zero evals after the switch + exact phase budget
     for p in fixed[:4]:
-        g = GuidanceConfig(mode="switched", model=model, vocab=vocab,
-                           phase1_budget=15, total_budget=600)
-        r = switched_prove(p, g, SearchConfig(max_generated=40_000,
-                                              max_clause_literals=12))
+        g = GuidanceConfig(mode="switched", model=model, vocab=vocab, phase1_budget=15)
+        r = guided_prove(p, g, SearchConfig(max_processed=600, max_generated=40_000,
+                                            max_clause_literals=12))
         if r.info.get("finished_in_phase") == 2:
             if r.info["network_evals"] != r.info["evals_at_switch"]:
                 ok_all = False
@@ -396,9 +394,8 @@ def test_criterion_8_switched_contracts(corpus, trained):
         limits = SearchConfig(max_processed=400, max_generated=80_000,
                               record_selections=True)
         auto = guided_prove(p, GuidanceConfig(mode="auto"), limits)
-        g = GuidanceConfig(mode="switched", model=model, vocab=vocab,
-                           phase1_budget=0, total_budget=400)
-        sw = switched_prove(p, g, limits)
+        g = GuidanceConfig(mode="switched", model=model, vocab=vocab, phase1_budget=0)
+        sw = guided_prove(p, g, limits)
         if sw.selections != auto.selections or sw.status != auto.status:
             ok_all = False
             details.append(f"{p.name}: budget-0 selection mismatch")

@@ -1,9 +1,13 @@
-"""CLI smoke tests through main()."""
+"""CLI smoke tests through main(), and README's usage examples."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from satguide import cli
 from satguide.cli import build_parser, main
 from satguide.corpus import chain_problem, junk_distractors
 from satguide.fol import problem_str
@@ -100,6 +104,7 @@ def test_experiment_and_report(tmp_path, capsys):
     for key, spoil in (
         ("max_clauses", lambda c: c["limits"].update(max_clauses=100)),
         ("phase1_msec", lambda c: c["methods"][0].update(phase1_msec=100)),
+        ("total_budget", lambda c: c["methods"][0].update(total_budget=200)),
         ("familes", lambda c: c["corpus"].update(familes=["mini"])),
         ("record_walltim", lambda c: c.update(record_walltim=True)),
         ("tags", lambda c: c.update(corpus={**dir_corpus, "tags": ["train"]})),
@@ -135,3 +140,32 @@ def test_prove_from_dumped_file(tmp_path, capsys):
     some = sorted(out_dir.glob("mini*.p"))[0]
     assert main(["prove", str(some)]) == 0
     assert "% SZS status" in capsys.readouterr().out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(lang: str, after: str) -> str:
+    """The first ```lang block of README.md that follows the line `after`."""
+    text = README.read_text()
+    start = text.index(after)
+    return re.search(rf"```{lang}\n(.*?)```", text[start:], re.S).group(1)
+
+
+def test_readme_command_lines_parse():
+    # parsing only: every `satguide ...` line names real subcommands and flags
+    block = readme_block("bash", "## Command line").replace("\\\n", " ")
+    commands = [line.split("#", 1)[0] for line in block.splitlines()]
+    commands = [shlex.split(c)[1:] for c in commands if c.startswith("satguide ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_readme_experiment_config_keys_are_known():
+    spec = json.loads(readme_block("json", "An experiment config is one JSON file"))
+    cli._known(spec, cli._EXPERIMENT_KEYS, "experiment")
+    cli._known(spec.get("corpus", {}), cli._CORPUS_KEYS, "corpus")
+    cli._known(spec.get("limits", {}), cli._LIMIT_KEYS, "limits")
+    for m in spec["methods"]:
+        cli._known(m, cli._METHOD_KEYS, f"method {m['id']!r}")

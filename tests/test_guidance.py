@@ -11,10 +11,8 @@ import satguide.saturation as saturation
 from satguide.guidance import (
     ClauseScorer,
     GuidanceConfig,
-    NeuralWeightFn,
     build_schedule,
     guided_prove,
-    switched_prove,
 )
 from satguide.heuristics import SelectionSchedule
 from satguide.neural.models import TOWER_CONJ, ModelConfig, init_model
@@ -94,7 +92,6 @@ class TestScorer:
         for cid in range(5):
             scorer.score_batch([clause_of("p(a)", cid)])
         assert towers.count(TOWER_CONJ) == 1 and len(towers) == 6
-        assert scorer.conj_evals == 1
 
     def test_cache_hit_skips_evaluation(self):
         problem = tiny_problem()
@@ -151,8 +148,7 @@ class TestNeuralWeightFn:
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
         scorer.cache[1] = 0.9
         scorer.cache[2] = 0.2
-        k1, k2 = NeuralWeightFn(scorer).batch_keys([clause_of("p(a)", 1),
-                                                     clause_of("q(a)", 2)])
+        k1, k2 = scorer.batch_keys([clause_of("p(a)", 1), clause_of("q(a)", 2)])
         assert k1 < k2  # -0.9 < -0.2
 
     def test_constant_model_orders_by_id(self):
@@ -170,7 +166,7 @@ class TestNeuralWeightFn:
         problem = tiny_problem()
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        [(tier, weight)] = NeuralWeightFn(scorer).batch_keys([clause_of("p(a)", 4)])
+        [(tier, weight)] = scorer.batch_keys([clause_of("p(a)", 4)])
         assert tier == 0 and -1.0 < weight < 0.0
         assert weight == -scorer.cache[4]
 
@@ -206,7 +202,7 @@ class TestModes:
         for classical, cycle in (("auto", 12), ("1*fifo,2*symcount(2,1)", 4)):
             sched = build_schedule(config, problem, classical)
             assert sum(e.weight for e in sched.entries) == cycle
-            assert isinstance(sched.entries[0].fn, NeuralWeightFn)
+            assert isinstance(sched.entries[0].fn, ClauseScorer)
 
     def test_auto_mode_honours_schedule(self):
         problem = flooded()
@@ -257,8 +253,8 @@ class TestSwitched:
                                       record_selections=True)
                 auto = prove(problem, limits)
                 config = GuidanceConfig(mode="switched", model=model_for(vocab),
-                                        vocab=vocab, phase1_budget=0, total_budget=400)
-                switched = switched_prove(problem, config, limits)
+                                        vocab=vocab, phase1_budget=0)
+                switched = guided_prove(problem, config, limits)
                 assert switched.status == auto.status
                 assert switched.selections == auto.selections
                 assert switched.info["network_evals"] == 0
@@ -267,8 +263,8 @@ class TestSwitched:
         problem = flooded()
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab,
-                                phase1_budget=10, total_budget=2000)
-        result = switched_prove(problem, config, SearchConfig())
+                                phase1_budget=10)
+        result = guided_prove(problem, config, SearchConfig(max_processed=2000))
         if result.info["finished_in_phase"] == 2:
             assert result.info["network_evals"] == result.info["evals_at_switch"]
 
@@ -277,35 +273,38 @@ class TestSwitched:
         vocab = vocab_for(problem)
         for budget in (0, 5, 17):
             config = GuidanceConfig(mode="switched", model=model_for(vocab),
-                                    vocab=vocab, phase1_budget=budget,
-                                    total_budget=2000)
-            result = switched_prove(problem, config, SearchConfig())
+                                    vocab=vocab, phase1_budget=budget)
+            result = guided_prove(problem, config, SearchConfig(max_processed=2000))
             assert result.info["phase1_processed"] <= budget
 
     def test_state_continuity_processed_monotone(self):
         problem = flooded()
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab,
-                                phase1_budget=10, total_budget=2000,
-                                )
-        result = switched_prove(problem, config, SearchConfig(record_selections=True))
+                                phase1_budget=10)
+        result = guided_prove(problem, config,
+                              SearchConfig(max_processed=2000, record_selections=True))
         # selections never repeat: the switch reuses the same state
         assert len(result.selections) == len(set(result.selections))
         assert result.processed_count == len(result.selections)
 
     def test_budget_validation(self):
+        # phase 1 must end before the totals, which are the search limits
         vocab = Vocabulary()
         model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
-        with pytest.raises(ValueError):
-            GuidanceConfig(mode="switched", model=model, vocab=vocab,
-                           phase1_budget=10, total_budget=10)
+        for phase1, limits in (({"phase1_budget": 10}, SearchConfig(max_processed=10)),
+                               ({"phase1_budget": 25}, SearchConfig(max_processed=10)),
+                               ({"phase1_ms": 500}, SearchConfig(max_wall_ms=500))):
+            config = GuidanceConfig(mode="switched", model=model, vocab=vocab, **phase1)
+            with pytest.raises(ValueError):
+                guided_prove(tiny_problem(), config, limits)
 
     def test_finishes_in_phase1_when_easy(self):
         problem = tiny_problem()
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab,
-                                phase1_budget=50, total_budget=100)
-        result = switched_prove(problem, config, SearchConfig())
+                                phase1_budget=50)
+        result = guided_prove(problem, config, SearchConfig(max_processed=100))
         assert result.status == UNSAT
         assert result.info["finished_in_phase"] == 1
 
@@ -314,16 +313,16 @@ class TestSwitched:
         # wall budgets must not lift the processed cap in either mode
         problem = flooded()
         vocab = vocab_for(problem)
-        limits = SearchConfig(max_processed=5)
+        limits = SearchConfig(max_processed=5, max_wall_ms=60_000)
         for mode in ("hybrid", "switched"):
             config = GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
-                                    phase1_ms=phase1_ms, total_ms=60_000)
+                                    phase1_ms=phase1_ms)
             result = guided_prove(problem, config, limits)
             assert (result.status, result.resource) == (RESOURCE_OUT, "processed")
             assert result.processed_count == 5
 
     def test_wall_total_is_split_two_to_one(self, monkeypatch):
-        # total_ms alone, no processed cap: phase 1 must end at 2/3 of the
+        # a wall limit alone, no processed cap: phase 1 must end at 2/3 of the
         # wall total and phase 2 must run. A fake clock that advances 5 ms
         # per reading makes the run the same on any machine.
         class Clock:
@@ -339,13 +338,24 @@ class TestSwitched:
         problem = chain_problem("big", "rel0", [f"c{i}" for i in range(12)], 11,
                                 junk_distractors(list(range(40)), "rel0", "c0"))
         vocab = vocab_for(problem)
-        config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab,
-                                total_ms=1500)
-        result = guided_prove(problem, config, SearchConfig(max_processed=None))
+        config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab)
+        result = guided_prove(problem, config,
+                              SearchConfig(max_processed=None, max_wall_ms=1500))
         assert result.info["finished_in_phase"] == 2
         assert 0 < result.info["phase1_processed"] < result.processed_count
         assert result.info["network_evals"] == result.info["evals_at_switch"]
         assert (result.status, result.resource) == (RESOURCE_OUT, "time")
+
+    def test_processed_total_is_split_two_to_one(self):
+        # a processed limit alone, no wall limit: phase 1 gets 2/3 of it
+        problem = flooded()
+        vocab = vocab_for(problem)
+        config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab)
+        result = guided_prove(problem, config,
+                              SearchConfig(max_processed=30, max_wall_ms=None))
+        assert result.info["phase1_processed"] == 20
+        assert result.info["finished_in_phase"] == 2
+        assert result.info["network_evals"] == result.info["evals_at_switch"]
 
 
 class TestCacheTransparency:
@@ -358,7 +368,7 @@ class TestCacheTransparency:
             scorer = ClauseScorer(model, vocab, problem)
             scorer.cache = cache
             cfg = SearchConfig(max_processed=25, record_selections=True)
-            result = prove(problem, cfg, SelectionSchedule([(1, NeuralWeightFn(scorer))]))
+            result = prove(problem, cfg, SelectionSchedule([(1, scorer)]))
             return result.selections, scorer
 
         cold_selections, cold_scorer = run({})

@@ -89,18 +89,11 @@ class TestCascade:
         relevant = [n for n in names if n.startswith("pp_")]
         rest = [n for n in names if not n.startswith("pp_")]
         ranking = RankedPremises(relevant + rest, {n: 0.0 for n in names})
-        attempts = []
-
-        def prover(sub, budget):
-            attempts.append(len(premise_groups(sub)))
-            from satguide.saturation import prove
-
-            return prove(sub, SearchConfig(max_processed=budget))
-
-        cascade = cascade_prove(problem, ranking, (4, 8, 64), 600, prover=prover)
+        cascade = cascade_prove(problem, ranking, (4, 8, 64), 600)
         assert cascade.result.status == UNSAT
         assert cascade.level_used == 4
-        assert attempts == [4]  # later levels never attempted
+        assert cascade.levels_attempted == [4]  # later levels never attempted
+        assert len(premise_groups(cascade.result.state.problem)) == 4
 
     def test_essential_premise_at_rank_boundary(self):
         # an essential premise ranked just past the first level: level 1
