@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .fol import Clause, Problem, clause_str, normalize_variables
+from .fol import Problem, normalized_str
 from .saturation import SearchConfig, UNSAT, extract_used_set, prove
 from .tokens import Vocabulary, text_tokens
 
@@ -71,17 +71,13 @@ def config_hash(config: SearchConfig) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _printed(c: Clause) -> str:
-    return clause_str(normalize_variables(c))
-
-
 UNPROCESSED_CAP = 512  # never-processed clauses sampled into a trace
 
 
 def trace_problem(problem: Problem, config: SearchConfig, seed: int = 0) -> ProofTrace:
     """Run the prover once and record the labeled clause-level outcome."""
     result = prove(problem, config)
-    conj = [_printed(c) for c in problem.negated_conjecture]
+    conj = [normalized_str(c) for c in problem.negated_conjecture]
     trace = ProofTrace(problem.name, result.status, config_hash(config), conj,
                        resource=result.resource)
     if result.status != UNSAT:
@@ -91,7 +87,7 @@ def trace_problem(problem: Problem, config: SearchConfig, seed: int = 0) -> Proo
     used_ids = {c.id for c in positives}
     for c in state.processed:
         trace.clauses.append(
-            TraceClause(c.id, _printed(c), c.role, True, c.id in used_ids)
+            TraceClause(c.id, normalized_str(c), c.role, True, c.id in used_ids)
         )
     leftover_ids = sorted(state.schedule.alive)
     if leftover_ids:
@@ -100,7 +96,7 @@ def trace_problem(problem: Problem, config: SearchConfig, seed: int = 0) -> Proo
         picks = sorted(rng.choice(len(leftover_ids), size=take, replace=False))
         for i in picks:
             c = state.schedule.alive[leftover_ids[i]]
-            trace.clauses.append(TraceClause(c.id, _printed(c), c.role, False, False))
+            trace.clauses.append(TraceClause(c.id, normalized_str(c), c.role, False, False))
     return trace
 
 
@@ -173,12 +169,19 @@ def split_by_conjecture(examples: list[TrainingExample], fraction: float = 0.9,
 
 
 def build_vocabulary(train_examples: list[TrainingExample]) -> Vocabulary:
-    """Token frequency order (ties lexicographic) over the training side only."""
-    counts: dict[str, int] = {}
+    """Token frequency order (ties lexicographic) over the training side only.
+
+    Each distinct text is lexed once and its tokens counted as often as
+    the text occurs: the examples of one problem share its conjecture.
+    """
+    occurrences: dict[str, int] = {}
     for e in train_examples:
         for text in [e.clause_text, *e.conj_texts]:
-            for tok in text_tokens(text):
-                counts[tok] = counts.get(tok, 0) + 1
+            occurrences[text] = occurrences.get(text, 0) + 1
+    counts: dict[str, int] = {}
+    for text, n in occurrences.items():
+        for tok in text_tokens(text):
+            counts[tok] = counts.get(tok, 0) + n
     vocab = Vocabulary()
     for tok in sorted(counts, key=lambda t: (-counts[t], t)):
         vocab.add(tok)

@@ -13,8 +13,9 @@ variable-normalized clause is exactly what the tokenizer emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from operator import add
 
 FUNCTION = "function"
 PREDICATE = "predicate"
@@ -126,6 +127,21 @@ def Var(name: str) -> Term:
     return Term(var_symbol(name))
 
 
+_new = object.__new__
+
+
+def rebuild_term(sym: Symbol, args: tuple[Term, ...]) -> Term:
+    """`Term(sym, args)` from parts that were already validated: the
+    symbol of an existing application and as many arguments as it had.
+    Skips the kind and arity checks; used by substitution and renaming."""
+    t = _new(Term)
+    _set(t, "sym", sym)
+    _set(t, "args", args)
+    _set(t, "is_var", False)
+    _set(t, "_hash", hash((sym, args)))
+    return t
+
+
 @dataclass(frozen=True, slots=True)
 class Literal:
     pred: Symbol
@@ -141,7 +157,7 @@ class Literal:
             )
 
     def negated(self) -> Literal:
-        return Literal(self.pred, self.args, not self.positive)
+        return rebuild_literal(self.pred, self.args, not self.positive)
 
     @property
     def atom(self) -> tuple:
@@ -149,6 +165,16 @@ class Literal:
 
     def __repr__(self):
         return literal_str(self)
+
+
+def rebuild_literal(pred: Symbol, args: tuple[Term, ...], positive: bool) -> Literal:
+    """`Literal(pred, args, positive)` from the predicate of an existing
+    literal and as many arguments as it had; skips the checks."""
+    lit = _new(Literal)
+    _set(lit, "pred", pred)
+    _set(lit, "args", args)
+    _set(lit, "positive", positive)
+    return lit
 
 
 @dataclass(eq=False, slots=True)
@@ -161,7 +187,9 @@ class Clause:
     clauses get age == id. `goal_descendant` marks clauses derived (possibly
     transitively) from the negated conjecture, which the SOS-flavored
     selection tiers prefer. `symbols` caches the clause's `SymbolRecord`
-    (see `symbol_record`); `dataclasses.replace` starts the copy without one.
+    (see `symbol_record`); a renamed copy shares it, since renaming keeps
+    every symbol class, and `dataclasses.replace` starts the copy without
+    one.
     """
 
     id: int
@@ -251,16 +279,31 @@ class SymbolRecord:
     `classes` holds one byte per occurrence in `clause_symbols` order:
     VAR_CLASS for a variable, CONJ_CLASS for a function or predicate
     symbol in `conj`, OTHER_CLASS for any other. `fp` and `vars` count the
-    function/predicate and the variable occurrences.
+    function/predicate and the variable occurrences. `folds` keeps the
+    weights `fold` computed, one per distinct triple of class weights.
     """
 
-    __slots__ = ("conj", "classes", "fp", "vars")
+    __slots__ = ("conj", "classes", "fp", "vars", "folds")
 
     def __init__(self, conj: frozenset[Symbol], classes: bytes):
         self.conj = conj
         self.classes = classes
         self.vars = classes.count(VAR_CLASS)
         self.fp = len(classes) - self.vars
+        self.folds: dict[tuple[float, float, float], float] = {}
+
+    def fold(self, terms: tuple[float, float, float]) -> float:
+        """`terms[cls]` added for every class in walk order, a left fold
+        from 0.0; computed once per `terms` and kept.
+
+        The walk order is part of the value: with weights like 0.1 the
+        partial sums round, and a closed form such as `terms[0] * vars +
+        ...` gives other bits.
+        """
+        w = self.folds.get(terms)
+        if w is None:
+            w = self.folds[terms] = reduce(add, map(terms.__getitem__, self.classes), 0.0)
+        return w
 
 
 def symbol_record(c: Clause, conj: frozenset[Symbol] = NO_CONJECTURE) -> SymbolRecord:
@@ -269,7 +312,9 @@ def symbol_record(c: Clause, conj: frozenset[Symbol] = NO_CONJECTURE) -> SymbolR
     The record is cached on the clause. A cached record built against
     another set object (compared by identity, so share one set) is
     rebuilt; its counts, which do not depend on the set, serve
-    `symbol_counts` whatever set it was built against.
+    `symbol_counts` whatever set it was built against. The search builds
+    the records of derived clauses in `key_and_classes`' walk instead;
+    this is the reference walk.
     """
     rec = c.symbols
     if rec is not None and rec.conj is conj:
@@ -367,30 +412,47 @@ def printed_name(name: str) -> str:
     return name if _lexes_as_name(name) else f"'{name}'"
 
 
-def term_str(t: Term) -> str:
-    if t.sym.kind == VARIABLE:
-        return t.sym.name
+def term_str(t: Term, var=None) -> str:
+    """`t` printed; `var`, when given, maps a variable's name to the name
+    printed for it."""
+    if t.is_var:
+        return t.sym.name if var is None else var(t.sym.name)
     name = printed_name(t.sym.name)
     if not t.args:
         return name
-    return f"{name}({','.join(term_str(a) for a in t.args)})"
+    return f"{name}({','.join([term_str(a, var) for a in t.args])})"
 
 
-def literal_str(lit: Literal) -> str:
+def literal_str(lit: Literal, var=None) -> str:
     if lit.pred.name == EQ:
         op = "=" if lit.positive else "!="
-        return f"{term_str(lit.args[0])} {op} {term_str(lit.args[1])}"
+        return f"{term_str(lit.args[0], var)} {op} {term_str(lit.args[1], var)}"
     sign = "" if lit.positive else "~"
     name = printed_name(lit.pred.name)
     if not lit.args:
         return f"{sign}{name}"
-    return f"{sign}{name}({','.join(term_str(a) for a in lit.args)})"
+    return f"{sign}{name}({','.join([term_str(a, var) for a in lit.args])})"
 
 
-def clause_str(c: Clause) -> str:
+def clause_str(c: Clause, var=None) -> str:
     if c.is_empty:
         return FALSE_TOKEN
-    return " | ".join(literal_str(lit) for lit in c.literals)
+    return " | ".join([literal_str(lit, var) for lit in c.literals])
+
+
+def normalized_str(c: Clause) -> str:
+    """`clause_str(normalize_variables(c))` without the renamed copy:
+    variables are named V1, V2, ... in order of first occurrence as the
+    walk prints them."""
+    names: dict[str, str] = {}
+
+    def var(name: str) -> str:
+        v = names.get(name)
+        if v is None:
+            v = names[name] = f"V{len(names) + 1}"
+        return v
+
+    return clause_str(c, var)
 
 
 def problem_str(p: Problem) -> str:
@@ -415,6 +477,14 @@ def _namespace_var(prefix: str, i: int) -> Term:
     return Var(f"{prefix}{i + 1}")
 
 
+def _copy_with(c: Clause, literals: tuple[Literal, ...]) -> Clause:
+    """`c` with other literals; a renaming keeps its symbol record."""
+    copy = Clause(c.id, literals, c.role, c.age, c.parents, c.rule, c.origin,
+                  c.goal_descendant)
+    copy.symbols = c.symbols
+    return copy
+
+
 def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
     """Rename variables to V1, V2, ... (or `prefix`1, ...) in order of
     first occurrence.
@@ -432,8 +502,8 @@ def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
             args = tuple([rename(a) for a in t.args])
             if all(a is b for a, b in zip(args, t.args)):
                 return t
-            return Term(t.sym, args)
-        if t.sym.kind != VARIABLE:
+            return rebuild_term(t.sym, args)
+        if not t.is_var:
             return t
         v = mapping.get(t.sym.name)
         if v is None:
@@ -447,9 +517,43 @@ def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
         if all(a is b for a, b in zip(args, l.args)):
             lits.append(l)
         else:
-            lits.append(Literal(l.pred, args, l.positive))
+            lits.append(rebuild_literal(l.pred, args, l.positive))
             changed = True
-    return replace(c, literals=tuple(lits)) if changed else c
+    return _copy_with(c, tuple(lits)) if changed else c
+
+
+def normalize_variables_twice(c: Clause, first: str, second: str) -> tuple[Clause, Clause]:
+    """`(normalize_variables(c, first), normalize_variables(c, second))`
+    from one walk over `c`."""
+    index: dict[str, int] = {}
+
+    def rename(t: Term) -> tuple[Term, Term]:
+        if t.is_var:
+            name = t.sym.name
+            i = index.get(name)
+            if i is None:
+                i = index[name] = len(index)
+            a, b = _namespace_var(first, i), _namespace_var(second, i)
+            return (t if a.sym.name == name else a), (t if b.sym.name == name else b)
+        if not t.args:
+            return t, t
+        return tuple([t if _same(args, t.args) else rebuild_term(t.sym, args)
+                      for args in zip(*[rename(a) for a in t.args])])
+
+    def rename_literal(l: Literal) -> tuple[Literal, Literal]:
+        if not l.args:
+            return l, l
+        return tuple([l if _same(args, l.args) else rebuild_literal(l.pred, args, l.positive)
+                      for args in zip(*[rename(a) for a in l.args])])
+
+    if c.is_empty:
+        return c, c
+    return tuple([c if _same(lits, c.literals) else _copy_with(c, lits)
+                  for lits in zip(*[rename_literal(l) for l in c.literals])])
+
+
+def _same(new: tuple, old: tuple) -> bool:
+    return all(x is y for x, y in zip(new, old))
 
 
 def rename_clause_apart(c: Clause, suffix: str) -> Clause:
@@ -458,13 +562,13 @@ def rename_clause_apart(c: Clause, suffix: str) -> Clause:
     def rename(t: Term) -> Term:
         if t.is_var:
             return Var(t.sym.name + suffix)
-        return Term(t.sym, tuple(rename(a) for a in t.args))
+        return rebuild_term(t.sym, tuple([rename(a) for a in t.args]))
 
-    lits = tuple(
-        Literal(l.pred, tuple(rename(a) for a in l.args), l.positive)
+    lits = tuple([
+        rebuild_literal(l.pred, tuple([rename(a) for a in l.args]), l.positive)
         for l in c.literals
-    )
-    return replace(c, literals=lits)
+    ])
+    return _copy_with(c, lits)
 
 
 def canonical_key(c: Clause) -> tuple:
@@ -480,7 +584,8 @@ def canonical_key(c: Clause) -> tuple:
     rejects anything else), so the key determines the clause up to
     variable renaming. Used for duplicate detection; near-misses (variants
     whose literals sort differently because equal projections keep their
-    input order) are safe, they just dedup less.
+    input order) are safe, they just dedup less. `key_and_classes` builds
+    the same key; this is the reference walk.
     """
     blinds = []
     occurrences = []
@@ -491,17 +596,7 @@ def canonical_key(c: Clause) -> tuple:
             _blind_walk(a, toks, names)
         blinds.append(tuple(toks))
         occurrences.append(names)
-    flat: list = []
-    numbers: dict[str, int] = {}
-    pattern = []
-    for i in sorted(range(len(blinds)), key=blinds.__getitem__):
-        flat.extend(blinds[i])
-        for name in occurrences[i]:
-            k = numbers.get(name)
-            if k is None:
-                k = numbers[name] = len(numbers)
-            pattern.append(k)
-    return tuple(flat), tuple(pattern)
+    return _sorted_key(blinds, occurrences)
 
 
 def _blind_walk(t: Term, toks: list, names: list[str]) -> None:
@@ -513,3 +608,74 @@ def _blind_walk(t: Term, toks: list, names: list[str]) -> None:
     toks.append(sym.name)
     for a in t.args:
         _blind_walk(a, toks, names)
+
+
+def _sorted_key(blinds: list[tuple], occurrences: list[list[str]]) -> tuple:
+    """The key of literals with these blind projections and variable
+    occurrences: projections in stable sorted order, then the variables
+    numbered by first occurrence in that order."""
+    if len(blinds) == 1:
+        flat, names = blinds[0], occurrences[0]
+    elif len(blinds) == 2:
+        if blinds[1] < blinds[0]:
+            flat, names = blinds[1] + blinds[0], occurrences[1] + occurrences[0]
+        else:
+            flat, names = blinds[0] + blinds[1], occurrences[0] + occurrences[1]
+    else:
+        parts: list = []
+        names = []
+        for i in sorted(range(len(blinds)), key=blinds.__getitem__):
+            parts.extend(blinds[i])
+            names.extend(occurrences[i])
+        flat = tuple(parts)
+    if not names:
+        return flat, ()
+    numbers: dict[str, int] = {}
+    return flat, tuple([numbers.setdefault(name, len(numbers)) for name in names])
+
+
+def key_and_classes(literals: tuple[Literal, ...], conj: frozenset[Symbol]) -> tuple[tuple, bytes]:
+    """The `canonical_key` of a clause with these literals and the
+    `classes` of its `SymbolRecord` against `conj`, from one walk.
+
+    The key's projections and the classes visit the same preorder, so one
+    pass over the terms gives both; the classes stay in literal order, the
+    key sorts its literals afterwards.
+    """
+    blinds = []
+    occurrences = []
+    classes = bytearray()
+    for lit in literals:
+        pred = lit.pred
+        toks: list = [lit.positive, pred.name]
+        names: list[str] = []
+        classes.append(CONJ_CLASS if pred in conj else OTHER_CLASS)
+        for t in lit.args:  # `_key_walk`, one level inlined
+            sym = t.sym
+            if t.is_var:
+                toks.append("")
+                names.append(sym.name)
+                classes.append(VAR_CLASS)
+            else:
+                toks.append(sym.name)
+                classes.append(CONJ_CLASS if sym in conj else OTHER_CLASS)
+                if t.args:
+                    _key_walk(t.args, conj, toks, names, classes)
+        blinds.append(tuple(toks))
+        occurrences.append(names)
+    return _sorted_key(blinds, occurrences), bytes(classes)
+
+
+def _key_walk(args: tuple[Term, ...], conj: frozenset[Symbol], toks: list,
+              names: list[str], classes: bytearray) -> None:
+    for t in args:
+        sym = t.sym
+        if t.is_var:
+            toks.append("")
+            names.append(sym.name)
+            classes.append(VAR_CLASS)
+        else:
+            toks.append(sym.name)
+            classes.append(CONJ_CLASS if sym in conj else OTHER_CLASS)
+            if t.args:
+                _key_walk(t.args, conj, toks, names, classes)

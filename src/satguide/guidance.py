@@ -67,6 +67,18 @@ class GuidanceConfig:
         if self.mode != MODE_AUTO and self.model is None:
             raise ValueError(f"mode {self.mode!r} requires a model")
 
+    def check_limits(self, limits: SearchConfig) -> None:
+        """Raise ValueError when switched mode's phase 1 would not end
+        before the totals, which are the search limits `limits`."""
+        if self.mode != MODE_SWITCHED:
+            return
+        if None not in (self.phase1_budget, limits.max_processed) \
+                and self.phase1_budget >= limits.max_processed:
+            raise ValueError("switched mode needs phase1_budget < max_processed")
+        if None not in (self.phase1_ms, limits.max_wall_ms) \
+                and self.phase1_ms >= limits.max_wall_ms:
+            raise ValueError("switched mode needs phase1_ms < max_wall_ms")
+
     def describe(self) -> dict:
         return {
             "mode": self.mode,
@@ -199,6 +211,7 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
     zero network evaluation happens after the switch.
     """
     limits = limits or SearchConfig()
+    gconfig.check_limits(limits)
     mode = gconfig.mode
     if mode == MODE_PURE and limits.schedule != SearchConfig.schedule:
         raise ValueError(f"pure mode selects by the network alone and cannot "
@@ -211,10 +224,6 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
     else:
         total_budget, total_ms = limits.max_processed, limits.max_wall_ms
         phase1_budget, phase1_ms = gconfig.phase1_budget, gconfig.phase1_ms
-        if None not in (phase1_budget, total_budget) and phase1_budget >= total_budget:
-            raise ValueError("switched mode needs phase1_budget < max_processed")
-        if None not in (phase1_ms, total_ms) and phase1_ms >= total_ms:
-            raise ValueError("switched mode needs phase1_ms < max_wall_ms")
         t0 = time.monotonic()
         if phase1_budget is None and phase1_ms is None:
             if total_budget is not None:

@@ -107,10 +107,14 @@ def run_corpus(problems: list[Problem], methods: list[MethodConfig],
                seed: int = 0) -> ExperimentReport:
     """Every (problem, method) cell under identical limits.
 
-    Per-cell crashes become records with status Error(...), the run
-    continues.
+    A method whose guidance cannot run under `limits` raises ValueError
+    before any cell runs. Per-cell crashes become records with status
+    Error(...), the run continues.
     """
     limits = limits or SearchConfig()
+    for method in methods:
+        if not method.premsel_levels:  # the cascade runs no guided search
+            method.guidance.check_limits(limits)
     report = ExperimentReport()
     report.config = {
         "seed": seed,

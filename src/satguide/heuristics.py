@@ -6,7 +6,9 @@ entries, consuming `weight` picks from each. An entry keys the clauses
 inserted since its last turn in one batch when its turn comes, so every
 weight function, the network's included, sees batches. A popped clause
 disappears from every entry's ranking (global tombstoning via the shared
-alive set). Lower weight is better everywhere; ties break toward the
+alive set). The symbol-based weights read each clause's `SymbolRecord`,
+built once at admission; entries with the same class weights share one
+fold per clause, and every entry computes its tiers in line. Lower weight is better everywhere; ties break toward the
 lowest clause id, so when a clause is keyed never changes which is picked.
 
 The tier is a coarse boolean priority computed per clause, our reduction
@@ -20,8 +22,6 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, symbol_counts, symbol_record
 
@@ -30,12 +30,12 @@ TIER_SOS = "sos"
 TIER_NONGOALS = "nongoals"
 
 
-def _tier(flavor: str, c: Clause) -> int:
+def _tiers(flavor: str, clauses: list[Clause]) -> list[int]:
     if flavor == TIER_SOS:
-        return 0 if c.goal_descendant else 1
+        return [0 if c.goal_descendant else 1 for c in clauses]
     if flavor == TIER_NONGOALS:
-        return 0 if c.role != ROLE_NEGATED_CONJECTURE else 1
-    return 0
+        return [0 if c.role != ROLE_NEGATED_CONJECTURE else 1 for c in clauses]
+    return [0] * len(clauses)
 
 
 # -- weight functions ----------------------------------------------------------
@@ -65,12 +65,16 @@ def conjecture_relative_weight(
     conjecture count base_fw * conj_multiplier instead of base_fw.
 
     The per-occurrence terms are added one at a time in walk order, a
-    left fold from 0.0. With a multiplier like 0.1 the partial sums
-    round, and the closed form `vw*vars + fw*mult*conj + fw*other` would
-    give other bits and so another search.
+    left fold from 0.0 (`SymbolRecord.fold`). With a multiplier like 0.1
+    the partial sums round, and the closed form `vw*vars + fw*mult*conj +
+    fw*other` would give other bits and so another search.
     """
-    terms = (base_vw, base_fw * conj_multiplier, base_fw)  # by symbol class
-    return reduce(add, map(terms.__getitem__, symbol_record(c, conj_symbols).classes), 0.0)
+    return symbol_record(c, conj_symbols).fold(_class_weights(base_fw, base_vw, conj_multiplier))
+
+
+def _class_weights(fw: float, vw: float, mult: float) -> tuple[float, float, float]:
+    """The weight of an occurrence, by symbol class."""
+    return (vw, fw * mult, fw)
 
 
 class WeightFunction:
@@ -89,17 +93,23 @@ class FifoWeightFn(WeightFunction):
 
 @dataclass
 class SymbolCountWeightFn(WeightFunction):
+    """`symbol_count_weight`, read off each clause's symbol record."""
+
     fweight: float = 2.0
     vweight: float = 1.0
     tier: str = TIER_CONST
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
-        return [(_tier(self.tier, c), symbol_count_weight(c, self.fweight, self.vweight))
-                for c in clauses]
+        fw, vw = self.fweight, self.vweight
+        weights = [fw * fp + vw * v for fp, v in map(symbol_counts, clauses)]
+        return list(zip(_tiers(self.tier, clauses), weights))
 
 
 @dataclass
 class ConjectureRelativeWeightFn(WeightFunction):
+    """`conjecture_relative_weight`, read off each clause's symbol record:
+    entries with the same class weights share one fold per clause."""
+
     conj_symbols: frozenset[Symbol] = frozenset()
     base_fw: float = 2.0
     base_vw: float = 1.0
@@ -107,10 +117,10 @@ class ConjectureRelativeWeightFn(WeightFunction):
     tier: str = TIER_CONST
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
-        return [(_tier(self.tier, c),
-                 conjecture_relative_weight(c, self.conj_symbols, self.base_fw,
-                                            self.base_vw, self.conj_multiplier))
-                for c in clauses]
+        conj = self.conj_symbols
+        terms = _class_weights(self.base_fw, self.base_vw, self.conj_multiplier)
+        weights = [symbol_record(c, conj).fold(terms) for c in clauses]
+        return list(zip(_tiers(self.tier, clauses), weights))
 
 
 # -- schedules -----------------------------------------------------------------

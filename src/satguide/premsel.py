@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .fol import Clause, Problem, clause_str, normalize_variables
+from .fol import Clause, Problem, normalized_str
 from .guidance import ClauseScorer
 from .neural import tensor as T
 from .neural.models import SEQ_ARCHS, TOWER_CLAUSE, embed_tree, index_tree
@@ -73,7 +73,7 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
     groups = premise_groups(problem)
     if scorer.model.config.arch in SEQ_ARCHS:
         probs = scorer.sequence_probabilities([
-            tokenize_texts([clause_str(normalize_variables(c)) for c in clauses],
+            tokenize_texts([normalized_str(c) for c in clauses],
                            scorer.vocab, scorer.max_len)
             for _, clauses in groups
         ])

@@ -2,8 +2,10 @@
 
 Binary resolution plus factoring (its completeness partner), syntactic
 tautology detection, and subsumption via multiset-injective literal
-matching. Rules return bare literal tuples; the saturation loop wraps
-them into clauses with ids and provenance.
+matching. Rules return bare literal tuples, exact duplicate literals
+merged; the saturation loop checks them and wraps the ones it admits into
+clauses with ids and provenance. Asked to, `resolve` and `factor` flag
+each tautology too, from the same hash pass that merges the duplicates.
 
 `resolve` expects variable-disjoint clauses and renames nothing: the
 saturation loop keeps every processed clause and the given clause in
@@ -30,66 +32,79 @@ def standardized_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
     return rename_clause_apart(c1, "_l"), rename_clause_apart(c2, "_r")
 
 
-def resolve(c1: Clause, c2: Clause) -> list[tuple[Literal, ...]]:
+def resolve(c1: Clause, c2: Clause, flag_tautologies: bool = False) -> list:
     """All binary resolvents of c1 and c2, which must share no variable.
 
     Nothing is renamed here: a shared variable would be read as one
     variable of both clauses and lose resolvents. To resolve a clause
     with itself, or any pair that may overlap, pass the copies from
     `standardized_apart`. For each complementary pair with unifiable
-    atoms the resolvent collects the remaining literals under the mgu.
+    atoms the resolvent collects the remaining literals under the mgu,
+    exact duplicates merged. With `flag_tautologies` each resolvent comes
+    as a pair (literals, is it a tautology?), both from one hash pass.
     """
     lits1, lits2 = c1.literals, c2.literals
     out = []
     for i, li in enumerate(lits1):
+        pred, positive = li.pred, li.positive
         for j, lj in enumerate(lits2):
-            if li.positive == lj.positive:
+            if lj.positive == positive or (lj.pred is not pred and lj.pred != pred):
                 continue
             sub = unify_atoms(li, lj)
             if sub is None:
                 continue
             rest = lits1[:i] + lits1[i + 1 :] + lits2[:j] + lits2[j + 1 :]
-            out.append(_merged(apply_sub_literals(rest, sub)))
+            merged = _merged(apply_sub_literals(rest, sub))
+            out.append(merged if flag_tautologies else merged[0])
     return out
 
 
-def factor(c: Clause) -> list[tuple[Literal, ...]]:
-    """Factors of c: merge each unifiable same-polarity literal pair."""
+def factor(c: Clause, flag_tautologies: bool = False) -> list:
+    """Factors of c: merge each unifiable same-polarity literal pair.
+    `flag_tautologies` as for `resolve`."""
     out = []
     lits = c.literals
     for i in range(len(lits)):
+        pred, positive = lits[i].pred, lits[i].positive
         for j in range(i + 1, len(lits)):
-            if lits[i].positive != lits[j].positive:
+            lj = lits[j]
+            if lj.positive != positive or (lj.pred is not pred and lj.pred != pred):
                 continue
-            sub = unify_atoms(lits[i], lits[j])
+            sub = unify_atoms(lits[i], lj)
             if sub is None:
                 continue
             rest = lits[:j] + lits[j + 1 :]
-            out.append(_merged(apply_sub_literals(rest, sub)))
+            merged = _merged(apply_sub_literals(rest, sub))
+            out.append(merged if flag_tautologies else merged[0])
     return out
 
 
-def _merged(lits: tuple[Literal, ...]) -> tuple[Literal, ...]:
-    """Drop exact duplicate literals, keeping first occurrences."""
-    seen = set()
-    out = []
+def _merged(lits: tuple[Literal, ...]) -> tuple[tuple[Literal, ...], bool]:
+    """(`lits` without exact duplicates, first occurrences kept; does it
+    hold a literal and its negation?), from one hash of each atom."""
+    if len(lits) < 2:
+        return lits, False
+    first: dict[tuple, int] = {}  # atom -> position in out of its first literal
+    out: list[Literal] = []
+    tautology = False
     for l in lits:
-        key = (l.pred, l.args, l.positive)
-        if key not in seen:
-            seen.add(key)
+        k = first.setdefault((l.pred, l.args), len(out))
+        if k == len(out):
             out.append(l)
-    return tuple(out)
+            continue
+        if out[k].positive == l.positive:
+            continue
+        # the complement of an atom already kept: rare, so look it up plainly
+        tautology = True
+        if not any(o.positive == l.positive and o.pred == l.pred and o.args == l.args
+                   for o in out[k + 1 :]):
+            out.append(l)
+    return (lits if len(out) == len(lits) else tuple(out)), tautology
 
 
 def is_tautology(c: Clause) -> bool:
     """True when the clause contains a literal and its exact negation."""
-    atoms = {}
-    for l in c.literals:
-        key = (l.pred, l.args)
-        if key in atoms and atoms[key] != l.positive:
-            return True
-        atoms[key] = l.positive
-    return False
+    return _merged(c.literals)[1]
 
 
 def subsumes(general: Clause, specific: Clause) -> bool:

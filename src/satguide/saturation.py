@@ -9,13 +9,23 @@ are generated, and g joins the processed set. Deriving the empty clause
 terminates with a proof.
 
 Standardizing apart happens once per clause, not once per resolution
-pair: a clause joining the processed set is stored renamed into the
-processed namespace (variables P1, P2, ...), and the given clause is
-renamed once per step into the given namespace (G1, G2, ...). Every pair
-handed to `resolve` is so variable-disjoint, self-resolution included,
-and variable names never grow with derivation depth. Forward subsumption
-looks up candidate subsumers in a `SubsumerIndex` instead of scanning
-every processed clause.
+pair: one walk per step renames the given clause into the processed
+namespace (variables P1, P2, ...), the copy that joins the processed set,
+and into the given namespace (G1, G2, ...), the copy that is resolved.
+Every pair handed to `resolve` is so variable-disjoint, self-resolution
+included, and variable names never grow with derivation depth. Forward
+subsumption looks up candidate subsumers in a `SubsumerIndex` instead of
+scanning every processed clause.
+
+Admission works on the bare literal tuple a rule returns, with its
+duplicate literals merged and a tautology flag from the same hash pass.
+A generated clause takes the next id, then is checked in this order:
+the size cap (a capped clause makes the search lossy), the tautology
+flag, the duplicate key. One walk builds the duplicate key and the
+symbol classes that every weight reads. Only a clause that passes every
+check, or the empty clause, becomes a `Clause` with a `ProofNode`;
+dropped resolvents leave no clause object or proof node behind, only
+their id.
 
 Calculus: binary resolution + factoring, tautology deletion, forward
 subsumption. Equality is handled by axiom injection (reflexivity,
@@ -37,11 +47,13 @@ from .fol import (
     Clause,
     Literal,
     Problem,
+    SymbolRecord,
     Term,
     Var,
     canonical_key,
     clause_str,
-    normalize_variables,
+    key_and_classes,
+    normalize_variables_twice,
     symbol_record,
 )
 from .heuristics import SelectionSchedule, parse_schedule
@@ -85,7 +97,7 @@ class SearchConfig:
     record_selections: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ProofNode:
     clause: Clause
     parents: tuple[int, ...]
@@ -324,7 +336,7 @@ class Saturation:
                 continue
             break
 
-        kept = normalize_variables(g, PROCESSED_NAMESPACE)
+        kept, g = normalize_variables_twice(g, PROCESSED_NAMESPACE, GIVEN_NAMESPACE)
         self._seq[g.id] = len(self.processed)
         self.processed.append(kept)
         self._subsumers.insert(kept)
@@ -334,17 +346,16 @@ class Saturation:
         if self.config.record_selections:
             self.selections.append(g.id)
 
-        g = normalize_variables(g, GIVEN_NAMESPACE)
         for p in self._partners(g):
             if self._generation_exhausted():
                 return CONTINUE  # the loop-level limit check reports it
             parents, goal = (g.id, p.id), g.goal_descendant or p.goal_descendant
-            for lits in resolve(g, p):
-                if self._admit(lits, parents, RULE_RESOLVE, goal):
+            for lits, tautology in resolve(g, p, flag_tautologies=True):
+                if self._admit(lits, tautology, parents, RULE_RESOLVE, goal):
                     return PROOF_FOUND
         if not self._generation_exhausted():
-            for lits in factor(g):
-                if self._admit(lits, (g.id,), RULE_FACTOR, g.goal_descendant):
+            for lits, tautology in factor(g, flag_tautologies=True):
+                if self._admit(lits, tautology, (g.id,), RULE_FACTOR, g.goal_descendant):
                     return PROOF_FOUND
         return CONTINUE
 
@@ -360,36 +371,41 @@ class Saturation:
             return "memory"
         return None
 
-    def _admit(self, lits: tuple[Literal, ...], parents: tuple[int, ...], rule: str,
-               goal_descendant: bool) -> bool:
-        """Create and enqueue a derived clause; returns True on empty clause.
-        `goal_descendant` says whether a parent descends from the goal."""
+    def _admit(self, lits: tuple[Literal, ...], tautology: bool, parents: tuple[int, ...],
+               rule: str, goal_descendant: bool) -> bool:
+        """Enqueue a derived clause unless it is redundant; returns True on
+        the empty clause. `goal_descendant` says whether a parent descends
+        from the goal.
+
+        The checks read the bare literals, in this order: the size cap (a
+        capped clause makes the search lossy), the tautology flag, the
+        duplicate key. Only a clause that passes them all, or the empty
+        clause, becomes a `Clause` with a `ProofNode`; every generated
+        clause takes an id, so ids do not depend on what is dropped.
+        """
         self.generated += 1
-        c = Clause(
-            id=self.next_id,
-            literals=lits,
-            role=ROLE_DERIVED,
-            parents=parents,
-            rule=rule,
-            goal_descendant=goal_descendant,
-        )
+        cid = self.next_id
         self.next_id += 1
-        self.nodes[c.id] = ProofNode(c, parents, rule)
-        if c.is_empty:
-            self.empty_clause_id = c.id
+        if lits:
+            cap = self.config.max_clause_literals
+            if cap is not None and len(lits) > cap:
+                self.lossy = True
+                return False
+            if tautology:
+                return False
+            key, classes = key_and_classes(lits, self.conj_symbols)
+            if key in self.seen_keys:
+                return False
+            self.seen_keys.add(key)
+        c = Clause(cid, lits, ROLE_DERIVED, cid, parents, rule, None, goal_descendant)
+        self.nodes[cid] = ProofNode(c, parents, rule)
+        if not lits:
+            self.empty_clause_id = cid
             return True
-        cap = self.config.max_clause_literals
-        if cap is not None and len(c.literals) > cap:
-            self.lossy = True
-            return False
-        if is_tautology(c):
-            return False
-        key = canonical_key(c)
-        if key in self.seen_keys:
-            return False
-        self.seen_keys.add(key)
+        # the record the weights read, from the walk that made the key
+        c.symbols = SymbolRecord(self.conj_symbols, classes)
+        self.stored_symbols += len(classes)
         self.schedule.insert(c)
-        self._store_symbols(c)
         return False
 
     def _store_symbols(self, c: Clause):

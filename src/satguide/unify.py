@@ -8,7 +8,7 @@ hashed in C where a Symbol is hashed by a Python call. Bindings may chain
 
 from __future__ import annotations
 
-from .fol import Literal, Term
+from .fol import Literal, Term, rebuild_literal, rebuild_term
 
 Substitution = dict[str, Term]
 
@@ -95,7 +95,8 @@ def unify_atoms(l1: Literal, l2: Literal, sub: Substitution | None = None) -> Su
 
 def apply_sub(t: Term, sub: Substitution) -> Term:
     """`t` under `sub`; subterms that do not change are shared, and `t`
-    itself comes back when nothing in it changes."""
+    itself comes back when nothing in it changes. A changed term is
+    rebuilt from validated parts, without the constructor's checks."""
     if t.is_var:
         bound = sub.get(t.sym.name)
         return t if bound is None else apply_sub(bound, sub)
@@ -105,7 +106,7 @@ def apply_sub(t: Term, sub: Substitution) -> Term:
     new = tuple([apply_sub(a, sub) for a in args])
     for x, y in zip(new, args):
         if x is not y:
-            return Term(t.sym, new)
+            return rebuild_term(t.sym, new)
     return t
 
 
@@ -115,12 +116,32 @@ def apply_sub_literal(lit: Literal, sub: Substitution) -> Literal:
     new = tuple([apply_sub(a, sub) for a in args])
     for x, y in zip(new, args):
         if x is not y:
-            return Literal(lit.pred, new, lit.positive)
+            return rebuild_literal(lit.pred, new, lit.positive)
     return lit
 
 
 def apply_sub_literals(lits, sub: Substitution) -> tuple[Literal, ...]:
-    return tuple([apply_sub_literal(l, sub) for l in lits])
+    """`apply_sub_literal` over `lits`, with variable and constant
+    arguments handled in line."""
+    get = sub.get
+    out = []
+    for lit in lits:
+        new = []
+        changed = False
+        for a in lit.args:
+            if a.is_var:
+                bound = get(a.sym.name)
+                if bound is not None:
+                    a = apply_sub(bound, sub)
+                    changed = True
+            elif a.args:
+                b = apply_sub(a, sub)
+                if b is not a:
+                    a = b
+                    changed = True
+            new.append(a)
+        out.append(rebuild_literal(lit.pred, tuple(new), lit.positive) if changed else lit)
+    return tuple(out)
 
 
 # -- one-way matching (for subsumption) ---------------------------------------

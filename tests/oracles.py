@@ -21,7 +21,11 @@ clause's symbols once: generator walks, a `walk` call per step, an
 occurs check on every binding and a rebuilt term for every application.
 They are the references for `unify`, `fol.symbol_counts` and the
 `heuristics` weights; `resolve` is `rules.resolve` built on them.
-`clause_variables` collects a clause's variable symbols.
+`clause_variables` collects a clause's variable symbols, and
+`is_tautology` tests a literal tuple pair by pair, the reference for the
+tautology flag that `rules` computes while merging duplicate literals.
+`build_vocabulary` counts tokens by lexing every example's texts, the
+reference for `datagen.build_vocabulary`.
 
 `lex` is the TPTP lexer as it was before `parser.lex` became one regular
 expression scan: one Python step per character, a `Token` with its line
@@ -56,6 +60,7 @@ from satguide.neural import tensor as T
 from satguide.parser import ParseError
 from satguide import rules
 from satguide.saturation import SAT, UNSAT
+from satguide.tokens import Vocabulary, text_tokens
 
 
 def string_key(c: Clause) -> str:
@@ -211,6 +216,27 @@ def resolve(c1: Clause, c2: Clause) -> list[tuple[Literal, ...]]:
                     merged.append(lit)
             out.append(tuple(merged))
     return out
+
+
+def is_tautology(lits: tuple[Literal, ...]) -> bool:
+    """Do `lits` hold a literal and its negation? Every pair compared,
+    nothing hashed."""
+    return any(a.positive != b.positive and a.pred == b.pred and a.args == b.args
+               for a in lits for b in lits)
+
+
+def build_vocabulary(train_examples) -> Vocabulary:
+    """`datagen.build_vocabulary` as it was before it lexed each distinct
+    text once: every example's clause and conjecture texts lexed again."""
+    counts: dict[str, int] = {}
+    for e in train_examples:
+        for text in [e.clause_text, *e.conj_texts]:
+            for tok in text_tokens(text):
+                counts[tok] = counts.get(tok, 0) + 1
+    vocab = Vocabulary()
+    for tok in sorted(counts, key=lambda t: (-counts[t], t)):
+        vocab.add(tok)
+    return vocab
 
 
 def _term_symbols(t: Term):

@@ -12,6 +12,9 @@ from satguide.cli import build_parser, main
 from satguide.corpus import chain_problem, junk_distractors
 from satguide.fol import problem_str
 from satguide.harness import read_report
+from satguide.neural.checkpoint import save_checkpoint_file
+from satguide.neural.models import ModelConfig, init_model
+from satguide.tokens import Vocabulary
 
 
 @pytest.fixture
@@ -124,6 +127,29 @@ def test_experiment_and_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "aggregate consistency: PASS" in out
     assert (curves_dir / "curve_auto.txt").exists()
+
+
+def test_experiment_rejects_bad_switched_budget(tmp_path):
+    # a switched method whose phase 1 would not end before the limits is
+    # refused before any problem runs, and no report is written
+    vocab = Vocabulary()
+    for token in ["~", "p", "(", ")"]:
+        vocab.add(token)
+    vocab_path, model_path = tmp_path / "vocab.txt", tmp_path / "model.ckpt"
+    vocab.save(str(vocab_path))
+    save_checkpoint_file(init_model(ModelConfig(arch="cnn", vocab_size=len(vocab), dim=4,
+                                                hidden=4), vocab.hash), str(model_path))
+    config = {
+        "corpus": {"seed": 0, "families": ["mini"]},
+        "methods": [{"id": "sw", "mode": "switched", "model": str(model_path),
+                     "vocab": str(vocab_path), "phase1_budget": 50}],
+        "limits": {"max_processed": 50},
+    }
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match="phase1_budget < max_processed"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    assert not out_path.exists()
 
 
 def test_dump_corpus(tmp_path, capsys):

@@ -25,6 +25,8 @@ from satguide.parser import parse_tptp
 from satguide.saturation import SearchConfig
 from satguide.tokens import OOV
 
+import oracles
+
 
 def trace_config(**kw):
     kw.setdefault("max_processed", 2_000)
@@ -215,6 +217,20 @@ class TestVocabulary:
         build_vocabulary(examples).save(str(p1))
         build_vocabulary(list(examples)).save(str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_vocabulary_agrees_with_lexing_every_example():
+    # examples of one problem share its conjecture texts; counting each
+    # distinct text once, times its occurrences, gives the same vocabulary
+    problems = [item.problem for item in desk_corpus(0)
+                if item.family in ("chain", "flood", "membership")][:12]
+    traces = generate_traces(problems, trace_config(max_processed=300))
+    examples = [e for i, t in enumerate(traces)
+                for e in label_examples(t, star_mode=True, seed=i)]
+    assert len(examples) > 300
+    assert len({e.problem for e in examples}) > 5
+    vocab, ref = build_vocabulary(examples), oracles.build_vocabulary(examples)
+    assert vocab.tokens == ref.tokens and vocab.hash == ref.hash
 
 
 class TestBalance:

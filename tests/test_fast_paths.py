@@ -7,12 +7,16 @@ does, the pruned subsumption test answers every query as plain
 backtracking does, every pair handed to `resolve` is variable-disjoint,
 and variable names stay short however deep the derivation.
 
-Every unification, resolution, symbol count and symbol-based weight the
-searches compute is also recomputed by the reference implementations in
-`oracles` (generator walks, no cached hashes, a fresh term for every
-substitution): the mgus make the same atoms, the resolvents are equal,
-the counts are equal and the weights have the same bits. The cached
-`Symbol` and `Term` hashes equal the hashes of their field tuples.
+Every unification, resolution, tautology flag, symbol count and
+symbol-based weight the searches compute is also recomputed by the
+reference implementations in `oracles` (generator walks, no cached
+hashes, a fresh term for every substitution, literals compared pair by
+pair): the mgus make the same atoms, the resolvents are equal, the flags
+and counts are equal, and the weights have the same bits and tiers. The
+one walk that keys and classifies each generated clause gives the key of
+`canonical_key` and the classes of `symbol_record`, and the one-walk
+printer and two-namespace renamer give what the renamed copies give. The
+cached `Symbol` and `Term` hashes equal the hashes of their field tuples.
 
 The regular-expression lexer gives the tokens, and `token_positions` the
 lines and columns, of the character-by-character lexer kept in `oracles`,
@@ -32,6 +36,8 @@ from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import (
     FUNCTION,
     PREDICATE,
+    ROLE_NEGATED_CONJECTURE,
+    Clause,
     Literal,
     Symbol,
     Term,
@@ -39,7 +45,11 @@ from satguide.fol import (
     canonical_key,
     clause_str,
     normalize_variables,
+    normalize_variables_twice,
+    normalized_str,
     problem_str,
+    symbol_counts,
+    symbol_record,
     term_symbols,
 )
 from satguide.guidance import ClauseScorer
@@ -87,24 +97,47 @@ class ScanChecked(Saturation):
 @pytest.fixture(scope="module")
 def log():
     """What the searches did, each call beside its reference answer."""
-    return {"disjoint": [], "subsumes": [], "unify": [], "resolve": [],
-            "counts": [], "weights": []}
+    return {"disjoint": [], "subsumes": [], "unify": [], "resolve": [], "tautology": [],
+            "keyed": [], "counts": [], "weights": [], "tiers": []}
 
 
 def _atoms(lits):
     return [(l.pred, l.args) for l in lits]
 
 
+def _tier(flavor, c):
+    """The tier of `c` as the weight functions computed it one clause at a
+    time."""
+    if flavor == heuristics.TIER_SOS:
+        return 0 if c.goal_descendant else 1
+    if flavor == heuristics.TIER_NONGOALS:
+        return 0 if c.role != ROLE_NEGATED_CONJECTURE else 1
+    return 0
+
+
 @pytest.fixture(scope="module")
 def searches(problems, log):
-    inner_resolve, inner_unify = saturation.resolve, rules.unify_atoms
-    inner_counts, inner_conjrel = heuristics.symbol_counts, heuristics.conjecture_relative_weight
-    inner_symcount = heuristics.symbol_count_weight
+    inner_resolve, inner_factor = saturation.resolve, saturation.factor
+    inner_unify, inner_key = rules.unify_atoms, saturation.key_and_classes
+    conjrel_fn, symcount_fn = heuristics.ConjectureRelativeWeightFn, heuristics.SymbolCountWeightFn
+    inner_conjrel, inner_symcount = conjrel_fn.batch_keys, symcount_fn.batch_keys
 
-    def resolved(c1, c2):
+    def flagged(made):
+        """The literal tuples of flagged rule output; logs each flag."""
+        log["tautology"] += [(taut, oracles.is_tautology(lits)) for lits, taut in made]
+        return [lits for lits, _ in made]
+
+    def resolved(c1, c2, flag_tautologies=False):
         log["disjoint"].append(not clause_variables(c1) & clause_variables(c2))
-        fast = inner_resolve(c1, c2)
-        log["resolve"].append((fast, oracles.resolve(c1, c2)))
+        fast = inner_resolve(c1, c2, flag_tautologies)
+        made = flagged(fast) if flag_tautologies else fast
+        log["resolve"].append((made, oracles.resolve(c1, c2)))
+        return fast
+
+    def factored(c, flag_tautologies=False):
+        fast = inner_factor(c, flag_tautologies)
+        if flag_tautologies:
+            flagged(fast)
         return fast
 
     def unified(l1, l2):
@@ -124,31 +157,39 @@ def searches(problems, log):
         log["subsumes"].append((fast, oracles.subsumes(p, g)))
         return fast
 
-    def counted(c):
-        fast = inner_counts(c)
-        log["counts"].append((fast, oracles.symbol_counts(c)))
-        return fast
+    def keyed(lits, conj):
+        key, classes = inner_key(lits, conj)
+        log["keyed"].append((lits, conj, key, classes))
+        return key, classes
 
-    def conjrel(c, conj, fw=2.0, vw=1.0, mult=0.5):
-        fast = inner_conjrel(c, conj, fw, vw, mult)
-        log["weights"].append(("conjrel", fast.hex(), oracles.conjecture_relative_weight(
-            c, conj, fw, vw, mult).hex()))
-        return fast
+    def conjrel(fn, clauses):
+        keys = inner_conjrel(fn, clauses)
+        for c, (tier, w) in zip(clauses, keys):
+            ref = oracles.conjecture_relative_weight(c, fn.conj_symbols, fn.base_fw,
+                                                      fn.base_vw, fn.conj_multiplier)
+            log["weights"].append(("conjrel", w.hex(), ref.hex()))
+            log["tiers"].append((tier, _tier(fn.tier, c)))
+        return keys
 
-    def symcount(c, fw=2.0, vw=1.0):
-        fast = inner_symcount(c, fw, vw)
-        fp, v = oracles.symbol_counts(c)
-        log["weights"].append(("symcount", float(fast).hex(), float(fw * fp + vw * v).hex()))
-        return fast
+    def symcount(fn, clauses):
+        keys = inner_symcount(fn, clauses)
+        for c, (tier, w) in zip(clauses, keys):
+            fp, v = oracles.symbol_counts(c)
+            log["counts"].append((symbol_counts(c), (fp, v)))
+            log["weights"].append(("symcount", float(w).hex(),
+                                   float(fn.fweight * fp + fn.vweight * v).hex()))
+            log["tiers"].append((tier, _tier(fn.tier, c)))
+        return keys
 
     states = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(saturation, "resolve", resolved)
+        mp.setattr(saturation, "factor", factored)
         mp.setattr(saturation, "subsumes", compared)
+        mp.setattr(saturation, "key_and_classes", keyed)
         mp.setattr(rules, "unify_atoms", unified)
-        mp.setattr(heuristics, "symbol_counts", counted)
-        mp.setattr(heuristics, "conjecture_relative_weight", conjrel)
-        mp.setattr(heuristics, "symbol_count_weight", symcount)
+        mp.setattr(conjrel_fn, "batch_keys", conjrel)
+        mp.setattr(symcount_fn, "batch_keys", symcount)
         for p in problems:
             state = ScanChecked(p, CONFIG)
             state.run()
@@ -156,9 +197,12 @@ def searches(problems, log):
     return states
 
 
-def test_tuple_key_partitions_like_string_key(searches):
+def test_tuple_key_partitions_like_string_key(searches, log):
+    # every input clause and every generated clause that reached the
+    # duplicate check, dropped duplicates included
     pairs = {(string_key(n.clause), canonical_key(n.clause))
-             for state in searches for n in state.nodes.values()}
+             for state in searches for n in state.nodes.values() if not n.parents}
+    pairs |= {(string_key(Clause(0, lits)), key) for lits, _, key, _ in log["keyed"]}
     by_string, by_tuple = {}, {}
     for s, t in pairs:
         by_string.setdefault(s, set()).add(t)
@@ -166,6 +210,24 @@ def test_tuple_key_partitions_like_string_key(searches):
     assert len(by_string) > 1000
     assert all(len(v) == 1 for v in by_string.values())
     assert all(len(v) == 1 for v in by_tuple.values())
+
+
+def test_admission_walk_agrees_with_reference_walks(searches, log):
+    # the one walk that keys and classifies a generated clause gives the
+    # key of `canonical_key` and the classes of `symbol_record`
+    keyed = log["keyed"]
+    assert len(keyed) > 10_000
+    assert len({key for _, _, key, _ in keyed}) < len(keyed)  # duplicates seen
+    for lits, conj, key, classes in keyed:
+        c = Clause(0, lits)
+        assert key == canonical_key(c)
+        assert classes == symbol_record(c, conj).classes
+
+
+def test_tautology_flags_agree_with_reference(searches, log):
+    flags = log["tautology"]
+    assert len(flags) > 10_000 and sum(fast for fast, _ in flags) > 10
+    assert all(fast == slow for fast, slow in flags)
 
 
 def test_index_agrees_with_scan(searches):
@@ -232,11 +294,13 @@ def test_symbol_counts_agree_with_reference(searches, log):
 
 
 def test_weights_agree_with_reference_bitwise(searches, log):
-    # each weight is logged through its module name; one that stops being
-    # called by that name makes its kind's count fall
+    # each weight function's batch keys are logged through its class; one
+    # the schedule stops calling makes its kind's count fall
     for kind in ("conjrel", "symcount"):
         assert sum(k == kind for k, _, _ in log["weights"]) > 1000, kind
     assert all(fast == slow for _, fast, slow in log["weights"])
+    assert {slow for _, slow in log["tiers"]} == {0, 1}
+    assert all(fast == slow for fast, slow in log["tiers"])
 
 
 def test_cached_hashes_equal_field_tuple_hashes(searches):
@@ -255,6 +319,22 @@ def test_cached_hashes_equal_field_tuple_hashes(searches):
     assert len(syms) > 50 and len(terms) > 10_000
     assert all(hash(s) == hash((s.name, s.kind, s.arity)) for s in syms)
     assert all(hash(t) == hash((t.sym, t.args)) for t in terms)
+
+
+def test_one_walk_printing_and_renaming_agree_with_renamed_copies(searches):
+    # trace text and the step's two namespaces, each from one walk
+    clauses = [c for state in searches for c in state.processed]
+    clauses += [n.clause for state in searches for n in state.nodes.values()]
+    clauses += [c for item in desk_corpus(1) for c in item.problem.clauses()]
+    assert len(clauses) > 10_000
+    for c in clauses:
+        assert normalized_str(c) == clause_str(normalize_variables(c))
+        pair = normalize_variables_twice(c, "P", "G")
+        for copy, prefix in zip(pair, "PG"):
+            ref = normalize_variables(c, prefix)
+            assert copy.literals == ref.literals and (copy is c) == (ref is c)
+            assert (copy.id, copy.role, copy.age, copy.parents, copy.goal_descendant) == \
+                (c.id, c.role, c.age, c.parents, c.goal_descendant)
 
 
 def test_resolved_pairs_are_variable_disjoint(searches, log):

@@ -3,7 +3,9 @@
 import pytest
 
 from satguide.fol import (
+    FUNCTION,
     PREDICATE,
+    ROLE_DERIVED,
     Clause,
     Literal,
     Problem,
@@ -13,10 +15,14 @@ from satguide.fol import (
     canonical_key,
     clause_str,
     clause_tokens,
+    key_and_classes,
     normalize_variables,
+    normalize_variables_twice,
+    normalized_str,
     printed_name,
     problem_str,
     symbol_counts,
+    symbol_record,
 )
 from satguide.parser import lex, parse_tptp
 
@@ -121,6 +127,22 @@ class TestNormalize:
         norm = normalize_variables(cl)
         assert clause_str(norm) == "p(V1,g(V2)) | r(V1)"
 
+    def test_printed_without_a_copy(self):
+        cl = Clause(0, (lit("p", Var("B"), f("g", Var("A"), c("a"))), lit("r", Var("B"))))
+        assert normalized_str(cl) == clause_str(normalize_variables(cl)) == \
+            "p(V1,g(V2,a)) | r(V1)"
+        assert normalized_str(Clause(1, ())) == "$false"
+
+    def test_two_namespaces_in_one_walk(self):
+        cl = Clause(3, (lit("p", Var("P2"), f("g", Var("G1"), c("a"))), lit("r", Var("P2"))),
+                    role=ROLE_DERIVED, parents=(1, 2))
+        kept, given = normalize_variables_twice(cl, "P", "G")
+        assert clause_str(kept) == "p(P1,g(P2,a)) | r(P1)"
+        assert clause_str(given) == "p(G1,g(G2,a)) | r(G1)"
+        assert (kept.id, kept.parents, given.role) == (3, (1, 2), ROLE_DERIVED)
+        ground = Clause(0, (lit("p", c("a")),))
+        assert normalize_variables_twice(ground, "P", "G") == (ground, ground)
+
 
 class TestCanonicalKey:
     def test_variants_share_key(self):
@@ -132,6 +154,13 @@ class TestCanonicalKey:
         c1 = Clause(0, (lit("p", Var("X")), lit("p", Var("X"))))
         c2 = Clause(1, (lit("p", Var("X")), lit("p", Var("Y"))))
         assert canonical_key(c1) != canonical_key(c2)
+
+    def test_one_walk_gives_key_and_classes(self):
+        conj = frozenset([Symbol("q", PREDICATE, 1), Symbol("a", FUNCTION, 0)])
+        cl = Clause(0, (lit("q", f("g", Var("X"), c("a"))), lit("p", Var("Y"))))
+        key, classes = key_and_classes(cl.literals, conj)
+        assert key == canonical_key(cl)
+        assert classes == symbol_record(cl, conj).classes == bytes([1, 2, 0, 1, 2, 0])
 
 
 class TestProblem:

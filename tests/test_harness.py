@@ -24,7 +24,9 @@ from satguide.harness import (
     write_curve_files,
     write_report,
 )
+from satguide.neural.models import ModelConfig, init_model
 from satguide.saturation import SearchConfig
+from satguide.tokens import Vocabulary
 
 
 def rec(problem, method, status="Unsatisfiable", processed=10):
@@ -55,6 +57,33 @@ class TestRunCorpus:
         methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
         report = run_corpus([Bad()], methods, SearchConfig(max_processed=10))
         assert report.records[0].status == "Error(RuntimeError: bad problem)"
+
+    def test_bad_switched_budget_rejected_before_any_cell(self):
+        # phase 1 must end before the totals; the whole experiment is
+        # refused, not recorded as one Error per problem
+        vocab = Vocabulary()
+        model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
+        ran = []
+        methods = [
+            MethodConfig("auto", GuidanceConfig(mode="auto")),
+            MethodConfig("sw", GuidanceConfig(mode="switched", model=model, vocab=vocab,
+                                              phase1_budget=50)),
+        ]
+
+        class Watched:
+            name = "watched"
+
+            def __getattr__(self, attr):
+                ran.append(attr)
+                raise RuntimeError("a cell ran")
+
+        for limits in (SearchConfig(max_processed=50), SearchConfig(max_processed=20)):
+            with pytest.raises(ValueError, match="phase1_budget < max_processed"):
+                run_corpus([Watched()], methods, limits)
+        methods[1].guidance.phase1_budget, methods[1].guidance.phase1_ms = None, 500
+        with pytest.raises(ValueError, match="phase1_ms < max_wall_ms"):
+            run_corpus([Watched()], methods, SearchConfig(max_wall_ms=500))
+        assert ran == []
 
     def test_config_records_every_limit(self):
         problems = self._problems(1)

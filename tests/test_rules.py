@@ -14,6 +14,7 @@ from satguide.rules import (
 )
 from satguide.unify import apply_sub, match_terms, unify_terms
 
+import oracles
 from oracles import clause_variables
 
 
@@ -149,3 +150,35 @@ class TestVariantAndTautology:
         assert is_tautology(clause_of("p(a) | ~p(a)"))
         assert not is_tautology(clause_of("p(a) | ~p(b)"))
         assert not is_tautology(clause_of("p(X) | ~p(a)"))
+        assert is_tautology(clause_of("q(b) | p(a) | q(b) | ~p(a) | ~p(a)"))
+
+
+class TestFlaggedResolvents:
+    """`flag_tautologies`: the merged literals plus a tautology flag from
+    the same pass, against the reference pairwise test."""
+
+    @pytest.mark.parametrize("left,right,flags", [
+        # a duplicate of the complement
+        ("~p(X) | q(X) | ~q(a) | q(a)", "p(a) | q(a)", [True, False]),
+        ("~p(X) | r(X) | r(a)", "p(a) | r(Y)", [False]),  # duplicates, no complement
+        ("~p(X) | q(X)", "p(a) | ~q(a)", [True, True]),  # two literals, complementary
+        ("~p(X) | q(X)", "p(a) | q(a)", [False]),  # two literals, equal
+        ("~p(X) | q(X) | q(b)", "p(a) | ~q(b) | r(a)", [True, False, False]),
+    ])
+    def test_flags_agree_with_reference(self, left, right, flags):
+        c1, c2 = standardized_apart(clause_of(left), clause_of(right, 1))
+        flagged = resolve(c1, c2, flag_tautologies=True)
+        assert [lits for lits, _ in flagged] == resolve(c1, c2) == oracles.resolve(c1, c2)
+        assert [taut for _, taut in flagged] == flags == \
+            [oracles.is_tautology(lits) for lits in oracles.resolve(c1, c2)]
+
+    def test_shared_literal_object_merged(self):
+        # ground literals are shared between clauses, so one literal object
+        # can occur twice in a resolvent
+        q = clause_of("q(b)").literals[0]
+        pa = clause_of("p(a)").literals[0]
+        c1 = Clause(0, (pa.negated(), q, q.negated(), q))
+        c2 = Clause(1, (pa, q))
+        assert resolve(c1, c2, flag_tautologies=True) == \
+            [((q, q.negated()), True), ((pa.negated(), q, pa), True)]
+        assert factor(Clause(2, (q, q, pa)), flag_tautologies=True) == [((q, pa), False)]

@@ -3,6 +3,7 @@
 import pytest
 
 import satguide.fol as fol
+import satguide.saturation as saturation
 from satguide.corpus import desk_corpus
 from satguide.fol import Clause, clause_str
 from satguide.parser import parse_clause_text, parse_tptp
@@ -172,6 +173,20 @@ def test_tautological_input_never_processed():
     assert [clause_str(c) for c in state.processed] == ["q(b)", "~r(c)"]
 
 
+def test_capped_tautology_makes_saturation_lossy():
+    # admission checks the size cap before the tautology test: both
+    # resolvents here are tautologies with two literals
+    p = parse_tptp(
+        "cnf(a, axiom, (p(a) | q(a)))."
+        "cnf(b, negated_conjecture, (~p(a) | ~q(a))).")
+    capped = prove(p, SearchConfig(max_clause_literals=1))
+    assert (capped.status, capped.resource) == (RESOURCE_OUT, "clause_size")
+    free = prove(p, SearchConfig())
+    assert free.status == SAT and free.generated_count == 2
+    # the dropped resolvents took ids 2 and 3 but became no clause or node
+    assert sorted(free.state.nodes) == [0, 1] and free.state.next_id == 4
+
+
 def test_symbols_walked_once_per_stored_clause(monkeypatch):
     # admission and the conjecture-relative weights read one symbol record
     # per clause, built against the problem's one conjecture symbol set
@@ -185,6 +200,7 @@ def test_symbols_walked_once_per_stored_clause(monkeypatch):
             built.append(conj)
 
     monkeypatch.setattr(fol, "SymbolRecord", CountedRecord)
+    monkeypatch.setattr(saturation, "SymbolRecord", CountedRecord)
     problem = next(item.problem for item in desk_corpus(0) if item.name == "flood023")
     state = Saturation(problem, SearchConfig(max_processed=300, max_wall_ms=None))
     state.run()

@@ -48,6 +48,21 @@ SCHEDULE_PINS = [
 ]
 
 
+# Under a tight `max_clause_literals` the search drops generated clauses
+# for their size and so can no longer certify satisfiability. These rows
+# pin that path, whose checks come before the tautology and duplicate
+# tests: (cap, problem, status, resource, processed, generated, selection
+# hash, a clause was capped), measured before admission checked bare
+# literal tuples.
+CAP_PINS = [
+    (3, "php_4_3", "Unsatisfiable", None, 140, 2144, "f33e8abb4ded7d14", True),
+    (3, "flood023", "Unsatisfiable", None, 446, 4260, "1f25f6a930b4c5f4", True),
+    (3, "premsel000", "Unsatisfiable", None, 1109, 20833, "3976f3bf256d91db", True),
+    (2, "php_4_3", "ResourceOut", "clause_size", 22, 36, "60531c55e871e294", True),
+    (2, "flood023", "Unsatisfiable", None, 425, 4057, "17de7919df2d8c63", True),
+]
+
+
 @pytest.fixture(scope="module")
 def problems():
     return {item.name: item for item in desk_corpus(0)}
@@ -80,3 +95,13 @@ def test_schedule_search_is_pinned(problems, schedule, name, status, processed,
     limits = replace(LIMITS, schedule=schedule)
     assert _pinned(problems[name].problem, limits) == \
         (status, processed, generated, selections)
+
+
+@pytest.mark.parametrize("cap,name,status,resource,processed,generated,selections,lossy",
+                         CAP_PINS, ids=[f"cap{row[0]}-{row[1]}" for row in CAP_PINS])
+def test_capped_search_is_pinned(problems, cap, name, status, resource, processed,
+                                 generated, selections, lossy):
+    r = prove(problems[name].problem, replace(LIMITS, max_clause_literals=cap))
+    digest = hashlib.sha256(",".join(map(str, r.selections)).encode()).hexdigest()[:16]
+    assert (r.status, r.resource, r.processed_count, r.generated_count, digest,
+            r.state.lossy) == (status, resource, processed, generated, selections, lossy)

@@ -1,10 +1,14 @@
-"""The names the benchmark's span tracer patches still exist.
+"""The names the benchmark's span tracer patches still exist, and are
+still called.
 
 `bench/tracing.py` wraps satguide functions and methods by name, in every
 module that imports them, and fails on a name that is gone. The benchmark
 lives outside `tests/`, so this test installs the tracer, runs a guided
 search, a premise ranking and a training step under it, and uninstalls it
-again.
+again. A second test traces an unguided Auto search and checks that every
+search-core span and the unifier counter record calls: a refactor that
+routes the search around a spanned name would otherwise read as a zero
+in the benchmark's per-layer split.
 """
 
 import importlib.util
@@ -18,6 +22,8 @@ from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
 from satguide.neural.models import ModelConfig, PairInput, init_model, loss_and_grads
 from satguide.neural.tensor import Tensor
 from satguide.parser import parse_tptp
+from satguide import saturation
+from satguide.corpus import desk_corpus
 from satguide.saturation import SearchConfig
 from satguide.tokens import Vocabulary
 
@@ -78,3 +84,23 @@ def test_install_patches_every_name_and_uninstall_restores(tracing):
     for name in ("saturation", "guidance.score_batch", "tokens.tokenize", "neural.embed",
                  "neural.combiner", "premsel.rank", "neural.forward", "neural.backward"):
         assert totals[name]["calls"] > 0, name
+
+
+# spans and counters of the search core that an Auto search must reach
+SEARCH_SPANS = ["rules.resolve", "rules.factor", "rules.tautology", "rules.subsumes",
+                "fol.canonical_key", "heuristics.insert", "heuristics.pop"]
+
+
+def test_auto_search_reaches_every_search_core_span(tracing):
+    problem = next(item.problem for item in desk_corpus(0) if item.name == "flood023")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = saturation.prove(problem, SearchConfig(max_processed=200, max_wall_ms=None))
+    finally:
+        tracer.uninstall()
+    assert result.processed_count > 0
+    totals = tracer.totals()
+    for name in SEARCH_SPANS:
+        assert totals.get(name, {"calls": 0})["calls"] > 0, name
+    assert tracer.counts["unify.calls"] > 0
