@@ -155,32 +155,37 @@ def to_nnf(f, positive: bool = True):
 def free_variables(f, bound=frozenset()) -> list[str]:
     """Free variable names in order of first occurrence."""
     out: list[str] = []
-
-    def term_vars(t: Term, bound, out):
-        if t.is_var:
-            if t.sym.name not in bound and t.sym.name not in out:
-                out.append(t.sym.name)
-        else:
-            for a in t.args:
-                term_vars(a, bound, out)
-
-    def walk(f, bound):
-        match f:
-            case FAtom(lit):
-                for a in lit.args:
-                    term_vars(a, bound, out)
-            case FNot(g):
-                walk(g, bound)
-            case FAnd(a, b) | FOr(a, b):
-                walk(a, bound)
-                walk(b, bound)
-            case FForall(v, body) | FExists(v, body):
-                walk(body, bound | {v})
-            case _:
-                pass
-
-    walk(f, set(bound))
+    _free_walk(f, set(bound), out)
     return out
+
+
+# The walks are module functions that take their state as arguments: a
+# nested function that calls itself is a reference cycle.
+
+
+def _free_walk(f, bound, out: list[str]) -> None:
+    match f:
+        case FAtom(lit):
+            for a in lit.args:
+                _term_vars(a, bound, out)
+        case FNot(g):
+            _free_walk(g, bound, out)
+        case FAnd(a, b) | FOr(a, b):
+            _free_walk(a, bound, out)
+            _free_walk(b, bound, out)
+        case FForall(v, body) | FExists(v, body):
+            _free_walk(body, bound | {v}, out)
+        case _:
+            pass
+
+
+def _term_vars(t: Term, bound, out: list[str]) -> None:
+    if t.is_var:
+        if t.sym.name not in bound and t.sym.name not in out:
+            out.append(t.sym.name)
+    else:
+        for a in t.args:
+            _term_vars(a, bound, out)
 
 
 def _substitute(t: Term, env: dict[str, Term]) -> Term:
@@ -195,36 +200,36 @@ def skolemize(f, skolems: SkolemNamer):
     Universal variables are renamed to fresh X1, X2, ...; each existential
     becomes a skolem function of the universals in scope.
     """
-    var_counter = [0]
-
-    def fresh_var() -> Term:
-        var_counter[0] += 1
-        return Var(f"X{var_counter[0]}")
-
-    def walk(f, env: dict[str, Term], universals: tuple[Term, ...]):
-        match f:
-            case FAtom(lit):
-                args = tuple(_substitute(a, env) for a in lit.args)
-                return FAtom(Literal(lit.pred, args, lit.positive))
-            case FAnd(a, b):
-                return FAnd(walk(a, env, universals), walk(b, env, universals))
-            case FOr(a, b):
-                return FOr(walk(a, env, universals), walk(b, env, universals))
-            case FForall(v, body):
-                x = fresh_var()
-                return walk(body, {**env, v: x}, universals + (x,))
-            case FExists(v, body):
-                sk = skolems.fresh(len(universals))
-                return walk(body, {**env, v: Term(sk, universals)}, universals)
-            case FTrue() | FFalse():
-                return f
-            case _:
-                raise TypeError(f"unexpected node in NNF {f!r}")
-
     closure = free_variables(f)
     for v in reversed(closure):
         f = FForall(v, f)
-    return walk(f, {}, ())
+    return _skolem_walk(f, {}, (), skolems, [0])
+
+
+def _skolem_walk(f, env: dict[str, Term], universals: tuple[Term, ...],
+                 skolems: SkolemNamer, var_counter: list[int]):
+    match f:
+        case FAtom(lit):
+            args = tuple(_substitute(a, env) for a in lit.args)
+            return FAtom(Literal(lit.pred, args, lit.positive))
+        case FAnd(a, b):
+            return FAnd(_skolem_walk(a, env, universals, skolems, var_counter),
+                        _skolem_walk(b, env, universals, skolems, var_counter))
+        case FOr(a, b):
+            return FOr(_skolem_walk(a, env, universals, skolems, var_counter),
+                       _skolem_walk(b, env, universals, skolems, var_counter))
+        case FForall(v, body):
+            var_counter[0] += 1  # universals become X1, X2, ...
+            x = Var(f"X{var_counter[0]}")
+            return _skolem_walk(body, {**env, v: x}, universals + (x,), skolems, var_counter)
+        case FExists(v, body):
+            sk = skolems.fresh(len(universals))
+            return _skolem_walk(body, {**env, v: Term(sk, universals)}, universals,
+                                skolems, var_counter)
+        case FTrue() | FFalse():
+            return f
+        case _:
+            raise TypeError(f"unexpected node in NNF {f!r}")
 
 
 def distribute(f) -> list[list[Literal]]:

@@ -9,6 +9,13 @@ The printed form of a clause is canonical: it round-trips through the
 parser (a name that would not lex back as a name is printed quoted, so
 `p('Foo')` never re-reads as `p(X)`), and the lexed token stream of a
 variable-normalized clause is exactly what the tokenizer emits.
+
+Symbols are interned: one object per (name, kind, arity), compared by
+identity. The recursive walks are module functions that take their state
+as arguments, never nested functions: a nested function that calls
+itself is a reference cycle (function -> closure cell -> function) that
+only the cyclic garbage collector frees, and the search runs with that
+collector paused (see `saturation`).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ EQ = "="
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 def _immutable(self, name, *value):
@@ -36,44 +44,49 @@ def _immutable(self, name, *value):
 
 
 class Symbol:
-    """A function, predicate or variable symbol; immutable.
+    """A function, predicate or variable symbol; immutable and interned.
 
-    The hash is computed once, at construction, and is the value a
-    dataclass over (name, kind, arity) would give: `hash((name, kind,
-    arity))`. Set and dict iteration orders so do not depend on how the
-    hash is computed.
+    `Symbol(name, kind, arity)` returns one shared object per triple, so
+    two symbols are equal exactly when they are one object and compare by
+    identity. A new triple is validated once, when it is first made. The
+    hash is computed at that point too, and is the value a dataclass over
+    (name, kind, arity) would give: `hash((name, kind, arity))`. Set and
+    dict iteration orders so do not depend on how the hash is computed.
+    Unpickling and copying give back the shared object.
     """
 
     __slots__ = ("name", "kind", "arity", "_hash")
 
-    def __init__(self, name: str, kind: str, arity: int):
+    def __new__(cls, name: str, kind: str, arity: int):
+        key = (name, kind, arity)
+        sym = _symbols.get(key)
+        if sym is not None:
+            return sym
         if not name:
             raise ValueError("symbol name must be nonempty")
         if kind == VARIABLE and arity != 0:
             raise ValueError(f"variable {name} must have arity 0")
-        _set(self, "name", name)
-        _set(self, "kind", kind)  # function | predicate | variable
-        _set(self, "arity", arity)
-        _set(self, "_hash", hash((name, kind, arity)))
+        sym = _new(cls)
+        _set(sym, "name", name)
+        _set(sym, "kind", kind)  # function | predicate | variable
+        _set(sym, "arity", arity)
+        _set(sym, "_hash", hash(key))
+        _symbols[key] = sym
+        return sym
 
     __setattr__ = __delattr__ = _immutable
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Symbol:
-            return NotImplemented
-        return (self._hash == other._hash and self.name == other.name
-                and self.kind == other.kind and self.arity == other.arity)
-
     def __reduce__(self):
         return Symbol, (self.name, self.kind, self.arity)
 
     def __repr__(self):
         return f"{self.name}/{self.arity}:{self.kind[0]}"
+
+
+_symbols: dict[tuple[str, str, int], Symbol] = {}  # (name, kind, arity) -> its symbol
 
 
 def var_symbol(name: str) -> Symbol:
@@ -113,7 +126,7 @@ class Term:
             return True
         if other.__class__ is not Term:
             return NotImplemented
-        return (self._hash == other._hash and self.sym == other.sym
+        return (self._hash == other._hash and self.sym is other.sym
                 and self.args == other.args)
 
     def __reduce__(self):
@@ -125,9 +138,6 @@ class Term:
 
 def Var(name: str) -> Term:
     return Term(var_symbol(name))
-
-
-_new = object.__new__
 
 
 def rebuild_term(sym: Symbol, args: tuple[Term, ...]) -> Term:
@@ -358,40 +368,41 @@ def clause_tokens(c: Clause) -> list[str]:
     variables: dict[str, str] = {}
     toks: list[str] = []
     add = toks.append
-
-    def arguments(ts):
-        add("(")
-        for i, a in enumerate(ts):
-            if i:
-                add(",")
-            term(a)
-        add(")")
-
-    def term(t: Term):
-        if t.is_var:
-            v = variables.get(t.sym.name)
-            if v is None:
-                v = variables[t.sym.name] = f"V{len(variables) + 1}"
-            add(v)
-        else:
-            add(t.sym.name)
-            if t.args:
-                arguments(t.args)
-
     for i, lit in enumerate(c.literals):
         if i:
             add("|")
         if lit.pred.name == EQ:
-            term(lit.args[0])
+            _term_tokens(lit.args[0], variables, add)
             add("=" if lit.positive else "!=")
-            term(lit.args[1])
+            _term_tokens(lit.args[1], variables, add)
             continue
         if not lit.positive:
             add("~")
         add(lit.pred.name)
         if lit.args:
-            arguments(lit.args)
+            _argument_tokens(lit.args, variables, add)
     return toks
+
+
+def _argument_tokens(ts: tuple[Term, ...], variables: dict[str, str], add) -> None:
+    add("(")
+    for i, a in enumerate(ts):
+        if i:
+            add(",")
+        _term_tokens(a, variables, add)
+    add(")")
+
+
+def _term_tokens(t: Term, variables: dict[str, str], add) -> None:
+    if t.is_var:
+        v = variables.get(t.sym.name)
+        if v is None:
+            v = variables[t.sym.name] = f"V{len(variables) + 1}"
+        add(v)
+    else:
+        add(t.sym.name)
+        if t.args:
+            _argument_tokens(t.args, variables, add)
 
 
 def _lexes_as_name(name: str) -> bool:
@@ -496,24 +507,10 @@ def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
     into disjoint namespaces (see `saturation`).
     """
     mapping: dict[str, Term] = {}
-
-    def rename(t: Term) -> Term:
-        if t.args:
-            args = tuple([rename(a) for a in t.args])
-            if all(a is b for a, b in zip(args, t.args)):
-                return t
-            return rebuild_term(t.sym, args)
-        if not t.is_var:
-            return t
-        v = mapping.get(t.sym.name)
-        if v is None:
-            v = mapping[t.sym.name] = _namespace_var(prefix, len(mapping))
-        return t if v.sym.name == t.sym.name else v
-
     lits = []
     changed = False
     for l in c.literals:
-        args = tuple([rename(a) for a in l.args])
+        args = tuple([_rename(a, mapping, prefix) for a in l.args])
         if all(a is b for a, b in zip(args, l.args)):
             lits.append(l)
         else:
@@ -522,34 +519,56 @@ def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
     return _copy_with(c, tuple(lits)) if changed else c
 
 
+def _rename(t: Term, mapping: dict[str, Term], prefix: str) -> Term:
+    """`t` with its variables renamed into the `prefix` namespace, in the
+    order `mapping` (source name -> new variable) first saw them."""
+    if t.args:
+        args = tuple([_rename(a, mapping, prefix) for a in t.args])
+        if all(a is b for a, b in zip(args, t.args)):
+            return t
+        return rebuild_term(t.sym, args)
+    if not t.is_var:
+        return t
+    v = mapping.get(t.sym.name)
+    if v is None:
+        v = mapping[t.sym.name] = _namespace_var(prefix, len(mapping))
+    return t if v.sym.name == t.sym.name else v
+
+
 def normalize_variables_twice(c: Clause, first: str, second: str) -> tuple[Clause, Clause]:
     """`(normalize_variables(c, first), normalize_variables(c, second))`
     from one walk over `c`."""
-    index: dict[str, int] = {}
-
-    def rename(t: Term) -> tuple[Term, Term]:
-        if t.is_var:
-            name = t.sym.name
-            i = index.get(name)
-            if i is None:
-                i = index[name] = len(index)
-            a, b = _namespace_var(first, i), _namespace_var(second, i)
-            return (t if a.sym.name == name else a), (t if b.sym.name == name else b)
-        if not t.args:
-            return t, t
-        return tuple([t if _same(args, t.args) else rebuild_term(t.sym, args)
-                      for args in zip(*[rename(a) for a in t.args])])
-
-    def rename_literal(l: Literal) -> tuple[Literal, Literal]:
-        if not l.args:
-            return l, l
-        return tuple([l if _same(args, l.args) else rebuild_literal(l.pred, args, l.positive)
-                      for args in zip(*[rename(a) for a in l.args])])
-
     if c.is_empty:
         return c, c
+    index: dict[str, int] = {}
     return tuple([c if _same(lits, c.literals) else _copy_with(c, lits)
-                  for lits in zip(*[rename_literal(l) for l in c.literals])])
+                  for lits in zip(*[_rename_literal_twice(l, index, first, second)
+                                    for l in c.literals])])
+
+
+def _rename_literal_twice(l: Literal, index: dict[str, int], first: str,
+                          second: str) -> tuple[Literal, Literal]:
+    if not l.args:
+        return l, l
+    return tuple([l if _same(args, l.args) else rebuild_literal(l.pred, args, l.positive)
+                  for args in zip(*[_rename_twice(a, index, first, second)
+                                    for a in l.args])])
+
+
+def _rename_twice(t: Term, index: dict[str, int], first: str, second: str) -> tuple[Term, Term]:
+    """`t` renamed into both namespaces; `index` numbers the variables in
+    order of first occurrence."""
+    if t.is_var:
+        name = t.sym.name
+        i = index.get(name)
+        if i is None:
+            i = index[name] = len(index)
+        a, b = _namespace_var(first, i), _namespace_var(second, i)
+        return (t if a.sym.name == name else a), (t if b.sym.name == name else b)
+    if not t.args:
+        return t, t
+    return tuple([t if _same(args, t.args) else rebuild_term(t.sym, args)
+                  for args in zip(*[_rename_twice(a, index, first, second) for a in t.args])])
 
 
 def _same(new: tuple, old: tuple) -> bool:
@@ -558,17 +577,17 @@ def _same(new: tuple, old: tuple) -> bool:
 
 def rename_clause_apart(c: Clause, suffix: str) -> Clause:
     """Rename every variable by appending `suffix` (standardize apart)."""
-
-    def rename(t: Term) -> Term:
-        if t.is_var:
-            return Var(t.sym.name + suffix)
-        return rebuild_term(t.sym, tuple([rename(a) for a in t.args]))
-
     lits = tuple([
-        rebuild_literal(l.pred, tuple([rename(a) for a in l.args]), l.positive)
+        rebuild_literal(l.pred, tuple([_rename_apart(a, suffix) for a in l.args]), l.positive)
         for l in c.literals
     ])
     return _copy_with(c, lits)
+
+
+def _rename_apart(t: Term, suffix: str) -> Term:
+    if t.is_var:
+        return Var(t.sym.name + suffix)
+    return rebuild_term(t.sym, tuple([_rename_apart(a, suffix) for a in t.args]))
 
 
 def canonical_key(c: Clause) -> tuple:

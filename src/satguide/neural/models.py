@@ -291,77 +291,79 @@ def embed_tree(itree: tuple, model: ModelParams, tower: str) -> Tensor:
     if cfg.arch not in TREE_ARCHS:
         raise ValueError(f"embed_tree needs a tree architecture, got {cfg.arch}")
     kinds = CONJ_KINDS if tower == TOWER_CONJ else CLAUSE_KINDS
-    p = model.params
-
-    memo: dict[tuple[int, int], object] = {}
-
-    def rnn_eval(node, layer) -> Tensor:
-        key = (id(node), layer)
-        if key in memo:
-            return memo[key]
-        kind = node[0]
-        if kind == "leaf":
-            if layer == 0:
-                out = T.embedding(p["embedding"], node[1])
-            else:
-                out = rnn_eval(node, layer - 1)
-        else:
-            if kind not in kinds:
-                raise ValueError(f"{kind!r} node not allowed in the {tower} tower")
-            children = [rnn_eval(ch, layer) for ch in node[1:]]
-            h = children[0] if len(children) == 1 else T.concat(children)
-            pre = T.add(T.matmul(h, p[f"{tower}.L{layer}.{kind}.w"]),
-                        p[f"{tower}.L{layer}.{kind}.b"])
-            if layer > 0:
-                x = rnn_eval(node, layer - 1)
-                pre = T.add(pre, T.matmul(x, p[f"{tower}.L{layer}.{kind}.x.w"]))
-            out = T.relu(pre)
-        memo[key] = out
-        return out
-
-    def lstm_eval(node, layer) -> tuple[Tensor, Tensor | None]:
-        key = (id(node), layer)
-        if key in memo:
-            return memo[key]
-        kind = node[0]
-        if kind == "leaf":
-            if layer == 0:
-                out = (T.embedding(p["embedding"], node[1]), None)
-            else:
-                out = (lstm_eval(node, layer - 1)[0], None)
-        else:
-            if kind not in kinds:
-                raise ValueError(f"{kind!r} node not allowed in the {tower} tower")
-            states = [lstm_eval(ch, layer) for ch in node[1:]]
-            hs = [s[0] for s in states]
-            hcat = hs[0] if len(hs) == 1 else T.concat(hs)
-            base = f"{tower}.L{layer}.{kind}"
-
-            def gate(name, act):
-                pre = T.add(T.matmul(hcat, p[f"{base}.{name}.w"]), p[f"{base}.{name}.b"])
-                if layer > 0:
-                    x = lstm_eval(node, layer - 1)[0]
-                    pre = T.add(pre, T.matmul(x, p[f"{base}.{name}x.w"]))
-                return act(pre)
-
-            i = gate("i", T.sigmoid)
-            o = gate("o", T.sigmoid)
-            u = gate("u", T.tanh)
-            f = gate("f", T.sigmoid)  # [n*dim]: per-child gates incl. cross terms
-            c = T.mul(i, u)
-            for idx, (_, c_child) in enumerate(states):
-                if c_child is not None:
-                    fk = T.narrow(f, idx * cfg.dim, (idx + 1) * cfg.dim)
-                    c = T.add(c, T.mul(fk, c_child))
-            h = T.mul(o, T.tanh(c))
-            out = (h, c)
-        memo[key] = out
-        return out
-
     top = cfg.tree_layers - 1
     if cfg.arch == ARCH_TREE_RNN:
-        return rnn_eval(itree, top)
-    return lstm_eval(itree, top)[0]
+        return _rnn_eval(itree, top, model.params, tower, kinds, {})
+    return _lstm_eval(itree, top, model.params, tower, kinds, cfg.dim, {})[0]
+
+
+# The evaluators are module functions that take their state as arguments: a
+# nested function that calls itself is a reference cycle.
+
+
+def _rnn_eval(node, layer, p, tower, kinds, memo) -> Tensor:
+    key = (id(node), layer)
+    if key in memo:
+        return memo[key]
+    kind = node[0]
+    if kind == "leaf":
+        if layer == 0:
+            out = T.embedding(p["embedding"], node[1])
+        else:
+            out = _rnn_eval(node, layer - 1, p, tower, kinds, memo)
+    else:
+        if kind not in kinds:
+            raise ValueError(f"{kind!r} node not allowed in the {tower} tower")
+        children = [_rnn_eval(ch, layer, p, tower, kinds, memo) for ch in node[1:]]
+        h = children[0] if len(children) == 1 else T.concat(children)
+        pre = T.add(T.matmul(h, p[f"{tower}.L{layer}.{kind}.w"]),
+                    p[f"{tower}.L{layer}.{kind}.b"])
+        if layer > 0:
+            x = _rnn_eval(node, layer - 1, p, tower, kinds, memo)
+            pre = T.add(pre, T.matmul(x, p[f"{tower}.L{layer}.{kind}.x.w"]))
+        out = T.relu(pre)
+    memo[key] = out
+    return out
+
+
+def _lstm_eval(node, layer, p, tower, kinds, dim, memo) -> tuple[Tensor, Tensor | None]:
+    key = (id(node), layer)
+    if key in memo:
+        return memo[key]
+    kind = node[0]
+    if kind == "leaf":
+        if layer == 0:
+            out = (T.embedding(p["embedding"], node[1]), None)
+        else:
+            out = (_lstm_eval(node, layer - 1, p, tower, kinds, dim, memo)[0], None)
+    else:
+        if kind not in kinds:
+            raise ValueError(f"{kind!r} node not allowed in the {tower} tower")
+        states = [_lstm_eval(ch, layer, p, tower, kinds, dim, memo) for ch in node[1:]]
+        hs = [s[0] for s in states]
+        hcat = hs[0] if len(hs) == 1 else T.concat(hs)
+        base = f"{tower}.L{layer}.{kind}"
+
+        def gate(name, act):
+            pre = T.add(T.matmul(hcat, p[f"{base}.{name}.w"]), p[f"{base}.{name}.b"])
+            if layer > 0:
+                x = _lstm_eval(node, layer - 1, p, tower, kinds, dim, memo)[0]
+                pre = T.add(pre, T.matmul(x, p[f"{base}.{name}x.w"]))
+            return act(pre)
+
+        i = gate("i", T.sigmoid)
+        o = gate("o", T.sigmoid)
+        u = gate("u", T.tanh)
+        f = gate("f", T.sigmoid)  # [n*dim]: per-child gates incl. cross terms
+        c = T.mul(i, u)
+        for idx, (_, c_child) in enumerate(states):
+            if c_child is not None:
+                fk = T.narrow(f, idx * dim, (idx + 1) * dim)
+                c = T.add(c, T.mul(fk, c_child))
+        h = T.mul(o, T.tanh(c))
+        out = (h, c)
+    memo[key] = out
+    return out
 
 
 # -- combiner and pair batches -------------------------------------------------------

@@ -48,7 +48,7 @@ def resolve(c1: Clause, c2: Clause, flag_tautologies: bool = False) -> list:
     for i, li in enumerate(lits1):
         pred, positive = li.pred, li.positive
         for j, lj in enumerate(lits2):
-            if lj.positive == positive or (lj.pred is not pred and lj.pred != pred):
+            if lj.positive == positive or lj.pred is not pred:
                 continue
             sub = unify_atoms(li, lj)
             if sub is None:
@@ -68,7 +68,7 @@ def factor(c: Clause, flag_tautologies: bool = False) -> list:
         pred, positive = lits[i].pred, lits[i].positive
         for j in range(i + 1, len(lits)):
             lj = lits[j]
-            if lj.positive != positive or (lj.pred is not pred and lj.pred != pred):
+            if lj.positive != positive or lj.pred is not pred:
                 continue
             sub = unify_atoms(lits[i], lj)
             if sub is None:
@@ -96,7 +96,7 @@ def _merged(lits: tuple[Literal, ...]) -> tuple[tuple[Literal, ...], bool]:
             continue
         # the complement of an atom already kept: rare, so look it up plainly
         tautology = True
-        if not any(o.positive == l.positive and o.pred == l.pred and o.args == l.args
+        if not any(o.positive == l.positive and o.pred is l.pred and o.args == l.args
                    for o in out[k + 1 :]):
             out.append(l)
     return (lits if len(out) == len(lits) else tuple(out)), tautology
@@ -132,20 +132,22 @@ def subsumes(general: Clause, specific: Clause) -> bool:
             return False
         candidates.append((p, js))
     candidates.sort(key=lambda entry: len(entry[1]))
+    return _assign(candidates, targets, 0, 0, {})
 
-    def assign(i: int, used: int, sub) -> bool:
-        if i == len(candidates):
+
+def _assign(candidates: list, targets: tuple[Literal, ...], i: int, used: int, sub) -> bool:
+    """Can the pattern literals `candidates[i:]` be bound to distinct
+    targets outside the bitmask `used`, extending `sub`?"""
+    if i == len(candidates):
+        return True
+    p, js = candidates[i]
+    for j in js:
+        if used & (1 << j):
+            continue
+        ext = match_literals(p, targets[j], sub)
+        if ext is not None and _assign(candidates, targets, i + 1, used | (1 << j), ext):
             return True
-        p, js = candidates[i]
-        for j in js:
-            if used & (1 << j):
-                continue
-            ext = match_literals(p, targets[j], sub)
-            if ext is not None and assign(i + 1, used | (1 << j), ext):
-                return True
-        return False
-
-    return assign(0, 0, {})
+    return False
 
 
 def is_variant(c1: Clause, c2: Clause) -> bool:

@@ -27,6 +27,17 @@ check, or the empty clause, becomes a `Clause` with a `ProofNode`;
 dropped resolvents leave no clause object or proof node behind, only
 their id.
 
+The search makes no reference cycles, so every object it drops is freed
+by its reference count at once. `run` so pauses Python's cyclic garbage
+collector, whose collections would find no garbage and only walk the
+live clauses over and over, and restores it on every exit. On the way
+out it hands the objects the search made, with any other young ones,
+to the oldest generation (`gc.freeze()`, then `gc.unfreeze()`), so that
+the first young collection afterwards does not walk them all either;
+a caller's frozen objects stay frozen, and then nothing moves. This is safe: the collector
+only frees cycles, and a cycle that code called by the search makes (a
+weight function, say) is still freed, by the next full collection.
+
 Calculus: binary resolution + factoring, tautology deletion, forward
 subsumption. Equality is handled by axiom injection (reflexivity,
 symmetry, transitivity, congruence per signature symbol) when a problem
@@ -36,6 +47,7 @@ ids increase monotonically with creation.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -433,15 +445,26 @@ class Saturation:
         cap = self.config.max_processed
         if max_processed is not None:
             cap = max_processed if cap is None else min(cap, max_processed)
-        while True:
-            if self.empty_clause_id is not None:
-                return PROOF_FOUND
-            limit = self.hit_limit(cap, deadline)
-            if limit is not None:
-                self.resource = limit
-                return LIMIT
-            if self.step() == SATURATED:
-                return SATURATED
+        # the search makes no reference cycles: pause the cyclic collector,
+        # which would only walk live clauses (see the module docstring)
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        gc.disable()
+        try:
+            while True:
+                if self.empty_clause_id is not None:
+                    return PROOF_FOUND
+                limit = self.hit_limit(cap, deadline)
+                if limit is not None:
+                    self.resource = limit
+                    return LIMIT
+                if self.step() == SATURATED:
+                    return SATURATED
+        finally:
+            if not frozen:  # a caller's frozen objects stay frozen
+                gc.freeze()
+                gc.unfreeze()
+            if enabled:
+                gc.enable()
 
     # -- results ----------------------------------------------------------------
 

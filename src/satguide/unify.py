@@ -69,7 +69,7 @@ def _unify(stack: list[tuple[Term, Term]], sub: Substitution) -> Substitution | 
             if a.args and occurs(b.sym.name, a, sub):
                 return None
             sub[b.sym.name] = a
-        elif a.sym is not b.sym and a.sym != b.sym:
+        elif a.sym is not b.sym:
             return None
         else:
             extend(zip(a.args, b.args))
@@ -86,7 +86,7 @@ def unify_atoms(l1: Literal, l2: Literal, sub: Substitution | None = None) -> Su
 
     The argument pairs are solved left to right, each completely before
     the next, as successive `unify_terms` calls would."""
-    if l1.pred is not l2.pred and l1.pred != l2.pred:
+    if l1.pred is not l2.pred:
         return None
     stack = list(zip(l1.args, l2.args))
     stack.reverse()
@@ -161,7 +161,7 @@ def _match(stack: list[tuple[Term, Term]], sub: Substitution) -> Substitution | 
                 sub[name] = t
             elif bound is not t and bound != t:
                 return None
-        elif t.is_var or (p.sym is not t.sym and p.sym != t.sym):
+        elif t.is_var or p.sym is not t.sym:
             return None
         else:
             extend(zip(p.args, t.args))
@@ -176,8 +176,7 @@ def match_terms(pattern: Term, target: Term, sub: Substitution | None = None) ->
 
 def match_literals(pattern: Literal, target: Literal, sub: Substitution | None = None) -> Substitution | None:
     """`match_terms` over two literals of the same predicate and sign."""
-    if pattern.positive != target.positive or (
-            pattern.pred is not target.pred and pattern.pred != target.pred):
+    if pattern.positive != target.positive or pattern.pred is not target.pred:
         return None
     stack = list(zip(pattern.args, target.args))
     stack.reverse()

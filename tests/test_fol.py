@@ -1,5 +1,8 @@
 """Terms, literals, clauses, printing, normalization."""
 
+import copy
+import pickle
+
 import pytest
 
 from satguide.fol import (
@@ -39,6 +42,29 @@ def f(name, *args):
     return Term(Symbol(name, "function", len(args)), args)
 
 
+class TestSymbolInterning:
+    def test_equal_triples_give_one_object(self):
+        s = Symbol("f", FUNCTION, 2)
+        assert Symbol("f", FUNCTION, 2) is s
+        assert Symbol("f", FUNCTION, 1) is not s
+        assert Symbol("f", PREDICATE, 2) is not s
+        assert Symbol("g", FUNCTION, 2) is not s
+
+    def test_hash_is_the_triples(self):
+        assert hash(Symbol("f", FUNCTION, 2)) == hash(("f", FUNCTION, 2))
+
+    def test_pickle_and_copy_give_the_shared_object(self):
+        s = Symbol("f", FUNCTION, 2)
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.copy(s) is s and copy.deepcopy(s) is s
+        t = pickle.loads(pickle.dumps(f("f", Var("X"), c("a"))))
+        assert t.sym is s and t.args[1].sym is Symbol("a", FUNCTION, 0)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Symbol("f", FUNCTION, 2).name = "g"
+
+
 class TestInvariants:
     def test_variable_arity(self):
         with pytest.raises(ValueError):
@@ -47,6 +73,11 @@ class TestInvariants:
     def test_empty_name(self):
         with pytest.raises(ValueError):
             Symbol("", "function", 0)
+
+    def test_bad_symbol_is_not_interned(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Symbol("Y", "variable", 1)
 
     def test_term_arity_checked(self):
         s = Symbol("f", "function", 2)
