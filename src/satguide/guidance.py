@@ -5,7 +5,8 @@ clause by -p(useful), so the existing lowest-is-best rankings select the
 most promising clause. The negated-conjecture embedding is computed once
 per proof attempt; clause scores are cached by id (they depend only on
 clause + conjecture) and evaluated in batches as the selection loop first
-needs them.
+needs them. `ClauseScorer.embed` builds and embeds every inference input:
+clauses, the conjecture and `premsel`'s premises.
 
 `guided_prove` runs every mode under one `SearchConfig`. Switched mode
 runs a hybrid phase, then hands the same proof state (processed set,
@@ -30,7 +31,6 @@ from .neural.models import (
     TOWER_CLAUSE,
     TOWER_CONJ,
     combiner_logit,
-    embed_sequence,
     embed_sequences,
     embed_tree,
     index_tree,
@@ -42,8 +42,12 @@ from .saturation import (
     SearchConfig,
     prove,
 )
-from .tokens import Vocabulary, tokenize, tokenize_conjecture
-from .trees import clause_parse_tree, conjecture_tree
+from .tokens import Vocabulary, tokenize_conjecture
+from .trees import conjecture_tree
+
+# unused here; bench/tracing.py spans these names in this module
+from .neural.models import embed_sequence  # noqa: F401
+from .tokens import tokenize  # noqa: F401
 
 MODE_AUTO = "auto"
 MODE_PURE = "pure"
@@ -93,7 +97,7 @@ class GuidanceConfig:
 class ClauseScorer(WeightFunction):
     """The network's weight function for one problem: -p(useful | clause,
     conjecture), lowest-is-best, from one conjecture embedding and one
-    cache of clause scores."""
+    cache of clause scores. `embed` is the one inference encoder."""
 
     def __init__(self, model: ModelParams, vocab: Vocabulary, problem: Problem,
                  batch_size: int = 32):
@@ -102,6 +106,8 @@ class ClauseScorer(WeightFunction):
                 "vocabulary hash mismatch between the model checkpoint and "
                 "the tokenizer vocabulary"
             )
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         self.model = model
         self.vocab = vocab
         self.batch_size = batch_size
@@ -110,13 +116,37 @@ class ClauseScorer(WeightFunction):
         self.batch_calls = 0
         self.clause_evals = 0
         self._sequence = model.config.arch in SEQ_ARCHS
+        self.v_nc = self.embed([problem.negated_conjecture], TOWER_CONJ)
+
+    def embed(self, clause_lists: list[list[Clause]], tower: str = TOWER_CLAUSE) -> T.Tensor:
+        """[B, dim]: one `tower` embedding per list of clauses, batch_size
+        lists at a time. A list is one input: SEP-joined token ids for
+        sequence models, an `and`-joined tree for tree models (so their
+        clause tower takes one-clause lists only). Packed sequence rows
+        round as `models.embed_sequences` describes."""
+        rows = [np.zeros((0, self.model.config.dim))]  # no lists: a [0, dim] batch
         with T.no_grad():
-            if self._sequence:
-                ids = tokenize_conjecture(problem.negated_conjecture, vocab, self.max_len)
-                self.v_nc = embed_sequence(ids, model, TOWER_CONJ)
-            else:
-                tree = conjecture_tree(problem.negated_conjecture)
-                self.v_nc = embed_tree(index_tree(tree, vocab.lookup), model, TOWER_CONJ)
+            for start in range(0, len(clause_lists), self.batch_size):
+                chunk = clause_lists[start : start + self.batch_size]
+                if self._sequence:
+                    rows.append(embed_sequences(
+                        [tokenize_conjecture(cs, self.vocab, self.max_len) for cs in chunk],
+                        self.model, tower).data)
+                else:
+                    rows += [embed_tree(index_tree(conjecture_tree(cs), self.vocab.lookup),
+                                        self.model, tower).data[None]
+                             for cs in chunk]
+        return T.constant(np.concatenate(rows))
+
+    def premise_vectors(self, groups: list[list[Clause]]) -> T.Tensor:
+        """[G, dim]: one clause-tower embedding per premise, a group of
+        clauses. Sequence models embed the group as one SEP-joined input;
+        tree models embed each clause and max-pool elementwise over the
+        group."""
+        if self._sequence:
+            return self.embed(groups)
+        vecs = self.embed([[c] for cs in groups for c in cs])
+        return T.segment_max(vecs, T.Segments([len(cs) for cs in groups]))
 
     def probabilities(self, vecs: T.Tensor) -> list[float]:
         """p(useful | embedded clause or premise, conjecture) for each row of
@@ -134,45 +164,22 @@ class ClauseScorer(WeightFunction):
             logits = combiner_logit(T.constant(rows), T.constant(conj), self.model)
             return T.sigmoid(logits).data.reshape(-1).tolist()
 
-    def sequence_probabilities(self, batch_ids: list[list[int]]) -> list[float]:
-        """`probabilities` of token sequences through the clause tower,
-        embedded batch_size at a time. Each chunk runs packed, and no layer
-        reads across a sequence boundary, so each row is a lone evaluation
-        up to the BLAS rounding `models.embed_sequences` describes."""
-        probs: list[float] = []
-        for start in range(0, len(batch_ids), self.batch_size):
-            with T.no_grad():
-                vecs = embed_sequences(batch_ids[start : start + self.batch_size],
-                                       self.model, TOWER_CLAUSE)
-            probs += self.probabilities(vecs)
-        return probs
-
     def score_batch(self, clauses: list[Clause]):
-        """Score the uncached clauses, in order, batch_size at a time.
+        """Score the uncached clauses, in order, batch_size at a time: one
+        `embed` and one combiner call per chunk.
 
-        Sequence towers embed a whole chunk at once; tree towers embed one
-        clause at a time; the combiner runs once per chunk. Batch size is
-        therefore amortization only, never a change in the math.
+        The combiner and the tree towers give every clause the same bits
+        whatever the batch size. A sequence chunk is embedded packed, so a
+        clause's score can depend on its chunk in the BLAS cases that
+        `models.embed_sequences` lists.
         """
         pending = [c for c in clauses if c.id not in self.cache]
         for start in range(0, len(pending), self.batch_size):
             chunk = pending[start : start + self.batch_size]
             self.batch_calls += 1
             self.clause_evals += len(chunk)
-            if self._sequence:
-                probs = self.sequence_probabilities([
-                    tokenize(c, self.vocab, self.max_len) for c in chunk
-                ])
-            else:
-                with T.no_grad():
-                    vecs = T.stack([
-                        embed_tree(index_tree(clause_parse_tree(c), self.vocab.lookup),
-                                   self.model, TOWER_CLAUSE)
-                        for c in chunk
-                    ])
-                probs = self.probabilities(vecs)
+            probs = self.probabilities(self.embed([[c] for c in chunk]))
             self.cache.update(zip([c.id for c in chunk], probs))
-
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
         self.score_batch(clauses)

@@ -378,26 +378,29 @@ def combiner_logit(clause_vec: Tensor, conj_vec: Tensor, model: ModelParams) -> 
 
 @dataclass
 class PairInput:
-    """Prepared inputs for one (clause, negated-conjecture) pair."""
+    """Prepared inputs for one (clause, negated-conjecture) pair: one model
+    input per tower, token ids for sequence models and an indexed tree for
+    tree models."""
 
-    clause_ids: list[int] | None = None
-    conj_ids: list[int] | None = None
-    clause_tree: tuple | None = None
-    conj_tree: tuple | None = None
+    clause: list[int] | tuple
+    conj: list[int] | tuple
     label: int = 0
+
+
+def embed_inputs(inputs: list, model: ModelParams, tower: str,
+                 train_mode: bool = False, rng=None) -> Tensor:
+    """[B, dim] for a batch of one tower's inputs; sequence towers run on
+    the packed batch, tree towers one tree at a time."""
+    if model.config.arch in SEQ_ARCHS:
+        return embed_sequences(inputs, model, tower, train_mode, rng)
+    return T.stack([embed_tree(t, model, tower) for t in inputs])
 
 
 def forward_logits(batch: list[PairInput], model: ModelParams,
                    train_mode: bool = False, rng=None) -> Tensor:
-    """Logits [B] for a batch; sequence towers run on the packed batch."""
-    if model.config.arch in SEQ_ARCHS:
-        vc = embed_sequences([p.clause_ids for p in batch], model, TOWER_CLAUSE,
-                             train_mode, rng)
-        vnc = embed_sequences([p.conj_ids for p in batch], model, TOWER_CONJ,
-                              train_mode, rng)
-    else:
-        vc = T.stack([embed_tree(p.clause_tree, model, TOWER_CLAUSE) for p in batch])
-        vnc = T.stack([embed_tree(p.conj_tree, model, TOWER_CONJ) for p in batch])
+    """Logits [B] for a batch of pairs."""
+    vc = embed_inputs([p.clause for p in batch], model, TOWER_CLAUSE, train_mode, rng)
+    vnc = embed_inputs([p.conj for p in batch], model, TOWER_CONJ, train_mode, rng)
     logits = combiner_logit(vc, vnc, model)
     return T.reshape(logits, (len(batch),))
 

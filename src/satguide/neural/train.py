@@ -14,7 +14,7 @@ import numpy as np
 from ..fol import Clause
 from ..parser import parse_clause_text
 from ..tokens import Vocabulary, tokenize_texts
-from ..trees import clause_parse_tree, conjecture_tree
+from ..trees import conjecture_tree
 from . import tensor as T
 from .adam import adam_init, adam_step
 from .models import (
@@ -31,8 +31,6 @@ from .models import (
 def prepare_pairs(examples, vocab: Vocabulary, config: ModelConfig) -> list[PairInput]:
     """Model inputs for examples with clause_text, conj_texts and label.
 
-    Sequence models get token id lists (conjecture clauses joined by SEP);
-    tree models get indexed curried parse trees (joined by `and` nodes).
     The conjecture input is built once per distinct conjecture text list
     and shared, read-only, by every pair that has that conjecture.
     """
@@ -42,33 +40,19 @@ def prepare_pairs(examples, vocab: Vocabulary, config: ModelConfig) -> list[Pair
         key = tuple(ex.conj_texts)
         conj = conjectures.get(key)
         if conj is None:
-            conj = conjectures[key] = _conjecture_input(key, vocab, config)
-        pairs.append(_pair(ex.clause_text, conj, vocab, config, ex.label))
+            conj = conjectures[key] = _input(key, vocab, config)
+        pairs.append(PairInput(_input([ex.clause_text], vocab, config), conj, ex.label))
     return pairs
 
 
-def _conjecture_input(conj_texts, vocab: Vocabulary, config: ModelConfig):
-    """Token ids (sequence models) or an indexed tree (tree models)."""
+def _input(texts, vocab: Vocabulary, config: ModelConfig):
+    """One model input from printed clauses: token ids joined by SEP
+    (sequence models) or an indexed curried parse tree, the clauses joined
+    by `and` nodes (tree models). One text is that clause alone."""
     if config.arch in SEQ_ARCHS:
-        return tokenize_texts(list(conj_texts), vocab, config.max_len)
-    conj_clauses = [Clause(i, parse_clause_text(t)) for i, t in enumerate(conj_texts)]
-    return index_tree(conjecture_tree(conj_clauses), vocab.lookup)
-
-
-def _pair(clause_text: str, conj, vocab: Vocabulary, config: ModelConfig,
-          label: int) -> PairInput:
-    if config.arch in SEQ_ARCHS:
-        return PairInput(
-            clause_ids=tokenize_texts([clause_text], vocab, config.max_len),
-            conj_ids=conj,
-            label=label,
-        )
-    clause = Clause(0, parse_clause_text(clause_text))
-    return PairInput(
-        clause_tree=index_tree(clause_parse_tree(clause), vocab.lookup),
-        conj_tree=conj,
-        label=label,
-    )
+        return tokenize_texts(list(texts), vocab, config.max_len)
+    clauses = [Clause(i, parse_clause_text(t)) for i, t in enumerate(texts)]
+    return index_tree(conjecture_tree(clauses), vocab.lookup)
 
 
 SCORE_CHUNK = 256  # pairs per eval forward pass

@@ -1,12 +1,14 @@
 """Premise ranking and the growing top-k cascade of proof attempts.
 
 Premises are whole input formulas (clause groups sharing an origin name),
-scored against the negated conjecture with the pairwise scorer. The
-cascade tries the top 32, 64, 128, 256 premises in turn (clamped to the
-number available, duplicates dropped) and stops at the first proof; the
-processed-clause budget and the wall limit are split evenly across the
-levels. A level that saturates a strict subset of the premises proves
-nothing about the problem, so it ends as ResourceOut.
+scored against the negated conjecture with the pairwise scorer, which
+embeds them straight from their clauses (`ClauseScorer.premise_vectors`).
+The cascade tries the top 32, 64, 128, 256 premises in turn (clamped to
+the number available, duplicates dropped; no level, or one below 1, is an
+error) and stops at the first proof; the processed-clause budget and the
+wall limit are split evenly across the levels. A level that saturates a
+strict subset of the premises proves nothing about the problem, so it
+ends as ResourceOut.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .fol import Clause, Problem, normalized_str
+from .fol import Clause, Problem
 from .guidance import ClauseScorer
-from .neural import tensor as T
-from .neural.models import SEQ_ARCHS, TOWER_CLAUSE, embed_tree, index_tree
+from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
+
 # unused here; bench/tracing.py spans these names in this module
 from .neural.models import combiner_logit, embed_sequence  # noqa: F401
-from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
-from .tokens import tokenize_texts
-from .trees import clause_parse_tree
+from .tokens import tokenize_texts  # noqa: F401
 
 DEFAULT_LEVELS = (32, 64, 128, 256)
 
@@ -64,30 +64,12 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
     """Score each premise against the negated conjecture; sort descending,
     ties keeping input order.
 
-    Sequence models see the premise's clauses as one SEP-joined token
-    stream, embedded and scored scorer.batch_size premises at a time. Tree
-    models embed each clause through the clause tower and pool
-    elementwise-max over the group (clause trees carry no `and`). Scores
-    do not depend on the batch size.
+    `ClauseScorer.premise_vectors` embeds the premises straight from their
+    clauses, scorer.batch_size premises at a time, and one combiner call
+    scores them all.
     """
     groups = premise_groups(problem)
-    if scorer.model.config.arch in SEQ_ARCHS:
-        probs = scorer.sequence_probabilities([
-            tokenize_texts([normalized_str(c) for c in clauses],
-                           scorer.vocab, scorer.max_len)
-            for _, clauses in groups
-        ])
-    elif groups:
-        with T.no_grad():
-            vecs = T.stack([
-                embed_tree(index_tree(clause_parse_tree(c), scorer.vocab.lookup),
-                           scorer.model, TOWER_CLAUSE)
-                for _, clauses in groups for c in clauses
-            ])
-            pooled = T.segment_max(vecs, T.Segments([len(cs) for _, cs in groups]))
-        probs = scorer.probabilities(pooled)
-    else:
-        probs = []
+    probs = scorer.probabilities(scorer.premise_vectors([cs for _, cs in groups]))
     scores = {name: p for (name, _), p in zip(groups, probs)}
     order = sorted(range(len(groups)), key=lambda i: (-scores[groups[i][0]], i))
     return RankedPremises([groups[i][0] for i in order], scores)
@@ -126,15 +108,17 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
     Each level runs the unguided prover under `limits`, with an even share
     of `total_budget` processed clauses and of the wall limit.
     """
+    if not levels or min(levels) < 1:
+        raise ValueError(f"cascade needs one or more levels, each at least 1, "
+                         f"got {tuple(levels)}")
     limits = limits or SearchConfig()
     eff_levels = clamp_levels(levels, len(ranking.order))
-    n_levels = max(1, len(eff_levels))
+    n_levels = len(eff_levels)
     wall_ms = None if limits.max_wall_ms is None else max(1, limits.max_wall_ms // n_levels)
     level_limits = replace(limits, max_processed=max(1, total_budget // n_levels),
                            max_wall_ms=wall_ms)
 
     transcript = []
-    last: ProveResult | None = None
     for k in eff_levels:
         top = set(ranking.order[:k])
         sub = subset_problem(problem, top, f"@top{k}")
@@ -145,10 +129,9 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
             {"level": k, "status": res.status, "processed": res.processed_count,
              "generated": res.generated_count}
         )
-        last = res
         if res.status == UNSAT:
             return CascadeResult(res, k, [t["level"] for t in transcript],
                                  transcript, ranking.ranking_hash)
-    return CascadeResult(last, None, [t["level"] for t in transcript],
+    return CascadeResult(res, None, [t["level"] for t in transcript],
                          transcript, ranking.ranking_hash)
 

@@ -32,6 +32,11 @@ expression scan: one Python step per character, a `Token` with its line
 and column for every token. It is the reference for the tokens, the
 token positions and the lexical errors of `parser`.
 
+`printed_premise_ids` tokenizes a premise the way `premsel` did before
+the scorer embedded premises straight from their clauses: every clause
+printed with its variables renumbered, lexed back, the texts joined by
+SEP. It is the reference for the premise ids of `ClauseScorer.embed`.
+
 `padded_embed_sequences`, `padded_conv_taps` and `padded_max_time` are the
 sequence towers as they ran before batches were packed: every row padded
 to the longest, a mask multiply after every layer, and a Python loop of
@@ -55,12 +60,13 @@ from satguide.fol import (
     clause_str,
     clause_tokens,
     normalize_variables,
+    normalized_str,
 )
 from satguide.neural import tensor as T
 from satguide.parser import ParseError
 from satguide import rules
 from satguide.saturation import SAT, UNSAT
-from satguide.tokens import Vocabulary, text_tokens
+from satguide.tokens import Vocabulary, text_tokens, tokenize_texts
 
 
 def string_key(c: Clause) -> str:
@@ -237,6 +243,11 @@ def build_vocabulary(train_examples) -> Vocabulary:
     for tok in sorted(counts, key=lambda t: (-counts[t], t)):
         vocab.add(tok)
     return vocab
+
+
+def printed_premise_ids(clauses: list[Clause], vocab: Vocabulary, max_len: int) -> list[int]:
+    """Token ids of a premise's clauses, printed, lexed back and joined by SEP."""
+    return tokenize_texts([normalized_str(c) for c in clauses], vocab, max_len)
 
 
 def _term_symbols(t: Term):

@@ -202,15 +202,15 @@ def _gradcheck(arch, **kw):
     if arch in ("cnn", "wavenet"):
         # packed end to end, so every tap near a row's end meets the next
         # row, a one-token row and an empty one
-        batch = [PairInput(clause_ids=[3, 4, 5, 6, 10], conj_ids=[7, 8, 9], label=1),
-                 PairInput(clause_ids=[6, 5, 11, 4], conj_ids=[3, 9, 2, 8], label=0),
-                 PairInput(clause_ids=[9], conj_ids=[0, 0], label=1)]
+        batch = [PairInput(clause=[3, 4, 5, 6, 10], conj=[7, 8, 9], label=1),
+                 PairInput(clause=[6, 5, 11, 4], conj=[3, 9, 2, 8], label=0),
+                 PairInput(clause=[9], conj=[0, 0], label=1)]
     else:
         t1 = ("or", ("apply", ("leaf", 3), ("leaf", 4)),
               ("not", ("apply", ("leaf", 5), ("leaf", 6))))
         t2 = ("and", ("apply", ("leaf", 7), ("leaf", 8)), ("not", ("leaf", 9)))
-        batch = [PairInput(clause_tree=t1, conj_tree=t2, label=1),
-                 PairInput(clause_tree=("not", ("leaf", 4)), conj_tree=t2, label=0)]
+        batch = [PairInput(clause=t1, conj=t2, label=1),
+                 PairInput(clause=("not", ("leaf", 4)), conj=t2, label=0)]
     _, grads = loss_and_grads(batch, model, train_mode=False)
     h = 1e-4
     worst = 0.0
@@ -259,8 +259,8 @@ def test_criterion_5_training_sanity(trained):
         label = i % 2
         marker = 3 if label else 4
         filler = list(rng.integers(5, 14, size=rng.integers(3, 9)))
-        toy.append(PairInput(clause_ids=[marker] + filler,
-                             conj_ids=list(rng.integers(5, 14, size=4)),
+        toy.append(PairInput(clause=[marker] + filler,
+                             conj=list(rng.integers(5, 14, size=4)),
                              label=label))
     toy_model = init_model(ModelConfig(arch="cnn", vocab_size=16, dim=32,
                                        hidden=64, seed=SEED))
@@ -489,7 +489,7 @@ def test_criterion_10_determinism(tmp_path, corpus, trained, trace_config):
     for _ in range(100):
         ids = list(rng.integers(3, len(trained["vocab"]), size=rng.integers(1, 20)))
         conj = list(rng.integers(3, len(trained["vocab"]), size=rng.integers(1, 12)))
-        pair = PairInput(clause_ids=ids, conj_ids=conj)
+        pair = PairInput(clause=ids, conj=conj)
         if batch_scores([pair], model)[0] != batch_scores([pair], loaded)[0]:
             scores_ok = False
             break

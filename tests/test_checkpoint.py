@@ -33,7 +33,7 @@ def test_round_trip_preserves_scores_bit_exactly():
     for _ in range(100):
         ids = list(rng.integers(1, 10, size=rng.integers(1, 12)))
         conj = list(rng.integers(1, 10, size=rng.integers(1, 8)))
-        pair = PairInput(clause_ids=ids, conj_ids=conj)
+        pair = PairInput(clause=ids, conj=conj)
         assert batch_scores([pair], model)[0] == batch_scores([pair], loaded)[0]
 
 

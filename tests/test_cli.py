@@ -57,6 +57,30 @@ def test_prove_schedule(tmp_path, capsys):
     assert len(set(counts.values())) == 3, counts
 
 
+@pytest.fixture
+def model_files(tmp_path):
+    vocab = Vocabulary()
+    for token in ["~", "p", "q", "(", ")", "|", "a", "V1"]:
+        vocab.add(token)
+    vocab_path, model_path = tmp_path / "vocab.txt", tmp_path / "model.ckpt"
+    vocab.save(str(vocab_path))
+    save_checkpoint_file(init_model(ModelConfig(arch="cnn", vocab_size=len(vocab), dim=4,
+                                                hidden=4), vocab.hash), str(model_path))
+    return ["--model", str(model_path), "--vocab", str(vocab_path)]
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files, batch_size):
+    for command in (["prove", problem_file, "--mode", "hybrid"], ["premsel", problem_file]):
+        with pytest.raises(ValueError, match="batch_size"):
+            main(command + model_files + ["--batch-size", batch_size])
+
+
+def test_premsel_rejects_level_below_one(problem_file, model_files):
+    with pytest.raises(ValueError, match="at least 1"):
+        main(["premsel", problem_file, "--levels", "1,0"] + model_files)
+
+
 def test_trace_defaults_to_clause_limits():
     args = build_parser().parse_args(["trace", "--out", "t.jsonl"])
     assert args.timeout_ms is None

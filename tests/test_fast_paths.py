@@ -20,9 +20,9 @@ cached `Symbol` and `Term` hashes equal the hashes of their field tuples.
 
 The regular-expression lexer gives the tokens, and `token_positions` the
 lines and columns, of the character-by-character lexer kept in `oracles`,
-on every printed corpus problem, every premise text that premise ranking
-lexes and a set of edge cases; malformed inputs raise the same message at
-the same line and column.
+on every printed corpus problem, every printed premise clause of the
+premsel problems and a set of edge cases; malformed inputs raise the same
+message at the same line and column.
 """
 
 import pytest
@@ -30,9 +30,7 @@ import pytest
 import satguide.heuristics as heuristics
 import satguide.rules as rules
 import satguide.saturation as saturation
-import satguide.tokens as tokens
 from satguide.corpus import desk_corpus
-from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import (
     FUNCTION,
     PREDICATE,
@@ -52,10 +50,8 @@ from satguide.fol import (
     symbol_record,
     term_symbols,
 )
-from satguide.guidance import ClauseScorer
-from satguide.neural.models import ModelConfig, init_model
 from satguide.parser import ParseError, lex, token_positions
-from satguide.premsel import rank_premises
+from satguide.premsel import premise_groups
 from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
 from satguide.unify import apply_sub_literal, unify_atoms
@@ -385,25 +381,12 @@ LEX_ERRORS = [
 
 
 def _premise_texts():
-    """Every clause text `rank_premises` lexes on the premsel problems."""
+    """Every clause text `rank_premises` lexed on the premsel problems while
+    it printed premises and lexed them back: each premise clause printed
+    with its variables renumbered."""
     problems = [item.problem for item in desk_corpus(0) if item.family == "premsel"]
-    examples = [TrainingExample(clause_str(normalize_variables(c)), ["~g"], 1, "x", c.id)
-                for c in problems[0].clauses()]
-    vocab = build_vocabulary(examples)
-    model = init_model(ModelConfig(arch="cnn", vocab_size=len(vocab), dim=8, hidden=8),
-                       vocab_hash=vocab.hash)
-    model.quantize()
-    texts = []
-
-    def recorded(text):
-        texts.append(text)
-        return lex(text)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tokens, "lex", recorded)
-        for problem in problems:
-            rank_premises(problem, ClauseScorer(model, vocab, problem))
-    return texts
+    return [normalized_str(c) for problem in problems
+            for _, clauses in premise_groups(problem) for c in clauses]
 
 
 def _lexed(text):

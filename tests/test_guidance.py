@@ -190,6 +190,16 @@ class TestModes:
         assert result.status == UNSAT
         assert result.info["network_evals"] > 0
 
+    @pytest.mark.parametrize("mode", ["pure", "hybrid", "switched"])
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, mode, batch_size):
+        problem = tiny_problem()
+        vocab = vocab_for(problem)
+        config = GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
+                                batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            guided_prove(problem, config, SearchConfig(max_processed=100))
+
     def test_pure_mode_requires_model(self):
         with pytest.raises(ValueError):
             GuidanceConfig(mode="pure")

@@ -283,8 +283,8 @@ class TestTreeTower:
 
 def random_pairs(n, seed=0, vocab=12):
     rng = np.random.default_rng(seed)
-    return [PairInput(clause_ids=list(rng.integers(1, vocab, size=rng.integers(1, 9))),
-                      conj_ids=list(rng.integers(1, vocab, size=rng.integers(1, 6))))
+    return [PairInput(clause=list(rng.integers(1, vocab, size=rng.integers(1, 9))),
+                      conj=list(rng.integers(1, vocab, size=rng.integers(1, 6))))
             for _ in range(n)]
 
 
@@ -304,7 +304,7 @@ class TestScoring:
 
     def test_score_depends_only_on_pair(self):
         model = randomized(seq_model())
-        pair = PairInput(clause_ids=[3, 4, 5], conj_ids=[6, 7])
+        pair = PairInput(clause=[3, 4, 5], conj=[6, 7])
         assert batch_scores([pair], model)[0] == batch_scores([pair], model)[0]
 
 
@@ -314,8 +314,8 @@ class TestLoss:
         for name in ("comb.1.w", "comb.1.b", "comb.2.w", "comb.2.b"):
             model.params[name].data[:] = 0
         batch = [
-            PairInput(clause_ids=[3, 4], conj_ids=[5], label=1),
-            PairInput(clause_ids=[6], conj_ids=[7, 8], label=0),
+            PairInput(clause=[3, 4], conj=[5], label=1),
+            PairInput(clause=[6], conj=[7, 8], label=0),
         ]
         loss, _ = loss_and_grads(batch, model, train_mode=False)
         assert abs(loss - np.log(2)) < 1e-12
@@ -323,7 +323,7 @@ class TestLoss:
     def test_perfect_prediction_loss_small(self):
         model = seq_model()
         model.params["comb.2.b"].data[:] = 30.0  # force p ~ 1
-        batch = [PairInput(clause_ids=[3], conj_ids=[4], label=1)]
+        batch = [PairInput(clause=[3], conj=[4], label=1)]
         loss, _ = loss_and_grads(batch, model, train_mode=False)
         assert loss < 1e-10
 
@@ -334,10 +334,10 @@ class TestLoss:
     def test_gradient_descent_decreases_loss(self):
         model = randomized(seq_model())
         batch = [
-            PairInput(clause_ids=[3, 4, 5], conj_ids=[6], label=1),
-            PairInput(clause_ids=[7, 8], conj_ids=[9, 10], label=0),
-            PairInput(clause_ids=[4, 6], conj_ids=[6], label=0),
-            PairInput(clause_ids=[3, 5], conj_ids=[11], label=1),
+            PairInput(clause=[3, 4, 5], conj=[6], label=1),
+            PairInput(clause=[7, 8], conj=[9, 10], label=0),
+            PairInput(clause=[4, 6], conj=[6], label=0),
+            PairInput(clause=[3, 5], conj=[11], label=1),
         ]
         first, _ = loss_and_grads(batch, model, train_mode=False)
         for _ in range(100):

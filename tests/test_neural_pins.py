@@ -5,11 +5,14 @@ per-clause combiner that `tensor.conv_taps` and
 `ClauseScorer.probabilities` replaced; any change to the neural path that
 moves one bit of a clause or premise score fails here. Scores must not
 depend on the batch size either. The training pins hash the checkpoint
-after 25 Adam steps with token and feature dropout, measured on the padded
-and masked sequence towers that packed batches replaced. No wall-clock
-gate. The values were
-taken with numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS may
-round the same products differently.
+after 25 Adam steps, with token and feature dropout for the sequence
+towers, measured on the padded and masked sequence towers that packed
+batches replaced. The tree-RNN pins and the tree training pins were
+measured on the scorer and the pair preparation as they were before
+`ClauseScorer.embed` and `PairInput`'s one-input-per-tower fields
+replaced them. No wall-clock gate. The values were taken with numpy 2.4
+and its bundled OpenBLAS on x86-64; another BLAS may round the same
+products differently.
 """
 
 import hashlib
@@ -47,6 +50,7 @@ ARCHS = {
     "cnn": dict(arch="cnn", dim=8, hidden=8),
     "wavenet": dict(arch="wavenet", dim=6, hidden=5, wavenet_blocks=2, wavenet_layers=3),
     "tree_lstm": dict(arch="tree_lstm", dim=6, hidden=5, tree_layers=2),
+    "tree_rnn": dict(arch="tree_rnn", dim=6, hidden=5, tree_layers=2),
 }
 
 PINS = {
@@ -95,6 +99,21 @@ PINS = {
             "dist2": "0x1.064f89cabf727p-1",
         },
     },
+    "tree_rnn": {
+        "clauses": [
+            "0x1.076d25afef06fp-1", "0x1.0e74d99d1c55cp-1", "0x1.09ea07b621086p-1",
+            "0x1.0dadb64dc5f43p-1", "0x1.0e7dece2c0a6ap-1", "0x1.076cb542d396cp-1",
+            "0x1.076b7ab60c065p-1", "0x1.05841814e6769p-1", "0x1.083156a0daf7ep-1",
+            "0x1.0b2db5409d71dp-1", "0x1.06cdf8bd5d7a3p-1", "0x1.0bf437ef721e7p-1",
+        ],
+        "premises": {
+            "chain1": "0x1.0e74d99d1c55cp-1",
+            "chain2": "0x1.0e63bb38f51eep-1",
+            "both": "0x1.076b194500f11p-1",
+            "dist1": "0x1.0b9fb9167ea39p-1",
+            "dist2": "0x1.076bdb38ac990p-1",
+        },
+    },
 }
 
 
@@ -139,9 +158,12 @@ TRAIN_ARCHS = {
     "cnn": dict(arch="cnn", dim=8, hidden=8, token_dropout=0.2, feature_dropout=0.3),
     "wavenet": dict(arch="wavenet", dim=6, hidden=5, wavenet_blocks=2, wavenet_layers=3,
                     token_dropout=0.2, feature_dropout=0.3),
+    "tree_rnn": ARCHS["tree_rnn"],
+    "tree_lstm": ARCHS["tree_lstm"],
 }
 
-TRAIN_PINS = {"cnn": "e3cc1be92d6f2200", "wavenet": "b62ae7b2988f72fd"}
+TRAIN_PINS = {"cnn": "e3cc1be92d6f2200", "wavenet": "b62ae7b2988f72fd",
+              "tree_rnn": "b1536931cba0ca13", "tree_lstm": "1a1d8f878cb433a2"}
 
 
 @pytest.mark.parametrize("arch", sorted(TRAIN_ARCHS))

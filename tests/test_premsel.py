@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import satguide.guidance as guidance
 import satguide.premsel as premsel
-from satguide.corpus import chain_problem, junk_distractors, plain_distractors
+from oracles import printed_premise_ids
+from satguide.corpus import chain_problem, desk_corpus, junk_distractors, plain_distractors
 from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import clause_str, normalize_variables
 from satguide.guidance import ClauseScorer
@@ -21,6 +23,7 @@ from satguide.premsel import (
 )
 from satguide.parser import parse_tptp
 from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, verify_proof_detailed
+from satguide.tokens import Vocabulary, text_tokens
 
 
 def problem_with_premises(n_chain=4, n_dx=6):
@@ -29,7 +32,7 @@ def problem_with_premises(n_chain=4, n_dx=6):
                          plain_distractors(list(range(n_dx))))
 
 
-def scorer_for(problem, seed=0):
+def scorer_for(problem, seed=0, batch_size=32):
     examples = [
         TrainingExample(clause_str(normalize_variables(c)), ["~g"], 1, "x", c.id)
         for c in problem.clauses()
@@ -43,7 +46,7 @@ def scorer_for(problem, seed=0):
     for p in model.params.values():
         p.data = rng.uniform(-0.3, 0.3, p.data.shape)
     model.quantize()
-    return ClauseScorer(model, vocab, problem)
+    return ClauseScorer(model, vocab, problem, batch_size)
 
 
 class TestRanking:
@@ -67,11 +70,58 @@ class TestRanking:
         ranking = rank_premises(problem, scorer)
         assert ranking.order == [name for name, _ in premise_groups(problem)]
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        problem = problem_with_premises()
+        with pytest.raises(ValueError, match="batch_size"):
+            rank_premises(problem, scorer_for(problem, batch_size=batch_size))
+
     def test_empty_premises(self):
         problem = parse_tptp("cnf(g, negated_conjecture, (~p(a))).")
         scorer = scorer_for(problem)
         ranking = rank_premises(problem, scorer)
         assert ranking.order == []
+
+
+MULTI = """
+fof(both, axiom, ![X, Y]: ((p(X) => q(Y, X)) & (r(Y) | ~s(X, f(Y))) & t(a) & t(Y))).
+fof(iff, axiom, ![X]: (p(X) <=> ~q(X, X))).
+cnf(single, axiom, (u(Z, Z, a))).
+fof(goal, conjecture, ?[X]: q(X, a)).
+"""
+
+
+class TestPremiseInputs:
+    @pytest.mark.parametrize("max_len", [512, 9])
+    def test_ids_equal_printed_and_lexed_ids(self, monkeypatch, max_len):
+        """Every premise group of desk_corpus(0) and of MULTI gets, from its
+        clauses, the token ids its printed and re-lexed clauses give. The
+        corpus premises are all one clause each; MULTI's are not."""
+        corpus = [item.problem for item in desk_corpus(0)] + [parse_tptp(MULTI, name="multi")]
+        vocab = Vocabulary()
+        for i, problem in enumerate(corpus):
+            for c in problem.clauses()[i % 2 :: 2]:  # half the tokens stay OOV
+                for token in text_tokens(clause_str(normalize_variables(c))):
+                    vocab.add(token)
+        model = init_model(ModelConfig(arch="cnn", vocab_size=len(vocab), dim=4, hidden=4,
+                                       max_len=max_len), vocab.hash)
+        seen = []
+        inner = guidance.tokenize_conjecture
+
+        def spy(clauses, vocab, max_len):
+            seen.append(inner(clauses, vocab, max_len))
+            return seen[-1]
+
+        monkeypatch.setattr(guidance, "tokenize_conjecture", spy)
+        sizes = []
+        for problem in corpus:
+            groups = [clauses for _, clauses in premise_groups(problem)]
+            scorer = ClauseScorer(model, vocab, problem)
+            del seen[:]
+            scorer.premise_vectors(groups)
+            assert seen == [printed_premise_ids(cs, vocab, max_len) for cs in groups]
+            sizes += map(len, groups)
+        assert len(sizes) > 5_000 and sizes[-3:] == [4, 2, 1]
 
 
 class TestClamping:
@@ -123,6 +173,14 @@ class TestCascade:
         k_small = set(ranking.order[:4])
         k_big = set(ranking.order[:8])
         assert k_small <= k_big
+
+    @pytest.mark.parametrize("levels", [(-5,), (0,), (4, 0, 8), ()])
+    def test_levels_below_one_rejected(self, levels):
+        problem = problem_with_premises()
+        names = [name for name, _ in premise_groups(problem)]
+        ranking = RankedPremises(names, {n: 0.0 for n in names})
+        with pytest.raises(ValueError, match="at least 1"):
+            cascade_prove(problem, ranking, levels, 100)
 
     def test_unprovable_returns_last_attempt(self):
         problem = chain_problem("np", "rel2", ["c0", "c1", "c2"], 2,

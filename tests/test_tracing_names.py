@@ -73,7 +73,7 @@ def test_install_patches_every_name_and_uninstall_restores(tracing):
                               SearchConfig(max_processed=50))
         assert result.info["network_evals"] > 0
         premsel.rank_premises(problem, ClauseScorer(model, vocab, problem))
-        pair = PairInput(clause_ids=[3, 4, 5], conj_ids=[6, 7], label=1)
+        pair = PairInput(clause=[3, 4, 5], conj=[6, 7], label=1)
         loss_and_grads([pair], model, train_mode=True, rng=np.random.default_rng(0))
     finally:
         tracer.uninstall()

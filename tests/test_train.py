@@ -23,7 +23,7 @@ def toy_pairs(n=64, seed=0):
         label = i % 2
         marker = 3 if label else 4
         filler = list(rng.integers(5, 10, size=rng.integers(2, 6)))
-        out.append(PairInput(clause_ids=[marker] + filler, conj_ids=[5, 6], label=label))
+        out.append(PairInput(clause=[marker] + filler, conj=[5, 6], label=label))
     return out
 
 
@@ -85,15 +85,15 @@ class TestPreparePair:
         vocab = vocab_of("p", "(", ")", "a", "~", "q")
         cfg = ModelConfig(arch="cnn", vocab_size=len(vocab), dim=4)
         [pair] = prepare_pairs([TrainingExample("p(a)", ["~q(a)"], 1, "c", 0)], vocab, cfg)
-        assert pair.clause_ids and pair.conj_ids and pair.label == 1
+        assert pair.clause and pair.conj and pair.label == 1
 
     def test_tree_inputs(self):
         vocab = vocab_of("p", "a", "q")
         cfg = ModelConfig(arch="tree_rnn", vocab_size=len(vocab), dim=4)
         [pair] = prepare_pairs([TrainingExample("p(a)", ["~q(a)", "~p(a)"], 0, "c", 0)],
                                vocab, cfg)
-        assert pair.clause_tree[0] == "apply"
-        assert pair.conj_tree[0] == "and"
+        assert pair.clause[0] == "apply"
+        assert pair.conj[0] == "and"
 
 
 def fitted(examples, vocab, eval_examples, mconfig, tconfig):
