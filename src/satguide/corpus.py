@@ -29,37 +29,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fol import (
+    FUNCTION,
     PREDICATE,
-    ROLE_AXIOM,
-    ROLE_NEGATED_CONJECTURE,
-    Clause,
     Literal,
     Problem,
     Symbol,
     Term,
     Var,
+    build_problem,
 )
-
-_SYMBOLS: dict[tuple[str, str, int], Symbol] = {}
-
-
-def _sym(name: str, kind: str, arity: int) -> Symbol:
-    key = (name, kind, arity)
-    if key not in _SYMBOLS:
-        _SYMBOLS[key] = Symbol(name, kind, arity)
-    return _SYMBOLS[key]
 
 
 def pred(name: str, *args: Term, positive: bool = True) -> Literal:
-    return Literal(_sym(name, PREDICATE, len(args)), args, positive)
+    return Literal(Symbol(name, PREDICATE, len(args)), args, positive)
 
 
 def const(name: str) -> Term:
-    return Term(_sym(name, "function", 0))
+    return Term(Symbol(name, FUNCTION, 0))
 
 
 def fn(name: str, *args: Term) -> Term:
-    return Term(_sym(name, "function", len(args)), args)
+    return Term(Symbol(name, FUNCTION, len(args)), args)
 
 
 @dataclass
@@ -68,20 +58,6 @@ class NamedProblem:
     problem: Problem
     family: str
     tags: set[str] = field(default_factory=set)
-
-
-def build_problem(name: str, axioms: list[tuple[str, list[Literal]]],
-                  goals: list[tuple[str, list[Literal]]]) -> Problem:
-    ax = []
-    for origin, lits in axioms:
-        ax.append(Clause(len(ax), tuple(lits), role=ROLE_AXIOM, origin=origin))
-    ncs = []
-    for origin, lits in goals:
-        ncs.append(
-            Clause(len(ax) + len(ncs), tuple(lits),
-                   role=ROLE_NEGATED_CONJECTURE, origin=origin)
-        )
-    return Problem(name, ax, ncs)
 
 
 # -- families ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .fol import Problem, normalized_str
-from .saturation import SearchConfig, UNSAT, extract_used_set, prove
+from .saturation import SearchConfig, UNSAT, prove
 from .tokens import Vocabulary, text_tokens
 
 
@@ -83,8 +83,7 @@ def trace_problem(problem: Problem, config: SearchConfig, seed: int = 0) -> Proo
     if result.status != UNSAT:
         return trace
     state = result.state
-    positives, negatives = extract_used_set(result.proof, state.processed)
-    used_ids = {c.id for c in positives}
+    used_ids = result.proof.used_ids
     for c in state.processed:
         trace.clauses.append(
             TraceClause(c.id, normalized_str(c), c.role, True, c.id in used_ids)

@@ -20,6 +20,7 @@ collector paused (see `saturation`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import add
@@ -193,19 +194,17 @@ class Clause:
 
     Identity is by `id` (clauses are never structurally compared through
     __eq__; redundancy checks go through explicit variant/subsumption
-    tests). `age` is the creation ordinal used by FIFO selection; input
-    clauses get age == id. `goal_descendant` marks clauses derived (possibly
-    transitively) from the negated conjecture, which the SOS-flavored
-    selection tiers prefer. `symbols` caches the clause's `SymbolRecord`
-    (see `symbol_record`); a renamed copy shares it, since renaming keeps
-    every symbol class, and `dataclasses.replace` starts the copy without
-    one.
+    tests). `id` is also the creation ordinal that FIFO selection reads.
+    `goal_descendant` marks clauses derived (possibly transitively) from
+    the negated conjecture, which the SOS-flavored selection tiers prefer.
+    `symbols` caches the clause's `SymbolRecord` (see `symbol_record`); a
+    renamed copy shares it, since renaming keeps every symbol class, and
+    `dataclasses.replace` starts the copy without one.
     """
 
     id: int
     literals: tuple[Literal, ...]
     role: str = ROLE_AXIOM
-    age: int = -1
     parents: tuple[int, ...] = ()
     rule: str = "input"
     origin: str | None = None  # name of the input formula this came from
@@ -213,8 +212,6 @@ class Clause:
     symbols: SymbolRecord | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.age < 0:
-            self.age = self.id
         if self.role == ROLE_DERIVED and not self.parents:
             raise ValueError("derived clause needs parents")
         if self.role != ROLE_DERIVED and self.parents:
@@ -252,6 +249,17 @@ class Problem:
         conjecture: the same set object on every call, so that every
         `symbol_record` built against it serves every later reader."""
         return self._conjecture_symbols
+
+
+def build_problem(name: str, axioms: list[tuple[str | None, Sequence[Literal]]],
+                  negated_conjecture: list[tuple[str | None, Sequence[Literal]]]) -> Problem:
+    """A problem from (origin, literals) pairs: the axioms, then the
+    negated-conjecture clauses, numbered from 0 in that order."""
+    ax = [Clause(i, tuple(lits), role=ROLE_AXIOM, origin=origin)
+          for i, (origin, lits) in enumerate(axioms)]
+    ncs = [Clause(len(ax) + i, tuple(lits), role=ROLE_NEGATED_CONJECTURE, origin=origin)
+           for i, (origin, lits) in enumerate(negated_conjecture)]
+    return Problem(name, ax, ncs)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +498,7 @@ def _namespace_var(prefix: str, i: int) -> Term:
 
 def _copy_with(c: Clause, literals: tuple[Literal, ...]) -> Clause:
     """`c` with other literals; a renaming keeps its symbol record."""
-    copy = Clause(c.id, literals, c.role, c.age, c.parents, c.rule, c.origin,
-                  c.goal_descendant)
+    copy = Clause(c.id, literals, c.role, c.parents, c.rule, c.origin, c.goal_descendant)
     copy.symbols = c.symbols
     return copy
 

@@ -3,10 +3,10 @@
 The scorer is the network's weight function: `ClauseScorer` keys a
 clause by -p(useful), so the existing lowest-is-best rankings select the
 most promising clause. The negated-conjecture embedding is computed once
-per proof attempt; clause scores are cached by id (they depend only on
-clause + conjecture) and evaluated in batches as the selection loop first
-needs them. `ClauseScorer.embed` builds and embeds every inference input:
-clauses, the conjecture and `premsel`'s premises.
+per proof attempt; a clause is scored once, in the batch its schedule
+entry keys at its turn, so no score is kept. `ClauseScorer.embed` builds
+and embeds every inference input: clauses, the conjecture and `premsel`'s
+premises.
 
 `guided_prove` runs every mode under one `SearchConfig`. Switched mode
 runs a hybrid phase, then hands the same proof state (processed set,
@@ -33,7 +33,6 @@ from .neural.models import (
     combiner_logit,
     embed_sequences,
     embed_tree,
-    index_tree,
 )
 from .saturation import (
     LIMIT,
@@ -43,7 +42,7 @@ from .saturation import (
     prove,
 )
 from .tokens import Vocabulary, tokenize_conjecture
-from .trees import conjecture_tree
+from .trees import clause_tree
 
 # unused here; bench/tracing.py spans these names in this module
 from .neural.models import embed_sequence  # noqa: F401
@@ -70,12 +69,17 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode != MODE_AUTO and self.model is None:
             raise ValueError(f"mode {self.mode!r} requires a model")
+        for name in ("phase1_budget", "phase1_ms"):
+            value = getattr(self, name)
+            if value is not None and self.mode != MODE_SWITCHED:
+                raise ValueError(f"{name} sets switched mode's phase 1; "
+                                 f"mode {self.mode!r} has none")
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
 
     def check_limits(self, limits: SearchConfig) -> None:
         """Raise ValueError when switched mode's phase 1 would not end
         before the totals, which are the search limits `limits`."""
-        if self.mode != MODE_SWITCHED:
-            return
         if None not in (self.phase1_budget, limits.max_processed) \
                 and self.phase1_budget >= limits.max_processed:
             raise ValueError("switched mode needs phase1_budget < max_processed")
@@ -96,8 +100,8 @@ class GuidanceConfig:
 
 class ClauseScorer(WeightFunction):
     """The network's weight function for one problem: -p(useful | clause,
-    conjecture), lowest-is-best, from one conjecture embedding and one
-    cache of clause scores. `embed` is the one inference encoder."""
+    conjecture), lowest-is-best, from one conjecture embedding. `embed` is
+    the one inference encoder."""
 
     def __init__(self, model: ModelParams, vocab: Vocabulary, problem: Problem,
                  batch_size: int = 32):
@@ -111,7 +115,6 @@ class ClauseScorer(WeightFunction):
         self.model = model
         self.vocab = vocab
         self.batch_size = batch_size
-        self.cache: dict[int, float] = {}  # clause id -> probability, never stale
         self.max_len = model.config.max_len
         self.batch_calls = 0
         self.clause_evals = 0
@@ -133,7 +136,7 @@ class ClauseScorer(WeightFunction):
                         [tokenize_conjecture(cs, self.vocab, self.max_len) for cs in chunk],
                         self.model, tower).data)
                 else:
-                    rows += [embed_tree(index_tree(conjecture_tree(cs), self.vocab.lookup),
+                    rows += [embed_tree(clause_tree(cs, self.vocab.lookup),
                                         self.model, tower).data[None]
                              for cs in chunk]
         return T.constant(np.concatenate(rows))
@@ -164,8 +167,8 @@ class ClauseScorer(WeightFunction):
             logits = combiner_logit(T.constant(rows), T.constant(conj), self.model)
             return T.sigmoid(logits).data.reshape(-1).tolist()
 
-    def score_batch(self, clauses: list[Clause]):
-        """Score the uncached clauses, in order, batch_size at a time: one
+    def score_batch(self, clauses: list[Clause]) -> list[float]:
+        """p(useful) for each clause, in order, batch_size at a time: one
         `embed` and one combiner call per chunk.
 
         The combiner and the tree towers give every clause the same bits
@@ -173,17 +176,16 @@ class ClauseScorer(WeightFunction):
         clause's score can depend on its chunk in the BLAS cases that
         `models.embed_sequences` lists.
         """
-        pending = [c for c in clauses if c.id not in self.cache]
-        for start in range(0, len(pending), self.batch_size):
-            chunk = pending[start : start + self.batch_size]
+        probs: list[float] = []
+        for start in range(0, len(clauses), self.batch_size):
+            chunk = clauses[start : start + self.batch_size]
             self.batch_calls += 1
             self.clause_evals += len(chunk)
-            probs = self.probabilities(self.embed([[c] for c in chunk]))
-            self.cache.update(zip([c.id for c in chunk], probs))
+            probs += self.probabilities(self.embed([[c] for c in chunk]))
+        return probs
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
-        self.score_batch(clauses)
-        return [(0, -self.cache[c.id]) for c in clauses]
+        return [(0, -p) for p in self.score_batch(clauses)]
 
 
 def build_schedule(config: GuidanceConfig, problem: Problem,

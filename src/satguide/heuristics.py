@@ -43,7 +43,7 @@ def _tiers(flavor: str, clauses: list[Clause]) -> list[int]:
 
 def fifo_weight(c: Clause) -> float:
     """Creation order; the first input clause weighs 0."""
-    return float(c.age)
+    return float(c.id)
 
 
 def symbol_count_weight(c: Clause, fweight: float = 2.0, vweight: float = 1.0) -> float:

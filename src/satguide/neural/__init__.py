@@ -19,7 +19,6 @@ from .models import (
     embed_sequence,
     embed_tree,
     forward_logits,
-    index_tree,
     init_model,
     loss_and_grads,
 )

@@ -9,7 +9,8 @@ Architectures: a 3-layer patch-5 convolutional net with max-pooling; a
 WaveNet-style stack of gated, dilated convolutions (dilation doubling per
 layer within a block) with residual connections; and recursive networks
 (plain ReLU or tree LSTM with per-child forget gates including the
-cross-child terms) over curried parse trees.
+cross-child terms) over the curried parse trees that `trees.clause_tree`
+builds.
 
 A batch of token sequences runs packed: its tokens are the rows of one
 [N, dim] array, with no padding rows and no masks, and a `tensor.Segments`
@@ -28,6 +29,7 @@ from itertools import chain
 
 import numpy as np
 
+from ..trees import AND, APPLY, CHILD_COUNT, LEAF, NOT, OR
 from . import tensor as T
 from .tensor import Tensor
 
@@ -43,10 +45,9 @@ TOWER_CONJ = "conj"
 
 PAD_ID = 0
 
-# tree node kinds and their child counts, mirroring the parse trees
-TREE_KINDS = {"apply": 2, "or": 2, "and": 2, "not": 1}
-CLAUSE_KINDS = ("apply", "or", "not")
-CONJ_KINDS = ("apply", "or", "not", "and")
+# the node kinds each tree tower has weights for
+CLAUSE_KINDS = (APPLY, OR, NOT)
+CONJ_KINDS = (APPLY, OR, NOT, AND)
 
 
 @dataclass
@@ -135,14 +136,14 @@ def init_model(config: ModelConfig, vocab_hash: str = "") -> ModelParams:
         elif config.arch == ARCH_TREE_RNN:
             for l in range(config.tree_layers):
                 for kind in kinds:
-                    n = TREE_KINDS[kind]
+                    n = CHILD_COUNT[kind]
                     lin(f"{tower}.L{l}.{kind}", n * d, (n * d, d))
                     if l > 0:
                         lin(f"{tower}.L{l}.{kind}.x", d, (d, d))
         elif config.arch == ARCH_TREE_LSTM:
             for l in range(config.tree_layers):
                 for kind in kinds:
-                    n = TREE_KINDS[kind]
+                    n = CHILD_COUNT[kind]
                     for gate in ("i", "o", "u"):
                         lin(f"{tower}.L{l}.{kind}.{gate}", n * d, (n * d, d))
                     lin(f"{tower}.L{l}.{kind}.f", n * d, (n * d, n * d))
@@ -273,15 +274,8 @@ def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
 # -- tree embedding -----------------------------------------------------------------
 
 
-def index_tree(node, lookup) -> tuple:
-    """Convert a parse TreeNode into nested tuples with leaf token ids."""
-    if node.kind == "leaf":
-        return ("leaf", lookup(node.symbol))
-    return (node.kind,) + tuple(index_tree(ch, lookup) for ch in node.children)
-
-
-def embed_tree(itree: tuple, model: ModelParams, tower: str) -> Tensor:
-    """Bottom-up evaluation of an indexed tree to a [dim] vector.
+def embed_tree(tree: tuple, model: ModelParams, tower: str) -> Tensor:
+    """Bottom-up evaluation of a `trees.clause_tree` to a [dim] vector.
 
     Weights are shared across all instances of a node kind. With stacked
     layers, a node at layer l sees its children at layer l and its own
@@ -293,8 +287,8 @@ def embed_tree(itree: tuple, model: ModelParams, tower: str) -> Tensor:
     kinds = CONJ_KINDS if tower == TOWER_CONJ else CLAUSE_KINDS
     top = cfg.tree_layers - 1
     if cfg.arch == ARCH_TREE_RNN:
-        return _rnn_eval(itree, top, model.params, tower, kinds, {})
-    return _lstm_eval(itree, top, model.params, tower, kinds, cfg.dim, {})[0]
+        return _rnn_eval(tree, top, model.params, tower, kinds, {})
+    return _lstm_eval(tree, top, model.params, tower, kinds, cfg.dim, {})[0]
 
 
 # The evaluators are module functions that take their state as arguments: a
@@ -306,7 +300,7 @@ def _rnn_eval(node, layer, p, tower, kinds, memo) -> Tensor:
     if key in memo:
         return memo[key]
     kind = node[0]
-    if kind == "leaf":
+    if kind == LEAF:
         if layer == 0:
             out = T.embedding(p["embedding"], node[1])
         else:
@@ -331,7 +325,7 @@ def _lstm_eval(node, layer, p, tower, kinds, dim, memo) -> tuple[Tensor, Tensor 
     if key in memo:
         return memo[key]
     kind = node[0]
-    if kind == "leaf":
+    if kind == LEAF:
         if layer == 0:
             out = (T.embedding(p["embedding"], node[1]), None)
         else:
@@ -379,8 +373,8 @@ def combiner_logit(clause_vec: Tensor, conj_vec: Tensor, model: ModelParams) -> 
 @dataclass
 class PairInput:
     """Prepared inputs for one (clause, negated-conjecture) pair: one model
-    input per tower, token ids for sequence models and an indexed tree for
-    tree models."""
+    input per tower, token ids for sequence models and a `trees.clause_tree`
+    for tree models."""
 
     clause: list[int] | tuple
     conj: list[int] | tuple

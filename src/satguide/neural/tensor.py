@@ -150,16 +150,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def scale(a: Tensor, k: float) -> Tensor:
-    out_data = a.data * k
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * k)
-
-    return _make(out_data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b with 2-D b (weights); a may be 1-D, 2-D or batched 3-D."""
     if b.data.ndim != 2:

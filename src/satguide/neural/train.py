@@ -14,7 +14,7 @@ import numpy as np
 from ..fol import Clause
 from ..parser import parse_clause_text
 from ..tokens import Vocabulary, tokenize_texts
-from ..trees import conjecture_tree
+from ..trees import clause_tree
 from . import tensor as T
 from .adam import adam_init, adam_step
 from .models import (
@@ -23,7 +23,6 @@ from .models import (
     ModelParams,
     PairInput,
     forward_logits,
-    index_tree,
     loss_and_grads,
 )
 
@@ -47,12 +46,12 @@ def prepare_pairs(examples, vocab: Vocabulary, config: ModelConfig) -> list[Pair
 
 def _input(texts, vocab: Vocabulary, config: ModelConfig):
     """One model input from printed clauses: token ids joined by SEP
-    (sequence models) or an indexed curried parse tree, the clauses joined
-    by `and` nodes (tree models). One text is that clause alone."""
+    (sequence models) or their `trees.clause_tree` (tree models). One text
+    is that clause alone."""
     if config.arch in SEQ_ARCHS:
         return tokenize_texts(list(texts), vocab, config.max_len)
     clauses = [Clause(i, parse_clause_text(t)) for i, t in enumerate(texts)]
-    return index_tree(conjecture_tree(clauses), vocab.lookup)
+    return clause_tree(clauses, vocab.lookup)
 
 
 SCORE_CHUNK = 256  # pairs per eval forward pass

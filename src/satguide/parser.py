@@ -21,14 +21,12 @@ from .fol import (
     EQ,
     FUNCTION,
     PREDICATE,
-    ROLE_AXIOM,
-    ROLE_NEGATED_CONJECTURE,
-    Clause,
     Literal,
     Problem,
     Symbol,
     Term,
     Var,
+    build_problem,
 )
 
 AXIOM_LIKE_ROLES = {"axiom", "hypothesis", "definition", "lemma", "theorem", "plain"}
@@ -423,26 +421,7 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
         for lits in cl.clausify(formula, negate=True, skolems=skolems):
             neg_conj.append((conjectures[0][0], lits))
 
-    clauses_ax = []
-    clauses_nc = []
-    next_id = 0
-    for uname, lits in axioms:
-        clauses_ax.append(
-            Clause(next_id, tuple(lits), role=ROLE_AXIOM, origin=uname)
-        )
-        next_id += 1
-    for uname, lits in neg_conj:
-        clauses_nc.append(
-            Clause(
-                next_id,
-                tuple(lits),
-                role=ROLE_NEGATED_CONJECTURE,
-                origin=uname,
-                goal_descendant=True,
-            )
-        )
-        next_id += 1
-    return Problem(name, clauses_ax, clauses_nc)
+    return build_problem(name, axioms, neg_conj)
 
 
 def parse_clause_text(text: str) -> tuple[Literal, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .fol import Clause, Problem
+from .fol import Clause, Problem, build_problem
 from .guidance import ClauseScorer
 from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
 
@@ -77,17 +77,10 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
 
 def subset_problem(problem: Problem, origins: set[str], name_suffix: str = "") -> Problem:
     """Sub-problem with only the selected premises plus the conjecture."""
-    axioms = []
-    next_id = 0
-    for c in problem.axioms:
-        if (c.origin or f"c{c.id}") in origins:
-            axioms.append(Clause(next_id, c.literals, role=c.role, origin=c.origin))
-            next_id += 1
-    ncs = []
-    for c in problem.negated_conjecture:
-        ncs.append(Clause(next_id, c.literals, role=c.role, origin=c.origin))
-        next_id += 1
-    return Problem(problem.name + name_suffix, axioms, ncs)
+    axioms = [(c.origin, c.literals) for c in problem.axioms
+              if (c.origin or f"c{c.id}") in origins]
+    return build_problem(problem.name + name_suffix, axioms,
+                         [(c.origin, c.literals) for c in problem.negated_conjecture])
 
 
 def clamp_levels(levels, n_premises: int) -> list[int]:

@@ -409,7 +409,7 @@ class Saturation:
             if key in self.seen_keys:
                 return False
             self.seen_keys.add(key)
-        c = Clause(cid, lits, ROLE_DERIVED, cid, parents, rule, None, goal_descendant)
+        c = Clause(cid, lits, ROLE_DERIVED, parents, rule, None, goal_descendant)
         self.nodes[cid] = ProofNode(c, parents, rule)
         if not lits:
             self.empty_clause_id = cid
@@ -518,16 +518,6 @@ def prove(problem: Problem, config: SearchConfig | None = None,
     if config.max_wall_ms is not None:
         deadline = t0 + config.max_wall_ms / 1000.0
     return state.result(state.run(deadline=deadline), t0)
-
-
-# -- labeling support ----------------------------------------------------------
-
-
-def extract_used_set(proof: Proof, processed: list[Clause]) -> tuple[list[Clause], list[Clause]]:
-    """Split processed clauses into proof-used positives and the rest."""
-    positives = [c for c in processed if c.id in proof.used_ids]
-    negatives = [c for c in processed if c.id not in proof.used_ids]
-    return positives, negatives
 
 
 # -- verification ---------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Curried parse trees for the tree-structured embedding models.
 
-All applications are curried: f(a,b) becomes apply(apply(f,a),b), so every
-internal node has a fixed child count (apply/or/and: 2, not: 1). Leaves
-are symbol names. `and` only appears when joining the clauses of a
-negated conjecture.
+`clause_tree` builds the input the tree towers read (`models.embed_tree`)
+in one walk over the clauses: nested tuples `(kind, child, ...)`, with
+leaves `(LEAF, token id)`. All applications are curried: f(a,b) becomes
+apply(apply(f,a),b), so every internal node has a fixed child count
+(`CHILD_COUNT`: apply/or/and 2, not 1). `and` only appears when joining
+the clauses of a negated conjecture.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .fol import Clause, Literal, Term, normalize_variables
 
@@ -21,58 +21,39 @@ LEAF = "leaf"
 CHILD_COUNT = {APPLY: 2, OR: 2, AND: 2, NOT: 1}
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    kind: str
-    children: tuple["TreeNode", ...] = ()
-    symbol: str | None = None  # leaves only
+def clause_tree(clauses: list[Clause], lookup) -> tuple:
+    """The tree of a list of clauses, leaf ids from `lookup` (symbol name
+    to token id): each clause's variables renamed V1, V2, ... and its
+    literals left-folded under `or`, the clauses left-folded under `and`.
+    An empty clause, or an empty list, is the `$false` leaf.
 
-    def __post_init__(self):
-        if self.kind == LEAF:
-            if self.symbol is None or self.children:
-                raise ValueError("leaf needs a symbol and no children")
-        elif len(self.children) != CHILD_COUNT[self.kind]:
-            raise ValueError(f"{self.kind} node needs {CHILD_COUNT[self.kind]} children")
-
-
-def leaf(symbol: str) -> TreeNode:
-    return TreeNode(LEAF, symbol=symbol)
-
-
-def term_tree(t: Term) -> TreeNode:
-    node = leaf(t.sym.name)
-    for arg in t.args:
-        node = TreeNode(APPLY, (node, term_tree(arg)))
-    return node
+    Every node is a new tuple, so no two nodes share an `id`: the tree
+    towers memoise a node's value by `id`, and a shared leaf would be
+    evaluated, and its gradient summed, once for all its occurrences.
+    """
+    node = None
+    for c in clauses:
+        tree = _clause(normalize_variables(c), lookup)
+        node = tree if node is None else (AND, node, tree)
+    return (LEAF, lookup("$false")) if node is None else node
 
 
-def literal_tree(lit: Literal) -> TreeNode:
-    node = leaf(lit.pred.name)
-    for arg in lit.args:
-        node = TreeNode(APPLY, (node, term_tree(arg)))
-    if not lit.positive:
-        node = TreeNode(NOT, (node,))
-    return node
-
-
-def clause_parse_tree(c: Clause, normalize: bool = True) -> TreeNode:
-    """Binary tree for one clause; literals are left-folded under `or`."""
-    if normalize:
-        c = normalize_variables(c)
+def _clause(c: Clause, lookup) -> tuple:
     if c.is_empty:
-        return leaf("$false")
-    node = literal_tree(c.literals[0])
+        return (LEAF, lookup("$false"))
+    node = _literal(c.literals[0], lookup)
     for lit in c.literals[1:]:
-        node = TreeNode(OR, (node, literal_tree(lit)))
+        node = (OR, node, _literal(lit, lookup))
     return node
 
 
-def conjecture_tree(clauses: list[Clause]) -> TreeNode:
-    """Negated-conjecture clauses joined by `and` nodes (left fold)."""
-    if not clauses:
-        return leaf("$false")
-    node = clause_parse_tree(clauses[0])
-    for c in clauses[1:]:
-        node = TreeNode(AND, (node, clause_parse_tree(c)))
-    return node
+def _literal(lit: Literal, lookup) -> tuple:
+    node = _applied(lit.pred.name, lit.args, lookup)
+    return node if lit.positive else (NOT, node)
 
+
+def _applied(name: str, args: tuple[Term, ...], lookup) -> tuple:
+    node = (LEAF, lookup(name))
+    for arg in args:
+        node = (APPLY, node, _applied(arg.sym.name, arg.args, lookup))
+    return node

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from satguide import cli
+from satguide import cli, harness
 from satguide.cli import build_parser, main
 from satguide.corpus import chain_problem, junk_distractors
 from satguide.fol import problem_str
@@ -74,6 +74,15 @@ def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files
     for command in (["prove", problem_file, "--mode", "hybrid"], ["premsel", problem_file]):
         with pytest.raises(ValueError, match="batch_size"):
             main(command + model_files + ["--batch-size", batch_size])
+
+
+def test_prove_rejects_phase1_budget_it_cannot_honour(problem_file, model_files):
+    # hybrid mode has no phase 1, and a negative budget would end it at once
+    for mode, budget, error in (("hybrid", "5", "phase1_budget sets switched mode's phase 1"),
+                                ("switched", "-5", "phase1_budget must be at least 0")):
+        with pytest.raises(ValueError, match=error):
+            main(["prove", problem_file, "--mode", mode, "--phase1-budget", budget]
+                 + model_files)
 
 
 def test_premsel_rejects_level_below_one(problem_file, model_files):
@@ -219,3 +228,22 @@ def test_readme_experiment_config_keys_are_known():
     cli._known(spec.get("limits", {}), cli._LIMIT_KEYS, "limits")
     for m in spec["methods"]:
         cli._known(m, cli._METHOD_KEYS, f"method {m['id']!r}")
+
+
+def test_experiment_rejects_phase1_outside_switched(tmp_path, model_files, monkeypatch):
+    # refused while the methods are read: no cell runs and no report is written
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    model, vocab = model_files[1], model_files[3]
+    config = {
+        "corpus": {"seed": 0, "families": ["mini"]},
+        "methods": [{"id": "auto", "mode": "auto"},
+                    {"id": "hy", "mode": "hybrid", "model": model, "vocab": vocab,
+                     "phase1_budget": 5}],
+        "limits": {"max_processed": 50},
+    }
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match="phase1_budget sets switched mode's phase 1"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    assert not cells and not out_path.exists()

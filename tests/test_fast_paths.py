@@ -329,8 +329,8 @@ def test_one_walk_printing_and_renaming_agree_with_renamed_copies(searches):
         for copy, prefix in zip(pair, "PG"):
             ref = normalize_variables(c, prefix)
             assert copy.literals == ref.literals and (copy is c) == (ref is c)
-            assert (copy.id, copy.role, copy.age, copy.parents, copy.goal_descendant) == \
-                (c.id, c.role, c.age, c.parents, c.goal_descendant)
+            assert (copy.id, copy.role, copy.parents, copy.goal_descendant) == \
+                (c.id, c.role, c.parents, c.goal_descendant)
 
 
 def test_resolved_pairs_are_variable_disjoint(searches, log):

@@ -1,4 +1,4 @@
-"""Neural guidance: caching, batching, modes, and the switch."""
+"""Neural guidance: scoring, batching, modes, and the switch."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from satguide.guidance import (
     build_schedule,
     guided_prove,
 )
-from satguide.heuristics import SelectionSchedule
 from satguide.neural.models import TOWER_CONJ, ModelConfig, init_model
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, prove
@@ -93,34 +92,14 @@ class TestScorer:
             scorer.score_batch([clause_of("p(a)", cid)])
         assert towers.count(TOWER_CONJ) == 1 and len(towers) == 6
 
-    def test_cache_hit_skips_evaluation(self):
-        problem = tiny_problem()
-        vocab = vocab_for(problem)
-        scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        c = clause_of("p(a)", 7)
-        scorer.score_batch([c])
-        p1, evals = scorer.cache[c.id], scorer.clause_evals
-        scorer.score_batch([c])
-        assert scorer.cache[c.id] == p1 and scorer.clause_evals == evals
-
     def test_batching_is_ceiling_division(self):
         problem = tiny_problem()
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem, batch_size=32)
         clauses = [clause_of(f"p(a) | q(c{i})", 100 + i) for i in range(100)]
-        scorer.score_batch(clauses)
+        assert len(scorer.score_batch(clauses)) == 100
         assert scorer.batch_calls == 4  # ceil(100/32)
         assert scorer.clause_evals == 100
-
-    def test_all_cached_means_zero_evaluations(self):
-        problem = tiny_problem()
-        vocab = vocab_for(problem)
-        scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        clauses = [clause_of("q(a)", 3), clause_of("r(b)", 4)]
-        scorer.score_batch(clauses)
-        calls = scorer.batch_calls
-        scorer.score_batch(clauses)
-        assert scorer.batch_calls == calls
 
     def test_batch_size_does_not_change_scores(self):
         problem = tiny_problem()
@@ -129,16 +108,15 @@ class TestScorer:
         results = {}
         for bs in (1, 64):
             scorer = ClauseScorer(model_for(vocab), vocab, problem, batch_size=bs)
-            scorer.score_batch(clauses)
-            results[bs] = [scorer.cache[c.id] for c in clauses]
+            results[bs] = scorer.score_batch(clauses)
         assert results[1] == results[64]
 
     def test_scores_are_probabilities(self):
         problem = tiny_problem()
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        scorer.score_batch([clause_of("p(X) | q(f(X))", 9)])
-        assert 0.0 < scorer.cache[9] < 1.0
+        [p] = scorer.score_batch([clause_of("p(X) | q(f(X))", 9)])
+        assert 0.0 < p < 1.0
 
 
 class TestNeuralWeightFn:
@@ -146,8 +124,7 @@ class TestNeuralWeightFn:
         problem = tiny_problem()
         vocab = vocab_for(problem)
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
-        scorer.cache[1] = 0.9
-        scorer.cache[2] = 0.2
+        scorer.score_batch = lambda clauses: [0.9, 0.2]
         k1, k2 = scorer.batch_keys([clause_of("p(a)", 1), clause_of("q(a)", 2)])
         assert k1 < k2  # -0.9 < -0.2
 
@@ -168,7 +145,7 @@ class TestNeuralWeightFn:
         scorer = ClauseScorer(model_for(vocab), vocab, problem)
         [(tier, weight)] = scorer.batch_keys([clause_of("p(a)", 4)])
         assert tier == 0 and -1.0 < weight < 0.0
-        assert weight == -scorer.cache[4]
+        assert weight == -scorer.score_batch([clause_of("p(a)", 4)])[0]
 
 
 class TestModes:
@@ -309,6 +286,20 @@ class TestSwitched:
             with pytest.raises(ValueError):
                 guided_prove(tiny_problem(), config, limits)
 
+    @pytest.mark.parametrize("option", ["phase1_budget", "phase1_ms"])
+    def test_negative_phase1_rejected(self, option):
+        model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
+        with pytest.raises(ValueError, match=f"{option} must be at least 0"):
+            GuidanceConfig(mode="switched", model=model, vocab=Vocabulary(), **{option: -5})
+        GuidanceConfig(mode="switched", model=model, vocab=Vocabulary(), **{option: 0})
+
+    @pytest.mark.parametrize("mode", ["auto", "pure", "hybrid"])
+    @pytest.mark.parametrize("option", ["phase1_budget", "phase1_ms"])
+    def test_phase1_outside_switched_rejected(self, mode, option):
+        model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
+        with pytest.raises(ValueError, match=f"{option} sets switched mode's phase 1"):
+            GuidanceConfig(mode=mode, model=model, vocab=Vocabulary(), **{option: 5})
+
     def test_finishes_in_phase1_when_easy(self):
         problem = tiny_problem()
         vocab = vocab_for(problem)
@@ -326,7 +317,7 @@ class TestSwitched:
         limits = SearchConfig(max_processed=5, max_wall_ms=60_000)
         for mode in ("hybrid", "switched"):
             config = GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
-                                    phase1_ms=phase1_ms)
+                                    phase1_ms=phase1_ms if mode == "switched" else None)
             result = guided_prove(problem, config, limits)
             assert (result.status, result.resource) == (RESOURCE_OUT, "processed")
             assert result.processed_count == 5
@@ -367,23 +358,3 @@ class TestSwitched:
         assert result.info["finished_in_phase"] == 2
         assert result.info["network_evals"] == result.info["evals_at_switch"]
 
-
-class TestCacheTransparency:
-    def test_warm_cache_does_not_change_selection(self):
-        problem = chain_problem("cache_t", "rel1", ["c0", "c1", "c2", "c3"], 3)
-        vocab = vocab_for(problem)
-        model = model_for(vocab)
-
-        def run(cache):
-            scorer = ClauseScorer(model, vocab, problem)
-            scorer.cache = cache
-            cfg = SearchConfig(max_processed=25, record_selections=True)
-            result = prove(problem, cfg, SelectionSchedule([(1, scorer)]))
-            return result.selections, scorer
-
-        cold_selections, cold_scorer = run({})
-        # every score already cached: selection order must be identical and
-        # no further network evaluation happens
-        warm_selections, warm_scorer = run(cold_scorer.cache)
-        assert warm_selections == cold_selections
-        assert warm_scorer.clause_evals == 0

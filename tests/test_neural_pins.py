@@ -139,8 +139,7 @@ def scorer(arch, batch_size):
 def test_clause_scores_pinned(arch, batch_size):
     _, s = scorer(arch, batch_size)
     clauses = [Clause(100 + i, parse_clause_text(t)) for i, t in enumerate(CLAUSES)]
-    s.score_batch(clauses)
-    assert [s.cache[c.id].hex() for c in clauses] == PINS[arch]["clauses"]
+    assert [p.hex() for p in s.score_batch(clauses)] == PINS[arch]["clauses"]
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHS))

@@ -5,6 +5,7 @@ import pytest
 import satguide.fol as fol
 import satguide.saturation as saturation
 from satguide.corpus import desk_corpus
+from satguide.datagen import trace_problem
 from satguide.fol import Clause, clause_str
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import (
@@ -17,7 +18,6 @@ from satguide.saturation import (
     UNSAT,
     derivation_lines,
     equality_axioms,
-    extract_used_set,
     prove,
     szs_line,
     verify_proof_detailed,
@@ -217,18 +217,16 @@ class TestUsedSet:
             "cnf(b, axiom, (q(b)))."          # processed, unused
             "cnf(c, axiom, (r(c)))."          # processed, unused
             "cnf(g, negated_conjecture, (~p(a))).")
-        r = prove(p, fifo_config())
-        pos, neg = extract_used_set(r.proof, r.state.processed)
-        pos_strs = {clause_str(c) for c in pos}
+        processed = [c for c in trace_problem(p, fifo_config()).clauses if c.processed]
+        pos_strs = {c.text for c in processed if c.used}
         assert "p(a)" in pos_strs and "~p(a)" in pos_strs
-        assert {clause_str(c) for c in neg} <= {"q(b)", "r(c)"}
+        assert {c.text for c in processed if not c.used} <= {"q(b)", "r(c)"}
 
     def test_all_used(self):
         p = parse_tptp(
             "cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~p(a))).")
-        r = prove(p, fifo_config())
-        pos, neg = extract_used_set(r.proof, r.state.processed)
-        assert neg == []
+        processed = [c for c in trace_problem(p, fifo_config()).clauses if c.processed]
+        assert processed and all(c.used for c in processed)
 
 
 class TestVerifier:

@@ -1,75 +1,80 @@
 """Curried parse trees for the recursive models."""
 
-import pytest
-
 from satguide.fol import Clause
 from satguide.parser import parse_clause_text, parse_tptp
-from satguide.trees import (
-    AND,
-    APPLY,
-    LEAF,
-    NOT,
-    OR,
-    TreeNode,
-    clause_parse_tree,
-    conjecture_tree,
-)
+from satguide.trees import AND, APPLY, CHILD_COUNT, LEAF, NOT, OR, clause_tree
 
 
-def clause_of(text):
-    return Clause(0, parse_clause_text(text))
+def clause_of(text, cid=0):
+    return Clause(cid, parse_clause_text(text))
 
 
-def tree_leaves(node: TreeNode) -> list[str]:
-    if node.kind == LEAF:
-        return [node.symbol]
-    return [s for ch in node.children for s in tree_leaves(ch)]
+def tree(*texts):
+    """The tree of the clauses `texts`, with symbol names as leaf ids."""
+    return clause_tree([clause_of(t, i) for i, t in enumerate(texts)], lambda name: name)
 
 
-def contains_kind(node: TreeNode, kind: str) -> bool:
-    return node.kind == kind or any(contains_kind(ch, kind) for ch in node.children)
+def leaf(name):
+    return (LEAF, name)
 
 
-def node_count(node: TreeNode) -> int:
-    return 1 + sum(node_count(ch) for ch in node.children)
+def nodes_of(node) -> list[tuple]:
+    if node[0] == LEAF:
+        return [node]
+    return [node] + [n for child in node[1:] for n in nodes_of(child)]
 
 
 def test_currying_binary_application():
-    tree = clause_parse_tree(clause_of("p(a,b)"))
-    # apply(apply(p,a),b)
-    assert tree.kind == APPLY
-    assert tree.children[0].kind == APPLY
-    assert tree.children[0].children[0].symbol == "p"
-    assert tree.children[0].children[1].symbol == "a"
-    assert tree.children[1].symbol == "b"
+    assert tree("p(a,b)") == (APPLY, (APPLY, leaf("p"), leaf("a")), leaf("b"))
+
+
+def test_currying_nested_term():
+    g_a = (APPLY, leaf("g"), leaf("a"))
+    assert tree("p(g(a),b)") == (APPLY, (APPLY, leaf("p"), g_a), leaf("b"))
+
+
+def test_constant_and_propositional_atom_are_leaves():
+    assert tree("q") == leaf("q")
+    assert tree("p(a)") == (APPLY, leaf("p"), leaf("a"))
 
 
 def test_negated_literal():
-    tree = clause_parse_tree(clause_of("~p(a)"))
-    assert tree.kind == NOT
-    assert tree.children[0].kind == APPLY
+    assert tree("~p(a)") == (NOT, (APPLY, leaf("p"), leaf("a")))
 
 
 def test_or_fold_left():
-    tree = clause_parse_tree(clause_of("p | q | r"))
-    assert tree.kind == OR
-    assert tree.children[0].kind == OR
-    assert tree.children[1].symbol == "r"
+    assert tree("p | ~q | r") == (OR, (OR, leaf("p"), (NOT, leaf("q"))), leaf("r"))
 
 
 def test_conjecture_and_nodes():
     p = parse_tptp(
         "cnf(g1, negated_conjecture, (~p(a)))."
-        "cnf(g2, negated_conjecture, (~q(b))).",
+        "cnf(g2, negated_conjecture, (~q(b)))."
+        "cnf(g3, negated_conjecture, (r | s)).",
     )
-    tree = conjecture_tree(p.negated_conjecture)
-    assert tree.kind == AND
-    assert not contains_kind(clause_parse_tree(p.negated_conjecture[0]), AND)
+    not_pa = (NOT, (APPLY, leaf("p"), leaf("a")))
+    not_qb = (NOT, (APPLY, leaf("q"), leaf("b")))
+    assert clause_tree(p.negated_conjecture, lambda name: name) == \
+        (AND, (AND, not_pa, not_qb), (OR, leaf("r"), leaf("s")))
+    assert clause_tree(p.negated_conjecture[:1], lambda name: name) == not_pa
 
 
 def test_variables_normalized_in_tree():
-    tree = clause_parse_tree(clause_of("p(Y, X, Y)"))
-    assert tree_leaves(tree) == ["p", "V1", "V2", "V1"]
+    # each clause is renamed on its own: q's Z is V1 again, not V3
+    p_yxy = (APPLY, (APPLY, (APPLY, leaf("p"), leaf("V1")), leaf("V2")), leaf("V1"))
+    assert tree("p(Y, X, Y)", "q(Z)") == (AND, p_yxy, (APPLY, leaf("q"), leaf("V1")))
+
+
+def test_empty_clause_tree():
+    assert clause_tree([Clause(0, ())], lambda name: name) == leaf("$false")
+    assert clause_tree([], lambda name: name) == leaf("$false")
+    assert tree("p", "$false") == (AND, leaf("p"), leaf("$false"))
+
+
+def test_leaf_ids_come_from_lookup():
+    ids = {"p": 4, "a": 7}
+    assert clause_tree([clause_of("p(a) | p(b)")], lambda name: ids.get(name, 1)) == \
+        (OR, (APPLY, (LEAF, 4), (LEAF, 7)), (APPLY, (LEAF, 4), (LEAF, 1)))
 
 
 def test_node_count_structure():
@@ -81,17 +86,21 @@ def test_node_count_structure():
         ("p(g(a),b)", 4 + 3),            # applies: p gets 2, g gets 1
     ]
     for text, expected in cases:
-        tree = clause_parse_tree(clause_of(text))
-        assert node_count(tree) == expected, text
+        assert len(nodes_of(tree(text))) == expected, text
 
 
 def test_child_counts_validated():
-    with pytest.raises(ValueError):
-        TreeNode(APPLY, (TreeNode(LEAF, symbol="a"),))
-    with pytest.raises(ValueError):
-        TreeNode(LEAF)
+    # the tree towers size each kind's weights by CHILD_COUNT
+    for node in nodes_of(tree("~p(f(X), g(a, Y)) | q(Y) | ~r", "s(b)", "$false")):
+        if node[0] != LEAF:
+            assert len(node) - 1 == CHILD_COUNT[node[0]], node
+        else:
+            assert len(node) == 2
 
 
-def test_empty_clause_tree():
-    tree = clause_parse_tree(Clause(0, ()))
-    assert tree.kind == LEAF and tree.symbol == "$false"
+def test_every_node_is_a_distinct_object():
+    # the tree towers memoise by id(node): a repeated symbol must still be
+    # a node of its own
+    nodes = nodes_of(tree("p(a,a) | p(a,a)", "p(a,a)"))
+    assert len(nodes) == 17
+    assert len({id(n) for n in nodes}) == len(nodes)
