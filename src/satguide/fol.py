@@ -178,13 +178,19 @@ class Literal:
         return literal_str(self)
 
 
+# the slot setters of `Literal`: called directly, they skip the name
+# lookup of `object.__setattr__` on the search's hottest constructor
+_set_pred, _set_args, _set_positive = (
+    Literal.pred.__set__, Literal.args.__set__, Literal.positive.__set__)
+
+
 def rebuild_literal(pred: Symbol, args: tuple[Term, ...], positive: bool) -> Literal:
     """`Literal(pred, args, positive)` from the predicate of an existing
     literal and as many arguments as it had; skips the checks."""
     lit = _new(Literal)
-    _set(lit, "pred", pred)
-    _set(lit, "args", args)
-    _set(lit, "positive", positive)
+    _set_pred(lit, pred)
+    _set_args(lit, args)
+    _set_positive(lit, positive)
     return lit
 
 
@@ -225,6 +231,24 @@ class Clause:
 
     def __repr__(self):
         return f"Clause[{self.id}]({clause_str(self)})"
+
+
+def derived_clause(cid: int, literals: tuple[Literal, ...], parents: tuple[int, ...],
+                   rule: str, goal_descendant: bool, symbols: SymbolRecord | None) -> Clause:
+    """`Clause(cid, literals, ROLE_DERIVED, parents, rule, None,
+    goal_descendant)` with `symbols` cached, from parts that need no
+    checks: a derived clause with its parents. Skips `__post_init__`, as
+    `rebuild_term` skips the term checks; used by the search."""
+    c = _new(Clause)
+    c.id = cid
+    c.literals = literals
+    c.role = ROLE_DERIVED
+    c.parents = parents
+    c.rule = rule
+    c.origin = None
+    c.goal_descendant = goal_descendant
+    c.symbols = symbols
+    return c
 
 
 @dataclass
@@ -555,11 +579,28 @@ def normalize_variables_twice(c: Clause, first: str, second: str) -> tuple[Claus
 
 def _rename_literal_twice(l: Literal, index: dict[str, int], first: str,
                           second: str) -> tuple[Literal, Literal]:
+    """`l` renamed into both namespaces, its leaf arguments in line."""
     if not l.args:
         return l, l
-    return tuple([l if _same(args, l.args) else rebuild_literal(l.pred, args, l.positive)
-                  for args in zip(*[_rename_twice(a, index, first, second)
-                                    for a in l.args])])
+    args1, args2 = [], []
+    for t in l.args:
+        if t.is_var:
+            name = t.sym.name
+            i = index.get(name)
+            if i is None:
+                i = index[name] = len(index)
+            a, b = _namespace_var(first, i), _namespace_var(second, i)
+            args1.append(t if a.sym.name == name else a)
+            args2.append(t if b.sym.name == name else b)
+        elif t.args:
+            a, b = _rename_twice(t, index, first, second)
+            args1.append(a)
+            args2.append(b)
+        else:
+            args1.append(t)
+            args2.append(t)
+    return tuple([l if _same(args, l.args) else rebuild_literal(l.pred, tuple(args), l.positive)
+                  for args in (args1, args2)])
 
 
 def _rename_twice(t: Term, index: dict[str, int], first: str, second: str) -> tuple[Term, Term]:

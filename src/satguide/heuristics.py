@@ -1,15 +1,23 @@
 """Clause weight functions and weighted round-robin selection schedules.
 
-Each schedule entry keeps its own priority ranking (a heap keyed by
-(tier, weight, id)) over all unprocessed clauses; selection cycles the
-entries, consuming `weight` picks from each. An entry keys the clauses
-inserted since its last turn in one batch when its turn comes, so every
-weight function, the network's included, sees batches. A popped clause
-disappears from every entry's ranking (global tombstoning via the shared
-alive set). The symbol-based weights read each clause's `SymbolRecord`,
-built once at admission; entries with the same class weights share one
-fold per clause, and every entry computes its tiers in line. Lower weight is better everywhere; ties break toward the
-lowest clause id, so when a clause is keyed never changes which is picked.
+Each schedule entry keeps its own priority ranking over all unprocessed
+clauses; selection cycles the entries, consuming `weight` picks from
+each. An entry keys the clauses inserted since its last turn in one
+batch when its turn comes, so every weight function, the network's
+included, sees batches. A popped clause disappears from every entry's
+ranking (global tombstoning via the shared alive set). The symbol-based
+weights read each clause's `SymbolRecord`, built once at admission;
+entries with the same class weights share one fold per clause, and
+every entry computes its tiers in line.
+
+A ranking is bucketed: a heap of the distinct (tier, weight) keys, and
+for each key a heap of the ids of the clauses that have it. Many clauses
+share a key (FIFO keys every clause (0, 0.0), so it is one bucket), and
+an insertion is then a dict hit and an int push. Lower weight is better
+everywhere; ties break toward the lowest clause id inside the bucket,
+whatever order the clauses were inserted in, so a pick is the least
+(tier, weight, id) of the live clauses, and when a clause is keyed never
+changes which is picked.
 
 The tier is a coarse boolean priority computed per clause, our reduction
 of E-style priority wrappers: `sos` prefers descendants of the negated
@@ -19,9 +27,11 @@ conjecture, `const` is flat.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, field
+from functools import reduce
+from heapq import heappop, heappush
+from operator import add
 
 from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, symbol_counts, symbol_record
 
@@ -39,11 +49,6 @@ def _tiers(flavor: str, clauses: list[Clause]) -> list[int]:
 
 
 # -- weight functions ----------------------------------------------------------
-
-
-def fifo_weight(c: Clause) -> float:
-    """Creation order; the first input clause weighs 0."""
-    return float(c.id)
 
 
 def symbol_count_weight(c: Clause, fweight: float = 2.0, vweight: float = 1.0) -> float:
@@ -85,10 +90,16 @@ class WeightFunction:
         raise NotImplementedError
 
 
+FIFO_KEY = (0, 0.0)
+
+
 @dataclass
 class FifoWeightFn(WeightFunction):
+    """Creation order: every clause gets one key, and the clause id that
+    breaks ties in a ranking orders them."""
+
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
-        return [(0, fifo_weight(c)) for c in clauses]
+        return [FIFO_KEY] * len(clauses)
 
 
 @dataclass
@@ -101,7 +112,8 @@ class SymbolCountWeightFn(WeightFunction):
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
         fw, vw = self.fweight, self.vweight
-        weights = [fw * fp + vw * v for fp, v in map(symbol_counts, clauses)]
+        records = [c.symbols or symbol_record(c) for c in clauses]  # `symbol_counts`
+        weights = [fw * rec.fp + vw * rec.vars for rec in records]
         return list(zip(_tiers(self.tier, clauses), weights))
 
 
@@ -119,7 +131,17 @@ class ConjectureRelativeWeightFn(WeightFunction):
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
         conj = self.conj_symbols
         terms = _class_weights(self.base_fw, self.base_vw, self.conj_multiplier)
-        weights = [symbol_record(c, conj).fold(terms) for c in clauses]
+        weight = terms.__getitem__
+        weights = []
+        for c in clauses:  # `SymbolRecord.fold`, in line
+            rec = c.symbols
+            if rec is None or rec.conj is not conj:
+                rec = symbol_record(c, conj)
+            folds = rec.folds
+            w = folds.get(terms)
+            if w is None:
+                w = folds[terms] = reduce(add, map(weight, rec.classes), 0.0)
+            weights.append(w)
         return list(zip(_tiers(self.tier, clauses), weights))
 
 
@@ -128,9 +150,18 @@ class ConjectureRelativeWeightFn(WeightFunction):
 
 @dataclass
 class ScheduleEntry:
+    """One weight function's bucketed ranking (see the module docstring).
+
+    `keys` is a heap of the distinct (tier, weight) keys that have a
+    bucket; `buckets` maps each to a heap of clause ids. Ids of clauses
+    picked elsewhere stay in their bucket until they reach its top, and
+    a bucket leaves both when it runs empty.
+    """
+
     weight: int
     fn: WeightFunction
-    heap: list = field(default_factory=list)
+    keys: list = field(default_factory=list)
+    buckets: dict = field(default_factory=dict)
     staging: list = field(default_factory=list)  # inserted, not yet keyed
 
     def flush(self, alive: dict[int, Clause]):
@@ -139,8 +170,32 @@ class ScheduleEntry:
         if self.staging:
             pending = [c for c in self.staging if c.id in alive]
             self.staging.clear()
+            buckets, keys = self.buckets, self.keys
             for c, k in zip(pending, self.fn.batch_keys(pending)):
-                heapq.heappush(self.heap, (*k, c.id))
+                bucket = buckets.get(k)
+                if bucket is None:
+                    buckets[k] = [c.id]
+                    heappush(keys, k)
+                else:
+                    heappush(bucket, c.id)
+
+    def pop(self, alive: dict[int, Clause]) -> int | None:
+        """The id of the least (tier, weight, id) live clause, removed from
+        the ranking; None when no live clause is left in it."""
+        keys, buckets = self.keys, self.buckets
+        while keys:
+            k = keys[0]
+            bucket = buckets[k]
+            while bucket:
+                cid = heappop(bucket)
+                if cid in alive:
+                    if not bucket:
+                        del buckets[k]
+                        heappop(keys)
+                    return cid
+            del buckets[k]
+            heappop(keys)
+        return None
 
 
 class SelectionSchedule:
@@ -186,14 +241,11 @@ class SelectionSchedule:
                 self._advance()
             entry = self.entries[self._cursor]
             entry.flush(self.alive)
-            heap = entry.heap
-            while heap and heap[0][2] not in self.alive:
-                heapq.heappop(heap)
-            if not heap:
+            cid = entry.pop(self.alive)
+            if cid is None:
                 self._remaining = 0
                 skipped += 1
                 continue
-            _, _, cid = heapq.heappop(heap)
             self._remaining -= 1
             self.pick_counts[self._cursor] += 1
             return self.alive.pop(cid)

@@ -81,9 +81,18 @@ def factor(c: Clause, flag_tautologies: bool = False) -> list:
 
 def _merged(lits: tuple[Literal, ...]) -> tuple[tuple[Literal, ...], bool]:
     """(`lits` without exact duplicates, first occurrences kept; does it
-    hold a literal and its negation?), from one hash of each atom."""
-    if len(lits) < 2:
+    hold a literal and its negation?), from one hash of each atom; the
+    two atoms of a 2-literal tuple are compared directly."""
+    n = len(lits)
+    if n < 2:
         return lits, False
+    if n == 2:
+        l0, l1 = lits
+        if l0.pred is not l1.pred or l0.args != l1.args:
+            return lits, False
+        if l0.positive == l1.positive:
+            return (l0,), False
+        return lits, True
     first: dict[tuple, int] = {}  # atom -> position in out of its first literal
     out: list[Literal] = []
     tautology = False

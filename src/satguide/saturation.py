@@ -1,7 +1,10 @@
 """The given-clause saturation loop, proofs, and an independent verifier.
 
 Two clause sets are maintained: processed and unprocessed (the latter
-lives inside the selection schedule's rankings). Each step the schedule
+lives inside the selection schedule's rankings, which are bucketed: per
+entry a heap of the distinct (tier, weight) keys, and per key a heap of
+clause ids, so ties break toward the lowest id whatever order clauses
+arrive in; see `heuristics`). Each step the schedule
 yields a given clause g; g is dropped if tautological or forward-subsumed
 by a processed clause, otherwise all resolvents of g against the
 processed set (g included, covering self-resolution) and all factors of g
@@ -23,9 +26,11 @@ A generated clause takes the next id, then is checked in this order:
 the size cap (a capped clause makes the search lossy), the tautology
 flag, the duplicate key. One walk builds the duplicate key and the
 symbol classes that every weight reads. Only a clause that passes every
-check, or the empty clause, becomes a `Clause` with a `ProofNode`;
-dropped resolvents leave no clause object or proof node behind, only
-their id.
+check, or the empty clause, becomes a `Clause` with a `ProofNode`, built
+without the dataclass checks (`fol.derived_clause`); dropped resolvents
+leave no clause object or proof node behind, only their id. A step
+reads the generated and memory caps once, and merges and sorts the
+resolution partners only when they come from more than one index list.
 
 The search makes no reference cycles, so every object it drops is freed
 by its reference count at once. `run` so pauses Python's cyclic garbage
@@ -48,6 +53,7 @@ ids increase monotonically with creation.
 from __future__ import annotations
 
 import gc
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -64,6 +70,7 @@ from .fol import (
     Var,
     canonical_key,
     clause_str,
+    derived_clause,
     key_and_classes,
     normalize_variables_twice,
     symbol_record,
@@ -97,8 +104,15 @@ GIVEN_NAMESPACE = "G"
 PROCESSED_NAMESPACE = "P"
 
 
+EQUALITY_MODES = ("auto", "always", "never")
+
+
 @dataclass
 class SearchConfig:
+    """Search limits and options. A limit that cannot be honoured (a
+    negative count or time, a clause size cap below 1) and an unknown
+    `equality_axioms` mode raise ValueError."""
+
     schedule: str = "auto"  # a `heuristics.parse_schedule` spec
     max_processed: int | None = 20_000
     max_generated: int | None = 1_000_000
@@ -107,6 +121,18 @@ class SearchConfig:
     max_clause_literals: int | None = None  # drop longer generated clauses
     equality_axioms: str = "auto"  # auto | always | never
     record_selections: bool = False
+
+    def __post_init__(self):
+        if self.equality_axioms not in EQUALITY_MODES:
+            raise ValueError(f"equality_axioms must be one of {', '.join(EQUALITY_MODES)}, "
+                             f"got {self.equality_axioms!r}")
+        for name in ("max_processed", "max_generated", "max_wall_ms", "max_memory_symbols"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
+        if self.max_clause_literals is not None and self.max_clause_literals < 1:
+            raise ValueError(f"max_clause_literals must be at least 1, "
+                             f"got {self.max_clause_literals}")
 
 
 @dataclass(slots=True)
@@ -130,7 +156,7 @@ class ProveResult:
     processed_count: int
     generated_count: int
     wall_ms: int
-    resource: str | None = None  # processed | generated | memory | time | clause_size | premises
+    resource: str | None = None  # processed | generated | memory | time | clause_size | equality | premises
     selections: list[int] | None = None
     info: dict = field(default_factory=dict)
     state: object = None  # the Saturation instance, for trace extraction
@@ -194,12 +220,18 @@ def equality_axioms(problem: Problem) -> list[tuple[str, tuple[Literal, ...]]]:
     return out
 
 
+def _uses_equality(problem: Problem) -> bool:
+    return any(s.name == EQ and s.kind == PREDICATE for s in problem.signature)
+
+
 def _wants_equality(problem: Problem, mode: str) -> bool:
     if mode == "never":
         return False
-    if mode == "always":
-        return True
-    return any(s.name == EQ and s.kind == PREDICATE for s in problem.signature)
+    return mode == "always" or _uses_equality(problem)
+
+
+def _cap(limit: int | None) -> float:
+    return math.inf if limit is None else limit
 
 
 # -- forward subsumption index -------------------------------------------------
@@ -307,6 +339,9 @@ class Saturation:
                 inputs.append(
                     Clause(len(inputs), lits, role=ROLE_AXIOM, origin=name)
                 )
+        # `=` read as a plain predicate: saturation says nothing about the
+        # models in which it is equality
+        self.equality_dropped = config.equality_axioms == "never" and _uses_equality(problem)
         self.next_id = len(inputs)
         for c in inputs:
             rule = RULE_EQ_AXIOM if (c.origin or "").startswith("eq_") else RULE_INPUT
@@ -324,11 +359,21 @@ class Saturation:
 
     def _partners(self, g: Clause) -> list[Clause]:
         """Processed clauses sharing a complementary literal key, in
-        processed order (g included when it self-resolves)."""
+        processed order (g included when it self-resolves). Each index
+        list is in processed order already, so one list comes back as it
+        is, not to be changed; only several are merged and sorted."""
+        index = self._lit_index
+        lists = []
+        for key in {(lit.pred.name, not lit.positive) for lit in g.literals}:
+            found = index.get(key)
+            if found:
+                lists.append(found)
+        if len(lists) == 1:
+            return lists[0]
         seen: set[int] = set()
         out = []
-        for lit in g.literals:
-            for p in self._lit_index.get((lit.pred.name, not lit.positive), ()):
+        for found in lists:
+            for p in found:
                 if p.id not in seen:
                     seen.add(p.id)
                     out.append(p)
@@ -358,23 +403,30 @@ class Saturation:
         if self.config.record_selections:
             self.selections.append(g.id)
 
+        # the generated and memory caps, checked before each partner too:
+        # one clause pair can otherwise blow far past the budget before the
+        # loop looks again
+        cfg = self.config
+        gen_cap = _cap(cfg.max_generated)
+        mem_cap = _cap(cfg.max_memory_symbols)
         for p in self._partners(g):
-            if self._generation_exhausted():
+            if self.generated >= gen_cap or self.stored_symbols >= mem_cap:
                 return CONTINUE  # the loop-level limit check reports it
+            made = resolve(g, p, flag_tautologies=True)
+            if not made:
+                continue
             parents, goal = (g.id, p.id), g.goal_descendant or p.goal_descendant
-            for lits, tautology in resolve(g, p, flag_tautologies=True):
+            for lits, tautology in made:
                 if self._admit(lits, tautology, parents, RULE_RESOLVE, goal):
                     return PROOF_FOUND
-        if not self._generation_exhausted():
+        if self.generated < gen_cap and self.stored_symbols < mem_cap:
             for lits, tautology in factor(g, flag_tautologies=True):
                 if self._admit(lits, tautology, (g.id,), RULE_FACTOR, g.goal_descendant):
                     return PROOF_FOUND
         return CONTINUE
 
     def _generation_exhausted(self) -> str | None:
-        """The generated or memory cap that is reached, if any. Checked
-        mid-step too: one clause pair can otherwise blow far past the
-        budget before the loop looks again."""
+        """The generated or memory cap that is reached, if any."""
         cfg = self.config
         if cfg.max_generated is not None and self.generated >= cfg.max_generated:
             return "generated"
@@ -392,8 +444,9 @@ class Saturation:
         The checks read the bare literals, in this order: the size cap (a
         capped clause makes the search lossy), the tautology flag, the
         duplicate key. Only a clause that passes them all, or the empty
-        clause, becomes a `Clause` with a `ProofNode`; every generated
-        clause takes an id, so ids do not depend on what is dropped.
+        clause, becomes a `Clause` (built unchecked, as `derived_clause`)
+        with a `ProofNode`; every generated clause takes an id, so ids do
+        not depend on what is dropped.
         """
         self.generated += 1
         cid = self.next_id
@@ -406,16 +459,20 @@ class Saturation:
             if tautology:
                 return False
             key, classes = key_and_classes(lits, self.conj_symbols)
-            if key in self.seen_keys:
+            seen = self.seen_keys
+            known = len(seen)
+            seen.add(key)  # one hash of the key, where `in` then `add` take two
+            if len(seen) == known:
                 return False
-            self.seen_keys.add(key)
-        c = Clause(cid, lits, ROLE_DERIVED, parents, rule, None, goal_descendant)
+            # the record the weights read, from the walk that made the key
+            record = SymbolRecord(self.conj_symbols, classes)
+        else:
+            record = None
+        c = derived_clause(cid, lits, parents, rule, goal_descendant, record)
         self.nodes[cid] = ProofNode(c, parents, rule)
         if not lits:
             self.empty_clause_id = cid
             return True
-        # the record the weights read, from the walk that made the key
-        c.symbols = SymbolRecord(self.conj_symbols, classes)
         self.stored_symbols += len(classes)
         self.schedule.insert(c)
         return False
@@ -485,16 +542,21 @@ class Saturation:
         """The SZS status of a search that `run` stopped with `outcome`.
 
         Saturation proves satisfiability only when no generated clause
-        was dropped for its size; a lossy one ends as ResourceOut.
+        was dropped for its size and `=`, if the problem uses it, had its
+        axioms: otherwise it ends as ResourceOut, `clause_size` or
+        `equality`.
         """
         resource = None
         if outcome == PROOF_FOUND:
             status = UNSAT
-        elif outcome == SATURATED and not self.lossy:
+        elif outcome == SATURATED and not self.lossy and not self.equality_dropped:
             status = SAT
         else:
             status = RESOURCE_OUT
-            resource = "clause_size" if outcome == SATURATED else self.resource
+            if outcome != SATURATED:
+                resource = self.resource
+            else:
+                resource = "clause_size" if self.lossy else "equality"
         return ProveResult(
             status=status,
             proof=self.build_proof() if status == UNSAT else None,

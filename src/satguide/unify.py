@@ -85,12 +85,47 @@ def unify_atoms(l1: Literal, l2: Literal, sub: Substitution | None = None) -> Su
     """Unify two literals' atoms, ignoring polarity.
 
     The argument pairs are solved left to right, each completely before
-    the next, as successive `unify_terms` calls would."""
+    the next, as successive `unify_terms` calls would. Pairs of leaves
+    (variables and constants) are solved here, as `_unify` would solve
+    them; at the first pair that holds a compound term, before or after
+    following the bindings, this pair and the rest go to `_unify`.
+    """
     if l1.pred is not l2.pred:
         return None
-    stack = list(zip(l1.args, l2.args))
-    stack.reverse()
-    return _unify(stack, {} if sub is None else sub)
+    if sub is None:
+        sub = {}
+    get = sub.get
+    args1, args2 = l1.args, l2.args
+    for i, a in enumerate(args1):
+        b = args2[i]
+        if a is b:
+            continue
+        while a.is_var:
+            bound = get(a.sym.name)
+            if bound is None:
+                break
+            a = bound
+        while b.is_var:
+            bound = get(b.sym.name)
+            if bound is None:
+                break
+            b = bound
+        if a.args or b.args:
+            stack = list(zip(args1[i + 1 :], args2[i + 1 :]))
+            stack.reverse()
+            stack.append((a, b))
+            return _unify(stack, sub)
+        if a is b:
+            continue
+        if a.is_var:
+            name = a.sym.name
+            if not b.is_var or b.sym.name != name:
+                sub[name] = b
+        elif b.is_var:
+            sub[b.sym.name] = a
+        elif a.sym is not b.sym:
+            return None
+    return sub
 
 
 def apply_sub(t: Term, sub: Substitution) -> Term:
@@ -122,7 +157,9 @@ def apply_sub_literal(lit: Literal, sub: Substitution) -> Literal:
 
 def apply_sub_literals(lits, sub: Substitution) -> tuple[Literal, ...]:
     """`apply_sub_literal` over `lits`, with variable and constant
-    arguments handled in line."""
+    arguments handled in line. A variable bound to a leaf that `sub`
+    leaves as it is (a constant or an unbound variable) takes that leaf
+    as it is."""
     get = sub.get
     out = []
     for lit in lits:
@@ -132,7 +169,9 @@ def apply_sub_literals(lits, sub: Substitution) -> tuple[Literal, ...]:
             if a.is_var:
                 bound = get(a.sym.name)
                 if bound is not None:
-                    a = apply_sub(bound, sub)
+                    if bound.args or (bound.is_var and bound.sym.name in sub):
+                        bound = apply_sub(bound, sub)
+                    a = bound
                     changed = True
             elif a.args:
                 b = apply_sub(a, sub)

@@ -18,12 +18,26 @@ one walk that keys and classifies each generated clause gives the key of
 printer and two-namespace renamer give what the renamed copies give. The
 cached `Symbol` and `Term` hashes equal the hashes of their field tuples.
 
+The leaf fast paths are also checked on random atoms that mix leaf and
+compound arguments: `unify_atoms` against `oracles.unify_terms` over the
+argument pairs (a variable bound to a compound earlier in the same atom
+included), the in-line leaf renaming of `normalize_variables_twice`
+against two `normalize_variables` calls, the direct 2-literal `_merged`
+against `oracles.is_tautology`, and a clause built by `derived_clause`
+against one built by `Clause(...)`, field by field. A bucketed ranking
+pops what a plain (tier, weight, id) heap pops, over random insertion
+orders with out-of-order ids, equal keys and several flushes.
+
 The regular-expression lexer gives the tokens, and `token_positions` the
 lines and columns, of the character-by-character lexer kept in `oracles`,
 on every printed corpus problem, every printed premise clause of the
 premsel problems and a set of edge cases; malformed inputs raise the same
 message at the same line and column.
 """
+
+import heapq
+import random
+from dataclasses import fields
 
 import pytest
 
@@ -35,13 +49,16 @@ from satguide.fol import (
     FUNCTION,
     PREDICATE,
     ROLE_NEGATED_CONJECTURE,
+    ROLE_DERIVED,
     Clause,
     Literal,
     Symbol,
+    SymbolRecord,
     Term,
     Var,
     canonical_key,
     clause_str,
+    derived_clause,
     normalize_variables,
     normalize_variables_twice,
     normalized_str,
@@ -54,7 +71,7 @@ from satguide.parser import ParseError, lex, token_positions
 from satguide.premsel import premise_groups
 from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
-from satguide.unify import apply_sub_literal, unify_atoms
+from satguide.unify import apply_sub_literal, apply_sub_literals, unify_atoms
 
 import oracles
 from oracles import clause_variables, string_key
@@ -349,6 +366,186 @@ def test_variable_names_do_not_grow_with_depth(searches):
             longest[d] = max(longest.get(d, 0), *names, 0)
     assert max(longest) >= 8
     assert max(longest[d] for d in longest if d >= 2) <= longest[1]
+
+
+# -- leaf fast paths and bucketed rankings against their references ---------------
+
+F1, G2 = Symbol("f", FUNCTION, 1), Symbol("g", FUNCTION, 2)
+P4, Q2 = Symbol("p", PREDICATE, 4), Symbol("q", PREDICATE, 2)
+CONSTANTS = [Term(Symbol(name, FUNCTION, 0)) for name in "abc"]
+
+
+def _random_term(rng, variables, depth=0):
+    roll = rng.random()
+    if depth >= 2 or roll < 0.4:
+        return rng.choice(variables)
+    if roll < 0.65:
+        return rng.choice(CONSTANTS)
+    if roll < 0.85:
+        return Term(F1, (_random_term(rng, variables, depth + 1),))
+    return Term(G2, tuple(_random_term(rng, variables, depth + 1) for _ in range(2)))
+
+
+def _random_atom(rng, variables, pred=P4):
+    return Literal(pred, tuple(_random_term(rng, variables) for _ in range(pred.arity)),
+                   rng.random() < 0.5)
+
+
+def _reference_unify(l1, l2, sub):
+    """`oracles.unify_terms` over the argument pairs, left to right, from
+    `sub` (keyed by variable symbol)."""
+    for a, b in zip(l1.args, l2.args):
+        sub = oracles.unify_terms(a, b, sub)
+        if sub is None:
+            return None
+    return sub
+
+
+def _check_unifier(l1, l2, sub=None, ref_sub=None):
+    """Does the fast unifier agree with the reference on (l1, l2)? Both
+    mgus must make the same atoms, through either substitution routine."""
+    fast = unify_atoms(l1, l2, None if sub is None else dict(sub))
+    slow = _reference_unify(l1, l2, dict(ref_sub or {}))
+    assert (fast is None) == (slow is None), (l1, l2)
+    if fast is None:
+        return False
+    ref = _atoms([oracles.apply_sub_literal(l, slow) for l in (l1, l2)])
+    assert _atoms([apply_sub_literal(l, fast) for l in (l1, l2)]) == ref
+    assert _atoms(apply_sub_literals((l1, l2), fast)) == ref
+    assert ref[0] == ref[1]
+    return True
+
+
+def test_leaf_unifier_agrees_with_reference_on_mixed_arguments():
+    rng = random.Random(11)
+    left = [Var(n) for n in ("X", "Y", "Z")]
+    right = [Var(n) for n in ("U", "V", "X")]  # X is shared: chains and clashes
+    unified = 0
+    for _ in range(4000):
+        unified += _check_unifier(_random_atom(rng, left), _random_atom(rng, right))
+    assert 200 < unified < 3800
+
+
+def test_leaf_unifier_hands_over_after_an_earlier_compound_binding():
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    a, b = CONSTANTS[:2]
+    fa, fx = Term(F1, (a,)), Term(F1, (x,))
+    cases = [
+        # X is bound to f(a) by the first pair, then met again as a leaf
+        (Literal(P4, (x, x, y, b)), Literal(P4, (fa, z, z, b))),
+        (Literal(P4, (x, y, x, y)), Literal(P4, (fa, a, fa, a))),
+        (Literal(P4, (x, y, x, b)), Literal(P4, (fa, a, Term(F1, (b,)), b))),  # clash
+        (Literal(P4, (y, x, y, x)), Literal(P4, (a, fx, z, a))),  # occurs check
+        (Literal(P4, (x, y, z, a)), Literal(P4, (y, z, fa, a))),  # a chain to f(a)
+    ]
+    assert [_check_unifier(l1, l2) for l1, l2 in cases] == [True, True, False, False, True]
+    # a binding to a compound handed in: the first pair walks to one
+    l1, l2 = Literal(Q2, (x, y)), Literal(Q2, (fa, a))
+    assert _check_unifier(l1, l2, {"X": fa}, {x.sym: fa})
+    assert not _check_unifier(Literal(Q2, (x, y)), Literal(Q2, (Term(F1, (b,)), a)),
+                              {"X": fa}, {x.sym: fa})
+
+
+def test_two_literal_merge_agrees_with_reference():
+    rng = random.Random(5)
+    variables = [Var("X"), Var("Y")]
+    atoms = [_random_atom(rng, variables, Q2) for _ in range(12)]
+    # equal atoms that are other objects, as substitution makes them
+    atoms += [Literal(Q2, tuple(Term(t.sym, t.args) if not t.is_var else Var(t.sym.name)
+                                for t in l.args), l.positive) for l in atoms[:6]]
+    lits = [l for atom in atoms for l in (atom, atom.negated())]
+    seen = {True: 0, False: 0}
+    for l0 in lits:
+        for l1 in lits:
+            merged, tautology = rules._merged((l0, l1))
+            assert tautology == oracles.is_tautology((l0, l1))
+            assert merged == ((l0,) if l0 == l1 else (l0, l1))
+            seen[tautology] += 1
+    assert seen[True] > 50 and seen[False] > 500
+
+
+def test_leaf_renaming_agrees_with_two_normalizations():
+    rng = random.Random(3)
+    variables = [Var(n) for n in ("X", "Y", "P1", "G2")]  # some already renamed
+    for _ in range(1000):
+        c = Clause(7, tuple(_random_atom(rng, variables) for _ in range(rng.randint(1, 3))))
+        pair = normalize_variables_twice(c, "P", "G")
+        for copy, prefix in zip(pair, "PG"):
+            ref = normalize_variables(c, prefix)
+            assert copy.literals == ref.literals and (copy is c) == (ref is c)
+
+
+def test_fast_built_derived_clause_equals_checked_one():
+    lits = (Literal(Q2, (Var("X"), CONSTANTS[0])),)
+    for goal in (False, True):
+        record = SymbolRecord(frozenset(), b"\x02\x00\x02")
+        fast = derived_clause(9, lits, (3, 4), rules.RULE_RESOLVE, goal, record)
+        checked = Clause(9, lits, ROLE_DERIVED, (3, 4), rules.RULE_RESOLVE, None, goal)
+        checked.symbols = record
+        for f in fields(Clause):
+            assert getattr(fast, f.name) is getattr(checked, f.name), f.name
+
+
+class KeyTable(heuristics.WeightFunction):
+    """The keys of a fixed table, by clause id."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def batch_keys(self, clauses):
+        return [self.keys[c.id] for c in clauses]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bucketed_ranking_agrees_with_plain_heap(seed):
+    # random insertion orders with out-of-order ids, few distinct keys and
+    # several flushes; clauses picked elsewhere leave the alive set, some
+    # before their flush and some after
+    rng = random.Random(seed)
+    ids = list(range(600))
+    rng.shuffle(ids)
+    keys = {cid: (rng.randint(0, 1), rng.choice([0.0, -0.0, 1.5, 2.0, 7.25, -3.0]))
+            for cid in ids}
+    entry = heuristics.ScheduleEntry(1, KeyTable(keys))
+    reference = []  # a plain (tier, weight, id) heap
+    alive = {}
+    picks = 0
+    while ids or alive:
+        batch = ids[: rng.randint(0, 40)]
+        del ids[: len(batch)]
+        for cid in batch:
+            alive[cid] = Clause(cid, ())
+            entry.staging.append(alive[cid])
+        for cid in batch:
+            if rng.random() < 0.1:
+                del alive[cid]
+        entry.flush(alive)
+        for cid in batch:
+            if cid in alive:
+                heapq.heappush(reference, (*keys[cid], cid))
+        for _ in range(rng.randint(0, 30)):
+            while reference and reference[0][2] not in alive:
+                heapq.heappop(reference)
+            expected = heapq.heappop(reference)[2] if reference else None
+            got = entry.pop(alive)
+            assert got == expected
+            if got is None:
+                break
+            del alive[got]
+            picks += 1
+        for cid in list(alive):
+            if rng.random() < 0.02:
+                del alive[cid]
+    assert entry.pop(alive) is None
+    assert picks > 300 and not entry.keys and not entry.buckets
+
+
+def test_fifo_orders_by_id_whatever_the_insertion_order():
+    sched = heuristics.SelectionSchedule([(1, heuristics.FifoWeightFn())])
+    order = [5, 3, 9, 0, 7]
+    for cid in order:
+        sched.insert(Clause(cid, ()))
+    assert [sched.pop_next().id for _ in order] == sorted(order)
 
 
 # -- the lexer -------------------------------------------------------------------

@@ -11,7 +11,6 @@ from satguide.heuristics import (
     SymbolCountWeightFn,
     WeightFunction,
     conjecture_relative_weight,
-    fifo_weight,
     parse_schedule,
     symbol_count_weight,
 )
@@ -34,9 +33,10 @@ class KeyLog(WeightFunction):
 
 
 class TestWeights:
-    def test_fifo_age_origin(self):
-        assert fifo_weight(clause_of("p(a)", 0)) == 0.0
-        assert fifo_weight(clause_of("p(a)", 4)) == 4.0
+    def test_fifo_keys_every_clause_alike(self):
+        # one bucket: the clause id that breaks ties gives the age order
+        keys = FifoWeightFn().batch_keys([clause_of("p(a)", 4), clause_of("q(X)", 0)])
+        assert keys == [(0, 0.0), (0, 0.0)]
 
     def test_fifo_ranks_lower_age_first(self):
         sched = SelectionSchedule([(1, FifoWeightFn())])

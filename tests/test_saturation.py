@@ -1,5 +1,7 @@
 """The given-clause loop, statuses, proofs, and the verifier."""
 
+from dataclasses import replace
+
 import pytest
 
 import satguide.fol as fol
@@ -299,6 +301,46 @@ class TestEqualityAxioms:
             "fof(goal, conjecture, a = mul(e, a)).")
         r = prove(p, SearchConfig(equality_axioms="never", max_processed=50))
         assert r.status != UNSAT
+
+    def test_disabled_equality_leaves_other_problems_alone(self):
+        p = parse_tptp("cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~q(a))).")
+        assert prove(p, SearchConfig(equality_axioms="never")).status == SAT
+
+
+# `=` read as a plain predicate saturates here without a contradiction
+EQUALITY_PROBE = "cnf(ab, axiom, (a = b)). cnf(pa, axiom, (p(a))). cnf(g, negated_conjecture, (~p(b)))."
+
+# (field, value, what follows): ValueError when the option is refused,
+# otherwise the (status, resource) of a search of EQUALITY_PROBE under it
+OPTION_ROWS = [
+    ("equality_axioms", "Never", ValueError),
+    ("equality_axioms", "", ValueError),
+    ("equality_axioms", "never", (RESOURCE_OUT, "equality")),
+    ("equality_axioms", "auto", (UNSAT, None)),
+    ("equality_axioms", "always", (UNSAT, None)),
+    ("max_processed", -1, ValueError),
+    ("max_processed", 0, (RESOURCE_OUT, "processed")),
+    ("max_generated", -1, ValueError),
+    ("max_generated", 0, (RESOURCE_OUT, "generated")),
+    ("max_wall_ms", -1, ValueError),
+    ("max_memory_symbols", -1, ValueError),
+    ("max_clause_literals", 0, ValueError),
+    ("max_clause_literals", -2, ValueError),
+    ("max_clause_literals", 1, (RESOURCE_OUT, "clause_size")),
+]
+
+
+@pytest.mark.parametrize("field,value,expected", OPTION_ROWS,
+                         ids=[f"{f}={v!r}" for f, v, _ in OPTION_ROWS])
+def test_option_takes_effect_or_is_refused(field, value, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            replace(SearchConfig(), **{field: value})
+        return
+    r = prove(parse_tptp(EQUALITY_PROBE), SearchConfig(**{field: value}))
+    assert (r.status, r.resource) == expected
 
 
 class TestOracleAgreement:
