@@ -16,6 +16,13 @@ as arguments, never nested functions: a nested function that calls
 itself is a reference cycle (function -> closure cell -> function) that
 only the cyclic garbage collector frees, and the search runs with that
 collector paused (see `saturation`).
+
+Each job on a clause has one walk. `canonical_key` gives the duplicate
+key and the symbol classes of a `SymbolRecord` together, and is how the
+search keys and classifies every clause it admits; `symbol_record` reuses
+it for callers outside the search. `normalize_variables_twice` renames a
+clause into two variable namespaces, and `normalize_variables` is its
+one-namespace case.
 """
 
 from __future__ import annotations
@@ -349,40 +356,19 @@ class SymbolRecord:
 
 
 def symbol_record(c: Clause, conj: frozenset[Symbol] = NO_CONJECTURE) -> SymbolRecord:
-    """The `SymbolRecord` of `c` against the conjecture symbols `conj`.
+    """The `SymbolRecord` of `c` against the conjecture symbols `conj`,
+    classified by the `canonical_key` walk.
 
     The record is cached on the clause. A cached record built against
     another set object (compared by identity, so share one set) is
-    rebuilt; its counts, which do not depend on the set, serve
-    `symbol_counts` whatever set it was built against. The search builds
-    the records of derived clauses in `key_and_classes`' walk instead;
-    this is the reference walk.
+    rebuilt. The search caches the record of every clause it admits, so
+    this serves callers outside it.
     """
     rec = c.symbols
     if rec is not None and rec.conj is conj:
         return rec
-    out = bytearray()
-    for lit in c.literals:
-        out.append(CONJ_CLASS if lit.pred in conj else OTHER_CLASS)
-        for a in lit.args:
-            _classify(a, conj, out)
-    rec = c.symbols = SymbolRecord(conj, bytes(out))
+    rec = c.symbols = SymbolRecord(conj, canonical_key(c.literals, conj)[1])
     return rec
-
-
-def _classify(t: Term, conj: frozenset[Symbol], out: bytearray) -> None:
-    if t.is_var:
-        out.append(VAR_CLASS)
-        return
-    out.append(CONJ_CLASS if t.sym in conj else OTHER_CLASS)
-    for a in t.args:
-        _classify(a, conj, out)
-
-
-def symbol_counts(c: Clause) -> tuple[int, int]:
-    """(function/predicate occurrences, variable occurrences)."""
-    rec = c.symbols or symbol_record(c)
-    return rec.fp, rec.vars
 
 
 # ---------------------------------------------------------------------------
@@ -535,35 +521,10 @@ def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
     shared with `c`. Returns `c` itself when nothing changes. With the
     default prefix this keeps the token vocabulary bounded regardless of
     source variable names; the search uses other prefixes to put clauses
-    into disjoint namespaces (see `saturation`).
+    into disjoint namespaces (see `saturation`). The walk is the one of
+    `normalize_variables_twice`, with both namespaces the same.
     """
-    mapping: dict[str, Term] = {}
-    lits = []
-    changed = False
-    for l in c.literals:
-        args = tuple([_rename(a, mapping, prefix) for a in l.args])
-        if all(a is b for a, b in zip(args, l.args)):
-            lits.append(l)
-        else:
-            lits.append(rebuild_literal(l.pred, args, l.positive))
-            changed = True
-    return _copy_with(c, tuple(lits)) if changed else c
-
-
-def _rename(t: Term, mapping: dict[str, Term], prefix: str) -> Term:
-    """`t` with its variables renamed into the `prefix` namespace, in the
-    order `mapping` (source name -> new variable) first saw them."""
-    if t.args:
-        args = tuple([_rename(a, mapping, prefix) for a in t.args])
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return rebuild_term(t.sym, args)
-    if not t.is_var:
-        return t
-    v = mapping.get(t.sym.name)
-    if v is None:
-        v = mapping[t.sym.name] = _namespace_var(prefix, len(mapping))
-    return t if v.sym.name == t.sym.name else v
+    return normalize_variables_twice(c, prefix, prefix)[0]
 
 
 def normalize_variables_twice(c: Clause, first: str, second: str) -> tuple[Clause, Clause]:
@@ -638,45 +599,6 @@ def _rename_apart(t: Term, suffix: str) -> Term:
     return rebuild_term(t.sym, tuple([_rename_apart(a, suffix) for a in t.args]))
 
 
-def canonical_key(c: Clause) -> tuple:
-    """A hashable key that is equal for clauses that are syntactic variants.
-
-    A key is a pair of tuples. The first is the clause's variable-blind
-    projection: per literal, its polarity, its predicate name and then the
-    preorder of its argument terms, with every variable written as "" and
-    every other symbol as its name. Literals appear in the order of a
-    stable sort of their projections. The second tuple numbers the
-    variables in that order by first occurrence. One walk over the clause
-    builds both. Within one signature a name has one arity (the parser
-    rejects anything else), so the key determines the clause up to
-    variable renaming. Used for duplicate detection; near-misses (variants
-    whose literals sort differently because equal projections keep their
-    input order) are safe, they just dedup less. `key_and_classes` builds
-    the same key; this is the reference walk.
-    """
-    blinds = []
-    occurrences = []
-    for lit in c.literals:
-        toks: list = [lit.positive, lit.pred.name]
-        names: list[str] = []
-        for a in lit.args:
-            _blind_walk(a, toks, names)
-        blinds.append(tuple(toks))
-        occurrences.append(names)
-    return _sorted_key(blinds, occurrences)
-
-
-def _blind_walk(t: Term, toks: list, names: list[str]) -> None:
-    sym = t.sym
-    if sym.kind == VARIABLE:
-        toks.append("")
-        names.append(sym.name)
-        return
-    toks.append(sym.name)
-    for a in t.args:
-        _blind_walk(a, toks, names)
-
-
 def _sorted_key(blinds: list[tuple], occurrences: list[list[str]]) -> tuple:
     """The key of literals with these blind projections and variable
     occurrences: projections in stable sorted order, then the variables
@@ -701,13 +623,27 @@ def _sorted_key(blinds: list[tuple], occurrences: list[list[str]]) -> tuple:
     return flat, tuple([numbers.setdefault(name, len(numbers)) for name in names])
 
 
-def key_and_classes(literals: tuple[Literal, ...], conj: frozenset[Symbol]) -> tuple[tuple, bytes]:
-    """The `canonical_key` of a clause with these literals and the
-    `classes` of its `SymbolRecord` against `conj`, from one walk.
+def canonical_key(literals: tuple[Literal, ...],
+                  conj: frozenset[Symbol]) -> tuple[tuple, bytes]:
+    """A hashable key that is equal for clauses with these literals that
+    are syntactic variants, and the `classes` of their `SymbolRecord`
+    against `conj`, from one walk.
 
-    The key's projections and the classes visit the same preorder, so one
-    pass over the terms gives both; the classes stay in literal order, the
-    key sorts its literals afterwards.
+    A key is a pair of tuples. The first is the clause's variable-blind
+    projection: per literal, its polarity, its predicate name and then the
+    preorder of its argument terms, with every variable written as "" and
+    every other symbol as its name. Literals appear in the order of a
+    stable sort of their projections. The second tuple numbers the
+    variables in that order by first occurrence. Within one signature a
+    name has one arity (the parser rejects anything else), so the key
+    determines the clause up to variable renaming. Used for duplicate
+    detection; near-misses (variants whose literals sort differently
+    because equal projections keep their input order) are safe, they just
+    dedup less.
+
+    The projections and the classes visit the same preorder, so one pass
+    over the terms gives both; the classes stay in literal order, the key
+    sorts its literals afterwards.
     """
     blinds = []
     occurrences = []

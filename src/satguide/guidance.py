@@ -69,6 +69,11 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode != MODE_AUTO and self.model is None:
             raise ValueError(f"mode {self.mode!r} requires a model")
+        if self.hybrid_nn_picks < 1:
+            raise ValueError(f"hybrid_nn_picks must be at least 1, got {self.hybrid_nn_picks}")
+        if self.hybrid_nn_picks != 1 and self.mode not in (MODE_HYBRID, MODE_SWITCHED):
+            raise ValueError(f"hybrid_nn_picks interleaves network picks into a classical "
+                             f"schedule; mode {self.mode!r} has none")
         for name in ("phase1_budget", "phase1_ms"):
             value = getattr(self, name)
             if value is not None and self.mode != MODE_SWITCHED:

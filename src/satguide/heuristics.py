@@ -5,10 +5,12 @@ clauses; selection cycles the entries, consuming `weight` picks from
 each. An entry keys the clauses inserted since its last turn in one
 batch when its turn comes, so every weight function, the network's
 included, sees batches. A popped clause disappears from every entry's
-ranking (global tombstoning via the shared alive set). The symbol-based
-weights read each clause's `SymbolRecord`, built once at admission;
-entries with the same class weights share one fold per clause, and
-every entry computes its tiers in line.
+ranking (global tombstoning via the shared alive set). A weight function
+weighs clauses only through `batch_keys`. The symbol-based weights read
+each clause's `SymbolRecord`, which the search's one key walk
+(`fol.canonical_key`) built at admission; entries with the same class
+weights share one fold per clause, and every entry computes its tiers in
+line.
 
 A ranking is bucketed: a heap of the distinct (tier, weight) keys, and
 for each key a heap of the ids of the clauses that have it. Many clauses
@@ -33,7 +35,7 @@ from functools import reduce
 from heapq import heappop, heappush
 from operator import add
 
-from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, symbol_counts, symbol_record
+from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, symbol_record
 
 TIER_CONST = "const"
 TIER_SOS = "sos"
@@ -49,32 +51,6 @@ def _tiers(flavor: str, clauses: list[Clause]) -> list[int]:
 
 
 # -- weight functions ----------------------------------------------------------
-
-
-def symbol_count_weight(c: Clause, fweight: float = 2.0, vweight: float = 1.0) -> float:
-    """fweight per function/predicate occurrence, vweight per variable."""
-    fp, v = symbol_counts(c)
-    return fweight * fp + vweight * v
-
-
-def conjecture_relative_weight(
-    c: Clause,
-    conj_symbols: set[Symbol],
-    base_fw: float = 2.0,
-    base_vw: float = 1.0,
-    conj_multiplier: float = 0.5,
-) -> float:
-    """Symbol-count weight with conjecture symbols discounted.
-
-    Function/predicate occurrences whose symbol appears in the negated
-    conjecture count base_fw * conj_multiplier instead of base_fw.
-
-    The per-occurrence terms are added one at a time in walk order, a
-    left fold from 0.0 (`SymbolRecord.fold`). With a multiplier like 0.1
-    the partial sums round, and the closed form `vw*vars + fw*mult*conj +
-    fw*other` would give other bits and so another search.
-    """
-    return symbol_record(c, conj_symbols).fold(_class_weights(base_fw, base_vw, conj_multiplier))
 
 
 def _class_weights(fw: float, vw: float, mult: float) -> tuple[float, float, float]:
@@ -104,7 +80,8 @@ class FifoWeightFn(WeightFunction):
 
 @dataclass
 class SymbolCountWeightFn(WeightFunction):
-    """`symbol_count_weight`, read off each clause's symbol record."""
+    """Symbol-count weight: fweight per function/predicate occurrence,
+    vweight per variable, read off each clause's symbol record."""
 
     fweight: float = 2.0
     vweight: float = 1.0
@@ -112,15 +89,26 @@ class SymbolCountWeightFn(WeightFunction):
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
         fw, vw = self.fweight, self.vweight
-        records = [c.symbols or symbol_record(c) for c in clauses]  # `symbol_counts`
+        # the counts do not depend on the conjecture set a record was built against
+        records = [c.symbols or symbol_record(c) for c in clauses]
         weights = [fw * rec.fp + vw * rec.vars for rec in records]
         return list(zip(_tiers(self.tier, clauses), weights))
 
 
 @dataclass
 class ConjectureRelativeWeightFn(WeightFunction):
-    """`conjecture_relative_weight`, read off each clause's symbol record:
-    entries with the same class weights share one fold per clause."""
+    """Symbol-count weight with conjecture symbols discounted, read off
+    each clause's symbol record.
+
+    Function/predicate occurrences whose symbol appears in the negated
+    conjecture count base_fw * conj_multiplier instead of base_fw.
+
+    The per-occurrence terms are added one at a time in walk order, a
+    left fold from 0.0 (`SymbolRecord.fold`). With a multiplier like 0.1
+    the partial sums round, and the closed form `vw*vars + fw*mult*conj +
+    fw*other` would give other bits and so another search. Entries with
+    the same class weights share one fold per clause.
+    """
 
     conj_symbols: frozenset[Symbol] = frozenset()
     base_fw: float = 2.0

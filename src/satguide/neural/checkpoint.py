@@ -67,7 +67,10 @@ def load_checkpoint(data: bytes, expected_vocab_hash: str | None = None) -> Mode
             "vocabulary hash mismatch: the model was trained against a "
             "different vocabulary"
         )
-    config = ModelConfig.from_json(_read_str(buf))
+    try:
+        config = ModelConfig.from_json(_read_str(buf))
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
     if config.arch != arch:
         raise CheckpointError("architecture tag disagrees with config")
     (n_params,) = struct.unpack("<I", buf.read(4))

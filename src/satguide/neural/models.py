@@ -72,9 +72,13 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
+        """The config `to_json` wrote; a key this version has no field
+        for raises ValueError, naming it."""
         raw = json.loads(text)
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in raw.items() if k in names})
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model config keys {unknown}")
+        return cls(**raw)
 
 
 @dataclass

@@ -24,13 +24,16 @@ Admission works on the bare literal tuple a rule returns, with its
 duplicate literals merged and a tautology flag from the same hash pass.
 A generated clause takes the next id, then is checked in this order:
 the size cap (a capped clause makes the search lossy), the tautology
-flag, the duplicate key. One walk builds the duplicate key and the
-symbol classes that every weight reads. Only a clause that passes every
-check, or the empty clause, becomes a `Clause` with a `ProofNode`, built
-without the dataclass checks (`fol.derived_clause`); dropped resolvents
-leave no clause object or proof node behind, only their id. A step
-reads the generated and memory caps once, and merges and sorts the
-resolution partners only when they come from more than one index list.
+flag, the duplicate key. One walk, `fol.canonical_key`, builds the
+duplicate key and the symbol classes that every weight reads, for input
+and derived clauses alike. Only a clause that passes every check, or the
+empty clause, becomes a `Clause`, built without the dataclass checks
+(`fol.derived_clause`) and kept once, in `clauses`; dropped resolvents
+leave no clause object behind, only their id. A clause's parents and
+rule live on the clause, and `build_proof` makes proof nodes only for
+the clauses a proof uses. A step reads the generated and memory caps
+once, and merges and sorts the resolution partners only when they come
+from more than one index list.
 
 The search makes no reference cycles, so every object it drops is freed
 by its reference count at once. `run` so pauses Python's cyclic garbage
@@ -71,9 +74,7 @@ from .fol import (
     canonical_key,
     clause_str,
     derived_clause,
-    key_and_classes,
     normalize_variables_twice,
-    symbol_record,
 )
 from .heuristics import SelectionSchedule, parse_schedule
 from .rules import (
@@ -313,7 +314,7 @@ class Saturation:
             schedule = parse_schedule(config.schedule, self.conj_symbols)
         self.schedule = schedule
         self.processed: list[Clause] = []  # in the processed namespace
-        self.nodes: dict[int, ProofNode] = {}
+        self.clauses: dict[int, Clause] = {}  # every admitted clause, by id
         self.steps = 0
         self.generated = 0
         self.discarded_given = 0
@@ -336,21 +337,23 @@ class Saturation:
         ]
         if _wants_equality(problem, config.equality_axioms):
             for name, lits in equality_axioms(problem):
-                inputs.append(
-                    Clause(len(inputs), lits, role=ROLE_AXIOM, origin=name)
-                )
+                inputs.append(Clause(len(inputs), lits, role=ROLE_AXIOM,
+                                     rule=RULE_EQ_AXIOM, origin=name))
         # `=` read as a plain predicate: saturation says nothing about the
         # models in which it is equality
         self.equality_dropped = config.equality_axioms == "never" and _uses_equality(problem)
         self.next_id = len(inputs)
+        # inputs are keyed and classified as derived clauses are (`_admit`),
+        # but every one is inserted, duplicates of each other included
         for c in inputs:
-            rule = RULE_EQ_AXIOM if (c.origin or "").startswith("eq_") else RULE_INPUT
-            self.nodes[c.id] = ProofNode(c, (), rule)
-            self.seen_keys.add(canonical_key(c))
+            self.clauses[c.id] = c
+            key, classes = canonical_key(c.literals, self.conj_symbols)
+            self.seen_keys.add(key)
+            c.symbols = SymbolRecord(self.conj_symbols, classes)
+            self.stored_symbols += len(classes)
             if c.is_empty and self.empty_clause_id is None:
                 self.empty_clause_id = c.id
             self.schedule.insert(c)
-            self._store_symbols(c)
 
     # -- one step -------------------------------------------------------------
 
@@ -444,9 +447,9 @@ class Saturation:
         The checks read the bare literals, in this order: the size cap (a
         capped clause makes the search lossy), the tautology flag, the
         duplicate key. Only a clause that passes them all, or the empty
-        clause, becomes a `Clause` (built unchecked, as `derived_clause`)
-        with a `ProofNode`; every generated clause takes an id, so ids do
-        not depend on what is dropped.
+        clause, becomes a `Clause` (built unchecked, as `derived_clause`);
+        every generated clause takes an id, so ids do not depend on what is
+        dropped.
         """
         self.generated += 1
         cid = self.next_id
@@ -458,7 +461,7 @@ class Saturation:
                 return False
             if tautology:
                 return False
-            key, classes = key_and_classes(lits, self.conj_symbols)
+            key, classes = canonical_key(lits, self.conj_symbols)
             seen = self.seen_keys
             known = len(seen)
             seen.add(key)  # one hash of the key, where `in` then `add` take two
@@ -468,20 +471,13 @@ class Saturation:
             record = SymbolRecord(self.conj_symbols, classes)
         else:
             record = None
-        c = derived_clause(cid, lits, parents, rule, goal_descendant, record)
-        self.nodes[cid] = ProofNode(c, parents, rule)
+        c = self.clauses[cid] = derived_clause(cid, lits, parents, rule, goal_descendant, record)
         if not lits:
             self.empty_clause_id = cid
             return True
         self.stored_symbols += len(classes)
         self.schedule.insert(c)
         return False
-
-    def _store_symbols(self, c: Clause):
-        """Count c's symbols into memory use; this builds the record its
-        weights read."""
-        rec = symbol_record(c, self.conj_symbols)
-        self.stored_symbols += rec.fp + rec.vars
 
     # -- limits ---------------------------------------------------------------
 
@@ -526,17 +522,18 @@ class Saturation:
     # -- results ----------------------------------------------------------------
 
     def build_proof(self) -> Proof:
+        """The derivation of the empty clause: a `ProofNode` for each
+        clause it uses, read off the admitted clauses."""
         assert self.empty_clause_id is not None
-        used = set()
+        derivation: dict[int, ProofNode] = {}
         stack = [self.empty_clause_id]
         while stack:
             cid = stack.pop()
-            if cid in used:
-                continue
-            used.add(cid)
-            stack.extend(self.nodes[cid].parents)
-        derivation = {cid: self.nodes[cid] for cid in used}
-        return Proof(self.empty_clause_id, derivation, used)
+            if cid not in derivation:
+                c = self.clauses[cid]
+                derivation[cid] = ProofNode(c, c.parents, c.rule)
+                stack.extend(c.parents)
+        return Proof(self.empty_clause_id, derivation, set(derivation))
 
     def result(self, outcome: str, t0: float) -> ProveResult:
         """The SZS status of a search that `run` stopped with `outcome`.

@@ -9,7 +9,12 @@ finite up to renaming.
 
 `string_key` is the printed duplicate key the search used before its
 tuple key (`fol.canonical_key`); it stays here as the reference the tuple
-key is checked against. `subsumes` is the plain backtracking subsumption
+key is checked against. `canonical_key` and `symbol_classes` are the
+tuple key and the `SymbolRecord` classes as two separate walks over a
+`Clause` built them, before one walk over the bare literals gave both;
+`normalize_variables` is the one-namespace renaming walk as it was before
+it shared the walk of `fol.normalize_variables_twice`. They are the
+references for the one key walk and the one renaming walk. `subsumes` is the plain backtracking subsumption
 test that `rules.subsumes` prunes, over the one-way matching of
 `match_literals` as it was before substitutions were keyed by variable
 name; it is the reference for both.
@@ -51,15 +56,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from satguide.fol import (
+    CONJ_CLASS,
+    OTHER_CLASS,
+    VAR_CLASS,
     VARIABLE,
     Clause,
     Literal,
     Problem,
     Symbol,
     Term,
+    Var,
     clause_str,
     clause_tokens,
-    normalize_variables,
     normalized_str,
 )
 from satguide.neural import tensor as T
@@ -84,6 +92,81 @@ def string_key(c: Clause) -> str:
 def _blind_str(lit: Literal) -> str:
     toks = clause_tokens(Clause(0, (lit,)))
     return " ".join("_" if t and t[0].isupper() else t for t in toks)
+
+
+def canonical_key(c: Clause) -> tuple:
+    """The duplicate key of `fol.canonical_key`: the literals' variable-blind
+    projections in stable sorted order, then the variables numbered by
+    first occurrence in that order."""
+    blinds, occurrences = [], []
+    for lit in c.literals:
+        toks: list = [lit.positive, lit.pred.name]
+        names: list[str] = []
+        for a in lit.args:
+            _blind_walk(a, toks, names)
+        blinds.append(tuple(toks))
+        occurrences.append(names)
+    order = sorted(range(len(blinds)), key=blinds.__getitem__)
+    numbers: dict[str, int] = {}
+    return (tuple(tok for i in order for tok in blinds[i]),
+            tuple(numbers.setdefault(name, len(numbers)) for i in order for name in occurrences[i]))
+
+
+def _blind_walk(t: Term, toks: list, names: list[str]) -> None:
+    if t.sym.kind == VARIABLE:
+        toks.append("")
+        names.append(t.sym.name)
+        return
+    toks.append(t.sym.name)
+    for a in t.args:
+        _blind_walk(a, toks, names)
+
+
+def symbol_classes(c: Clause, conj) -> bytes:
+    """The `SymbolRecord.classes` of `c` against `conj`: one class per
+    symbol occurrence, in walk order."""
+    out = bytearray()
+    for lit in c.literals:
+        out.append(CONJ_CLASS if lit.pred in conj else OTHER_CLASS)
+        for a in lit.args:
+            _classify(a, conj, out)
+    return bytes(out)
+
+
+def _classify(t: Term, conj, out: bytearray) -> None:
+    if t.is_var:
+        out.append(VAR_CLASS)
+        return
+    out.append(CONJ_CLASS if t.sym in conj else OTHER_CLASS)
+    for a in t.args:
+        _classify(a, conj, out)
+
+
+def normalize_variables(c: Clause, prefix: str = "V") -> Clause:
+    """`c` with its variables renamed to `prefix`1, `prefix`2, ... in order
+    of first occurrence; `c` itself when nothing changes, and every literal
+    and subterm that does not change is shared with `c`."""
+    mapping: dict[str, Term] = {}
+    lits = []
+    for l in c.literals:
+        args = tuple([_rename(a, mapping, prefix) for a in l.args])
+        lits.append(l if all(a is b for a, b in zip(args, l.args))
+                    else Literal(l.pred, args, l.positive))
+    if all(a is b for a, b in zip(lits, c.literals)):
+        return c
+    return replace(c, literals=tuple(lits))
+
+
+def _rename(t: Term, mapping: dict[str, Term], prefix: str) -> Term:
+    if t.args:
+        args = tuple([_rename(a, mapping, prefix) for a in t.args])
+        return t if all(a is b for a, b in zip(args, t.args)) else Term(t.sym, args)
+    if not t.is_var:
+        return t
+    v = mapping.get(t.sym.name)
+    if v is None:
+        v = mapping[t.sym.name] = Var(f"{prefix}{len(mapping) + 1}")
+    return t if v.sym.name == t.sym.name else v
 
 
 def match_terms(pattern: Term, target: Term, sub=None):

@@ -1,5 +1,8 @@
 """Checkpoint serialization: byte-stability and guards."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,19 @@ def test_config_round_trips():
     loaded = load_checkpoint(save_checkpoint(model))
     assert loaded.config == model.config
     assert loaded.vocab_hash == model.vocab_hash
+
+
+def test_unknown_config_key_rejected():
+    # a checkpoint with a field this version lacks must not load with defaults
+    model = model_of()
+    text = model.config.to_json().encode()
+    extra = json.dumps({**json.loads(text), "layer_norm": True}, sort_keys=True).encode()
+    blob = save_checkpoint(model)
+    field = struct.pack("<I", len(text)) + text
+    assert blob.count(field) == 1
+    blob = blob.replace(field, struct.pack("<I", len(extra)) + extra)
+    with pytest.raises(CheckpointError, match=r"unknown model config keys \['layer_norm'\]"):
+        load_checkpoint(blob)
 
 
 def test_all_architectures_round_trip():

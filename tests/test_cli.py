@@ -247,3 +247,26 @@ def test_experiment_rejects_phase1_outside_switched(tmp_path, model_files, monke
     with pytest.raises(ValueError, match="phase1_budget sets switched mode's phase 1"):
         main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
     assert not cells and not out_path.exists()
+
+
+@pytest.mark.parametrize("mode,picks,error", [
+    ("pure", 7, "mode 'pure' has none"), ("hybrid", 0, "must be at least 1")])
+def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_files,
+                                                             monkeypatch, mode, picks, error):
+    # refused while the methods are read, not written as one Error record
+    # per cell
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    model, vocab = model_files[1], model_files[3]
+    config = {
+        "corpus": {"seed": 0, "families": ["mini"]},
+        "methods": [{"id": "auto", "mode": "auto"},
+                    {"id": "nn", "mode": mode, "model": model, "vocab": vocab,
+                     "hybrid_nn_picks": picks}],
+        "limits": {"max_processed": 50},
+    }
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=f"hybrid_nn_picks.*{error}"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    assert not cells and not out_path.exists()

@@ -13,16 +13,19 @@ reference implementations in `oracles` (generator walks, no cached
 hashes, a fresh term for every substitution, literals compared pair by
 pair): the mgus make the same atoms, the resolvents are equal, the flags
 and counts are equal, and the weights have the same bits and tiers. The
-one walk that keys and classifies each generated clause gives the key of
-`canonical_key` and the classes of `symbol_record`, and the one-walk
-printer and two-namespace renamer give what the renamed copies give. The
-cached `Symbol` and `Term` hashes equal the hashes of their field tuples.
+one walk that keys and classifies every clause the search admits,
+`canonical_key`, gives the key and the classes of the two walks it
+replaced (`oracles.canonical_key` and `oracles.symbol_classes`), on those
+clauses and on every input clause of the corpus; the one-walk printer
+and the one renaming walk give what the renaming walk it replaced
+(`oracles.normalize_variables`) gives. The cached `Symbol` and `Term`
+hashes equal the hashes of their field tuples.
 
 The leaf fast paths are also checked on random atoms that mix leaf and
 compound arguments: `unify_atoms` against `oracles.unify_terms` over the
 argument pairs (a variable bound to a compound earlier in the same atom
 included), the in-line leaf renaming of `normalize_variables_twice`
-against two `normalize_variables` calls, the direct 2-literal `_merged`
+against two `oracles.normalize_variables` calls, the direct 2-literal `_merged`
 against `oracles.is_tautology`, and a clause built by `derived_clause`
 against one built by `Clause(...)`, field by field. A bucketed ranking
 pops what a plain (tier, weight, id) heap pops, over random insertion
@@ -63,7 +66,6 @@ from satguide.fol import (
     normalize_variables_twice,
     normalized_str,
     problem_str,
-    symbol_counts,
     symbol_record,
     term_symbols,
 )
@@ -131,7 +133,7 @@ def _tier(flavor, c):
 @pytest.fixture(scope="module")
 def searches(problems, log):
     inner_resolve, inner_factor = saturation.resolve, saturation.factor
-    inner_unify, inner_key = rules.unify_atoms, saturation.key_and_classes
+    inner_unify, inner_key = rules.unify_atoms, saturation.canonical_key
     conjrel_fn, symcount_fn = heuristics.ConjectureRelativeWeightFn, heuristics.SymbolCountWeightFn
     inner_conjrel, inner_symcount = conjrel_fn.batch_keys, symcount_fn.batch_keys
 
@@ -188,7 +190,7 @@ def searches(problems, log):
         keys = inner_symcount(fn, clauses)
         for c, (tier, w) in zip(clauses, keys):
             fp, v = oracles.symbol_counts(c)
-            log["counts"].append((symbol_counts(c), (fp, v)))
+            log["counts"].append(((c.symbols.fp, c.symbols.vars), (fp, v)))
             log["weights"].append(("symcount", float(w).hex(),
                                    float(fn.fweight * fp + fn.vweight * v).hex()))
             log["tiers"].append((tier, _tier(fn.tier, c)))
@@ -199,7 +201,7 @@ def searches(problems, log):
         mp.setattr(saturation, "resolve", resolved)
         mp.setattr(saturation, "factor", factored)
         mp.setattr(saturation, "subsumes", compared)
-        mp.setattr(saturation, "key_and_classes", keyed)
+        mp.setattr(saturation, "canonical_key", keyed)
         mp.setattr(rules, "unify_atoms", unified)
         mp.setattr(conjrel_fn, "batch_keys", conjrel)
         mp.setattr(symcount_fn, "batch_keys", symcount)
@@ -213,9 +215,7 @@ def searches(problems, log):
 def test_tuple_key_partitions_like_string_key(searches, log):
     # every input clause and every generated clause that reached the
     # duplicate check, dropped duplicates included
-    pairs = {(string_key(n.clause), canonical_key(n.clause))
-             for state in searches for n in state.nodes.values() if not n.parents}
-    pairs |= {(string_key(Clause(0, lits)), key) for lits, _, key, _ in log["keyed"]}
+    pairs = {(string_key(Clause(0, lits)), key) for lits, _, key, _ in log["keyed"]}
     by_string, by_tuple = {}, {}
     for s, t in pairs:
         by_string.setdefault(s, set()).add(t)
@@ -226,15 +226,34 @@ def test_tuple_key_partitions_like_string_key(searches, log):
 
 
 def test_admission_walk_agrees_with_reference_walks(searches, log):
-    # the one walk that keys and classifies a generated clause gives the
-    # key of `canonical_key` and the classes of `symbol_record`
+    # the one walk that keys and classifies every admitted clause, input
+    # or generated, gives the key and the classes of the two reference walks
     keyed = log["keyed"]
     assert len(keyed) > 10_000
     assert len({key for _, _, key, _ in keyed}) < len(keyed)  # duplicates seen
+    inputs = {c.literals for state in searches for c in state.clauses.values()
+              if not c.parents}
+    assert inputs <= {lits for lits, *_ in keyed}
     for lits, conj, key, classes in keyed:
         c = Clause(0, lits)
-        assert key == canonical_key(c)
-        assert classes == symbol_record(c, conj).classes
+        assert key == oracles.canonical_key(c)
+        assert classes == oracles.symbol_classes(c, conj)
+
+
+def test_one_walk_agrees_with_reference_walks_on_corpus_inputs():
+    # the key, the classes of `symbol_record` and the renaming, on every
+    # input clause of the corpus
+    checked = 0
+    for item in desk_corpus(0):
+        conj = item.problem.conjecture_symbols()
+        for c in item.problem.clauses():
+            key, classes = canonical_key(c.literals, conj)
+            assert key == oracles.canonical_key(c)
+            assert classes == symbol_record(c, conj).classes == oracles.symbol_classes(c, conj)
+            copy, ref = normalize_variables(c), oracles.normalize_variables(c)
+            assert copy.literals == ref.literals and (copy is c) == (ref is c)
+            checked += 1
+    assert checked > 9000
 
 
 def test_tautology_flags_agree_with_reference(searches, log):
@@ -319,8 +338,8 @@ def test_weights_agree_with_reference_bitwise(searches, log):
 def test_cached_hashes_equal_field_tuple_hashes(searches):
     syms, terms = set(), []
     for state in searches:
-        for node in state.nodes.values():
-            for lit in node.clause.literals:
+        for c in state.clauses.values():
+            for lit in c.literals:
                 syms.add(lit.pred)
                 for a in lit.args:
                     syms.update(term_symbols(a))
@@ -335,17 +354,20 @@ def test_cached_hashes_equal_field_tuple_hashes(searches):
 
 
 def test_one_walk_printing_and_renaming_agree_with_renamed_copies(searches):
-    # trace text and the step's two namespaces, each from one walk
+    # trace text, one namespace and the step's two namespaces, each from
+    # one walk, against the reference renaming walk
     clauses = [c for state in searches for c in state.processed]
-    clauses += [n.clause for state in searches for n in state.nodes.values()]
+    clauses += [c for state in searches for c in state.clauses.values()]
     clauses += [c for item in desk_corpus(1) for c in item.problem.clauses()]
     assert len(clauses) > 10_000
     for c in clauses:
-        assert normalized_str(c) == clause_str(normalize_variables(c))
+        assert normalized_str(c) == clause_str(oracles.normalize_variables(c))
         pair = normalize_variables_twice(c, "P", "G")
         for copy, prefix in zip(pair, "PG"):
-            ref = normalize_variables(c, prefix)
+            ref = oracles.normalize_variables(c, prefix)
             assert copy.literals == ref.literals and (copy is c) == (ref is c)
+            one = normalize_variables(c, prefix)
+            assert one.literals == ref.literals and (one is c) == (ref is c)
             assert (copy.id, copy.role, copy.parents, copy.goal_descendant) == \
                 (c.id, c.role, c.parents, c.goal_descendant)
 
@@ -358,11 +380,11 @@ def test_variable_names_do_not_grow_with_depth(searches):
     longest: dict[int, int] = {}  # derivation depth -> longest variable name
     for state in searches:
         depth: dict[int, int] = {}
-        for cid in sorted(state.nodes):
-            node = state.nodes[cid]
-            d = 1 + max((depth[p] for p in node.parents), default=-1)
+        for cid in sorted(state.clauses):
+            c = state.clauses[cid]
+            d = 1 + max((depth[p] for p in c.parents), default=-1)
             depth[cid] = d
-            names = [len(v.name) for v in clause_variables(node.clause)]
+            names = [len(v.name) for v in clause_variables(c)]
             longest[d] = max(longest.get(d, 0), *names, 0)
     assert max(longest) >= 8
     assert max(longest[d] for d in longest if d >= 2) <= longest[1]
@@ -471,7 +493,7 @@ def test_leaf_renaming_agrees_with_two_normalizations():
         c = Clause(7, tuple(_random_atom(rng, variables) for _ in range(rng.randint(1, 3))))
         pair = normalize_variables_twice(c, "P", "G")
         for copy, prefix in zip(pair, "PG"):
-            ref = normalize_variables(c, prefix)
+            ref = oracles.normalize_variables(c, prefix)
             assert copy.literals == ref.literals and (copy is c) == (ref is c)
 
 

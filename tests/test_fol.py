@@ -18,13 +18,11 @@ from satguide.fol import (
     canonical_key,
     clause_str,
     clause_tokens,
-    key_and_classes,
     normalize_variables,
     normalize_variables_twice,
     normalized_str,
     printed_name,
     problem_str,
-    symbol_counts,
     symbol_record,
 )
 from satguide.parser import lex, parse_tptp
@@ -131,7 +129,8 @@ class TestPrinting:
 
     def test_symbol_counts(self):
         cl = Clause(0, (lit("p", f("g", Var("X"), c("a"))),))
-        assert symbol_counts(cl) == (3, 1)  # p, g, a / X
+        rec = symbol_record(cl)
+        assert (rec.fp, rec.vars) == (3, 1)  # p, g, a / X
 
 
 class TestNormalize:
@@ -175,22 +174,25 @@ class TestNormalize:
         assert normalize_variables_twice(ground, "P", "G") == (ground, ground)
 
 
+def key_of(*literals):
+    return canonical_key(literals, frozenset())[0]
+
+
 class TestCanonicalKey:
     def test_variants_share_key(self):
-        c1 = Clause(0, (lit("p", Var("X")), lit("q", Var("Y"))))
-        c2 = Clause(1, (lit("q", Var("A")), lit("p", Var("B"))))
-        assert canonical_key(c1) == canonical_key(c2)
+        assert key_of(lit("p", Var("X")), lit("q", Var("Y"))) == \
+            key_of(lit("q", Var("A")), lit("p", Var("B")))
 
     def test_distinct_clauses_differ(self):
-        c1 = Clause(0, (lit("p", Var("X")), lit("p", Var("X"))))
-        c2 = Clause(1, (lit("p", Var("X")), lit("p", Var("Y"))))
-        assert canonical_key(c1) != canonical_key(c2)
+        assert key_of(lit("p", Var("X")), lit("p", Var("X"))) != \
+            key_of(lit("p", Var("X")), lit("p", Var("Y")))
 
     def test_one_walk_gives_key_and_classes(self):
         conj = frozenset([Symbol("q", PREDICATE, 1), Symbol("a", FUNCTION, 0)])
         cl = Clause(0, (lit("q", f("g", Var("X"), c("a"))), lit("p", Var("Y"))))
-        key, classes = key_and_classes(cl.literals, conj)
-        assert key == canonical_key(cl)
+        key, classes = canonical_key(cl.literals, conj)
+        # literals sorted by projection, variables numbered in that order
+        assert key == ((True, "p", "", True, "q", "g", "", "a"), (0, 1))
         assert classes == symbol_record(cl, conj).classes == bytes([1, 2, 0, 1, 2, 0])
 
 

@@ -300,6 +300,25 @@ class TestSwitched:
         with pytest.raises(ValueError, match=f"{option} sets switched mode's phase 1"):
             GuidanceConfig(mode=mode, model=model, vocab=Vocabulary(), **{option: 5})
 
+    @pytest.mark.parametrize("mode,picks", [("pure", 7), ("pure", 0), ("auto", 2),
+                                            ("hybrid", 0), ("switched", -1)])
+    def test_hybrid_nn_picks_it_cannot_honour_rejected(self, mode, picks):
+        # other than 1 only where a classical schedule takes the picks, and
+        # never below 1: a pure search would ignore it, and a weight of 0
+        # would fail only when the schedule is built, in every cell
+        model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
+        with pytest.raises(ValueError, match="hybrid_nn_picks"):
+            GuidanceConfig(mode=mode, model=None if mode == "auto" else model,
+                           vocab=Vocabulary(), hybrid_nn_picks=picks)
+
+    @pytest.mark.parametrize("mode", ["hybrid", "switched"])
+    def test_hybrid_nn_picks_weigh_the_network_entry(self, mode):
+        problem = tiny_problem()
+        vocab = vocab_for(problem)
+        config = GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
+                                hybrid_nn_picks=3)
+        assert build_schedule(config, problem).entries[0].weight == 3
+
     def test_finishes_in_phase1_when_easy(self):
         problem = tiny_problem()
         vocab = vocab_for(problem)

@@ -10,15 +10,26 @@ from satguide.heuristics import (
     SelectionSchedule,
     SymbolCountWeightFn,
     WeightFunction,
-    conjecture_relative_weight,
     parse_schedule,
-    symbol_count_weight,
 )
 from satguide.parser import parse_clause_text
 
 
 def clause_of(text, cid, role="axiom"):
     return Clause(cid, parse_clause_text(text), role=role)
+
+
+def symbol_count_weight(c, fweight=2.0, vweight=1.0):
+    """The weight `SymbolCountWeightFn` keys `c` with."""
+    [(_, w)] = SymbolCountWeightFn(fweight, vweight).batch_keys([c])
+    return w
+
+
+def conjecture_relative_weight(c, conj, base_fw=2.0, base_vw=1.0, mult=0.5):
+    """The weight `ConjectureRelativeWeightFn` keys `c` with."""
+    fn = ConjectureRelativeWeightFn(frozenset(conj), base_fw, base_vw, mult)
+    [(_, w)] = fn.batch_keys([c])
+    return w
 
 
 class KeyLog(WeightFunction):

@@ -118,6 +118,20 @@ class TestProve:
         assert all("<-" in l for l in lines)
         assert lines[-1].split(". ", 1)[1].startswith("$false")
 
+    def test_derivation_rule_is_the_clause_rule(self):
+        # a user axiom whose name starts like an equality axiom's is an input
+        p = parse_tptp("cnf(eq_mine, axiom, (p(a))). cnf(g, negated_conjecture, (~p(a))).")
+        lines = derivation_lines(prove(p, fifo_config()).proof)
+        assert lines[0] == "0. p(a) <- [] rule=input"
+        assert not any("eq_axiom" in line for line in lines)
+        # the injected equality axioms carry their own rule
+        p = parse_tptp("cnf(eq_mine, axiom, (a = b)). cnf(g, negated_conjecture, (b != a)).")
+        r = prove(p, SearchConfig())
+        lines = derivation_lines(r.proof)
+        assert "0. a = b <- [] rule=input" in lines
+        assert any(line.endswith("rule=eq_axiom") for line in lines)
+        assert verify_proof_detailed(r.proof, p)[0]
+
 
 class TestGivenClauseStep:
     def test_saturated_on_empty_queue(self):
@@ -186,7 +200,7 @@ def test_capped_tautology_makes_saturation_lossy():
     free = prove(p, SearchConfig())
     assert free.status == SAT and free.generated_count == 2
     # the dropped resolvents took ids 2 and 3 but became no clause or node
-    assert sorted(free.state.nodes) == [0, 1] and free.state.next_id == 4
+    assert sorted(free.state.clauses) == [0, 1] and free.state.next_id == 4
 
 
 def test_symbols_walked_once_per_stored_clause(monkeypatch):
@@ -206,7 +220,7 @@ def test_symbols_walked_once_per_stored_clause(monkeypatch):
     problem = next(item.problem for item in desk_corpus(0) if item.name == "flood023")
     state = Saturation(problem, SearchConfig(max_processed=300, max_wall_ms=None))
     state.run()
-    stored = [n.clause for n in state.nodes.values() if n.clause.symbols is not None]
+    stored = [c for c in state.clauses.values() if c.symbols is not None]
     assert len(stored) > 1000
     assert len(built) == len(stored)
     assert all(conj is problem.conjecture_symbols() for conj in built)

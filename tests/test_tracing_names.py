@@ -8,7 +8,9 @@ search, a premise ranking and a training step under it, and uninstalls it
 again. A second test traces an unguided Auto search and checks that every
 search-core span and the unifier counter record calls: a refactor that
 routes the search around a spanned name would otherwise read as a zero
-in the benchmark's per-layer split.
+in the benchmark's per-layer split. A third checks that the search keys
+every clause it inserts, so that the benchmark's duplicate ratio lies in
+[0, 1).
 """
 
 import importlib.util
@@ -46,7 +48,7 @@ fof(goal, conjecture, ?[X]: q(X)).
 """
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def tracing():
     spec = importlib.util.spec_from_file_location("satguide_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
@@ -91,7 +93,9 @@ SEARCH_SPANS = ["rules.resolve", "rules.factor", "rules.tautology", "rules.subsu
                 "fol.canonical_key", "heuristics.insert", "heuristics.pop"]
 
 
-def test_auto_search_reaches_every_search_core_span(tracing):
+@pytest.fixture(scope="module")
+def traced_auto(tracing):
+    """A traced unguided Auto search: the problem, its result and the tracer."""
     problem = next(item.problem for item in desk_corpus(0) if item.name == "flood023")
     tracer = tracing.Tracer()
     tracer.install()
@@ -99,8 +103,26 @@ def test_auto_search_reaches_every_search_core_span(tracing):
         result = saturation.prove(problem, SearchConfig(max_processed=200, max_wall_ms=None))
     finally:
         tracer.uninstall()
+    return problem, result, tracer
+
+
+def test_auto_search_reaches_every_search_core_span(traced_auto):
+    _, result, tracer = traced_auto
     assert result.processed_count > 0
     totals = tracer.totals()
     for name in SEARCH_SPANS:
         assert totals.get(name, {"calls": 0})["calls"] > 0, name
     assert tracer.counts["unify.calls"] > 0
+
+
+def test_every_inserted_clause_is_keyed(tracing, traced_auto):
+    # input and derived clauses alike pass through the one key walk before
+    # they are inserted, so the bench's duplicate ratio is a share of keys
+    problem, _, tracer = traced_auto
+    totals = tracer.totals()
+    keys, inserts = totals["fol.canonical_key"]["calls"], totals["heuristics.insert"]["calls"]
+    assert inserts > len(problem.clauses()) and keys >= inserts
+    work = {"attempts": 1, "chars": 0, "clause_evals": 0, "batch_calls": 0}
+    ratio = tracing.layer_metrics(tracer, "saturation", work, 0.0)["fol.duplicate_ratio"]
+    assert 0.0 <= ratio < 1.0
+    assert ratio == 1.0 - inserts / keys
