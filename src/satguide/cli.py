@@ -16,7 +16,7 @@ from dataclasses import fields
 from . import datagen
 from .corpus import corpus_by_tag, desk_corpus
 from .fol import problem_str
-from .guidance import ClauseScorer, GuidanceConfig, guided_prove
+from .guidance import MODES, ClauseScorer, GuidanceConfig, guided_prove
 from .harness import (
     MethodConfig,
     accuracy_eval,
@@ -258,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         # in switched mode these two limits are the totals of both phases
         p.add_argument("--max-processed", type=int, default=20_000, dest="max_processed")
         p.add_argument("--timeout-ms", type=int, default=60_000, dest="timeout_ms")
-        p.add_argument("--mode", default="auto",
-                       choices=["auto", "pure", "hybrid", "switched"])
+        p.add_argument("--mode", default="auto", choices=MODES)
         p.add_argument("--model", default=None)
         p.add_argument("--vocab", default=None)
         p.add_argument("--schedule", default="auto",

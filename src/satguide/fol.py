@@ -19,18 +19,18 @@ collector paused (see `saturation`).
 
 Each job on a clause has one walk. `canonical_key` gives the duplicate
 key and the symbol classes of a `SymbolRecord` together, and is how the
-search keys and classifies every clause it admits; `symbol_record` reuses
-it for callers outside the search. `normalize_variables_twice` renames a
-clause into two variable namespaces, and `normalize_variables` is its
-one-namespace case.
+search keys every clause it admits and classifies it against the
+problem's conjecture symbols, once; `symbol_record` reuses it for callers
+outside a search, which have no conjecture. `normalize_variables_twice`
+renames a clause into two variable namespaces, and `normalize_variables`
+is its one-namespace case.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 
 FUNCTION = "function"
 PREDICATE = "predicate"
@@ -264,22 +264,19 @@ class Problem:
     axioms: list[Clause]
     negated_conjecture: list[Clause]
     signature: set[Symbol] = field(default_factory=set)
-    _conjecture_symbols: frozenset[Symbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.signature:
             self.signature = collect_signature(self.clauses())
-        syms = collect_signature(self.negated_conjecture)
-        self._conjecture_symbols = frozenset(s for s in syms if s.kind != VARIABLE)
 
     def clauses(self) -> list[Clause]:
         return self.axioms + self.negated_conjecture
 
     def conjecture_symbols(self) -> frozenset[Symbol]:
         """Function and predicate symbols occurring in the negated
-        conjecture: the same set object on every call, so that every
-        `symbol_record` built against it serves every later reader."""
-        return self._conjecture_symbols
+        conjecture: the set a search classifies every clause against."""
+        syms = collect_signature(self.negated_conjecture)
+        return frozenset(s for s in syms if s.kind != VARIABLE)
 
 
 def build_problem(name: str, axioms: list[tuple[str | None, Sequence[Literal]]],
@@ -327,47 +324,30 @@ class SymbolRecord:
 
     `classes` holds one byte per occurrence in `clause_symbols` order:
     VAR_CLASS for a variable, CONJ_CLASS for a function or predicate
-    symbol in `conj`, OTHER_CLASS for any other. `fp` and `vars` count the
-    function/predicate and the variable occurrences. `folds` keeps the
-    weights `fold` computed, one per distinct triple of class weights.
+    symbol of the conjecture, OTHER_CLASS for any other. A search
+    classifies every clause it admits against its problem's conjecture
+    symbols (`canonical_key`), so a record belongs to one search. `fp` and
+    `vars` count the function/predicate and the variable occurrences.
+    `folds` keeps the weights the conjecture-relative weight functions
+    folded from the classes, one per distinct triple of class weights.
     """
 
-    __slots__ = ("conj", "classes", "fp", "vars", "folds")
+    __slots__ = ("classes", "fp", "vars", "folds")
 
-    def __init__(self, conj: frozenset[Symbol], classes: bytes):
-        self.conj = conj
+    def __init__(self, classes: bytes):
         self.classes = classes
         self.vars = classes.count(VAR_CLASS)
         self.fp = len(classes) - self.vars
         self.folds: dict[tuple[float, float, float], float] = {}
 
-    def fold(self, terms: tuple[float, float, float]) -> float:
-        """`terms[cls]` added for every class in walk order, a left fold
-        from 0.0; computed once per `terms` and kept.
 
-        The walk order is part of the value: with weights like 0.1 the
-        partial sums round, and a closed form such as `terms[0] * vars +
-        ...` gives other bits.
-        """
-        w = self.folds.get(terms)
-        if w is None:
-            w = self.folds[terms] = reduce(add, map(terms.__getitem__, self.classes), 0.0)
-        return w
-
-
-def symbol_record(c: Clause, conj: frozenset[Symbol] = NO_CONJECTURE) -> SymbolRecord:
-    """The `SymbolRecord` of `c` against the conjecture symbols `conj`,
-    classified by the `canonical_key` walk.
-
-    The record is cached on the clause. A cached record built against
-    another set object (compared by identity, so share one set) is
-    rebuilt. The search caches the record of every clause it admits, so
-    this serves callers outside it.
-    """
+def symbol_record(c: Clause) -> SymbolRecord:
+    """The `SymbolRecord` cached on `c`; a clause without one, which only
+    a caller outside a search has, is classified against no conjecture by
+    the `canonical_key` walk and keeps that record."""
     rec = c.symbols
-    if rec is not None and rec.conj is conj:
-        return rec
-    rec = c.symbols = SymbolRecord(conj, canonical_key(c.literals, conj)[1])
+    if rec is None:
+        rec = c.symbols = SymbolRecord(canonical_key(c.literals, NO_CONJECTURE)[1])
     return rec
 
 

@@ -52,6 +52,7 @@ MODE_AUTO = "auto"
 MODE_PURE = "pure"
 MODE_HYBRID = "hybrid"
 MODE_SWITCHED = "switched"
+MODES = (MODE_AUTO, MODE_PURE, MODE_HYBRID, MODE_SWITCHED)
 
 
 @dataclass
@@ -67,6 +68,8 @@ class GuidanceConfig:
     phase1_ms: int | None = None
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.mode != MODE_AUTO and self.model is None:
             raise ValueError(f"mode {self.mode!r} requires a model")
         if self.hybrid_nn_picks < 1:
@@ -204,7 +207,7 @@ def build_schedule(config: GuidanceConfig, problem: Problem,
     nn = ClauseScorer(config.model, config.vocab, problem, config.batch_size)
     if config.mode == MODE_PURE:
         return SelectionSchedule([(1, nn)])
-    classic = parse_schedule(classical, problem.conjecture_symbols())
+    classic = parse_schedule(classical)
     return SelectionSchedule([(config.hybrid_nn_picks, nn),
                               *((e.weight, e.fn) for e in classic.entries)])
 
@@ -258,7 +261,7 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
                 "finished_in_phase": 1}
         if outcome == LIMIT:
             # switch: same processed set and counters, classical-only rankings
-            state.schedule = parse_schedule(limits.schedule, problem.conjecture_symbols())
+            state.schedule = parse_schedule(limits.schedule)
             for cid in sorted(schedule.alive):
                 state.schedule.insert(schedule.alive[cid])
             info["finished_in_phase"] = 2

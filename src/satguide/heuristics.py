@@ -8,9 +8,12 @@ included, sees batches. A popped clause disappears from every entry's
 ranking (global tombstoning via the shared alive set). A weight function
 weighs clauses only through `batch_keys`. The symbol-based weights read
 each clause's `SymbolRecord`, which the search's one key walk
-(`fol.canonical_key`) built at admission; entries with the same class
-weights share one fold per clause, and every entry computes its tiers in
-line.
+(`fol.canonical_key`) built at admission against the problem's
+conjecture symbols; entries with the same class weights share one fold
+per clause, and every entry computes its tiers in line. Building a
+schedule needs no problem: the search supplies the conjecture through
+the records, so a spec string and the schedule `parse_schedule` builds
+from it give one search.
 
 A ranking is bucketed: a heap of the distinct (tier, weight) keys, and
 for each key a heap of the ids of the clauses that have it. Many clauses
@@ -35,7 +38,7 @@ from functools import reduce
 from heapq import heappop, heappush
 from operator import add
 
-from .fol import ROLE_NEGATED_CONJECTURE, Clause, Symbol, symbol_record
+from .fol import ROLE_NEGATED_CONJECTURE, Clause, symbol_record
 
 TIER_CONST = "const"
 TIER_SOS = "sos"
@@ -89,7 +92,6 @@ class SymbolCountWeightFn(WeightFunction):
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
         fw, vw = self.fweight, self.vweight
-        # the counts do not depend on the conjecture set a record was built against
         records = [c.symbols or symbol_record(c) for c in clauses]
         weights = [fw * rec.fp + vw * rec.vars for rec in records]
         return list(zip(_tiers(self.tier, clauses), weights))
@@ -101,30 +103,27 @@ class ConjectureRelativeWeightFn(WeightFunction):
     each clause's symbol record.
 
     Function/predicate occurrences whose symbol appears in the negated
-    conjecture count base_fw * conj_multiplier instead of base_fw.
+    conjecture (CONJ_CLASS in the record) count base_fw * conj_multiplier
+    instead of base_fw.
 
     The per-occurrence terms are added one at a time in walk order, a
-    left fold from 0.0 (`SymbolRecord.fold`). With a multiplier like 0.1
-    the partial sums round, and the closed form `vw*vars + fw*mult*conj +
-    fw*other` would give other bits and so another search. Entries with
-    the same class weights share one fold per clause.
+    left fold from 0.0. With a multiplier like 0.1 the partial sums
+    round, and the closed form `vw*vars + fw*mult*conj + fw*other` would
+    give other bits and so another search. The record keeps each fold, so
+    entries with the same class weights share one fold per clause.
     """
 
-    conj_symbols: frozenset[Symbol] = frozenset()
     base_fw: float = 2.0
     base_vw: float = 1.0
     conj_multiplier: float = 0.5
     tier: str = TIER_CONST
 
     def batch_keys(self, clauses: list[Clause]) -> list[tuple[int, float]]:
-        conj = self.conj_symbols
         terms = _class_weights(self.base_fw, self.base_vw, self.conj_multiplier)
         weight = terms.__getitem__
         weights = []
-        for c in clauses:  # `SymbolRecord.fold`, in line
-            rec = c.symbols
-            if rec is None or rec.conj is not conj:
-                rec = symbol_record(c, conj)
+        for c in clauses:
+            rec = c.symbols or symbol_record(c)
             folds = rec.folds
             w = folds.get(terms)
             if w is None:
@@ -256,13 +255,12 @@ AUTO200 = ("1*conjrel(2,1,0.5,sos),6*conjrel(2,1,0.1,const),2*fifo,"
 STOCK_SCHEDULES = {"auto": AUTO208, "auto208": AUTO208, "auto200": AUTO200}
 
 _ENTRY_RE = re.compile(r"^(\d+)\*([a-z0-9_]+)(?:\(([^)]*)\))?$")
+# a comma outside parentheses: arguments never nest
+_ENTRY_SEP = re.compile(r",(?![^(]*\))")
 _MAX_ARGS = {"fifo": 0, "symcount": 3, "conjrel": 4}  # the last one is the tier
 
 
-def parse_schedule(
-    spec: str,
-    conj_symbols: set[Symbol] | frozenset[Symbol] = frozenset(),
-) -> SelectionSchedule:
+def parse_schedule(spec: str) -> SelectionSchedule:
     """Build a schedule from a spec string like `1*fifo,4*symcount(2,1)`.
 
     Grammar: comma-separated `N*name` or `N*name(args)` entries with
@@ -271,41 +269,25 @@ def parse_schedule(
       conjrel(fw,vw,mult[,tier]) conjecture-relative weight
     tier is one of const|sos|nongoals. The shorthands `auto`, `auto208`
     and `auto200` name the specs in STOCK_SCHEDULES. An unknown name or
-    tier, or a surplus argument, raises ValueError.
+    tier, a surplus argument or an unbalanced parenthesis raises
+    ValueError. `conjrel` reads the conjecture from each clause's symbol
+    record, so the schedule serves any problem.
     """
     spec = spec.strip()
     spec = STOCK_SCHEDULES.get(spec, spec)
-    conj_symbols = frozenset(conj_symbols)  # one set: see `fol.symbol_record`
     entries: list[tuple[int, WeightFunction]] = []
-    for raw in _split_entries(spec):
+    for raw in _ENTRY_SEP.split(spec):
+        raw = raw.strip()
         m = _ENTRY_RE.match(raw)
         if not m:
             raise ValueError(f"bad schedule entry {raw!r}")
         weight, name, argstr = int(m.group(1)), m.group(2), m.group(3)
         args = [a.strip() for a in argstr.split(",")] if argstr else []
-        entries.append((weight, _make_fn(name, args, conj_symbols)))
+        entries.append((weight, _make_fn(name, args)))
     return SelectionSchedule(entries)
 
 
-def _split_entries(spec: str) -> list[str]:
-    """Split on top-level commas only (arguments carry their own commas)."""
-    out, depth, cur = [], 0, []
-    for ch in spec:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur).strip())
-    return out
-
-
-def _make_fn(name, args, conj_symbols) -> WeightFunction:
+def _make_fn(name, args) -> WeightFunction:
     most = _MAX_ARGS.get(name)
     if most is None:
         raise ValueError(f"unknown weight function {name!r}")
@@ -321,4 +303,4 @@ def _make_fn(name, args, conj_symbols) -> WeightFunction:
     if name == "symcount":
         return SymbolCountWeightFn(fw, vw, tier)
     mult = float(args[2]) if len(args) > 2 else 0.5
-    return ConjectureRelativeWeightFn(conj_symbols, fw, vw, mult, tier)
+    return ConjectureRelativeWeightFn(fw, vw, mult, tier)

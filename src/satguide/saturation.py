@@ -105,7 +105,7 @@ GIVEN_NAMESPACE = "G"
 PROCESSED_NAMESPACE = "P"
 
 
-EQUALITY_MODES = ("auto", "always", "never")
+EQUALITY_MODES = ("auto", "never")
 
 
 @dataclass
@@ -120,7 +120,7 @@ class SearchConfig:
     max_wall_ms: int | None = 60_000
     max_memory_symbols: int | None = None  # stored symbol occurrences, a memory proxy
     max_clause_literals: int | None = None  # drop longer generated clauses
-    equality_axioms: str = "auto"  # auto | always | never
+    equality_axioms: str = "auto"  # auto | never
     record_selections: bool = False
 
     def __post_init__(self):
@@ -225,12 +225,6 @@ def _uses_equality(problem: Problem) -> bool:
     return any(s.name == EQ and s.kind == PREDICATE for s in problem.signature)
 
 
-def _wants_equality(problem: Problem, mode: str) -> bool:
-    if mode == "never":
-        return False
-    return mode == "always" or _uses_equality(problem)
-
-
 def _cap(limit: int | None) -> float:
     return math.inf if limit is None else limit
 
@@ -307,11 +301,11 @@ class Saturation:
         """`schedule` overrides the one `config.schedule` spells."""
         self.problem = problem
         self.config = config
-        # the problem's one conjecture symbol set, which the conjrel weights
-        # read too: each clause's symbols are walked once, at admission
+        # every admitted clause's symbols are classified against these once,
+        # at admission; the conjrel weights read the classes off its record
         self.conj_symbols = problem.conjecture_symbols()
         if schedule is None:
-            schedule = parse_schedule(config.schedule, self.conj_symbols)
+            schedule = parse_schedule(config.schedule)
         self.schedule = schedule
         self.processed: list[Clause] = []  # in the processed namespace
         self.clauses: dict[int, Clause] = {}  # every admitted clause, by id
@@ -335,7 +329,7 @@ class Saturation:
             Clause(i, c.literals, role=c.role, origin=c.origin)
             for i, c in enumerate(problem.clauses())
         ]
-        if _wants_equality(problem, config.equality_axioms):
+        if config.equality_axioms != "never":
             for name, lits in equality_axioms(problem):
                 inputs.append(Clause(len(inputs), lits, role=ROLE_AXIOM,
                                      rule=RULE_EQ_AXIOM, origin=name))
@@ -349,7 +343,7 @@ class Saturation:
             self.clauses[c.id] = c
             key, classes = canonical_key(c.literals, self.conj_symbols)
             self.seen_keys.add(key)
-            c.symbols = SymbolRecord(self.conj_symbols, classes)
+            c.symbols = SymbolRecord(classes)
             self.stored_symbols += len(classes)
             if c.is_empty and self.empty_clause_id is None:
                 self.empty_clause_id = c.id
@@ -468,7 +462,7 @@ class Saturation:
             if len(seen) == known:
                 return False
             # the record the weights read, from the walk that made the key
-            record = SymbolRecord(self.conj_symbols, classes)
+            record = SymbolRecord(classes)
         else:
             record = None
         c = self.clauses[cid] = derived_clause(cid, lits, parents, rule, goal_descendant, record)

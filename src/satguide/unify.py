@@ -76,19 +76,15 @@ def _unify(stack: list[tuple[Term, Term]], sub: Substitution) -> Substitution | 
     return sub
 
 
-def unify_terms(t1: Term, t2: Term, sub: Substitution | None = None) -> Substitution | None:
-    """Most general unifier extending `sub`, or None."""
-    return _unify([(t1, t2)], {} if sub is None else sub)
-
-
 def unify_atoms(l1: Literal, l2: Literal, sub: Substitution | None = None) -> Substitution | None:
-    """Unify two literals' atoms, ignoring polarity.
+    """The most general unifier of two literals' atoms that extends `sub`,
+    ignoring polarity, or None.
 
     The argument pairs are solved left to right, each completely before
-    the next, as successive `unify_terms` calls would. Pairs of leaves
-    (variables and constants) are solved here, as `_unify` would solve
-    them; at the first pair that holds a compound term, before or after
-    following the bindings, this pair and the rest go to `_unify`.
+    the next. Pairs of leaves (variables and constants) are solved here,
+    as `_unify` would solve them; at the first pair that holds a compound
+    term, before or after following the bindings, this pair and the rest
+    go to `_unify`.
     """
     if l1.pred is not l2.pred:
         return None
@@ -145,21 +141,12 @@ def apply_sub(t: Term, sub: Substitution) -> Term:
     return t
 
 
-def apply_sub_literal(lit: Literal, sub: Substitution) -> Literal:
-    """`lit` under `sub`; `lit` itself when no argument changes."""
-    args = lit.args
-    new = tuple([apply_sub(a, sub) for a in args])
-    for x, y in zip(new, args):
-        if x is not y:
-            return rebuild_literal(lit.pred, new, lit.positive)
-    return lit
-
-
 def apply_sub_literals(lits, sub: Substitution) -> tuple[Literal, ...]:
-    """`apply_sub_literal` over `lits`, with variable and constant
-    arguments handled in line. A variable bound to a leaf that `sub`
-    leaves as it is (a constant or an unbound variable) takes that leaf
-    as it is."""
+    """`lits` under `sub`: each literal whose arguments all stay as they
+    are comes back itself, as `apply_sub` does for a term. Variable and
+    constant arguments are handled in line; a variable bound to a leaf
+    that `sub` leaves as it is (a constant or an unbound variable) takes
+    that leaf as it is."""
     get = sub.get
     out = []
     for lit in lits:
@@ -207,14 +194,9 @@ def _match(stack: list[tuple[Term, Term]], sub: Substitution) -> Substitution | 
     return sub
 
 
-def match_terms(pattern: Term, target: Term, sub: Substitution | None = None) -> Substitution | None:
-    """A copy of `sub` extended so that pattern[sub] == target, or None;
-    target is fixed."""
-    return _match([(pattern, target)], {} if sub is None else dict(sub))
-
-
 def match_literals(pattern: Literal, target: Literal, sub: Substitution | None = None) -> Substitution | None:
-    """`match_terms` over two literals of the same predicate and sign."""
+    """A copy of `sub` extended so that pattern[sub] == target, or None,
+    for two literals of the same predicate and sign; target is fixed."""
     if pattern.positive != target.positive or pattern.pred is not target.pred:
         return None
     stack = list(zip(pattern.args, target.args))

@@ -249,6 +249,24 @@ def test_experiment_rejects_phase1_outside_switched(tmp_path, model_files, monke
     assert not cells and not out_path.exists()
 
 
+def test_experiment_rejects_an_unknown_mode(tmp_path, model_files, monkeypatch):
+    # refused while the methods are read, before any cell runs
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    config = {
+        "corpus": {"seed": 0, "families": ["mini"]},
+        "methods": [{"id": "auto", "mode": "auto"},
+                    {"id": "nn", "mode": "Pure", "model": model_files[1],
+                     "vocab": model_files[3]}],
+        "limits": {"max_processed": 50},
+    }
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match="mode must be one of .*, got 'Pure'"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    assert not cells and not out_path.exists()
+
+
 @pytest.mark.parametrize("mode,picks,error", [
     ("pure", 7, "mode 'pure' has none"), ("hybrid", 0, "must be at least 1")])
 def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_files,

@@ -55,6 +55,7 @@ from satguide.fol import (
     ROLE_DERIVED,
     Clause,
     Literal,
+    NO_CONJECTURE,
     Symbol,
     SymbolRecord,
     Term,
@@ -73,7 +74,7 @@ from satguide.parser import ParseError, lex, token_positions
 from satguide.premsel import premise_groups
 from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
-from satguide.unify import apply_sub_literal, apply_sub_literals, unify_atoms
+from satguide.unify import apply_sub_literals, unify_atoms
 
 import oracles
 from oracles import clause_variables, string_key
@@ -161,7 +162,7 @@ def searches(problems, log):
         if fast is None or slow is None:
             log["unify"].append((fast is None, slow is None, None, None))
         else:
-            made = _atoms([apply_sub_literal(l1, fast), apply_sub_literal(l2, fast)])
+            made = _atoms(apply_sub_literals((l1, l2), fast))
             ref = _atoms([oracles.apply_sub_literal(l1, slow),
                           oracles.apply_sub_literal(l2, slow)])
             log["unify"].append((False, False, made, ref))
@@ -177,10 +178,12 @@ def searches(problems, log):
         log["keyed"].append((lits, conj, key, classes))
         return key, classes
 
+    conj = None  # the conjecture symbols of the problem being searched
+
     def conjrel(fn, clauses):
         keys = inner_conjrel(fn, clauses)
         for c, (tier, w) in zip(clauses, keys):
-            ref = oracles.conjecture_relative_weight(c, fn.conj_symbols, fn.base_fw,
+            ref = oracles.conjecture_relative_weight(c, conj, fn.base_fw,
                                                       fn.base_vw, fn.conj_multiplier)
             log["weights"].append(("conjrel", w.hex(), ref.hex()))
             log["tiers"].append((tier, _tier(fn.tier, c)))
@@ -206,6 +209,7 @@ def searches(problems, log):
         mp.setattr(conjrel_fn, "batch_keys", conjrel)
         mp.setattr(symcount_fn, "batch_keys", symcount)
         for p in problems:
+            conj = p.conjecture_symbols()
             state = ScanChecked(p, CONFIG)
             state.run()
             states.append(state)
@@ -241,15 +245,18 @@ def test_admission_walk_agrees_with_reference_walks(searches, log):
 
 
 def test_one_walk_agrees_with_reference_walks_on_corpus_inputs():
-    # the key, the classes of `symbol_record` and the renaming, on every
-    # input clause of the corpus
+    # the key, the classes against the conjecture and, for a clause
+    # outside a search, against none (`symbol_record`), and the renaming,
+    # on every input clause of the corpus
     checked = 0
     for item in desk_corpus(0):
         conj = item.problem.conjecture_symbols()
         for c in item.problem.clauses():
             key, classes = canonical_key(c.literals, conj)
             assert key == oracles.canonical_key(c)
-            assert classes == symbol_record(c, conj).classes == oracles.symbol_classes(c, conj)
+            assert classes == oracles.symbol_classes(c, conj)
+            assert symbol_record(Clause(c.id, c.literals)).classes == \
+                oracles.symbol_classes(c, NO_CONJECTURE)
             copy, ref = normalize_variables(c), oracles.normalize_variables(c)
             assert copy.literals == ref.literals and (copy is c) == (ref is c)
             checked += 1
@@ -306,7 +313,7 @@ def test_unifier_agrees_with_reference_on_term_pool():
             assert (fast is None) == (slow is None)
             if fast is not None:
                 unified += 1
-                made = _atoms([apply_sub_literal(l1, fast), apply_sub_literal(l2, fast)])
+                made = _atoms(apply_sub_literals((l1, l2), fast))
                 assert made[0] == made[1]
                 assert made == _atoms([oracles.apply_sub_literal(l1, slow),
                                        oracles.apply_sub_literal(l2, slow)])
@@ -425,14 +432,14 @@ def _reference_unify(l1, l2, sub):
 
 def _check_unifier(l1, l2, sub=None, ref_sub=None):
     """Does the fast unifier agree with the reference on (l1, l2)? Both
-    mgus must make the same atoms, through either substitution routine."""
+    mgus must make the same atoms, each through its own substitution
+    routine."""
     fast = unify_atoms(l1, l2, None if sub is None else dict(sub))
     slow = _reference_unify(l1, l2, dict(ref_sub or {}))
     assert (fast is None) == (slow is None), (l1, l2)
     if fast is None:
         return False
     ref = _atoms([oracles.apply_sub_literal(l, slow) for l in (l1, l2)])
-    assert _atoms([apply_sub_literal(l, fast) for l in (l1, l2)]) == ref
     assert _atoms(apply_sub_literals((l1, l2), fast)) == ref
     assert ref[0] == ref[1]
     return True
@@ -500,7 +507,7 @@ def test_leaf_renaming_agrees_with_two_normalizations():
 def test_fast_built_derived_clause_equals_checked_one():
     lits = (Literal(Q2, (Var("X"), CONSTANTS[0])),)
     for goal in (False, True):
-        record = SymbolRecord(frozenset(), b"\x02\x00\x02")
+        record = SymbolRecord(b"\x02\x00\x02")
         fast = derived_clause(9, lits, (3, 4), rules.RULE_RESOLVE, goal, record)
         checked = Clause(9, lits, ROLE_DERIVED, (3, 4), rules.RULE_RESOLVE, None, goal)
         checked.symbols = record

@@ -193,7 +193,9 @@ class TestCanonicalKey:
         key, classes = canonical_key(cl.literals, conj)
         # literals sorted by projection, variables numbered in that order
         assert key == ((True, "p", "", True, "q", "g", "", "a"), (0, 1))
-        assert classes == symbol_record(cl, conj).classes == bytes([1, 2, 0, 1, 2, 0])
+        assert classes == bytes([1, 2, 0, 1, 2, 0])
+        # outside a search a clause is classified against no conjecture
+        assert symbol_record(cl).classes == bytes([2, 2, 0, 2, 2, 0])
 
 
 class TestProblem:

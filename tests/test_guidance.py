@@ -311,6 +311,14 @@ class TestSwitched:
             GuidanceConfig(mode=mode, model=None if mode == "auto" else model,
                            vocab=Vocabulary(), hybrid_nn_picks=picks)
 
+    @pytest.mark.parametrize("mode", ["Pure", "hybrid ", "", "premsel"])
+    def test_unknown_mode_rejected(self, mode):
+        # an unnamed mode used to run the hybrid schedule
+        model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
+        with pytest.raises(ValueError, match=f"mode must be one of auto, pure, hybrid, "
+                                             f"switched, got {mode!r}"):
+            GuidanceConfig(mode=mode, model=model, vocab=Vocabulary())
+
     @pytest.mark.parametrize("mode", ["hybrid", "switched"])
     def test_hybrid_nn_picks_weigh_the_network_entry(self, mode):
         problem = tiny_problem()

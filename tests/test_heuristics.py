@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from satguide.fol import Clause, PREDICATE, Symbol
+from satguide.fol import Clause, PREDICATE, Symbol, SymbolRecord, canonical_key
 from satguide.heuristics import (
     ConjectureRelativeWeightFn,
     FifoWeightFn,
@@ -26,8 +26,10 @@ def symbol_count_weight(c, fweight=2.0, vweight=1.0):
 
 
 def conjecture_relative_weight(c, conj, base_fw=2.0, base_vw=1.0, mult=0.5):
-    """The weight `ConjectureRelativeWeightFn` keys `c` with."""
-    fn = ConjectureRelativeWeightFn(frozenset(conj), base_fw, base_vw, mult)
+    """The weight `ConjectureRelativeWeightFn` keys `c` with in a search
+    whose conjecture symbols are `conj`: the search attaches the record."""
+    c.symbols = SymbolRecord(canonical_key(c.literals, frozenset(conj))[1])
+    fn = ConjectureRelativeWeightFn(base_fw, base_vw, mult)
     [(_, w)] = fn.batch_keys([c])
     return w
 
@@ -198,29 +200,25 @@ class TestStockSchedules:
     """The stock spec strings expand, entry by entry, to the schedules
     that were built by hand before they were spec strings."""
 
-    CONJ = frozenset({Symbol("p", PREDICATE, 1)})
-
     def entries(self, spec):
-        return [(e.weight, e.fn) for e in parse_schedule(spec, set(self.CONJ)).entries]
+        return [(e.weight, e.fn) for e in parse_schedule(spec).entries]
 
     def test_auto208_entries(self):
-        conj = self.CONJ
         expected = [
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "sos")),
-            (4, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.1, "const")),
+            (1, ConjectureRelativeWeightFn(2.0, 1.0, 0.5, "sos")),
+            (4, ConjectureRelativeWeightFn(2.0, 1.0, 0.1, "const")),
             (1, FifoWeightFn()),
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "nongoals")),
+            (1, ConjectureRelativeWeightFn(2.0, 1.0, 0.5, "nongoals")),
             (4, SymbolCountWeightFn(3.0, 2.0, "sos")),
         ]
         assert self.entries("auto") == self.entries("auto208") == expected
 
     def test_auto200_entries(self):
-        conj = self.CONJ
         assert self.entries("auto200") == [
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "sos")),
-            (6, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.1, "const")),
+            (1, ConjectureRelativeWeightFn(2.0, 1.0, 0.5, "sos")),
+            (6, ConjectureRelativeWeightFn(2.0, 1.0, 0.1, "const")),
             (2, FifoWeightFn()),
-            (1, ConjectureRelativeWeightFn(conj, 2.0, 1.0, 0.5, "nongoals")),
+            (1, ConjectureRelativeWeightFn(2.0, 1.0, 0.5, "nongoals")),
             (8, SymbolCountWeightFn(1.0, 1.0, "sos")),
         ]
 
@@ -246,6 +244,18 @@ class TestScheduleSpec:
         for spec in ("fifo", "1*bogus", "1*nn"):
             with pytest.raises(ValueError):
                 parse_schedule(spec)
+
+    def test_spaces_around_entries(self):
+        sched = parse_schedule(" 1*fifo , 4*symcount(2, 1,sos) ,2*conjrel(2,1,0.1) ")
+        assert [(e.weight, e.fn) for e in sched.entries] == [
+            (1, FifoWeightFn()), (4, SymbolCountWeightFn(2.0, 1.0, "sos")),
+            (2, ConjectureRelativeWeightFn(2.0, 1.0, 0.1))]
+
+    @pytest.mark.parametrize("spec", ["1*conjrel(2,1,0.5", "1*fifo,2*symcount(2,1",
+                                      "1*conjrel(2,1,(0.5),sos)", "1*symcount(2,1)),1*fifo"])
+    def test_unbalanced_or_nested_parenthesis_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad schedule entry"):
+            parse_schedule(spec)
 
     @pytest.mark.parametrize("spec", ["1*symcount(2,1,bogus)", "1*conjrel(2,1,0.5,Sos)"])
     def test_unknown_tier_rejected(self, spec):

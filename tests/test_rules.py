@@ -12,7 +12,7 @@ from satguide.rules import (
     standardized_apart,
     subsumes,
 )
-from satguide.unify import apply_sub, match_terms, unify_terms
+from satguide.unify import apply_sub, match_literals, unify_atoms
 
 import oracles
 from oracles import clause_variables
@@ -34,33 +34,42 @@ def f(name, *args):
     return Term(Symbol(name, "function", len(args)), args)
 
 
+P = Symbol("p", PREDICATE, 1)
+
+
+def p(t):
+    """The one-argument literal p(t): terms reach the unifier and the
+    matcher as literal arguments."""
+    return Literal(P, (t,))
+
+
 class TestUnify:
     def test_var_binds_constant(self):
-        sub = unify_terms(Var("X"), c("a"))
+        sub = unify_atoms(p(Var("X")), p(c("a")))
         assert apply_sub(Var("X"), sub) == c("a")
 
     def test_function_decomposition(self):
-        sub = unify_terms(f("g", Var("X"), c("b")), f("g", c("a"), Var("Y")))
+        sub = unify_atoms(p(f("g", Var("X"), c("b"))), p(f("g", c("a"), Var("Y"))))
         assert apply_sub(Var("X"), sub) == c("a")
         assert apply_sub(Var("Y"), sub) == c("b")
 
     def test_occurs_check(self):
-        assert unify_terms(Var("X"), f("g", Var("X"))) is None
+        assert unify_atoms(p(Var("X")), p(f("g", Var("X")))) is None
 
     def test_clash(self):
-        assert unify_terms(c("a"), c("b")) is None
+        assert unify_atoms(p(c("a")), p(c("b"))) is None
 
     def test_chained_bindings(self):
-        sub = unify_terms(Var("X"), Var("Y"))
-        sub = unify_terms(Var("Y"), c("a"), sub)
+        sub = unify_atoms(p(Var("X")), p(Var("Y")))
+        sub = unify_atoms(p(Var("Y")), p(c("a")), sub)
         assert apply_sub(Var("X"), sub) == c("a")
 
     def test_match_is_one_way(self):
-        assert match_terms(Var("X"), f("g", c("a"))) is not None
-        assert match_terms(f("g", c("a")), Var("X")) is None
+        assert match_literals(p(Var("X")), p(f("g", c("a")))) is not None
+        assert match_literals(p(f("g", c("a"))), p(Var("X"))) is None
 
     def test_match_consistency(self):
-        assert match_terms(f("g", Var("X"), Var("X")), f("g", c("a"), c("b"))) is None
+        assert match_literals(p(f("g", Var("X"), Var("X"))), p(f("g", c("a"), c("b")))) is None
 
 
 class TestResolve:

@@ -9,6 +9,7 @@ import satguide.saturation as saturation
 from satguide.corpus import desk_corpus
 from satguide.datagen import trace_problem
 from satguide.fol import Clause, clause_str
+from satguide.heuristics import parse_schedule
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import (
     Proof,
@@ -204,16 +205,16 @@ def test_capped_tautology_makes_saturation_lossy():
 
 
 def test_symbols_walked_once_per_stored_clause(monkeypatch):
-    # admission and the conjecture-relative weights read one symbol record
-    # per clause, built against the problem's one conjecture symbol set
+    # admission builds one symbol record per stored clause, and every
+    # weight reads it: none is built again
     built = []
 
     class CountedRecord(fol.SymbolRecord):
         __slots__ = ()
 
-        def __init__(self, conj, classes):
-            super().__init__(conj, classes)
-            built.append(conj)
+        def __init__(self, classes):
+            super().__init__(classes)
+            built.append(classes)
 
     monkeypatch.setattr(fol, "SymbolRecord", CountedRecord)
     monkeypatch.setattr(saturation, "SymbolRecord", CountedRecord)
@@ -223,7 +224,23 @@ def test_symbols_walked_once_per_stored_clause(monkeypatch):
     stored = [c for c in state.clauses.values() if c.symbols is not None]
     assert len(stored) > 1000
     assert len(built) == len(stored)
-    assert all(conj is problem.conjecture_symbols() for conj in built)
+
+
+@pytest.mark.parametrize("spec", ["1*conjrel(2,1,0.1,sos),1*fifo", "auto200"])
+def test_parsed_schedule_gives_the_search_its_spec_gives(spec):
+    # a schedule is plain data: handed over built, it weighs the conjecture
+    # symbols of the problem it searches, as the spec string does
+    config = SearchConfig(schedule=spec, max_processed=200, max_wall_ms=None,
+                          record_selections=True)
+    checked = 0
+    for item in desk_corpus(0)[:24]:
+        by_spec = prove(item.problem, config)
+        built = prove(item.problem, config, parse_schedule(spec))
+        assert (built.status, built.processed_count, built.generated_count) == \
+            (by_spec.status, by_spec.processed_count, by_spec.generated_count), item.name
+        assert built.selections == by_spec.selections, item.name
+        checked += bool(item.problem.conjecture_symbols())
+    assert checked >= 20
 
 
 class TestUsedSet:
@@ -331,7 +348,7 @@ OPTION_ROWS = [
     ("equality_axioms", "", ValueError),
     ("equality_axioms", "never", (RESOURCE_OUT, "equality")),
     ("equality_axioms", "auto", (UNSAT, None)),
-    ("equality_axioms", "always", (UNSAT, None)),
+    ("equality_axioms", "always", ValueError),
     ("max_processed", -1, ValueError),
     ("max_processed", 0, (RESOURCE_OUT, "processed")),
     ("max_generated", -1, ValueError),
