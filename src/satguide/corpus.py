@@ -20,6 +20,12 @@ Families (all seeded, fully deterministic):
 
 Symbols are drawn from shared pools so that token statistics carry across
 problems (and across the conjecture-level train/eval split).
+
+`desk_corpus` builds each distractor family once per call and shares its
+immutable literals among the problems that draw it; nothing it builds
+outlives the call, so every call does the same work. It makes no
+reference cycles and runs under `saturation.collector_paused`, which
+spares the cyclic collector walking the corpus as it grows.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .fol import (
     Var,
     build_problem,
 )
+from .saturation import collector_paused
 
 
 def pred(name: str, *args: Term, positive: bool = True) -> Literal:
@@ -152,7 +159,7 @@ def group_problems(idx: int, c1: str, c2: str) -> list[Problem]:
     return out
 
 
-def junk_distractors(families: list[int], rel: str, anchor: str,
+def junk_distractors(families: list[int], rel: str,
                      chain_len: int = 2) -> list[tuple[str, list[Literal]]]:
     """Irrelevant premises that still flood the search.
 
@@ -203,13 +210,26 @@ def _pick_consts(rng: np.random.Generator, n: int) -> list[str]:
     return [CONST_POOL[i] for i in sorted(idx)]
 
 
+@collector_paused()
 def desk_corpus(seed: int = 0) -> list[NamedProblem]:
     """The bundled corpus: ~190 problems across seven families."""
     rng = np.random.default_rng(seed)
     out: list[NamedProblem] = []
+    built: dict[tuple, list[tuple[str, list[Literal]]]] = {}
 
     def add(problem: Problem, family: str, *tags: str):
         out.append(NamedProblem(problem.name, problem, family, set(tags)))
+
+    def distractors(build, families, *args) -> list[tuple[str, list[Literal]]]:
+        """`build(families, *args)`, building each family once per corpus."""
+        axioms: list[tuple[str, list[Literal]]] = []
+        for m in families:
+            key = (build, m, *args)
+            family = built.get(key)
+            if family is None:
+                family = built[key] = build([m], *args)
+            axioms.extend(family)
+        return axioms
 
     # chains, some clean and some with mild distraction
     for i in range(40):
@@ -218,7 +238,8 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         consts = _pick_consts(rng, length + 1)
         span = int(rng.integers(2, length + 1))
         n_dx = int(rng.integers(0, 7))
-        dx = plain_distractors(list(rng.choice(40, size=n_dx, replace=False))) if n_dx else None
+        dx = (distractors(plain_distractors, rng.choice(40, size=n_dx, replace=False))
+              if n_dx else None)
         p = chain_problem(f"chain{i:03d}", rel, consts, span, dx)
         tags = ["train"]
         if length <= 3 and not n_dx:
@@ -232,7 +253,8 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         sets = _pick_consts(rng, length + 1)
         elem = f"e{int(rng.integers(12))}"
         n_dx = int(rng.integers(0, 5))
-        dx = plain_distractors(list(rng.choice(40, size=n_dx, replace=False))) if n_dx else None
+        dx = (distractors(plain_distractors, rng.choice(40, size=n_dx, replace=False))
+              if n_dx else None)
         p = membership_problem(f"member{i:03d}", member, subset, elem, sets, dx)
         tags = ["train"]
         if length <= 2 and not n_dx:
@@ -271,8 +293,7 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         length = int(rng.integers(4, 7))
         consts = _pick_consts(rng, length + 1)
         n_junk = int(rng.integers(8, 20))
-        fams = list(rng.choice(48, size=n_junk, replace=False))
-        junk = junk_distractors(fams, rel, consts[0])
+        junk = distractors(junk_distractors, rng.choice(48, size=n_junk, replace=False), rel)
         p = chain_problem(f"flood{i:03d}", rel, consts, length, junk)
         add(p, "flood", "train", "guidance")
 
@@ -281,8 +302,7 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
         length = int(rng.integers(5, 8))
         consts = _pick_consts(rng, length + 1)
-        fams = list(rng.choice(48, size=40, replace=False))
-        junk = junk_distractors(fams, rel, consts[0], chain_len=3)
+        junk = distractors(junk_distractors, rng.choice(48, size=40, replace=False), rel, 3)
         p = chain_problem(f"hardflood{i:03d}", rel, consts, length, junk)
         add(p, "flood", "guidance_hard")
 
@@ -290,8 +310,8 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
     for i in range(22):
         rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
         consts = _pick_consts(rng, 9)  # 8 chain facts
-        fams = list(rng.choice(48, size=40, replace=False))
-        junk = junk_distractors(fams, rel, consts[0], chain_len=3)  # 40*5 = 200
+        junk = distractors(junk_distractors, rng.choice(48, size=40, replace=False),
+                           rel, 3)  # 40*5 = 200
         extra = [(f"premsel{i:03d}_spare",
                   [pred(rel, const(consts[0]), const(consts[1]))])]
         p = chain_problem(f"premsel{i:03d}", rel, consts, 8, junk + extra)

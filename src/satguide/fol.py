@@ -14,8 +14,8 @@ Symbols are interned: one object per (name, kind, arity), compared by
 identity. The recursive walks are module functions that take their state
 as arguments, never nested functions: a nested function that calls
 itself is a reference cycle (function -> closure cell -> function) that
-only the cyclic garbage collector frees, and the search runs with that
-collector paused (see `saturation`).
+only the cyclic garbage collector frees, and the search and the corpus
+build run with that collector paused (see `saturation.collector_paused`).
 
 Each job on a clause has one walk. `canonical_key` gives the duplicate
 key and the symbol classes of a `SymbolRecord` together, and is how the
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 FUNCTION = "function"
 PREDICATE = "predicate"
@@ -263,11 +263,12 @@ class Problem:
     name: str
     axioms: list[Clause]
     negated_conjecture: list[Clause]
-    signature: set[Symbol] = field(default_factory=set)
 
-    def __post_init__(self):
-        if not self.signature:
-            self.signature = collect_signature(self.clauses())
+    @cached_property
+    def signature(self) -> set[Symbol]:
+        """Every symbol of the clauses, variables included; walked on
+        first read, so a problem that is never searched never walks it."""
+        return collect_signature(self.clauses())
 
     def clauses(self) -> list[Clause]:
         return self.axioms + self.negated_conjecture

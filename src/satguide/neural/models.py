@@ -17,6 +17,12 @@ A batch of token sequences runs packed: its tokens are the rows of one
 layout keeps every convolution tap and the max-pooling inside each
 sequence.
 
+Dropout acts in training only: `token_dropout` drops whole tokens of a
+sequence tower, `feature_dropout` drops features at the input of each
+WaveNet block. `ModelConfig` refuses a rate outside [0, 1], and either
+rate on a tree architecture, which reads neither. The CNN still accepts
+a `feature_dropout` it does not read.
+
 Parameters are stored as float32-representable float64 arrays so that
 checkpoints (float32 blobs) round-trip without changing a single score.
 """
@@ -66,6 +72,15 @@ class ModelConfig:
     token_dropout: float = 0.0
     feature_dropout: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        # a rate is the chance to drop, with no rescaling: 1 drops every value
+        for name in ("token_dropout", "feature_dropout"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {rate}")
+            if rate and self.arch in TREE_ARCHS:
+                raise ValueError(f"{name} {rate} has no effect on the {self.arch} towers")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -38,13 +38,15 @@ from more than one index list.
 The search makes no reference cycles, so every object it drops is freed
 by its reference count at once. `run` so pauses Python's cyclic garbage
 collector, whose collections would find no garbage and only walk the
-live clauses over and over, and restores it on every exit. On the way
-out it hands the objects the search made, with any other young ones,
-to the oldest generation (`gc.freeze()`, then `gc.unfreeze()`), so that
-the first young collection afterwards does not walk them all either;
-a caller's frozen objects stay frozen, and then nothing moves. This is safe: the collector
-only frees cycles, and a cycle that code called by the search makes (a
-weight function, say) is still freed, by the next full collection.
+live clauses over and over. `collector_paused` is the one pause, which
+`corpus.desk_corpus` takes too: it restores the collector on every exit
+and on the way out hands the objects made under it, with any other
+young ones, to the oldest generation (`gc.freeze()`, then
+`gc.unfreeze()`), so that the first young collection afterwards does
+not walk them all either; a caller's frozen objects stay frozen, and
+then nothing moves. This is safe: the collector only frees cycles, and
+a cycle that code called under the pause makes (a weight function,
+say) is still freed, by the next full collection.
 
 Calculus: binary resolution + factoring, tautology deletion, forward
 subsumption. Equality is handled by axiom injection (reflexivity,
@@ -58,6 +60,7 @@ from __future__ import annotations
 import gc
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .fol import (
@@ -293,6 +296,25 @@ class SubsumerIndex:
 # -- the loop ------------------------------------------------------------------
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for code that makes no reference
+    cycles (see the module docstring). On every exit, a raise included,
+    the objects made under the pause join the oldest generation, unless
+    the caller has frozen objects of its own, and the collector is
+    enabled again if it was."""
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if not frozen:  # a caller's frozen objects stay frozen
+            gc.freeze()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 class Saturation:
     """Mutable search state; single-threaded and deterministic."""
 
@@ -494,9 +516,7 @@ class Saturation:
             cap = max_processed if cap is None else min(cap, max_processed)
         # the search makes no reference cycles: pause the cyclic collector,
         # which would only walk live clauses (see the module docstring)
-        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
-        gc.disable()
-        try:
+        with collector_paused():
             while True:
                 if self.empty_clause_id is not None:
                     return PROOF_FOUND
@@ -506,12 +526,6 @@ class Saturation:
                     return LIMIT
                 if self.step() == SATURATED:
                     return SATURATED
-        finally:
-            if not frozen:  # a caller's frozen objects stay frozen
-                gc.freeze()
-                gc.unfreeze()
-            if enabled:
-                gc.enable()
 
     # -- results ----------------------------------------------------------------
 

@@ -73,17 +73,53 @@ def test_config_round_trips():
     assert loaded.vocab_hash == model.vocab_hash
 
 
-def test_unknown_config_key_rejected():
-    # a checkpoint with a field this version lacks must not load with defaults
-    model = model_of()
+def with_config_keys(model, **keys) -> bytes:
+    """The checkpoint of `model` with `keys` written into its config JSON."""
     text = model.config.to_json().encode()
-    extra = json.dumps({**json.loads(text), "layer_norm": True}, sort_keys=True).encode()
+    extra = json.dumps({**json.loads(text), **keys}, sort_keys=True).encode()
     blob = save_checkpoint(model)
     field = struct.pack("<I", len(text)) + text
     assert blob.count(field) == 1
-    blob = blob.replace(field, struct.pack("<I", len(extra)) + extra)
+    return blob.replace(field, struct.pack("<I", len(extra)) + extra)
+
+
+def test_unknown_config_key_rejected():
+    # a checkpoint with a field this version lacks must not load with defaults
+    blob = with_config_keys(model_of(), layer_norm=True)
     with pytest.raises(CheckpointError, match=r"unknown model config keys \['layer_norm'\]"):
         load_checkpoint(blob)
+
+
+# (arch, dropout field, rate, refused): a rate outside [0, 1] is refused,
+# and so is any rate on a tree tower, which reads neither field
+DROPOUT_ROWS = [
+    ("cnn", "token_dropout", 0.3, False),
+    ("cnn", "token_dropout", -0.1, True),
+    ("wavenet", "token_dropout", 1.0, False),
+    ("wavenet", "feature_dropout", 0.5, False),
+    ("wavenet", "feature_dropout", 1.5, True),
+    ("wavenet", "token_dropout", float("nan"), True),
+    ("tree_rnn", "token_dropout", 0.0, False),
+    ("tree_rnn", "token_dropout", 0.2, True),
+    ("tree_rnn", "feature_dropout", 0.2, True),
+    ("tree_lstm", "token_dropout", 0.2, True),
+    ("tree_lstm", "feature_dropout", 0.2, True),
+]
+
+
+@pytest.mark.parametrize("arch,field,rate,refused", DROPOUT_ROWS)
+def test_dropout_rate_is_kept_or_refused(arch, field, rate, refused):
+    kw = {"wavenet_blocks": 1, "wavenet_layers": 2} if arch == "wavenet" else {}
+    blob = with_config_keys(model_of(arch, **kw), **{field: rate})
+    if refused:
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(arch=arch, vocab_size=10, **{field: rate})
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(blob)
+        return
+    config = ModelConfig(arch=arch, vocab_size=10, dim=4, hidden=6, seed=2, **kw,
+                         **{field: rate})
+    assert load_checkpoint(blob).config == config
 
 
 def test_all_architectures_round_trip():

@@ -46,7 +46,7 @@ def test_verify(problem_file, capsys):
 
 
 def test_prove_schedule(tmp_path, capsys):
-    junk = junk_distractors(list(range(6)), "rel0", "c0")
+    junk = junk_distractors(list(range(6)), "rel0")
     path = tmp_path / "flood.p"
     path.write_text(problem_str(chain_problem("flood", "rel0", [f"c{i}" for i in range(5)],
                                               4, junk)))

@@ -1,12 +1,15 @@
-"""The search makes no reference cycles, and `Saturation.run` pauses the
-cyclic garbage collector and restores it on every exit."""
+"""The search and the corpus build make no reference cycles, and
+`Saturation.run` and `desk_corpus` pause the cyclic garbage collector and
+restore it on every exit."""
 
 import gc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from satguide.corpus import chain_problem, junk_distractors, plain_distractors
+from satguide import corpus
+from satguide.corpus import chain_problem, desk_corpus, junk_distractors, plain_distractors
 from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import clause_str, normalize_variables
 from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
@@ -31,7 +34,7 @@ def equality_problem():
 
 
 def flooded():
-    junk = junk_distractors(list(range(6)), "rel0", "c0")
+    junk = junk_distractors(list(range(6)), "rel0")
     return chain_problem("flood", "rel0", [f"c{i}" for i in range(5)], 4, junk)
 
 
@@ -82,14 +85,16 @@ def every_mode():
     return switched
 
 
-def test_search_makes_no_reference_cycles():
+def cyclic_garbage(work):
+    """Run `work()` with the collector paused; returns its result and what
+    a full collection then finds: the count and the type names."""
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
     gc.garbage.clear()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        switched = every_mode()
+        result = work()
         found = gc.collect()
         garbage = [type(o).__qualname__ for o in gc.garbage]
     finally:
@@ -97,6 +102,11 @@ def test_search_makes_no_reference_cycles():
         gc.garbage.clear()
         if enabled:
             gc.enable()
+    return result, found, garbage
+
+
+def test_search_makes_no_reference_cycles():
+    switched, found, garbage = cyclic_garbage(every_mode)
     assert switched == 3  # phase 2 ran for every architecture
     assert found == 0 and garbage == []
 
@@ -169,3 +179,75 @@ def test_run_hands_its_objects_to_the_oldest_generation():
     state = search()
     assert state.run() == LIMIT and state.steps == 300
     assert gc.get_count()[0] < gc.get_threshold()[0]
+
+
+def test_desk_corpus_makes_no_reference_cycles():
+    size, found, garbage = cyclic_garbage(lambda: len(desk_corpus(0)))
+    assert size > 100
+    assert found == 0 and garbage == []
+
+
+def spy_on_chains(monkeypatch, raises: bool) -> list[bool]:
+    """Record the collector state at each chain problem `desk_corpus`
+    builds, raising at the first one if `raises`."""
+    seen = []
+    build = corpus.chain_problem
+
+    def spy(*args, **kw):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("boom")
+        return build(*args, **kw)
+
+    monkeypatch.setattr(corpus, "chain_problem", spy)
+    return seen
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_desk_corpus_restores_the_collector(enabled, raises, monkeypatch):
+    seen = spy_on_chains(monkeypatch, raises)
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="boom") if raises else nullcontext():
+            desk_corpus(0)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)  # paused while building
+    assert after == enabled
+    assert gc.get_freeze_count() == frozen
+
+
+def is_frozen(obj) -> bool:
+    """A frozen object is in no generation, so `gc.get_objects` skips it."""
+    return gc.is_tracked(obj) and not any(o is obj for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_desk_corpus_keeps_a_callers_frozen_objects_frozen(raises, monkeypatch):
+    spy_on_chains(monkeypatch, raises)
+    callers = [object()]
+    gc.freeze()
+    try:
+        assert is_frozen(callers)
+        with pytest.raises(RuntimeError, match="boom") if raises else nullcontext():
+            desk_corpus(0)
+        still = is_frozen(callers)
+    finally:
+        gc.unfreeze()
+    assert still
+
+
+def test_desk_corpus_hands_its_problems_to_the_oldest_generation():
+    was = gc.isenabled()
+    gc.disable()  # no collection may empty the youngest generation instead
+    try:
+        problems = desk_corpus(0)
+        young = gc.get_count()[0]
+    finally:
+        if was:
+            gc.enable()
+    assert len(problems) > 100
+    assert young < gc.get_threshold()[0]

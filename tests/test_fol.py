@@ -18,6 +18,7 @@ from satguide.fol import (
     canonical_key,
     clause_str,
     clause_tokens,
+    collect_signature,
     normalize_variables,
     normalize_variables_twice,
     normalized_str,
@@ -206,6 +207,12 @@ class TestProblem:
         assert ("f", "function") in names
         assert ("a", "function") in names
         assert ("X", "variable") in names
+
+    def test_signature_walked_on_first_read(self):
+        p = parse_tptp("cnf(a, axiom, (p(f(X), a))).", name="sig")
+        assert "signature" not in vars(p)
+        assert p.signature is p.signature
+        assert p.signature == collect_signature(p.clauses())
 
     def test_conjecture_symbols_exclude_variables(self):
         p = parse_tptp(

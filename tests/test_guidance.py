@@ -61,7 +61,7 @@ def clause_of(text, cid):
 
 
 def flooded():
-    junk = junk_distractors(list(range(6)), "rel0", "c0")
+    junk = junk_distractors(list(range(6)), "rel0")
     return chain_problem("sw_flood", "rel0", [f"c{i}" for i in range(5)], 4, junk)
 
 
@@ -364,7 +364,7 @@ class TestSwitched:
         monkeypatch.setattr(guidance, "time", clock)
         monkeypatch.setattr(saturation, "time", clock)
         problem = chain_problem("big", "rel0", [f"c{i}" for i in range(12)], 11,
-                                junk_distractors(list(range(40)), "rel0", "c0"))
+                                junk_distractors(list(range(40)), "rel0"))
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="switched", model=model_for(vocab), vocab=vocab)
         result = guided_prove(problem, config,
