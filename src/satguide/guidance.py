@@ -86,8 +86,12 @@ class GuidanceConfig:
                 raise ValueError(f"{name} must be at least 0, got {value}")
 
     def check_limits(self, limits: SearchConfig) -> None:
-        """Raise ValueError when switched mode's phase 1 would not end
-        before the totals, which are the search limits `limits`."""
+        """Raise ValueError when this mode cannot run under the search
+        limits `limits`: pure mode under any schedule but the default, or
+        switched mode with a phase 1 that would not end before the totals."""
+        if self.mode == MODE_PURE and limits.schedule != SearchConfig.schedule:
+            raise ValueError(f"pure mode selects by the network alone and cannot "
+                             f"use schedule {limits.schedule!r}")
         if None not in (self.phase1_budget, limits.max_processed) \
                 and self.phase1_budget >= limits.max_processed:
             raise ValueError("switched mode needs phase1_budget < max_processed")
@@ -230,9 +234,6 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
     limits = limits or SearchConfig()
     gconfig.check_limits(limits)
     mode = gconfig.mode
-    if mode == MODE_PURE and limits.schedule != SearchConfig.schedule:
-        raise ValueError(f"pure mode selects by the network alone and cannot "
-                         f"use schedule {limits.schedule!r}")
     if mode == MODE_AUTO:
         result = prove(problem, limits)
     elif mode != MODE_SWITCHED:

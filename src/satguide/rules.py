@@ -3,9 +3,9 @@
 Binary resolution plus factoring (its completeness partner), syntactic
 tautology detection, and subsumption via multiset-injective literal
 matching. Rules return bare literal tuples, exact duplicate literals
-merged; the saturation loop checks them and wraps the ones it admits into
-clauses with ids and provenance. Asked to, `resolve` and `factor` flag
-each tautology too, from the same hash pass that merges the duplicates.
+merged, each beside a tautology flag from the same hash pass that merges
+the duplicates; the saturation loop checks them and wraps the ones it
+admits into clauses with ids and provenance.
 
 `resolve` expects variable-disjoint clauses and renames nothing: the
 saturation loop keeps every processed clause and the given clause in
@@ -32,7 +32,7 @@ def standardized_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
     return rename_clause_apart(c1, "_l"), rename_clause_apart(c2, "_r")
 
 
-def resolve(c1: Clause, c2: Clause, flag_tautologies: bool = False) -> list:
+def resolve(c1: Clause, c2: Clause) -> list[tuple[tuple[Literal, ...], bool]]:
     """All binary resolvents of c1 and c2, which must share no variable.
 
     Nothing is renamed here: a shared variable would be read as one
@@ -40,8 +40,8 @@ def resolve(c1: Clause, c2: Clause, flag_tautologies: bool = False) -> list:
     with itself, or any pair that may overlap, pass the copies from
     `standardized_apart`. For each complementary pair with unifiable
     atoms the resolvent collects the remaining literals under the mgu,
-    exact duplicates merged. With `flag_tautologies` each resolvent comes
-    as a pair (literals, is it a tautology?), both from one hash pass.
+    exact duplicates merged. Each resolvent comes as a pair (literals, is
+    it a tautology?), both from one hash pass.
     """
     lits1, lits2 = c1.literals, c2.literals
     out = []
@@ -54,14 +54,13 @@ def resolve(c1: Clause, c2: Clause, flag_tautologies: bool = False) -> list:
             if sub is None:
                 continue
             rest = lits1[:i] + lits1[i + 1 :] + lits2[:j] + lits2[j + 1 :]
-            merged = _merged(apply_sub_literals(rest, sub))
-            out.append(merged if flag_tautologies else merged[0])
+            out.append(_merged(apply_sub_literals(rest, sub)))
     return out
 
 
-def factor(c: Clause, flag_tautologies: bool = False) -> list:
-    """Factors of c: merge each unifiable same-polarity literal pair.
-    `flag_tautologies` as for `resolve`."""
+def factor(c: Clause) -> list[tuple[tuple[Literal, ...], bool]]:
+    """Factors of c: merge each unifiable same-polarity literal pair, as
+    (literals, is it a tautology?) pairs like `resolve`'s."""
     out = []
     lits = c.literals
     for i in range(len(lits)):
@@ -74,8 +73,7 @@ def factor(c: Clause, flag_tautologies: bool = False) -> list:
             if sub is None:
                 continue
             rest = lits[:j] + lits[j + 1 :]
-            merged = _merged(apply_sub_literals(rest, sub))
-            out.append(merged if flag_tautologies else merged[0])
+            out.append(_merged(apply_sub_literals(rest, sub)))
     return out
 
 

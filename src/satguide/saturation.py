@@ -31,8 +31,8 @@ empty clause, becomes a `Clause`, built without the dataclass checks
 (`fol.derived_clause`) and kept once, in `clauses`; dropped resolvents
 leave no clause object behind, only their id. A clause's parents and
 rule live on the clause, and `build_proof` makes proof nodes only for
-the clauses a proof uses. A step reads the generated and memory caps
-once, and merges and sorts the resolution partners only when they come
+the clauses a proof uses. A step reads the generated cap once, and
+merges and sorts the resolution partners only when they come
 from more than one index list.
 
 The search makes no reference cycles, so every object it drops is freed
@@ -108,29 +108,25 @@ GIVEN_NAMESPACE = "G"
 PROCESSED_NAMESPACE = "P"
 
 
-EQUALITY_MODES = ("auto", "never")
-
-
 @dataclass
 class SearchConfig:
-    """Search limits and options. A limit that cannot be honoured (a
-    negative count or time, a clause size cap below 1) and an unknown
-    `equality_axioms` mode raise ValueError."""
+    """Search limits and options. A schedule spec that does not parse and
+    a limit that cannot be honoured (a negative count or time, a clause
+    size cap below 1) raise ValueError."""
 
     schedule: str = "auto"  # a `heuristics.parse_schedule` spec
     max_processed: int | None = 20_000
     max_generated: int | None = 1_000_000
     max_wall_ms: int | None = 60_000
-    max_memory_symbols: int | None = None  # stored symbol occurrences, a memory proxy
     max_clause_literals: int | None = None  # drop longer generated clauses
-    equality_axioms: str = "auto"  # auto | never
     record_selections: bool = False
 
     def __post_init__(self):
-        if self.equality_axioms not in EQUALITY_MODES:
-            raise ValueError(f"equality_axioms must be one of {', '.join(EQUALITY_MODES)}, "
-                             f"got {self.equality_axioms!r}")
-        for name in ("max_processed", "max_generated", "max_wall_ms", "max_memory_symbols"):
+        try:
+            parse_schedule(self.schedule)
+        except ValueError as exc:
+            raise ValueError(f"schedule {self.schedule!r}: {exc}") from exc
+        for name in ("max_processed", "max_generated", "max_wall_ms"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must not be negative, got {value}")
@@ -160,7 +156,7 @@ class ProveResult:
     processed_count: int
     generated_count: int
     wall_ms: int
-    resource: str | None = None  # processed | generated | memory | time | clause_size | equality | premises
+    resource: str | None = None  # processed | generated | time | clause_size | premises
     selections: list[int] | None = None
     info: dict = field(default_factory=dict)
     state: object = None  # the Saturation instance, for trace extraction
@@ -222,14 +218,6 @@ def equality_axioms(problem: Problem) -> list[tuple[str, tuple[Literal, ...]]]:
             lits = neq + (eqlit(Term(s, xs), Term(s, ys)),)
         out.append((f"eq_congruence_{s.kind}_{s.name}", lits))
     return out
-
-
-def _uses_equality(problem: Problem) -> bool:
-    return any(s.name == EQ and s.kind == PREDICATE for s in problem.signature)
-
-
-def _cap(limit: int | None) -> float:
-    return math.inf if limit is None else limit
 
 
 # -- forward subsumption index -------------------------------------------------
@@ -335,7 +323,6 @@ class Saturation:
         self.generated = 0
         self.discarded_given = 0
         self.seen_keys: set[tuple] = set()
-        self.stored_symbols = 0
         self.selections: list[int] = []
         self.empty_clause_id: int | None = None
         self.resource: str | None = None
@@ -351,13 +338,9 @@ class Saturation:
             Clause(i, c.literals, role=c.role, origin=c.origin)
             for i, c in enumerate(problem.clauses())
         ]
-        if config.equality_axioms != "never":
-            for name, lits in equality_axioms(problem):
-                inputs.append(Clause(len(inputs), lits, role=ROLE_AXIOM,
-                                     rule=RULE_EQ_AXIOM, origin=name))
-        # `=` read as a plain predicate: saturation says nothing about the
-        # models in which it is equality
-        self.equality_dropped = config.equality_axioms == "never" and _uses_equality(problem)
+        for name, lits in equality_axioms(problem):
+            inputs.append(Clause(len(inputs), lits, role=ROLE_AXIOM,
+                                 rule=RULE_EQ_AXIOM, origin=name))
         self.next_id = len(inputs)
         # inputs are keyed and classified as derived clauses are (`_admit`),
         # but every one is inserted, duplicates of each other included
@@ -366,7 +349,6 @@ class Saturation:
             key, classes = canonical_key(c.literals, self.conj_symbols)
             self.seen_keys.add(key)
             c.symbols = SymbolRecord(classes)
-            self.stored_symbols += len(classes)
             if c.is_empty and self.empty_clause_id is None:
                 self.empty_clause_id = c.id
             self.schedule.insert(c)
@@ -422,37 +404,27 @@ class Saturation:
         if self.config.record_selections:
             self.selections.append(g.id)
 
-        # the generated and memory caps, checked before each partner too:
-        # one clause pair can otherwise blow far past the budget before the
-        # loop looks again
-        cfg = self.config
-        gen_cap = _cap(cfg.max_generated)
-        mem_cap = _cap(cfg.max_memory_symbols)
+        # the generated cap, checked before each partner too: one clause
+        # pair can otherwise blow far past the budget before the loop looks
+        # again
+        gen_cap = self.config.max_generated
+        if gen_cap is None:
+            gen_cap = math.inf
         for p in self._partners(g):
-            if self.generated >= gen_cap or self.stored_symbols >= mem_cap:
+            if self.generated >= gen_cap:
                 return CONTINUE  # the loop-level limit check reports it
-            made = resolve(g, p, flag_tautologies=True)
+            made = resolve(g, p)
             if not made:
                 continue
             parents, goal = (g.id, p.id), g.goal_descendant or p.goal_descendant
             for lits, tautology in made:
                 if self._admit(lits, tautology, parents, RULE_RESOLVE, goal):
                     return PROOF_FOUND
-        if self.generated < gen_cap and self.stored_symbols < mem_cap:
-            for lits, tautology in factor(g, flag_tautologies=True):
+        if self.generated < gen_cap:
+            for lits, tautology in factor(g):
                 if self._admit(lits, tautology, (g.id,), RULE_FACTOR, g.goal_descendant):
                     return PROOF_FOUND
         return CONTINUE
-
-    def _generation_exhausted(self) -> str | None:
-        """The generated or memory cap that is reached, if any."""
-        cfg = self.config
-        if cfg.max_generated is not None and self.generated >= cfg.max_generated:
-            return "generated"
-        if (cfg.max_memory_symbols is not None
-                and self.stored_symbols >= cfg.max_memory_symbols):
-            return "memory"
-        return None
 
     def _admit(self, lits: tuple[Literal, ...], tautology: bool, parents: tuple[int, ...],
                rule: str, goal_descendant: bool) -> bool:
@@ -491,18 +463,19 @@ class Saturation:
         if not lits:
             self.empty_clause_id = cid
             return True
-        self.stored_symbols += len(classes)
         self.schedule.insert(c)
         return False
 
     # -- limits ---------------------------------------------------------------
 
     def hit_limit(self, max_processed: int | None, deadline: float | None) -> str | None:
+        """The limit reached, if any: the processed cap, the generated cap
+        of the config, or the deadline."""
         if max_processed is not None and self.steps >= max_processed:
             return "processed"
-        exhausted = self._generation_exhausted()
-        if exhausted is not None:
-            return exhausted
+        max_generated = self.config.max_generated
+        if max_generated is not None and self.generated >= max_generated:
+            return "generated"
         if deadline is not None and time.monotonic() >= deadline:
             return "time"
         return None
@@ -547,21 +520,17 @@ class Saturation:
         """The SZS status of a search that `run` stopped with `outcome`.
 
         Saturation proves satisfiability only when no generated clause
-        was dropped for its size and `=`, if the problem uses it, had its
-        axioms: otherwise it ends as ResourceOut, `clause_size` or
-        `equality`.
+        was dropped for its size: otherwise it ends as ResourceOut with
+        resource `clause_size`.
         """
         resource = None
         if outcome == PROOF_FOUND:
             status = UNSAT
-        elif outcome == SATURATED and not self.lossy and not self.equality_dropped:
+        elif outcome == SATURATED and not self.lossy:
             status = SAT
         else:
             status = RESOURCE_OUT
-            if outcome != SATURATED:
-                resource = self.resource
-            else:
-                resource = "clause_size" if self.lossy else "equality"
+            resource = "clause_size" if outcome == SATURATED else self.resource
         return ProveResult(
             status=status,
             proof=self.build_proof() if status == UNSAT else None,
@@ -634,7 +603,7 @@ def verify_proof_detailed(proof: Proof, problem: Problem) -> tuple[bool, str | N
             return False, f"clause {cid}: unknown rule {node.rule!r}"
         target = node.clause
         matched = False
-        for lits in candidates:
+        for lits, _ in candidates:
             if not lits and target.is_empty:
                 matched = True
                 break

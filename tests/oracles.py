@@ -495,10 +495,10 @@ def bfs_saturate(problem: Problem, max_level: int = 30,
         snapshot = list(clauses)
         for b in frontier:
             for a in snapshot:
-                for lits in rules.resolve(*rules.standardized_apart(a, b)):
+                for lits, _ in rules.resolve(*rules.standardized_apart(a, b)):
                     if emit(lits):
                         return UNSAT
-            for lits in rules.factor(b):
+            for lits, _ in rules.factor(b):
                 if emit(lits):
                     return UNSAT
         if not fresh:

@@ -267,6 +267,31 @@ def test_experiment_rejects_an_unknown_mode(tmp_path, model_files, monkeypatch):
     assert not cells and not out_path.exists()
 
 
+@pytest.mark.parametrize("limits,mode,error", [
+    ({"schedule": "1*fifoo"}, "hybrid", "schedule '1\\*fifoo': unknown weight function"),
+    ({"schedule": "1*fifo"}, "pure", "pure mode .* cannot use schedule"),
+    ({"max_memory_symbols": 100}, "hybrid", "unknown limits keys \\['max_memory_symbols'\\]"),
+    ({"equality_axioms": "never"}, "hybrid", "unknown limits keys \\['equality_axioms'\\]"),
+], ids=["misspelt_schedule", "pure_under_fifo", "max_memory_symbols", "equality_axioms"])
+def test_experiment_rejects_limits_it_cannot_honour(tmp_path, model_files, monkeypatch,
+                                                    limits, mode, error):
+    # refused before any cell runs, and no report is written
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    config = {
+        "corpus": {"seed": 0, "families": ["mini"]},
+        "methods": [{"id": "auto", "mode": "auto"},
+                    {"id": "nn", "mode": mode, "model": model_files[1],
+                     "vocab": model_files[3]}],
+        "limits": {"max_processed": 50, **limits},
+    }
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=error):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    assert not cells and not out_path.exists()
+
+
 @pytest.mark.parametrize("mode,picks,error", [
     ("pure", 7, "mode 'pure' has none"), ("hybrid", 0, "must be at least 1")])
 def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_files,

@@ -1,6 +1,7 @@
 """Trace extraction, labeling, splitting, vocabulary building."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -85,10 +86,15 @@ class TestTraces:
         assert loaded == traces
 
     def test_config_hash_covers_every_limit(self):
-        base = config_hash(trace_config(max_wall_ms=None))
-        for change in ({"max_wall_ms": 30_000}, {"max_clause_literals": 12},
-                       {"max_memory_symbols": 10_000}, {"max_generated": 5}):
-            assert config_hash(trace_config(**change)) != base
+        # every field but `record_selections`, which changes no search
+        base_config = trace_config(max_wall_ms=None)
+        base = config_hash(base_config)
+        changes = {"schedule": "1*fifo", "max_processed": 7, "max_generated": 5,
+                   "max_wall_ms": 30_000, "max_clause_literals": 12}
+        assert set(changes) == {f.name for f in fields(SearchConfig)} - {"record_selections"}
+        for name, value in changes.items():
+            assert config_hash(replace(base_config, **{name: value})) != base, name
+        assert config_hash(replace(base_config, record_selections=True)) == base
 
     def test_crash_recorded_not_fatal(self):
         class Boom:

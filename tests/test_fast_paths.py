@@ -143,17 +143,15 @@ def searches(problems, log):
         log["tautology"] += [(taut, oracles.is_tautology(lits)) for lits, taut in made]
         return [lits for lits, _ in made]
 
-    def resolved(c1, c2, flag_tautologies=False):
+    def resolved(c1, c2):
         log["disjoint"].append(not clause_variables(c1) & clause_variables(c2))
-        fast = inner_resolve(c1, c2, flag_tautologies)
-        made = flagged(fast) if flag_tautologies else fast
-        log["resolve"].append((made, oracles.resolve(c1, c2)))
+        fast = inner_resolve(c1, c2)
+        log["resolve"].append((flagged(fast), oracles.resolve(c1, c2)))
         return fast
 
-    def factored(c, flag_tautologies=False):
-        fast = inner_factor(c, flag_tautologies)
-        if flag_tautologies:
-            flagged(fast)
+    def factored(c):
+        fast = inner_factor(c)
+        flagged(fast)
         return fast
 
     def unified(l1, l2):

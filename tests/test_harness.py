@@ -85,6 +85,29 @@ class TestRunCorpus:
             run_corpus([Watched()], methods, SearchConfig(max_wall_ms=500))
         assert ran == []
 
+    def test_bad_schedule_rejected_before_any_cell(self):
+        # refused before any cell runs, not recorded as one Error per cell:
+        # a schedule that does not parse as the limits are made, and any
+        # schedule but the default under a pure method by run_corpus
+        vocab = Vocabulary()
+        model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
+        ran = []
+        methods = [MethodConfig("auto", GuidanceConfig(mode="auto")),
+                   MethodConfig("nn", GuidanceConfig(mode="pure", model=model, vocab=vocab))]
+
+        class Watched:
+            name = "watched"
+
+            def __getattr__(self, attr):
+                ran.append(attr)
+                raise RuntimeError("a cell ran")
+
+        with pytest.raises(ValueError, match=r"schedule '1\*fifoo': unknown weight function"):
+            run_corpus([Watched()], methods, SearchConfig(schedule="1*fifoo"))
+        with pytest.raises(ValueError, match="pure mode .* cannot use schedule '1\\*fifo'"):
+            run_corpus([Watched()], methods, SearchConfig(schedule="1*fifo"))
+        assert ran == []
+
     def test_config_records_every_limit(self):
         problems = self._problems(1)
         methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]

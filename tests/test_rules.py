@@ -22,8 +22,9 @@ def clause_of(text, cid=0):
     return Clause(cid, parse_clause_text(text))
 
 
-def strs(literal_tuples):
-    return sorted(clause_str(Clause(0, lits) if lits else Clause(0, ())) for lits in literal_tuples)
+def strs(made):
+    """The clause strings of rule output, (literals, tautology) pairs."""
+    return sorted(clause_str(Clause(0, lits)) for lits, _ in made)
 
 
 def c(name):
@@ -83,7 +84,7 @@ class TestResolve:
     def test_standardize_apart_gives_empty_clause(self):
         # p(X) against ~p(f(X)): after renaming apart the atoms unify
         out = resolve(*standardized_apart(clause_of("p(X)"), clause_of("~p(f(X))", 1)))
-        assert len(out) == 1 and out[0] == ()
+        assert out == [((), False)]
 
     def test_shared_variable_is_one_variable(self):
         # resolve renames nothing: X shared by both clauses is one variable
@@ -163,7 +164,7 @@ class TestVariantAndTautology:
 
 
 class TestFlaggedResolvents:
-    """`flag_tautologies`: the merged literals plus a tautology flag from
+    """Each resolvent is the merged literals plus a tautology flag from
     the same pass, against the reference pairwise test."""
 
     @pytest.mark.parametrize("left,right,flags", [
@@ -176,8 +177,8 @@ class TestFlaggedResolvents:
     ])
     def test_flags_agree_with_reference(self, left, right, flags):
         c1, c2 = standardized_apart(clause_of(left), clause_of(right, 1))
-        flagged = resolve(c1, c2, flag_tautologies=True)
-        assert [lits for lits, _ in flagged] == resolve(c1, c2) == oracles.resolve(c1, c2)
+        flagged = resolve(c1, c2)
+        assert [lits for lits, _ in flagged] == oracles.resolve(c1, c2)
         assert [taut for _, taut in flagged] == flags == \
             [oracles.is_tautology(lits) for lits in oracles.resolve(c1, c2)]
 
@@ -188,6 +189,6 @@ class TestFlaggedResolvents:
         pa = clause_of("p(a)").literals[0]
         c1 = Clause(0, (pa.negated(), q, q.negated(), q))
         c2 = Clause(1, (pa, q))
-        assert resolve(c1, c2, flag_tautologies=True) == \
+        assert resolve(c1, c2) == \
             [((q, q.negated()), True), ((pa.negated(), q, pa), True)]
-        assert factor(Clause(2, (q, q, pa)), flag_tautologies=True) == [((q, pa), False)]
+        assert factor(Clause(2, (q, q, pa))) == [((q, pa), False)]

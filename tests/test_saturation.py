@@ -1,6 +1,6 @@
 """The given-clause loop, statuses, proofs, and the verifier."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -61,14 +61,6 @@ class TestProve:
             "cnf(g, negated_conjecture, (~q(b))).")
         r = prove(p, fifo_config(max_generated=5, max_processed=None))
         assert r.status == RESOURCE_OUT and r.resource == "generated"
-
-    def test_memory_cap(self):
-        p = parse_tptp(
-            "cnf(a, axiom, (p(a)))."
-            "cnf(b, axiom, (~p(X) | p(f(X))))."
-            "cnf(g, negated_conjecture, (~q(b))).")
-        r = prove(p, fifo_config(max_memory_symbols=30, max_processed=None))
-        assert r.status == RESOURCE_OUT and r.resource == "memory"
 
     def test_clause_size_cap_never_claims_satisfiable(self):
         # capping drops clauses, so exhaustion must not report Satisfiable
@@ -326,35 +318,27 @@ class TestEqualityAxioms:
         assert r.status == UNSAT
         assert verify_proof_detailed(r.proof, p)[0]
 
-    def test_equality_can_be_disabled(self):
-        p = parse_tptp(
-            "cnf(left_id, axiom, (mul(e, X) = X))."
-            "fof(goal, conjecture, a = mul(e, a)).")
-        r = prove(p, SearchConfig(equality_axioms="never", max_processed=50))
-        assert r.status != UNSAT
 
-    def test_disabled_equality_leaves_other_problems_alone(self):
-        p = parse_tptp("cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~q(a))).")
-        assert prove(p, SearchConfig(equality_axioms="never")).status == SAT
-
-
-# `=` read as a plain predicate saturates here without a contradiction
+# proved only through the injected equality axioms: `=` read as a plain
+# predicate would saturate here without a contradiction
 EQUALITY_PROBE = "cnf(ab, axiom, (a = b)). cnf(pa, axiom, (p(a))). cnf(g, negated_conjecture, (~p(b)))."
+
+
+def test_equality_probe_proves_by_default():
+    r = prove(parse_tptp(EQUALITY_PROBE), SearchConfig())
+    assert (r.status, r.resource) == (UNSAT, None)
+
 
 # (field, value, what follows): ValueError when the option is refused,
 # otherwise the (status, resource) of a search of EQUALITY_PROBE under it
 OPTION_ROWS = [
-    ("equality_axioms", "Never", ValueError),
-    ("equality_axioms", "", ValueError),
-    ("equality_axioms", "never", (RESOURCE_OUT, "equality")),
-    ("equality_axioms", "auto", (UNSAT, None)),
-    ("equality_axioms", "always", ValueError),
+    ("schedule", "1*fifoo", ValueError),
+    ("schedule", "1*fifo", (UNSAT, None)),
     ("max_processed", -1, ValueError),
     ("max_processed", 0, (RESOURCE_OUT, "processed")),
     ("max_generated", -1, ValueError),
     ("max_generated", 0, (RESOURCE_OUT, "generated")),
     ("max_wall_ms", -1, ValueError),
-    ("max_memory_symbols", -1, ValueError),
     ("max_clause_literals", 0, ValueError),
     ("max_clause_literals", -2, ValueError),
     ("max_clause_literals", 1, (RESOURCE_OUT, "clause_size")),
@@ -372,6 +356,12 @@ def test_option_takes_effect_or_is_refused(field, value, expected):
         return
     r = prove(parse_tptp(EQUALITY_PROBE), SearchConfig(**{field: value}))
     assert (r.status, r.resource) == expected
+
+
+def test_option_table_covers_every_field():
+    # `record_selections` changes no status; test_selection_recording covers it
+    untabled = {f.name for f in fields(SearchConfig)} - {f for f, _, _ in OPTION_ROWS}
+    assert untabled == {"record_selections"}
 
 
 class TestOracleAgreement:
