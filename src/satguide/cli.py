@@ -2,7 +2,7 @@
 
 Subcommands: prove, trace, train, eval-acc, experiment, premsel, verify,
 report. Experiments are driven by one declarative JSON config plus flag
-overrides; every report embeds the resolved config and seeds.
+overrides; every report embeds the resolved config.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _load_problem(path: str):
 
 def _limits_from_args(args) -> SearchConfig:
     return SearchConfig(
-        schedule=getattr(args, "schedule", "auto"),
+        schedule=args.schedule,
         max_processed=args.max_processed,
         max_wall_ms=args.timeout_ms,
     )
@@ -60,14 +60,14 @@ def _load_model(model_path: str, vocab_path: str) -> tuple[ModelParams, Vocabula
 
 def _guidance_from_args(args) -> GuidanceConfig:
     model = vocab = None
-    if getattr(args, "model", None):
+    if args.model:
         model, vocab = _load_model(args.model, args.vocab)
     return GuidanceConfig(
         mode=args.mode,
         model=model,
         vocab=vocab,
-        phase1_budget=getattr(args, "phase1_budget", None),
-        batch_size=getattr(args, "batch_size", 32),
+        phase1_budget=args.phase1_budget,
+        batch_size=args.batch_size,
     )
 
 
@@ -163,13 +163,13 @@ def cmd_eval_acc(args) -> int:
 
 # experiment-config keys: `limits` takes every SearchConfig field; a method
 # entry takes every GuidanceConfig field, with `model` and `vocab` as file
-# paths, plus its own id and cascade settings; a corpus is a directory of
+# paths, plus its own id and cascade levels; a corpus is a directory of
 # problem files or the bundled corpus, filtered by tag and family
-_EXPERIMENT_KEYS = {"corpus", "limits", "methods", "seed", "record_walltime"}
+_EXPERIMENT_KEYS = {"corpus", "limits", "methods", "record_walltime"}
 _CORPUS_KEYS = {"dir", "seed", "tags", "families"}
 _LIMIT_KEYS = {f.name for f in fields(SearchConfig)}
 _GUIDANCE_KEYS = {f.name for f in fields(GuidanceConfig)} - {"model", "vocab"}
-_METHOD_KEYS = _GUIDANCE_KEYS | {"id", "model", "vocab", "premsel_levels", "premsel_budget"}
+_METHOD_KEYS = _GUIDANCE_KEYS | {"id", "model", "vocab", "premsel_levels"}
 
 
 def _known(entry: dict, allowed: set[str], where: str) -> dict:
@@ -196,11 +196,9 @@ def cmd_experiment(args) -> int:
         methods.append(MethodConfig(
             id=m["id"], guidance=g,
             premsel_levels=tuple(m["premsel_levels"]) if m.get("premsel_levels") else None,
-            premsel_budget=m.get("premsel_budget", 2000),
         ))
     report = run_corpus(problems, methods, limits,
-                        record_walltime=spec.get("record_walltime", False),
-                        seed=spec.get("seed", 0))
+                        record_walltime=spec.get("record_walltime", False))
     report.config["experiment_config"] = spec
     write_report(report, args.out)
     print(f"wrote report for {len(problems)} problems x {len(methods)} methods to {args.out}")

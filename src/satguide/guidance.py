@@ -9,16 +9,15 @@ and embeds every inference input: clauses, the conjecture and `premsel`'s
 premises.
 
 `guided_prove` runs every mode under one `SearchConfig`. Switched mode
-runs a hybrid phase, then hands the same proof state (processed set,
-queues, counters) to the classical schedule of the search limits (Auto by
-default); no network evaluation happens after the switch, and the
-processed and wall limits are the totals of both phases.
+runs one proof state twice: a hybrid phase under phase-1 caps, then the
+classical entries alone (Auto by default), with their rankings, under the
+search limits, which are so the totals of both phases; no network
+evaluation happens after the switch.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,8 +69,9 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        if self.mode != MODE_AUTO and self.model is None:
-            raise ValueError(f"mode {self.mode!r} requires a model")
+        for name in ("model", "vocab"):
+            if self.mode != MODE_AUTO and getattr(self, name) is None:
+                raise ValueError(f"mode {self.mode!r} requires a {name}")
         if self.hybrid_nn_picks < 1:
             raise ValueError(f"hybrid_nn_picks must be at least 1, got {self.hybrid_nn_picks}")
         if self.hybrid_nn_picks != 1 and self.mode not in (MODE_HYBRID, MODE_SWITCHED):
@@ -201,7 +201,7 @@ class ClauseScorer(WeightFunction):
 
 
 def build_schedule(config: GuidanceConfig, problem: Problem,
-                   classical: str = "auto") -> SelectionSchedule:
+                   classical: str) -> SelectionSchedule:
     """Schedule for one guided proof attempt; its first entry is the network's.
 
     Pure is a single neural ranking; every other mode (hybrid, and switched
@@ -224,53 +224,42 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
     and switched take their classical entries from `limits.schedule`;
     pure selects by the network alone, so it rejects any other schedule.
 
-    Switched mode runs the hybrid schedule, then the classical schedule
-    alone on the same proof state. `limits.max_processed` and
-    `limits.max_wall_ms` are the totals of both phases. Without
-    `phase1_budget` or `phase1_ms`, phase 1 gets 2/3 of each total there
-    is, a count capped exactly, and ends at whichever it reaches first;
-    zero network evaluation happens after the switch.
+    Switched mode runs the hybrid schedule under `limits` capped at
+    `phase1_budget` processed clauses and `phase1_ms` wall ms (without
+    either, 2/3 of each total there is). If it stops at a limit, the
+    network's entry retires, the classical entries keep their rankings of
+    every live clause, and the same state runs on under `limits` itself.
     """
     limits = limits or SearchConfig()
     gconfig.check_limits(limits)
     mode = gconfig.mode
     if mode == MODE_AUTO:
         result = prove(problem, limits)
-    elif mode != MODE_SWITCHED:
-        schedule = build_schedule(gconfig, problem, limits.schedule)
-        result = prove(problem, limits, schedule)
     else:
-        total_budget, total_ms = limits.max_processed, limits.max_wall_ms
-        phase1_budget, phase1_ms = gconfig.phase1_budget, gconfig.phase1_ms
-        t0 = time.monotonic()
-        if phase1_budget is None and phase1_ms is None:
-            if total_budget is not None:
-                phase1_budget = (2 * total_budget) // 3
-            if total_ms is not None:
-                phase1_ms = (2 * total_ms) / 3
-        total_deadline = None if total_ms is None else t0 + total_ms / 1000.0
-        phase1_deadline = total_deadline
-        if phase1_ms is not None:
-            phase1_deadline = t0 + phase1_ms / 1000.0
-
         schedule = build_schedule(gconfig, problem, limits.schedule)
-        # the total cap is the state's own; run() takes the phase-1 cap
-        state = Saturation(problem, limits, schedule)
-        outcome = state.run(max_processed=phase1_budget, deadline=phase1_deadline)
-        info = {"phase1_processed": state.steps,
-                "evals_at_switch": schedule.entries[0].fn.clause_evals,
-                "finished_in_phase": 1}
-        if outcome == LIMIT:
-            # switch: same processed set and counters, classical-only rankings
-            state.schedule = parse_schedule(limits.schedule)
-            for cid in sorted(schedule.alive):
-                state.schedule.insert(schedule.alive[cid])
-            info["finished_in_phase"] = 2
-            outcome = state.run(deadline=total_deadline)
-        result = state.result(outcome, t0)
-        result.info.update(info)
-    if mode != MODE_AUTO:
         scorer = schedule.entries[0].fn
+        if mode != MODE_SWITCHED:
+            result = prove(problem, limits, schedule)
+        else:
+            budget, ms = gconfig.phase1_budget, gconfig.phase1_ms
+            if budget is None and ms is None:
+                budget, ms = (None if total is None else 2 * total // 3
+                              for total in (limits.max_processed, limits.max_wall_ms))
+            phase1 = replace(limits,
+                             max_processed=limits.max_processed if budget is None else budget,
+                             max_wall_ms=limits.max_wall_ms if ms is None else ms)
+            state = Saturation(problem, phase1, schedule)
+            outcome = state.run()
+            info = {"phase1_processed": len(state.processed),
+                    "evals_at_switch": scorer.clause_evals,
+                    "finished_in_phase": 1}
+            if outcome == LIMIT:
+                schedule.retire_first()
+                state.config = limits
+                info["finished_in_phase"] = 2
+                outcome = state.run()
+            result = state.result(outcome)
+            result.info.update(info)
         result.info["network_evals"] = scorer.clause_evals
         result.info["batch_calls"] = scorer.batch_calls
     result.info["guidance"] = gconfig.describe()

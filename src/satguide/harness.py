@@ -32,7 +32,6 @@ class MethodConfig:
     id: str
     guidance: GuidanceConfig
     premsel_levels: tuple[int, ...] | None = None  # enables the cascade
-    premsel_budget: int = 2000
 
 
 @dataclass
@@ -103,9 +102,9 @@ def compute_aggregates(records: list[ProblemRecord]) -> dict:
 
 def run_corpus(problems: list[Problem], methods: list[MethodConfig],
                limits: SearchConfig | None = None,
-               record_walltime: bool = False,
-               seed: int = 0) -> ExperimentReport:
-    """Every (problem, method) cell under identical limits.
+               record_walltime: bool = False) -> ExperimentReport:
+    """Every (problem, method) cell under identical limits; a cascade cell
+    splits their processed and wall limits evenly across its levels.
 
     A method whose guidance cannot run under `limits` raises ValueError
     before any cell runs. Per-cell crashes become records with status
@@ -117,13 +116,11 @@ def run_corpus(problems: list[Problem], methods: list[MethodConfig],
             method.guidance.check_limits(limits)
     report = ExperimentReport()
     report.config = {
-        "seed": seed,
         "record_walltime": record_walltime,
         "limits": asdict(limits),
         "methods": {
             m.id: {**m.guidance.describe(),
-                   "premsel_levels": list(m.premsel_levels) if m.premsel_levels else None,
-                   "premsel_budget": m.premsel_budget if m.premsel_levels else None}
+                   "premsel_levels": list(m.premsel_levels) if m.premsel_levels else None}
             for m in methods
         },
         "n_problems": len(problems),
@@ -152,7 +149,7 @@ def _run_cell(problem: Problem, method: MethodConfig, limits: SearchConfig) -> P
                               method.guidance.batch_size)
         ranking = rank_premises(problem, scorer)
         cascade = cascade_prove(problem, ranking, method.premsel_levels,
-                                method.premsel_budget, limits=limits)
+                                limits.max_processed, limits=limits)
         res = cascade.result
         return ProblemRecord(problem.name, method.id, res.status,
                              res.processed_count, res.generated_count, res.wall_ms,

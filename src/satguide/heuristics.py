@@ -210,6 +210,13 @@ class SelectionSchedule:
         for entry in self.entries:
             entry.staging.append(c)
 
+    def retire_first(self):
+        """Drop the first entry and its ranking; the others keep theirs,
+        and the cycle starts over at the new first entry."""
+        del self.entries[0], self.pick_counts[0]
+        self._cursor = 0
+        self._remaining = self.entries[0].weight
+
     def _advance(self):
         self._cursor = (self._cursor + 1) % len(self.entries)
         self._remaining = self.entries[self._cursor].weight

@@ -19,9 +19,9 @@ sequence.
 
 Dropout acts in training only: `token_dropout` drops whole tokens of a
 sequence tower, `feature_dropout` drops features at the input of each
-WaveNet block. `ModelConfig` refuses a rate outside [0, 1], and either
-rate on a tree architecture, which reads neither. The CNN still accepts
-a `feature_dropout` it does not read.
+WaveNet block. `ModelConfig` refuses a rate outside [0, 1], and a
+nonzero rate on an architecture that does not read it: either rate on a
+tree architecture, `feature_dropout` on the CNN.
 
 Parameters are stored as float32-representable float64 arrays so that
 checkpoints (float32 blobs) round-trip without changing a single score.
@@ -54,6 +54,7 @@ PAD_ID = 0
 # the node kinds each tree tower has weights for
 CLAUSE_KINDS = (APPLY, OR, NOT)
 CONJ_KINDS = (APPLY, OR, NOT, AND)
+TOWERS = ((TOWER_CLAUSE, CLAUSE_KINDS), (TOWER_CONJ, CONJ_KINDS))
 
 
 @dataclass
@@ -74,12 +75,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a rate is the chance to drop, with no rescaling: 1 drops every value
-        for name in ("token_dropout", "feature_dropout"):
+        # a rate is the chance to drop, with no rescaling: 1 drops every value;
+        # each rate is refused on the architectures that do not read it
+        for name, readers in (("token_dropout", SEQ_ARCHS), ("feature_dropout", (ARCH_WAVENET,))):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
-            if rate and self.arch in TREE_ARCHS:
+            if rate and self.arch not in readers:
                 raise ValueError(f"{name} {rate} has no effect on the {self.arch} towers")
 
     def to_json(self) -> str:
@@ -121,10 +123,6 @@ class ModelParams:
             p.grad = None
 
 
-def _towers_for(config: ModelConfig):
-    return ((TOWER_CLAUSE, CLAUSE_KINDS), (TOWER_CONJ, CONJ_KINDS))
-
-
 def init_model(config: ModelConfig, vocab_hash: str = "") -> ModelParams:
     """Seeded initialization: uniform(-0.05, 0.05) embeddings, fan-in
     scaled layer weights, zero biases."""
@@ -141,7 +139,7 @@ def init_model(config: ModelConfig, vocab_hash: str = "") -> ModelParams:
     params["embedding"] = T.parameter(emb)
 
     d = config.dim
-    for tower, kinds in _towers_for(config):
+    for tower, kinds in TOWERS:
         if config.arch == ARCH_CNN:
             for i in range(config.cnn_layers):
                 lin(f"{tower}.conv{i}", config.cnn_patch * d, (config.cnn_patch, d, d))

@@ -5,10 +5,10 @@ scored against the negated conjecture with the pairwise scorer, which
 embeds them straight from their clauses (`ClauseScorer.premise_vectors`).
 The cascade tries the top 32, 64, 128, 256 premises in turn (clamped to
 the number available, duplicates dropped; no level, or one below 1, is an
-error) and stops at the first proof; the processed-clause budget and the
-wall limit are split evenly across the levels. A level that saturates a
-strict subset of the premises proves nothing about the problem, so it
-ends as ResourceOut.
+error) and stops at the first proof; the processed-clause budget, if
+any, and the wall limit are split evenly across the levels. A level
+that saturates a strict subset of the premises proves nothing about the
+problem, so it ends as ResourceOut.
 """
 
 from __future__ import annotations
@@ -93,13 +93,18 @@ def clamp_levels(levels, n_premises: int) -> list[int]:
     return out
 
 
+def _share(total: int | None, n: int) -> int | None:
+    return None if total is None else max(1, total // n)
+
+
 def cascade_prove(problem: Problem, ranking: RankedPremises,
-                  levels=DEFAULT_LEVELS, total_budget: int = 2000,
+                  levels=DEFAULT_LEVELS, total_budget: int | None = 2000,
                   limits: SearchConfig | None = None) -> CascadeResult:
     """Attempt the top-k subsets in growing order; stop at the first proof.
 
     Each level runs the unguided prover under `limits`, with an even share
-    of `total_budget` processed clauses and of the wall limit.
+    of `total_budget` processed clauses (None: no cap per level) and of
+    the wall limit.
     """
     if not levels or min(levels) < 1:
         raise ValueError(f"cascade needs one or more levels, each at least 1, "
@@ -107,9 +112,8 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
     limits = limits or SearchConfig()
     eff_levels = clamp_levels(levels, len(ranking.order))
     n_levels = len(eff_levels)
-    wall_ms = None if limits.max_wall_ms is None else max(1, limits.max_wall_ms // n_levels)
-    level_limits = replace(limits, max_processed=max(1, total_budget // n_levels),
-                           max_wall_ms=wall_ms)
+    level_limits = replace(limits, max_processed=_share(total_budget, n_levels),
+                           max_wall_ms=_share(limits.max_wall_ms, n_levels))
 
     transcript = []
     for k in eff_levels:

@@ -48,6 +48,10 @@ then nothing moves. This is safe: the collector only frees cycles, and
 a cycle that code called under the pause makes (a weight function,
 say) is still freed, by the next full collection.
 
+A search runs under its `SearchConfig` alone: `run` checks the limits of
+`self.config` each step, the wall limit counting from the state's start.
+Switched guidance runs one state twice, swapping its config in between.
+
 Calculus: binary resolution + factoring, tautology deletion, forward
 subsumption. Equality is handled by axiom injection (reflexivity,
 symmetry, transitivity, congruence per signature symbol) when a problem
@@ -309,6 +313,7 @@ class Saturation:
     def __init__(self, problem: Problem, config: SearchConfig,
                  schedule: SelectionSchedule | None = None):
         """`schedule` overrides the one `config.schedule` spells."""
+        self.started = time.monotonic()  # the wall limit and wall_ms count from here
         self.problem = problem
         self.config = config
         # every admitted clause's symbols are classified against these once,
@@ -319,11 +324,9 @@ class Saturation:
         self.schedule = schedule
         self.processed: list[Clause] = []  # in the processed namespace
         self.clauses: dict[int, Clause] = {}  # every admitted clause, by id
-        self.steps = 0
         self.generated = 0
         self.discarded_given = 0
         self.seen_keys: set[tuple] = set()
-        self.selections: list[int] = []
         self.empty_clause_id: int | None = None
         self.resource: str | None = None
         self.lossy = False  # a size-capped clause was dropped: saturation
@@ -400,9 +403,6 @@ class Saturation:
         self._subsumers.insert(kept)
         for key in {(lit.pred.name, lit.positive) for lit in g.literals}:
             self._lit_index.setdefault(key, []).append(kept)
-        self.steps += 1
-        if self.config.record_selections:
-            self.selections.append(g.id)
 
         # the generated cap, checked before each partner too: one clause
         # pair can otherwise blow far past the budget before the loop looks
@@ -468,32 +468,30 @@ class Saturation:
 
     # -- limits ---------------------------------------------------------------
 
-    def hit_limit(self, max_processed: int | None, deadline: float | None) -> str | None:
-        """The limit reached, if any: the processed cap, the generated cap
-        of the config, or the deadline."""
-        if max_processed is not None and self.steps >= max_processed:
+    def hit_limit(self) -> str | None:
+        """The limit of the config reached, if any: processed, generated
+        or time, the wall limit counting from the start of the search."""
+        config = self.config
+        if config.max_processed is not None and len(self.processed) >= config.max_processed:
             return "processed"
-        max_generated = self.config.max_generated
-        if max_generated is not None and self.generated >= max_generated:
+        if config.max_generated is not None and self.generated >= config.max_generated:
             return "generated"
-        if deadline is not None and time.monotonic() >= deadline:
+        if config.max_wall_ms is not None \
+                and time.monotonic() - self.started >= config.max_wall_ms / 1000.0:
             return "time"
         return None
 
-    def run(self, max_processed: int | None = None, deadline: float | None = None) -> str:
-        """Run until proof, saturation, or a limit; returns PROOF_FOUND,
-        SATURATED or LIMIT (naming the limit in `resource`). A proof,
-        even one among the input clauses, wins over any limit."""
-        cap = self.config.max_processed
-        if max_processed is not None:
-            cap = max_processed if cap is None else min(cap, max_processed)
+    def run(self) -> str:
+        """Run until proof, saturation, or a limit of `self.config`; returns
+        PROOF_FOUND, SATURATED or LIMIT (naming the limit in `resource`). A
+        proof, even one among the input clauses, wins over any limit."""
         # the search makes no reference cycles: pause the cyclic collector,
         # which would only walk live clauses (see the module docstring)
         with collector_paused():
             while True:
                 if self.empty_clause_id is not None:
                     return PROOF_FOUND
-                limit = self.hit_limit(cap, deadline)
+                limit = self.hit_limit()
                 if limit is not None:
                     self.resource = limit
                     return LIMIT
@@ -516,8 +514,9 @@ class Saturation:
                 stack.extend(c.parents)
         return Proof(self.empty_clause_id, derivation, set(derivation))
 
-    def result(self, outcome: str, t0: float) -> ProveResult:
-        """The SZS status of a search that `run` stopped with `outcome`.
+    def result(self, outcome: str) -> ProveResult:
+        """The SZS status of a search that `run` stopped with `outcome`;
+        its selections are the ids of the processed clauses, in order.
 
         Saturation proves satisfiability only when no generated clause
         was dropped for its size: otherwise it ends as ResourceOut with
@@ -534,11 +533,12 @@ class Saturation:
         return ProveResult(
             status=status,
             proof=self.build_proof() if status == UNSAT else None,
-            processed_count=self.steps,
+            processed_count=len(self.processed),
             generated_count=self.generated,
-            wall_ms=int((time.monotonic() - t0) * 1000),
+            wall_ms=int((time.monotonic() - self.started) * 1000),
             resource=resource,
-            selections=self.selections if self.config.record_selections else None,
+            selections=([c.id for c in self.processed]
+                        if self.config.record_selections else None),
             state=self,
         )
 
@@ -547,13 +547,8 @@ def prove(problem: Problem, config: SearchConfig | None = None,
           schedule: SelectionSchedule | None = None) -> ProveResult:
     """Saturate until proof, saturation, or resource limits; `schedule`
     overrides the one `config.schedule` spells."""
-    config = config or SearchConfig()
-    t0 = time.monotonic()
-    state = Saturation(problem, config, schedule)
-    deadline = None
-    if config.max_wall_ms is not None:
-        deadline = t0 + config.max_wall_ms / 1000.0
-    return state.result(state.run(deadline=deadline), t0)
+    state = Saturation(problem, config or SearchConfig(), schedule)
+    return state.result(state.run())
 
 
 # -- verification ---------------------------------------------------------------

@@ -33,9 +33,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
     def add(self, token: str) -> int:
         if token not in self.index:
             self.index[token] = len(self.tokens)

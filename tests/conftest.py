@@ -1,8 +1,11 @@
 import gc
+from pathlib import Path
 
 import pytest
 
+from satguide.neural.checkpoint import load_checkpoint_file
 from satguide.parser import parse_tptp
+from satguide.tokens import Vocabulary
 
 
 @pytest.fixture(autouse=True)
@@ -35,3 +38,12 @@ def socrates():
 
 def parse(text: str, name: str = "t"):
     return parse_tptp(text, name=name)
+
+
+@pytest.fixture(scope="session")
+def fixture_cnn():
+    """(model, vocab): the benchmark's fixture CNN, trained on the desk
+    corpus, and its vocabulary."""
+    fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture"
+    vocab = Vocabulary.load(str(fixture / "vocab.txt"))
+    return load_checkpoint_file(str(fixture / "cnn.sgnn"), vocab.hash), vocab

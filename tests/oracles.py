@@ -42,6 +42,12 @@ the scorer embedded premises straight from their clauses: every clause
 printed with its variables renumbered, lexed back, the texts joined by
 SEP. It is the reference for the premise ids of `ClauseScorer.embed`.
 
+`switched_prove_rebuilt` is switched guidance with the hand-off it had
+before the hybrid schedule kept its classical rankings: at the switch it
+builds a fresh classical schedule and inserts, and so re-keys, every
+live clause. It is the reference for `guidance.guided_prove`'s switched
+mode.
+
 `padded_embed_sequences`, `padded_conv_taps` and `padded_max_time` are the
 sequence towers as they ran before batches were packed: every row padded
 to the longest, a mask multiply after every layer, and a Python loop of
@@ -73,7 +79,9 @@ from satguide.fol import (
 from satguide.neural import tensor as T
 from satguide.parser import ParseError
 from satguide import rules
-from satguide.saturation import SAT, UNSAT
+from satguide.guidance import GuidanceConfig, build_schedule
+from satguide.heuristics import parse_schedule
+from satguide.saturation import LIMIT, SAT, UNSAT, ProveResult, Saturation, SearchConfig
 from satguide.tokens import Vocabulary, text_tokens, tokenize_texts
 
 
@@ -507,6 +515,36 @@ def bfs_saturate(problem: Problem, max_level: int = 30,
             raise RuntimeError("oracle blew its clause budget")
         frontier = fresh
     raise RuntimeError("oracle did not converge within the level budget")
+
+
+def switched_prove_rebuilt(problem: Problem, gconfig: GuidanceConfig,
+                           limits: SearchConfig) -> ProveResult:
+    """Switched guidance under a processed limit and no wall limit, with
+    the rebuilding hand-off: phase 1 runs the hybrid schedule for
+    `phase1_budget` processed clauses (by default 2/3 of the total); then
+    a fresh `parse_schedule(limits.schedule)` receives every live clause
+    in id order and the same state runs on under `limits`."""
+    assert limits.max_wall_ms is None and gconfig.phase1_ms is None
+    total, phase1 = limits.max_processed, gconfig.phase1_budget
+    if phase1 is None and total is not None:
+        phase1 = (2 * total) // 3
+    hybrid = build_schedule(gconfig, problem, limits.schedule)
+    scorer = hybrid.entries[0].fn
+    state = Saturation(problem, replace(limits, max_processed=phase1), hybrid)
+    outcome = state.run()
+    info = {"phase1_processed": len(state.processed),
+            "evals_at_switch": scorer.clause_evals, "finished_in_phase": 1}
+    if outcome == LIMIT:
+        state.schedule = parse_schedule(limits.schedule)
+        for cid in sorted(hybrid.alive):
+            state.schedule.insert(hybrid.alive[cid])
+        state.config = limits
+        info["finished_in_phase"] = 2
+        outcome = state.run()
+    result = state.result(outcome)
+    result.info.update(info, network_evals=scorer.clause_evals,
+                       batch_calls=scorer.batch_calls, guidance=gconfig.describe())
+    return result
 
 
 def shift_time(a: T.Tensor, offset: int) -> T.Tensor:

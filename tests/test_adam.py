@@ -3,7 +3,7 @@
 import numpy as np
 
 from satguide.neural import tensor as T
-from satguide.neural.adam import adam_init, adam_step
+from satguide.neural.adam import BETA1, BETA2, EPS, adam_init, adam_step
 from satguide.neural.models import ModelConfig, ModelParams, init_model
 
 
@@ -49,7 +49,7 @@ def test_step_counter_increments_by_one():
 
 def test_default_hyperparameters():
     state = adam_init(tiny_model())
-    assert (state.lr, state.beta1, state.beta2, state.eps) == (1e-4, 0.9, 0.999, 1e-8)
+    assert (state.lr, BETA1, BETA2, EPS) == (1e-4, 0.9, 0.999, 1e-8)
 
 
 def test_pad_row_pinned_to_zero():

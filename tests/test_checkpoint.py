@@ -91,10 +91,13 @@ def test_unknown_config_key_rejected():
 
 
 # (arch, dropout field, rate, refused): a rate outside [0, 1] is refused,
-# and so is any rate on a tree tower, which reads neither field
+# and so is a nonzero rate on a tower that does not read the field: either
+# on a tree tower, feature_dropout on the CNN
 DROPOUT_ROWS = [
     ("cnn", "token_dropout", 0.3, False),
     ("cnn", "token_dropout", -0.1, True),
+    ("cnn", "feature_dropout", 0.0, False),
+    ("cnn", "feature_dropout", 0.3, True),
     ("wavenet", "token_dropout", 1.0, False),
     ("wavenet", "feature_dropout", 0.5, False),
     ("wavenet", "feature_dropout", 1.5, True),

@@ -132,7 +132,6 @@ def test_experiment_and_report(tmp_path, capsys):
         "corpus": {"seed": 0, "families": ["mini"]},
         "methods": [{"id": "auto", "mode": "auto"}],
         "limits": {"max_processed": 200, "max_generated": 5_000},
-        "seed": 0,
     }
     cfg_path = tmp_path / "exp.json"
     out_path = tmp_path / "report.jsonl"
@@ -143,6 +142,8 @@ def test_experiment_and_report(tmp_path, capsys):
         ("total_budget", lambda c: c["methods"][0].update(total_budget=200)),
         ("familes", lambda c: c["corpus"].update(familes=["mini"])),
         ("record_walltim", lambda c: c.update(record_walltim=True)),
+        ("seed", lambda c: c.update(seed=0)),
+        ("premsel_budget", lambda c: c["methods"][0].update(premsel_budget=2000)),
         ("tags", lambda c: c.update(corpus={**dir_corpus, "tags": ["train"]})),
         ("families", lambda c: c.update(corpus={**dir_corpus, "families": ["mini"]})),
     ):

@@ -19,6 +19,8 @@ from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, prove
 from satguide.tokens import Vocabulary
 
+from oracles import switched_prove_rebuilt
+
 
 def tiny_problem():
     return parse_tptp(
@@ -133,7 +135,7 @@ class TestNeuralWeightFn:
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode="pure", model=model_for(vocab, constant=True),
                                 vocab=vocab)
-        sched = build_schedule(config, problem)
+        sched = build_schedule(config, problem, "auto")
         for cid, text in [(5, "p(b)"), (3, "q(b)"), (9, "r(a)")]:
             sched.insert(clause_of(text, cid))
         order = [sched.pop_next().id for _ in range(3)]
@@ -231,6 +233,32 @@ class TestModes:
         assert "network_evals" in result.info
 
 
+@pytest.mark.parametrize("phase1_budget", [None, 30, 200])
+def test_switched_handoff_matches_rebuilt_reference(phase1_budget, fixture_cnn):
+    # the hand-off retires the network entry and keeps the classical
+    # rankings; the reference rebuilds the classical schedule and re-keys
+    # every live clause. Same searches: with the fixture CNN, every one of
+    # the 42 floods proves in phase 1 under the default budget (400) and
+    # under 200, and reaches phase 2 under 30 (33 of them prove there).
+    model, vocab = fixture_cnn
+    limits = SearchConfig(max_processed=600, max_wall_ms=None, record_selections=True)
+    config = GuidanceConfig(mode="switched", model=model, vocab=vocab,
+                            phase1_budget=phase1_budget)
+    floods = [item.problem for item in desk_corpus(0)
+              if item.tags & {"guidance", "guidance_hard"}]
+    assert len(floods) == 42
+    switched = 0
+    for problem in floods:
+        got = guided_prove(problem, config, limits)
+        want = switched_prove_rebuilt(problem, config, limits)
+        assert (got.status, got.resource, got.processed_count, got.generated_count) \
+            == (want.status, want.resource, want.processed_count, want.generated_count)
+        assert got.selections == want.selections, problem.name
+        assert got.info == want.info, problem.name
+        switched += got.info["finished_in_phase"] == 2
+    assert switched == {None: 0, 30: 42, 200: 0}[phase1_budget]
+
+
 class TestSwitched:
     def test_zero_phase1_budget_equals_auto(self):
         for problem in [tiny_problem(), flooded()]:
@@ -325,7 +353,7 @@ class TestSwitched:
         vocab = vocab_for(problem)
         config = GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
                                 hybrid_nn_picks=3)
-        assert build_schedule(config, problem).entries[0].weight == 3
+        assert build_schedule(config, problem, "auto").entries[0].weight == 3
 
     def test_finishes_in_phase1_when_easy(self):
         problem = tiny_problem()
@@ -361,7 +389,6 @@ class TestSwitched:
                 return self.now
 
         clock = Clock()
-        monkeypatch.setattr(guidance, "time", clock)
         monkeypatch.setattr(saturation, "time", clock)
         problem = chain_problem("big", "rel0", [f"c{i}" for i in range(12)], 11,
                                 junk_distractors(list(range(40)), "rel0"))

@@ -118,6 +118,18 @@ class TestRunCorpus:
         assert limits[0] == asdict(base)
         assert len({json.dumps(block, sort_keys=True) for block in limits}) == 3
 
+    def test_cascade_cells_obey_the_processed_limit(self, fixture_cnn):
+        # a cascade cell splits the experiment's max_processed across its
+        # four levels: 10 clauses a level under 40, too few to prove
+        model, vocab = fixture_cnn
+        problems = [c.problem for c in desk_corpus(0) if "premsel" in c.tags][:3]
+        methods = [MethodConfig("casc", GuidanceConfig(mode="auto", model=model, vocab=vocab),
+                                premsel_levels=(32, 64, 128, 256))]
+        tight = run_corpus(problems, methods, SearchConfig(max_processed=40))
+        assert [(r.status, r.processed) for r in tight.records] == [("ResourceOut", 10)] * 3
+        ample = run_corpus(problems, methods, SearchConfig(max_processed=20_000))
+        assert all(r.proved for r in ample.records)
+
     def test_walltime_suppressed_by_default(self):
         problems = self._problems(1)
         methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]

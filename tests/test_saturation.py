@@ -9,6 +9,8 @@ import satguide.saturation as saturation
 from satguide.corpus import desk_corpus
 from satguide.datagen import trace_problem
 from satguide.fol import Clause, clause_str
+from satguide.guidance import GuidanceConfig, guided_prove
+from satguide.harness import MethodConfig, run_corpus
 from satguide.heuristics import parse_schedule
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import (
@@ -25,6 +27,7 @@ from satguide.saturation import (
     szs_line,
     verify_proof_detailed,
 )
+from satguide.tokens import Vocabulary
 
 from oracles import bfs_saturate
 
@@ -138,7 +141,7 @@ class TestGivenClauseStep:
         p = parse_tptp("cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~q(a))).")
         state = Saturation(p, fifo_config())
         state.step()
-        assert state.steps == 1 and len(state.processed) == 1
+        assert len(state.processed) == 1
 
     def test_proof_found(self):
         p = parse_tptp("cnf(a, axiom, (p(a))). cnf(g, negated_conjecture, (~p(a))).")
@@ -165,7 +168,7 @@ class TestGivenClauseStep:
         state = Saturation(p, fifo_config())
         while state.step() == "continue":
             pass
-        assert state.steps + state.discarded_given == sum(state.schedule.pick_counts)
+        assert len(state.processed) + state.discarded_given == sum(state.schedule.pick_counts)
 
 
 def test_tautological_input_never_processed():
@@ -358,10 +361,92 @@ def test_option_takes_effect_or_is_refused(field, value, expected):
     assert (r.status, r.resource) == expected
 
 
+# (field, value, the other fields set, what follows): ValueError when the
+# option is refused, otherwise the observable that the value moves in a
+# guided search of a flood, against the same config with the field at its
+# default. An observable is the status, the processed count, the
+# selections or an `info` entry.
+GUIDANCE_ROWS = [
+    ("mode", "neural", {}, ValueError),
+    ("mode", "pure", {}, "selections"),
+    ("model", None, {"mode": "hybrid"}, ValueError),
+    ("vocab", None, {"mode": "hybrid"}, ValueError),
+    ("vocab", Vocabulary(), {"mode": "hybrid"}, ValueError),  # another hash
+    ("hybrid_nn_picks", 0, {"mode": "hybrid"}, ValueError),
+    ("hybrid_nn_picks", 2, {}, ValueError),  # auto has no network picks
+    ("hybrid_nn_picks", 3, {"mode": "hybrid"}, "selections"),
+    ("batch_size", 0, {"mode": "hybrid"}, ValueError),
+    ("batch_size", 1, {"mode": "hybrid"}, "batch_calls"),
+    ("phase1_budget", -1, {"mode": "switched"}, ValueError),
+    ("phase1_budget", 30, {"mode": "hybrid"}, ValueError),
+    ("phase1_budget", 600, {"mode": "switched"}, ValueError),  # not below the total
+    ("phase1_budget", 30, {"mode": "switched"}, "finished_in_phase"),
+    ("phase1_ms", -1, {"mode": "switched"}, ValueError),
+    ("phase1_ms", 0, {"mode": "switched"}, "phase1_processed"),
+]
+
+GUIDED_LIMITS = SearchConfig(max_processed=600, max_wall_ms=None, record_selections=True)
+
+
+def observed(r) -> dict:
+    return {"status": r.status, "processed": r.processed_count,
+            "selections": r.selections, **r.info}
+
+
+@pytest.mark.parametrize("field,value,settings,expected", GUIDANCE_ROWS,
+                         ids=[f"{f}={v!r}-{s.get('mode', 'auto')}"
+                              for f, v, s, _ in GUIDANCE_ROWS])
+def test_guidance_option_takes_effect_or_is_refused(field, value, settings, expected,
+                                                    fixture_cnn):
+    model, vocab = fixture_cnn
+    flood = next(c.problem for c in desk_corpus(0) if "guidance" in c.tags)
+    base = {"model": model, "vocab": vocab, **settings}
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=field):
+            guided_prove(flood, GuidanceConfig(**{**base, field: value}), GUIDED_LIMITS)
+        return
+    default = observed(guided_prove(flood, GuidanceConfig(**base), GUIDED_LIMITS))
+    moved = observed(guided_prove(flood, GuidanceConfig(**{**base, field: value}),
+                                  GUIDED_LIMITS))
+    assert moved[expected] != default.get(expected)
+
+
+# (field, value, what follows): the `ProblemRecord` field that the value
+# moves in an experiment cell of a premise problem, against
+# MethodConfig("m", GuidanceConfig(model=..., vocab=...)), or ValueError
+# when the cell refuses it (recorded as an Error status). A `guidance`
+# value holds the GuidanceConfig fields besides the model and vocab.
+METHOD_ROWS = [
+    ("id", "other", "method"),
+    ("guidance", {"mode": "pure"}, "guidance_mode"),
+    ("premsel_levels", (32,), "premise_level"),
+    ("premsel_levels", (0,), ValueError),
+]
+
+
+@pytest.mark.parametrize("field,value,expected", METHOD_ROWS,
+                         ids=[f"{f}={v!r}" for f, v, _ in METHOD_ROWS])
+def test_method_option_takes_effect_or_is_refused(field, value, expected, fixture_cnn):
+    model, vocab = fixture_cnn
+    problem = next(c.problem for c in desk_corpus(0) if "premsel" in c.tags)
+    if field == "guidance":
+        value = GuidanceConfig(model=model, vocab=vocab, **value)
+    default = MethodConfig("m", GuidanceConfig(model=model, vocab=vocab))
+    limits = SearchConfig(max_processed=600, max_wall_ms=None)
+    [before] = run_corpus([problem], [default], limits).records
+    [after] = run_corpus([problem], [replace(default, **{field: value})], limits).records
+    if expected is ValueError:
+        assert after.status.startswith("Error(ValueError")
+        return
+    assert getattr(after, expected) != getattr(before, expected)
+
+
 def test_option_table_covers_every_field():
     # `record_selections` changes no status; test_selection_recording covers it
     untabled = {f.name for f in fields(SearchConfig)} - {f for f, _, _ in OPTION_ROWS}
     assert untabled == {"record_selections"}
+    assert {f.name for f in fields(GuidanceConfig)} == {row[0] for row in GUIDANCE_ROWS}
+    assert {f.name for f in fields(MethodConfig)} == {row[0] for row in METHOD_ROWS}
 
 
 class TestOracleAgreement:
