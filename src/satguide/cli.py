@@ -16,9 +16,8 @@ from dataclasses import fields
 from . import datagen
 from .corpus import corpus_by_tag, desk_corpus
 from .fol import problem_str
-from .guidance import MODES, ClauseScorer, GuidanceConfig, guided_prove
+from .guidance import MODE_CASCADE, MODES, GuidanceConfig, guided_prove
 from .harness import (
-    MethodConfig,
     accuracy_eval,
     check_report,
     read_report,
@@ -31,7 +30,7 @@ from .neural.checkpoint import load_checkpoint_file, save_checkpoint_file
 from .neural.models import ModelConfig, ModelParams, init_model
 from .neural.train import TrainConfig, prepare_pairs, train
 from .parser import parse_tptp
-from .premsel import DEFAULT_LEVELS, cascade_prove, rank_premises
+from .premsel import DEFAULT_LEVELS
 from .saturation import SearchConfig, derivation_lines, szs_line, verify_proof_detailed
 from .tokens import Vocabulary
 
@@ -44,11 +43,8 @@ def _load_problem(path: str):
 
 
 def _limits_from_args(args) -> SearchConfig:
-    return SearchConfig(
-        schedule=args.schedule,
-        max_processed=args.max_processed,
-        max_wall_ms=args.timeout_ms,
-    )
+    return SearchConfig(schedule=args.schedule, max_processed=args.max_processed,
+                        max_wall_ms=args.timeout_ms)
 
 
 def _load_model(model_path: str, vocab_path: str) -> tuple[ModelParams, Vocabulary]:
@@ -62,13 +58,8 @@ def _guidance_from_args(args) -> GuidanceConfig:
     model = vocab = None
     if args.model:
         model, vocab = _load_model(args.model, args.vocab)
-    return GuidanceConfig(
-        mode=args.mode,
-        model=model,
-        vocab=vocab,
-        phase1_budget=args.phase1_budget,
-        batch_size=args.batch_size,
-    )
+    return GuidanceConfig(mode=args.mode, model=model, vocab=vocab,
+                          phase1_budget=args.phase1_budget, batch_size=args.batch_size)
 
 
 def cmd_prove(args) -> int:
@@ -163,13 +154,12 @@ def cmd_eval_acc(args) -> int:
 
 # experiment-config keys: `limits` takes every SearchConfig field; a method
 # entry takes every GuidanceConfig field, with `model` and `vocab` as file
-# paths, plus its own id and cascade levels; a corpus is a directory of
-# problem files or the bundled corpus, filtered by tag and family
+# paths, plus its own id; a corpus is a directory of problem files or the
+# bundled corpus, filtered by tag and family
 _EXPERIMENT_KEYS = {"corpus", "limits", "methods", "record_walltime"}
 _CORPUS_KEYS = {"dir", "seed", "tags", "families"}
 _LIMIT_KEYS = {f.name for f in fields(SearchConfig)}
-_GUIDANCE_KEYS = {f.name for f in fields(GuidanceConfig)} - {"model", "vocab"}
-_METHOD_KEYS = _GUIDANCE_KEYS | {"id", "model", "vocab", "premsel_levels"}
+_METHOD_KEYS = {f.name for f in fields(GuidanceConfig)} | {"id"}
 
 
 def _known(entry: dict, allowed: set[str], where: str) -> dict:
@@ -185,18 +175,19 @@ def cmd_experiment(args) -> int:
     _known(spec, _EXPERIMENT_KEYS, "experiment")
     problems = _corpus_from_spec(spec.get("corpus", {}))
     limits = SearchConfig(**_known(spec.get("limits", {}), _LIMIT_KEYS, "limits"))
-    methods = []
+    methods = {}
     for m in spec["methods"]:
-        _known(m, _METHOD_KEYS, f"method {m.get('id')!r}")
-        model = vocab = None
-        if m.get("model"):
-            model, vocab = _load_model(m["model"], m["vocab"])
-        g = GuidanceConfig(model=model, vocab=vocab,
-                           **{k: v for k, v in m.items() if k in _GUIDANCE_KEYS})
-        methods.append(MethodConfig(
-            id=m["id"], guidance=g,
-            premsel_levels=tuple(m["premsel_levels"]) if m.get("premsel_levels") else None,
-        ))
+        settings = dict(_known(m, _METHOD_KEYS, f"method {m.get('id')!r}"))
+        method = settings.pop("id")
+        if method in methods:
+            raise ValueError(f"method id {method!r} is used twice")
+        # naming levels asks for the cascade, even naming the default ones
+        if "premsel_levels" in settings and settings.get("mode") != MODE_CASCADE:
+            raise ValueError(f"method {method!r}: premsel_levels needs mode "
+                             f"{MODE_CASCADE!r}")
+        paths = settings.pop("model", None), settings.pop("vocab", None)
+        model, vocab = _load_model(*paths) if paths[0] else (None, None)
+        methods[method] = GuidanceConfig(model=model, vocab=vocab, **settings)
     report = run_corpus(problems, methods, limits,
                         record_walltime=spec.get("record_walltime", False))
     report.config["experiment_config"] = spec
@@ -210,14 +201,15 @@ def cmd_experiment(args) -> int:
 def cmd_premsel(args) -> int:
     problem = _load_problem(args.problem)
     model, vocab = _load_model(args.model, args.vocab)
-    scorer = ClauseScorer(model, vocab, problem, args.batch_size)
-    ranking = rank_premises(problem, scorer)
-    levels = tuple(int(x) for x in args.levels.split(","))
-    cascade = cascade_prove(problem, ranking, levels, args.budget,
-                            limits=SearchConfig(max_wall_ms=args.timeout_ms))
-    print(szs_line(cascade.result, problem.name))
-    print(f"% ranking_hash={cascade.ranking_hash} level_used={cascade.level_used}")
-    for entry in cascade.transcript:
+    gconfig = GuidanceConfig(mode=MODE_CASCADE, model=model, vocab=vocab,
+                             batch_size=args.batch_size,
+                             premsel_levels=[int(x) for x in args.levels.split(",")])
+    result = guided_prove(problem, gconfig, SearchConfig(max_processed=args.budget,
+                                                         max_wall_ms=args.timeout_ms))
+    print(szs_line(result, problem.name))
+    print(f"% ranking_hash={result.info['ranking_hash']} "
+          f"level_used={result.info['premise_level']}")
+    for entry in result.info["transcript"]:
         print(f"%   level={entry['level']} status={entry['status']} "
               f"processed={entry['processed']}")
     return 0
@@ -253,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common_prove_args(p):
-        # in switched mode these two limits are the totals of both phases
+        # in switched mode these two limits are the totals of both phases;
+        # cascade mode splits them evenly across its levels
         p.add_argument("--max-processed", type=int, default=20_000, dest="max_processed")
         p.add_argument("--timeout-ms", type=int, default=60_000, dest="timeout_ms")
         p.add_argument("--mode", default="auto", choices=MODES)
@@ -261,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vocab", default=None)
         p.add_argument("--schedule", default="auto",
                        help="classical schedule spec: the whole schedule in auto "
-                            "mode, the classical entries in hybrid and switched "
-                            "mode; pure mode rejects anything but auto")
+                            "mode and of each cascade level, the classical "
+                            "entries in hybrid and switched mode; pure mode "
+                            "rejects anything but auto")
         p.add_argument("--phase1-budget", type=int, default=None, dest="phase1_budget")
         p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
 

@@ -1,4 +1,4 @@
-"""Neural guidance for clause selection: pure, hybrid and switched modes.
+"""Neural guidance for proof search: pure, hybrid, switched and cascade modes.
 
 The scorer is the network's weight function: `ClauseScorer` keys a
 clause by -p(useful), so the existing lowest-is-best rankings select the
@@ -12,7 +12,8 @@ premises.
 runs one proof state twice: a hybrid phase under phase-1 caps, then the
 classical entries alone (Auto by default), with their rankings, under the
 search limits, which are so the totals of both phases; no network
-evaluation happens after the switch.
+evaluation happens after the switch. Cascade mode ranks the premises by
+the network and runs `premsel`'s top-k cascade of unguided searches.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import premsel
 from .fol import Clause, Problem
 from .heuristics import SelectionSchedule, WeightFunction, parse_schedule
 from .neural import tensor as T
@@ -51,7 +53,8 @@ MODE_AUTO = "auto"
 MODE_PURE = "pure"
 MODE_HYBRID = "hybrid"
 MODE_SWITCHED = "switched"
-MODES = (MODE_AUTO, MODE_PURE, MODE_HYBRID, MODE_SWITCHED)
+MODE_CASCADE = "cascade"
+MODES = (MODE_AUTO, MODE_PURE, MODE_HYBRID, MODE_SWITCHED, MODE_CASCADE)
 
 
 @dataclass
@@ -65,6 +68,8 @@ class GuidanceConfig:
     # of both phases are the search limits
     phase1_budget: int | None = None
     phase1_ms: int | None = None
+    # cascade mode's premise counts, one proof attempt each
+    premsel_levels: tuple[int, ...] = premsel.DEFAULT_LEVELS
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -72,6 +77,8 @@ class GuidanceConfig:
         for name in ("model", "vocab"):
             if self.mode != MODE_AUTO and getattr(self, name) is None:
                 raise ValueError(f"mode {self.mode!r} requires a {name}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.hybrid_nn_picks < 1:
             raise ValueError(f"hybrid_nn_picks must be at least 1, got {self.hybrid_nn_picks}")
         if self.hybrid_nn_picks != 1 and self.mode not in (MODE_HYBRID, MODE_SWITCHED):
@@ -84,6 +91,11 @@ class GuidanceConfig:
                                  f"mode {self.mode!r} has none")
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be at least 0, got {value}")
+        self.premsel_levels = tuple(self.premsel_levels)
+        premsel.check_levels(self.premsel_levels)
+        if self.premsel_levels != premsel.DEFAULT_LEVELS and self.mode != MODE_CASCADE:
+            raise ValueError(f"premsel_levels sets cascade mode's levels; "
+                             f"mode {self.mode!r} has none")
 
     def check_limits(self, limits: SearchConfig) -> None:
         """Raise ValueError when this mode cannot run under the search
@@ -106,6 +118,8 @@ class GuidanceConfig:
             "batch_size": self.batch_size,
             "phase1_budget": self.phase1_budget,
             "phase1_ms": self.phase1_ms,
+            "premsel_levels": (list(self.premsel_levels) if self.mode == MODE_CASCADE
+                               else None),
             "model": self.model.config.arch if self.model else None,
         }
 
@@ -128,8 +142,8 @@ class ClauseScorer(WeightFunction):
         self.vocab = vocab
         self.batch_size = batch_size
         self.max_len = model.config.max_len
-        self.batch_calls = 0
-        self.clause_evals = 0
+        self.batch_calls = 0  # `probabilities` calls
+        self.network_evals = 0  # rows they scored: clauses and premises
         self._sequence = model.config.arch in SEQ_ARCHS
         self.v_nc = self.embed([problem.negated_conjecture], TOWER_CONJ)
 
@@ -166,13 +180,16 @@ class ClauseScorer(WeightFunction):
     def probabilities(self, vecs: T.Tensor) -> list[float]:
         """p(useful | embedded clause or premise, conjecture) for each row of
         `vecs` [B, dim]: the sigmoid of the combiner logit. The one scoring
-        function of guided search and premise ranking.
+        function of guided search and premise ranking, and the one place
+        that counts network evaluations.
 
         The combiner sees [B, 1, 2*dim] rows, so numpy evaluates each row
         with the same one-row product as a lone row: every probability is
         bit-identical whatever B is. (A [B, 2*dim] product would go through
         a matrix-matrix BLAS call, which rounds differently.)
         """
+        self.batch_calls += 1
+        self.network_evals += len(vecs.data)
         with T.no_grad():
             rows = vecs.data[:, None, :]
             conj = np.broadcast_to(self.v_nc.data, rows.shape)
@@ -191,8 +208,6 @@ class ClauseScorer(WeightFunction):
         probs: list[float] = []
         for start in range(0, len(clauses), self.batch_size):
             chunk = clauses[start : start + self.batch_size]
-            self.batch_calls += 1
-            self.clause_evals += len(chunk)
             probs += self.probabilities(self.embed([[c] for c in chunk]))
         return probs
 
@@ -229,12 +244,26 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
     either, 2/3 of each total there is). If it stops at a limit, the
     network's entry retires, the classical entries keep their rankings of
     every live clause, and the same state runs on under `limits` itself.
+
+    Cascade mode ranks the premises, then runs `premsel.cascade_prove`
+    under `limits` split across `premsel_levels`; `info` carries the
+    proving `premise_level` (or None), the `ranking_hash` and the
+    `transcript` of the levels, whose counts the result's add up.
     """
     limits = limits or SearchConfig()
     gconfig.check_limits(limits)
     mode = gconfig.mode
     if mode == MODE_AUTO:
         result = prove(problem, limits)
+    elif mode == MODE_CASCADE:
+        scorer = ClauseScorer(gconfig.model, gconfig.vocab, problem, gconfig.batch_size)
+        cascade = premsel.cascade_prove(problem, premsel.rank_premises(problem, scorer),
+                                        gconfig.premsel_levels, limits.max_processed,
+                                        limits=limits)
+        result = cascade.result
+        result.info.update(premise_level=cascade.level_used,
+                           ranking_hash=cascade.ranking_hash,
+                           transcript=cascade.transcript)
     else:
         schedule = build_schedule(gconfig, problem, limits.schedule)
         scorer = schedule.entries[0].fn
@@ -251,7 +280,7 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
             state = Saturation(problem, phase1, schedule)
             outcome = state.run()
             info = {"phase1_processed": len(state.processed),
-                    "evals_at_switch": scorer.clause_evals,
+                    "evals_at_switch": scorer.network_evals,
                     "finished_in_phase": 1}
             if outcome == LIMIT:
                 schedule.retire_first()
@@ -260,7 +289,8 @@ def guided_prove(problem: Problem, gconfig: GuidanceConfig,
                 outcome = state.run()
             result = state.result(outcome)
             result.info.update(info)
-        result.info["network_evals"] = scorer.clause_evals
-        result.info["batch_calls"] = scorer.batch_calls
+    if mode != MODE_AUTO:
+        result.info.update(network_evals=scorer.network_evals,
+                           batch_calls=scorer.batch_calls)
     result.info["guidance"] = gconfig.describe()
     return result

@@ -1,7 +1,10 @@
 """Experiment harness: corpus runs, aggregates, union stats, curve files.
 
-A report is line-delimited: one record per (problem, method) cell and a
-trailing summary block holding aggregates plus the resolved config. The
+A method is a `GuidanceConfig` under an id, and each cell is one
+`guided_prove` call under the experiment's limits, whatever the mode
+(a cascade cell splits them across its levels). A report is
+line-delimited: one record per (problem, method) cell and a trailing
+summary block holding aggregates plus the resolved config. The
 aggregates are always recomputable from the records; `check_report`
 recomputes and compares. Wall-clock fields are written as 0 unless
 `record_walltime` is set, keeping report bytes reproducible under fixed
@@ -16,22 +19,14 @@ from dataclasses import asdict, dataclass, field
 
 from .datagen import TrainingExample
 from .fol import Problem
-from .guidance import ClauseScorer, GuidanceConfig, guided_prove
+from .guidance import GuidanceConfig, guided_prove
 from .neural.models import ModelParams
 from .neural.train import accuracy as pair_accuracy
 from .neural.train import prepare_pairs
-from .premsel import cascade_prove, rank_premises
 from .saturation import SearchConfig, UNSAT
 from .tokens import Vocabulary
 
 PC_BUCKETS = (1_000, 10_000, 100_000, None)  # None = no limit
-
-
-@dataclass
-class MethodConfig:
-    id: str
-    guidance: GuidanceConfig
-    premsel_levels: tuple[int, ...] | None = None  # enables the cascade
 
 
 @dataclass
@@ -43,7 +38,7 @@ class ProblemRecord:
     generated: int
     wall_ms: int
     guidance_mode: str
-    premise_level: int | None = None
+    premise_level: int | None = None  # cascade mode: the level that proved it
 
     @property
     def proved(self) -> bool:
@@ -64,76 +59,54 @@ def _bucket_name(limit: int | None) -> str:
 def compute_aggregates(records: list[ProblemRecord]) -> dict:
     """Percent proved per PC bucket and the union matrix, per method."""
     methods = sorted({r.method for r in records})
-    by_method = {m: [r for r in records if r.method == m] for m in methods}
-    percent = {}
-    proved_sets = {}
-    for m, recs in by_method.items():
-        n = len(recs)
-        proved_sets[m] = sorted(r.problem for r in recs if r.proved)
-        percent[m] = {}
-        for limit in PC_BUCKETS:
-            ok = sum(
-                1 for r in recs
-                if r.proved and (limit is None or r.processed <= limit)
-            )
-            percent[m][_bucket_name(limit)] = round(100.0 * ok / n, 4) if n else 0.0
-    union_all = sorted(set().union(*proved_sets.values())) if proved_sets else []
-    pairwise = {}
-    for a in methods:
-        for b in methods:
-            if a < b:
-                pairwise[f"{a}|{b}"] = len(set(proved_sets[a]) | set(proved_sets[b]))
-    uniques = {}
+    percent, proved_sets = {}, {}
     for m in methods:
-        others = set()
-        for o in methods:
-            if o != m:
-                others.update(proved_sets[o])
-        uniques[m] = len([p for p in proved_sets[m] if p not in others])
+        recs = [r for r in records if r.method == m]
+        proved_sets[m] = {r.problem for r in recs if r.proved}
+        percent[m] = {_bucket_name(limit): round(100.0 * sum(
+            1 for r in recs if r.proved and (limit is None or r.processed <= limit)
+        ) / len(recs), 4) for limit in PC_BUCKETS}
     return {
         "methods": methods,
         "percent_proved": percent,
-        "proved_counts": {m: len(v) for m, v in proved_sets.items()},
-        "union_total": len(union_all),
-        "pairwise_union": pairwise,
-        "unique_proofs": uniques,
+        "proved_counts": {m: len(s) for m, s in proved_sets.items()},
+        "union_total": len(set().union(*proved_sets.values())),
+        "pairwise_union": {f"{a}|{b}": len(proved_sets[a] | proved_sets[b])
+                           for a in methods for b in methods if a < b},
+        "unique_proofs": {m: len(s.difference(*(proved_sets[o] for o in methods if o != m)))
+                          for m, s in proved_sets.items()},
     }
 
 
-def run_corpus(problems: list[Problem], methods: list[MethodConfig],
+def run_corpus(problems: list[Problem], methods: dict[str, GuidanceConfig],
                limits: SearchConfig | None = None,
                record_walltime: bool = False) -> ExperimentReport:
-    """Every (problem, method) cell under identical limits; a cascade cell
-    splits their processed and wall limits evenly across its levels.
+    """Every (problem, method) cell under identical limits, one method id
+    each.
 
-    A method whose guidance cannot run under `limits` raises ValueError
-    before any cell runs. Per-cell crashes become records with status
-    Error(...), the run continues.
+    A method that cannot run under `limits` raises ValueError before any
+    cell runs. Per-cell crashes become records with status Error(...),
+    the run continues.
     """
     limits = limits or SearchConfig()
-    for method in methods:
-        if not method.premsel_levels:  # the cascade runs no guided search
-            method.guidance.check_limits(limits)
+    for guidance in methods.values():
+        guidance.check_limits(limits)
     report = ExperimentReport()
     report.config = {
         "record_walltime": record_walltime,
         "limits": asdict(limits),
-        "methods": {
-            m.id: {**m.guidance.describe(),
-                   "premsel_levels": list(m.premsel_levels) if m.premsel_levels else None}
-            for m in methods
-        },
+        "methods": {method: guidance.describe() for method, guidance in methods.items()},
         "n_problems": len(problems),
     }
-    for method in methods:
+    for method, guidance in methods.items():
         for problem in problems:
             t0 = time.monotonic()
             try:
-                record = _run_cell(problem, method, limits)
+                record = _run_cell(problem, method, guidance, limits)
             except Exception as exc:
-                record = ProblemRecord(problem.name, method.id,
+                record = ProblemRecord(problem.name, method,
                                        f"Error({type(exc).__name__}: {exc})", 0, 0, 0,
-                                       method.guidance.mode)
+                                       guidance.mode)
             if not record_walltime:
                 record.wall_ms = 0
             else:
@@ -143,20 +116,12 @@ def run_corpus(problems: list[Problem], methods: list[MethodConfig],
     return report
 
 
-def _run_cell(problem: Problem, method: MethodConfig, limits: SearchConfig) -> ProblemRecord:
-    if method.premsel_levels:
-        scorer = ClauseScorer(method.guidance.model, method.guidance.vocab, problem,
-                              method.guidance.batch_size)
-        ranking = rank_premises(problem, scorer)
-        cascade = cascade_prove(problem, ranking, method.premsel_levels,
-                                limits.max_processed, limits=limits)
-        res = cascade.result
-        return ProblemRecord(problem.name, method.id, res.status,
-                             res.processed_count, res.generated_count, res.wall_ms,
-                             method.guidance.mode, cascade.level_used)
-    res = guided_prove(problem, method.guidance, limits)
-    return ProblemRecord(problem.name, method.id, res.status, res.processed_count,
-                         res.generated_count, res.wall_ms, method.guidance.mode)
+def _run_cell(problem: Problem, method: str, guidance: GuidanceConfig,
+              limits: SearchConfig) -> ProblemRecord:
+    res = guided_prove(problem, guidance, limits)
+    return ProblemRecord(problem.name, method, res.status, res.processed_count,
+                         res.generated_count, res.wall_ms, guidance.mode,
+                         res.info.get("premise_level"))
 
 
 def accuracy_eval(model: ModelParams, balanced_examples: list[TrainingExample],
@@ -179,12 +144,9 @@ def union_stats(report: ExperimentReport) -> dict:
 
 def curve_limits(max_processed: int) -> list[int]:
     """Log-spaced processed-clause limits: 1, 2, 5 per decade."""
-    out = []
-    base = 1
+    out, base = [], 1
     while base <= max(max_processed, 10):
-        for k in (1, 2, 5):
-            v = k * base
-            out.append(v)
+        out += [base, 2 * base, 5 * base]
         base *= 10
     return out
 
@@ -197,13 +159,10 @@ def emit_curves(report: ExperimentReport) -> dict[str, list[tuple[int, float]]]:
     curves = {}
     for m in methods:
         recs = [r for r in report.records if r.method == m]
-        n = len(recs)
-        rows = []
-        for limit in limits:
-            proved = sum(1 for r in recs if r.proved and r.processed <= limit)
-            unproved_pct = 100.0 * (n - proved) / n if n else 100.0
-            rows.append((limit, round(unproved_pct, 4)))
-        curves[m] = rows
+        unproved = [sum(1 for r in recs if not (r.proved and r.processed <= limit))
+                    for limit in limits]
+        curves[m] = [(limit, round(100.0 * k / len(recs), 4))
+                     for limit, k in zip(limits, unproved)]
     return curves
 
 

@@ -8,21 +8,25 @@ the number available, duplicates dropped; no level, or one below 1, is an
 error) and stops at the first proof; the processed-clause budget, if
 any, and the wall limit are split evenly across the levels. A level
 that saturates a strict subset of the premises proves nothing about the
-problem, so it ends as ResourceOut.
+problem, so it ends as ResourceOut. `guidance.guided_prove` runs both in
+its `cascade` mode.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from .fol import Clause, Problem, build_problem
-from .guidance import ClauseScorer
 from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
 
 # unused here; bench/tracing.py spans these names in this module
 from .neural.models import combiner_logit, embed_sequence  # noqa: F401
 from .tokens import tokenize_texts  # noqa: F401
+
+if TYPE_CHECKING:
+    from .guidance import ClauseScorer
 
 DEFAULT_LEVELS = (32, 64, 128, 256)
 
@@ -97,6 +101,12 @@ def _share(total: int | None, n: int) -> int | None:
     return None if total is None else max(1, total // n)
 
 
+def check_levels(levels) -> None:
+    if not levels or min(levels) < 1:
+        raise ValueError(f"premsel_levels must be one or more levels, each at least 1, "
+                         f"got {tuple(levels)}")
+
+
 def cascade_prove(problem: Problem, ranking: RankedPremises,
                   levels=DEFAULT_LEVELS, total_budget: int | None = 2000,
                   limits: SearchConfig | None = None) -> CascadeResult:
@@ -104,21 +114,19 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
 
     Each level runs the unguided prover under `limits`, with an even share
     of `total_budget` processed clauses (None: no cap per level) and of
-    the wall limit.
+    the wall limit. The result is the last level's, with its processed,
+    generated and wall counts summed over every level tried.
     """
-    if not levels or min(levels) < 1:
-        raise ValueError(f"cascade needs one or more levels, each at least 1, "
-                         f"got {tuple(levels)}")
+    check_levels(levels)
     limits = limits or SearchConfig()
     eff_levels = clamp_levels(levels, len(ranking.order))
     n_levels = len(eff_levels)
     level_limits = replace(limits, max_processed=_share(total_budget, n_levels),
                            max_wall_ms=_share(limits.max_wall_ms, n_levels))
 
-    transcript = []
+    transcript, wall_ms = [], 0
     for k in eff_levels:
-        top = set(ranking.order[:k])
-        sub = subset_problem(problem, top, f"@top{k}")
+        sub = subset_problem(problem, set(ranking.order[:k]), f"@top{k}")
         res = prove(sub, level_limits)
         if res.status == SAT and k < len(ranking.order):
             res = replace(res, status=RESOURCE_OUT, resource="premises")
@@ -126,9 +134,12 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
             {"level": k, "status": res.status, "processed": res.processed_count,
              "generated": res.generated_count}
         )
+        wall_ms += res.wall_ms
         if res.status == UNSAT:
-            return CascadeResult(res, k, [t["level"] for t in transcript],
-                                 transcript, ranking.ranking_hash)
-    return CascadeResult(res, None, [t["level"] for t in transcript],
-                         transcript, ranking.ranking_hash)
-
+            break
+    total = replace(res, processed_count=sum(t["processed"] for t in transcript),
+                    generated_count=sum(t["generated"] for t in transcript),
+                    wall_ms=wall_ms)
+    return CascadeResult(total, k if res.status == UNSAT else None,
+                         [t["level"] for t in transcript], transcript,
+                         ranking.ranking_hash)

@@ -533,7 +533,7 @@ def switched_prove_rebuilt(problem: Problem, gconfig: GuidanceConfig,
     state = Saturation(problem, replace(limits, max_processed=phase1), hybrid)
     outcome = state.run()
     info = {"phase1_processed": len(state.processed),
-            "evals_at_switch": scorer.clause_evals, "finished_in_phase": 1}
+            "evals_at_switch": scorer.network_evals, "finished_in_phase": 1}
     if outcome == LIMIT:
         state.schedule = parse_schedule(limits.schedule)
         for cid in sorted(hybrid.alive):
@@ -542,7 +542,7 @@ def switched_prove_rebuilt(problem: Problem, gconfig: GuidanceConfig,
         info["finished_in_phase"] = 2
         outcome = state.run()
     result = state.result(outcome)
-    result.info.update(info, network_evals=scorer.clause_evals,
+    result.info.update(info, network_evals=scorer.network_evals,
                        batch_calls=scorer.batch_calls, guidance=gconfig.describe())
     return result
 

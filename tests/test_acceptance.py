@@ -22,7 +22,6 @@ from satguide.datagen import (
 from satguide.fol import clause_str, normalize_variables
 from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
 from satguide.harness import (
-    MethodConfig,
     accuracy_eval,
     compute_aggregates,
     run_corpus,
@@ -472,7 +471,7 @@ def test_criterion_10_determinism(tmp_path, corpus, trained, trace_config):
     vocab_ok = va.read_bytes() == vb.read_bytes()
 
     # reports byte-identical
-    methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
+    methods = {"auto": GuidanceConfig(mode="auto")}
     ra, rb = tmp_path / "ra.jsonl", tmp_path / "rb.jsonl"
     write_report(run_corpus(problems, methods, SearchConfig(max_processed=500)), str(ra))
     write_report(run_corpus(problems, methods, SearchConfig(max_processed=500)), str(rb))

@@ -9,7 +9,7 @@ import pytest
 
 from satguide import cli, harness
 from satguide.cli import build_parser, main
-from satguide.corpus import chain_problem, junk_distractors
+from satguide.corpus import chain_problem, desk_corpus, junk_distractors
 from satguide.fol import problem_str
 from satguide.harness import read_report
 from satguide.neural.checkpoint import save_checkpoint_file
@@ -314,3 +314,84 @@ def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_fil
     with pytest.raises(ValueError, match=f"hybrid_nn_picks.*{error}"):
         main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
     assert not cells and not out_path.exists()
+
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
+FIXTURE_MODEL = ["--model", str(FIXTURE / "cnn.sgnn"), "--vocab", str(FIXTURE / "vocab.txt")]
+MODEL_KEYS = {"model": FIXTURE_MODEL[1], "vocab": FIXTURE_MODEL[3]}
+
+
+@pytest.mark.parametrize("methods,error", [
+    ([{"id": "auto", "mode": "auto", "batch_size": 0}], "batch_size must be at least 1"),
+    ([{"id": "casc", "mode": "cascade", "premsel_levels": [0], **MODEL_KEYS}],
+     "premsel_levels must be one or more levels, each at least 1"),
+    ([{"id": "casc", "mode": "cascade"}], "mode 'cascade' requires a model"),
+    ([{"id": "hy", "mode": "hybrid", "premsel_levels": [32], **MODEL_KEYS}],
+     "premsel_levels needs mode 'cascade'"),
+    ([{"id": "casc", "premsel_levels": [32, 64, 128, 256], **MODEL_KEYS}],
+     "premsel_levels needs mode 'cascade'"),
+    ([{"id": "a", "mode": "auto"}, {"id": "a", "mode": "auto"}], "'a' is used twice"),
+], ids=["batch_size", "level_below_one", "cascade_without_model",
+        "levels_under_hybrid", "default_levels_under_auto", "duplicate_id"])
+def test_experiment_refuses_a_bad_method_before_any_cell(tmp_path, monkeypatch, methods,
+                                                         error):
+    # refused while the methods are read: no cell runs and no report is written
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    config = {"corpus": {"seed": 0, "families": ["mini"]}, "methods": methods,
+              "limits": {"max_processed": 50}}
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=error):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    assert not cells and not out_path.exists()
+
+
+@pytest.fixture(scope="module")
+def premsel_file(tmp_path_factory):
+    """premsel000 of the bundled corpus as a TPTP file, alone in its directory."""
+    problem = next(c.problem for c in desk_corpus(0) if c.name == "premsel000")
+    path = tmp_path_factory.mktemp("premsel") / "premsel000.p"
+    path.write_text(problem_str(problem))
+    return path
+
+
+def test_premsel_output_is_pinned(premsel_file, capsys):
+    # the lines `satguide premsel` printed when it ran the cascade itself,
+    # before it became a guided_prove mode
+    assert main(["premsel", str(premsel_file), "--levels", "4,8,16,32", "--budget", "400"]
+                + FIXTURE_MODEL) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "% SZS status Unsatisfiable for premsel000",
+        "% ranking_hash=e802e71fefb324e2 level_used=16",
+        "%   level=4 status=ResourceOut processed=4",
+        "%   level=8 status=ResourceOut processed=100",
+        "%   level=16 status=Unsatisfiable processed=61",
+    ]
+
+
+def test_verify_cascade_mode(premsel_file, capsys):
+    # the proof comes from a top-k sub-problem and checks against the
+    # full problem
+    assert main(["verify", str(premsel_file), "--mode", "cascade"] + FIXTURE_MODEL) == 0
+    out = capsys.readouterr().out
+    assert "% SZS status Unsatisfiable for premsel000" in out
+    assert "proof verification: PASS" in out
+
+
+def test_experiment_runs_a_cascade_method(premsel_file, tmp_path):
+    config = {"corpus": {"dir": str(premsel_file.parent)},
+              "methods": [{"id": "casc", "mode": "cascade", "premsel_levels": [4, 8, 16, 32],
+                           **MODEL_KEYS}],
+              "limits": {"max_processed": 400}}
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    report = read_report(str(out_path))
+    [record] = report.records
+    # the record counts every level the cascade tried: 4 + 100 + 61
+    assert (record.status, record.premise_level, record.processed) == \
+        ("Unsatisfiable", 16, 165)
+    assert record.guidance_mode == "cascade"
+    assert report.config["methods"]["casc"]["premsel_levels"] == [4, 8, 16, 32]

@@ -12,10 +12,9 @@ from satguide import corpus
 from satguide.corpus import chain_problem, desk_corpus, junk_distractors, plain_distractors
 from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import clause_str, normalize_variables
-from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
+from satguide.guidance import GuidanceConfig, guided_prove
 from satguide.neural.models import ModelConfig, init_model
 from satguide.parser import parse_tptp
-from satguide.premsel import cascade_prove, rank_premises
 from satguide.saturation import (
     LIMIT,
     UNSAT,
@@ -80,8 +79,9 @@ def every_mode():
 
     premises = premise_problem()
     model, vocab = tiny_model(premises, "cnn")
-    ranking = rank_premises(premises, ClauseScorer(model, vocab, premises))
-    cascade_prove(premises, ranking, levels=(2, 100), total_budget=300)
+    guided_prove(premises, GuidanceConfig(mode="cascade", model=model, vocab=vocab,
+                                          premsel_levels=(2, 100)),
+                 SearchConfig(max_processed=300))
     return switched
 
 

@@ -101,7 +101,7 @@ class TestScorer:
         clauses = [clause_of(f"p(a) | q(c{i})", 100 + i) for i in range(100)]
         assert len(scorer.score_batch(clauses)) == 100
         assert scorer.batch_calls == 4  # ceil(100/32)
-        assert scorer.clause_evals == 100
+        assert scorer.network_evals == 100
 
     def test_batch_size_does_not_change_scores(self):
         problem = tiny_problem()
@@ -169,15 +169,14 @@ class TestModes:
         assert result.status == UNSAT
         assert result.info["network_evals"] > 0
 
-    @pytest.mark.parametrize("mode", ["pure", "hybrid", "switched"])
+    @pytest.mark.parametrize("mode", ["pure", "hybrid", "switched", "cascade", "auto"])
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, mode, batch_size):
-        problem = tiny_problem()
-        vocab = vocab_for(problem)
-        config = GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
-                                batch_size=batch_size)
+        # refused as the config is made, in every mode, before any search
+        vocab = vocab_for(tiny_problem())
         with pytest.raises(ValueError, match="batch_size"):
-            guided_prove(problem, config, SearchConfig(max_processed=100))
+            GuidanceConfig(mode=mode, model=model_for(vocab), vocab=vocab,
+                           batch_size=batch_size)
 
     def test_pure_mode_requires_model(self):
         with pytest.raises(ValueError):
@@ -217,7 +216,7 @@ class TestModes:
             "cnf(g, negated_conjecture, (~s(a))).", name="capped")
         vocab = vocab_for(problem)
         model = model_for(vocab)
-        for mode in ("auto", "pure", "hybrid", "switched"):
+        for mode in ("auto", "pure", "hybrid", "switched", "cascade"):
             config = GuidanceConfig(mode=mode, model=None if mode == "auto" else model,
                                     vocab=vocab)
             assert guided_prove(problem, config, SearchConfig()).status == SAT
@@ -231,6 +230,22 @@ class TestModes:
         result = guided_prove(problem, config, SearchConfig(max_processed=200))
         assert result.status == UNSAT
         assert "network_evals" in result.info
+
+    def test_cascade_mode_counts_every_level_and_premise(self):
+        # no one premise of tiny proves it, so the cascade tries both levels
+        problem = tiny_problem()
+        vocab = vocab_for(problem)
+        config = GuidanceConfig(mode="cascade", model=model_for(vocab), vocab=vocab,
+                                premsel_levels=(1, 3))
+        result = guided_prove(problem, config, SearchConfig(max_processed=100))
+        transcript = result.info["transcript"]
+        assert (result.status, result.info["premise_level"]) == (UNSAT, 3)
+        assert [t["level"] for t in transcript] == [1, 3]
+        assert result.processed_count == sum(t["processed"] for t in transcript)
+        assert result.generated_count == sum(t["generated"] for t in transcript)
+        # one combiner call scores the three premises
+        assert (result.info["network_evals"], result.info["batch_calls"]) == (3, 1)
+        assert result.info["guidance"]["premsel_levels"] == [1, 3]
 
 
 @pytest.mark.parametrize("phase1_budget", [None, 30, 200])
@@ -344,7 +359,7 @@ class TestSwitched:
         # an unnamed mode used to run the hybrid schedule
         model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
         with pytest.raises(ValueError, match=f"mode must be one of auto, pure, hybrid, "
-                                             f"switched, got {mode!r}"):
+                                             f"switched, cascade, got {mode!r}"):
             GuidanceConfig(mode=mode, model=model, vocab=Vocabulary())
 
     @pytest.mark.parametrize("mode", ["hybrid", "switched"])

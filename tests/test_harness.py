@@ -10,7 +10,6 @@ from satguide.corpus import desk_corpus
 from satguide.guidance import GuidanceConfig
 from satguide.harness import (
     ExperimentReport,
-    MethodConfig,
     PC_BUCKETS,
     ProblemRecord,
     accuracy_eval,
@@ -39,10 +38,7 @@ class TestRunCorpus:
 
     def test_cross_product_records(self):
         problems = self._problems(2)
-        methods = [
-            MethodConfig("auto1", GuidanceConfig(mode="auto")),
-            MethodConfig("auto2", GuidanceConfig(mode="auto")),
-        ]
+        methods = {"auto1": GuidanceConfig(mode="auto"), "auto2": GuidanceConfig(mode="auto")}
         report = run_corpus(problems, methods, SearchConfig(max_processed=500))
         assert len(report.records) == 4
         assert check_report(report)
@@ -54,7 +50,7 @@ class TestRunCorpus:
             def __getattr__(self, attr):
                 raise RuntimeError("bad problem")
 
-        methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
+        methods = {"auto": GuidanceConfig(mode="auto")}
         report = run_corpus([Bad()], methods, SearchConfig(max_processed=10))
         assert report.records[0].status == "Error(RuntimeError: bad problem)"
 
@@ -64,11 +60,10 @@ class TestRunCorpus:
         vocab = Vocabulary()
         model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
         ran = []
-        methods = [
-            MethodConfig("auto", GuidanceConfig(mode="auto")),
-            MethodConfig("sw", GuidanceConfig(mode="switched", model=model, vocab=vocab,
-                                              phase1_budget=50)),
-        ]
+        methods = {
+            "auto": GuidanceConfig(mode="auto"),
+            "sw": GuidanceConfig(mode="switched", model=model, vocab=vocab, phase1_budget=50),
+        }
 
         class Watched:
             name = "watched"
@@ -80,7 +75,7 @@ class TestRunCorpus:
         for limits in (SearchConfig(max_processed=50), SearchConfig(max_processed=20)):
             with pytest.raises(ValueError, match="phase1_budget < max_processed"):
                 run_corpus([Watched()], methods, limits)
-        methods[1].guidance.phase1_budget, methods[1].guidance.phase1_ms = None, 500
+        methods["sw"].phase1_budget, methods["sw"].phase1_ms = None, 500
         with pytest.raises(ValueError, match="phase1_ms < max_wall_ms"):
             run_corpus([Watched()], methods, SearchConfig(max_wall_ms=500))
         assert ran == []
@@ -92,8 +87,8 @@ class TestRunCorpus:
         vocab = Vocabulary()
         model = init_model(ModelConfig(arch="cnn", vocab_size=3, dim=4), vocab_hash="")
         ran = []
-        methods = [MethodConfig("auto", GuidanceConfig(mode="auto")),
-                   MethodConfig("nn", GuidanceConfig(mode="pure", model=model, vocab=vocab))]
+        methods = {"auto": GuidanceConfig(mode="auto"),
+                   "nn": GuidanceConfig(mode="pure", model=model, vocab=vocab)}
 
         class Watched:
             name = "watched"
@@ -110,7 +105,7 @@ class TestRunCorpus:
 
     def test_config_records_every_limit(self):
         problems = self._problems(1)
-        methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
+        methods = {"auto": GuidanceConfig(mode="auto")}
         base = SearchConfig(max_processed=50)
         limits = [run_corpus(problems, methods, cfg).config["limits"]
                   for cfg in (base, replace(base, max_clause_literals=3),
@@ -120,19 +115,21 @@ class TestRunCorpus:
 
     def test_cascade_cells_obey_the_processed_limit(self, fixture_cnn):
         # a cascade cell splits the experiment's max_processed across its
-        # four levels: 10 clauses a level under 40, too few to prove
+        # four levels: 10 clauses a level under 40, too few to prove, and
+        # the record counts all four levels
         model, vocab = fixture_cnn
         problems = [c.problem for c in desk_corpus(0) if "premsel" in c.tags][:3]
-        methods = [MethodConfig("casc", GuidanceConfig(mode="auto", model=model, vocab=vocab),
-                                premsel_levels=(32, 64, 128, 256))]
+        methods = {"casc": GuidanceConfig(mode="cascade", model=model, vocab=vocab,
+                                          premsel_levels=(32, 64, 128, 256))}
         tight = run_corpus(problems, methods, SearchConfig(max_processed=40))
-        assert [(r.status, r.processed) for r in tight.records] == [("ResourceOut", 10)] * 3
+        assert [(r.status, r.processed) for r in tight.records] == [("ResourceOut", 40)] * 3
+        assert {r.guidance_mode for r in tight.records} == {"cascade"}
         ample = run_corpus(problems, methods, SearchConfig(max_processed=20_000))
         assert all(r.proved for r in ample.records)
 
     def test_walltime_suppressed_by_default(self):
         problems = self._problems(1)
-        methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
+        methods = {"auto": GuidanceConfig(mode="auto")}
         report = run_corpus(problems, methods, SearchConfig(max_processed=200))
         assert report.records[0].wall_ms == 0
         timed = run_corpus(problems, methods, SearchConfig(max_processed=200),
@@ -236,7 +233,7 @@ class TestReportFiles:
 
     def test_method_isolation_under_shuffled_corpus(self):
         problems = [c.problem for c in desk_corpus(0) if c.family == "chain"][:3]
-        methods = [MethodConfig("auto", GuidanceConfig(mode="auto"))]
+        methods = {"auto": GuidanceConfig(mode="auto")}
         fwd = run_corpus(problems, methods, SearchConfig(max_processed=300))
         rev = run_corpus(problems[::-1], methods, SearchConfig(max_processed=300))
         by_name_fwd = {r.problem: r for r in fwd.records}

@@ -5,9 +5,10 @@ per-clause combiner that `tensor.conv_taps` and
 `ClauseScorer.probabilities` replaced; any change to the neural path that
 moves one bit of a clause or premise score fails here. Scores must not
 depend on the batch size either. The training pins hash the checkpoint
-after 25 Adam steps, with token and feature dropout for the sequence
-towers, measured on the padded and masked sequence towers that packed
-batches replaced. The tree-RNN pins and the tree training pins were
+after 25 Adam steps, with token dropout for both sequence towers and
+feature dropout for the WaveNet tower (the only one that reads it),
+measured on the padded and masked sequence towers that packed batches
+replaced. The tree-RNN pins and the tree training pins were
 measured on the scorer and the pair preparation as they were before
 `ClauseScorer.embed` and `PairInput`'s one-input-per-tower fields
 replaced them. No wall-clock gate. The values were taken with numpy 2.4

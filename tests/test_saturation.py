@@ -10,7 +10,6 @@ from satguide.corpus import desk_corpus
 from satguide.datagen import trace_problem
 from satguide.fol import Clause, clause_str
 from satguide.guidance import GuidanceConfig, guided_prove
-from satguide.harness import MethodConfig, run_corpus
 from satguide.heuristics import parse_schedule
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import (
@@ -376,6 +375,7 @@ GUIDANCE_ROWS = [
     ("hybrid_nn_picks", 2, {}, ValueError),  # auto has no network picks
     ("hybrid_nn_picks", 3, {"mode": "hybrid"}, "selections"),
     ("batch_size", 0, {"mode": "hybrid"}, ValueError),
+    ("batch_size", 0, {}, ValueError),  # refused at construction, scorer or none
     ("batch_size", 1, {"mode": "hybrid"}, "batch_calls"),
     ("phase1_budget", -1, {"mode": "switched"}, ValueError),
     ("phase1_budget", 30, {"mode": "hybrid"}, ValueError),
@@ -383,6 +383,12 @@ GUIDANCE_ROWS = [
     ("phase1_budget", 30, {"mode": "switched"}, "finished_in_phase"),
     ("phase1_ms", -1, {"mode": "switched"}, ValueError),
     ("phase1_ms", 0, {"mode": "switched"}, "phase1_processed"),
+    ("mode", "cascade", {}, "premise_level"),
+    # the default levels prove the flood at 32 premises
+    ("premsel_levels", (16,), {"mode": "cascade"}, "premise_level"),
+    ("premsel_levels", (0,), {"mode": "cascade"}, ValueError),
+    ("premsel_levels", (), {"mode": "cascade"}, ValueError),
+    ("premsel_levels", (32,), {"mode": "hybrid"}, ValueError),
 ]
 
 GUIDED_LIMITS = SearchConfig(max_processed=600, max_wall_ms=None, record_selections=True)
@@ -411,42 +417,11 @@ def test_guidance_option_takes_effect_or_is_refused(field, value, settings, expe
     assert moved[expected] != default.get(expected)
 
 
-# (field, value, what follows): the `ProblemRecord` field that the value
-# moves in an experiment cell of a premise problem, against
-# MethodConfig("m", GuidanceConfig(model=..., vocab=...)), or ValueError
-# when the cell refuses it (recorded as an Error status). A `guidance`
-# value holds the GuidanceConfig fields besides the model and vocab.
-METHOD_ROWS = [
-    ("id", "other", "method"),
-    ("guidance", {"mode": "pure"}, "guidance_mode"),
-    ("premsel_levels", (32,), "premise_level"),
-    ("premsel_levels", (0,), ValueError),
-]
-
-
-@pytest.mark.parametrize("field,value,expected", METHOD_ROWS,
-                         ids=[f"{f}={v!r}" for f, v, _ in METHOD_ROWS])
-def test_method_option_takes_effect_or_is_refused(field, value, expected, fixture_cnn):
-    model, vocab = fixture_cnn
-    problem = next(c.problem for c in desk_corpus(0) if "premsel" in c.tags)
-    if field == "guidance":
-        value = GuidanceConfig(model=model, vocab=vocab, **value)
-    default = MethodConfig("m", GuidanceConfig(model=model, vocab=vocab))
-    limits = SearchConfig(max_processed=600, max_wall_ms=None)
-    [before] = run_corpus([problem], [default], limits).records
-    [after] = run_corpus([problem], [replace(default, **{field: value})], limits).records
-    if expected is ValueError:
-        assert after.status.startswith("Error(ValueError")
-        return
-    assert getattr(after, expected) != getattr(before, expected)
-
-
 def test_option_table_covers_every_field():
     # `record_selections` changes no status; test_selection_recording covers it
     untabled = {f.name for f in fields(SearchConfig)} - {f for f, _, _ in OPTION_ROWS}
     assert untabled == {"record_selections"}
     assert {f.name for f in fields(GuidanceConfig)} == {row[0] for row in GUIDANCE_ROWS}
-    assert {f.name for f in fields(MethodConfig)} == {row[0] for row in METHOD_ROWS}
 
 
 class TestOracleAgreement:

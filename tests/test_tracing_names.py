@@ -4,7 +4,7 @@ still called.
 `bench/tracing.py` wraps satguide functions and methods by name, in every
 module that imports them, and fails on a name that is gone. The benchmark
 lives outside `tests/`, so this test installs the tracer, runs a guided
-search, a premise ranking and a training step under it, and uninstalls it
+search, a premise cascade and a training step under it, and uninstalls it
 again. A second test traces an unguided Auto search and checks that every
 search-core span and the unifier counter record calls: a refactor that
 routes the search around a spanned name would otherwise read as a zero
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from satguide import guidance, premsel
-from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
+from satguide.guidance import GuidanceConfig, guided_prove
 from satguide.neural.models import ModelConfig, PairInput, init_model, loss_and_grads
 from satguide.neural.tensor import Tensor
 from satguide.parser import parse_tptp
@@ -74,7 +74,10 @@ def test_install_patches_every_name_and_uninstall_restores(tracing):
         result = guided_prove(problem, GuidanceConfig(mode="hybrid", model=model, vocab=vocab),
                               SearchConfig(max_processed=50))
         assert result.info["network_evals"] > 0
-        premsel.rank_premises(problem, ClauseScorer(model, vocab, problem))
+        cascade = guided_prove(problem, GuidanceConfig(mode="cascade", model=model,
+                                                       vocab=vocab, premsel_levels=(1, 3)),
+                               SearchConfig(max_processed=50))
+        assert cascade.info["network_evals"] > 0
         pair = PairInput(clause=[3, 4, 5], conj=[6, 7], label=1)
         loss_and_grads([pair], model, train_mode=True, rng=np.random.default_rng(0))
     finally:
@@ -84,7 +87,8 @@ def test_install_patches_every_name_and_uninstall_restores(tracing):
         assert owner.__dict__[attr] is original, attr
     totals = tracer.totals()
     for name in ("saturation", "guidance.score_batch", "tokens.tokenize", "neural.embed",
-                 "neural.combiner", "premsel.rank", "neural.forward", "neural.backward"):
+                 "neural.combiner", "premsel.rank", "premsel.cascade", "neural.forward",
+                 "neural.backward"):
         assert totals[name]["calls"] > 0, name
 
 
