@@ -186,8 +186,11 @@ class ClauseScorer(WeightFunction):
         The combiner sees [B, 1, 2*dim] rows, so numpy evaluates each row
         with the same one-row product as a lone row: every probability is
         bit-identical whatever B is. (A [B, 2*dim] product would go through
-        a matrix-matrix BLAS call, which rounds differently.)
+        a matrix-matrix BLAS call, which rounds differently.) An empty
+        batch returns [] and counts no call.
         """
+        if not len(vecs.data):
+            return []
         self.batch_calls += 1
         self.network_evals += len(vecs.data)
         with T.no_grad():

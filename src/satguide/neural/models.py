@@ -15,7 +15,8 @@ builds.
 A batch of token sequences runs packed: its tokens are the rows of one
 [N, dim] array, with no padding rows and no masks, and a `tensor.Segments`
 layout keeps every convolution tap and the max-pooling inside each
-sequence.
+sequence. Each convolution layer is one fused `tensor.conv_taps` node:
+taps, bias and, in the CNN, the ReLU.
 
 Dropout acts in training only: `token_dropout` drops whole tokens of a
 sequence tower, `feature_dropout` drops features at the input of each
@@ -23,14 +24,16 @@ WaveNet block. `ModelConfig` refuses a rate outside [0, 1], and a
 nonzero rate on an architecture that does not read it: either rate on a
 tree architecture, `feature_dropout` on the CNN.
 
-Parameters are stored as float32-representable float64 arrays so that
+Parameters are stored as float32-representable float64 values so that
 checkpoints (float32 blobs) round-trip without changing a single score.
+They live in one flat buffer that every parameter array is a view into
+(`ModelParams.flat`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -100,9 +103,38 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
+    """The parameters of a model, in one flat float64 buffer.
+
+    Every parameter's `data` is a view into `flat`, in `params` order, so
+    `quantize`, `clone` and the Adam update each act on the whole buffer
+    at once. A caller may still rebind a parameter's `data` to a new array
+    of the same shape; `buffer()` copies such an array back in and makes
+    the parameter a view again.
+    """
+
     config: ModelConfig
     params: dict[str, Tensor]
     vocab_hash: str = ""
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate([p.data.ravel() for p in self.params.values()])
+        self._views = []
+        at = 0
+        for p in self.params.values():
+            p.data = self.flat[at : at + p.data.size].reshape(p.data.shape)
+            self._views.append(p.data)
+            at += p.data.size
+
+    def buffer(self) -> np.ndarray:
+        """`flat`, after copying in any parameter array a caller rebound."""
+        for p, view in zip(self.params.values(), self._views):
+            if p.data is not view:
+                if p.data.shape != view.shape:
+                    raise ValueError(f"parameter shape {p.data.shape} is not {view.shape}")
+                view[...] = p.data
+                p.data = view
+        return self.flat
 
     def named_arrays(self):
         for name, p in self.params.items():
@@ -110,12 +142,14 @@ class ModelParams:
 
     def quantize(self):
         """Clamp parameters to float32-representable values; pin PAD row."""
-        for p in self.params.values():
-            p.data = p.data.astype(np.float32).astype(np.float64)
+        flat = self.buffer()
+        flat[...] = flat.astype(np.float32)
         self.params["embedding"].data[PAD_ID] = 0.0
 
     def clone(self) -> "ModelParams":
-        copies = {k: T.parameter(p.data.copy()) for k, p in self.params.items()}
+        """An independent copy: one copy of the buffer."""
+        self.buffer()
+        copies = {k: T.parameter(p.data) for k, p in self.params.items()}
         return ModelParams(self.config, copies, self.vocab_hash)
 
     def zero_grads(self):
@@ -182,18 +216,6 @@ def init_model(config: ModelConfig, vocab_hash: str = "") -> ModelParams:
 # -- convolutions ----------------------------------------------------------------
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, segments: T.Segments,
-           dilation: int = 1) -> Tensor:
-    """Dilated 1-D convolution, symmetric (non-causal), zero padding, over
-    the packed sequences `segments` lays out in the rows of x.
-
-    out_i = b + sum_j w_j @ x_{i - dilation*(j - ceil(s/2))} for j = 1..s,
-    with inputs outside row i's own sequence read as zero. `w` is
-    [s, C_in, C_out] and x is [N, C_in].
-    """
-    return T.add(T.conv_taps(x, w, segments, dilation), b)
-
-
 def _dropout(rng: np.random.Generator, segments: T.Segments, width: int,
              rate: float) -> Tensor:
     """A keep mask for the packed rows. It is drawn over the padded
@@ -206,19 +228,18 @@ def _dropout(rng: np.random.Generator, segments: T.Segments, width: int,
 def _cnn_tower(x: Tensor, model: ModelParams, tower: str, segments: T.Segments) -> Tensor:
     cfg = model.config
     for i in range(cfg.cnn_layers):
-        x = conv1d(x, model.params[f"{tower}.conv{i}.w"],
-                   model.params[f"{tower}.conv{i}.b"], segments)
-        x = T.relu(x)
+        x = T.conv_taps(x, model.params[f"{tower}.conv{i}.w"],
+                        model.params[f"{tower}.conv{i}.b"], segments, relu=True)
     return x
 
 
 def _wavenet_layer(x: Tensor, model: ModelParams, tower: str, b: int, l: int,
                    dilation: int, segments: T.Segments) -> Tensor:
     p = model.params
-    filt = conv1d(x, p[f"{tower}.b{b}.l{l}.filter.w"], p[f"{tower}.b{b}.l{l}.filter.b"],
-                  segments, dilation)
-    gate = conv1d(x, p[f"{tower}.b{b}.l{l}.gate.w"], p[f"{tower}.b{b}.l{l}.gate.b"],
-                  segments, dilation)
+    filt = T.conv_taps(x, p[f"{tower}.b{b}.l{l}.filter.w"], p[f"{tower}.b{b}.l{l}.filter.b"],
+                       segments, dilation)
+    gate = T.conv_taps(x, p[f"{tower}.b{b}.l{l}.gate.w"], p[f"{tower}.b{b}.l{l}.gate.b"],
+                       segments, dilation)
     return T.add(x, T.mul(T.tanh(filt), T.sigmoid(gate)))
 
 
@@ -273,11 +294,16 @@ def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
     cfg = model.config
     if cfg.arch not in SEQ_ARCHS:
         raise ValueError(f"embed_sequences needs a sequence architecture, got {cfg.arch}")
-    stripped = [[i for i in ids if i != PAD_ID] for ids in batch_ids]
-    segments = T.Segments([len(ids) for ids in stripped])
+    lengths = np.fromiter(map(len, batch_ids), dtype=np.intp, count=len(batch_ids))
+    tokens = np.fromiter(chain.from_iterable(batch_ids), dtype=np.intp, count=lengths.sum())
+    content = tokens != PAD_ID
+    if not content.all():
+        owner = np.repeat(np.arange(len(batch_ids)), lengths)
+        lengths = np.bincount(owner[content], minlength=len(batch_ids))
+        tokens = tokens[content]
+    segments = T.Segments(lengths)
     if segments.n == 0:
         return T.constant(np.zeros((len(batch_ids), cfg.dim)))
-    tokens = np.fromiter(chain.from_iterable(stripped), dtype=np.intp, count=segments.n)
     x = T.embedding(model.params["embedding"], tokens)
     if train_mode and cfg.token_dropout > 0.0:
         x = T.mul(x, _dropout(rng, segments, 1, cfg.token_dropout))

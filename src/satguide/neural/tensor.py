@@ -11,6 +11,13 @@ one [N, C] array, and a `Segments` layout says which rows belong to which
 sequence. `conv_taps` and `segment_max` never mix rows of two sequences,
 so nothing needs masking.
 
+A convolution layer is one fused `conv_taps` node: tap sum, bias and
+(for the CNN) ReLU, computed in place, with a backward that masks and
+sums the bias gradient itself. Its bits are those of the three-node
+graph it replaced. An op that has just allocated a gradient hands it to
+`_accumulate` as `fresh`, and the first such gradient of a tensor is
+kept, not copied.
+
 `no_grad()` disables graph construction for inference paths.
 """
 
@@ -53,10 +60,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, fresh: bool = False):
+        """Add `g` to this tensor's gradient. `fresh` says that the caller
+        has just allocated `g` and hands it to no one else, so the first
+        gradient can be `g` itself; otherwise it is copied, because `g`
+        may be a view, or handed to several parents."""
         if self.grad is None:
-            # a copy: `g` may be a view, or handed to several parents
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -133,7 +143,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+            b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -143,9 +153,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -158,12 +168,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
             k = b.data.shape[0]
             a2 = a.data.reshape(-1, k)
             g2 = g.reshape(-1, b.data.shape[1])
-            b._accumulate(a2.T @ g2)
+            b._accumulate(a2.T @ g2, fresh=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -176,7 +186,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
+            a._accumulate(g * (a.data > 0.0), fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -186,7 +196,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data**2))
+            a._accumulate(g * (1.0 - out_data**2), fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -196,7 +206,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
+            a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -245,7 +255,7 @@ def narrow(a: Tensor, start: int, stop: int) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             full[..., start:stop] = g
-            a._accumulate(full)
+            a._accumulate(full, fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -262,46 +272,44 @@ class Segments:
         self.n = int(ends[-1]) if len(ends) else 0
         self.max_len = int(self.lengths.max()) if len(ends) else 0
         self.pos = np.arange(self.n) - np.repeat(self.starts, self.lengths)  # in its sequence
-        self._cuts: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._tap_rows: dict[tuple[int, ...], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def shift(self, a: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-        """[len(offsets), N, C]: slice k holds the rows of a moved by
-        offsets[k] inside each sequence, row i being a[i - offsets[k]], or
-        zero where that row lies outside i's own sequence. Every offset
-        must be shorter than N."""
-        n = self.n
-        out = np.zeros((len(offsets),) + a.shape)
-        for k, o in enumerate(offsets):
-            if o >= 0:
-                out[k, o:] = a[: n - o]
-            else:
-                out[k, : n + o] = a[-o:]
-        pairs = self._cuts.get(offsets)
-        if pairs is None:
+    def tap_rows(self, offsets: tuple[int, ...]) -> np.ndarray:
+        """[len(offsets), N]: entry [k, i] is the row that a shift by
+        offsets[k] inside each sequence moves to row i, i - offsets[k], or
+        N where that row lies outside i's own sequence (`_gather_rows`
+        reads N as a zero row). The rows of a tuple and of its reverse are
+        found at once: the backward of a symmetric kernel shifts by the
+        forward's offsets negated, which is the forward's tuple reversed."""
+        rows = self._tap_rows.get(offsets)
+        if rows is None:
+            o = np.array(offsets, dtype=np.intp)[:, None]
             ahead = np.repeat(self.lengths, self.lengths) - self.pos  # rows to the end
-            rows = [np.flatnonzero(self.pos < o if o >= 0 else ahead <= -o) for o in offsets]
-            k = np.repeat(np.arange(len(offsets)), [len(r) for r in rows])
-            pairs = self._cuts[offsets] = (k, np.concatenate(rows))
-        out[pairs] = 0.0
-        return out
+            outside = (self.pos < o) | (ahead <= -o)
+            rows = np.where(outside, self.n, np.arange(self.n) - o)
+            self._tap_rows[offsets] = rows
+            self._tap_rows.setdefault(offsets[::-1], rows[::-1])
+        return rows
 
     def padded_rows(self) -> np.ndarray:
         """Each row's index in the flattened (B, max_len) padded layout."""
         return np.repeat(np.arange(len(self)) * self.max_len, self.lengths) + self.pos
 
 
-def conv_taps(x: Tensor, w: Tensor, segments: Segments, dilation: int = 1) -> Tensor:
-    """The tap sum of a dilated, symmetric, zero-padded 1-D convolution
-    over packed sequences.
+def conv_taps(x: Tensor, w: Tensor, b: Tensor, segments: Segments, dilation: int = 1,
+              relu: bool = False) -> Tensor:
+    """One layer of a dilated, symmetric, zero-padded 1-D convolution over
+    packed sequences: the tap sum, plus the bias, then a ReLU if `relu`.
 
-    out_i = sum_j x_{i - dilation*(j - ceil(s/2))} @ w_j for j = 1..s, with
-    `w` [s, C_in, C_out], x [N, C_in] the rows of `segments`, and a row
-    read from outside i's own sequence counting as zero. The shifted
-    copies of x are stacked on a tap axis and multiplied by the taps in
-    one matmul; each tap's product is then the BLAS call a lone
+    out_i = b + sum_j x_{i - dilation*(j - ceil(s/2))} @ w_j for j = 1..s,
+    with `w` [s, C_in, C_out], `b` [C_out], x [N, C_in] the rows of
+    `segments`, and a row read from outside i's own sequence counting as
+    zero. The shifted copies of x are gathered once, through
+    `Segments.tap_rows`, onto a tap axis and multiplied by the taps in one
+    matmul; each tap's product is then the BLAS call a lone
     `shift(x) @ w_j` makes over the packed rows, and the products are
     added in tap order, so the sum is bit-identical to adding the per-tap
     products one after another. (Multiplying x once by a [C_in, s*C_out]
@@ -309,6 +317,11 @@ def conv_taps(x: Tensor, w: Tensor, segments: Segments, dilation: int = 1) -> Te
     round them differently.) Taps that reach past every sequence are
     skipped. When no sequence is longer than one token, each row is
     multiplied on its own, as in its padded layout [B, 1, C].
+
+    The bias add and the ReLU act in place on the tap sum, and the result
+    has the bits of `relu(add(taps, b))` computed node by node; so has
+    every gradient. The node is made, and so checked for non-finite
+    values, before the ReLU, which would clip a -inf to zero.
     """
     s, c_in, c_out = w.data.shape
     n = x.data.shape[0]
@@ -317,39 +330,64 @@ def conv_taps(x: Tensor, w: Tensor, segments: Segments, dilation: int = 1) -> Te
     live = [j for j, o in enumerate(offsets) if abs(o) < segments.max_len]
     lo, hi = live[0], live[-1] + 1  # the live taps are the middle ones
     shifts = tuple(offsets[lo:hi])
-    shifted = segments.shift(x.data, shifts)
+    shifted = _gather_rows(x.data, segments.tap_rows(shifts))  # [k, N, C_in]
     rows = (n, 1) if segments.max_len == 1 else (n,)
     taps = w.data[lo:hi].reshape((hi - lo,) + (1,) * (len(rows) - 1) + (c_in, c_out))
-    terms = np.matmul(shifted.reshape((hi - lo,) + rows + (c_in,)), taps)
-    out_data = terms[0].reshape(n, c_out).copy()
-    for term in terms[1:]:
-        out_data += term.reshape(n, c_out)
+    terms = np.matmul(shifted.reshape((hi - lo,) + rows + (c_in,)), taps).reshape(
+        hi - lo, n, c_out)
+    out_data = terms[0] if hi - lo == 1 else terms[0] + terms[1]
+    for term in terms[2:]:
+        out_data += term
+    out_data += b.data
 
     def backward(g):
+        if relu:
+            g = g * (out_data > 0.0)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0), fresh=True)
         if x.requires_grad:
             # gt[i, j] is the output gradient tap j routes back to input row i
-            gt = np.zeros((n, s, c_out))
-            gt[:, lo:hi] = segments.shift(g, tuple(-o for o in shifts)).transpose(1, 0, 2)
+            gt = _gather_rows(g, segments.tap_rows(tuple(-o for o in shifts)).T)
+            if hi - lo < s:
+                gt = np.concatenate([np.zeros((n, lo, c_out)), gt,
+                                     np.zeros((n, s - hi, c_out))], axis=1)
             w_flat = w.data.transpose(1, 0, 2).reshape(c_in, s * c_out)
-            x._accumulate((gt.reshape(rows + (s * c_out,)) @ w_flat.T).reshape(n, c_in))
+            x._accumulate((gt.reshape(rows + (s * c_out,)) @ w_flat.T).reshape(n, c_in),
+                          fresh=True)
         if w.requires_grad:
-            gw = np.zeros(w.data.shape)
-            gw[lo:hi] = np.matmul(shifted.transpose(0, 2, 1), g)
-            w._accumulate(gw)
+            gw = np.empty(w.data.shape) if hi - lo == s else np.zeros(w.data.shape)
+            np.matmul(shifted.transpose(0, 2, 1), g, out=gw[lo:hi])
+            w._accumulate(gw, fresh=True)
 
-    return _make(out_data, (x, w), backward)
+    out = _make(out_data, (x, w, b), backward)  # checks the pre-activation
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
+    return out
+
+
+def _gather_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] over the rows of a with a zero row appended as row len(a):
+    `rows.shape + a.shape[1:]`, written once."""
+    ext = np.empty((len(a) + 1,) + a.shape[1:])
+    ext[:-1] = a
+    ext[-1] = 0.0
+    return ext.take(rows, axis=0)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row gather; gradient scatter-adds into the table."""
+    """Row gather; gradient scatter-adds into the table. The scatter is a
+    `np.bincount` over each gradient element's place in the table, which
+    adds the elements in the order `np.add.at` would, so it has its bits."""
     idx = np.asarray(ids, dtype=np.intp)
     out_data = table.data[idx]
 
     def backward(g):
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            table._accumulate(full)
+            v = table.data.shape[0]
+            c = table.data.size // v
+            places = (idx.reshape(-1, 1) * c + np.arange(c)).ravel()
+            full = np.bincount(places, weights=g.ravel(), minlength=v * c)
+            table._accumulate(full.reshape(table.data.shape), fresh=True)
 
     return _make(out_data, (table,), backward)
 
@@ -371,7 +409,7 @@ def segment_max(a: Tensor, segments: Segments) -> Tensor:
             first = np.minimum.reduceat(rows, starts, axis=0)
             grad = np.zeros_like(a.data)
             grad[first, np.arange(a.data.shape[1])] = g[full]
-            a._accumulate(grad)
+            a._accumulate(grad, fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -392,7 +430,7 @@ def mean(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.full_like(a.data, float(g) / n))
+            a._accumulate(np.full_like(a.data, float(g) / n), fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -406,6 +444,6 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def backward(g):
         if logits.requires_grad:
-            logits._accumulate(float(g) * (_sigmoid(z) - y) / z.size)
+            logits._accumulate(float(g) * (_sigmoid(z) - y) / z.size, fresh=True)
 
     return _make(out_data, (logits,), backward)

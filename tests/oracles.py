@@ -53,6 +53,16 @@ sequence towers as they ran before batches were packed: every row padded
 to the longest, a mask multiply after every layer, and a Python loop of
 `np.argmax` calls for the pooling. They are the references for
 `models.embed_sequences`, `tensor.conv_taps` and `tensor.segment_max`.
+
+`conv_taps_unfused`, `embedding_add_at` and `adam_step_per_array` are the
+training-step kernels as they were before the step was cut down to its
+matrix products: the tap sum as an op of its own (zero-filled shifts, a
+zero-filled and transposed input-gradient layout), to which the towers
+added the bias and the ReLU as two more graph nodes; the embedding
+gradient scattered with `np.add.at` into a zeroed table; and Adam as ten
+array operations per parameter array, with a moment pair per array. They
+are the references for the fused `tensor.conv_taps`, the `np.bincount`
+scatter of `tensor.embedding` and the flat-buffer `adam.adam_step`.
 """
 
 from __future__ import annotations
@@ -731,3 +741,88 @@ def padded_embed_sequences(batch_ids, model, tower: str, train_mode: bool = Fals
                 y = T.add(y, T.mul(T.mul(T.tanh(filt), T.sigmoid(gate)), mask))
             x = T.add(x, T.sub(y, y0))
     return padded_max_time(x, lengths)
+
+
+def _shift_zeroed(segments: T.Segments, a: np.ndarray, offsets) -> np.ndarray:
+    """`Segments.shift` as it was: a zero-filled [k, N, C] array, the cut
+    rows found afresh on every call."""
+    n = segments.n
+    out = np.zeros((len(offsets),) + a.shape)
+    for k, o in enumerate(offsets):
+        if o >= 0:
+            out[k, o:] = a[: n - o]
+        else:
+            out[k, : n + o] = a[-o:]
+    ahead = np.repeat(segments.lengths, segments.lengths) - segments.pos
+    for k, o in enumerate(offsets):
+        out[k, np.flatnonzero(segments.pos < o if o >= 0 else ahead <= -o)] = 0.0
+    return out
+
+
+def conv_taps_unfused(x: T.Tensor, w: T.Tensor, segments: T.Segments,
+                      dilation: int = 1) -> T.Tensor:
+    """The tap sum of `tensor.conv_taps` without bias or ReLU, as it was
+    before the fusion; a layer was `relu(add(conv_taps_unfused(...), b))`."""
+    s, c_in, c_out = w.data.shape
+    n = x.data.shape[0]
+    center = (s + 1) // 2
+    offsets = [dilation * (j - center) for j in range(1, s + 1)]
+    live = [j for j, o in enumerate(offsets) if abs(o) < segments.max_len]
+    lo, hi = live[0], live[-1] + 1
+    shifts = tuple(offsets[lo:hi])
+    shifted = _shift_zeroed(segments, x.data, shifts)
+    rows = (n, 1) if segments.max_len == 1 else (n,)
+    taps = w.data[lo:hi].reshape((hi - lo,) + (1,) * (len(rows) - 1) + (c_in, c_out))
+    terms = np.matmul(shifted.reshape((hi - lo,) + rows + (c_in,)), taps)
+    out_data = terms[0].reshape(n, c_out).copy()
+    for term in terms[1:]:
+        out_data += term.reshape(n, c_out)
+
+    def backward(g):
+        if x.requires_grad:
+            gt = np.zeros((n, s, c_out))
+            gt[:, lo:hi] = _shift_zeroed(segments, g, tuple(-o for o in shifts)).transpose(1, 0, 2)
+            w_flat = w.data.transpose(1, 0, 2).reshape(c_in, s * c_out)
+            x._accumulate((gt.reshape(rows + (s * c_out,)) @ w_flat.T).reshape(n, c_in))
+        if w.requires_grad:
+            gw = np.zeros(w.data.shape)
+            gw[lo:hi] = np.matmul(shifted.transpose(0, 2, 1), g)
+            w._accumulate(gw)
+
+    return T.Tensor(out_data, x.requires_grad or w.requires_grad, (x, w), backward)
+
+
+def embedding_add_at(table: T.Tensor, ids) -> T.Tensor:
+    """`tensor.embedding` with its gradient scattered by `np.add.at`."""
+    idx = np.asarray(ids, dtype=np.intp)
+
+    def backward(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, idx, g)
+        table._accumulate(full)
+
+    return T.Tensor(table.data[idx], table.requires_grad, (table,), backward)
+
+
+def adam_step_per_array(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                        m: dict[str, np.ndarray], v: dict[str, np.ndarray], lr: float,
+                        t: int) -> dict[str, np.ndarray]:
+    """Adam step t as it ran before the flat buffer: per array, with fresh
+    arrays; `m` and `v` are updated in place, the new parameters are
+    returned, quantized to float32 values with the PAD row of the
+    `embedding` array pinned to zero."""
+    from satguide.neural.adam import BETA1, BETA2, EPS
+
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * g
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * g * g
+        update = lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + EPS)
+        out[name] = (p - update).astype(np.float32).astype(np.float64)
+    out["embedding"][0] = 0.0
+    return out

@@ -32,7 +32,6 @@ from satguide.neural.checkpoint import load_checkpoint, save_checkpoint
 from satguide.neural.models import (
     ModelConfig,
     PairInput,
-    conv1d,
     init_model,
     loss_and_grads,
 )
@@ -294,8 +293,8 @@ def test_criterion_6_wavenet_structure():
         seg = T.Segments([len(x)])
         d = 1
         for w, b in zip(ws, bs):
-            filt = conv1d(out, T.constant(w), T.constant(b), seg, d)
-            gate = conv1d(out, T.constant(w * 0.7), T.constant(b), seg, d)
+            filt = T.conv_taps(out, T.constant(w), T.constant(b), seg, d)
+            gate = T.conv_taps(out, T.constant(w * 0.7), T.constant(b), seg, d)
             out = T.add(out, T.mul(T.tanh(filt), T.sigmoid(gate)))
             d *= 2
         return out.data

@@ -6,6 +6,8 @@ from satguide.neural import tensor as T
 from satguide.neural.adam import BETA1, BETA2, EPS, adam_init, adam_step
 from satguide.neural.models import ModelConfig, ModelParams, init_model
 
+from oracles import adam_step_per_array
+
 
 def tiny_model():
     return init_model(ModelConfig(arch="cnn", vocab_size=6, dim=3, hidden=4, seed=0))
@@ -70,3 +72,42 @@ def test_parameters_stay_float32_representable():
     adam_step(model, grads, state)
     for _, arr in model.named_arrays():
         np.testing.assert_array_equal(arr, arr.astype(np.float32).astype(np.float64))
+
+
+def test_flat_step_matches_per_array_step():
+    # 50 steps of random gradients, some of them zero or tiny, against the
+    # per-array update: parameters and both moments, bit for bit
+    model = init_model(ModelConfig(arch="cnn", vocab_size=9, dim=5, hidden=7, seed=2))
+    names = list(model.params)
+    params = {k: v.copy() for k, v in model.named_arrays()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    state = adam_init(model, lr=3e-3)
+    rng = np.random.default_rng(8)
+    for t in range(1, 51):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=a.shape)
+                 for k, a in params.items()}
+        grads[names[t % len(names)]][...] = 0.0
+        adam_step(model, grads, state)
+        params = adam_step_per_array(params, grads, m, v, 3e-3, t)
+        for name, arr in model.named_arrays():
+            np.testing.assert_array_equal(arr.view(np.int64), params[name].view(np.int64))
+    flat_m = np.concatenate([m[k].ravel() for k in names])
+    flat_v = np.concatenate([v[k].ravel() for k in names])
+    np.testing.assert_array_equal(state.m.view(np.int64), flat_m.view(np.int64))
+    np.testing.assert_array_equal(state.v.view(np.int64), flat_v.view(np.int64))
+
+
+def test_parameters_are_views_of_one_buffer():
+    model = tiny_model()
+    assert sum(a.size for _, a in model.named_arrays()) == model.flat.size
+    for _, arr in model.named_arrays():
+        assert arr.base is model.flat
+    # a rebound array is copied back into the buffer by the next quantize
+    model.params["comb.2.b"].data = np.array([0.1])
+    model.quantize()
+    assert model.flat[-1] == np.float32(0.1)
+    assert model.params["comb.2.b"].data.base is model.flat
+    twin = model.clone()
+    assert twin.flat is not model.flat
+    np.testing.assert_array_equal(twin.flat, model.flat)

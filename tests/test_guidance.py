@@ -247,6 +247,15 @@ class TestModes:
         assert (result.info["network_evals"], result.info["batch_calls"]) == (3, 1)
         assert result.info["guidance"]["premsel_levels"] == [1, 3]
 
+    def test_cascade_without_premises_runs_no_batch(self):
+        # no premise to rank: the scorer sees only an empty batch, which is
+        # not a network call
+        problem = parse_tptp("cnf(g, negated_conjecture, (~p(a))).", name="bare")
+        vocab = vocab_for(problem)
+        config = GuidanceConfig(mode="cascade", model=model_for(vocab), vocab=vocab)
+        result = guided_prove(problem, config, SearchConfig(max_processed=100))
+        assert (result.info["network_evals"], result.info["batch_calls"]) == (0, 0)
+
 
 @pytest.mark.parametrize("phase1_budget", [None, 30, 200])
 def test_switched_handoff_matches_rebuilt_reference(phase1_budget, fixture_cnn):

@@ -8,7 +8,6 @@ from satguide.neural.models import (
     ModelConfig,
     PairInput,
     combiner_logit,
-    conv1d,
     embed_sequence,
     embed_sequences,
     embed_tree,
@@ -40,34 +39,34 @@ class TestConv1d:
         w = np.zeros((5, dim, dim))
         w[2] = np.eye(dim)  # center tap (j=3 of 5, index 2)
         x = T.constant(np.random.default_rng(0).uniform(-1, 1, (7, dim)))
-        out = conv1d(x, T.constant(w), T.constant(np.zeros(dim)), T.Segments([7]), 1)
+        out = T.conv_taps(x, T.constant(w), T.constant(np.zeros(dim)), T.Segments([7]), 1)
         np.testing.assert_allclose(out.data, x.data)
 
     def test_boundary_zero_padding(self):
         # all-ones input, s=3, d=1, scalar taps (1,1,1), zero bias
         w = np.ones((3, 1, 1))
         x = T.constant(np.ones((5, 1)))
-        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([5]), 1)
+        out = T.conv_taps(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([5]), 1)
         assert out.data.reshape(-1).tolist() == [2, 3, 3, 3, 2]
 
     def test_sequence_boundaries_read_as_zero_padding(self):
         # the same five ones packed as sequences of 2, 0 and 3
         w = np.ones((3, 1, 1))
         x = T.constant(np.ones((5, 1)))
-        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([2, 0, 3]), 1)
+        out = T.conv_taps(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([2, 0, 3]), 1)
         assert out.data.reshape(-1).tolist() == [2, 2, 2, 3, 2]
 
     def test_dilation_reads_strided_positions(self):
         # d=2, s=3 at position 2 reads inputs {0, 2, 4}
         w = np.ones((3, 1, 1))
         x = T.constant(np.array([[1.0], [10.0], [100.0], [1000.0], [10000.0]]))
-        out = conv1d(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([5]), 2)
+        out = T.conv_taps(x, T.constant(w), T.constant(np.zeros(1)), T.Segments([5]), 2)
         assert out.data[2, 0] == 1.0 + 100.0 + 10000.0
 
     def test_bias_added(self):
         w = np.zeros((3, 2, 2))
         x = T.constant(np.zeros((4, 2)))
-        out = conv1d(x, T.constant(w), T.constant(np.array([1.5, -0.5])), T.Segments([4]), 1)
+        out = T.conv_taps(x, T.constant(w), T.constant(np.array([1.5, -0.5])), T.Segments([4]), 1)
         np.testing.assert_allclose(out.data, np.tile([1.5, -0.5], (4, 1)))
 
 
@@ -82,7 +81,7 @@ class TestReceptiveField:
         def run(x):
             out = T.constant(x)
             for w, b, d in zip(ws, bs, dilations):
-                gate = conv1d(out, T.constant(w), T.constant(b), T.Segments([t]), d)
+                gate = T.conv_taps(out, T.constant(w), T.constant(b), T.Segments([t]), d)
                 out = T.add(out, T.mul(T.tanh(gate), T.sigmoid(gate)))
             return out.data
 

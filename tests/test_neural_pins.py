@@ -166,7 +166,8 @@ TRAIN_ARCHS = {
 }
 
 TRAIN_PINS = {"cnn": "d50fec9276f134b2", "cnn33": "0bebc00bff142f4e",
-              "wavenet": "b62ae7b2988f72fd", "tree_rnn": "b1536931cba0ca13", "tree_lstm": "1a1d8f878cb433a2"}
+              "wavenet": "b62ae7b2988f72fd", "tree_rnn": "b1536931cba0ca13",
+              "tree_lstm": "1a1d8f878cb433a2"}
 
 
 @pytest.mark.parametrize("arch", sorted(TRAIN_ARCHS))

@@ -5,7 +5,17 @@ import pytest
 
 from satguide.neural import tensor as T
 
-from oracles import conv1d_per_tap, padded_conv_taps, padded_max_time
+from oracles import (
+    conv1d_per_tap,
+    conv_taps_unfused,
+    embedding_add_at,
+    padded_conv_taps,
+    padded_max_time,
+)
+
+
+def no_bias(c: int) -> T.Tensor:
+    return T.constant(np.zeros(c))
 
 
 def fd_grad(fn, x: np.ndarray, h=1e-6):
@@ -76,16 +86,29 @@ class TestOps:
             # dilation 4 and 3 put some taps beyond the sequence
             w = T.constant(rng.uniform(-1, 1, (s, c, 2)))
             seg = T.Segments(lengths)
-            check_op(lambda x: T.conv_taps(x, w, seg, dilation), (sum(lengths), c),
-                     seed=s + dilation)
+            check_op(lambda x: T.conv_taps(x, w, no_bias(2), seg, dilation),
+                     (sum(lengths), c), seed=s + dilation)
+            b = T.constant(rng.uniform(-0.5, 0.5, 2))
+            check_op(lambda x: T.conv_taps(x, w, b, seg, dilation, relu=True),
+                     (sum(lengths), c), seed=s + dilation)
 
     def test_conv_taps_kernel_gradient(self):
         rng = np.random.default_rng(12)
         for s, dilation, lengths, c in self.CONV_CASES:
             x = T.constant(rng.uniform(-1, 1, (sum(lengths), c)))
             seg = T.Segments(lengths)
-            check_op(lambda w: T.conv_taps(x, w, seg, dilation), (s, c, 2),
+            check_op(lambda w: T.conv_taps(x, w, no_bias(2), seg, dilation), (s, c, 2),
                      seed=s * dilation)
+
+    def test_conv_taps_bias_gradient(self):
+        rng = np.random.default_rng(15)
+        for s, dilation, lengths, c in self.CONV_CASES:
+            x = T.constant(rng.uniform(-1, 1, (sum(lengths), c)))
+            w = T.constant(rng.uniform(-1, 1, (s, c, 2)))
+            seg = T.Segments(lengths)
+            for relu in (False, True):
+                check_op(lambda b: T.conv_taps(x, w, b, seg, dilation, relu), (2,),
+                         seed=s + c)
 
     def test_conv_taps_zero_padding(self):
         x = T.constant(np.arange(5, dtype=float).reshape(5, 1))
@@ -97,20 +120,23 @@ class TestOps:
             return T.constant(w)
 
         # s=3: tap 0 reads x[i+d], tap 2 reads x[i-d]
-        assert T.conv_taps(x, tap(2), seg, 1).data.reshape(-1).tolist() == [0, 0, 1, 2, 3]
-        assert T.conv_taps(x, tap(0), seg, 2).data.reshape(-1).tolist() == [2, 3, 4, 0, 0]
-        assert T.conv_taps(x, tap(0), seg, 7).data.reshape(-1).tolist() == [0] * 5
-        assert T.conv_taps(x, tap(1), seg, 7).data.reshape(-1).tolist() == [0, 1, 2, 3, 4]
+        def conv(w, dilation):
+            return T.conv_taps(x, w, no_bias(1), seg, dilation).data.reshape(-1).tolist()
+
+        assert conv(tap(2), 1) == [0, 0, 1, 2, 3]
+        assert conv(tap(0), 2) == [2, 3, 4, 0, 0]
+        assert conv(tap(0), 7) == [0] * 5
+        assert conv(tap(1), 7) == [0, 1, 2, 3, 4]
 
     def test_conv_taps_stop_at_sequence_boundaries(self):
         x = T.constant(np.arange(1, 8, dtype=float).reshape(7, 1))
         seg = T.Segments([3, 0, 1, 3])
         w = np.zeros((3, 1, 1))
         w[2] = 1.0  # out[i] = x[i-1] within i's own sequence
-        assert T.conv_taps(x, T.constant(w), seg, 1).data.reshape(-1).tolist() == \
+        assert T.conv_taps(x, T.constant(w), no_bias(1), seg, 1).data.reshape(-1).tolist() == \
             [0, 1, 2, 0, 0, 5, 6]
         w = np.ones((3, 1, 1))
-        assert T.conv_taps(x, T.constant(w), seg, 1).data.reshape(-1).tolist() == \
+        assert T.conv_taps(x, T.constant(w), no_bias(1), seg, 1).data.reshape(-1).tolist() == \
             [3, 6, 5, 4, 11, 18, 13]
 
     def test_concat_narrow_stack_reshape(self):
@@ -201,7 +227,7 @@ class TestConvTapsAgainstPerTap:
         seg = T.Segments(lengths)
         x = T.parameter(rng.uniform(-1, 1, (seg.n, c_in)))
         w = T.parameter(rng.uniform(-1, 1, (s, c_in, c_out)))
-        out = T.conv_taps(x, w, seg, dilation)
+        out = T.conv_taps(x, w, no_bias(c_out), seg, dilation)
         ref = conv1d_per_tap(x, w, dilation, lengths)
         np.testing.assert_array_equal(out.data, ref.data)
         up = rng.uniform(-1, 1, out.data.shape)
@@ -243,7 +269,7 @@ class TestConvTapsAgainstPerTap:
                     np.testing.assert_array_equal(
                         out.data, conv1d_per_tap(T.constant(padded), w, dilation).data[real])
                     x.grad = w.grad = None
-                    T.mean(T.mul(T.conv_taps(x, w, T.Segments(lengths), dilation),
+                    T.mean(T.mul(T.conv_taps(x, w, no_bias(dim), T.Segments(lengths), dilation),
                                  T.constant(up))).backward()
                     gx, gw = x.grad, w.grad
                     w.grad = None
@@ -252,6 +278,84 @@ class TestConvTapsAgainstPerTap:
                     scale = up.size / up_padded.size  # the means divide by different sizes
                     np.testing.assert_allclose(gx * scale, xp.grad[real], rtol=1e-12, atol=1e-15)
                     np.testing.assert_allclose(gw * scale, w.grad, rtol=1e-12, atol=1e-15)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFusedKernelsAgainstOracles:
+    """The training-step kernels against their old forms in `oracles`, bit
+    for bit (signed zeros included): the fused conv layer against the
+    `conv_taps_unfused -> add -> relu` graph, in the output and in the
+    gradients of x, w and b; the `np.bincount` embedding scatter against
+    `np.add.at`."""
+
+    def _layer(self, rng, lengths, dim, dilation, relu, s=5):
+        seg = T.Segments(lengths)
+        x = T.parameter(rng.uniform(-1, 1, (seg.n, dim)))
+        w = T.parameter(rng.uniform(-0.3, 0.3, (s, dim, dim)))
+        b = T.parameter(rng.uniform(-0.2, 0.2, dim))
+        up = T.constant(rng.uniform(-1, 1, (seg.n, dim)))
+        out = T.conv_taps(x, w, b, seg, dilation, relu)
+        T.mean(T.mul(out, up)).backward()
+        grads = [p.grad for p in (x, w, b)]
+        x.grad = w.grad = b.grad = None
+        ref = T.add(conv_taps_unfused(x, w, seg, dilation), b)
+        if relu:
+            ref = T.relu(ref)
+        T.mean(T.mul(ref, up)).backward()
+        assert_same_bits(out.data, ref.data)
+        for got, want in zip(grads, (x.grad, w.grad, b.grad)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("dim", [8, 17, 32, 33])
+    def test_fused_layer_matches_node_by_node(self, dim):
+        rng = np.random.default_rng(dim)
+        for dilation in (1, 2, 4):
+            for relu in (False, True):
+                for _ in range(3):
+                    lengths = [int(v) for v in rng.integers(0, 40, int(rng.integers(1, 33)))]
+                    lengths.append(int(rng.integers(2, 40)))
+                    self._layer(rng, lengths, dim, dilation, relu)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_fused_layer_with_only_the_centre_tap_live(self, relu):
+        # the centre tap reads the row itself and is never dead; at dilation
+        # 16 every other tap reaches past every sequence
+        rng = np.random.default_rng(21)
+        for dim in (8, 33):
+            self._layer(rng, [3, 0, 15, 7], dim, 16, relu)
+            self._layer(rng, [4], dim, 4, relu, s=3)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_fused_layer_on_one_token_batches(self, relu):
+        rng = np.random.default_rng(22)
+        for dim in (8, 17, 32, 33):
+            for lengths in ([1], [1, 1, 0, 1], [0, 1] * 16):
+                self._layer(rng, lengths, dim, 1, relu)
+
+    def _scatter(self, table_shape, ids, seed):
+        rng = np.random.default_rng(seed)
+        table = T.parameter(rng.uniform(-1, 1, table_shape))
+        up = rng.uniform(-1, 1, np.shape(ids) + table_shape[1:])
+        T.mean(T.mul(T.embedding(table, ids), T.constant(up))).backward()
+        got, table.grad = table.grad, None
+        T.mean(T.mul(embedding_add_at(table, ids), T.constant(up))).backward()
+        assert_same_bits(got, table.grad)
+
+    def test_embedding_scatter_matches_add_at(self):
+        rng = np.random.default_rng(23)
+        # few rows, many repeats: each row sums dozens of terms in order
+        self._scatter((5, 32), rng.integers(0, 5, 300), 1)
+        self._scatter((40, 33), rng.integers(0, 40, (7, 19)), 2)
+        self._scatter((6, 3), [1, 1, 4, 1, 0, 1], 3)
+
+    def test_embedding_scatter_of_a_scalar_id(self):
+        # the tree towers look up one leaf at a time
+        self._scatter((6, 8), 4, 4)
+        self._scatter((6, 8), np.intp(0), 5)
 
 
 class TestEngine:
@@ -264,6 +368,16 @@ class TestEngine:
         with np.errstate(over="ignore"):
             with pytest.raises(FloatingPointError):
                 T.add(x, x)
+
+    def test_fused_relu_layer_rejects_negative_infinity(self):
+        # the pre-activation overflows to -inf, which the ReLU would clip
+        # to 0: the check must run before it
+        x = T.constant(np.full((3, 2), 1e308))
+        w = T.constant(np.full((1, 2, 1), -10.0))
+        with np.errstate(over="ignore"):
+            for relu in (False, True):
+                with pytest.raises(FloatingPointError):
+                    T.conv_taps(x, w, T.constant(np.zeros(1)), T.Segments([3]), relu=relu)
 
     def test_no_grad_blocks_graph(self):
         x = T.parameter(np.ones(3))
