@@ -29,17 +29,31 @@ from .harness import (
 from .neural.checkpoint import load_checkpoint_file, save_checkpoint_file
 from .neural.models import ModelConfig, ModelParams, init_model
 from .neural.train import TrainConfig, prepare_pairs, train
-from .parser import parse_tptp
+from .parser import ParseError, parse_tptp
 from .premsel import DEFAULT_LEVELS
 from .saturation import SearchConfig, derivation_lines, szs_line, verify_proof_detailed
 from .tokens import Vocabulary
 
 
+def _problem_name(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def _load_problem(path: str):
     with open(path) as fh:
         text = fh.read()
-    name = os.path.splitext(os.path.basename(path))[0]
-    return parse_tptp(text, name=name, include_dir=os.path.dirname(path) or ".")
+    return parse_tptp(text, name=_problem_name(path), include_dir=os.path.dirname(path) or ".")
+
+
+def _load_problem_or_status(path: str):
+    """The problem in `path`, or None once a text that does not parse has
+    been reported as an SZS `SyntaxError` with its location."""
+    try:
+        return _load_problem(path)
+    except ParseError as err:
+        print(f"% SZS status SyntaxError for {_problem_name(path)}")
+        print(f"% {err}")
+        return None
 
 
 def _limits_from_args(args) -> SearchConfig:
@@ -63,7 +77,9 @@ def _guidance_from_args(args) -> GuidanceConfig:
 
 
 def cmd_prove(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem_or_status(args.problem)
+    if problem is None:
+        return 1
     result = guided_prove(problem, _guidance_from_args(args), _limits_from_args(args))
     print(szs_line(result, problem.name))
     print(f"% processed={result.processed_count} generated={result.generated_count} "
@@ -75,7 +91,9 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem_or_status(args.problem)
+    if problem is None:
+        return 1
     result = guided_prove(problem, _guidance_from_args(args), _limits_from_args(args))
     print(szs_line(result, problem.name))
     if not result.proof:
@@ -199,7 +217,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_premsel(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = _load_problem_or_status(args.problem)
+    if problem is None:
+        return 1
     model, vocab = _load_model(args.model, args.vocab)
     gconfig = GuidanceConfig(mode=MODE_CASCADE, model=model, vocab=vocab,
                              batch_size=args.batch_size,

@@ -5,10 +5,24 @@ as axioms), conjecture (negated then clausified), negated_conjecture.
 Equality appears infix (`s = t`, `s != t`) and becomes the ordinary
 binary predicate "=". `include('file').` is resolved one level deep.
 
+A text whose units are all flat cnf units takes a fast path: one
+regular-expression match per unit, each anchored where the last one
+ended. A flat unit is `cnf(name, role, (lit | ... | lit)).`, the body
+parenthesised or not, where each literal is an optionally negated
+predicate over variables and constants, and only spaces, tabs and line
+breaks stand between tokens. `fol.problem_str` prints a problem in this
+form when its terms are flat, its names need no quotes and it has no
+equality and no empty clause. Any other text goes whole, from its start,
+to the lexer and the recursive-descent parser: `fof`, `include`, nested
+terms, `=`, `$false`, comments, quoted names, a symbol conflict, a bad
+role or trailing input. So every `ParseError` comes from the recursive
+parser.
+
 The lexer is one regular-expression scan over the text, and tokens are
 (kind, text) pairs. Errors carry the line and column of the offending
 token, worked out from its offset only when the error is raised. A symbol
-reused with a different arity or kind is an error anywhere in the input.
+reused with a different arity or kind is an error anywhere in the input,
+and so is a term nested deeper than `MAX_TERM_DEPTH`.
 """
 
 from __future__ import annotations
@@ -27,10 +41,21 @@ from .fol import (
     Term,
     Var,
     build_problem,
+    rebuild_literal,
+    var_symbol,
 )
 
 AXIOM_LIKE_ROLES = {"axiom", "hypothesis", "definition", "lemma", "theorem", "plain"}
 KNOWN_ROLES = AXIOM_LIKE_ROLES | {"conjecture", "negated_conjecture"}
+
+# The deepest term or atom the parser accepts. A variable, a constant and
+# a propositional atom have depth 1; `f(t1, ..., tn)` and `p(t1, ..., tn)`
+# have one more than their deepest argument, and the two sides of an
+# equation are terms. Term walks across the system recurse once per level,
+# and a search on an input about 360 deep runs out of stack, so this keeps
+# well below that and leaves derived terms room to grow. The fast path
+# reads atoms of depth at most 2, so the bound holds on both paths.
+MAX_TERM_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -116,6 +141,17 @@ def _lex_error(text: str, index: int, word: str, bad: str) -> ParseError:
     return ParseError(message, *token_positions(text)[index])
 
 
+def _symbol(symbols: dict[str, Symbol], name: str, kind: str, arity: int) -> Symbol | None:
+    """The symbol `name` as a kind/arity, entered in `symbols` on first
+    use; None when `symbols` already has `name` as another kind or arity."""
+    sym = symbols.get(name)
+    if sym is None:
+        sym = symbols[name] = Symbol(name, kind, arity)
+    elif sym.kind != kind or sym.arity != arity:
+        return None
+    return sym
+
+
 class _Parser:
     """Recursive descent over the tokens of one text. `symbols` maps each
     name to its symbol; reusing a name with another kind or arity is an
@@ -159,10 +195,9 @@ class _Parser:
 
     def symbol(self, name: str, kind: str, arity: int, at: int) -> Symbol:
         """The symbol `name` as a kind/arity; token `at` locates a conflict."""
-        sym = self.symbols.get(name)
+        sym = _symbol(self.symbols, name, kind, arity)
         if sym is None:
-            sym = self.symbols[name] = Symbol(name, kind, arity)
-        elif sym.kind != kind or sym.arity != arity:
+            sym = self.symbols[name]
             raise self.error(
                 f"symbol {name!r} reused as {kind}/{arity}, "
                 f"previously {sym.kind}/{sym.arity}",
@@ -280,23 +315,26 @@ class _Parser:
         name, args, _ = parsed
         return Literal(self.symbol(name, PREDICATE, len(args), at), tuple(args), positive)
 
-    def parse_term(self, allow_predicate: bool = False):
+    def parse_term(self, allow_predicate: bool = False, depth: int = 1):
         """Returns a Term for variables and committed functions, or an
         undecided (name, args, token index) triple the caller resolves to a
-        function or predicate symbol."""
+        function or predicate symbol. `depth` is the term's nesting level,
+        1 for an atom or for a side of an equation."""
         at = self.pos
+        if depth > MAX_TERM_DEPTH:
+            raise self.error(f"term nested deeper than {MAX_TERM_DEPTH}", at)
         kind, name = self.next()
         if kind == "var":
             return Var(name)
-        if kind not in ("name", "defined"):
+        if kind not in ("name", "defined") or not name:  # '' names nothing
             raise self.error(f"expected term, found {name!r}", at)
         args: list[Term] = []
         if self.peek() == "(":
             self.next()
-            args.append(self.parse_term())
+            args.append(self.parse_term(depth=depth + 1))
             while self.peek() == ",":
                 self.next()
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth=depth + 1))
             self.expect(")")
         if allow_predicate:
             return (name, args, at)
@@ -373,14 +411,103 @@ class _Parser:
         return name
 
 
+# -- the flat cnf fast path --------------------------------------------------
+
+_WS = r"[ \t\r\n]*"
+_NAME = r"[a-z0-9_]\w*"     # a predicate or constant, as the lexer reads a name
+_WORD = r"[A-Za-z0-9_]\w*"  # a name or, led by an uppercase letter, a variable
+_ATOM = rf"{_NAME}(?:{_WS}\({_WS}{_WORD}(?:{_WS},{_WS}{_WORD})*{_WS}\))?"
+_LITERAL = rf"(?:~{_WS})*{_ATOM}"
+# name, role, the optional parenthesis and the literals of one flat unit,
+# with the whitespace after it; no word can end early, since what follows
+# a word is never a word character
+_FLAT_UNIT_RE = re.compile(
+    rf"cnf{_WS}\({_WS}({_WORD}){_WS},{_WS}(\w+){_WS},{_WS}"
+    rf"(\()?{_WS}({_LITERAL}(?:{_WS}\|{_WS}{_LITERAL})*){_WS}(?(3)\)){_WS}"
+    rf"\){_WS}\.{_WS}")
+# the negations, predicate and argument text of each literal of a body
+# that `_FLAT_UNIT_RE` matched
+_FLAT_LITERAL_RE = re.compile(rf"(~[~ \t\r\n]*)?({_NAME})(?:{_WS}\(([^)]*)\))?")
+_WS_RE = re.compile(_WS)
+
+
+def _flat_cnf(text: str):
+    """The (axioms, negated conjecture) lists `build_problem` takes, when
+    every unit of `text` is a flat cnf unit and its symbols agree; None
+    otherwise, so that the recursive parser reads the whole text.
+
+    Symbols resolve through a name table and `_symbol`'s check, as in
+    `_Parser.symbol`.
+    Terms are immutable, so each distinct argument list is read once and
+    its terms are shared by every literal that repeats it."""
+    symbols: dict[str, Symbol] = {}
+    arg_lists: dict[str, tuple[Term, ...]] = {"": ()}  # argument text -> terms
+    axioms: list[tuple[str, list[Literal]]] = []
+    neg_conj: list[tuple[str, list[Literal]]] = []
+    match_unit, literals = _FLAT_UNIT_RE.match, _FLAT_LITERAL_RE.findall
+    at, end = _WS_RE.match(text).end(), len(text)
+    while at < end:
+        m = match_unit(text, at)
+        if m is None:
+            return None
+        name, role, _, body = m.groups()
+        if role in AXIOM_LIKE_ROLES:
+            target = axioms
+        elif role == "negated_conjecture":
+            target = neg_conj
+        else:
+            return None
+        lits = []
+        for negations, pred, arg_text in literals(body):
+            args = arg_lists.get(arg_text)
+            if args is None:
+                args = arg_lists[arg_text] = _flat_args(arg_text, symbols)
+                if args is None:
+                    return None
+            sym = symbols.get(pred)
+            if sym is None or sym.kind != PREDICATE or sym.arity != len(args):
+                sym = _symbol(symbols, pred, PREDICATE, len(args))
+                if sym is None:
+                    return None
+            lits.append(rebuild_literal(sym, args, not negations.count("~") % 2))
+        target.append((name, lits))
+        at = m.end()
+    return axioms, neg_conj
+
+
+def _flat_args(arg_text: str, symbols: dict[str, Symbol]) -> tuple[Term, ...] | None:
+    """The variables and constants of a flat atom's argument text; None
+    when a constant's name is already another kind or arity."""
+    args = []
+    for word in arg_text.split(","):
+        word = word.strip(" \t\r\n")
+        if word[0].isupper():
+            args.append(Term(var_symbol(word)))
+        else:
+            sym = _symbol(symbols, word, FUNCTION, 0)
+            if sym is None:
+                return None
+            args.append(Term(sym))
+    return tuple(args)
+
+
 def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None) -> Problem:
     """Parse TPTP text into a Problem (everything clausified).
 
     CNF units become clauses directly. FOF units run through the
     clausifier; a `conjecture` unit is negated first (multiple conjecture
     units are conjoined before negation). Clause ids are assigned in input
-    order, axioms first, negated-conjecture clauses after.
+    order, axioms first, negated-conjecture clauses after. A text of flat
+    cnf units takes the fast path; any other goes to `_parse_recursive`.
     """
+    flat = _flat_cnf(text)
+    if flat is not None:
+        return build_problem(name, *flat)
+    return _parse_recursive(text, name, include_dir)
+
+
+def _parse_recursive(text: str, name: str, include_dir: str | None = None) -> Problem:
+    """`parse_tptp` through the lexer and the recursive-descent parser."""
     symbols: dict[str, Symbol] = {}
     units = _Parser(text, symbols, include_dir).parse_units()
 

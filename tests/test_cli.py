@@ -76,6 +76,18 @@ def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files
             main(command + model_files + ["--batch-size", batch_size])
 
 
+@pytest.mark.parametrize("command", ["prove", "verify", "premsel"])
+def test_syntax_error_ends_with_an_szs_status(tmp_path, model_files, command, capsys):
+    path = tmp_path / "bad.p"
+    path.write_text("cnf(a, axiom, p(a).\n")
+    model = model_files if command == "premsel" else []
+    assert main([command, str(path)] + model) != 0
+    assert capsys.readouterr().out.splitlines() == [
+        "% SZS status SyntaxError for bad",
+        "% expected ')', found '.' at line 1, column 19",
+    ]
+
+
 def test_prove_rejects_phase1_budget_it_cannot_honour(problem_file, model_files):
     # hybrid mode has no phase 1, and a negative budget would end it at once
     for mode, budget, error in (("hybrid", "5", "phase1_budget sets switched mode's phase 1"),

@@ -36,11 +36,20 @@ lines and columns, of the character-by-character lexer kept in `oracles`,
 on every printed corpus problem, every printed premise clause of the
 premsel problems and a set of edge cases; malformed inputs raise the same
 message at the same line and column.
+
+`parse_tptp`, which reads flat cnf texts on its fast path, gives what the
+recursive parser alone gives (the same problem, field by field, or the
+same error at the same line and column) on every printed problem of
+`desk_corpus(0..4)`, every TPTP text in `test_parser.py` and the lexer's
+edge cases. Every guided input of the bench's kind takes the fast path,
+and no equality problem does.
 """
 
+import ast
 import heapq
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +79,14 @@ from satguide.fol import (
     symbol_record,
     term_symbols,
 )
-from satguide.parser import ParseError, lex, token_positions
+from satguide.parser import (
+    ParseError,
+    _flat_cnf,
+    _parse_recursive,
+    lex,
+    parse_tptp,
+    token_positions,
+)
 from satguide.premsel import premise_groups
 from satguide.rules import subsumes
 from satguide.saturation import Saturation, SearchConfig
@@ -575,8 +591,10 @@ def test_fifo_orders_by_id_whatever_the_insertion_order():
     assert [sched.pop_next().id for _ in order] == sorted(order)
 
 
-# -- the lexer -------------------------------------------------------------------
+# -- the lexer and the parser's fast path ------------------------------------------
 
+# texts that lex; the parser comparison also reads them, so some of them are
+# parse errors (a symbol clash, a cnf conjecture)
 LEX_EDGES = [
     "",
     " \t\r\n ",
@@ -589,6 +607,11 @@ LEX_EDGES = [
     "cnf(h, axiom, pé(Xé, aⅫ, _u, 9z, ²x, Éa, ǅb)).\n",
     "fof(i, axiom, ![X, Y]: (p(X) <=> (q(Y) <~> ~r(X))) & (s => t) | u != v = w"
     " | ?[Z]: z(Z)).\n",
+    "cnf(j, axiom, ~~p(a) | ~ ~ ~q).cnf(Upper, negated_conjecture,(~r(X , 9z,_u)))\n.",
+    "cnf(k, plain, p(X)).\ncnf(l, axiom, q(p)).\n",
+    "cnf(m, axiom, q(a)).\ncnf(n, axiom, (a)).\n",
+    "cnf(o, axiom, p(a)).\ncnf(q, axiom, p(a, b)).\n",
+    "cnf(r, axiom, p(X)).\ncnf(s, conjecture, p(a)).\n",
 ]
 
 LEX_ERRORS = [
@@ -649,3 +672,59 @@ def test_lexer_errors_agree_with_reference(text):
         lex(text)
     assert str(err.value) == str(ref.value)
     assert (err.value.line, err.value.col) == (ref.value.line, ref.value.col)
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return [desk_corpus(seed) for seed in range(5)]
+
+
+def _parse_result(parse, text):
+    """What `parse` makes of `text`: each field of the problem, or the
+    error's message, line and column."""
+    try:
+        p = parse(text, "t")
+    except ParseError as err:
+        return str(err), err.line, err.col
+    return (p.name, [(c.id, c.literals, c.role, c.origin) for c in p.clauses()],
+            p.signature, problem_str(p))
+
+
+def _parser_test_texts():
+    """Every TPTP text written out in full in `test_parser.py`."""
+    tree = ast.parse((Path(__file__).parent / "test_parser.py").read_text())
+    in_fstrings = {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                   for part in node.values}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in in_fstrings
+            and any(unit in node.value for unit in ("cnf(", "fof(", "include("))]
+
+
+def test_parse_paths_agree_on_corpus(corpora):
+    texts = [problem_str(item.problem) for corpus in corpora for item in corpus]
+    assert len(texts) > 700
+    assert sum(_flat_cnf(text) is not None for text in texts) > 600
+    for text in texts:
+        assert _parse_result(parse_tptp, text) == _parse_result(_parse_recursive, text)
+
+
+def test_parse_paths_agree_on_parser_tests():
+    texts = _parser_test_texts()
+    assert len(texts) > 30
+    for text in texts:
+        assert _parse_result(parse_tptp, text) == _parse_result(_parse_recursive, text)
+
+
+@pytest.mark.parametrize("text", LEX_EDGES + LEX_ERRORS)
+def test_parse_paths_agree_on_edge_cases(text):
+    assert _parse_result(parse_tptp, text) == _parse_result(_parse_recursive, text)
+
+
+def test_guided_inputs_take_the_fast_path_and_equality_ones_do_not(corpora):
+    guided = [item for corpus in corpora[:4] for item in corpus
+              if item.tags & {"guidance", "guidance_hard", "premsel"}]
+    equality = [item for corpus in corpora[:4] for item in corpus if item.family == "group"]
+    assert len(guided) == 4 * 64 and len(equality) == 4 * 12
+    assert all(_flat_cnf(problem_str(item.problem)) is not None for item in guided)
+    assert all(_flat_cnf(problem_str(item.problem)) is None for item in equality)

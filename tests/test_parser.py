@@ -1,9 +1,9 @@
-"""TPTP parsing: the supported subset, errors, includes."""
+"""TPTP parsing: the supported subset, errors, includes, the depth bound."""
 
 import pytest
 
 from satguide.fol import clause_str, problem_str
-from satguide.parser import ParseError, parse_clause_text, parse_tptp
+from satguide.parser import MAX_TERM_DEPTH, ParseError, parse_clause_text, parse_tptp
 
 
 class TestCnf:
@@ -194,3 +194,38 @@ class TestRoundTripCorpus:
             printed = problem_str(item.problem)
             reparsed = parse_tptp(printed, name=item.name)
             assert problem_str(reparsed) == printed, item.name
+
+
+def _nested(depth: int) -> str:
+    """`f(...f(a)...)`, a term of depth `depth`."""
+    return "f(" * (depth - 1) + "a" + ")" * (depth - 1)
+
+
+# (text, offset of the outermost nested term): an atom counts as one
+# level, and the sides of an equation are terms
+DEEP = [
+    (lambda d: f"cnf(deep, axiom, p({_nested(d - 1)})).", 17),
+    (lambda d: f"cnf(deep, axiom, {_nested(d)} = b).", 17),
+    (lambda d: f"fof(deep, conjecture, ![X]: q({_nested(d - 1)}, X)).", 28),
+]
+
+
+class TestDepth:
+    @pytest.mark.parametrize("depth", [MAX_TERM_DEPTH - 1, MAX_TERM_DEPTH])
+    @pytest.mark.parametrize("make, _", DEEP)
+    def test_depth_up_to_the_bound_parses(self, make, _, depth):
+        assert len(parse_tptp(make(depth)).clauses()) == 1
+
+    @pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 10 * MAX_TERM_DEPTH])
+    @pytest.mark.parametrize("make, start", DEEP)
+    def test_deeper_is_refused_at_the_first_term_past_the_bound(self, make, start, depth):
+        with pytest.raises(ParseError) as err:
+            parse_tptp(make(depth))
+        assert f"term nested deeper than {MAX_TERM_DEPTH}" in str(err.value)
+        # each level adds "f(": the token at level MAX_TERM_DEPTH + 1
+        assert (err.value.line, err.value.col) == (1, start + 1 + 2 * MAX_TERM_DEPTH)
+
+    def test_clause_text_is_bounded_too(self):
+        assert parse_clause_text(f"p({_nested(MAX_TERM_DEPTH - 1)})")
+        with pytest.raises(ParseError):
+            parse_clause_text(f"p({_nested(10 * MAX_TERM_DEPTH)})")
