@@ -105,14 +105,15 @@ def cmd_verify(args) -> int:
 
 
 def _corpus_from_spec(spec: dict):
+    """The problems of a corpus spec; for a directory, None once every file
+    in it that does not parse has been reported as an SZS `SyntaxError`."""
     _known(spec, _CORPUS_KEYS, "corpus")
     if "dir" in spec:
         _known(spec, {"dir"}, "dir corpus")  # seed, tags and families would do nothing
-        problems = []
-        for fname in sorted(os.listdir(spec["dir"])):
-            if fname.endswith(".p") or fname.endswith(".tptp"):
-                problems.append(_load_problem(os.path.join(spec["dir"], fname)))
-        return problems
+        problems = [_load_problem_or_status(os.path.join(spec["dir"], fname))
+                    for fname in sorted(os.listdir(spec["dir"]))
+                    if fname.endswith(".p") or fname.endswith(".tptp")]
+        return None if None in problems else problems
     corpus = desk_corpus(spec.get("seed", 0))
     if spec.get("tags"):
         keep = set(spec["tags"])
@@ -192,6 +193,8 @@ def cmd_experiment(args) -> int:
         spec = json.load(fh)
     _known(spec, _EXPERIMENT_KEYS, "experiment")
     problems = _corpus_from_spec(spec.get("corpus", {}))
+    if problems is None:
+        return 1
     limits = SearchConfig(**_known(spec.get("limits", {}), _LIMIT_KEYS, "limits"))
     methods = {}
     for m in spec["methods"]:

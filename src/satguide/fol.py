@@ -358,52 +358,6 @@ def symbol_record(c: Clause) -> SymbolRecord:
 FALSE_TOKEN = "$false"
 
 
-def clause_tokens(c: Clause) -> list[str]:
-    """The printed symbol stream (names, ~, |, parens, commas) of
-    `normalize_variables(c)`: variables are named V1, V2, ... in order of
-    first occurrence during the walk itself."""
-    if c.is_empty:
-        return [FALSE_TOKEN]
-    variables: dict[str, str] = {}
-    toks: list[str] = []
-    add = toks.append
-    for i, lit in enumerate(c.literals):
-        if i:
-            add("|")
-        if lit.pred.name == EQ:
-            _term_tokens(lit.args[0], variables, add)
-            add("=" if lit.positive else "!=")
-            _term_tokens(lit.args[1], variables, add)
-            continue
-        if not lit.positive:
-            add("~")
-        add(lit.pred.name)
-        if lit.args:
-            _argument_tokens(lit.args, variables, add)
-    return toks
-
-
-def _argument_tokens(ts: tuple[Term, ...], variables: dict[str, str], add) -> None:
-    add("(")
-    for i, a in enumerate(ts):
-        if i:
-            add(",")
-        _term_tokens(a, variables, add)
-    add(")")
-
-
-def _term_tokens(t: Term, variables: dict[str, str], add) -> None:
-    if t.is_var:
-        v = variables.get(t.sym.name)
-        if v is None:
-            v = variables[t.sym.name] = f"V{len(variables) + 1}"
-        add(v)
-    else:
-        add(t.sym.name)
-        if t.args:
-            _argument_tokens(t.args, variables, add)
-
-
 def _lexes_as_name(name: str) -> bool:
     """Would the lexer read `name` back as one name (or defined name)?"""
     if name[0] == "$":

@@ -197,7 +197,7 @@ class ClauseScorer(WeightFunction):
             rows = vecs.data[:, None, :]
             conj = np.broadcast_to(self.v_nc.data, rows.shape)
             logits = combiner_logit(T.constant(rows), T.constant(conj), self.model)
-            return T.sigmoid(logits).data.reshape(-1).tolist()
+            return T.sigmoid_array(logits.data).reshape(-1).tolist()
 
     def score_batch(self, clauses: list[Clause]) -> list[float]:
         """p(useful) for each clause, in order, batch_size at a time: one

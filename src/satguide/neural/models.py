@@ -18,6 +18,15 @@ layout keeps every convolution tap and the max-pooling inside each
 sequence. Each convolution layer is one fused `tensor.conv_taps` node:
 taps, bias and, in the CNN, the ReLU.
 
+With gradients on, the sequence towers and the combiner build an autodiff
+graph. With gradients off (`tensor.no_grad()`, as in guided search and
+evaluation) the same code runs on the parameters' plain arrays through the
+forward kernels the graph nodes call (`tensor.conv_taps_array`,
+`tensor.segment_max_array`, ...), so it gives the same bits, checks for
+non-finite values before each ReLU, tanh and sigmoid, and wraps only the
+result in a Tensor. `_GRAPH` and `_ARRAYS` are the two op tables the
+code is written over; the tree towers always build a graph.
+
 Dropout acts in training only: `token_dropout` drops whole tokens of a
 sequence tower, `feature_dropout` drops features at the input of each
 WaveNet block. `ModelConfig` refuses a rate outside [0, 1], and a
@@ -33,6 +42,7 @@ They live in one flat buffer that every parameter array is a view into
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
@@ -213,58 +223,83 @@ def init_model(config: ModelConfig, vocab_hash: str = "") -> ModelParams:
     return model
 
 
+# -- op tables ---------------------------------------------------------------------
+
+
+def _relu_array(a: np.ndarray) -> np.ndarray:
+    """ReLU in place, after the check for non-finite values that the graph
+    makes on the ReLU's input node."""
+    T.check_finite(a)
+    return np.maximum(a, 0.0, out=a)
+
+
+# The ops the sequence towers and the combiner are written in. `_GRAPH`
+# builds autodiff nodes over `ModelParams.params`; `_ARRAYS` computes on
+# the parameters' arrays through the forward kernels of those nodes, so
+# both give the same bits. `result` makes the Tensor a caller gets.
+_Ops = namedtuple("_Ops", "weights embedding conv_taps segment_max add sub mul matmul "
+                          "concat tanh sigmoid relu constant result")
+_GRAPH = _Ops(lambda model: model.params, T.embedding, T.conv_taps, T.segment_max,
+              T.add, T.sub, T.mul, T.matmul, T.concat, T.tanh, T.sigmoid, T.relu,
+              T.constant, lambda out: out)
+_ARRAYS = _Ops(lambda model: dict(model.named_arrays()),
+               lambda table, ids: table.take(ids, axis=0), T.conv_taps_array,
+               T.segment_max_array, np.add, np.subtract, np.multiply, np.matmul,
+               np.concatenate, np.tanh, T.sigmoid_array, _relu_array,
+               lambda a: a, T.constant)
+
+
+def _ops() -> _Ops:
+    """The op table for the gradient mode in force."""
+    return _GRAPH if T.grad_enabled() else _ARRAYS
+
+
 # -- convolutions ----------------------------------------------------------------
 
 
 def _dropout(rng: np.random.Generator, segments: T.Segments, width: int,
-             rate: float) -> Tensor:
+             rate: float) -> np.ndarray:
     """A keep mask for the packed rows. It is drawn over the padded
     (B, max_len, width) shape and gathered to the rows that hold a token,
     so the random stream does not depend on the packing."""
     keep = rng.random((len(segments), segments.max_len, width)) >= rate
-    return T.constant(keep.reshape(-1, width)[segments.padded_rows()].astype(np.float64))
+    return keep.reshape(-1, width)[segments.padded_rows()].astype(np.float64)
 
 
-def _cnn_tower(x: Tensor, model: ModelParams, tower: str, segments: T.Segments) -> Tensor:
-    cfg = model.config
+def _cnn_tower(x, p: dict, cfg: ModelConfig, tower: str, segments: T.Segments, ops: _Ops):
     for i in range(cfg.cnn_layers):
-        x = T.conv_taps(x, model.params[f"{tower}.conv{i}.w"],
-                        model.params[f"{tower}.conv{i}.b"], segments, relu=True)
+        x = ops.conv_taps(x, p[f"{tower}.conv{i}.w"], p[f"{tower}.conv{i}.b"], segments,
+                          relu=True)
     return x
 
 
-def _wavenet_layer(x: Tensor, model: ModelParams, tower: str, b: int, l: int,
-                   dilation: int, segments: T.Segments) -> Tensor:
-    p = model.params
-    filt = T.conv_taps(x, p[f"{tower}.b{b}.l{l}.filter.w"], p[f"{tower}.b{b}.l{l}.filter.b"],
-                       segments, dilation)
-    gate = T.conv_taps(x, p[f"{tower}.b{b}.l{l}.gate.w"], p[f"{tower}.b{b}.l{l}.gate.b"],
-                       segments, dilation)
-    return T.add(x, T.mul(T.tanh(filt), T.sigmoid(gate)))
+def _wavenet_layer(x, p: dict, name: str, dilation: int, segments: T.Segments, ops: _Ops):
+    filt = ops.conv_taps(x, p[f"{name}.filter.w"], p[f"{name}.filter.b"], segments, dilation)
+    gate = ops.conv_taps(x, p[f"{name}.gate.w"], p[f"{name}.gate.b"], segments, dilation)
+    return ops.add(x, ops.mul(ops.tanh(filt), ops.sigmoid(gate)))
 
 
-def _wavenet_block(x: Tensor, model: ModelParams, tower: str, b: int,
-                   segments: T.Segments, feature_mask: Tensor | None) -> Tensor:
+def _wavenet_block(x, p: dict, cfg: ModelConfig, tower: str, b: int, segments: T.Segments,
+                   feature_mask, ops: _Ops):
     """One block: layer stack over the (possibly feature-dropped) input,
     dilation doubling per layer; the block residual carries the undropped
     input, so zero weights leave the block an exact identity."""
-    y0 = x if feature_mask is None else T.mul(x, feature_mask)
+    y0 = x if feature_mask is None else ops.mul(x, feature_mask)
     y = y0
     dilation = 1
-    for l in range(model.config.wavenet_layers):
-        y = _wavenet_layer(y, model, tower, b, l, dilation, segments)
+    for l in range(cfg.wavenet_layers):
+        y = _wavenet_layer(y, p, f"{tower}.b{b}.l{l}", dilation, segments, ops)
         dilation *= 2
-    return T.add(x, T.sub(y, y0))
+    return ops.add(x, ops.sub(y, y0))
 
 
-def _wavenet_tower(x: Tensor, model: ModelParams, tower: str, segments: T.Segments,
-                   train_mode: bool, rng: np.random.Generator | None) -> Tensor:
-    cfg = model.config
+def _wavenet_tower(x, p: dict, cfg: ModelConfig, tower: str, segments: T.Segments,
+                   train_mode: bool, rng: np.random.Generator | None, ops: _Ops):
     for b in range(cfg.wavenet_blocks):
         feature_mask = None
         if train_mode and cfg.feature_dropout > 0.0:
-            feature_mask = _dropout(rng, segments, cfg.dim, cfg.feature_dropout)
-        x = _wavenet_block(x, model, tower, b, segments, feature_mask)
+            feature_mask = ops.constant(_dropout(rng, segments, cfg.dim, cfg.feature_dropout))
+        x = _wavenet_block(x, p, cfg, tower, b, segments, feature_mask, ops)
     return x
 
 
@@ -290,6 +325,9 @@ def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
     widths the project uses (3, 4, 6, 8, 32, 64) it is bit-equal, except
     for a one-token sequence batched with longer ones: alone it is a
     one-row product, which BLAS rounds apart from a many-row one.
+
+    With gradients off the towers run on plain arrays (see the module
+    docstring), with the same bits.
     """
     cfg = model.config
     if cfg.arch not in SEQ_ARCHS:
@@ -304,14 +342,16 @@ def embed_sequences(batch_ids: list[list[int]], model: ModelParams, tower: str,
     segments = T.Segments(lengths)
     if segments.n == 0:
         return T.constant(np.zeros((len(batch_ids), cfg.dim)))
-    x = T.embedding(model.params["embedding"], tokens)
+    ops = _ops()
+    p = ops.weights(model)
+    x = ops.embedding(p["embedding"], tokens)
     if train_mode and cfg.token_dropout > 0.0:
-        x = T.mul(x, _dropout(rng, segments, 1, cfg.token_dropout))
+        x = ops.mul(x, ops.constant(_dropout(rng, segments, 1, cfg.token_dropout)))
     if cfg.arch == ARCH_CNN:
-        x = _cnn_tower(x, model, tower, segments)
+        x = _cnn_tower(x, p, cfg, tower, segments, ops)
     else:
-        x = _wavenet_tower(x, model, tower, segments, train_mode, rng)
-    return T.segment_max(x, segments)
+        x = _wavenet_tower(x, p, cfg, tower, segments, train_mode, rng, ops)
+    return ops.result(ops.segment_max(x, segments))
 
 
 # -- tree embedding -----------------------------------------------------------------
@@ -407,10 +447,15 @@ def _lstm_eval(node, layer, p, tower, kinds, dim, memo) -> tuple[Tensor, Tensor 
 
 
 def combiner_logit(clause_vec: Tensor, conj_vec: Tensor, model: ModelParams) -> Tensor:
-    """The usefulness logit; p(useful) is its sigmoid."""
-    h = T.concat([clause_vec, conj_vec], axis=-1)
-    h = T.relu(T.add(T.matmul(h, model.params["comb.1.w"]), model.params["comb.1.b"]))
-    return T.add(T.matmul(h, model.params["comb.2.w"]), model.params["comb.2.b"])
+    """The usefulness logit; p(useful) is its sigmoid. With gradients off it
+    is computed on plain arrays, with the same bits."""
+    ops = _ops()
+    p = ops.weights(model)
+    if ops is _ARRAYS:
+        clause_vec, conj_vec = clause_vec.data, conj_vec.data
+    h = ops.concat([clause_vec, conj_vec], axis=-1)
+    h = ops.relu(ops.add(ops.matmul(h, p["comb.1.w"]), p["comb.1.b"]))
+    return ops.result(ops.add(ops.matmul(h, p["comb.2.w"]), p["comb.2.b"]))
 
 
 @dataclass

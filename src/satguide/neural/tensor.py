@@ -18,12 +18,20 @@ graph it replaced. An op that has just allocated a gradient hands it to
 `_accumulate` as `fresh`, and the first such gradient of a tensor is
 kept, not copied.
 
-`no_grad()` disables graph construction for inference paths.
+`no_grad()` disables graph construction for inference paths, and
+`grad_enabled()` says whether it is in force. With gradients off, the
+models compute on plain arrays through the `*_array` kernels
+(`conv_taps_array`, `segment_max_array`, `sigmoid_array`), which are the
+forward halves of the `conv_taps`, `segment_max` and `sigmoid` nodes, so
+both paths give the same bits. `check_finite` is the check every node
+makes; the array path makes it before each ReLU, tanh and sigmoid, which
+could hide a non-finite value.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +49,23 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """False inside `no_grad()`: ops then build no graph."""
+    return _grad_enabled
+
+
+def check_finite(a: np.ndarray) -> None:
+    """Raise FloatingPointError if `a` holds a NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise FloatingPointError("non-finite tensor value")
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(self.data).all():
-            raise FloatingPointError("non-finite tensor value")
+        check_finite(self.data)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -202,7 +220,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = _sigmoid(a.data)
+    out_data = sigmoid_array(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -211,7 +229,8 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid_array(z: np.ndarray) -> np.ndarray:
+    """The logistic function, computed without overflow on either side."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -267,30 +286,49 @@ class Segments:
 
     def __init__(self, lengths):
         self.lengths = np.array(lengths, dtype=np.intp)
-        ends = self.lengths.cumsum()
-        self.starts = ends - self.lengths
-        self.n = int(ends[-1]) if len(ends) else 0
-        self.max_len = int(self.lengths.max()) if len(ends) else 0
-        self.pos = np.arange(self.n) - np.repeat(self.starts, self.lengths)  # in its sequence
+        self.ends = self.lengths.cumsum()
+        self.starts = self.ends - self.lengths
+        self.n = int(self.ends[-1]) if len(self.ends) else 0
+        self.max_len = int(self.lengths.max()) if len(self.ends) else 0
+        self._taps: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
         self._tap_rows: dict[tuple[int, ...], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.lengths)
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """Each row's position in its sequence."""
+        return np.arange(self.n) - np.repeat(self.starts, self.lengths)
+
+    def taps(self, size: int, dilation: int) -> tuple[int, int, tuple[int, ...]]:
+        """The taps of a symmetric kernel of `size` taps at `dilation` that
+        read inside some sequence: (lo, hi, their offsets). Tap j (0-based)
+        reads the row dilation * (j + 1 - ceil(size/2)) places back; taps
+        lo:hi are the live ones, the middle ones, as the others reach past
+        every sequence."""
+        plan = self._taps.get((size, dilation))
+        if plan is None:
+            center = (size + 1) // 2
+            offsets = [dilation * (j - center) for j in range(1, size + 1)]
+            live = [j for j, o in enumerate(offsets) if abs(o) < self.max_len]
+            lo, hi = live[0], live[-1] + 1
+            plan = self._taps[size, dilation] = (lo, hi, tuple(offsets[lo:hi]))
+        return plan
 
     def tap_rows(self, offsets: tuple[int, ...]) -> np.ndarray:
         """[len(offsets), N]: entry [k, i] is the row that a shift by
         offsets[k] inside each sequence moves to row i, i - offsets[k], or
         N where that row lies outside i's own sequence (`_gather_rows`
         reads N as a zero row). The rows of a tuple and of its reverse are
-        found at once: the backward of a symmetric kernel shifts by the
+        found at once: the backward of a kernel of odd size shifts by the
         forward's offsets negated, which is the forward's tuple reversed."""
         rows = self._tap_rows.get(offsets)
         if rows is None:
-            o = np.array(offsets, dtype=np.intp)[:, None]
-            ahead = np.repeat(self.lengths, self.lengths) - self.pos  # rows to the end
-            outside = (self.pos < o) | (ahead <= -o)
-            rows = np.where(outside, self.n, np.arange(self.n) - o)
-            self._tap_rows[offsets] = rows
+            src = np.arange(self.n) - np.array(offsets, dtype=np.intp)[:, None]
+            end = np.repeat(self.ends, self.lengths)  # of each row's sequence
+            inside = (src >= end - np.repeat(self.lengths, self.lengths)) & (src < end)
+            rows = self._tap_rows[offsets] = np.where(inside, src, self.n)
             self._tap_rows.setdefault(offsets[::-1], rows[::-1])
         return rows
 
@@ -307,16 +345,8 @@ def conv_taps(x: Tensor, w: Tensor, b: Tensor, segments: Segments, dilation: int
     out_i = b + sum_j x_{i - dilation*(j - ceil(s/2))} @ w_j for j = 1..s,
     with `w` [s, C_in, C_out], `b` [C_out], x [N, C_in] the rows of
     `segments`, and a row read from outside i's own sequence counting as
-    zero. The shifted copies of x are gathered once, through
-    `Segments.tap_rows`, onto a tap axis and multiplied by the taps in one
-    matmul; each tap's product is then the BLAS call a lone
-    `shift(x) @ w_j` makes over the packed rows, and the products are
-    added in tap order, so the sum is bit-identical to adding the per-tap
-    products one after another. (Multiplying x once by a [C_in, s*C_out]
-    kernel would put a tap's columns elsewhere in the BLAS call, which can
-    round them differently.) Taps that reach past every sequence are
-    skipped. When no sequence is longer than one token, each row is
-    multiplied on its own, as in its padded layout [B, 1, C].
+    zero. The forward is `_conv_taps_forward`, which `conv_taps_array`
+    shares.
 
     The bias add and the ReLU act in place on the tap sum, and the result
     has the bits of `relu(add(taps, b))` computed node by node; so has
@@ -325,20 +355,8 @@ def conv_taps(x: Tensor, w: Tensor, b: Tensor, segments: Segments, dilation: int
     """
     s, c_in, c_out = w.data.shape
     n = x.data.shape[0]
-    center = (s + 1) // 2
-    offsets = [dilation * (j - center) for j in range(1, s + 1)]
-    live = [j for j, o in enumerate(offsets) if abs(o) < segments.max_len]
-    lo, hi = live[0], live[-1] + 1  # the live taps are the middle ones
-    shifts = tuple(offsets[lo:hi])
-    shifted = _gather_rows(x.data, segments.tap_rows(shifts))  # [k, N, C_in]
-    rows = (n, 1) if segments.max_len == 1 else (n,)
-    taps = w.data[lo:hi].reshape((hi - lo,) + (1,) * (len(rows) - 1) + (c_in, c_out))
-    terms = np.matmul(shifted.reshape((hi - lo,) + rows + (c_in,)), taps).reshape(
-        hi - lo, n, c_out)
-    out_data = terms[0] if hi - lo == 1 else terms[0] + terms[1]
-    for term in terms[2:]:
-        out_data += term
-    out_data += b.data
+    out_data, shifted = _conv_taps_forward(x.data, w.data, b.data, segments, dilation)
+    lo, hi, shifts = segments.taps(s, dilation)
 
     def backward(g):
         if relu:
@@ -352,7 +370,8 @@ def conv_taps(x: Tensor, w: Tensor, b: Tensor, segments: Segments, dilation: int
                 gt = np.concatenate([np.zeros((n, lo, c_out)), gt,
                                      np.zeros((n, s - hi, c_out))], axis=1)
             w_flat = w.data.transpose(1, 0, 2).reshape(c_in, s * c_out)
-            x._accumulate((gt.reshape(rows + (s * c_out,)) @ w_flat.T).reshape(n, c_in),
+            per_row = (n, 1) if segments.max_len == 1 else (n,)
+            x._accumulate((gt.reshape(per_row + (s * c_out,)) @ w_flat.T).reshape(n, c_in),
                           fresh=True)
         if w.requires_grad:
             gw = np.empty(w.data.shape) if hi - lo == s else np.zeros(w.data.shape)
@@ -363,6 +382,44 @@ def conv_taps(x: Tensor, w: Tensor, b: Tensor, segments: Segments, dilation: int
     if relu:
         np.maximum(out_data, 0.0, out=out_data)
     return out
+
+
+def conv_taps_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, segments: Segments,
+                    dilation: int = 1, relu: bool = False) -> np.ndarray:
+    """`conv_taps` on plain arrays, with its bits and its check for
+    non-finite values before the ReLU; no graph."""
+    out = _conv_taps_forward(x, w, b, segments, dilation)[0]
+    check_finite(out)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _conv_taps_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, segments: Segments,
+                       dilation: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-activation of a `conv_taps` layer [N, C_out], and the rows
+    of x its live taps read [k, N, C_in], which the backward reuses.
+
+    The shifted copies of x are gathered once, through `Segments.tap_rows`,
+    onto a tap axis and multiplied by the taps in one matmul; each tap's
+    product is then the BLAS call a lone `shift(x) @ w_j` makes over the
+    packed rows. `np.add.reduce` over the outer tap axis adds the products
+    one after another in tap order, so the sum is bit-identical to adding
+    the per-tap products in a loop. (Multiplying x once by a
+    [C_in, s*C_out] kernel would put a tap's columns elsewhere in the BLAS
+    call, which can round them differently.) When no sequence is longer
+    than one token, each row is multiplied on its own, as in its padded
+    layout [B, 1, C].
+    """
+    lo, hi, shifts = segments.taps(len(w), dilation)
+    shifted = _gather_rows(x, segments.tap_rows(shifts))
+    if segments.max_len == 1:
+        terms = np.matmul(shifted[:, :, None], w[lo:hi, None])[:, :, 0]
+    else:
+        terms = np.matmul(shifted, w[lo:hi])
+    out = np.add.reduce(terms, axis=0)
+    out += b
+    return out, shifted
 
 
 def _gather_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -379,7 +436,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     `np.bincount` over each gradient element's place in the table, which
     adds the elements in the order `np.add.at` would, so it has its bits."""
     idx = np.asarray(ids, dtype=np.intp)
-    out_data = table.data[idx]
+    out_data = table.data.take(idx, axis=0)
 
     def backward(g):
         if table.requires_grad:
@@ -395,23 +452,36 @@ def embedding(table: Tensor, ids) -> Tensor:
 def segment_max(a: Tensor, segments: Segments) -> Tensor:
     """Max over each sequence's rows: [N, C] -> [B, C]. An empty sequence
     pools to zero. The gradient goes to the first row that attains the
-    maximum, as `np.argmax` picks it."""
-    full = segments.lengths > 0
-    starts = segments.starts[full]
-    out_data = np.zeros((len(segments), a.data.shape[1]))
-    if starts.size:
-        out_data[full] = np.maximum.reduceat(a.data, starts, axis=0)
+    maximum, as `np.argmax` picks it: the least row of each (sequence,
+    column) among the places that equal the maximum, found by one
+    `np.minimum.at` over those places."""
+    out_data = segment_max_array(a.data, segments)
 
     def backward(g):
-        if a.requires_grad and starts.size:
-            hit = a.data == np.repeat(out_data, segments.lengths, axis=0)
-            rows = np.where(hit, np.arange(segments.n)[:, None], segments.n)
-            first = np.minimum.reduceat(rows, starts, axis=0)
+        if a.requires_grad and segments.n:
+            c = a.data.shape[1]
+            hit = np.flatnonzero(a.data == np.repeat(out_data, segments.lengths, axis=0))
+            row = hit // c
+            owner = np.repeat(np.arange(len(segments)), segments.lengths)
+            first = np.full((len(segments), c), segments.n)
+            np.minimum.at(first.reshape(-1), owner[row] * c + (hit - row * c), row)
+            full = segments.lengths > 0
             grad = np.zeros_like(a.data)
-            grad[first, np.arange(a.data.shape[1])] = g[full]
+            grad[first[full], np.arange(c)] = g[full]
             a._accumulate(grad, fresh=True)
 
     return _make(out_data, (a,), backward)
+
+
+def segment_max_array(a: np.ndarray, segments: Segments) -> np.ndarray:
+    """The forward of `segment_max` on a plain array."""
+    full = segments.lengths > 0
+    if segments.n and full.all():
+        return np.maximum.reduceat(a, segments.starts, axis=0)
+    out = np.zeros((len(segments), a.shape[1]))
+    if segments.n:
+        out[full] = np.maximum.reduceat(a, segments.starts[full], axis=0)
+    return out
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -444,6 +514,6 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def backward(g):
         if logits.requires_grad:
-            logits._accumulate(float(g) * (_sigmoid(z) - y) / z.size, fresh=True)
+            logits._accumulate(float(g) * (sigmoid_array(z) - y) / z.size, fresh=True)
 
     return _make(out_data, (logits,), backward)

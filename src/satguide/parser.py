@@ -22,7 +22,8 @@ The lexer is one regular-expression scan over the text, and tokens are
 (kind, text) pairs. Errors carry the line and column of the offending
 token, worked out from its offset only when the error is raised. A symbol
 reused with a different arity or kind is an error anywhere in the input,
-and so is a term nested deeper than `MAX_TERM_DEPTH`.
+and so is a term nested deeper than `MAX_TERM_DEPTH` or a fof formula
+nested deeper than `MAX_FORMULA_DEPTH`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ KNOWN_ROLES = AXIOM_LIKE_ROLES | {"conjecture", "negated_conjecture"}
 # well below that and leaves derived terms room to grow. The fast path
 # reads atoms of depth at most 2, so the bound holds on both paths.
 MAX_TERM_DEPTH = 200
+
+# The deepest fof formula the parser accepts. An atom, `$true` and `$false`
+# have depth 1; `~f`, a parenthesised `(f)` and each variable a quantifier
+# binds add one to the depth of f; a binary connective has one more than
+# its deeper operand, and a chain `a | b | c` is `(a | b) | c`. The parser
+# recurses at most twice per level, and the clausifier's walks once per
+# level, so the bound keeps both, with a term of `MAX_TERM_DEPTH` inside,
+# well inside the stack.
+MAX_FORMULA_DEPTH = 200
+
+# binary fof connectives by precedence, loosest first; `=>` groups to the
+# right, the others to the left
+_FOF_PRECEDENCE = {"<=>": 1, "<~>": 1, "=>": 2, "|": 3, "&": 4}
 
 
 class ParseError(Exception):
@@ -234,7 +248,7 @@ class _Parser:
             if lang == "cnf":
                 payload: object = self.parse_cnf_formula()
             else:
-                payload = self.parse_fof_formula()
+                payload = self.parse_fof_formula()[0]
             self.expect(")")
             self.expect(".")
             units.append((lang, name, role, payload))
@@ -341,43 +355,44 @@ class _Parser:
         return Term(self.symbol(name, FUNCTION, len(args), at), tuple(args))
 
     # -- fof ---------------------------------------------------------------
-    # precedence (loosest to tightest): <=> <~>, =>, |, &, unary
+    # Each method takes the depth `level` at which its formula starts and
+    # returns (formula, the depth of its deepest part); see MAX_FORMULA_DEPTH.
 
-    def parse_fof_formula(self):
-        f = self.parse_fof_impl()
-        while self.peek() in ("<=>", "<~>"):
+    def _check_formula_depth(self, depth: int, at: int) -> None:
+        if depth > MAX_FORMULA_DEPTH:
+            raise self.error(f"formula nested deeper than {MAX_FORMULA_DEPTH}", at)
+
+    def parse_fof_formula(self, level: int = 1, min_precedence: int = 1):
+        """A formula of binary connectives no looser than `min_precedence`
+        over unary formulas, by precedence climbing."""
+        f, reach = self.parse_fof_unary(level)
+        while _FOF_PRECEDENCE.get(self.peek(), 0) >= min_precedence:
+            at = self.pos
             op = self.next()[1]
-            rhs = self.parse_fof_impl()
-            f = cl.FIff(f, rhs) if op == "<=>" else cl.FNot(cl.FIff(f, rhs))
-        return f
+            precedence = _FOF_PRECEDENCE[op]
+            rhs, rhs_reach = self.parse_fof_formula(
+                level + 1, precedence if op == "=>" else precedence + 1)
+            reach = max(reach + 1, rhs_reach)  # f is now an operand
+            self._check_formula_depth(reach, at)
+            if op == "<=>":
+                f = cl.FIff(f, rhs)
+            elif op == "<~>":
+                f = cl.FNot(cl.FIff(f, rhs))
+            elif op == "=>":
+                f = cl.FImpl(f, rhs)
+            elif op == "|":
+                f = cl.FOr(f, rhs)
+            else:
+                f = cl.FAnd(f, rhs)
+        return f, reach
 
-    def parse_fof_impl(self):
-        f = self.parse_fof_or()
-        if self.peek() == "=>":
-            self.next()
-            rhs = self.parse_fof_impl()
-            return cl.FImpl(f, rhs)
-        return f
-
-    def parse_fof_or(self):
-        f = self.parse_fof_and()
-        while self.peek() == "|":
-            self.next()
-            f = cl.FOr(f, self.parse_fof_and())
-        return f
-
-    def parse_fof_and(self):
-        f = self.parse_fof_unary()
-        while self.peek() == "&":
-            self.next()
-            f = cl.FAnd(f, self.parse_fof_unary())
-        return f
-
-    def parse_fof_unary(self):
+    def parse_fof_unary(self, level: int):
+        self._check_formula_depth(level, self.pos)
         text = self.peek()
         if text == "~":
             self.next()
-            return cl.FNot(self.parse_fof_unary())
+            f, reach = self.parse_fof_unary(level + 1)
+            return cl.FNot(f), reach
         if text in ("!", "?"):
             self.next()
             self.expect("[")
@@ -387,22 +402,22 @@ class _Parser:
                 names.append(self._quantified_var())
             self.expect("]")
             self.expect(":")
-            body = self.parse_fof_unary()
+            body, reach = self.parse_fof_unary(level + len(names))
             for name in reversed(names):
                 body = cl.FForall(name, body) if text == "!" else cl.FExists(name, body)
-            return body
+            return body, reach
         if text == "(":
             self.next()
-            f = self.parse_fof_formula()
+            f, reach = self.parse_fof_formula(level + 1)
             self.expect(")")
-            return f
+            return f, reach
         if text == "$true":
             self.next()
-            return cl.FTrue()
+            return cl.FTrue(), level
         if text == "$false":
             self.next()
-            return cl.FFalse()
-        return cl.FAtom(self._finish_atom(True))
+            return cl.FFalse(), level
+        return cl.FAtom(self._finish_atom(True)), level
 
     def _quantified_var(self) -> str:
         kind, name = self.next()

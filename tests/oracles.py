@@ -37,6 +37,10 @@ expression scan: one Python step per character, a `Token` with its line
 and column for every token. It is the reference for the tokens, the
 token positions and the lexical errors of `parser`.
 
+`clause_tokens` is the printed token stream of a clause as the tokenizer
+built it before it emitted vocabulary ids from its own walk: a string per
+token, looked up one by one. It is the reference for `tokens.tokenize`.
+
 `printed_premise_ids` tokenizes a premise the way `premsel` did before
 the scorer embedded premises straight from their clauses: every clause
 printed with its variables renumbered, lexed back, the texts joined by
@@ -53,6 +57,11 @@ sequence towers as they ran before batches were packed: every row padded
 to the longest, a mask multiply after every layer, and a Python loop of
 `np.argmax` calls for the pooling. They are the references for
 `models.embed_sequences`, `tensor.conv_taps` and `tensor.segment_max`.
+
+`segment_max_where` is `tensor.segment_max` with the backward it had
+before it placed the gradient through one `np.minimum.at`: an [N, C]
+`np.where` array of row numbers and a `np.minimum.reduceat` over it. It is
+the reference for that gradient's first-arg-max rule and its bits.
 
 `conv_taps_unfused`, `embedding_add_at` and `adam_step_per_array` are the
 training-step kernels as they were before the step was cut down to its
@@ -82,8 +91,9 @@ from satguide.fol import (
     Symbol,
     Term,
     Var,
+    EQ,
+    FALSE_TOKEN,
     clause_str,
-    clause_tokens,
     normalized_str,
 )
 from satguide.neural import tensor as T
@@ -93,6 +103,52 @@ from satguide.guidance import GuidanceConfig, build_schedule
 from satguide.heuristics import parse_schedule
 from satguide.saturation import LIMIT, SAT, UNSAT, ProveResult, Saturation, SearchConfig
 from satguide.tokens import Vocabulary, text_tokens, tokenize_texts
+
+
+def clause_tokens(c: Clause) -> list[str]:
+    """The printed symbol stream (names, ~, |, parens, commas) of
+    `normalize_variables(c)`: variables are named V1, V2, ... in order of
+    first occurrence during the walk itself."""
+    if c.is_empty:
+        return [FALSE_TOKEN]
+    variables: dict[str, str] = {}
+    toks: list[str] = []
+    add = toks.append
+    for i, lit in enumerate(c.literals):
+        if i:
+            add("|")
+        if lit.pred.name == EQ:
+            _term_tokens(lit.args[0], variables, add)
+            add("=" if lit.positive else "!=")
+            _term_tokens(lit.args[1], variables, add)
+            continue
+        if not lit.positive:
+            add("~")
+        add(lit.pred.name)
+        if lit.args:
+            _argument_tokens(lit.args, variables, add)
+    return toks
+
+
+def _argument_tokens(ts: tuple[Term, ...], variables: dict[str, str], add) -> None:
+    add("(")
+    for i, a in enumerate(ts):
+        if i:
+            add(",")
+        _term_tokens(a, variables, add)
+    add(")")
+
+
+def _term_tokens(t: Term, variables: dict[str, str], add) -> None:
+    if t.is_var:
+        v = variables.get(t.sym.name)
+        if v is None:
+            v = variables[t.sym.name] = f"V{len(variables) + 1}"
+        add(v)
+    else:
+        add(t.sym.name)
+        if t.args:
+            _argument_tokens(t.args, variables, add)
 
 
 def string_key(c: Clause) -> str:
@@ -790,6 +846,27 @@ def conv_taps_unfused(x: T.Tensor, w: T.Tensor, segments: T.Segments,
             w._accumulate(gw)
 
     return T.Tensor(out_data, x.requires_grad or w.requires_grad, (x, w), backward)
+
+
+def segment_max_where(a: T.Tensor, segments: T.Segments) -> T.Tensor:
+    """`tensor.segment_max` with its gradient placed through an [N, C]
+    `np.where` array and a `np.minimum.reduceat`."""
+    full = segments.lengths > 0
+    starts = segments.starts[full]
+    out_data = np.zeros((len(segments), a.data.shape[1]))
+    if starts.size:
+        out_data[full] = np.maximum.reduceat(a.data, starts, axis=0)
+
+    def backward(g):
+        if a.requires_grad and starts.size:
+            hit = a.data == np.repeat(out_data, segments.lengths, axis=0)
+            rows = np.where(hit, np.arange(segments.n)[:, None], segments.n)
+            first = np.minimum.reduceat(rows, starts, axis=0)
+            grad = np.zeros_like(a.data)
+            grad[first, np.arange(a.data.shape[1])] = g[full]
+            a._accumulate(grad)
+
+    return T.Tensor(out_data, a.requires_grad, (a,), backward)
 
 
 def embedding_add_at(table: T.Tensor, ids) -> T.Tensor:

@@ -175,6 +175,27 @@ def test_experiment_and_report(tmp_path, capsys):
     assert (curves_dir / "curve_auto.txt").exists()
 
 
+def test_experiment_reports_a_corpus_file_that_does_not_parse(tmp_path, capsys):
+    # every file that does not parse gets an SZS line with its location,
+    # and no report is written
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.p").write_text("cnf(a, axiom, p(a).\n")
+    (corpus / "good.p").write_text("cnf(a, axiom, p(a)).\ncnf(b, negated_conjecture, ~p(a)).\n")
+    (corpus / "worse.tptp").write_text("fof(a, axiom, " + "(" * 1000 + "p" + ")" * 1000 + ").\n")
+    config = {"corpus": {"dir": str(corpus)}, "methods": [{"id": "auto", "mode": "auto"}]}
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "% SZS status SyntaxError for bad",
+        "% expected ')', found '.' at line 1, column 19",
+        "% SZS status SyntaxError for worse",
+        "% formula nested deeper than 200 at line 1, column 215",
+    ]
+    assert not out_path.exists()
+
+
 def test_experiment_rejects_bad_switched_budget(tmp_path):
     # a switched method whose phase 1 would not end before the limits is
     # refused before any problem runs, and no report is written

@@ -17,7 +17,6 @@ from satguide.fol import (
     Var,
     canonical_key,
     clause_str,
-    clause_tokens,
     collect_signature,
     normalize_variables,
     normalize_variables_twice,
@@ -27,6 +26,8 @@ from satguide.fol import (
     symbol_record,
 )
 from satguide.parser import lex, parse_tptp
+
+from oracles import clause_tokens
 
 
 def lit(pred, *args, positive=True):

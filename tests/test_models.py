@@ -217,6 +217,88 @@ class TestPackedAgainstPadded:
                                                    err_msg=name)
 
 
+class TestNoGradForward:
+    """With gradients off, `embed_sequences` and `combiner_logit` run on
+    plain arrays; every row must have the bits of the graph path's, and a
+    non-finite pre-activation must still raise."""
+
+    def _batches(self, rng, vocab):
+        yield [[3]]  # one token
+        yield [[3], [4], [0], [], [5]]  # one-token rows, PAD-only and empty
+        yield [[0, 0], []]  # nothing to embed
+        yield [[0, 3, 0], [4, 5, 6, 0, 7], [8]]
+        for _ in range(6):
+            yield [[int(t) for t in rng.integers(0, vocab, int(rng.integers(0, 40)))]
+                   for _ in range(int(rng.integers(1, 33)))]
+
+    def _models(self, dim):
+        yield randomized(seq_model("cnn", dim=dim, vocab=20), seed=dim)
+        yield randomized(seq_model("wavenet", dim=dim, vocab=20, wavenet_blocks=2,
+                                   wavenet_layers=4), seed=dim)
+
+    @staticmethod
+    def _bits(a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @pytest.mark.parametrize("dim", [8, 17, 32, 33])
+    def test_embeddings_and_logits_bit_equal(self, dim):
+        rng = np.random.default_rng(dim)
+        for model in self._models(dim):
+            for batch in self._batches(rng, 20):
+                for tower in ("clause", "conj"):
+                    graph = embed_sequences(batch, model, tower)
+                    with T.no_grad():
+                        arrays = embed_sequences(batch, model, tower)
+                    assert not arrays._parents and not arrays.requires_grad
+                    np.testing.assert_array_equal(self._bits(arrays.data),
+                                                  self._bits(graph.data))
+                conj = np.broadcast_to(graph.data[:1], graph.data.shape)
+                for rows, conj_rows in ((graph.data, conj),
+                                        (graph.data[:, None, :], conj[:, None, :])):
+                    want = combiner_logit(T.constant(rows), T.constant(conj_rows), model)
+                    with T.no_grad():
+                        got = combiner_logit(T.constant(rows), T.constant(conj_rows), model)
+                    np.testing.assert_array_equal(self._bits(got.data), self._bits(want.data))
+
+    @pytest.mark.parametrize("arch", ["cnn", "wavenet"])
+    def test_non_finite_pre_activation_raises(self, arch):
+        # an embedding row that overflows the first layer's products to
+        # -inf: the ReLU (CNN) or tanh and sigmoid (WaveNet) would hide it
+        model = seq_model(arch, dim=8, wavenet_blocks=1, wavenet_layers=2)
+        model.params["embedding"].data[5] = 1e308
+        for name, p in model.params.items():
+            if name.startswith(("clause.conv0.", "clause.b0.l0.")) and name.endswith(".w"):
+                p.data[...] = -10.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for grad in (True, False):
+                with pytest.raises(FloatingPointError):
+                    if grad:
+                        embed_sequences([[3, 5, 4]], model, "clause")
+                    else:
+                        with T.no_grad():
+                            embed_sequences([[3, 5, 4]], model, "clause")
+
+    def test_non_finite_combiner_pre_activation_raises(self):
+        model = seq_model()
+        model.params["comb.1.w"].data[:] = -1e308
+        vec = T.constant(np.full((2, 4), 10.0))
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError):
+                combiner_logit(vec, vec, model)
+            with T.no_grad(), pytest.raises(FloatingPointError):
+                combiner_logit(vec, vec, model)
+
+    def test_training_dropout_under_no_grad_matches_graph(self):
+        # the same dropout masks are drawn from the same stream either way
+        model = randomized(seq_model("wavenet", dim=6, wavenet_blocks=2, wavenet_layers=3,
+                                     token_dropout=0.3, feature_dropout=0.3))
+        batch = [[3, 4, 5], [6], [], [7, 8, 9, 10, 11]]
+        graph = embed_sequences(batch, model, "clause", True, np.random.default_rng(4))
+        with T.no_grad():
+            arrays = embed_sequences(batch, model, "clause", True, np.random.default_rng(4))
+        np.testing.assert_array_equal(self._bits(arrays.data), self._bits(graph.data))
+
+
 def t_apply(a, b):
     return ("apply", a, b)
 

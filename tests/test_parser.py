@@ -3,7 +3,13 @@
 import pytest
 
 from satguide.fol import clause_str, problem_str
-from satguide.parser import MAX_TERM_DEPTH, ParseError, parse_clause_text, parse_tptp
+from satguide.parser import (
+    MAX_FORMULA_DEPTH,
+    MAX_TERM_DEPTH,
+    ParseError,
+    parse_clause_text,
+    parse_tptp,
+)
 
 
 class TestCnf:
@@ -229,3 +235,81 @@ class TestDepth:
         assert parse_clause_text(f"p({_nested(MAX_TERM_DEPTH - 1)})")
         with pytest.raises(ParseError):
             parse_clause_text(f"p({_nested(10 * MAX_TERM_DEPTH)})")
+
+
+# fof formulas of depth d, each with the column of the token where the
+# parser finds depth MAX_FORMULA_DEPTH + 1 ("fof(deep, axiom, " is 17 wide)
+FOF_DEEP = {
+    "parentheses": (lambda d: "(" * (d - 1) + "p" + ")" * (d - 1), 18 + MAX_FORMULA_DEPTH),
+    "negations": (lambda d: "~" * (d - 1) + "p", 18 + MAX_FORMULA_DEPTH),
+    "quantifiers": (lambda d: "![X]: " * (d - 1) + "q(X)", 18 + 6 * MAX_FORMULA_DEPTH),
+    # a chain is nested to the left: the operator that makes it too deep
+    "disjunction": (lambda d: " | ".join(["p"] * d), 18 + 4 * MAX_FORMULA_DEPTH - 2),
+    "implications": (lambda d: " => ".join(["p"] * d), 18 + 5 * MAX_FORMULA_DEPTH),
+}
+
+
+class TestFormulaDepth:
+    @staticmethod
+    def _unit(make, depth):
+        return f"fof(deep, axiom, {make(depth)})."
+
+    @pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH - 1, MAX_FORMULA_DEPTH])
+    @pytest.mark.parametrize("shape", FOF_DEEP)
+    def test_depth_up_to_the_bound_parses(self, shape, depth):
+        make, _ = FOF_DEEP[shape]
+        assert parse_tptp(self._unit(make, depth)).clauses()
+
+    @pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH + 1, 10 * MAX_FORMULA_DEPTH])
+    @pytest.mark.parametrize("shape", FOF_DEEP)
+    def test_deeper_is_refused_where_it_gets_too_deep(self, shape, depth):
+        make, col = FOF_DEEP[shape]
+        with pytest.raises(ParseError) as err:
+            parse_tptp(self._unit(make, depth))
+        assert f"formula nested deeper than {MAX_FORMULA_DEPTH}" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_bound_holds_with_the_deepest_term_inside(self):
+        # both bounds at once still leave the parser and clausifier stack room
+        atom = f"q({_nested(MAX_TERM_DEPTH - 1)})"
+        deep = "(" * (MAX_FORMULA_DEPTH - 1) + "~" + atom + ")" * (MAX_FORMULA_DEPTH - 1)
+        with pytest.raises(ParseError, match="formula nested deeper"):
+            parse_tptp(f"fof(deep, axiom, {deep}).")
+        deep = "(" * (MAX_FORMULA_DEPTH - 1) + atom + ")" * (MAX_FORMULA_DEPTH - 1)
+        assert len(parse_tptp(f"fof(deep, conjecture, {deep}).").clauses()) == 1
+
+
+def _shape(f) -> str:
+    """A fof formula tree in prefix form, atoms by predicate name."""
+    from satguide import clausify as cl
+
+    if isinstance(f, cl.FAtom):
+        return f.lit.pred.name
+    if isinstance(f, (cl.FForall, cl.FExists)):
+        return f"{type(f).__name__[1:].lower()} {f.var}: {_shape(f.body)}"
+    if isinstance(f, cl.FNot):
+        return f"not({_shape(f.f)})"
+    name = {cl.FAnd: "and", cl.FOr: "or", cl.FImpl: "impl", cl.FIff: "iff"}[type(f)]
+    return f"{name}({_shape(f.a)}, {_shape(f.b)})"
+
+
+@pytest.mark.parametrize("text, shape", [
+    ("a | b & c", "or(a, and(b, c))"),
+    ("a & b | c", "or(and(a, b), c)"),
+    ("a & b & c", "and(and(a, b), c)"),
+    ("a | b | c", "or(or(a, b), c)"),
+    ("a => b => c", "impl(a, impl(b, c))"),
+    ("a | b => c & d", "impl(or(a, b), and(c, d))"),
+    ("a => b & c => d", "impl(a, impl(and(b, c), d))"),
+    ("a <=> b => c", "iff(a, impl(b, c))"),
+    ("a => b <=> c", "iff(impl(a, b), c)"),
+    ("a <=> b <~> c", "not(iff(iff(a, b), c))"),
+    ("~a & ~~b", "and(not(a), not(not(b)))"),
+    ("![X]: p(X) & q", "and(forall X: p, q)"),
+    ("?[X, Y]: (p(X) | q) => r", "impl(exists X: exists Y: or(p, q), r)"),
+])
+def test_fof_connectives_bind_by_precedence(text, shape):
+    from satguide.parser import _Parser
+
+    [(_, _, _, formula)] = _Parser(f"fof(u, axiom, {text}).", {}).parse_units()
+    assert _shape(formula) == shape

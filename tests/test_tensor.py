@@ -11,6 +11,7 @@ from oracles import (
     embedding_add_at,
     padded_conv_taps,
     padded_max_time,
+    segment_max_where,
 )
 
 
@@ -356,6 +357,68 @@ class TestFusedKernelsAgainstOracles:
         # the tree towers look up one leaf at a time
         self._scatter((6, 8), 4, 4)
         self._scatter((6, 8), np.intp(0), 5)
+
+
+class TestArrayKernels:
+    """The forward kernels the no-grad path calls on plain arrays, against
+    the nodes that call them, and the `segment_max` gradient against its
+    `np.where` form in `oracles`, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [8, 17, 32, 33])
+    def test_conv_taps_array_is_the_node_forward(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        for lengths in ([1], [0, 1, 1], [5, 0, 12, 1, 30], [40]):
+            seg = T.Segments(lengths)
+            x = rng.uniform(-1, 1, (seg.n, dim))
+            w = rng.uniform(-0.3, 0.3, (5, dim, dim))
+            b = rng.uniform(-0.2, 0.2, dim)
+            for dilation in (1, 2, 8):
+                for relu in (False, True):
+                    node = T.conv_taps(T.parameter(x), T.parameter(w), T.parameter(b), seg,
+                                       dilation, relu)
+                    assert_same_bits(T.conv_taps_array(x, w, b, seg, dilation, relu), node.data)
+
+    def test_conv_taps_array_checks_before_the_relu(self):
+        x = np.full((3, 2), 1e308)
+        w = np.full((1, 2, 1), -10.0)
+        with np.errstate(over="ignore"):
+            for relu in (False, True):
+                with pytest.raises(FloatingPointError):
+                    T.conv_taps_array(x, w, np.zeros(1), T.Segments([3]), relu=relu)
+
+    def test_segment_max_array_is_the_node_forward(self):
+        rng = np.random.default_rng(31)
+        for lengths in ([], [0], [0, 0], [3], [2, 0, 5, 1, 0]):
+            seg = T.Segments(lengths)
+            a = rng.uniform(-1, 1, (seg.n, 4))
+            assert_same_bits(T.segment_max_array(a, seg),
+                             T.segment_max(T.parameter(a), seg).data)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_segment_max_gradient_matches_where_form(self, ties):
+        # ties: ReLU-like zeros and few distinct values, so most maxima are
+        # attained by several rows and the first one must get the gradient
+        rng = np.random.default_rng(32 + ties)
+        for trial in range(40):
+            lengths = [int(v) for v in rng.integers(0, 12, int(rng.integers(1, 9)))]
+            seg = T.Segments(lengths)
+            c = int(rng.integers(1, 34))
+            data = rng.uniform(-1, 1, (seg.n, c))
+            if ties:
+                data = np.maximum(np.round(data * 2) / 2, 0.0)
+            up = T.constant(rng.uniform(-1, 1, (len(seg), c)))
+            grads = []
+            for op in (T.segment_max, segment_max_where):
+                a = T.parameter(data)
+                out = op(a, seg)
+                T.mean(T.mul(out, up)).backward()
+                grads.append((out.data, a.grad))
+            (out, got), (ref, want) = grads
+            assert_same_bits(out, ref)
+            if want is None:  # no rows: no gradient either way
+                assert got is None or not got.size
+            else:
+                assert_same_bits(got, want)
 
 
 class TestEngine:

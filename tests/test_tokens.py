@@ -3,7 +3,7 @@
 import pytest
 
 from satguide.corpus import desk_corpus
-from satguide.fol import clause_str, clause_tokens, normalize_variables
+from satguide.fol import clause_str, normalize_variables
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import SearchConfig, prove
 from satguide.tokens import (
@@ -17,6 +17,8 @@ from satguide.tokens import (
     tokenize_conjecture,
     tokenize_texts,
 )
+
+from oracles import clause_tokens
 
 
 def clause_of(text):
@@ -132,3 +134,57 @@ class TestConjectureJoining:
         v = vocab_of("~", "p", "q", "(", ")", "a", "b")
         ids = tokenize_texts(["~p(a)", "~q(b)"], v)
         assert ids[5] == SEP and len(ids) == 11
+
+
+class TestIdWalk:
+    """`tokenize` emits ids from its own walk; they must be `lookup` over
+    the printed token stream (`oracles.clause_tokens`), cut at max_len."""
+
+    @staticmethod
+    def reference(c, vocab, max_len=10_000):
+        return [vocab.lookup(t) for t in clause_tokens(c)][:max_len]
+
+    def test_every_corpus_clause(self):
+        clauses = [c for seed in range(4) for item in desk_corpus(seed)
+                   for c in item.problem.clauses()]
+        vocab = Vocabulary()
+        for c in clauses[::5]:  # leave some symbols and variables OOV
+            for t in clause_tokens(c):
+                vocab.add(t)
+        for c in clauses:
+            assert tokenize(c, vocab, 10_000) == self.reference(c, vocab)
+            assert tokenize(c, vocab, 7) == self.reference(c, vocab, 7)
+
+    def test_equality_false_quoted_and_oov(self):
+        texts = ["f(X, g(Y)) = X | a != b | ~p(X)", "X = Y", "$false",
+                 "p('Foo', 'a b', X) | ~'Q r'(c)", "unknown(X) | p(zz(X, Y), Y)"]
+        vocab = vocab_of("p", "f", "=", "!=", "|", "~", "(", ")", ",", "V1", "Foo",
+                         "$false", "a b")
+        for text in texts:
+            c = clause_of(text)
+            assert tokenize(c, vocab) == self.reference(c, vocab), text
+        assert tokenize(clause_of("$false"), vocab) == [vocab.lookup("$false")]
+        assert tokenize(clause_of("$false"), Vocabulary()) == [OOV]
+
+    def test_longer_than_max_len(self):
+        c = clause_of(" | ".join(f"p(X{i}, c{i})" for i in range(150)))
+        vocab = Vocabulary()
+        for t in clause_tokens(c)[:400]:
+            vocab.add(t)
+        for max_len in (0, 1, 17, 512, 10_000):
+            assert tokenize(c, vocab, max_len) == self.reference(c, vocab, max_len)
+        assert len(tokenize(c, vocab)) == 512
+
+    def test_more_than_a_hundred_variables(self):
+        c = clause_of(" | ".join(f"p(X{i}, f(Y{i}, X{i}))" for i in range(130)))
+        vocab = vocab_of(*[f"V{n}" for n in range(1, 120, 3)], "p", "f", "(")
+        assert tokenize(c, vocab, 10_000) == self.reference(c, vocab)
+        assert vocab.variable_id(259) == OOV and vocab.variable_id(0) == vocab.lookup("V1")
+
+    def test_add_refreshes_cached_ids(self):
+        c = clause_of("p(X) | ~q(Y, X)")
+        vocab = vocab_of("p", "q")
+        assert tokenize(c, vocab) == self.reference(c, vocab)
+        for t in ("|", "V2", "~", "(", ",", ")", "V1"):
+            vocab.add(t)
+            assert tokenize(c, vocab) == self.reference(c, vocab), t
