@@ -4,6 +4,11 @@ Pipeline: optional negation, implication/equivalence elimination, negation
 normal form, implicit universal closure, standardizing variables apart,
 skolemization (deterministic fresh symbols sk1, sk2, ... in clausification
 order), distribution of | over &, clause splitting.
+
+Distribution has no definitional (Tseitin) step, so a short formula can
+have an exponential clausal form: a chain `p0 <=> p1 <=> ... <=> p6` has
+335,877 clauses. `distribute` refuses a formula whose clausal form would
+pass `MAX_FORMULA_CLAUSES` before it builds the clause list that would.
 """
 
 from __future__ import annotations
@@ -17,6 +22,17 @@ from .fol import (
     Term,
     Var,
 )
+
+
+# The most clauses the clausal form of one formula may have. A chain of six
+# `<=>` has 2,619, one of seven 335,877, which take seconds to build, and
+# longer ones exhaust memory; no formula the tests parse comes near.
+MAX_FORMULA_CLAUSES = 10_000
+
+
+class ClausalFormTooLarge(ValueError):
+    """A formula whose clausal form would have more than
+    `MAX_FORMULA_CLAUSES` clauses."""
 
 
 # -- formula trees -----------------------------------------------------------
@@ -233,7 +249,8 @@ def _skolem_walk(f, env: dict[str, Term], universals: tuple[Term, ...],
 
 
 def distribute(f) -> list[list[Literal]]:
-    """Quantifier-free NNF to a list of clauses (lists of literals)."""
+    """Quantifier-free NNF to a list of clauses (lists of literals); raises
+    `ClausalFormTooLarge` before it builds more than `MAX_FORMULA_CLAUSES`."""
     match f:
         case FAtom(lit):
             return [[lit]]
@@ -242,14 +259,23 @@ def distribute(f) -> list[list[Literal]]:
         case FFalse():
             return [[]]
         case FAnd(a, b):
-            return distribute(a) + distribute(b)
+            left, right = distribute(a), distribute(b)
+            _check_clause_count(len(left) + len(right))
+            return left + right
         case FOr(a, b):
             left, right = distribute(a), distribute(b)
             if not left or not right:  # a disjunct is valid
                 return []
+            _check_clause_count(len(left) * len(right))
             return [ca + cb for ca in left for cb in right]
         case _:
             raise TypeError(f"unexpected node after skolemization {f!r}")
+
+
+def _check_clause_count(n: int) -> None:
+    if n > MAX_FORMULA_CLAUSES:
+        raise ClausalFormTooLarge(
+            f"clausal form of over {MAX_FORMULA_CLAUSES} clauses ({n} at one connective)")
 
 
 def _dedup(lits: list[Literal]) -> list[Literal]:

@@ -56,6 +56,18 @@ def _load_problem_or_status(path: str):
         return None
 
 
+def _options_or_status(build, args):
+    """`build(args)`, or None once the ValueError it raised for an option
+    it refuses has been reported as an SZS `InputError` for the problem
+    in `args.problem`, with the reason."""
+    try:
+        return build(args)
+    except ValueError as err:
+        print(f"% SZS status InputError for {_problem_name(args.problem)}")
+        print(f"% {err}")
+        return None
+
+
 def _limits_from_args(args) -> SearchConfig:
     return SearchConfig(schedule=args.schedule, max_processed=args.max_processed,
                         max_wall_ms=args.timeout_ms)
@@ -76,11 +88,21 @@ def _guidance_from_args(args) -> GuidanceConfig:
                           phase1_budget=args.phase1_budget, batch_size=args.batch_size)
 
 
+def _run_configs(args) -> tuple[GuidanceConfig, SearchConfig]:
+    """The guidance and limits of a prove or verify run, checked together."""
+    gconfig, limits = _guidance_from_args(args), _limits_from_args(args)
+    gconfig.check_limits(limits)
+    return gconfig, limits
+
+
 def cmd_prove(args) -> int:
+    configs = _options_or_status(_run_configs, args)
+    if configs is None:
+        return 1
     problem = _load_problem_or_status(args.problem)
     if problem is None:
         return 1
-    result = guided_prove(problem, _guidance_from_args(args), _limits_from_args(args))
+    result = guided_prove(problem, *configs)
     print(szs_line(result, problem.name))
     print(f"% processed={result.processed_count} generated={result.generated_count} "
           f"wall_ms={result.wall_ms}")
@@ -91,10 +113,13 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    configs = _options_or_status(_run_configs, args)
+    if configs is None:
+        return 1
     problem = _load_problem_or_status(args.problem)
     if problem is None:
         return 1
-    result = guided_prove(problem, _guidance_from_args(args), _limits_from_args(args))
+    result = guided_prove(problem, *configs)
     print(szs_line(result, problem.name))
     if not result.proof:
         print("% no proof to verify")
@@ -219,16 +244,22 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_premsel(args) -> int:
-    problem = _load_problem_or_status(args.problem)
-    if problem is None:
-        return 1
+def _premsel_configs(args) -> tuple[GuidanceConfig, SearchConfig]:
     model, vocab = _load_model(args.model, args.vocab)
     gconfig = GuidanceConfig(mode=MODE_CASCADE, model=model, vocab=vocab,
                              batch_size=args.batch_size,
                              premsel_levels=[int(x) for x in args.levels.split(",")])
-    result = guided_prove(problem, gconfig, SearchConfig(max_processed=args.budget,
-                                                         max_wall_ms=args.timeout_ms))
+    return gconfig, SearchConfig(max_processed=args.budget, max_wall_ms=args.timeout_ms)
+
+
+def cmd_premsel(args) -> int:
+    configs = _options_or_status(_premsel_configs, args)
+    if configs is None:
+        return 1
+    problem = _load_problem_or_status(args.problem)
+    if problem is None:
+        return 1
+    result = guided_prove(problem, *configs)
     print(szs_line(result, problem.name))
     print(f"% ranking_hash={result.info['ranking_hash']} "
           f"level_used={result.info['premise_level']}")

@@ -20,7 +20,8 @@ build run with that collector paused (see `saturation.collector_paused`).
 Each job on a clause has one walk. `canonical_key` gives the duplicate
 key and the symbol classes of a `SymbolRecord` together, and is how the
 search keys every clause it admits and classifies it against the
-problem's conjecture symbols, once; `symbol_record` reuses it for callers
+problem's conjecture symbols, once; the search keeps one record per
+distinct class string. `symbol_record` reuses the walk for callers
 outside a search, which have no conjecture. `normalize_variables_twice`
 renames a clause into two variable namespaces, and `normalize_variables`
 is its one-namespace case.
@@ -210,9 +211,10 @@ class Clause:
     tests). `id` is also the creation ordinal that FIFO selection reads.
     `goal_descendant` marks clauses derived (possibly transitively) from
     the negated conjecture, which the SOS-flavored selection tiers prefer.
-    `symbols` caches the clause's `SymbolRecord` (see `symbol_record`); a
-    renamed copy shares it, since renaming keeps every symbol class, and
-    `dataclasses.replace` starts the copy without one.
+    `symbols` caches the clause's `SymbolRecord` (see `symbol_record`),
+    which in a search is shared with every clause of equal symbol
+    classes; a renamed copy shares it, since renaming keeps every symbol
+    class, and `dataclasses.replace` starts the copy without one.
     """
 
     id: int
@@ -321,16 +323,19 @@ NO_CONJECTURE: frozenset[Symbol] = frozenset()
 
 
 class SymbolRecord:
-    """A clause's symbol occurrences, walked once.
+    """The symbol occurrences of the clauses with one class string.
 
     `classes` holds one byte per occurrence in `clause_symbols` order:
     VAR_CLASS for a variable, CONJ_CLASS for a function or predicate
     symbol of the conjecture, OTHER_CLASS for any other. A search
     classifies every clause it admits against its problem's conjecture
-    symbols (`canonical_key`), so a record belongs to one search. `fp` and
-    `vars` count the function/predicate and the variable occurrences.
-    `folds` keeps the weights the conjecture-relative weight functions
-    folded from the classes, one per distinct triple of class weights.
+    symbols (`canonical_key`) and keeps one record per distinct class
+    string, which every clause of the search with those classes shares;
+    a record belongs to one search. `fp` and `vars` count the
+    function/predicate and the variable occurrences. `folds` keeps the
+    weights the conjecture-relative weight functions folded from the
+    classes, one per distinct triple of class weights, so a fold is made
+    once per class string, not once per clause.
     """
 
     __slots__ = ("classes", "fp", "vars", "folds")

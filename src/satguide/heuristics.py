@@ -8,9 +8,11 @@ included, sees batches. A popped clause disappears from every entry's
 ranking (global tombstoning via the shared alive set). A weight function
 weighs clauses only through `batch_keys`. The symbol-based weights read
 each clause's `SymbolRecord`, which the search's one key walk
-(`fol.canonical_key`) built at admission against the problem's
-conjecture symbols; entries with the same class weights share one fold
-per clause, and every entry computes its tiers in line. Building a
+(`fol.canonical_key`) classified at admission against the problem's
+conjecture symbols, and which every clause of the search with the same
+class string shares; entries with the same class weights share one fold
+per distinct class string, and every entry computes its tiers in line,
+per clause. Building a
 schedule needs no problem: the search supplies the conjecture through
 the records, so a spec string and the schedule `parse_schedule` builds
 from it give one search.
@@ -110,7 +112,9 @@ class ConjectureRelativeWeightFn(WeightFunction):
     left fold from 0.0. With a multiplier like 0.1 the partial sums
     round, and the closed form `vw*vars + fw*mult*conj + fw*other` would
     give other bits and so another search. The record keeps each fold, so
-    entries with the same class weights share one fold per clause.
+    entries with the same class weights share one fold per distinct class
+    string of the search. The tier is not in the record: clauses that
+    share a record keep their own tiers.
     """
 
     base_fw: float = 2.0

@@ -23,7 +23,8 @@ The lexer is one regular-expression scan over the text, and tokens are
 token, worked out from its offset only when the error is raised. A symbol
 reused with a different arity or kind is an error anywhere in the input,
 and so is a term nested deeper than `MAX_TERM_DEPTH` or a fof formula
-nested deeper than `MAX_FORMULA_DEPTH`.
+nested deeper than `MAX_FORMULA_DEPTH`. A fof unit whose clausal form
+would pass `clausify.MAX_FORMULA_CLAUSES` is an error at its first token.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ class _Parser:
         self.symbols = symbols
         self.include_dir = include_dir
         self.included = included  # the include file this text was read from
+        self.starts: list[int] = []  # the first token of each unit read
 
     # -- token plumbing ----------------------------------------------------
 
@@ -223,9 +225,11 @@ class _Parser:
 
     def parse_units(self) -> list[tuple[str, str, str, object]]:
         """Returns (lang, name, role, payload) tuples; payload is a literal
-        tuple list for cnf and a formula tree for fof."""
+        tuple list for cnf and a formula tree for fof. `starts` gets the
+        index of each unit's first token, to locate a later error."""
         units = []
         while self.peek_kind() != "end":
+            self.starts.append(self.pos)
             text = self.peek()
             if text == "include":
                 units.append(self.parse_include())
@@ -524,22 +528,22 @@ def parse_tptp(text: str, name: str = "problem", include_dir: str | None = None)
 def _parse_recursive(text: str, name: str, include_dir: str | None = None) -> Problem:
     """`parse_tptp` through the lexer and the recursive-descent parser."""
     symbols: dict[str, Symbol] = {}
-    units = _Parser(text, symbols, include_dir).parse_units()
-
-    expanded = []
-    for unit in units:
+    top = _Parser(text, symbols, include_dir)
+    expanded = []  # (unit, the parser that read it, its first token)
+    for unit, at in zip(top.parse_units(), top.starts):
         if unit[0] == "include":
             with open(os.path.join(include_dir, unit[1])) as fh:
-                expanded.extend(_Parser(fh.read(), symbols, include_dir,
-                                        unit[1]).parse_units())
+                inner = _Parser(fh.read(), symbols, include_dir, unit[1])
+            expanded.extend((u, inner, a) for u, a in zip(inner.parse_units(), inner.starts))
         else:
-            expanded.append(unit)
+            expanded.append((unit, top, at))
 
     skolems = cl.SkolemNamer(symbols)
     axioms: list[tuple[str, list[Literal]]] = []
     neg_conj: list[tuple[str, list[Literal]]] = []
-    conjectures = []  # (name, formula) conjoined and negated at the end
-    for lang, uname, role, payload in expanded:
+    # (name, formula, parser, first token), conjoined and negated at the end
+    conjectures = []
+    for (lang, uname, role, payload), parser, at in expanded:
         if lang == "cnf":
             lits = payload
             if role in AXIOM_LIKE_ROLES:
@@ -548,22 +552,31 @@ def _parse_recursive(text: str, name: str, include_dir: str | None = None) -> Pr
                 neg_conj.append((uname, lits))
         else:
             if role == "conjecture":
-                conjectures.append((uname, payload))
+                conjectures.append((uname, payload, parser, at))
                 continue
-            negate = False
-            clause_lits = cl.clausify(payload, negate=negate, skolems=skolems)
+            clause_lits = _clausify(payload, False, skolems, parser, at)
             target = neg_conj if role == "negated_conjecture" else axioms
             for lits in clause_lits:
                 target.append((uname, lits))
 
     if conjectures:
-        formula = conjectures[0][1]
-        for _, f in conjectures[1:]:
+        uname, formula, parser, at = conjectures[0]
+        for _, f, _, _ in conjectures[1:]:
             formula = cl.FAnd(formula, f)
-        for lits in cl.clausify(formula, negate=True, skolems=skolems):
-            neg_conj.append((conjectures[0][0], lits))
+        for lits in _clausify(formula, True, skolems, parser, at):
+            neg_conj.append((uname, lits))
 
     return build_problem(name, axioms, neg_conj)
+
+
+def _clausify(formula, negate: bool, skolems: cl.SkolemNamer,
+              parser: _Parser, at: int) -> list[tuple[Literal, ...]]:
+    """`clausify.clausify`, with a clausal form past its bound refused as a
+    `ParseError` at token `at` of `parser`, the start of the unit."""
+    try:
+        return cl.clausify(formula, negate=negate, skolems=skolems)
+    except cl.ClausalFormTooLarge as exc:
+        raise parser.error(str(exc), at) from None
 
 
 def parse_clause_text(text: str) -> tuple[Literal, ...]:

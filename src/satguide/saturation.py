@@ -26,7 +26,11 @@ A generated clause takes the next id, then is checked in this order:
 the size cap (a capped clause makes the search lossy), the tautology
 flag, the duplicate key. One walk, `fol.canonical_key`, builds the
 duplicate key and the symbol classes that every weight reads, for input
-and derived clauses alike. Only a clause that passes every check, or the
+and derived clauses alike. The search keeps one `SymbolRecord` per
+distinct class string (`records`), built on the first clause that has
+it: the clauses of a search hold far fewer class strings than clauses,
+and every clause with one class string shares its record and so the
+weights folded on it. Only a clause that passes every check, or the
 empty clause, becomes a `Clause`, built without the dataclass checks
 (`fol.derived_clause`) and kept once, in `clauses`; dropped resolvents
 leave no clause object behind, only their id. A clause's parents and
@@ -319,6 +323,9 @@ class Saturation:
         # every admitted clause's symbols are classified against these once,
         # at admission; the conjrel weights read the classes off its record
         self.conj_symbols = problem.conjecture_symbols()
+        # one record per distinct class string: clauses with equal classes
+        # share it, and so share its weight folds
+        self.records: dict[bytes, SymbolRecord] = {}
         if schedule is None:
             schedule = parse_schedule(config.schedule)
         self.schedule = schedule
@@ -351,10 +358,17 @@ class Saturation:
             self.clauses[c.id] = c
             key, classes = canonical_key(c.literals, self.conj_symbols)
             self.seen_keys.add(key)
-            c.symbols = SymbolRecord(classes)
+            c.symbols = self._record(classes)
             if c.is_empty and self.empty_clause_id is None:
                 self.empty_clause_id = c.id
             self.schedule.insert(c)
+
+    def _record(self, classes: bytes) -> SymbolRecord:
+        """The search's one record for the class string `classes`."""
+        record = self.records.get(classes)
+        if record is None:
+            record = self.records[classes] = SymbolRecord(classes)
+        return record
 
     # -- one step -------------------------------------------------------------
 
@@ -435,9 +449,10 @@ class Saturation:
         The checks read the bare literals, in this order: the size cap (a
         capped clause makes the search lossy), the tautology flag, the
         duplicate key. Only a clause that passes them all, or the empty
-        clause, becomes a `Clause` (built unchecked, as `derived_clause`);
-        every generated clause takes an id, so ids do not depend on what is
-        dropped.
+        clause, becomes a `Clause` (built unchecked, as `derived_clause`),
+        with the search's record for its class string, built if it is the
+        first clause with it; every generated clause takes an id, so ids do
+        not depend on what is dropped.
         """
         self.generated += 1
         cid = self.next_id
@@ -456,7 +471,7 @@ class Saturation:
             if len(seen) == known:
                 return False
             # the record the weights read, from the walk that made the key
-            record = SymbolRecord(classes)
+            record = self._record(classes)
         else:
             record = None
         c = self.clauses[cid] = derived_clause(cid, lits, parents, rule, goal_descendant, record)

@@ -142,3 +142,25 @@ class TestStructuralInvariants:
         p = parse_tptp("fof(a, axiom, (![X]: p(X)) & (![X]: q(X))).")
         strs = {clause_str(c) for c in p.axioms}
         assert strs == {"p(X1)", "q(X2)"}
+
+
+class TestClauseBound:
+    @staticmethod
+    def conjunction(prefix, n):
+        f = atom(f"{prefix}0")
+        for i in range(1, n):
+            f = cl.FAnd(f, atom(f"{prefix}{i}"))
+        return f
+
+    def test_distribute_refuses_past_the_bound(self, monkeypatch):
+        # at the bound the clauses are built; past it, by a product or a
+        # sum, the connective is refused
+        monkeypatch.setattr(cl, "MAX_FORMULA_CLAUSES", 12)
+        assert len(cl.distribute(cl.FOr(self.conjunction("a", 3),
+                                        self.conjunction("b", 4)))) == 12
+        assert len(cl.distribute(self.conjunction("a", 12))) == 12
+        for over in (cl.FOr(self.conjunction("a", 13), atom("b")),
+                     cl.FOr(self.conjunction("a", 2), self.conjunction("b", 7)),
+                     self.conjunction("a", 13)):
+            with pytest.raises(cl.ClausalFormTooLarge, match="over 12 clauses"):
+                cl.distribute(over)

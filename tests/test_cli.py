@@ -69,11 +69,50 @@ def model_files(tmp_path):
     return ["--model", str(model_path), "--vocab", str(vocab_path)]
 
 
+def refused(capsys, message: str) -> bool:
+    """Whether the run printed just the SZS `InputError` status of toy.p
+    and a reason that contains `message`."""
+    status, reason = capsys.readouterr().out.splitlines()
+    return status == "% SZS status InputError for toy" and message in reason
+
+
 @pytest.mark.parametrize("batch_size", ["0", "-1"])
-def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files, batch_size):
+def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files, batch_size,
+                                                       capsys):
     for command in (["prove", problem_file, "--mode", "hybrid"], ["premsel", problem_file]):
-        with pytest.raises(ValueError, match="batch_size"):
-            main(command + model_files + ["--batch-size", batch_size])
+        assert main(command + model_files + ["--batch-size", batch_size]) == 1
+        assert refused(capsys, "batch_size must be at least 1")
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--max-processed", "-1"], "max_processed must not be negative, got -1"),
+    (["--timeout-ms", "-5"], "max_wall_ms must not be negative, got -5"),
+    (["--schedule", "bogus"], "schedule 'bogus'"),
+    (["--mode", "pure"], "mode 'pure' requires a model"),
+])
+def test_prove_reports_a_refused_option_as_input_error(problem_file, options, message, capsys):
+    assert main(["prove", problem_file] + options) == 1
+    assert refused(capsys, message)
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--mode", "hybrid"], "mode 'hybrid' requires a model"),
+    (["--max-processed", "-3"], "max_processed must not be negative, got -3"),
+])
+def test_verify_reports_a_refused_option_as_input_error(problem_file, options, message,
+                                                        capsys):
+    assert main(["verify", problem_file] + options) == 1
+    assert refused(capsys, message)
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--budget", "-1"], "max_processed must not be negative, got -1"),
+    (["--levels", "8,x"], "invalid literal for int()"),
+])
+def test_premsel_reports_a_refused_option_as_input_error(problem_file, model_files, options,
+                                                         message, capsys):
+    assert main(["premsel", problem_file] + model_files + options) == 1
+    assert refused(capsys, message)
 
 
 @pytest.mark.parametrize("command", ["prove", "verify", "premsel"])
@@ -88,18 +127,19 @@ def test_syntax_error_ends_with_an_szs_status(tmp_path, model_files, command, ca
     ]
 
 
-def test_prove_rejects_phase1_budget_it_cannot_honour(problem_file, model_files):
+def test_prove_rejects_phase1_budget_it_cannot_honour(problem_file, model_files, capsys):
     # hybrid mode has no phase 1, and a negative budget would end it at once
     for mode, budget, error in (("hybrid", "5", "phase1_budget sets switched mode's phase 1"),
-                                ("switched", "-5", "phase1_budget must be at least 0")):
-        with pytest.raises(ValueError, match=error):
-            main(["prove", problem_file, "--mode", mode, "--phase1-budget", budget]
-                 + model_files)
+                                ("switched", "-5", "phase1_budget must be at least 0"),
+                                ("switched", "100", "phase1_budget < max_processed")):
+        assert main(["prove", problem_file, "--mode", mode, "--phase1-budget", budget,
+                     "--max-processed", "100"] + model_files) == 1
+        assert refused(capsys, error)
 
 
-def test_premsel_rejects_level_below_one(problem_file, model_files):
-    with pytest.raises(ValueError, match="at least 1"):
-        main(["premsel", problem_file, "--levels", "1,0"] + model_files)
+def test_premsel_rejects_level_below_one(problem_file, model_files, capsys):
+    assert main(["premsel", problem_file, "--levels", "1,0"] + model_files) == 1
+    assert refused(capsys, "at least 1")
 
 
 def test_trace_defaults_to_clause_limits():

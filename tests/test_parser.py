@@ -1,7 +1,12 @@
-"""TPTP parsing: the supported subset, errors, includes, the depth bound."""
+"""TPTP parsing: the supported subset, errors, includes, the depth bound,
+the clausal-form bound."""
+
+import time
+import tracemalloc
 
 import pytest
 
+from satguide.clausify import MAX_FORMULA_CLAUSES
 from satguide.fol import clause_str, problem_str
 from satguide.parser import (
     MAX_FORMULA_DEPTH,
@@ -277,6 +282,58 @@ class TestFormulaDepth:
             parse_tptp(f"fof(deep, axiom, {deep}).")
         deep = "(" * (MAX_FORMULA_DEPTH - 1) + atom + ")" * (MAX_FORMULA_DEPTH - 1)
         assert len(parse_tptp(f"fof(deep, conjecture, {deep}).").clauses()) == 1
+
+
+
+def _iff_chain(n: int) -> str:
+    return " <=> ".join(f"p{i}" for i in range(n))
+
+
+def _conjunction(prefix: str, n: int) -> str:
+    return "(" + " & ".join(f"{prefix}{i}" for i in range(n)) + ")"
+
+
+class TestClausalFormBound:
+    @pytest.mark.parametrize("n, clauses", [(4, 21), (5, 133), (6, 2619)])
+    def test_short_chains_clausify_whole(self, n, clauses):
+        assert len(parse_tptp(f"fof(a, axiom, {_iff_chain(n)}).").clauses()) == clauses
+
+    @pytest.mark.parametrize("role", ["axiom", "conjecture"])
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_longer_chains_are_refused_at_their_unit(self, n, role):
+        # 335,877 clauses at n = 7: refused before they are built, so in
+        # little time and memory
+        text = (f"cnf(c, axiom, q).\nfof(b, {role}, q).\n"
+                f"  fof(a, {role}, {_iff_chain(n)}).")
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_tptp(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 10
+        assert peak < 16 << 20
+        assert f"clausal form of over {MAX_FORMULA_CLAUSES} clauses" in str(err.value)
+        # conjectures are conjoined and negated together: the first one's unit
+        assert (err.value.line, err.value.col) == ((3, 3) if role == "axiom" else (2, 1))
+
+    def test_the_bound_is_inclusive(self):
+        # 100 x 100 clauses are the bound; one more, by a product or a sum,
+        # is refused
+        square = f"{_conjunction('a', 100)} | {_conjunction('b', 100)}"
+        assert len(parse_tptp(f"fof(a, axiom, {square}).").clauses()) == MAX_FORMULA_CLAUSES
+        for over in (f"{_conjunction('a', 73)} | {_conjunction('b', 137)}",
+                     f"({square}) & c"):
+            with pytest.raises(ParseError, match=f"over {MAX_FORMULA_CLAUSES} clauses"):
+                parse_tptp(f"fof(a, axiom, {over}).")
+
+    def test_refused_in_an_included_file_where_it_stands(self, tmp_path):
+        (tmp_path / "big.ax").write_text(f"fof(x, axiom, q).\nfof(y, axiom, {_iff_chain(7)}).\n")
+        with pytest.raises(ParseError, match="clausal form") as err:
+            parse_tptp("include('big.ax').\nfof(g, conjecture, q).", include_dir=str(tmp_path))
+        assert (err.value.line, err.value.col) == (2, 1)
 
 
 def _shape(f) -> str:

@@ -10,7 +10,7 @@ from satguide.corpus import desk_corpus
 from satguide.datagen import trace_problem
 from satguide.fol import Clause, clause_str
 from satguide.guidance import GuidanceConfig, guided_prove
-from satguide.heuristics import parse_schedule
+from satguide.heuristics import ConjectureRelativeWeightFn, parse_schedule
 from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import (
     Proof,
@@ -28,6 +28,7 @@ from satguide.saturation import (
 )
 from satguide.tokens import Vocabulary
 
+import oracles
 from oracles import bfs_saturate
 
 
@@ -198,9 +199,9 @@ def test_capped_tautology_makes_saturation_lossy():
     assert sorted(free.state.clauses) == [0, 1] and free.state.next_id == 4
 
 
-def test_symbols_walked_once_per_stored_clause(monkeypatch):
-    # admission builds one symbol record per stored clause, and every
-    # weight reads it: none is built again
+def _search_counting_records(monkeypatch, name: str):
+    """A 300-step search of corpus problem `name`, and the class strings
+    of the symbol records it built, in order."""
     built = []
 
     class CountedRecord(fol.SymbolRecord):
@@ -212,12 +213,70 @@ def test_symbols_walked_once_per_stored_clause(monkeypatch):
 
     monkeypatch.setattr(fol, "SymbolRecord", CountedRecord)
     monkeypatch.setattr(saturation, "SymbolRecord", CountedRecord)
-    problem = next(item.problem for item in desk_corpus(0) if item.name == "flood023")
+    problem = next(item.problem for item in desk_corpus(0) if item.name == name)
     state = Saturation(problem, SearchConfig(max_processed=300, max_wall_ms=None))
     state.run()
+    return state, built
+
+
+def test_one_symbol_record_per_class_string(monkeypatch):
+    # admission builds one symbol record per distinct class string of the
+    # search; every stored clause with those classes shares it, and every
+    # weight reads it: none is built again
+    state, built = _search_counting_records(monkeypatch, "flood023")
     stored = [c for c in state.clauses.values() if c.symbols is not None]
     assert len(stored) > 1000
-    assert len(built) == len(stored)
+    assert len(built) == len(set(built)) == len(state.records) < len(stored) / 10
+    for c in stored:
+        classes = fol.canonical_key(c.literals, state.conj_symbols)[1]
+        assert c.symbols is state.records[classes]
+        assert c.symbols.classes == classes
+    # a renamed processed copy shares its clause's record
+    assert all(p.symbols is state.clauses[p.id].symbols for p in state.processed)
+
+
+def test_searches_share_no_symbol_record(monkeypatch):
+    # the table belongs to one search: two problems with different
+    # conjectures, whose clauses have class strings in common, share no
+    # record object
+    first, _ = _search_counting_records(monkeypatch, "flood023")
+    second, built = _search_counting_records(monkeypatch, "flood024")
+    assert first.conj_symbols != second.conj_symbols
+    assert set(first.records) & set(second.records)
+    assert len(built) == len(second.records)  # its own, shared classes included
+    assert not {id(r) for r in first.records.values()} & \
+        {id(r) for r in second.records.values()}
+
+
+def test_a_shared_record_never_shares_a_tier():
+    # an axiom and a negated conjecture clause with one class string share
+    # their record and so every symbol weight, bit for bit, but each keeps
+    # its own tier: they differ in role and in goal descent
+    p = parse_tptp("cnf(a, axiom, (p(X) | q(a))). "
+                   "cnf(g, negated_conjecture, (~p(Y) | ~q(a))).")
+    state = Saturation(p, SearchConfig(
+        schedule="1*conjrel(2,1,0.1,sos),1*conjrel(2,1,0.1,nongoals),"
+                 "1*conjrel(3,2,0.5),1*symcount(3,2,sos),1*symcount(2,1,nongoals)"))
+    axiom, goal = state.clauses[0], state.clauses[1]
+    assert (axiom.role, axiom.goal_descendant) == ("axiom", False)
+    assert (goal.role, goal.goal_descendant) == ("negated_conjecture", True)
+    assert axiom.symbols is goal.symbols and len(state.records) == 1
+    tiers = {"sos": [1, 0], "nongoals": [0, 1], "const": [0, 0]}
+    for entry in state.schedule.entries:
+        fn = entry.fn
+        both = fn.batch_keys([axiom, goal])
+        alone = fn.batch_keys([goal]) + fn.batch_keys([axiom])
+        assert [t for t, _ in both] == tiers[fn.tier]
+        assert [t for t, _ in alone] == tiers[fn.tier][::-1]
+        weights = {float(w).hex() for _, w in both + alone}
+        if isinstance(fn, ConjectureRelativeWeightFn):
+            ref = oracles.conjecture_relative_weight(axiom, state.conj_symbols,
+                                                     fn.base_fw, fn.base_vw,
+                                                     fn.conj_multiplier)
+        else:
+            fp, v = oracles.symbol_counts(axiom)
+            ref = fn.fweight * fp + fn.vweight * v
+        assert weights == {float(ref).hex()}, fn
 
 
 @pytest.mark.parametrize("spec", ["1*conjrel(2,1,0.1,sos),1*fifo", "auto200"])
