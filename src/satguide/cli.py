@@ -56,14 +56,14 @@ def _load_problem_or_status(path: str):
         return None
 
 
-def _options_or_status(build, args):
-    """`build(args)`, or None once the ValueError it raised for an option
-    it refuses has been reported as an SZS `InputError` for the problem
-    in `args.problem`, with the reason."""
+def _options_or_status(build, args, name: str):
+    """`build(args)`, or None once the ValueError or OSError it raised for
+    an option or a file it refuses has been reported as an SZS `InputError`
+    for `name`, with the reason."""
     try:
         return build(args)
-    except ValueError as err:
-        print(f"% SZS status InputError for {_problem_name(args.problem)}")
+    except (ValueError, OSError) as err:
+        print(f"% SZS status InputError for {name}")
         print(f"% {err}")
         return None
 
@@ -76,14 +76,14 @@ def _limits_from_args(args) -> SearchConfig:
 def _load_model(model_path: str, vocab_path: str) -> tuple[ModelParams, Vocabulary]:
     """(model, vocab) from a checkpoint and the vocabulary it was trained
     with; a vocabulary whose hash differs from the checkpoint's is an error."""
+    if vocab_path is None:
+        raise ValueError("--model needs --vocab, the vocabulary it was trained with")
     vocab = Vocabulary.load(vocab_path)
     return load_checkpoint_file(model_path, expected_vocab_hash=vocab.hash), vocab
 
 
 def _guidance_from_args(args) -> GuidanceConfig:
-    model = vocab = None
-    if args.model:
-        model, vocab = _load_model(args.model, args.vocab)
+    model, vocab = _load_model(args.model, args.vocab) if args.model else (None, None)
     return GuidanceConfig(mode=args.mode, model=model, vocab=vocab,
                           phase1_budget=args.phase1_budget, batch_size=args.batch_size)
 
@@ -96,7 +96,7 @@ def _run_configs(args) -> tuple[GuidanceConfig, SearchConfig]:
 
 
 def cmd_prove(args) -> int:
-    configs = _options_or_status(_run_configs, args)
+    configs = _options_or_status(_run_configs, args, _problem_name(args.problem))
     if configs is None:
         return 1
     problem = _load_problem_or_status(args.problem)
@@ -113,7 +113,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    configs = _options_or_status(_run_configs, args)
+    configs = _options_or_status(_run_configs, args, _problem_name(args.problem))
     if configs is None:
         return 1
     problem = _load_problem_or_status(args.problem)
@@ -150,9 +150,10 @@ def _corpus_from_spec(spec: dict):
 
 
 def cmd_trace(args) -> int:
+    config = _options_or_status(_limits_from_args, args, "trace")
+    if config is None:
+        return 1
     problems = _corpus_from_spec({"seed": args.seed, "tags": args.tags.split(",") if args.tags else None})
-    config = SearchConfig(schedule="auto", max_processed=args.max_processed,
-                          max_wall_ms=args.timeout_ms)
     traces = datagen.generate_traces(problems, config, seed=args.seed)
     datagen.write_traces(traces, args.out)
     proved = sum(1 for t in traces if t.status == "Unsatisfiable")
@@ -253,7 +254,7 @@ def _premsel_configs(args) -> tuple[GuidanceConfig, SearchConfig]:
 
 
 def cmd_premsel(args) -> int:
-    configs = _options_or_status(_premsel_configs, args)
+    configs = _options_or_status(_premsel_configs, args, _problem_name(args.problem))
     if configs is None:
         return 1
     problem = _load_problem_or_status(args.problem)
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout-ms", type=int, default=None, dest="timeout_ms",
                    help="wall limit per problem; off by default, so that "
                         "traces depend on clause limits only")
-    p.set_defaults(fn=cmd_trace)
+    p.set_defaults(fn=cmd_trace, schedule="auto")  # traces are always searched under auto
 
     p = sub.add_parser("train", help="train a scorer from traces")
     p.add_argument("--traces", required=True)

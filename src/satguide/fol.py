@@ -208,7 +208,8 @@ class Clause:
 
     Identity is by `id` (clauses are never structurally compared through
     __eq__; redundancy checks go through explicit variant/subsumption
-    tests). `id` is also the creation ordinal that FIFO selection reads.
+    tests). `id` is also the creation ordinal that FIFO selection reads:
+    a search keeps the caller's ids in every mode and numbers above them.
     `goal_descendant` marks clauses derived (possibly transitively) from
     the negated conjecture, which the SOS-flavored selection tiers prefer.
     `symbols` caches the clause's `SymbolRecord` (see `symbol_record`),
@@ -285,7 +286,8 @@ class Problem:
 def build_problem(name: str, axioms: list[tuple[str | None, Sequence[Literal]]],
                   negated_conjecture: list[tuple[str | None, Sequence[Literal]]]) -> Problem:
     """A problem from (origin, literals) pairs: the axioms, then the
-    negated-conjecture clauses, numbered from 0 in that order."""
+    negated-conjecture clauses, numbered from 0 in that order: the ids
+    every search of the problem, a cascade level's too, reports them by."""
     ax = [Clause(i, tuple(lits), role=ROLE_AXIOM, origin=origin)
           for i, (origin, lits) in enumerate(axioms)]
     ncs = [Clause(len(ax) + i, tuple(lits), role=ROLE_NEGATED_CONJECTURE, origin=origin)

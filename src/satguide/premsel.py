@@ -6,10 +6,12 @@ embeds them straight from their clauses (`ClauseScorer.premise_vectors`).
 The cascade tries the top 32, 64, 128, 256 premises in turn (clamped to
 the number available, duplicates dropped; no level, or one below 1, is an
 error) and stops at the first proof; the processed-clause budget, if
-any, and the wall limit are split evenly across the levels. A level
-that saturates a strict subset of the premises proves nothing about the
-problem, so it ends as ResourceOut. `guidance.guided_prove` runs both in
-its `cascade` mode.
+any, and the wall limit are split evenly across the levels. A level is
+the caller's axiom clauses of its top k premises, in input order, and
+the negated conjecture, so a cascade result names the caller's clauses
+by their ids, as every mode does. A level that saturates a strict subset
+of the premises proves nothing about the problem, so it ends as
+ResourceOut. `guidance.guided_prove` runs both in its `cascade` mode.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .fol import Clause, Problem, build_problem
+from .fol import Clause, Problem
 from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
 
 # unused here; bench/tracing.py spans these names in this module
@@ -51,17 +53,17 @@ class CascadeResult:
     ranking_hash: str = ""
 
 
+def premise_name(c: Clause) -> str:
+    """The premise of an axiom clause: its input formula, or `c<id>`."""
+    return c.origin or f"c{c.id}"
+
+
 def premise_groups(problem: Problem) -> list[tuple[str, list[Clause]]]:
     """Axiom clauses grouped by their input formula, in input order."""
-    order: list[str] = []
     groups: dict[str, list[Clause]] = {}
     for c in problem.axioms:
-        name = c.origin or f"c{c.id}"
-        if name not in groups:
-            groups[name] = []
-            order.append(name)
-        groups[name].append(c)
-    return [(name, groups[name]) for name in order]
+        groups.setdefault(premise_name(c), []).append(c)
+    return list(groups.items())
 
 
 def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
@@ -75,16 +77,7 @@ def rank_premises(problem: Problem, scorer: ClauseScorer) -> RankedPremises:
     groups = premise_groups(problem)
     probs = scorer.probabilities(scorer.premise_vectors([cs for _, cs in groups]))
     scores = {name: p for (name, _), p in zip(groups, probs)}
-    order = sorted(range(len(groups)), key=lambda i: (-scores[groups[i][0]], i))
-    return RankedPremises([groups[i][0] for i in order], scores)
-
-
-def subset_problem(problem: Problem, origins: set[str], name_suffix: str = "") -> Problem:
-    """Sub-problem with only the selected premises plus the conjecture."""
-    axioms = [(c.origin, c.literals) for c in problem.axioms
-              if (c.origin or f"c{c.id}") in origins]
-    return build_problem(problem.name + name_suffix, axioms,
-                         [(c.origin, c.literals) for c in problem.negated_conjecture])
+    return RankedPremises(sorted(scores, key=lambda name: -scores[name]), scores)
 
 
 def clamp_levels(levels, n_premises: int) -> list[int]:
@@ -110,7 +103,7 @@ def check_levels(levels) -> None:
 def cascade_prove(problem: Problem, ranking: RankedPremises,
                   levels=DEFAULT_LEVELS, total_budget: int | None = 2000,
                   limits: SearchConfig | None = None) -> CascadeResult:
-    """Attempt the top-k subsets in growing order; stop at the first proof.
+    """Attempt the top-k premises in growing order; stop at the first proof.
 
     Each level runs the unguided prover under `limits`, with an even share
     of `total_budget` processed clauses (None: no cap per level) and of
@@ -126,8 +119,11 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
 
     transcript, wall_ms = [], 0
     for k in eff_levels:
-        sub = subset_problem(problem, set(ranking.order[:k]), f"@top{k}")
-        res = prove(sub, level_limits)
+        top = set(ranking.order[:k])
+        level = Problem(f"{problem.name}@top{k}",
+                        [c for c in problem.axioms if premise_name(c) in top],
+                        problem.negated_conjecture)
+        res = prove(level, level_limits)
         if res.status == SAT and k < len(ranking.order):
             res = replace(res, status=RESOURCE_OUT, resource="premises")
         transcript.append(

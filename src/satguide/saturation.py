@@ -60,7 +60,8 @@ Calculus: binary resolution + factoring, tautology deletion, forward
 subsumption. Equality is handled by axiom injection (reflexivity,
 symmetry, transitivity, congruence per signature symbol) when a problem
 mentions `=`. Everything is deterministic: ties break on clause id and
-ids increase monotonically with creation.
+ids increase monotonically with creation: input clauses keep the caller's
+ids, and every clause the search adds is numbered above them.
 """
 
 from __future__ import annotations
@@ -165,9 +166,9 @@ class ProveResult:
     generated_count: int
     wall_ms: int
     resource: str | None = None  # processed | generated | time | clause_size | premises
-    selections: list[int] | None = None
+    selections: list[int] | None = None  # processed ids; inputs keep the caller's
     info: dict = field(default_factory=dict)
-    state: object = None  # the Saturation instance, for trace extraction
+    state: object = None  # the Saturation instance (cascade: the last level's)
 
     @property
     def proved(self) -> bool:
@@ -344,14 +345,13 @@ class Saturation:
         self._seq: dict[int, int] = {}  # clause id -> processed position
         self._subsumers = SubsumerIndex()
 
-        inputs = [
-            Clause(i, c.literals, role=c.role, origin=c.origin)
-            for i, c in enumerate(problem.clauses())
-        ]
+        inputs = [Clause(c.id, c.literals, role=c.role, origin=c.origin)
+                  for c in problem.clauses()]
+        self.next_id = max((c.id for c in inputs), default=-1) + 1
         for name, lits in equality_axioms(problem):
-            inputs.append(Clause(len(inputs), lits, role=ROLE_AXIOM,
+            inputs.append(Clause(self.next_id, lits, role=ROLE_AXIOM,
                                  rule=RULE_EQ_AXIOM, origin=name))
-        self.next_id = len(inputs)
+            self.next_id += 1
         # inputs are keyed and classified as derived clauses are (`_admit`),
         # but every one is inserted, duplicates of each other included
         for c in inputs:

@@ -72,6 +72,12 @@ gradient scattered with `np.add.at` into a zeroed table; and Adam as ten
 array operations per parameter array, with a moment pair per array. They
 are the references for the fused `tensor.conv_taps`, the `np.bincount`
 scatter of `tensor.embedding` and the flat-buffer `adam.adam_step`.
+
+`misnamed_ids` checks that a search result names its input clauses by
+the ids of the problem the caller passed, in whatever mode it ran: every
+selected input clause and every input proof leaf is the caller's clause
+of that id, printed alike, and no clause the search added takes a
+caller's id.
 """
 
 from __future__ import annotations
@@ -903,3 +909,18 @@ def adam_step_per_array(params: dict[str, np.ndarray], grads: dict[str, np.ndarr
         out[name] = (p - update).astype(np.float32).astype(np.float64)
     out["embedding"][0] = 0.0
     return out
+
+
+def misnamed_ids(problem: Problem, result: ProveResult) -> list[int]:
+    """The ids in `result` that do not name the caller's clause (see the
+    module docstring): selected or proof-leaf input clauses whose id names
+    no clause of `problem` or one printed otherwise, and clauses the search
+    added (equality axioms, derived clauses) under a caller's id."""
+    callers = {c.id: clause_str(c) for c in problem.clauses()}
+    clauses = result.state.clauses
+    inputs = [clauses[cid] for cid in result.selections]
+    if result.proof:
+        inputs += [node.clause for node in result.proof.derivation.values()]
+    bad = [c.id for c in inputs
+           if c.rule == "input" and callers.get(c.id) != clause_str(c)]
+    return bad + [cid for cid, c in clauses.items() if c.rule != "input" and cid in callers]

@@ -10,11 +10,16 @@ import pytest
 from satguide import cli, harness
 from satguide.cli import build_parser, main
 from satguide.corpus import chain_problem, desk_corpus, junk_distractors
-from satguide.fol import problem_str
+from satguide.fol import clause_str, problem_str
 from satguide.harness import read_report
 from satguide.neural.checkpoint import save_checkpoint_file
 from satguide.neural.models import ModelConfig, init_model
 from satguide.tokens import Vocabulary
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
+FIXTURE_MODEL = ["--model", str(FIXTURE / "cnn.sgnn"), "--vocab", str(FIXTURE / "vocab.txt")]
+MODEL_KEYS = {"model": FIXTURE_MODEL[1], "vocab": FIXTURE_MODEL[3]}
+NO_FILE = "No such file or directory"
 
 
 @pytest.fixture
@@ -89,6 +94,8 @@ def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files
     (["--timeout-ms", "-5"], "max_wall_ms must not be negative, got -5"),
     (["--schedule", "bogus"], "schedule 'bogus'"),
     (["--mode", "pure"], "mode 'pure' requires a model"),
+    (["--mode", "hybrid", "--model", "m.ckpt"], "--model needs --vocab"),
+    (["--model", "m.ckpt", "--vocab", "missing.txt"], f"{NO_FILE}: 'missing.txt'"),
 ])
 def test_prove_reports_a_refused_option_as_input_error(problem_file, options, message, capsys):
     assert main(["prove", problem_file] + options) == 1
@@ -98,6 +105,8 @@ def test_prove_reports_a_refused_option_as_input_error(problem_file, options, me
 @pytest.mark.parametrize("options, message", [
     (["--mode", "hybrid"], "mode 'hybrid' requires a model"),
     (["--max-processed", "-3"], "max_processed must not be negative, got -3"),
+    (["--mode", "hybrid", "--model", "missing.ckpt", "--vocab", FIXTURE_MODEL[3]],
+     f"{NO_FILE}: 'missing.ckpt'"),
 ])
 def test_verify_reports_a_refused_option_as_input_error(problem_file, options, message,
                                                         capsys):
@@ -108,6 +117,7 @@ def test_verify_reports_a_refused_option_as_input_error(problem_file, options, m
 @pytest.mark.parametrize("options, message", [
     (["--budget", "-1"], "max_processed must not be negative, got -1"),
     (["--levels", "8,x"], "invalid literal for int()"),
+    (["--vocab", "missing.txt"], f"{NO_FILE}: 'missing.txt'"),
 ])
 def test_premsel_reports_a_refused_option_as_input_error(problem_file, model_files, options,
                                                          message, capsys):
@@ -153,6 +163,18 @@ def test_premsel_rejects_max_processed():
     assert build_parser().parse_args(base).budget == 2_000
     with pytest.raises(SystemExit):
         build_parser().parse_args(base + ["--max-processed", "100"])
+
+
+@pytest.mark.parametrize("option", ["--max-processed", "--timeout-ms"])
+def test_trace_reports_a_refused_option_as_input_error(tmp_path, option, capsys):
+    traces = tmp_path / "traces.jsonl"
+    assert main(["trace", "--out", str(traces), option, "-1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "% SZS status InputError for trace",
+        f"% {'max_processed' if option == '--max-processed' else 'max_wall_ms'} "
+        f"must not be negative, got -1",
+    ]
+    assert not traces.exists()
 
 
 def test_trace_train_eval_cycle(tmp_path, capsys):
@@ -390,11 +412,6 @@ def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_fil
 
 
 
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
-FIXTURE_MODEL = ["--model", str(FIXTURE / "cnn.sgnn"), "--vocab", str(FIXTURE / "vocab.txt")]
-MODEL_KEYS = {"model": FIXTURE_MODEL[1], "vocab": FIXTURE_MODEL[3]}
-
-
 @pytest.mark.parametrize("methods,error", [
     ([{"id": "auto", "mode": "auto", "batch_size": 0}], "batch_size must be at least 1"),
     ([{"id": "casc", "mode": "cascade", "premsel_levels": [0], **MODEL_KEYS}],
@@ -442,6 +459,19 @@ def test_premsel_output_is_pinned(premsel_file, capsys):
         "%   level=8 status=ResourceOut processed=100",
         "%   level=16 status=Unsatisfiable processed=61",
     ]
+
+
+def test_cascade_derivation_names_the_files_clauses(premsel_file, capsys):
+    # the proof comes from a top-k level, whose clauses keep their ids
+    assert main(["prove", str(premsel_file), "--mode", "cascade", "--derivation"]
+                + FIXTURE_MODEL) == 0
+    clauses = {c.id: c for c in cli._load_problem(str(premsel_file)).clauses()}
+    leaves = [line for line in capsys.readouterr().out.splitlines()
+              if line.endswith(" rule=input")]
+    assert leaves
+    for line in leaves:
+        cid = int(line.split(".", 1)[0])
+        assert line == f"{cid}. {clause_str(clauses[cid])} <- [] rule=input"
 
 
 def test_verify_cascade_mode(premsel_file, capsys):

@@ -19,7 +19,7 @@ from satguide.parser import parse_clause_text, parse_tptp
 from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, prove
 from satguide.tokens import Vocabulary
 
-from oracles import switched_prove_rebuilt
+from oracles import misnamed_ids, switched_prove_rebuilt
 
 
 def tiny_problem():
@@ -255,6 +255,21 @@ class TestModes:
         config = GuidanceConfig(mode="cascade", model=model_for(vocab), vocab=vocab)
         result = guided_prove(problem, config, SearchConfig(max_processed=100))
         assert (result.info["network_evals"], result.info["batch_calls"]) == (0, 0)
+
+
+@pytest.mark.parametrize("mode", guidance.MODES)
+def test_every_mode_names_the_callers_clauses(mode, fixture_cnn):
+    # premsel000's cascade proves at a level of 16 of its premises;
+    # group0_id_flipped uses equality, so the search adds its axioms
+    corpus = {item.name: item.problem for item in desk_corpus(0)}
+    model, vocab = fixture_cnn
+    levels = {"premsel_levels": (4, 8, 16, 32)} if mode == guidance.MODE_CASCADE else {}
+    config = GuidanceConfig(mode=mode, model=model, vocab=vocab, **levels)
+    for name in ("premsel000", "group0_id_flipped"):
+        problem = corpus[name]
+        result = guided_prove(problem, config,
+                              SearchConfig(max_processed=400, record_selections=True))
+        assert result.selections and misnamed_ids(problem, result) == [], name
 
 
 @pytest.mark.parametrize("phase1_budget", [None, 30, 200])

@@ -2,16 +2,19 @@
 
 from dataclasses import replace
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import satguide.guidance as guidance
 import satguide.premsel as premsel
-from oracles import printed_premise_ids
+from oracles import misnamed_ids, printed_premise_ids
 from satguide.corpus import chain_problem, desk_corpus, junk_distractors, plain_distractors
 from satguide.datagen import TrainingExample, build_vocabulary
 from satguide.fol import clause_str, normalize_variables
-from satguide.guidance import ClauseScorer
+from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
 from satguide.neural.models import ModelConfig, init_model
 from satguide.premsel import (
     RankedPremises,
@@ -19,7 +22,6 @@ from satguide.premsel import (
     clamp_levels,
     premise_groups,
     rank_premises,
-    subset_problem,
 )
 from satguide.parser import parse_tptp
 from satguide.saturation import RESOURCE_OUT, SAT, SearchConfig, UNSAT, verify_proof_detailed
@@ -242,15 +244,55 @@ class TestCascade:
         assert c1.transcript == c2.transcript
 
 
-class TestSubsetProblem:
-    def test_subset_keeps_conjecture(self):
+    def test_level_keeps_conjecture(self):
         problem = problem_with_premises()
-        sub = subset_problem(problem, {"pp_trans"})
-        assert len(sub.negated_conjecture) == len(problem.negated_conjecture)
-        assert all((c.origin or "") == "pp_trans" for c in sub.axioms)
+        ranking = RankedPremises(["pp_fact0"], {"pp_fact0": 0.0})
+        level = cascade_prove(problem, ranking, (1,), 100).result.state.problem
+        assert level.name == "pp@top1"
+        assert level.negated_conjecture == problem.negated_conjecture
+        assert [c.origin for c in level.axioms] == ["pp_fact0"]
 
-    def test_ids_reassigned_densely(self):
+    def test_level_keeps_caller_ids(self):
+        # a level is a selection of the caller's clauses, in input order
         problem = problem_with_premises()
-        sub = subset_problem(problem, {"pp_trans", "pp_fact0"})
-        ids = [c.id for c in sub.clauses()]
-        assert ids == list(range(len(ids)))
+        names = [name for name, _ in premise_groups(problem)]
+        top = ["pp_fact3", "dx1_fact", "dx0_rule"]
+        ranking = RankedPremises(top + [n for n in names if n not in top],
+                                 {n: 0.0 for n in names})
+        level = cascade_prove(problem, ranking, (3,), 100).result.state.problem
+        assert level.clauses() == [c for c in problem.clauses()
+                                   if c.role != "axiom" or c.origin in top]
+        assert [c.origin for c in level.axioms] == ["dx0_rule", "dx1_fact", "pp_fact3"]
+
+
+# status, premise_level and transcript of the 88 runs of
+# test_premsel_levels_keep_caller_ids, as they were when every level
+# renumbered its clauses from 0
+PREMSEL_RUNS_DIGEST = "b80da86a7963cf47"
+
+
+def test_premsel_levels_keep_caller_ids(fixture_cnn):
+    """Every premsel problem of desk_corpus(0) and desk_corpus(1) at two
+    level sets: each selected input id and each input proof leaf names the
+    caller's clause, no clause the search adds takes a caller's id, and
+    every search is the one it was when levels were numbered from 0."""
+    model, vocab = fixture_cnn
+    limits = SearchConfig(max_processed=800, max_generated=30_000, record_selections=True)
+    digest = hashlib.sha256()
+    runs = selected = 0
+    for seed in (0, 1):
+        for item in desk_corpus(seed):
+            if "premsel" not in item.tags:
+                continue
+            for levels in ((4, 8, 16, 32), (32, 64, 128, 256)):
+                result = guided_prove(item.problem, GuidanceConfig(
+                    mode="cascade", model=model, vocab=vocab, premsel_levels=levels), limits)
+                assert misnamed_ids(item.problem, result) == [], (item.name, levels)
+                runs += 1
+                selected += sum(result.state.clauses[cid].rule == "input"
+                                for cid in result.selections)
+                digest.update(json.dumps([item.name, seed, levels, result.status,
+                                          result.info["premise_level"],
+                                          result.info["transcript"]]).encode())
+    assert (runs, selected) == (88, 2112)
+    assert digest.hexdigest()[:16] == PREMSEL_RUNS_DIGEST
