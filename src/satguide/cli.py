@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: prove, trace, train, eval-acc, experiment, premsel, verify,
-report. Experiments are driven by one declarative JSON config plus flag
-overrides; every report embeds the resolved config.
+Subcommands: prove, verify, trace, train, eval-acc, experiment, report,
+dump-corpus. `prove` and `verify` share one option set and run every
+guidance mode, the premise cascade included, through `guided_prove`.
+Experiments are driven by one declarative JSON config; every report
+embeds the resolved config.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import fields
 from . import datagen
 from .corpus import corpus_by_tag, desk_corpus
 from .fol import problem_str
-from .guidance import MODE_CASCADE, MODES, GuidanceConfig, guided_prove
+from .guidance import MODE_AUTO, MODE_CASCADE, MODES, GuidanceConfig, guided_prove
 from .harness import (
-    accuracy_eval,
     check_report,
     read_report,
     run_corpus,
@@ -28,9 +29,8 @@ from .harness import (
 )
 from .neural.checkpoint import load_checkpoint_file, save_checkpoint_file
 from .neural.models import ModelConfig, ModelParams, init_model
-from .neural.train import TrainConfig, prepare_pairs, train
+from .neural.train import TrainConfig, accuracy, prepare_pairs, train
 from .parser import ParseError, parse_tptp
-from .premsel import DEFAULT_LEVELS
 from .saturation import SearchConfig, derivation_lines, szs_line, verify_proof_detailed
 from .tokens import Vocabulary
 
@@ -82,28 +82,55 @@ def _load_model(model_path: str, vocab_path: str) -> tuple[ModelParams, Vocabula
     return load_checkpoint_file(model_path, expected_vocab_hash=vocab.hash), vocab
 
 
-def _guidance_from_args(args) -> GuidanceConfig:
-    model, vocab = _load_model(args.model, args.vocab) if args.model else (None, None)
-    return GuidanceConfig(mode=args.mode, model=model, vocab=vocab,
-                          phase1_budget=args.phase1_budget, batch_size=args.batch_size)
+def _guidance(mode: str = MODE_AUTO, model: str | None = None, vocab: str | None = None,
+              **settings) -> GuidanceConfig:
+    """The GuidanceConfig of `settings`, with its model and vocabulary
+    loaded from the files `model` and `vocab`. Auto mode calls no network,
+    so it refuses both files."""
+    if mode == MODE_AUTO and (model or vocab):
+        raise ValueError(f"mode {MODE_AUTO!r} calls no network; a model or vocab "
+                         f"needs a guided mode")
+    params, vocabulary = _load_model(model, vocab) if model else (None, None)
+    return GuidanceConfig(mode=mode, model=params, vocab=vocabulary, **settings)
 
 
 def _run_configs(args) -> tuple[GuidanceConfig, SearchConfig]:
     """The guidance and limits of a prove or verify run, checked together."""
-    gconfig, limits = _guidance_from_args(args), _limits_from_args(args)
+    levels = None if args.levels is None else [int(x) for x in args.levels.split(",")]
+    gconfig = _guidance(args.mode, args.model, args.vocab, phase1_budget=args.phase1_budget,
+                        batch_size=args.batch_size, premsel_levels=levels)
+    limits = _limits_from_args(args)
     gconfig.check_limits(limits)
     return gconfig, limits
 
 
-def cmd_prove(args) -> int:
+def _guided_run(args):
+    """Run the problem of a prove or verify run and print its SZS line,
+    then, in cascade mode, the ranking and one line per level tried. The
+    problem and result, or None once a refused option or a problem file
+    that does not parse has been reported."""
     configs = _options_or_status(_run_configs, args, _problem_name(args.problem))
     if configs is None:
-        return 1
+        return None
     problem = _load_problem_or_status(args.problem)
     if problem is None:
-        return 1
+        return None
     result = guided_prove(problem, *configs)
     print(szs_line(result, problem.name))
+    if configs[0].mode == MODE_CASCADE:
+        print(f"% ranking_hash={result.info['ranking_hash']} "
+              f"level_used={result.info['premise_level']}")
+        for entry in result.info["transcript"]:
+            print(f"%   level={entry['level']} status={entry['status']} "
+                  f"processed={entry['processed']}")
+    return problem, result
+
+
+def cmd_prove(args) -> int:
+    run = _guided_run(args)
+    if run is None:
+        return 1
+    result = run[1]
     print(f"% processed={result.processed_count} generated={result.generated_count} "
           f"wall_ms={result.wall_ms}")
     if args.derivation and result.proof:
@@ -113,14 +140,10 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    configs = _options_or_status(_run_configs, args, _problem_name(args.problem))
-    if configs is None:
+    run = _guided_run(args)
+    if run is None:
         return 1
-    problem = _load_problem_or_status(args.problem)
-    if problem is None:
-        return 1
-    result = guided_prove(problem, *configs)
-    print(szs_line(result, problem.name))
+    problem, result = run
     if not result.proof:
         print("% no proof to verify")
         return 1
@@ -192,7 +215,7 @@ def cmd_eval_acc(args) -> int:
     model, vocab = _load_model(args.model, args.vocab)
     examples = datagen.read_examples(args.examples)
     balanced = datagen.balance_eval_set(examples, args.seed)
-    acc = accuracy_eval(model, balanced, vocab)
+    acc = accuracy(prepare_pairs(balanced, vocab, model.config), model)
     print(f"balanced accuracy: {acc:.4f} over {len(balanced)} examples")
     return 0
 
@@ -208,65 +231,51 @@ _METHOD_KEYS = {f.name for f in fields(GuidanceConfig)} | {"id"}
 
 
 def _known(entry: dict, allowed: set[str], where: str) -> dict:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object, got {entry!r}")
     unknown = sorted(set(entry) - allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
     return entry
 
 
-def cmd_experiment(args) -> int:
+def _experiment(args):
+    """The report of the experiment in the config file `args.config`, or
+    None once every corpus file that does not parse has been reported.
+    A refused config raises ValueError or OSError before any cell runs."""
     with open(args.config) as fh:
         spec = json.load(fh)
     _known(spec, _EXPERIMENT_KEYS, "experiment")
     problems = _corpus_from_spec(spec.get("corpus", {}))
     if problems is None:
-        return 1
+        return None
     limits = SearchConfig(**_known(spec.get("limits", {}), _LIMIT_KEYS, "limits"))
     methods = {}
-    for m in spec["methods"]:
+    for m in spec.get("methods", []):
         settings = dict(_known(m, _METHOD_KEYS, f"method {m.get('id')!r}"))
-        method = settings.pop("id")
+        method = settings.pop("id", None)
+        if method is None:
+            raise ValueError(f"method {m} has no id")
         if method in methods:
             raise ValueError(f"method id {method!r} is used twice")
-        # naming levels asks for the cascade, even naming the default ones
-        if "premsel_levels" in settings and settings.get("mode") != MODE_CASCADE:
-            raise ValueError(f"method {method!r}: premsel_levels needs mode "
-                             f"{MODE_CASCADE!r}")
-        paths = settings.pop("model", None), settings.pop("vocab", None)
-        model, vocab = _load_model(*paths) if paths[0] else (None, None)
-        methods[method] = GuidanceConfig(model=model, vocab=vocab, **settings)
+        methods[method] = _guidance(**settings)
+    if not methods:
+        raise ValueError("the experiment config names no methods")
     report = run_corpus(problems, methods, limits,
                         record_walltime=spec.get("record_walltime", False))
     report.config["experiment_config"] = spec
+    return report
+
+
+def cmd_experiment(args) -> int:
+    report = _options_or_status(_experiment, args, "experiment")
+    if report is None:
+        return 1
     write_report(report, args.out)
-    print(f"wrote report for {len(problems)} problems x {len(methods)} methods to {args.out}")
+    print(f"wrote report for {report.config['n_problems']} problems x "
+          f"{len(report.config['methods'])} methods to {args.out}")
     for m, pct in report.aggregates["percent_proved"].items():
         print(f"  {m}: {pct}")
-    return 0
-
-
-def _premsel_configs(args) -> tuple[GuidanceConfig, SearchConfig]:
-    model, vocab = _load_model(args.model, args.vocab)
-    gconfig = GuidanceConfig(mode=MODE_CASCADE, model=model, vocab=vocab,
-                             batch_size=args.batch_size,
-                             premsel_levels=[int(x) for x in args.levels.split(",")])
-    return gconfig, SearchConfig(max_processed=args.budget, max_wall_ms=args.timeout_ms)
-
-
-def cmd_premsel(args) -> int:
-    configs = _options_or_status(_premsel_configs, args, _problem_name(args.problem))
-    if configs is None:
-        return 1
-    problem = _load_problem_or_status(args.problem)
-    if problem is None:
-        return 1
-    result = guided_prove(problem, *configs)
-    print(szs_line(result, problem.name))
-    print(f"% ranking_hash={result.info['ranking_hash']} "
-          f"level_used={result.info['premise_level']}")
-    for entry in result.info["transcript"]:
-        print(f"%   level={entry['level']} status={entry['status']} "
-              f"processed={entry['processed']}")
     return 0
 
 
@@ -314,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "rejects anything but auto")
         p.add_argument("--phase1-budget", type=int, default=None, dest="phase1_budget")
         p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
+        p.add_argument("--levels", default=None,
+                       help="cascade mode's premise counts, comma-separated, "
+                            "one proof attempt each; other modes refuse it")
 
     p = sub.add_parser("prove", help="prove one TPTP problem")
     p.add_argument("problem")
@@ -366,18 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_experiment)
-
-    p = sub.add_parser("premsel", help="premise-ranked cascade proving")
-    p.add_argument("problem")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--levels", default=",".join(str(x) for x in DEFAULT_LEVELS))
-    p.add_argument("--budget", type=int, default=2_000,
-                   help="processed clauses, split evenly across the levels")
-    p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    p.add_argument("--timeout-ms", type=int, default=60_000, dest="timeout_ms",
-                   help="wall limit, split evenly across the levels")
-    p.set_defaults(fn=cmd_premsel)
 
     p = sub.add_parser("report", help="check and summarize a report file")
     p.add_argument("report")

@@ -178,10 +178,6 @@ class Literal:
     def negated(self) -> Literal:
         return rebuild_literal(self.pred, self.args, not self.positive)
 
-    @property
-    def atom(self) -> tuple:
-        return (self.pred, self.args)
-
     def __repr__(self):
         return literal_str(self)
 
@@ -426,15 +422,19 @@ def normalized_str(c: Clause) -> str:
     return clause_str(c, var)
 
 
+def unit_name(c: Clause) -> str:
+    """The name of a clause's input unit: its origin, or `c<id>`."""
+    return c.origin or f"c{c.id}"
+
+
 def problem_str(p: Problem) -> str:
     """TPTP text for a problem (cnf form only)."""
     lines = []
     for c in p.axioms:
-        name = printed_name(c.origin or f"c{c.id}")
-        lines.append(f"cnf({name}, axiom, ({clause_str(c)})).")
+        lines.append(f"cnf({printed_name(unit_name(c))}, axiom, ({clause_str(c)})).")
     for c in p.negated_conjecture:
-        name = printed_name(c.origin or f"c{c.id}")
-        lines.append(f"cnf({name}, negated_conjecture, ({clause_str(c)})).")
+        lines.append(f"cnf({printed_name(unit_name(c))}, negated_conjecture, "
+                     f"({clause_str(c)})).")
     return "\n".join(lines) + "\n"
 
 

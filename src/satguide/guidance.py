@@ -13,7 +13,9 @@ runs one proof state twice: a hybrid phase under phase-1 caps, then the
 classical entries alone (Auto by default), with their rankings, under the
 search limits, which are so the totals of both phases; no network
 evaluation happens after the switch. Cascade mode ranks the premises by
-the network and runs `premsel`'s top-k cascade of unguided searches.
+the network and runs `premsel`'s top-k cascade of unguided searches, one
+per entry of `premsel_levels` (`premsel.DEFAULT_LEVELS` when it is None);
+every other mode refuses levels.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ class GuidanceConfig:
     # of both phases are the search limits
     phase1_budget: int | None = None
     phase1_ms: int | None = None
-    # cascade mode's premise counts, one proof attempt each
-    premsel_levels: tuple[int, ...] = premsel.DEFAULT_LEVELS
+    # cascade mode's premise counts, one proof attempt each; None is
+    # premsel.DEFAULT_LEVELS in cascade mode
+    premsel_levels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -91,11 +94,13 @@ class GuidanceConfig:
                                  f"mode {self.mode!r} has none")
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be at least 0, got {value}")
-        self.premsel_levels = tuple(self.premsel_levels)
-        premsel.check_levels(self.premsel_levels)
-        if self.premsel_levels != premsel.DEFAULT_LEVELS and self.mode != MODE_CASCADE:
-            raise ValueError(f"premsel_levels sets cascade mode's levels; "
-                             f"mode {self.mode!r} has none")
+        if self.premsel_levels is not None and self.mode != MODE_CASCADE:
+            raise ValueError(f"premsel_levels needs mode {MODE_CASCADE!r}; "
+                             f"mode {self.mode!r} has no levels")
+        if self.mode == MODE_CASCADE:
+            self.premsel_levels = tuple(premsel.DEFAULT_LEVELS if self.premsel_levels is None
+                                        else self.premsel_levels)
+            premsel.check_levels(self.premsel_levels)
 
     def check_limits(self, limits: SearchConfig) -> None:
         """Raise ValueError when this mode cannot run under the search

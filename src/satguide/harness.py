@@ -17,14 +17,9 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from .datagen import TrainingExample
 from .fol import Problem
 from .guidance import GuidanceConfig, guided_prove
-from .neural.models import ModelParams
-from .neural.train import accuracy as pair_accuracy
-from .neural.train import prepare_pairs
 from .saturation import SearchConfig, UNSAT
-from .tokens import Vocabulary
 
 PC_BUCKETS = (1_000, 10_000, 100_000, None)  # None = no limit
 
@@ -122,13 +117,6 @@ def _run_cell(problem: Problem, method: str, guidance: GuidanceConfig,
     return ProblemRecord(problem.name, method, res.status, res.processed_count,
                          res.generated_count, res.wall_ms, guidance.mode,
                          res.info.get("premise_level"))
-
-
-def accuracy_eval(model: ModelParams, balanced_examples: list[TrainingExample],
-                  vocab: Vocabulary) -> float:
-    """Fraction of balanced examples with (score > 0.5) == label."""
-    pairs = prepare_pairs(balanced_examples, vocab, model.config)
-    return pair_accuracy(pairs, model)
 
 
 def union_stats(report: ExperimentReport) -> dict:

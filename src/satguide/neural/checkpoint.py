@@ -21,8 +21,9 @@ MAGIC = b"SGNN"
 VERSION = 1
 
 
-class CheckpointError(Exception):
-    pass
+class CheckpointError(ValueError):
+    """A checkpoint this version cannot read, or one trained with another
+    vocabulary than the expected one."""
 
 
 def _write_str(buf: io.BytesIO, s: str):

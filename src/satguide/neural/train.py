@@ -68,6 +68,7 @@ def batch_scores(pairs: list[PairInput], model: ModelParams) -> np.ndarray:
 
 
 def accuracy(pairs: list[PairInput], model: ModelParams) -> float:
+    """Fraction of pairs with (p(useful) > 0.5) == label."""
     if not pairs:
         return 0.0
     probs = batch_scores(pairs, model)

@@ -11,7 +11,9 @@ the caller's axiom clauses of its top k premises, in input order, and
 the negated conjecture, so a cascade result names the caller's clauses
 by their ids, as every mode does. A level that saturates a strict subset
 of the premises proves nothing about the problem, so it ends as
-ResourceOut. `guidance.guided_prove` runs both in its `cascade` mode.
+ResourceOut. `guidance.guided_prove` runs both in its `cascade` mode,
+under `DEFAULT_LEVELS` unless `GuidanceConfig.premsel_levels` names
+others.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .fol import Clause, Problem
+from .fol import Clause, Problem, unit_name
 from .saturation import RESOURCE_OUT, SAT, ProveResult, SearchConfig, UNSAT, prove
 
 # unused here; bench/tracing.py spans these names in this module
@@ -53,16 +55,11 @@ class CascadeResult:
     ranking_hash: str = ""
 
 
-def premise_name(c: Clause) -> str:
-    """The premise of an axiom clause: its input formula, or `c<id>`."""
-    return c.origin or f"c{c.id}"
-
-
 def premise_groups(problem: Problem) -> list[tuple[str, list[Clause]]]:
     """Axiom clauses grouped by their input formula, in input order."""
     groups: dict[str, list[Clause]] = {}
     for c in problem.axioms:
-        groups.setdefault(premise_name(c), []).append(c)
+        groups.setdefault(unit_name(c), []).append(c)
     return list(groups.items())
 
 
@@ -121,7 +118,7 @@ def cascade_prove(problem: Problem, ranking: RankedPremises,
     for k in eff_levels:
         top = set(ranking.order[:k])
         level = Problem(f"{problem.name}@top{k}",
-                        [c for c in problem.axioms if premise_name(c) in top],
+                        [c for c in problem.axioms if unit_name(c) in top],
                         problem.negated_conjecture)
         res = prove(level, level_limits)
         if res.status == SAT and k < len(ranking.order):

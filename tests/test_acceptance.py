@@ -22,7 +22,6 @@ from satguide.datagen import (
 from satguide.fol import clause_str, normalize_variables
 from satguide.guidance import ClauseScorer, GuidanceConfig, guided_prove
 from satguide.harness import (
-    accuracy_eval,
     compute_aggregates,
     run_corpus,
     write_report,
@@ -268,8 +267,8 @@ def test_criterion_5_training_sanity(trained):
     toy_acc = accuracy(toy, best)
 
     # (b) held-out balanced accuracy on the desk corpus
-    eval_acc = accuracy_eval(trained["model"], trained["eval_balanced"],
-                             trained["vocab"])
+    eval_acc = accuracy(prepare_pairs(trained["eval_balanced"], trained["vocab"],
+                                      trained["model"].config), trained["model"])
     took = time.time() - t0
     ok = toy_acc >= 0.99 and eval_acc >= 0.65
     report_line(5, "training sanity", ok,

@@ -1,8 +1,10 @@
 """CLI smoke tests through main(), and README's usage examples."""
 
+import argparse
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from satguide.cli import build_parser, main
 from satguide.corpus import chain_problem, desk_corpus, junk_distractors
 from satguide.fol import clause_str, problem_str
 from satguide.harness import read_report
-from satguide.neural.checkpoint import save_checkpoint_file
+from satguide.neural.checkpoint import load_checkpoint_file, save_checkpoint_file
 from satguide.neural.models import ModelConfig, init_model
 from satguide.tokens import Vocabulary
 
@@ -81,11 +83,23 @@ def refused(capsys, message: str) -> bool:
     return status == "% SZS status InputError for toy" and message in reason
 
 
+def experiment_refused(capsys, cfg_path, out_path, pattern: str) -> bool:
+    """Whether `satguide experiment` on the config file `cfg_path` exited 1
+    having printed just the SZS `InputError` status and a reason that
+    matches `pattern`, and wrote no report to `out_path`."""
+    rc = main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+    status, reason = capsys.readouterr().out.splitlines()
+    return (rc == 1 and status == "% SZS status InputError for experiment"
+            and re.search(pattern, reason) is not None and not out_path.exists())
+
+
 @pytest.mark.parametrize("batch_size", ["0", "-1"])
 def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files, batch_size,
                                                        capsys):
-    for command in (["prove", problem_file, "--mode", "hybrid"], ["premsel", problem_file]):
-        assert main(command + model_files + ["--batch-size", batch_size]) == 1
+    # premise selection is prove in cascade mode
+    for mode in ("hybrid", "cascade"):
+        assert main(["prove", problem_file, "--mode", mode] + model_files
+                    + ["--batch-size", batch_size]) == 1
         assert refused(capsys, "batch_size must be at least 1")
 
 
@@ -95,7 +109,13 @@ def test_prove_and_premsel_reject_batch_size_below_one(problem_file, model_files
     (["--schedule", "bogus"], "schedule 'bogus'"),
     (["--mode", "pure"], "mode 'pure' requires a model"),
     (["--mode", "hybrid", "--model", "m.ckpt"], "--model needs --vocab"),
-    (["--model", "m.ckpt", "--vocab", "missing.txt"], f"{NO_FILE}: 'missing.txt'"),
+    (["--mode", "hybrid", "--model", "m.ckpt", "--vocab", "missing.txt"],
+     f"{NO_FILE}: 'missing.txt'"),
+    # auto mode calls no network, so a model or vocabulary would do nothing
+    (["--vocab", "nosuch.txt"], "mode 'auto' calls no network"),
+    (FIXTURE_MODEL, "mode 'auto' calls no network"),
+    (["--mode", "hybrid", "--levels", "32"] + FIXTURE_MODEL,
+     "premsel_levels needs mode 'cascade'"),
 ])
 def test_prove_reports_a_refused_option_as_input_error(problem_file, options, message, capsys):
     assert main(["prove", problem_file] + options) == 1
@@ -115,13 +135,13 @@ def test_verify_reports_a_refused_option_as_input_error(problem_file, options, m
 
 
 @pytest.mark.parametrize("options, message", [
-    (["--budget", "-1"], "max_processed must not be negative, got -1"),
+    (["--max-processed", "-1"], "max_processed must not be negative, got -1"),
     (["--levels", "8,x"], "invalid literal for int()"),
     (["--vocab", "missing.txt"], f"{NO_FILE}: 'missing.txt'"),
 ])
 def test_premsel_reports_a_refused_option_as_input_error(problem_file, model_files, options,
                                                          message, capsys):
-    assert main(["premsel", problem_file] + model_files + options) == 1
+    assert main(["prove", problem_file, "--mode", "cascade"] + model_files + options) == 1
     assert refused(capsys, message)
 
 
@@ -129,8 +149,10 @@ def test_premsel_reports_a_refused_option_as_input_error(problem_file, model_fil
 def test_syntax_error_ends_with_an_szs_status(tmp_path, model_files, command, capsys):
     path = tmp_path / "bad.p"
     path.write_text("cnf(a, axiom, p(a).\n")
-    model = model_files if command == "premsel" else []
-    assert main([command, str(path)] + model) != 0
+    # premise selection is prove in cascade mode
+    argv = (["prove", str(path), "--mode", "cascade"] + model_files if command == "premsel"
+            else [command, str(path)])
+    assert main(argv) != 0
     assert capsys.readouterr().out.splitlines() == [
         "% SZS status SyntaxError for bad",
         "% expected ')', found '.' at line 1, column 19",
@@ -148,21 +170,14 @@ def test_prove_rejects_phase1_budget_it_cannot_honour(problem_file, model_files,
 
 
 def test_premsel_rejects_level_below_one(problem_file, model_files, capsys):
-    assert main(["premsel", problem_file, "--levels", "1,0"] + model_files) == 1
+    assert main(["prove", problem_file, "--mode", "cascade", "--levels", "1,0"]
+                + model_files) == 1
     assert refused(capsys, "at least 1")
 
 
 def test_trace_defaults_to_clause_limits():
     args = build_parser().parse_args(["trace", "--out", "t.jsonl"])
     assert args.timeout_ms is None
-
-
-def test_premsel_rejects_max_processed():
-    # the cascade splits --budget across its levels; a clause cap would do nothing
-    base = ["premsel", "p.p", "--model", "m.ckpt", "--vocab", "v.txt"]
-    assert build_parser().parse_args(base).budget == 2_000
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(base + ["--max-processed", "100"])
 
 
 @pytest.mark.parametrize("option", ["--max-processed", "--timeout-ms"])
@@ -220,12 +235,13 @@ def test_experiment_and_report(tmp_path, capsys):
         ("premsel_budget", lambda c: c["methods"][0].update(premsel_budget=2000)),
         ("tags", lambda c: c.update(corpus={**dir_corpus, "tags": ["train"]})),
         ("families", lambda c: c.update(corpus={**dir_corpus, "families": ["mini"]})),
+        ("methods", lambda c: c.pop("methods")),
+        ("no id", lambda c: c["methods"][0].pop("id")),
     ):
         bad = json.loads(json.dumps(config))
         spoil(bad)
         cfg_path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match=key):
-            main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
+        assert experiment_refused(capsys, cfg_path, out_path, key)
     cfg_path.write_text(json.dumps(config))
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 0
     assert read_report(str(out_path)).config["limits"]["max_generated"] == 5_000
@@ -258,7 +274,17 @@ def test_experiment_reports_a_corpus_file_that_does_not_parse(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_experiment_rejects_bad_switched_budget(tmp_path):
+@pytest.mark.parametrize("text, error", [
+    (None, NO_FILE), ('{"methods": [}', "Expecting value"), ("[]", "must be a JSON object")],
+    ids=["missing", "bad_json", "not_an_object"])
+def test_experiment_reports_a_config_it_cannot_read(tmp_path, text, error, capsys):
+    cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert experiment_refused(capsys, cfg_path, out_path, error)
+
+
+def test_experiment_rejects_bad_switched_budget(tmp_path, capsys):
     # a switched method whose phase 1 would not end before the limits is
     # refused before any problem runs, and no report is written
     vocab = Vocabulary()
@@ -276,9 +302,7 @@ def test_experiment_rejects_bad_switched_budget(tmp_path):
     }
     cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
     cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match="phase1_budget < max_processed"):
-        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
-    assert not out_path.exists()
+    assert experiment_refused(capsys, cfg_path, out_path, "phase1_budget < max_processed")
 
 
 def test_dump_corpus(tmp_path, capsys):
@@ -307,14 +331,21 @@ def readme_block(lang: str, after: str) -> str:
     return re.search(rf"```{lang}\n(.*?)```", text[start:], re.S).group(1)
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each `satguide` subcommand, by name."""
+    [action] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_readme_command_lines_parse():
-    # parsing only: every `satguide ...` line names real subcommands and flags
+    # parsing only: every `satguide ...` line names real subcommands and flags,
+    # and every subcommand has a line
     block = readme_block("bash", "## Command line").replace("\\\n", " ")
     commands = [line.split("#", 1)[0] for line in block.splitlines()]
     commands = [shlex.split(c)[1:] for c in commands if c.startswith("satguide ")]
-    assert len(commands) >= 8
     for argv in commands:
         build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == set(subcommands())
 
 
 def test_readme_experiment_config_keys_are_known():
@@ -326,7 +357,8 @@ def test_readme_experiment_config_keys_are_known():
         cli._known(m, cli._METHOD_KEYS, f"method {m['id']!r}")
 
 
-def test_experiment_rejects_phase1_outside_switched(tmp_path, model_files, monkeypatch):
+def test_experiment_rejects_phase1_outside_switched(tmp_path, model_files, monkeypatch,
+                                                    capsys):
     # refused while the methods are read: no cell runs and no report is written
     cells = []
     monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
@@ -340,12 +372,12 @@ def test_experiment_rejects_phase1_outside_switched(tmp_path, model_files, monke
     }
     cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
     cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match="phase1_budget sets switched mode's phase 1"):
-        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
-    assert not cells and not out_path.exists()
+    assert experiment_refused(capsys, cfg_path, out_path,
+                              "phase1_budget sets switched mode's phase 1")
+    assert not cells
 
 
-def test_experiment_rejects_an_unknown_mode(tmp_path, model_files, monkeypatch):
+def test_experiment_rejects_an_unknown_mode(tmp_path, model_files, monkeypatch, capsys):
     # refused while the methods are read, before any cell runs
     cells = []
     monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
@@ -358,9 +390,8 @@ def test_experiment_rejects_an_unknown_mode(tmp_path, model_files, monkeypatch):
     }
     cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
     cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match="mode must be one of .*, got 'Pure'"):
-        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
-    assert not cells and not out_path.exists()
+    assert experiment_refused(capsys, cfg_path, out_path, "mode must be one of .*, got 'Pure'")
+    assert not cells
 
 
 @pytest.mark.parametrize("limits,mode,error", [
@@ -370,7 +401,7 @@ def test_experiment_rejects_an_unknown_mode(tmp_path, model_files, monkeypatch):
     ({"equality_axioms": "never"}, "hybrid", "unknown limits keys \\['equality_axioms'\\]"),
 ], ids=["misspelt_schedule", "pure_under_fifo", "max_memory_symbols", "equality_axioms"])
 def test_experiment_rejects_limits_it_cannot_honour(tmp_path, model_files, monkeypatch,
-                                                    limits, mode, error):
+                                                    limits, mode, error, capsys):
     # refused before any cell runs, and no report is written
     cells = []
     monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
@@ -383,15 +414,15 @@ def test_experiment_rejects_limits_it_cannot_honour(tmp_path, model_files, monke
     }
     cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
     cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match=error):
-        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
-    assert not cells and not out_path.exists()
+    assert experiment_refused(capsys, cfg_path, out_path, error)
+    assert not cells
 
 
 @pytest.mark.parametrize("mode,picks,error", [
     ("pure", 7, "mode 'pure' has none"), ("hybrid", 0, "must be at least 1")])
 def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_files,
-                                                             monkeypatch, mode, picks, error):
+                                                             monkeypatch, mode, picks, error,
+                                                             capsys):
     # refused while the methods are read, not written as one Error record
     # per cell
     cells = []
@@ -406,9 +437,8 @@ def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_fil
     }
     cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
     cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match=f"hybrid_nn_picks.*{error}"):
-        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
-    assert not cells and not out_path.exists()
+    assert experiment_refused(capsys, cfg_path, out_path, f"hybrid_nn_picks.*{error}")
+    assert not cells
 
 
 
@@ -419,13 +449,17 @@ def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_fil
     ([{"id": "casc", "mode": "cascade"}], "mode 'cascade' requires a model"),
     ([{"id": "hy", "mode": "hybrid", "premsel_levels": [32], **MODEL_KEYS}],
      "premsel_levels needs mode 'cascade'"),
-    ([{"id": "casc", "premsel_levels": [32, 64, 128, 256], **MODEL_KEYS}],
+    ([{"id": "casc", "premsel_levels": [32, 64, 128, 256]}],
      "premsel_levels needs mode 'cascade'"),
     ([{"id": "a", "mode": "auto"}, {"id": "a", "mode": "auto"}], "'a' is used twice"),
+    ([{"id": "a", "mode": "auto", **MODEL_KEYS}], "mode 'auto' calls no network"),
+    ([{"id": "hy", "mode": "hybrid", "model": "missing.ckpt", "vocab": MODEL_KEYS["vocab"]}],
+     f"{NO_FILE}: 'missing.ckpt'"),
 ], ids=["batch_size", "level_below_one", "cascade_without_model",
-        "levels_under_hybrid", "default_levels_under_auto", "duplicate_id"])
+        "levels_under_hybrid", "default_levels_under_auto", "duplicate_id",
+        "model_under_auto", "unreadable_model"])
 def test_experiment_refuses_a_bad_method_before_any_cell(tmp_path, monkeypatch, methods,
-                                                         error):
+                                                         error, capsys):
     # refused while the methods are read: no cell runs and no report is written
     cells = []
     monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
@@ -433,9 +467,8 @@ def test_experiment_refuses_a_bad_method_before_any_cell(tmp_path, monkeypatch, 
               "limits": {"max_processed": 50}}
     cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.jsonl"
     cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match=error):
-        main(["experiment", "--config", str(cfg_path), "--out", str(out_path)])
-    assert not cells and not out_path.exists()
+    assert experiment_refused(capsys, cfg_path, out_path, error)
+    assert not cells
 
 
 @pytest.fixture(scope="module")
@@ -448,17 +481,19 @@ def premsel_file(tmp_path_factory):
 
 
 def test_premsel_output_is_pinned(premsel_file, capsys):
-    # the lines `satguide premsel` printed when it ran the cascade itself,
-    # before it became a guided_prove mode
-    assert main(["premsel", str(premsel_file), "--levels", "4,8,16,32", "--budget", "400"]
-                + FIXTURE_MODEL) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    # the first five lines are those the premsel subcommand printed when it
+    # ran the cascade itself, before the cascade became a guided_prove mode
+    assert main(["prove", str(premsel_file), "--mode", "cascade", "--levels", "4,8,16,32",
+                 "--max-processed", "400"] + FIXTURE_MODEL) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [
         "% SZS status Unsatisfiable for premsel000",
         "% ranking_hash=e802e71fefb324e2 level_used=16",
         "%   level=4 status=ResourceOut processed=4",
         "%   level=8 status=ResourceOut processed=100",
         "%   level=16 status=Unsatisfiable processed=61",
     ]
+    assert lines[5].startswith("% processed=165 generated=3839 wall_ms=") and len(lines) == 6
 
 
 def test_cascade_derivation_names_the_files_clauses(premsel_file, capsys):
@@ -498,3 +533,93 @@ def test_experiment_runs_a_cascade_method(premsel_file, tmp_path):
         ("Unsatisfiable", 16, 165)
     assert record.guidance_mode == "cascade"
     assert report.config["methods"]["casc"]["premsel_levels"] == [4, 8, 16, 32]
+
+
+# The flag table of `prove` and `verify`: (flag, the arguments of a run,
+# the arguments of the run with the flag changed, what the change moves).
+# What moves is either a kind of printed line (see OBSERVED) or, for a
+# refused value, the reason printed under `% SZS status InputError`.
+# FLOOD is flood000 of the bundled corpus, PREMSEL premsel000, OTHER_MODEL a
+# checkpoint for the fixture vocabulary with other weights, and
+# OTHER_VOCAB a vocabulary with another hash.
+HYBRID = ["FLOOD", "--mode", "hybrid"] + FIXTURE_MODEL
+CASCADE = ["PREMSEL", "--mode", "cascade", "--max-processed", "400"] + FIXTURE_MODEL
+FLAG_ROWS = [
+    ("problem", ["FLOOD"], ["PREMSEL"], "status"),
+    ("max_processed", ["FLOOD"], ["FLOOD", "--max-processed", "5"], "status"),
+    ("timeout_ms", ["FLOOD"], ["FLOOD", "--timeout-ms", "0"], "status"),
+    ("mode", HYBRID, HYBRID + ["--mode", "pure"], "processed"),
+    ("mode", HYBRID, HYBRID + ["--mode", "cascade"], "cascade"),
+    ("model", HYBRID, HYBRID + ["--model", "OTHER_MODEL"], "processed"),
+    ("model", HYBRID, HYBRID + ["--model", FIXTURE_MODEL[3]], "bad magic bytes"),
+    ("vocab", HYBRID, HYBRID + ["--vocab", "OTHER_VOCAB"], "vocabulary hash mismatch"),
+    # Auto proves flood000 at 318 processed clauses, auto200 at 294
+    ("schedule", ["FLOOD", "--max-processed", "300"],
+     ["FLOOD", "--max-processed", "300", "--schedule", "auto200"], "status"),
+    ("phase1_budget", HYBRID + ["--mode", "switched"],
+     HYBRID + ["--mode", "switched", "--phase1-budget", "10"], "processed"),
+    ("phase1_budget", HYBRID, HYBRID + ["--phase1-budget", "10"],
+     "phase1_budget sets switched mode's phase 1"),
+    # scores do not depend on the batch, so the search cannot show a batch size
+    ("batch_size", HYBRID, HYBRID + ["--batch-size", "0"], "batch_size must be at least 1"),
+    ("levels", CASCADE, CASCADE + ["--levels", "4,8,16,32"], "cascade"),
+    ("derivation", ["FLOOD"], ["FLOOD", "--derivation"], "derivation"),
+]
+# each kind of line a flag can move, the processed line without its wall time
+OBSERVED = {
+    "status": lambda line: line.startswith("% SZS status"),
+    "processed": lambda line: line.startswith("% processed="),
+    "cascade": lambda line: line.startswith(("% ranking_hash=", "%   level=")),
+    "derivation": lambda line: not line.startswith("%"),
+}
+PRINTED = {"prove": {"status", "processed", "cascade", "derivation"},
+           "verify": {"status", "cascade"}}
+
+
+def flag_rows(command: str) -> list[tuple]:
+    """The rows of FLAG_ROWS whose change `command` can show."""
+    return [row for row in FLAG_ROWS if row[3] not in OBSERVED or row[3] in PRINTED[command]]
+
+
+@pytest.fixture(scope="module")
+def flag_files(premsel_file, tmp_path_factory):
+    """The files that FLAG_ROWS names, by name."""
+    out = tmp_path_factory.mktemp("flags")
+    flood = next(c.problem for c in desk_corpus(0) if c.name == "flood000")
+    (out / "flood000.p").write_text(problem_str(flood))
+    vocab = Vocabulary.load(FIXTURE_MODEL[3])
+    model = load_checkpoint_file(FIXTURE_MODEL[1])
+    save_checkpoint_file(init_model(replace(model.config, seed=model.config.seed + 1),
+                                    vocab.hash), str(out / "other.sgnn"))
+    other = Vocabulary()
+    other.add("p")
+    other.save(str(out / "other.txt"))
+    return {"FLOOD": str(out / "flood000.p"), "PREMSEL": str(premsel_file),
+            "OTHER_MODEL": str(out / "other.sgnn"), "OTHER_VOCAB": str(out / "other.txt")}
+
+
+@pytest.mark.parametrize("command, flag, before, after, moves", [
+    (command, *row) for command in PRINTED for row in flag_rows(command)],
+    ids=[f"{command}-{row[0]}-{i}" for command in PRINTED
+         for i, row in enumerate(flag_rows(command))])
+def test_flag_takes_effect_or_is_refused(command, flag, before, after, moves, flag_files,
+                                         capsys):
+    def run(args):
+        main([command] + [flag_files.get(a, a) for a in args])
+        return [line.split(" wall_ms=")[0] for line in capsys.readouterr().out.splitlines()]
+
+    lines = run(after)
+    if moves not in OBSERVED:
+        assert lines[0].startswith("% SZS status InputError for ") and moves in lines[1]
+        assert len(lines) == 2
+        return
+    unchanged = run(before)
+    assert not any("InputError" in line for line in unchanged + lines)
+    observe = OBSERVED[moves]
+    assert [ln for ln in lines if observe(ln)] != [ln for ln in unchanged if observe(ln)]
+
+
+def test_flag_table_covers_every_prove_and_verify_flag():
+    for command in PRINTED:
+        flags = {a.dest for a in subcommands()[command]._actions} - {"help"}
+        assert flags == {row[0] for row in flag_rows(command)}, command

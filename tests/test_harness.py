@@ -12,7 +12,6 @@ from satguide.harness import (
     ExperimentReport,
     PC_BUCKETS,
     ProblemRecord,
-    accuracy_eval,
     check_report,
     compute_aggregates,
     curve_limits,
@@ -24,6 +23,7 @@ from satguide.harness import (
     write_report,
 )
 from satguide.neural.models import ModelConfig, init_model
+from satguide.neural.train import accuracy, prepare_pairs
 from satguide.saturation import SearchConfig
 from satguide.tokens import Vocabulary
 
@@ -257,4 +257,4 @@ class TestAccuracyEval:
         examples = [
             TrainingExample("p(a)", ["q(a)"], i % 2, f"c{i}", i) for i in range(20)
         ]
-        assert accuracy_eval(model, examples, vocab) == 0.5
+        assert accuracy(prepare_pairs(examples, vocab, model.config), model) == 0.5
