@@ -4,7 +4,8 @@ Subcommands: prove, verify, trace, train, eval-acc, experiment, report,
 dump-corpus. `prove` and `verify` share one option set and run every
 guidance mode, the premise cascade included, through `guided_prove`.
 Experiments are driven by one declarative JSON config; every report
-embeds the resolved config.
+embeds the resolved config. A subcommand raises what it refuses or fails
+at; `main` alone turns it into an SZS status.
 """
 
 from __future__ import annotations
@@ -45,27 +46,13 @@ def _load_problem(path: str):
     return parse_tptp(text, name=_problem_name(path), include_dir=os.path.dirname(path) or ".")
 
 
-def _load_problem_or_status(path: str):
-    """The problem in `path`, or None once a text that does not parse has
-    been reported as an SZS `SyntaxError` with its location."""
-    try:
-        return _load_problem(path)
-    except ParseError as err:
-        print(f"% SZS status SyntaxError for {_problem_name(path)}")
-        print(f"% {err}")
-        return None
+class Failures(Exception):
+    """Several inputs that failed at once: (name, exception) pairs, each
+    reported under its own name."""
 
-
-def _options_or_status(build, args, name: str):
-    """`build(args)`, or None once the ValueError or OSError it raised for
-    an option or a file it refuses has been reported as an SZS `InputError`
-    for `name`, with the reason."""
-    try:
-        return build(args)
-    except (ValueError, OSError) as err:
-        print(f"% SZS status InputError for {name}")
-        print(f"% {err}")
-        return None
+    def __init__(self, failures: list[tuple[str, Exception]]):
+        super().__init__(failures)
+        self.failures = failures
 
 
 def _limits_from_args(args) -> SearchConfig:
@@ -107,14 +94,10 @@ def _run_configs(args) -> tuple[GuidanceConfig, SearchConfig]:
 def _guided_run(args):
     """Run the problem of a prove or verify run and print its SZS line,
     then, in cascade mode, the ranking and one line per level tried. The
-    problem and result, or None once a refused option or a problem file
-    that does not parse has been reported."""
-    configs = _options_or_status(_run_configs, args, _problem_name(args.problem))
-    if configs is None:
-        return None
-    problem = _load_problem_or_status(args.problem)
-    if problem is None:
-        return None
+    problem and result; the options are checked before the problem file
+    is read."""
+    configs = _run_configs(args)
+    problem = _load_problem(args.problem)
     result = guided_prove(problem, *configs)
     print(szs_line(result, problem.name))
     if configs[0].mode == MODE_CASCADE:
@@ -127,10 +110,7 @@ def _guided_run(args):
 
 
 def cmd_prove(args) -> int:
-    run = _guided_run(args)
-    if run is None:
-        return 1
-    result = run[1]
+    result = _guided_run(args)[1]
     print(f"% processed={result.processed_count} generated={result.generated_count} "
           f"wall_ms={result.wall_ms}")
     if args.derivation and result.proof:
@@ -140,10 +120,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    run = _guided_run(args)
-    if run is None:
-        return 1
-    problem, result = run
+    problem, result = _guided_run(args)
     if not result.proof:
         print("% no proof to verify")
         return 1
@@ -153,15 +130,22 @@ def cmd_verify(args) -> int:
 
 
 def _corpus_from_spec(spec: dict):
-    """The problems of a corpus spec; for a directory, None once every file
-    in it that does not parse has been reported as an SZS `SyntaxError`."""
+    """The problems of a corpus spec; a directory with files that do not
+    parse raises one `Failures` that names every such file."""
     _known(spec, _CORPUS_KEYS, "corpus")
     if "dir" in spec:
         _known(spec, {"dir"}, "dir corpus")  # seed, tags and families would do nothing
-        problems = [_load_problem_or_status(os.path.join(spec["dir"], fname))
-                    for fname in sorted(os.listdir(spec["dir"]))
-                    if fname.endswith(".p") or fname.endswith(".tptp")]
-        return None if None in problems else problems
+        problems, failures = [], []
+        for fname in sorted(os.listdir(spec["dir"])):
+            if fname.endswith((".p", ".tptp")):
+                path = os.path.join(spec["dir"], fname)
+                try:
+                    problems.append(_load_problem(path))
+                except ParseError as err:
+                    failures.append((_problem_name(path), err))
+        if failures:
+            raise Failures(failures)
+        return problems
     corpus = desk_corpus(spec.get("seed", 0))
     if spec.get("tags"):
         keep = set(spec["tags"])
@@ -173,9 +157,7 @@ def _corpus_from_spec(spec: dict):
 
 
 def cmd_trace(args) -> int:
-    config = _options_or_status(_limits_from_args, args, "trace")
-    if config is None:
-        return 1
+    config = _limits_from_args(args)
     problems = _corpus_from_spec({"seed": args.seed, "tags": args.tags.split(",") if args.tags else None})
     traces = datagen.generate_traces(problems, config, seed=args.seed)
     datagen.write_traces(traces, args.out)
@@ -239,19 +221,18 @@ def _known(entry: dict, allowed: set[str], where: str) -> dict:
     return entry
 
 
-def _experiment(args):
-    """The report of the experiment in the config file `args.config`, or
-    None once every corpus file that does not parse has been reported.
-    A refused config raises ValueError or OSError before any cell runs."""
+def cmd_experiment(args) -> int:
+    """Run the experiment in the config file `args.config`. A refused
+    config raises ValueError or OSError before any cell runs."""
     with open(args.config) as fh:
         spec = json.load(fh)
     _known(spec, _EXPERIMENT_KEYS, "experiment")
     problems = _corpus_from_spec(spec.get("corpus", {}))
-    if problems is None:
-        return None
     limits = SearchConfig(**_known(spec.get("limits", {}), _LIMIT_KEYS, "limits"))
     methods = {}
     for m in spec.get("methods", []):
+        if not isinstance(m, dict):
+            raise ValueError(f"method must be a JSON object, got {m!r}")
         settings = dict(_known(m, _METHOD_KEYS, f"method {m.get('id')!r}"))
         method = settings.pop("id", None)
         if method is None:
@@ -264,13 +245,6 @@ def _experiment(args):
     report = run_corpus(problems, methods, limits,
                         record_walltime=spec.get("record_walltime", False))
     report.config["experiment_config"] = spec
-    return report
-
-
-def cmd_experiment(args) -> int:
-    report = _options_or_status(_experiment, args, "experiment")
-    if report is None:
-        return 1
     write_report(report, args.out)
     print(f"wrote report for {report.config['n_problems']} problems x "
           f"{len(report.config['methods'])} methods to {args.out}")
@@ -393,9 +367,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the SZS status of a failure, by the first class in this table it is an
+# instance of: a text that does not parse, then an option or file refused
+_STATUS_OF = ((ParseError, "SyntaxError"), ((ValueError, OSError), "InputError"))
+
+
 def main(argv=None) -> int:
+    """Run one subcommand. Whatever it raises ends the run with exit code 1
+    and an SZS status, then the reason on the line below: one status named
+    for the problem of prove and verify and for the subcommand otherwise,
+    or one per input that `Failures` names."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as err:
+        problem = getattr(args, "problem", None)
+        failures = err.failures if isinstance(err, Failures) else [
+            (_problem_name(problem) if problem else args.command, err)]
+        for name, failure in failures:
+            status = next((s for cls, s in _STATUS_OF if isinstance(failure, cls)), "Error")
+            print(f"% SZS status {status} for {name}")
+            print(f"% {failure}" if status != "Error"
+                  else f"% {type(failure).__name__}: {failure}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -207,6 +207,36 @@ def balance_eval_set(examples: list[TrainingExample], seed: int = 0) -> list[Tra
 # -- file formats ---------------------------------------------------------------
 
 
+def field_names(cls) -> tuple[set[str], set[str]]:
+    """The (required, optional) field names of the dataclass `cls`."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    return required, {f.name for f in fields(cls)} - required
+
+
+def read_rows(path: str, kinds: dict, hint: str = ""):
+    """The rows of the JSONL file `path` as (type, fields) pairs, the fields
+    without their "type" key. `kinds` maps each type a row may have (None
+    for rows that have none) to its (required, optional) field names. Any
+    other row raises ValueError naming the fields it lacks or does not
+    know, then `hint`."""
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            row, where = json.loads(line), f"{path}, line {n}"
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: a row must be a JSON object, got {row!r}")
+            kind = row.pop("type", None)
+            if kind not in kinds:
+                raise ValueError(f"{where}: row type {kind!r} is not one of {list(kinds)}")
+            required, optional = kinds[kind]
+            missing, unknown = sorted(required - set(row)), sorted(set(row) - required - optional)
+            if missing or unknown:
+                named = "; ".join(f"{what} fields {', '.join(keys)}" for what, keys
+                                  in (("missing", missing), ("unknown", unknown)) if keys)
+                raise ValueError(f"{where}: {kind or 'a'} row with {named}{hint}")
+            yield kind, row
+
+
 def write_traces(traces: list[ProofTrace], path: str):
     """JSONL: a header line then one line per clause, per trace."""
     with open(path, "w") as fh:
@@ -226,18 +256,18 @@ def write_traces(traces: list[ProofTrace], path: str):
 
 
 def read_traces(path: str) -> list[ProofTrace]:
+    """Traces written by `write_traces`; a row that is not a trace header
+    or a clause of one raises ValueError."""
+    head = ({"problem", "status", "config_hash", "conjecture"}, {"n_clauses", "resource"})
     traces: list[ProofTrace] = []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["type"] == "trace":
-                traces.append(
-                    ProofTrace(rec["problem"], rec["status"], rec["config_hash"],
-                               rec["conjecture"], resource=rec.get("resource"))
-                )
-            else:
-                rec.pop("type")
-                traces[-1].clauses.append(TraceClause(**rec))
+    for kind, rec in read_rows(path, {"trace": head, "clause": field_names(TraceClause)}):
+        if kind == "trace":
+            rec.pop("n_clauses", None)
+            traces.append(ProofTrace(**rec))
+        elif not traces:
+            raise ValueError(f"{path}: a clause row comes before the first trace row")
+        else:
+            traces[-1].clauses.append(TraceClause(**rec))
     return traces
 
 
@@ -249,16 +279,8 @@ def write_examples(examples: list[TrainingExample], path: str):
 
 def read_examples(path: str) -> list[TrainingExample]:
     """Examples written by `write_examples`; a row with fields this version
-    does not know (an older file format) raises ValueError."""
-    known = {f.name for f in fields(TrainingExample)}
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            row = json.loads(line)
-            unknown = sorted(set(row) - known)
-            if unknown:
-                raise ValueError(
-                    f"{path}: unknown example fields {', '.join(unknown)}; the file has "
-                    f"an older format, write it again with `satguide train --examples-out`")
-            out.append(TrainingExample(**row))
-    return out
+    does not know (an older file format) or without one it needs raises
+    ValueError."""
+    hint = "; the file has an older format, write it again with `satguide train --examples-out`"
+    return [TrainingExample(**row)
+            for _, row in read_rows(path, {None: field_names(TrainingExample)}, hint)]

@@ -17,6 +17,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
+from .datagen import field_names, read_rows
 from .fol import Problem
 from .guidance import GuidanceConfig, guided_prove
 from .saturation import SearchConfig, UNSAT
@@ -182,16 +183,16 @@ def write_report(report: ExperimentReport, path: str):
 
 
 def read_report(path: str) -> ExperimentReport:
+    """The report written by `write_report`; a row that is not a record or
+    the summary raises ValueError."""
     report = ExperimentReport()
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            kind = rec.pop("type")
-            if kind == "record":
-                report.records.append(ProblemRecord(**rec))
-            else:
-                report.aggregates = rec["aggregates"]
-                report.config = rec["config"]
+    kinds = {"record": field_names(ProblemRecord), "summary": ({"aggregates", "config"}, set())}
+    for kind, rec in read_rows(path, kinds):
+        if kind == "record":
+            report.records.append(ProblemRecord(**rec))
+        else:
+            report.aggregates = rec["aggregates"]
+            report.config = rec["config"]
     return report
 
 

@@ -455,9 +455,10 @@ def test_experiment_rejects_hybrid_nn_picks_it_cannot_honour(tmp_path, model_fil
     ([{"id": "a", "mode": "auto", **MODEL_KEYS}], "mode 'auto' calls no network"),
     ([{"id": "hy", "mode": "hybrid", "model": "missing.ckpt", "vocab": MODEL_KEYS["vocab"]}],
      f"{NO_FILE}: 'missing.ckpt'"),
+    (["auto"], "method must be a JSON object"),
 ], ids=["batch_size", "level_below_one", "cascade_without_model",
         "levels_under_hybrid", "default_levels_under_auto", "duplicate_id",
-        "model_under_auto", "unreadable_model"])
+        "model_under_auto", "unreadable_model", "not_an_object"])
 def test_experiment_refuses_a_bad_method_before_any_cell(tmp_path, monkeypatch, methods,
                                                          error, capsys):
     # refused while the methods are read: no cell runs and no report is written
@@ -623,3 +624,80 @@ def test_flag_table_covers_every_prove_and_verify_flag():
     for command in PRINTED:
         flags = {a.dest for a in subcommands()[command]._actions} - {"help"}
         assert flags == {row[0] for row in flag_rows(command)}, command
+
+
+def test_a_crash_ends_with_the_error_status(problem_file, monkeypatch, capsys):
+    def crash(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "guided_prove", crash)
+    assert main(["prove", problem_file]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["% SZS status Error for toy",
+                                "% RecursionError: maximum recursion depth exceeded"]
+    assert err == ""
+
+
+# The status table: (subcommand, its arguments, the SZS status it prints,
+# the name the status is for, a part of the reason). MISSING is a file
+# that is not there, BAD a problem file that does not parse, BAD_CORPUS an
+# experiment config whose corpus directory holds BAD, NO_PROOF a traces
+# file whose one trace has no proof, BAD_ROW a report row that is not a
+# record, UNDER_FILE a path under a regular file and OUT a writable path.
+STATUS_ROWS = [
+    ("prove", ["MISSING"], "InputError", "missing", NO_FILE),
+    ("prove", ["BAD"], "SyntaxError", "bad", "expected ')', found '.'"),
+    ("prove", ["BAD", "--max-processed", "-1"], "InputError", "bad", "max_processed"),
+    ("verify", ["MISSING"], "InputError", "missing", NO_FILE),
+    ("verify", ["BAD"], "SyntaxError", "bad", "expected ')', found '.'"),
+    ("trace", ["--out", "UNDER_FILE", "--tags", "none"], "InputError", "trace",
+     "Not a directory"),
+    ("train", ["--traces", "MISSING", "--out", "OUT", "--vocab-out", "OUT"], "InputError",
+     "train", NO_FILE),
+    ("train", ["--traces", "NO_PROOF", "--out", "OUT", "--vocab-out", "OUT"], "InputError",
+     "train", "no training pairs"),
+    ("eval-acc", FIXTURE_MODEL[:3] + ["MISSING", "--examples", "MISSING"], "InputError",
+     "eval-acc", NO_FILE),
+    ("experiment", ["--config", "MISSING", "--out", "OUT"], "InputError", "experiment",
+     NO_FILE),
+    ("experiment", ["--config", "BAD_CORPUS", "--out", "OUT"], "SyntaxError", "bad",
+     "expected ')', found '.'"),
+    ("report", ["MISSING"], "InputError", "report", NO_FILE),
+    ("report", ["BAD_ROW"], "InputError", "report", "record row with missing fields"),
+    ("dump-corpus", ["--out", "UNDER_FILE"], "InputError", "dump-corpus", "Not a directory"),
+]
+
+
+@pytest.fixture
+def status_files(tmp_path):
+    """The files that STATUS_ROWS names, by name."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.p").write_text("cnf(a, axiom, p(a).\n")
+    (tmp_path / "bad_corpus.json").write_text(json.dumps(
+        {"corpus": {"dir": str(corpus)}, "methods": [{"id": "auto"}]}))
+    (tmp_path / "no_proof.jsonl").write_text(json.dumps(
+        {"type": "trace", "problem": "x", "status": "ResourceOut", "config_hash": "0",
+         "conjecture": [], "n_clauses": 0, "resource": "processed"}) + "\n")
+    (tmp_path / "bad_row.jsonl").write_text(json.dumps({"type": "record", "problem": "x"})
+                                            + "\n")
+    (tmp_path / "file").write_text("")
+    return {"MISSING": str(tmp_path / "missing.p"), "BAD": str(corpus / "bad.p"),
+            "BAD_CORPUS": str(tmp_path / "bad_corpus.json"),
+            "NO_PROOF": str(tmp_path / "no_proof.jsonl"),
+            "BAD_ROW": str(tmp_path / "bad_row.jsonl"),
+            "UNDER_FILE": str(tmp_path / "file" / "out"), "OUT": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize("command, args, status, name, reason", STATUS_ROWS,
+                         ids=[f"{row[0]}-{row[2]}-{i}" for i, row in enumerate(STATUS_ROWS)])
+def test_a_failed_run_ends_with_one_szs_status(command, args, status, name, reason,
+                                               status_files, capsys):
+    assert main([command] + [status_files.get(a, a) for a in args]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == f"% SZS status {status} for {name}" and reason in lines[1]
+
+
+def test_status_table_covers_every_subcommand():
+    assert {row[0] for row in STATUS_ROWS} == set(subcommands())

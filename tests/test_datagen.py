@@ -85,6 +85,25 @@ class TestTraces:
         loaded = read_traces(str(path))
         assert loaded == traces
 
+    @pytest.mark.parametrize("rows, error", [
+        ([{"type": "trace", "problem": "x", "status": "Unsatisfiable"}],
+         "trace row with missing fields config_hash, conjecture"),
+        ([{"type": "clause", "id": 1, "text": "p", "role": "axiom", "processed": True,
+           "used": True}], "clause row comes before the first trace row"),
+        ([{"type": "trace", "problem": "x", "status": "Unsatisfiable", "config_hash": "0",
+           "conjecture": []}, {"type": "clause", "id": 1, "weight": 3}],
+         "line 2: clause row with missing fields processed, role, text, used; "
+         "unknown fields weight"),
+        ([{"type": "proof"}], "row type 'proof' is not one of"),
+        ([["trace"]], "a row must be a JSON object"),
+    ], ids=["missing_head_fields", "clause_first", "clause_fields", "unknown_type",
+            "not_an_object"])
+    def test_trace_file_with_a_bad_row_is_refused(self, tmp_path, rows, error):
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=error):
+            read_traces(str(path))
+
     def test_config_hash_covers_every_limit(self):
         # every field but `record_selections`, which changes no search
         base_config = trace_config(max_wall_ms=None)

@@ -225,6 +225,20 @@ class TestReportFiles:
         assert loaded.aggregates == json.loads(json.dumps(report.aggregates))
         assert check_report(loaded)
 
+    @pytest.mark.parametrize("row, error", [
+        ({"type": "record", "problem": "p1"}, "record row with missing fields generated"),
+        ({**asdict(rec("p1", "a")), "type": "record", "seconds": 1},
+         "record row with unknown fields seconds"),
+        ({"type": "summary", "aggregates": {}}, "summary row with missing fields config"),
+        ({"aggregates": {}, "config": {}}, "row type None is not one of"),
+        ("record", "a row must be a JSON object"),
+    ], ids=["missing_fields", "unknown_field", "summary_fields", "no_type", "not_an_object"])
+    def test_report_file_with_a_bad_row_is_refused(self, tmp_path, row, error):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=error):
+            read_report(str(path))
+
     def test_bytes_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_report(self._report(), str(p1))
