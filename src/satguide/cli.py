@@ -159,8 +159,9 @@ def _corpus_from_spec(spec: dict):
 def cmd_trace(args) -> int:
     config = _limits_from_args(args)
     problems = _corpus_from_spec({"seed": args.seed, "tags": args.tags.split(",") if args.tags else None})
-    traces = datagen.generate_traces(problems, config, seed=args.seed)
-    datagen.write_traces(traces, args.out)
+    with open(args.out, "w") as fh:  # an --out it cannot write is refused before any search
+        traces = datagen.generate_traces(problems, config, seed=args.seed)
+        datagen.dump_traces(traces, fh)
     proved = sum(1 for t in traces if t.status == "Unsatisfiable")
     print(f"wrote {len(traces)} traces ({proved} proofs) to {args.out}")
     return 0
@@ -174,15 +175,17 @@ def cmd_train(args) -> int:
     split = datagen.split_by_conjecture(examples, args.split_fraction, args.seed)
     train_ex, eval_ex = split.partition(examples)
     vocab = datagen.build_vocabulary(train_ex)
-    vocab.save(args.vocab_out)
     eval_bal = datagen.balance_eval_set(eval_ex, args.seed) if eval_ex else []
-    if args.examples_out:
-        datagen.write_examples(eval_bal, args.examples_out)
     mconfig = ModelConfig(arch=args.arch, vocab_size=len(vocab), dim=args.dim,
                           hidden=args.hidden, seed=args.seed)
+    train_pairs = prepare_pairs(train_ex, vocab, mconfig)
+    if not train_pairs:  # refused before any file is written
+        raise ValueError("no training pairs")
+    vocab.save(args.vocab_out)
+    if args.examples_out:
+        datagen.write_examples(eval_bal, args.examples_out)
     model, metrics = train(
-        prepare_pairs(train_ex, vocab, mconfig), prepare_pairs(eval_bal, vocab, mconfig),
-        init_model(mconfig, vocab.hash),
+        train_pairs, prepare_pairs(eval_bal, vocab, mconfig), init_model(mconfig, vocab.hash),
         TrainConfig(steps=args.steps, batch_size=args.batch_size, lr=args.lr,
                     seed=args.seed, log_path=args.metrics_log),
     )

@@ -21,16 +21,22 @@ Families (all seeded, fully deterministic):
 Symbols are drawn from shared pools so that token statistics carry across
 problems (and across the conjecture-level train/eval split).
 
-`desk_corpus` builds each distractor family once per call and shares its
-immutable literals among the problems that draw it; nothing it builds
-outlives the call, so every call does the same work. It makes no
+`desk_corpus` draws every problem's parameters when it is called, in one
+fixed order, and builds each problem on the first read of its `problem`,
+from those drawn values alone: a caller that filters the corpus builds
+only what it keeps, and a problem's bytes do not depend on which problems
+were read or in what order. Each distractor family is built once per
+call, on the first read that draws it, and its immutable literals are
+shared among that call's problems; nothing is kept between calls, so
+every call does the same work for what it reads. A build makes no
 reference cycles and runs under `saturation.collector_paused`, which
-spares the cyclic collector walking the corpus as it grows.
+spares the cyclic collector walking the problem as it grows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -59,12 +65,26 @@ def fn(name: str, *args: Term) -> Term:
     return Term(Symbol(name, FUNCTION, len(args)), args)
 
 
-@dataclass
 class NamedProblem:
-    name: str
-    problem: Problem
-    family: str
-    tags: set[str] = field(default_factory=set)
+    """One corpus problem. `name`, `family` and `tags` are plain fields;
+    `problem` is built on its first read, under `collector_paused`, and
+    kept, and its builder is dropped. A build that raises stores nothing."""
+
+    __slots__ = ("name", "family", "tags", "_build", "_problem")
+
+    def __init__(self, name: str, family: str, tags: set[str],
+                 build: Callable[[], Problem]):
+        self.name, self.family, self.tags = name, family, tags
+        self._build: Callable[[], Problem] | None = build
+        self._problem: Problem | None = None
+
+    @property
+    def problem(self) -> Problem:
+        if self._problem is None:
+            with collector_paused():
+                self._problem = self._build()
+            self._build = None
+        return self._problem
 
 
 # -- families ----------------------------------------------------------------------
@@ -138,8 +158,12 @@ def pigeonhole_problem(holes: int) -> Problem:
     return build_problem(name, axioms + goals, [nc])
 
 
+GROUP_GOALS = ("id_applied", "inv_applied", "id_flipped")
+
+
 def group_problems(idx: int, c1: str, c2: str) -> list[Problem]:
-    """Left identity / left inverse consequences via equality axioms."""
+    """Left identity / left inverse consequences via equality axioms, one
+    problem per goal of `GROUP_GOALS`."""
     x = Var("X")
     mul, inv, e = f"mul{idx}", f"inv{idx}", f"id{idx}"
     base: list[tuple[str, list[Literal]]] = [
@@ -148,11 +172,11 @@ def group_problems(idx: int, c1: str, c2: str) -> list[Problem]:
     ]
     out = []
     goals = [
-        ("id_applied", [pred("=", fn(mul, const(e), const(c1)), const(c1), positive=False)]),
-        ("inv_applied", [pred("=", fn(mul, fn(inv, const(c2)), const(c2)), const(e), positive=False)]),
-        ("id_flipped", [pred("=", const(c1), fn(mul, const(e), const(c1)), positive=False)]),
+        [pred("=", fn(mul, const(e), const(c1)), const(c1), positive=False)],
+        [pred("=", fn(mul, fn(inv, const(c2)), const(c2)), const(e), positive=False)],
+        [pred("=", const(c1), fn(mul, const(e), const(c1)), positive=False)],
     ]
-    for gname, lits in goals:
+    for gname, lits in zip(GROUP_GOALS, goals):
         out.append(
             build_problem(f"group{idx}_{gname}", list(base), [(f"group{idx}_{gname}_goal", lits)])
         )
@@ -210,15 +234,17 @@ def _pick_consts(rng: np.random.Generator, n: int) -> list[str]:
     return [CONST_POOL[i] for i in sorted(idx)]
 
 
-@collector_paused()
 def desk_corpus(seed: int = 0) -> list[NamedProblem]:
-    """The bundled corpus: ~190 problems across seven families."""
+    """The bundled corpus: ~190 problems across seven families. Every
+    parameter is drawn here, in one fixed order; each problem is built on
+    the first read of its `problem`, from its drawn values alone."""
     rng = np.random.default_rng(seed)
     out: list[NamedProblem] = []
     built: dict[tuple, list[tuple[str, list[Literal]]]] = {}
 
-    def add(problem: Problem, family: str, *tags: str):
-        out.append(NamedProblem(problem.name, problem, family, set(tags)))
+    def add(name: str, family: str, tags, build: Callable[..., Problem], *args):
+        """Add problem `name`, built on first read as `build(*args)`."""
+        out.append(NamedProblem(name, family, set(tags), partial(build, *args)))
 
     def distractors(build, families, *args) -> list[tuple[str, list[Literal]]]:
         """`build(families, *args)`, building each family once per corpus."""
@@ -231,6 +257,25 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
             axioms.extend(family)
         return axioms
 
+    def padded(make: Callable[..., Problem], pad: tuple, *args) -> Problem:
+        """`make(*args, distractors=...)`, padded with the distractor
+        families that `pad`, `(build, families, *build_args)`, names."""
+        return make(*args, distractors=distractors(*pad))
+
+    def premsel(name: str, rel: str, consts: list[str], families) -> Problem:
+        """A chain padded with the junk `families` and a spare copy of
+        its first fact."""
+        spare = (f"{name}_spare", [pred(rel, const(consts[0]), const(consts[1]))])
+        junk = distractors(junk_distractors, families, rel, 3)  # 40*5 = 200
+        return chain_problem(name, rel, consts, 8, junk + [spare])
+
+    def group(three: list[Problem], k: int, idx: int, c1: str, c2: str) -> Problem:
+        """Problem `k` of `group_problems(idx, c1, c2)`; the first read of
+        any of the three builds all three into `three`."""
+        if not three:
+            three.extend(group_problems(idx, c1, c2))
+        return three[k]
+
     # chains, some clean and some with mild distraction
     for i in range(40):
         rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
@@ -238,13 +283,12 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         consts = _pick_consts(rng, length + 1)
         span = int(rng.integers(2, length + 1))
         n_dx = int(rng.integers(0, 7))
-        dx = (distractors(plain_distractors, rng.choice(40, size=n_dx, replace=False))
-              if n_dx else None)
-        p = chain_problem(f"chain{i:03d}", rel, consts, span, dx)
+        dx = rng.choice(40, size=n_dx, replace=False) if n_dx else ()
         tags = ["train"]
         if length <= 3 and not n_dx:
             tags.append("small_oracle")
-        add(p, "chain", *tags)
+        add(f"chain{i:03d}", "chain", tags, padded, chain_problem, (plain_distractors, dx),
+            f"chain{i:03d}", rel, consts, span)
 
     # membership chains
     for i in range(24):
@@ -253,38 +297,37 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         sets = _pick_consts(rng, length + 1)
         elem = f"e{int(rng.integers(12))}"
         n_dx = int(rng.integers(0, 5))
-        dx = (distractors(plain_distractors, rng.choice(40, size=n_dx, replace=False))
-              if n_dx else None)
-        p = membership_problem(f"member{i:03d}", member, subset, elem, sets, dx)
+        dx = rng.choice(40, size=n_dx, replace=False) if n_dx else ()
         tags = ["train"]
         if length <= 2 and not n_dx:
             tags.append("small_oracle")
-        add(p, "membership", *tags)
+        add(f"member{i:03d}", "membership", tags, padded, membership_problem,
+            (plain_distractors, dx), f"member{i:03d}", member, subset, elem, sets)
 
     # pigeonhole
     for holes in (1, 2, 3):
         tags = ["train"] if holes < 3 else []
         if holes == 1:
             tags.append("small_oracle")
-        add(pigeonhole_problem(holes), "pigeonhole", *tags)
+        add(f"php_{holes + 1}_{holes}", "pigeonhole", tags, pigeonhole_problem, holes)
 
     # equality exercises
     for i in range(4):
         c1, c2 = _pick_consts(rng, 2)
-        for p in group_problems(i, c1, c2):
-            add(p, "group", "train")
+        three: list[Problem] = []
+        for k, goal in enumerate(GROUP_GOALS):
+            add(f"group{i}_{goal}", "group", ["train"], group, three, k, i, c1, c2)
 
     # satisfiable chains (no transitivity)
     for i in range(15):
         rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
         length = int(rng.integers(3, 6))
         consts = _pick_consts(rng, length + 1)
-        p = chain_problem(f"sat{i:03d}", rel, consts, min(2, length), None,
-                          transitive=False)
         tags = ["sat"]
         if length <= 4:
             tags.append("small_oracle")
-        add(p, "satchain", *tags)
+        add(f"sat{i:03d}", "satchain", tags, chain_problem, f"sat{i:03d}", rel, consts,
+            min(2, length), None, False)
 
     # junk-flooded guidance problems (moderate flood: provable under the
     # trace budget, so they feed training with junk negatives)
@@ -293,29 +336,25 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         length = int(rng.integers(4, 7))
         consts = _pick_consts(rng, length + 1)
         n_junk = int(rng.integers(8, 20))
-        junk = distractors(junk_distractors, rng.choice(48, size=n_junk, replace=False), rel)
-        p = chain_problem(f"flood{i:03d}", rel, consts, length, junk)
-        add(p, "flood", "train", "guidance")
+        junk = (junk_distractors, rng.choice(48, size=n_junk, replace=False), rel)
+        add(f"flood{i:03d}", "flood", ["train", "guidance"], padded, chain_problem, junk,
+            f"flood{i:03d}", rel, consts, length)
 
     # heavy floods for the guidance comparison (hard for plain auto)
     for i in range(12):
         rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
         length = int(rng.integers(5, 8))
         consts = _pick_consts(rng, length + 1)
-        junk = distractors(junk_distractors, rng.choice(48, size=40, replace=False), rel, 3)
-        p = chain_problem(f"hardflood{i:03d}", rel, consts, length, junk)
-        add(p, "flood", "guidance_hard")
+        junk = (junk_distractors, rng.choice(48, size=40, replace=False), rel, 3)
+        add(f"hardflood{i:03d}", "flood", ["guidance_hard"], padded, chain_problem, junk,
+            f"hardflood{i:03d}", rel, consts, length)
 
     # premise-selection problems: 10 relevant premises, 200 irrelevant
     for i in range(22):
         rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
         consts = _pick_consts(rng, 9)  # 8 chain facts
-        junk = distractors(junk_distractors, rng.choice(48, size=40, replace=False),
-                           rel, 3)  # 40*5 = 200
-        extra = [(f"premsel{i:03d}_spare",
-                  [pred(rel, const(consts[0]), const(consts[1]))])]
-        p = chain_problem(f"premsel{i:03d}", rel, consts, 8, junk + extra)
-        add(p, "premsel", "premsel")
+        add(f"premsel{i:03d}", "premsel", ["premsel"], premsel, f"premsel{i:03d}", rel,
+            consts, rng.choice(48, size=40, replace=False))
 
     # tiny function-free instances sized for the breadth-first oracle
     for i in range(24):
@@ -323,10 +362,9 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         length = int(rng.integers(2, 4))
         consts = _pick_consts(rng, length + 1)
         provable = bool(rng.integers(2))
-        p = chain_problem(f"mini{i:03d}", rel, consts, length, None,
-                          transitive=provable)
         tags = ["small_oracle"] + (["train"] if provable else ["sat"])
-        add(p, "mini", *tags)
+        add(f"mini{i:03d}", "mini", tags, chain_problem, f"mini{i:03d}", rel, consts, length,
+            None, provable)
 
     return out
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import TextIO
 
 import numpy as np
 
@@ -240,19 +241,24 @@ def read_rows(path: str, kinds: dict, hint: str = ""):
 def write_traces(traces: list[ProofTrace], path: str):
     """JSONL: a header line then one line per clause, per trace."""
     with open(path, "w") as fh:
-        for t in traces:
-            head = {
-                "type": "trace",
-                "problem": t.problem,
-                "status": t.status,
-                "config_hash": t.config_hash,
-                "conjecture": t.conjecture,
-                "n_clauses": len(t.clauses),
-                "resource": t.resource,
-            }
-            fh.write(json.dumps(head, sort_keys=True) + "\n")
-            for c in t.clauses:
-                fh.write(json.dumps({"type": "clause", **asdict(c)}, sort_keys=True) + "\n")
+        dump_traces(traces, fh)
+
+
+def dump_traces(traces: list[ProofTrace], fh: TextIO):
+    """`write_traces` into a text file open for writing."""
+    for t in traces:
+        head = {
+            "type": "trace",
+            "problem": t.problem,
+            "status": t.status,
+            "config_hash": t.config_hash,
+            "conjecture": t.conjecture,
+            "n_clauses": len(t.clauses),
+            "resource": t.resource,
+        }
+        fh.write(json.dumps(head, sort_keys=True) + "\n")
+        for c in t.clauses:
+            fh.write(json.dumps({"type": "clause", **asdict(c)}, sort_keys=True) + "\n")
 
 
 def read_traces(path: str) -> list[ProofTrace]:

@@ -43,14 +43,14 @@ The search makes no reference cycles, so every object it drops is freed
 by its reference count at once. `run` so pauses Python's cyclic garbage
 collector, whose collections would find no garbage and only walk the
 live clauses over and over. `collector_paused` is the one pause, which
-`corpus.desk_corpus` takes too: it restores the collector on every exit
-and on the way out hands the objects made under it, with any other
-young ones, to the oldest generation (`gc.freeze()`, then
-`gc.unfreeze()`), so that the first young collection afterwards does
-not walk them all either; a caller's frozen objects stay frozen, and
-then nothing moves. This is safe: the collector only frees cycles, and
-a cycle that code called under the pause makes (a weight function,
-say) is still freed, by the next full collection.
+the build of each `corpus.desk_corpus` problem takes too: it restores
+the collector on every exit and on the way out hands the objects made
+under it, with any other young ones, to the oldest generation
+(`gc.freeze()`, then `gc.unfreeze()`), so that the first young
+collection afterwards does not walk them all either; a caller's frozen
+objects stay frozen, and then nothing moves. This is safe: the collector
+only frees cycles, and a cycle that code called under the pause makes (a
+weight function, say) is still freed, by the next full collection.
 
 A search runs under its `SearchConfig` alone: `run` checks the limits of
 `self.config` each step, the wall limit counting from the state's start.

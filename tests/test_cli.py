@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from satguide import cli, harness
+from satguide import cli, datagen, harness
 from satguide.cli import build_parser, main
 from satguide.corpus import chain_problem, desk_corpus, junk_distractors
 from satguide.fol import clause_str, problem_str
@@ -644,6 +644,7 @@ def test_a_crash_ends_with_the_error_status(problem_file, monkeypatch, capsys):
 # experiment config whose corpus directory holds BAD, NO_PROOF a traces
 # file whose one trace has no proof, BAD_ROW a report row that is not a
 # record, UNDER_FILE a path under a regular file and OUT a writable path.
+# No row searches: a trace run refuses its --out before the first search.
 STATUS_ROWS = [
     ("prove", ["MISSING"], "InputError", "missing", NO_FILE),
     ("prove", ["BAD"], "SyntaxError", "bad", "expected ')', found '.'"),
@@ -652,6 +653,7 @@ STATUS_ROWS = [
     ("verify", ["BAD"], "SyntaxError", "bad", "expected ')', found '.'"),
     ("trace", ["--out", "UNDER_FILE", "--tags", "none"], "InputError", "trace",
      "Not a directory"),
+    ("trace", ["--out", "UNDER_FILE"], "InputError", "trace", "Not a directory"),
     ("train", ["--traces", "MISSING", "--out", "OUT", "--vocab-out", "OUT"], "InputError",
      "train", NO_FILE),
     ("train", ["--traces", "NO_PROOF", "--out", "OUT", "--vocab-out", "OUT"], "InputError",
@@ -692,11 +694,22 @@ def status_files(tmp_path):
 @pytest.mark.parametrize("command, args, status, name, reason", STATUS_ROWS,
                          ids=[f"{row[0]}-{row[2]}-{i}" for i, row in enumerate(STATUS_ROWS)])
 def test_a_failed_run_ends_with_one_szs_status(command, args, status, name, reason,
-                                               status_files, capsys):
+                                               status_files, capsys, monkeypatch):
+    def search(*args, **kw):
+        raise AssertionError("a refused run searched")
+
+    monkeypatch.setattr(datagen, "generate_traces", search)
     assert main([command] + [status_files.get(a, a) for a in args]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0] == f"% SZS status {status} for {name}" and reason in lines[1]
+
+
+def test_a_refused_train_writes_no_file(status_files, tmp_path):
+    vocab, examples = tmp_path / "vocab.txt", tmp_path / "examples.jsonl"
+    assert main(["train", "--traces", status_files["NO_PROOF"], "--out", str(tmp_path / "m"),
+                 "--vocab-out", str(vocab), "--examples-out", str(examples)]) == 1
+    assert not vocab.exists() and not examples.exists()
 
 
 def test_status_table_covers_every_subcommand():

@@ -5,11 +5,19 @@ every problem of `desk_corpus(0)` to `desk_corpus(4)`, as the corpus was
 built before it shared distractor families between problems. A change
 that is meant to alter only how fast the corpus is built must leave it as
 it is.
+
+The other tests hold the corpus to building each problem on first read:
+a call builds nothing, a read builds one problem once (or one group
+index's three), and what a problem prints does not depend on which
+problems were read before it, or on another call.
 """
 
 import hashlib
 
-from satguide.corpus import desk_corpus
+import pytest
+
+from satguide import corpus
+from satguide.corpus import NamedProblem, chain_problem, desk_corpus
 from satguide.fol import problem_str
 
 CORPUS_PIN = "b0dec3d10d1cb94cece988069ee198cd73820a38d0e6160c749a66d94a956980"
@@ -31,3 +39,62 @@ def test_corpus_pinned():
 
 def test_no_state_carries_across_calls():
     assert printed(1) == printed(1)
+
+
+def spy(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every call to `corpus.<name>`."""
+    calls = []
+    build = getattr(corpus, name)
+
+    def record(*args, **kw):
+        calls.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(corpus, name, record)
+    return calls
+
+
+def test_reading_the_minis_builds_only_the_minis(monkeypatch):
+    junk = spy(monkeypatch, "junk_distractors")
+    built = spy(monkeypatch, "build_problem")
+    items = desk_corpus(0)
+    assert built == []  # the call builds nothing
+    minis = [item.problem for item in items if item.family == "mini"]
+    assert len(minis) == 24
+    assert [args[0] for args in built] == [p.name for p in minis]
+    assert junk == []
+
+
+def test_a_problem_is_built_once_and_named_as_its_item():
+    for item in desk_corpus(0):
+        assert item.problem is item.problem
+        assert item.problem.name == item.name
+
+
+def test_reading_order_does_not_change_a_problem():
+    items = desk_corpus(1)
+    backwards = [problem_str(item.problem) for item in reversed(items)][::-1]
+    assert backwards == [problem_str(item.problem) for item in desk_corpus(1)]
+
+
+def test_calls_share_no_problem():
+    first, second = desk_corpus(0), desk_corpus(0)
+    for a, b in zip(first, second):
+        assert a.problem is not b.problem
+        assert problem_str(a.problem) == problem_str(b.problem)
+
+
+def test_a_build_that_raises_stores_nothing():
+    outcomes = [RuntimeError("boom"), chain_problem("c", "rel0", ["c0", "c1", "c2"], 2)]
+
+    def build():
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    item = NamedProblem("c", "chain", set(), build)
+    with pytest.raises(RuntimeError, match="boom"):
+        item.problem
+    assert item.problem.name == "c"  # the builder was kept and ran again
+    assert item.problem is item.problem and outcomes == []

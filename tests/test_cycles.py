@@ -1,6 +1,6 @@
 """The search and the corpus build make no reference cycles, and
-`Saturation.run` and `desk_corpus` pause the cyclic garbage collector and
-restore it on every exit."""
+`Saturation.run` and each corpus problem's build pause the cyclic garbage
+collector and restore it on every exit."""
 
 import gc
 from contextlib import nullcontext
@@ -181,15 +181,20 @@ def test_run_hands_its_objects_to_the_oldest_generation():
     assert gc.get_count()[0] < gc.get_threshold()[0]
 
 
+def read_every_problem(seed: int = 0) -> list:
+    """Build every problem of `desk_corpus(seed)` by reading it."""
+    return [item.problem for item in desk_corpus(seed)]
+
+
 def test_desk_corpus_makes_no_reference_cycles():
-    size, found, garbage = cyclic_garbage(lambda: len(desk_corpus(0)))
+    size, found, garbage = cyclic_garbage(lambda: len(read_every_problem()))
     assert size > 100
     assert found == 0 and garbage == []
 
 
 def spy_on_chains(monkeypatch, raises: bool) -> list[bool]:
-    """Record the collector state at each chain problem `desk_corpus`
-    builds, raising at the first one if `raises`."""
+    """Record the collector state at each chain problem that a read of a
+    `desk_corpus` problem builds, raising at the first one if `raises`."""
     seen = []
     build = corpus.chain_problem
 
@@ -211,7 +216,7 @@ def test_desk_corpus_restores_the_collector(enabled, raises, monkeypatch):
     (gc.enable if enabled else gc.disable)()
     try:
         with pytest.raises(RuntimeError, match="boom") if raises else nullcontext():
-            desk_corpus(0)
+            read_every_problem()
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
@@ -233,7 +238,7 @@ def test_desk_corpus_keeps_a_callers_frozen_objects_frozen(raises, monkeypatch):
     try:
         assert is_frozen(callers)
         with pytest.raises(RuntimeError, match="boom") if raises else nullcontext():
-            desk_corpus(0)
+            read_every_problem()
         still = is_frozen(callers)
     finally:
         gc.unfreeze()
@@ -244,10 +249,26 @@ def test_desk_corpus_hands_its_problems_to_the_oldest_generation():
     was = gc.isenabled()
     gc.disable()  # no collection may empty the youngest generation instead
     try:
-        problems = desk_corpus(0)
+        problems = read_every_problem()
         young = gc.get_count()[0]
     finally:
         if was:
             gc.enable()
     assert len(problems) > 100
     assert young < gc.get_threshold()[0]
+
+
+def test_reading_one_problem_builds_it_paused(monkeypatch):
+    seen = spy_on_chains(monkeypatch, raises=False)
+    item = next(item for item in desk_corpus(0) if item.family == "chain")
+    assert seen == []  # the call builds nothing
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    try:
+        problem = item.problem
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # one build, paused
+    assert after and gc.get_freeze_count() == frozen
+    assert problem.name == item.name
