@@ -653,7 +653,6 @@ STATUS_ROWS = [
     ("verify", ["BAD"], "SyntaxError", "bad", "expected ')', found '.'"),
     ("trace", ["--out", "UNDER_FILE", "--tags", "none"], "InputError", "trace",
      "Not a directory"),
-    ("trace", ["--out", "UNDER_FILE"], "InputError", "trace", "Not a directory"),
     ("train", ["--traces", "MISSING", "--out", "OUT", "--vocab-out", "OUT"], "InputError",
      "train", NO_FILE),
     ("train", ["--traces", "NO_PROOF", "--out", "OUT", "--vocab-out", "OUT"], "InputError",
@@ -667,6 +666,7 @@ STATUS_ROWS = [
     ("report", ["MISSING"], "InputError", "report", NO_FILE),
     ("report", ["BAD_ROW"], "InputError", "report", "record row with missing fields"),
     ("dump-corpus", ["--out", "UNDER_FILE"], "InputError", "dump-corpus", "Not a directory"),
+    ("trace", ["--out", "UNDER_FILE"], "InputError", "trace", "Not a directory"),
 ]
 
 
