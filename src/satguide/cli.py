@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 
 from . import datagen
-from .corpus import corpus_by_tag, desk_corpus
+from .corpus import desk_corpus
 from .fol import problem_str
 from .guidance import MODE_AUTO, MODE_CASCADE, MODES, GuidanceConfig, guided_prove
 from .harness import (
@@ -131,10 +131,16 @@ def cmd_verify(args) -> int:
 
 def _corpus_from_spec(spec: dict):
     """The problems of a corpus spec; a directory with files that do not
-    parse raises one `Failures` that names every such file."""
+    parse raises one `Failures` that names every such file. A spec that
+    could select no problem, or only by accident, is refused: a `dir`
+    that is not a string, a `seed` that is not an integer, and a `tags`
+    or `families` filter that is not a list of strings or names one the
+    bundled corpus does not have."""
     _known(spec, _CORPUS_KEYS, "corpus")
     if "dir" in spec:
         _known(spec, {"dir"}, "dir corpus")  # seed, tags and families would do nothing
+        if not isinstance(spec["dir"], str):  # os.listdir(None) reads the working directory
+            raise ValueError(f"corpus dir must be a path, got {spec['dir']!r}")
         problems, failures = [], []
         for fname in sorted(os.listdir(spec["dir"])):
             if fname.endswith((".p", ".tptp")):
@@ -146,14 +152,28 @@ def _corpus_from_spec(spec: dict):
         if failures:
             raise Failures(failures)
         return problems
-    corpus = desk_corpus(spec.get("seed", 0))
-    if spec.get("tags"):
-        keep = set(spec["tags"])
-        corpus = [c for c in corpus if c.tags & keep]
-    if spec.get("families"):
-        fams = set(spec["families"])
-        corpus = [c for c in corpus if c.family in fams]
+    seed = spec.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"corpus seed must be an integer, got {seed!r}")
+    corpus = desk_corpus(seed)
+    corpus = _filtered(corpus, spec.get("tags"), "tags", lambda c: c.tags)
+    corpus = _filtered(corpus, spec.get("families"), "families", lambda c: {c.family})
     return [c.problem for c in corpus]
+
+
+def _filtered(corpus, names, key: str, values):
+    """The problems of `corpus` whose `values` meet the `key` filter
+    `names`, or all of them when `names` is None. A filter that is not a
+    list of strings, or names something no problem has, is refused with
+    the names the corpus knows."""
+    if names is None:
+        return corpus
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"corpus {key} must be a nonempty list of strings, got {names!r}")
+    keep, known = set(names), set().union(*map(values, corpus))
+    if keep - known:
+        raise ValueError(f"unknown corpus {key} {sorted(keep - known)}; known: {sorted(known)}")
+    return [c for c in corpus if values(c) & keep]
 
 
 def cmd_trace(args) -> int:
@@ -269,14 +289,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_dump_corpus(args) -> int:
-    corpus = desk_corpus(args.seed)
-    if args.tag:
-        corpus = corpus_by_tag(corpus, args.tag)
+    problems = _corpus_from_spec({"seed": args.seed, "tags": [args.tag] if args.tag else None})
     os.makedirs(args.out, exist_ok=True)
-    for item in corpus:
-        with open(os.path.join(args.out, item.name + ".p"), "w") as fh:
-            fh.write(problem_str(item.problem))
-    print(f"wrote {len(corpus)} problems to {args.out}")
+    for problem in problems:
+        with open(os.path.join(args.out, problem.name + ".p"), "w") as fh:
+            fh.write(problem_str(problem))
+    print(f"wrote {len(problems)} problems to {args.out}")
     return 0
 
 

@@ -17,6 +17,8 @@ Families (all seeded, fully deterministic):
   token level, which is what a trained scorer can exploit.
 * premsel: flood instances with a fixed count of relevant premises and a
   large count of irrelevant ones, for the premise-selection cascade.
+* mini: tiny function-free chains, provable or not, sized for the
+  breadth-first oracle.
 
 Symbols are drawn from shared pools so that token statistics carry across
 problems (and across the conjecture-level train/eval split).
@@ -25,10 +27,13 @@ problems (and across the conjecture-level train/eval split).
 fixed order, and builds each problem on the first read of its `problem`,
 from those drawn values alone: a caller that filters the corpus builds
 only what it keeps, and a problem's bytes do not depend on which problems
-were read or in what order. Each distractor family is built once per
-call, on the first read that draws it, and its immutable literals are
-shared among that call's problems; nothing is kept between calls, so
-every call does the same work for what it reads. A build makes no
+were read or in what order. Problems are built from parts that each
+call builds once, on the first read that needs them, and shares among
+its problems as immutable literal tuples: a plain distractor family, a
+junk family's relation-free tail (`junk_tail`, once per family and
+length) and its one relation-bound rule (`junk_seed`, once per family
+and relation). Nothing is kept between calls, so every call does the
+same work for what it reads. A build makes no
 reference cycles and runs under `saturation.collector_paused`, which
 spares the cyclic collector walking the problem as it grows.
 """
@@ -183,8 +188,25 @@ def group_problems(idx: int, c1: str, c2: str) -> list[Problem]:
     return out
 
 
-def junk_distractors(families: list[int], rel: str,
-                     chain_len: int = 2) -> list[tuple[str, list[Literal]]]:
+def junk_seed(m: int, rel: str) -> tuple[str, tuple[Literal, ...]]:
+    """The one premise of junk family `m` that names the relation: the rule
+    `rel(X,Y) | jk<m>_0(X)`."""
+    x = Var("X")
+    return f"jk{m}_seed", (pred(rel, x, Var("Y")), pred(f"jk{m}_0", x))
+
+
+def junk_tail(m: int, chain_len: int) -> list[tuple[str, tuple[Literal, ...]]]:
+    """The premises of junk family `m` that do not name the relation: the
+    unary steps jk<m>_i -> jk<m>_{i+1}, then the ground fact."""
+    x = Var("X")
+    out = [(f"jk{m}_step{i}", (pred(f"jk{m}_{i}", x, positive=False), pred(f"jk{m}_{i + 1}", x)))
+           for i in range(chain_len)]
+    out.append((f"jk{m}_fact", (pred(f"jk{m}_0", const(f"jc{m}")),)))
+    return out
+
+
+def junk_distractors(families, rel: str,
+                     chain_len: int = 2) -> list[tuple[str, tuple[Literal, ...]]]:
     """Irrelevant premises that still flood the search.
 
     Per family m: a rule `rel(X,Y) | jk<m>_0(X)` that resolves with the
@@ -193,30 +215,22 @@ def junk_distractors(families: list[int], rel: str,
     constants. Token-wise the jk* symbols never appear in proofs, so a
     trained scorer learns to shun them.
     """
-    x, y = Var("X"), Var("Y")
-    out: list[tuple[str, list[Literal]]] = []
+    out: list[tuple[str, tuple[Literal, ...]]] = []
     for m in families:
-        out.append(
-            (f"jk{m}_seed", [pred(rel, x, y), pred(f"jk{m}_0", x)])
-        )
-        for i in range(chain_len):
-            out.append(
-                (f"jk{m}_step{i}",
-                 [pred(f"jk{m}_{i}", x, positive=False), pred(f"jk{m}_{i + 1}", x)])
-            )
-        out.append((f"jk{m}_fact", [pred(f"jk{m}_0", const(f"jc{m}"))]))
+        out.append(junk_seed(m, rel))
+        out.extend(junk_tail(m, chain_len))
     return out
 
 
-def plain_distractors(families: list[int], prefix: str = "dx") -> list[tuple[str, list[Literal]]]:
+def plain_distractors(families, prefix: str = "dx") -> list[tuple[str, tuple[Literal, ...]]]:
     """Self-contained distractor micro-theories on disjoint symbols."""
     x = Var("X")
-    out: list[tuple[str, list[Literal]]] = []
+    out: list[tuple[str, tuple[Literal, ...]]] = []
     for m in families:
-        out.append((f"{prefix}{m}_fact", [pred(f"{prefix}{m}_p", const(f"{prefix}c{m}"))]))
+        out.append((f"{prefix}{m}_fact", (pred(f"{prefix}{m}_p", const(f"{prefix}c{m}")),)))
         out.append(
             (f"{prefix}{m}_rule",
-             [pred(f"{prefix}{m}_p", x, positive=False), pred(f"{prefix}{m}_q", x)])
+             (pred(f"{prefix}{m}_p", x, positive=False), pred(f"{prefix}{m}_q", x)))
         )
     return out
 
@@ -235,39 +249,50 @@ def _pick_consts(rng: np.random.Generator, n: int) -> list[str]:
 
 
 def desk_corpus(seed: int = 0) -> list[NamedProblem]:
-    """The bundled corpus: ~190 problems across seven families. Every
-    parameter is drawn here, in one fixed order; each problem is built on
-    the first read of its `problem`, from its drawn values alone."""
+    """The bundled corpus: 182 problems in eight families. Every parameter
+    is drawn here, in one fixed order; each problem is built on the first
+    read of its `problem`, from its drawn values alone."""
     rng = np.random.default_rng(seed)
     out: list[NamedProblem] = []
-    built: dict[tuple, list[tuple[str, list[Literal]]]] = {}
+    built: dict[tuple, object] = {}  # (builder, *args) -> the part it built
 
     def add(name: str, family: str, tags, build: Callable[..., Problem], *args):
         """Add problem `name`, built on first read as `build(*args)`."""
         out.append(NamedProblem(name, family, set(tags), partial(build, *args)))
 
-    def distractors(build, families, *args) -> list[tuple[str, list[Literal]]]:
-        """`build(families, *args)`, building each family once per corpus."""
-        axioms: list[tuple[str, list[Literal]]] = []
+    def part(build, *args):
+        """`build(*args)`, built once per call, on the first read that
+        needs it."""
+        key = (build, *args)
+        made = built.get(key)
+        if made is None:
+            made = built[key] = build(*args)
+        return made
+
+    def plain(families) -> list[tuple[str, tuple[Literal, ...]]]:
+        """`plain_distractors(families)` from the call's parts."""
+        return [ax for m in families for ax in part(plain_distractors, (m,))]
+
+    def junk(families, rel: str, chain_len: int = 2) -> list[tuple[str, tuple[Literal, ...]]]:
+        """`junk_distractors(families, rel, chain_len)` from the call's
+        parts: each family's tail once per call, its seed once per
+        relation."""
+        axioms = []
         for m in families:
-            key = (build, m, *args)
-            family = built.get(key)
-            if family is None:
-                family = built[key] = build([m], *args)
-            axioms.extend(family)
+            axioms.append(part(junk_seed, m, rel))
+            axioms.extend(part(junk_tail, m, chain_len))
         return axioms
 
     def padded(make: Callable[..., Problem], pad: tuple, *args) -> Problem:
-        """`make(*args, distractors=...)`, padded with the distractor
-        families that `pad`, `(build, families, *build_args)`, names."""
-        return make(*args, distractors=distractors(*pad))
+        """`make(*args, distractors=...)`, padded with the distractors
+        that `pad`, `(plain or junk, *its args)`, names."""
+        return make(*args, distractors=pad[0](*pad[1:]))
 
     def premsel(name: str, rel: str, consts: list[str], families) -> Problem:
         """A chain padded with the junk `families` and a spare copy of
         its first fact."""
-        spare = (f"{name}_spare", [pred(rel, const(consts[0]), const(consts[1]))])
-        junk = distractors(junk_distractors, families, rel, 3)  # 40*5 = 200
-        return chain_problem(name, rel, consts, 8, junk + [spare])
+        spare = (f"{name}_spare", (pred(rel, const(consts[0]), const(consts[1])),))
+        return chain_problem(name, rel, consts, 8, junk(families, rel, 3) + [spare])  # 40*5 = 200
 
     def group(three: list[Problem], k: int, idx: int, c1: str, c2: str) -> Problem:
         """Problem `k` of `group_problems(idx, c1, c2)`; the first read of
@@ -287,7 +312,7 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         tags = ["train"]
         if length <= 3 and not n_dx:
             tags.append("small_oracle")
-        add(f"chain{i:03d}", "chain", tags, padded, chain_problem, (plain_distractors, dx),
+        add(f"chain{i:03d}", "chain", tags, padded, chain_problem, (plain, dx),
             f"chain{i:03d}", rel, consts, span)
 
     # membership chains
@@ -302,7 +327,7 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         if length <= 2 and not n_dx:
             tags.append("small_oracle")
         add(f"member{i:03d}", "membership", tags, padded, membership_problem,
-            (plain_distractors, dx), f"member{i:03d}", member, subset, elem, sets)
+            (plain, dx), f"member{i:03d}", member, subset, elem, sets)
 
     # pigeonhole
     for holes in (1, 2, 3):
@@ -336,8 +361,8 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         length = int(rng.integers(4, 7))
         consts = _pick_consts(rng, length + 1)
         n_junk = int(rng.integers(8, 20))
-        junk = (junk_distractors, rng.choice(48, size=n_junk, replace=False), rel)
-        add(f"flood{i:03d}", "flood", ["train", "guidance"], padded, chain_problem, junk,
+        junk_pad = (junk, rng.choice(48, size=n_junk, replace=False), rel)
+        add(f"flood{i:03d}", "flood", ["train", "guidance"], padded, chain_problem, junk_pad,
             f"flood{i:03d}", rel, consts, length)
 
     # heavy floods for the guidance comparison (hard for plain auto)
@@ -345,8 +370,8 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
         rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
         length = int(rng.integers(5, 8))
         consts = _pick_consts(rng, length + 1)
-        junk = (junk_distractors, rng.choice(48, size=40, replace=False), rel, 3)
-        add(f"hardflood{i:03d}", "flood", ["guidance_hard"], padded, chain_problem, junk,
+        junk_pad = (junk, rng.choice(48, size=40, replace=False), rel, 3)
+        add(f"hardflood{i:03d}", "flood", ["guidance_hard"], padded, chain_problem, junk_pad,
             f"hardflood{i:03d}", rel, consts, length)
 
     # premise-selection problems: 10 relevant premises, 200 irrelevant
@@ -368,6 +393,3 @@ def desk_corpus(seed: int = 0) -> list[NamedProblem]:
 
     return out
 
-
-def corpus_by_tag(corpus: list[NamedProblem], tag: str) -> list[NamedProblem]:
-    return [np_ for np_ in corpus if tag in np_.tags]

@@ -239,22 +239,31 @@ class Clause:
         return f"Clause[{self.id}]({clause_str(self)})"
 
 
+def _clause(cid: int, literals: tuple[Literal, ...], role: str, parents: tuple[int, ...],
+            rule: str, origin: str | None, goal_descendant: bool,
+            symbols: SymbolRecord | None) -> Clause:
+    """A `Clause` from fields that are valid by construction; skips
+    `__post_init__`, as `rebuild_term` skips the term checks. Its callers
+    are `derived_clause` and `build_problem`; every other caller goes
+    through `Clause(...)` and its checks."""
+    c = _new(Clause)
+    c.id = cid
+    c.literals = literals
+    c.role = role
+    c.parents = parents
+    c.rule = rule
+    c.origin = origin
+    c.goal_descendant = goal_descendant
+    c.symbols = symbols
+    return c
+
+
 def derived_clause(cid: int, literals: tuple[Literal, ...], parents: tuple[int, ...],
                    rule: str, goal_descendant: bool, symbols: SymbolRecord | None) -> Clause:
     """`Clause(cid, literals, ROLE_DERIVED, parents, rule, None,
     goal_descendant)` with `symbols` cached, from parts that need no
-    checks: a derived clause with its parents. Skips `__post_init__`, as
-    `rebuild_term` skips the term checks; used by the search."""
-    c = _new(Clause)
-    c.id = cid
-    c.literals = literals
-    c.role = ROLE_DERIVED
-    c.parents = parents
-    c.rule = rule
-    c.origin = None
-    c.goal_descendant = goal_descendant
-    c.symbols = symbols
-    return c
+    checks: a derived clause with its parents. Used by the search."""
+    return _clause(cid, literals, ROLE_DERIVED, parents, rule, None, goal_descendant, symbols)
 
 
 @dataclass
@@ -283,10 +292,17 @@ def build_problem(name: str, axioms: list[tuple[str | None, Sequence[Literal]]],
                   negated_conjecture: list[tuple[str | None, Sequence[Literal]]]) -> Problem:
     """A problem from (origin, literals) pairs: the axioms, then the
     negated-conjecture clauses, numbered from 0 in that order: the ids
-    every search of the problem, a cascade level's too, reports them by."""
-    ax = [Clause(i, tuple(lits), role=ROLE_AXIOM, origin=origin)
+    every search of the problem, a cascade level's too, reports them by.
+
+    The clauses are what `Clause(id, tuple(literals), role,
+    origin=origin)` builds, without its checks: an input clause has no
+    parents, and exactly the negated-conjecture clauses descend from the
+    goal. Literals already in a tuple are kept as that tuple, so problems
+    built from shared parts share their literals."""
+    ax = [_clause(i, tuple(lits), ROLE_AXIOM, (), "input", origin, False, None)
           for i, (origin, lits) in enumerate(axioms)]
-    ncs = [Clause(len(ax) + i, tuple(lits), role=ROLE_NEGATED_CONJECTURE, origin=origin)
+    ncs = [_clause(len(ax) + i, tuple(lits), ROLE_NEGATED_CONJECTURE, (), "input", origin,
+                   True, None)
            for i, (origin, lits) in enumerate(negated_conjecture)]
     return Problem(name, ax, ncs)
 
@@ -398,7 +414,11 @@ def literal_str(lit: Literal, var=None) -> str:
     name = printed_name(lit.pred.name)
     if not lit.args:
         return f"{sign}{name}"
-    return f"{sign}{name}({','.join([term_str(a, var) for a in lit.args])})"
+    # `term_str` of each argument, a variable or constant printed in line
+    args = ",".join([(a.sym.name if var is None else var(a.sym.name)) if a.is_var
+                     else term_str(a, var) if a.args else printed_name(a.sym.name)
+                     for a in lit.args])
+    return f"{sign}{name}({args})"
 
 
 def clause_str(c: Clause, var=None) -> str:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from satguide.corpus import corpus_by_tag, desk_corpus
+from satguide.corpus import desk_corpus
 from satguide.datagen import (
     balance_eval_set,
     build_vocabulary,
@@ -149,7 +149,7 @@ def test_criterion_1_soundness(corpus, trained):
 
 def test_criterion_2_oracle_equivalence(corpus):
     t0 = time.time()
-    minis = corpus_by_tag(corpus, "small_oracle")
+    minis = [item for item in corpus if "small_oracle" in item.tags]
     assert len(minis) >= 30
     assert all(len(m.problem.clauses()) <= 12 for m in minis)
     disagreements = []

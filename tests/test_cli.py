@@ -235,6 +235,17 @@ def test_experiment_and_report(tmp_path, capsys):
         ("premsel_budget", lambda c: c["methods"][0].update(premsel_budget=2000)),
         ("tags", lambda c: c.update(corpus={**dir_corpus, "tags": ["train"]})),
         ("families", lambda c: c.update(corpus={**dir_corpus, "families": ["mini"]})),
+        (r"unknown corpus tags \['nosuch'\]; known: \[.*'train'",
+         lambda c: c["corpus"].update(tags=["nosuch"])),
+        (r"unknown corpus families \['chian'\]; known: \[.*'chain'",
+         lambda c: c["corpus"].update(families=["chian"])),
+        ("corpus tags must be a nonempty list of strings, got 'train'",
+         lambda c: c["corpus"].update(tags="train")),
+        ("corpus families must be a nonempty list of strings, got 'mini'",
+         lambda c: c["corpus"].update(families="mini")),
+        ("corpus seed must be an integer, got '0'", lambda c: c["corpus"].update(seed="0")),
+        ("corpus seed must be an integer, got True", lambda c: c["corpus"].update(seed=True)),
+        ("corpus dir must be a path, got None", lambda c: c.update(corpus={"dir": None})),
         ("methods", lambda c: c.pop("methods")),
         ("no id", lambda c: c["methods"][0].pop("id")),
     ):
@@ -651,7 +662,7 @@ STATUS_ROWS = [
     ("prove", ["BAD", "--max-processed", "-1"], "InputError", "bad", "max_processed"),
     ("verify", ["MISSING"], "InputError", "missing", NO_FILE),
     ("verify", ["BAD"], "SyntaxError", "bad", "expected ')', found '.'"),
-    ("trace", ["--out", "UNDER_FILE", "--tags", "none"], "InputError", "trace",
+    ("trace", ["--out", "UNDER_FILE", "--tags", "sat"], "InputError", "trace",
      "Not a directory"),
     ("train", ["--traces", "MISSING", "--out", "OUT", "--vocab-out", "OUT"], "InputError",
      "train", NO_FILE),
@@ -667,6 +678,10 @@ STATUS_ROWS = [
     ("report", ["BAD_ROW"], "InputError", "report", "record row with missing fields"),
     ("dump-corpus", ["--out", "UNDER_FILE"], "InputError", "dump-corpus", "Not a directory"),
     ("trace", ["--out", "UNDER_FILE"], "InputError", "trace", "Not a directory"),
+    ("trace", ["--out", "OUT", "--tags", "trian"], "InputError", "trace",
+     "unknown corpus tags ['trian']; known: ["),
+    ("dump-corpus", ["--out", "OUT", "--tag", "nosuch"], "InputError", "dump-corpus",
+     "unknown corpus tags ['nosuch']; known: ["),
 ]
 
 
@@ -703,6 +718,13 @@ def test_a_failed_run_ends_with_one_szs_status(command, args, status, name, reas
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0] == f"% SZS status {status} for {name}" and reason in lines[1]
+
+
+@pytest.mark.parametrize("command, tag", [("trace", "--tags"), ("dump-corpus", "--tag")])
+def test_a_refused_corpus_filter_writes_no_file(command, tag, tmp_path):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), tag, "nosuch"]) == 1
+    assert not out.exists()
 
 
 def test_a_refused_train_writes_no_file(status_files, tmp_path):

@@ -26,8 +26,10 @@ compound arguments: `unify_atoms` against `oracles.unify_terms` over the
 argument pairs (a variable bound to a compound earlier in the same atom
 included), the in-line leaf renaming of `normalize_variables_twice`
 against two `oracles.normalize_variables` calls, the direct 2-literal `_merged`
-against `oracles.is_tautology`, and a clause built by `derived_clause`
-against one built by `Clause(...)`, field by field. A bucketed ranking
+against `oracles.is_tautology`, a clause built by `derived_clause`
+against one built by `Clause(...)`, field by field, and the in-line
+printing of flat arguments in `literal_str` against `term_str` of each
+argument. A bucketed ranking
 pops what a plain (tier, weight, id) heap pops, over random insertion
 orders with out-of-order ids, equal keys and several flushes.
 
@@ -42,7 +44,9 @@ recursive parser alone gives (the same problem, field by field, or the
 same error at the same line and column) on every printed problem of
 `desk_corpus(0..4)`, every TPTP text in `test_parser.py` and the lexer's
 edge cases. Every guided input of the bench's kind takes the fast path,
-and no equality problem does.
+and no equality problem does. Every clause of every corpus problem, and
+of a parsed flat cnf, recursive cnf and fof text, equals field by field
+what the checked `Clause(...)` builds: `build_problem` skips the checks.
 """
 
 import ast
@@ -72,11 +76,13 @@ from satguide.fol import (
     canonical_key,
     clause_str,
     derived_clause,
+    literal_str,
     normalize_variables,
     normalize_variables_twice,
     normalized_str,
     problem_str,
     symbol_record,
+    term_str,
     term_symbols,
 )
 from satguide.parser import (
@@ -529,6 +535,17 @@ def test_fast_built_derived_clause_equals_checked_one():
             assert getattr(fast, f.name) is getattr(checked, f.name), f.name
 
 
+def test_inline_argument_printing_agrees_with_term_str():
+    rng = random.Random(5)
+    variables = [Var(n) for n in ("X", "Y", "Z")]
+    renamed = {"X": "V2", "Y": "V1", "Z": "V3"}.__getitem__
+    for _ in range(500):
+        lit = _random_atom(rng, variables)
+        for var in (None, renamed):
+            ref = ",".join([term_str(a, var) for a in lit.args])
+            assert literal_str(lit, var) == f"{'' if lit.positive else '~'}p({ref})"
+
+
 class KeyTable(heuristics.WeightFunction):
     """The keys of a fixed table, by clause id."""
 
@@ -719,6 +736,37 @@ def test_parse_paths_agree_on_parser_tests():
 @pytest.mark.parametrize("text", LEX_EDGES + LEX_ERRORS)
 def test_parse_paths_agree_on_edge_cases(text):
     assert _parse_result(parse_tptp, text) == _parse_result(_parse_recursive, text)
+
+
+def _built_as_checked(problem) -> bool:
+    """Does each clause of `problem` equal, field by field, what the
+    checked `Clause(...)` builds from its id, literals, role and origin?"""
+    for c in problem.clauses():
+        checked = Clause(c.id, c.literals, c.role, origin=c.origin)
+        assert type(c) is Clause and type(c.literals) is tuple
+        for f in fields(Clause):
+            assert getattr(c, f.name) == getattr(checked, f.name), (problem.name, c.id, f.name)
+    return True
+
+
+def test_corpus_problems_are_built_as_the_checked_constructor_builds(corpora):
+    problems = [item.problem for corpus in corpora for item in corpus]
+    assert len(problems) == 5 * 182
+    assert all(_built_as_checked(p) for p in problems)
+
+
+@pytest.mark.parametrize("text, flat", [
+    ("cnf(a, axiom, p(a, X)).\ncnf(b, axiom, (~p(X, Y) | q(Y))).\n"
+     "cnf(g, negated_conjecture, ~q(a)).\n", True),
+    ("cnf(a, axiom, p(f(X))).\ncnf(e, axiom, a = b).\n"
+     "cnf(g, negated_conjecture, (~p(f(a)) | a != b)).\n", False),
+    ("fof(a, axiom, ![X]: (p(X) => ?[Y]: q(X, Y))).\nfof(h, hypothesis, p(c)).\n"
+     "fof(g, conjecture, ?[Z]: q(c, Z)).\n", False),
+], ids=["flat_cnf", "recursive_cnf", "fof"])
+def test_parsed_problems_are_built_as_the_checked_constructor_builds(text, flat):
+    assert (_flat_cnf(text) is not None) == flat
+    problem = parse_tptp(text, "t")
+    assert problem.negated_conjecture and _built_as_checked(problem)
 
 
 def test_guided_inputs_take_the_fast_path_and_equality_ones_do_not(corpora):

@@ -485,9 +485,9 @@ def test_option_table_covers_every_field():
 
 class TestOracleAgreement:
     def test_fifo_matches_bfs_oracle_on_minis(self):
-        from satguide.corpus import corpus_by_tag, desk_corpus
+        from satguide.corpus import desk_corpus
 
-        minis = corpus_by_tag(desk_corpus(0), "small_oracle")
+        minis = [item for item in desk_corpus(0) if "small_oracle" in item.tags]
         assert len(minis) >= 30
         for item in minis[:10]:
             expected = bfs_saturate(item.problem)
